@@ -6,9 +6,12 @@ GO ?= go
 
 all: build test lint
 
+# perfbench/ is a module of its own (root ./... never reaches it), so it
+# is vetted separately to catch breakage of the APIs it drives.
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # Static-analysis suite (internal/analysis): simclock, detrand, maporder,
 # errflow, chaoshook, fleethook, hotpath, goroutine, lockorder — the

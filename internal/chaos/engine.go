@@ -61,7 +61,7 @@ type Engine struct {
 	blackout map[int]bool // slots inside a MetricsBlackout window
 	stale    map[int]bool // slots inside a MetricsStale window
 	rng      *stats.RNG
-	counters *telemetry.Counters
+	counters *telemetry.Registry
 
 	k8s *cluster.Cluster
 
@@ -88,14 +88,14 @@ type Engine struct {
 func (e *Engine) SetTracer(tr *telemetry.Tracer) { e.tracer = tr }
 
 // NewEngine validates the spec and returns an engine seeded with the
-// given seed. counters may be nil, in which case the engine keeps a
-// private registry (exposed via Counters).
-func NewEngine(spec *Spec, seed int64, counters *telemetry.Counters) (*Engine, error) {
+// given seed. Fault counts go to counters, or, when it is nil, to a
+// private registry (exposed via Metrics).
+func NewEngine(spec *Spec, seed int64, counters *telemetry.Registry) (*Engine, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if counters == nil {
-		counters = telemetry.NewCounters()
+		counters = telemetry.NewRegistry()
 	}
 	e := &Engine{
 		spec:     spec,
@@ -141,8 +141,8 @@ func (e *Engine) Install(k8s *cluster.Cluster, job *flink.Job, mon *monitor.Moni
 // Spec returns the scenario being replayed.
 func (e *Engine) Spec() *Spec { return e.spec }
 
-// Counters returns the fault-accounting registry.
-func (e *Engine) Counters() *telemetry.Counters { return e.counters }
+// Metrics returns the registry the engine counts faults in.
+func (e *Engine) Metrics() *telemetry.Registry { return e.counters }
 
 // Trace returns a copy of the fault trace so far.
 func (e *Engine) Trace() []TraceEntry {

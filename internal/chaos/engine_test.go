@@ -39,8 +39,8 @@ func newEngine(t *testing.T, spec *chaos.Spec, k8s *cluster.Cluster) *chaos.Engi
 	return e
 }
 
-func counterValue(cs *telemetry.Counters, name string) int64 {
-	return cs.Get(name)
+func counterValue(cs *telemetry.Registry, name string) int64 {
+	return cs.CounterValue(name)
 }
 
 func TestEngineCrashAndHeal(t *testing.T) {
@@ -60,7 +60,7 @@ func TestEngineCrashAndHeal(t *testing.T) {
 	if !ok || spec.CPUMilli != 4000 {
 		t.Errorf("healed node allocatable = %+v, want the crashed node's 4000m", spec)
 	}
-	cs := e.Counters()
+	cs := e.Metrics()
 	if counterValue(cs, "chaos_node_crashes") != 1 || counterValue(cs, "chaos_node_heals") != 1 {
 		t.Errorf("counters = %v", cs.Snapshot())
 	}
@@ -83,8 +83,8 @@ func TestEngineNeverKillsLastNode(t *testing.T) {
 	if got := len(k8s.Nodes()); got != 1 {
 		t.Fatalf("last node was killed")
 	}
-	if counterValue(e.Counters(), "chaos_skipped") != 1 {
-		t.Errorf("skip not counted: %v", e.Counters().Snapshot())
+	if counterValue(e.Metrics(), "chaos_skipped") != 1 {
+		t.Errorf("skip not counted: %v", e.Metrics().Snapshot())
 	}
 }
 
@@ -96,8 +96,8 @@ func TestEnginePodOOMRecreatesPod(t *testing.T) {
 	if got := k8s.RunningPods("worker"); got != before {
 		t.Errorf("after OOM + reconcile: %d running pods, want %d", got, before)
 	}
-	if counterValue(e.Counters(), "chaos_pod_ooms") != 1 {
-		t.Errorf("counters = %v", e.Counters().Snapshot())
+	if counterValue(e.Metrics(), "chaos_pod_ooms") != 1 {
+		t.Errorf("counters = %v", e.Metrics().Snapshot())
 	}
 	// The replacement is a fresh pod, not the old one resurrected.
 	names := make(map[string]bool)
@@ -172,7 +172,7 @@ func TestEngineInterceptRescaleConsumesArmedBursts(t *testing.T) {
 	if err := e.InterceptRescale("job", 3); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("timeout burst not armed: %v", err)
 	}
-	cs := e.Counters()
+	cs := e.Metrics()
 	if counterValue(cs, "chaos_savepoint_failures") != 2 || counterValue(cs, "chaos_rescale_timeouts") != 1 {
 		t.Errorf("counters = %v", cs.Snapshot())
 	}
@@ -187,8 +187,8 @@ func TestEngineExtraRestoreSecondsConsumedOnce(t *testing.T) {
 	if got := e.ExtraRestoreSeconds("job", 1); got != 0 {
 		t.Fatalf("second rescale extra = %d, want 0", got)
 	}
-	if counterValue(e.Counters(), "chaos_slow_restores") != 1 {
-		t.Errorf("counters = %v", e.Counters().Snapshot())
+	if counterValue(e.Metrics(), "chaos_slow_restores") != 1 {
+		t.Errorf("counters = %v", e.Metrics().Snapshot())
 	}
 }
 
@@ -214,7 +214,7 @@ func TestEngineInterceptReportBlackoutAndStale(t *testing.T) {
 	if err != nil || got != repB {
 		t.Fatalf("stale window served %v (%v), want the slot-2 report", got, err)
 	}
-	cs := e.Counters()
+	cs := e.Metrics()
 	if counterValue(cs, "chaos_metrics_blackouts") != 1 || counterValue(cs, "chaos_metrics_stale") != 1 {
 		t.Errorf("counters = %v", cs.Snapshot())
 	}
@@ -240,7 +240,7 @@ func TestEngineDeterministicReplay(t *testing.T) {
 			CrashNode(3).AtSecond(17).
 			FailSavepoints(4, 2)
 	}
-	run := func() ([]chaos.TraceEntry, []telemetry.Counter) {
+	run := func() ([]chaos.TraceEntry, []telemetry.MetricRecord) {
 		k8s := testCluster(t)
 		e := newEngine(t, spec(), k8s)
 		for slot := 0; slot < 6; slot++ {
@@ -248,7 +248,7 @@ func TestEngineDeterministicReplay(t *testing.T) {
 			k8s.Tick(60)
 			_ = e.InterceptRescale("job", slot)
 		}
-		return e.Trace(), e.Counters().Snapshot()
+		return e.Trace(), e.Metrics().Snapshot()
 	}
 	tr1, cs1 := run()
 	tr2, cs2 := run()

@@ -31,7 +31,7 @@ const (
 type goldenRun struct {
 	res     *experiment.Result
 	trace   []chaos.TraceEntry
-	counts  []telemetry.Counter
+	counts  []telemetry.MetricRecord
 	skipped int
 }
 
@@ -66,7 +66,7 @@ func runGolden(t *testing.T, cs *chaos.Spec) *goldenRun {
 	return &goldenRun{
 		res:     r.Result(),
 		trace:   r.ChaosTrace(),
-		counts:  r.FaultCounters().Snapshot(),
+		counts:  r.Metrics().Snapshot(),
 		skipped: r.SkippedRounds(),
 	}
 }
@@ -191,7 +191,7 @@ func TestGoldenScenarios(t *testing.T) {
 			// Fault accounting matches the pinned golden values.
 			got := make(map[string]int64, len(run1.counts))
 			for _, c := range run1.counts {
-				got[c.Name] = c.Value
+				got[c.Name] = int64(c.Value)
 			}
 			for cname, want := range env.wantCounters {
 				if got[cname] != want {

@@ -3,7 +3,7 @@
 // the simulation clock (decision slots, with optional second offsets
 // inside a slot); an Engine replays the spec through the injection hooks
 // of internal/cluster, internal/flink, and internal/monitor, records a
-// fault trace, and accounts every fault in a telemetry.Counters registry.
+// fault trace, and accounts every fault in a telemetry.Registry.
 //
 // Determinism contract: with a fixed Spec and seed, two replays against
 // the same seeded simulation produce the same fault trace and the same
@@ -69,9 +69,8 @@ type Victim int
 const (
 	// VictimSeeded picks the target uniformly with the engine's seeded RNG.
 	VictimSeeded Victim = iota
-	// VictimLast picks the most recently registered node — the legacy
-	// FailNodeAtSlot behaviour, where the newest node carries only worker
-	// pods in practice.
+	// VictimLast picks the most recently registered node, which in
+	// practice carries only worker pods.
 	VictimLast
 )
 

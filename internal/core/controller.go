@@ -107,9 +107,9 @@ type Config struct {
 	DB *store.DB
 	// Counters, when set, receives fault-handling telemetry
 	// (core_stale_snapshot_skips, core_rejected_capacity_obs). The
-	// experiment runner shares one registry between the controller and the
-	// chaos engine so a run's whole fault story lives in one snapshot.
-	Counters *telemetry.Counters
+	// experiment runner and the fleet hand every component of a run the
+	// same registry, so a run's whole fault story lives in one snapshot.
+	Counters *telemetry.Registry
 	// OSP overrides the default level-1 configuration (Method and YMax
 	// from this Config still take precedence when set there).
 	OSP *osp.Config
@@ -437,10 +437,7 @@ func (c *Controller) DecideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 		// double-count dual violations — and hold the current configuration.
 		c.staleSkips++
 		sp.Annotate(telemetry.Str("outcome", "stale_skip"))
-		c.tracer.Metrics().Inc("core_stale_skips")
-		if c.cfg.Counters != nil {
-			c.cfg.Counters.Inc("core_stale_snapshot_skips")
-		}
+		c.cfg.Counters.Inc("core_stale_snapshot_skips")
 		chosen := make([][]float64, m)
 		for i := range chosen {
 			chosen[i] = c.configFor(i, c.lastTasks[i], c.lastCPU[i])
@@ -456,9 +453,7 @@ func (c *Controller) DecideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 		if !isFiniteObservation(om.CapacityObs, om.Util) {
 			// Garbage from a misbehaving metrics path (NaN/Inf capacity or
 			// utilization) must never reach the GP or the store.
-			if c.cfg.Counters != nil {
-				c.cfg.Counters.Inc("core_rejected_capacity_obs")
-			}
+			c.cfg.Counters.Inc("core_rejected_capacity_obs")
 			c.lastTasks[i] = om.Tasks
 			c.lastCPU[i] = om.CPUMilli
 			continue

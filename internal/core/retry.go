@@ -30,7 +30,7 @@ type RetryConfig struct {
 	Retryable func(error) bool
 	// Counters, when set, receives rescale_failures / rescale_retries /
 	// rescale_recovered / rescale_abandoned / rescale_backoff_waits.
-	Counters *telemetry.Counters
+	Counters *telemetry.Registry
 }
 
 // RescaleRetrier applies desired configurations to a substrate with
@@ -96,16 +96,16 @@ func (r *RescaleRetrier) Apply(job Rescaler, tasks, cpuMilli []int, slot int) er
 		r.nextSlot = 0
 	}
 	if slot < r.nextSlot {
-		r.count("rescale_backoff_waits")
+		r.cfg.Counters.Inc("rescale_backoff_waits")
 		return nil
 	}
 	if r.attempts > 0 {
-		r.count("rescale_retries")
+		r.cfg.Counters.Inc("rescale_retries")
 	}
 	err := job.RescaleResources(r.pendTasks, r.pendCPU)
 	if err == nil {
 		if r.attempts > 0 {
-			r.count("rescale_recovered")
+			r.cfg.Counters.Inc("rescale_recovered")
 		}
 		r.reset()
 		return nil
@@ -117,9 +117,9 @@ func (r *RescaleRetrier) Apply(job Rescaler, tasks, cpuMilli []int, slot int) er
 	}
 	r.lastErr = err
 	r.attempts++
-	r.count("rescale_failures")
+	r.cfg.Counters.Inc("rescale_failures")
 	if r.attempts >= r.cfg.MaxAttempts {
-		r.count("rescale_abandoned")
+		r.cfg.Counters.Inc("rescale_abandoned")
 		r.reset()
 		r.lastErr = err
 		return nil
@@ -136,12 +136,6 @@ func (r *RescaleRetrier) reset() {
 	r.pendTasks, r.pendCPU = nil, nil
 	r.attempts, r.nextSlot = 0, 0
 	r.lastErr = nil
-}
-
-func (r *RescaleRetrier) count(name string) {
-	if r.cfg.Counters != nil {
-		r.cfg.Counters.Inc(name)
-	}
 }
 
 func intsEqual(a, b []int) bool {

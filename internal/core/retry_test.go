@@ -54,7 +54,7 @@ func TestRetrierSuccessPassthrough(t *testing.T) {
 }
 
 func TestRetrierRecoversAfterBackoff(t *testing.T) {
-	cs := telemetry.NewCounters()
+	cs := telemetry.NewRegistry()
 	r := newRetrier(t, RetryConfig{Retryable: transientOnly, Counters: cs})
 	job := &scriptedRescaler{errs: []error{errTransient}}
 	target := []int{4, 4}
@@ -86,7 +86,7 @@ func TestRetrierRecoversAfterBackoff(t *testing.T) {
 		"rescale_recovered":     1,
 		"rescale_abandoned":     0,
 	} {
-		if got := cs.Get(name); got != want {
+		if got := cs.CounterValue(name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
@@ -112,7 +112,7 @@ func TestRetrierNewTargetSupersedesPending(t *testing.T) {
 }
 
 func TestRetrierAbandonsAfterMaxAttempts(t *testing.T) {
-	cs := telemetry.NewCounters()
+	cs := telemetry.NewRegistry()
 	r := newRetrier(t, RetryConfig{MaxAttempts: 2, Retryable: transientOnly, Counters: cs})
 	job := &scriptedRescaler{errs: []error{errTransient, errTransient}}
 	target := []int{5, 5}
@@ -128,7 +128,7 @@ func TestRetrierAbandonsAfterMaxAttempts(t *testing.T) {
 	if !errors.Is(r.LastErr(), errTransient) {
 		t.Errorf("abandonment lost the last error: %v", r.LastErr())
 	}
-	if got := cs.Get("rescale_abandoned"); got != 1 {
+	if got := cs.CounterValue("rescale_abandoned"); got != 1 {
 		t.Errorf("rescale_abandoned = %d, want 1", got)
 	}
 	// The next (fresh) target starts with a clean attempt budget.

@@ -12,7 +12,7 @@ import (
 // the repeat must hold the current configuration without re-observing the
 // (already-seen) samples or advancing the optimizer.
 func TestStaleSnapshotSkipsRound(t *testing.T) {
-	cs := telemetry.NewCounters()
+	cs := telemetry.NewRegistry()
 	c := newController(t, func(cfg *Config) { cfg.Counters = cs })
 	rng := stats.NewRNG(3)
 
@@ -31,7 +31,7 @@ func TestStaleSnapshotSkipsRound(t *testing.T) {
 	if c.StaleSkips() != 1 {
 		t.Errorf("StaleSkips = %d, want 1", c.StaleSkips())
 	}
-	if cv := cs.Get("core_stale_snapshot_skips"); cv != 1 {
+	if cv := cs.CounterValue("core_stale_snapshot_skips"); cv != 1 {
 		t.Errorf("core_stale_snapshot_skips = %d, want 1", cv)
 	}
 	if c.Searcher(0).Observations() != obs {
@@ -59,7 +59,7 @@ func TestStaleSnapshotSkipsRound(t *testing.T) {
 // the GPs: they are counted, the operator's running config is still
 // tracked, and the round proceeds on the remaining operators.
 func TestNonFiniteObservationRejected(t *testing.T) {
-	cs := telemetry.NewCounters()
+	cs := telemetry.NewRegistry()
 	c := newController(t, func(cfg *Config) { cfg.Counters = cs })
 	rng := stats.NewRNG(3)
 
@@ -74,7 +74,7 @@ func TestNonFiniteObservationRejected(t *testing.T) {
 	if got := c.Searcher(1).Observations(); got != 1 {
 		t.Errorf("healthy operator not observed: %d", got)
 	}
-	if cv := cs.Get("core_rejected_capacity_obs"); cv != 1 {
+	if cv := cs.CounterValue("core_rejected_capacity_obs"); cv != 1 {
 		t.Errorf("core_rejected_capacity_obs = %d, want 1", cv)
 	}
 
@@ -86,7 +86,7 @@ func TestNonFiniteObservationRejected(t *testing.T) {
 	if got := c.Searcher(1).Observations(); got != 1 {
 		t.Errorf("Inf utilization reached the GP: %d observations", got)
 	}
-	if cv := cs.Get("core_rejected_capacity_obs"); cv != 2 {
+	if cv := cs.CounterValue("core_rejected_capacity_obs"); cv != 2 {
 		t.Errorf("core_rejected_capacity_obs = %d, want 2", cv)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -250,6 +251,16 @@ func (r *SubmitRequest) ToSpec() (fleet.JobSpec, error) {
 			rateVec = spec.HighRates
 		default:
 			return fleet.JobSpec{}, fmt.Errorf("unknown profile %q", r.Profile)
+		}
+	}
+	// Explicit rates must fit the workload's sources like JobSpec's
+	// TargetRates; a bad vector would otherwise fail every later round.
+	if n := spec.Graph.NumSources(); len(rateVec) != n {
+		return fleet.JobSpec{}, fmt.Errorf("got %d rates, want %d (one per source)", len(rateVec), n)
+	}
+	for i, r := range rateVec {
+		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+			return fleet.JobSpec{}, fmt.Errorf("rate %d = %v invalid", i, r)
 		}
 	}
 	rates, err := workload.Constant(rateVec)

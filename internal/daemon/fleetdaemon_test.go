@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dragster/internal/chaos"
 	"dragster/internal/fleet"
 	"dragster/internal/workload"
 )
@@ -230,6 +231,75 @@ func TestFleetDaemonSubmitAndKill(t *testing.T) {
 	}
 	if got := byName["gamma"]; got.Status != "running" || got.Rounds != 6 {
 		t.Errorf("submitted job: %+v", got)
+	}
+}
+
+// TestFleetSubmitRejectsBadRates pins that a submitted rate vector that
+// does not fit the workload is refused up front: accepted, it would fail
+// the next round for every tenant.
+func TestFleetSubmitRejectsBadRates(t *testing.T) {
+	d, err := NewFleet(testFleetConfig(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	for _, tc := range []struct {
+		name  string
+		rates []float64
+		want  int
+	}{
+		{"wrong-length", []float64{1, 2, 3}, http.StatusBadRequest},
+		{"negative", []float64{-5000}, http.StatusBadRequest},
+		{"valid", []float64{5000}, http.StatusAccepted},
+	} {
+		buf, err := json.Marshal(SubmitRequest{Name: tc.name, Workload: "wordcount", Rates: tc.rates})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/fleet/jobs", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: submit = %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+	if err := d.StepN(4); err != nil {
+		t.Fatalf("fleet stopped stepping: %v", err)
+	}
+	var jobs []FleetJobState
+	getJSON(t, srv.URL+"/fleet/jobs", &jobs)
+	if len(jobs) != 3 || jobs[2].Name != "valid" || jobs[2].Status != "running" {
+		t.Errorf("jobs after bad submissions: %+v", jobs)
+	}
+}
+
+// TestFleetMetricsIncludeChaosCounters pins the single registry: the
+// chaos engine counts its faults in the registry GET /metrics serves.
+func TestFleetMetricsIncludeChaosCounters(t *testing.T) {
+	cfg := testFleetConfig(t, 4)
+	cfg.Fleet.Chaos = chaos.NewSpec("node-loss").CrashLastNode(1).HealNode(2)
+	d, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{"chaos_node_crashes 1", "chaos_node_heals 1", "fleet_rounds 4"} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("metrics missing %q in:\n%s", want, body)
+		}
 	}
 }
 

@@ -28,37 +28,6 @@ func chaosScenario(t *testing.T, cs *chaos.Spec, slots int) Scenario {
 	}
 }
 
-// TestLegacyChaosEqualsExplicitSpec pins the backwards-compatibility
-// contract: the legacy FailNodeAtSlot/HealNodeAtSlot fields are converted
-// to a chaos spec, and an explicitly equivalent spec produces the same
-// run slot-for-slot.
-func TestLegacyChaosEqualsExplicitSpec(t *testing.T) {
-	legacy := chaosScenario(t, nil, 20)
-	legacy.FailNodeAtSlot = 10
-	legacy.HealNodeAtSlot = 16
-	explicit := chaosScenario(t, chaos.NewSpec("explicit").CrashLastNode(10).HealNode(16), 20)
-
-	resL, err := Run(legacy, DragsterSaddle())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resE, err := Run(explicit, DragsterSaddle())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resL.Trace, resE.Trace) {
-		t.Error("legacy conversion and explicit spec diverge")
-	}
-}
-
-func TestLegacyAndExplicitChaosAreMutuallyExclusive(t *testing.T) {
-	sc := chaosScenario(t, chaos.NewSpec("x").CrashNode(2), 4)
-	sc.FailNodeAtSlot = 2
-	if _, err := Run(sc, DragsterSaddle()); err == nil {
-		t.Error("Chaos together with FailNodeAtSlot accepted")
-	}
-}
-
 // TestSlowRestoreChargesExtraPause arms a slow savepoint restore during
 // the exploration phase (when rescales happen every slot) and checks the
 // extra downtime lands in the paused-seconds accounting.
@@ -78,8 +47,8 @@ func TestSlowRestoreChargesExtraPause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Counters.Get("chaos_slow_restores"); got != 1 {
-		t.Fatalf("chaos_slow_restores = %d, want 1 (counters: %s)", got, res.Counters)
+	if got := res.Metrics.CounterValue("chaos_slow_restores"); got != 1 {
+		t.Fatalf("chaos_slow_restores = %d, want 1 (metrics: %v)", got, res.Metrics.Snapshot())
 	}
 	if pausedTotal(res) < pausedTotal(base)+120 {
 		t.Errorf("slow restore not charged: paused %d vs baseline %d",
@@ -104,7 +73,7 @@ func TestBlackoutSkipsDecisionRounds(t *testing.T) {
 	if r.SkippedRounds() != 2 || res.SkippedRounds != 2 {
 		t.Fatalf("skipped rounds = %d/%d, want 2", r.SkippedRounds(), res.SkippedRounds)
 	}
-	if got := res.Counters.Get("runner_skipped_rounds"); got != 2 {
+	if got := res.Metrics.CounterValue("runner_skipped_rounds"); got != 2 {
 		t.Errorf("runner_skipped_rounds = %d, want 2", got)
 	}
 	// No decision fired during the blackout: no targets recorded and the

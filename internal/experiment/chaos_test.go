@@ -3,6 +3,7 @@ package experiment
 import (
 	"testing"
 
+	"dragster/internal/chaos"
 	"dragster/internal/workload"
 )
 
@@ -16,13 +17,12 @@ func TestChaosDegradesAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(Scenario{
-		Spec:           spec,
-		Rates:          rates,
-		Slots:          24,
-		SlotSeconds:    60,
-		Seed:           8,
-		FailNodeAtSlot: 10,
-		HealNodeAtSlot: 16,
+		Spec:        spec,
+		Rates:       rates,
+		Slots:       24,
+		SlotSeconds: 60,
+		Seed:        8,
+		Chaos:       chaos.NewSpec("node-loss").CrashLastNode(10).HealNode(16),
 	}, DragsterSaddle())
 	if err != nil {
 		t.Fatal(err)
@@ -54,13 +54,8 @@ func TestChaosValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Run(Scenario{
-		Spec: spec, Rates: rates, Slots: 2, FailNodeAtSlot: -1,
+		Spec: spec, Rates: rates, Slots: 2, Chaos: chaos.NewSpec("neg").CrashLastNode(-1),
 	}, DragsterSaddle()); err == nil {
 		t.Error("negative chaos slot accepted")
-	}
-	if _, err := Run(Scenario{
-		Spec: spec, Rates: rates, Slots: 2, FailNodeAtSlot: 5, HealNodeAtSlot: 3,
-	}, DragsterSaddle()); err == nil {
-		t.Error("heal before fail accepted")
 	}
 }

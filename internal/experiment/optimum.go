@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"dragster/internal/mathx"
 	"dragster/internal/workload"
 )
 
@@ -100,7 +101,7 @@ func greedyOptimum(spec *workload.Spec, rates []float64) (*Optimum, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Optimum{Tasks: tasks, Throughput: th, TotalTasks: sum(tasks)}, nil
+	return &Optimum{Tasks: tasks, Throughput: th, TotalTasks: mathx.SumInts(tasks)}, nil
 }
 
 // exhaustiveOptimum enumerates the full grid under the budget.
@@ -113,7 +114,7 @@ func exhaustiveOptimum(spec *workload.Spec, rates []float64, budget int) (*Optim
 	best := &Optimum{Throughput: -1}
 	caps := make([]float64, m)
 	for {
-		if total := sum(tasks); total <= budget {
+		if total := mathx.SumInts(tasks); total <= budget {
 			for i, n := range tasks {
 				caps[i] = spec.Models[i].Capacity(n)
 			}
@@ -157,7 +158,7 @@ func coordinateAscentOptimum(spec *workload.Spec, rates []float64, budget int) (
 	m := len(g.Tasks)
 	tasks := append([]int(nil), g.Tasks...)
 	// Project onto the budget by trimming the largest allocations first.
-	for sum(tasks) > budget {
+	for mathx.SumInts(tasks) > budget {
 		maxI := 0
 		for i := 1; i < m; i++ {
 			if tasks[i] > tasks[maxI] {
@@ -211,13 +212,5 @@ func coordinateAscentOptimum(spec *workload.Spec, rates []float64, budget int) (
 			}
 		}
 	}
-	return &Optimum{Tasks: tasks, Throughput: cur, TotalTasks: sum(tasks)}, nil
-}
-
-func sum(xs []int) int {
-	var s int
-	for _, x := range xs {
-		s += x
-	}
-	return s
+	return &Optimum{Tasks: tasks, Throughput: cur, TotalTasks: mathx.SumInts(tasks)}, nil
 }

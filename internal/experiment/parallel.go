@@ -14,8 +14,7 @@ import (
 //
 //   - Spec / ControllerGraph are immutable after Build;
 //   - capacity models are stateless value types;
-//   - Counters is mutex-protected and its final counts are sums of
-//     increments, hence independent of goroutine interleaving;
+//   - each run counts in a fresh metrics registry (or its Tracer's);
 //   - the Tracer is single-threaded by contract, so any run fan-out that
 //     would share one serializes itself (workers forced to 1).
 //

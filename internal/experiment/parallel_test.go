@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
 	"dragster/internal/chaos"
+	"dragster/internal/telemetry"
 	"dragster/internal/workload"
 )
 
@@ -24,18 +26,29 @@ func parallelScenario(t *testing.T) Scenario {
 	}
 }
 
-// resultJSON renders one run to comparable bytes: the counter registry
-// via its deterministic string (it carries a mutex), the rest via JSON.
-// It nils the Counters field, so fingerprint each result only once.
+// resultJSON renders one run to comparable bytes: the registry's
+// counter records (it carries a mutex), the rest via JSON. It nils the
+// Metrics field, so fingerprint each result only once.
 func resultJSON(t *testing.T, res *Result) string {
 	t.Helper()
-	cs := res.Counters.String()
-	res.Counters = nil
+	cs := counterRecords(res.Metrics)
+	res.Metrics = nil
 	b, err := json.Marshal(res)
 	if err != nil {
 		t.Fatalf("marshal result: %v", err)
 	}
 	return string(b) + "\n" + cs
+}
+
+// counterRecords renders a registry's counters in name order.
+func counterRecords(reg *telemetry.Registry) string {
+	var sb strings.Builder
+	for _, rec := range reg.Snapshot() {
+		if rec.Kind == "counter" {
+			fmt.Fprintf(&sb, "%s=%v ", rec.Name, rec.Value)
+		}
+	}
+	return sb.String()
 }
 
 func repeatFingerprint(t *testing.T, rr *RepeatResult) string {

@@ -3,7 +3,6 @@ package experiment
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"dragster/internal/baseline"
 	"dragster/internal/chaos"
@@ -11,13 +10,14 @@ import (
 	"dragster/internal/core"
 	"dragster/internal/dag"
 	"dragster/internal/flink"
+	"dragster/internal/mathx"
 	"dragster/internal/monitor"
 	"dragster/internal/osp"
 	"dragster/internal/stats"
 	"dragster/internal/store"
 	"dragster/internal/storm"
-	"dragster/internal/streamsim"
 	"dragster/internal/telemetry"
+	"dragster/internal/tenant"
 	"dragster/internal/ucb"
 	"dragster/internal/workload"
 )
@@ -68,31 +68,24 @@ type Scenario struct {
 	// unlimited). Long-horizon scenarios set this so per-slot cost and
 	// memory stay flat; non-Dragster policies ignore it.
 	GPObservationBudget int
-	// FailNodeAtSlot, when positive, kills one worker node at the start
-	// of that slot (chaos injection): its pods go Pending and the
-	// dataflow loses parallelism until capacity returns.
-	FailNodeAtSlot int
-	// HealNodeAtSlot, when positive, adds a replacement node at the
-	// start of that slot. Must be ≥ FailNodeAtSlot when both are set.
-	HealNodeAtSlot int
 	// Chaos, when set, replays the fault schedule through a seeded
 	// chaos.Engine wired into the cluster, the Flink job (Storm has no
-	// rescale hook surface), and the monitor. Mutually exclusive with the
-	// legacy FailNodeAtSlot/HealNodeAtSlot pair, which setDefaults
-	// converts into an equivalent Chaos spec.
+	// rescale hook surface), and the monitor.
 	Chaos *chaos.Spec
 	// ChaosSeed seeds the chaos engine's victim selection (default
 	// Seed+104729 so chaos randomness never aliases workload noise).
 	ChaosSeed int64
-	// Counters receives fault/retry/skip telemetry from the chaos engine,
-	// the rescale retrier, and the controller (default: a fresh registry).
-	Counters *telemetry.Counters
 	// Tracer, when set, records a sim-time span trace of the run: one
 	// "round" span per decision slot with the optimizer, substrate, and
 	// chaos events nested inside, all stamped with the cluster clock.
 	// Nil (the default) leaves every emission point a no-op, and a traced
 	// run is bit-identical to an untraced one apart from the trace itself.
+	// The tracer's metrics registry, when it has one, is also the run's.
 	Tracer *telemetry.Tracer
+
+	// metrics is the run's one registry (fault, retry and skip counts):
+	// the tracer's when it has one, otherwise a fresh one.
+	metrics *telemetry.Registry
 }
 
 func (sc *Scenario) setDefaults() error {
@@ -126,14 +119,7 @@ func (sc *Scenario) setDefaults() error {
 	if sc.PricePerCoreHour < 0 {
 		return errors.New("experiment: negative price")
 	}
-	m := sc.Spec.Graph.NumOperators()
-	if sc.InitialTasks == nil {
-		sc.InitialTasks = make([]int, m)
-		for i := range sc.InitialTasks {
-			sc.InitialTasks[i] = 1
-		}
-	}
-	if len(sc.InitialTasks) != m {
+	if m := sc.Spec.Graph.NumOperators(); sc.InitialTasks != nil && len(sc.InitialTasks) != m {
 		return fmt.Errorf("experiment: got %d initial tasks, want %d", len(sc.InitialTasks), m)
 	}
 	if sc.MaxBufferSeconds == 0 {
@@ -151,26 +137,6 @@ func (sc *Scenario) setDefaults() error {
 	if sc.StreamEngine == "storm" && sc.VerticalScaling {
 		return errors.New("experiment: storm workers are homogeneous; vertical scaling unavailable")
 	}
-	if sc.FailNodeAtSlot < 0 || sc.HealNodeAtSlot < 0 {
-		return errors.New("experiment: negative chaos slots")
-	}
-	if sc.FailNodeAtSlot > 0 && sc.HealNodeAtSlot > 0 && sc.HealNodeAtSlot < sc.FailNodeAtSlot {
-		return errors.New("experiment: HealNodeAtSlot before FailNodeAtSlot")
-	}
-	if sc.Chaos != nil && (sc.FailNodeAtSlot > 0 || sc.HealNodeAtSlot > 0) {
-		return errors.New("experiment: set either Chaos or the legacy FailNodeAtSlot/HealNodeAtSlot pair, not both")
-	}
-	if sc.Chaos == nil && (sc.FailNodeAtSlot > 0 || sc.HealNodeAtSlot > 0) {
-		// Legacy single-failure schedule: same semantics, one engine.
-		legacy := chaos.NewSpec("legacy-node-chaos")
-		if sc.FailNodeAtSlot > 0 {
-			legacy.CrashLastNode(sc.FailNodeAtSlot)
-		}
-		if sc.HealNodeAtSlot > 0 {
-			legacy.HealNode(sc.HealNodeAtSlot)
-		}
-		sc.Chaos = legacy
-	}
 	if sc.Chaos != nil {
 		if err := sc.Chaos.Validate(); err != nil {
 			return err
@@ -179,21 +145,15 @@ func (sc *Scenario) setDefaults() error {
 	if sc.ChaosSeed == 0 {
 		sc.ChaosSeed = sc.Seed + 104729
 	}
-	if sc.Counters == nil {
-		sc.Counters = telemetry.NewCounters()
+	if sc.metrics = sc.Tracer.Metrics(); sc.metrics == nil {
+		sc.metrics = telemetry.NewRegistry()
 	}
 	return nil
 }
 
 // JobRuntime abstracts the stream-engine substrate the harness drives
 // (flink.Job, storm.Topology).
-type JobRuntime interface {
-	RunSlot(seconds int, rateAt func(sec int) []float64) (*telemetry.SlotReport, error)
-	RescaleResources(tasks []int, cpuMilli []int) error
-	EffectiveParallelism() []int
-	EffectiveCPUMilli() []int
-	LastReport() *telemetry.SlotReport
-}
+type JobRuntime = tenant.Job
 
 // PolicyFactory builds an Autoscaler for a scenario.
 type PolicyFactory func(sc *Scenario) (core.Autoscaler, error)
@@ -219,47 +179,32 @@ func DragsterThompson() PolicyFactory {
 
 func dragsterFactory(method osp.Method, acq ucb.Acquisition) PolicyFactory {
 	return func(sc *Scenario) (core.Autoscaler, error) {
-		// GP noise: capacity observations carry roughly NoiseSigma relative
-		// error; anchor the variance to the capacity scale.
-		capScale := sc.Spec.YMax / 3
-		noiseSD := math.Max(sc.NoiseSigma, 0.02) * capScale
-		g := sc.Spec.Graph
+		cfg := tenant.ControllerConfig(sc.Spec, sc.NoiseSigma)
 		if sc.ControllerGraph != nil {
-			g = sc.ControllerGraph
+			cfg.Graph = sc.ControllerGraph
 		}
-		cands := taskCandidates(sc.Spec)
-		hyperopt := 0
 		if sc.VerticalScaling {
 			var err error
-			cands, err = resourceCandidates(sc.Spec)
-			if err != nil {
+			if cfg.Candidates, err = resourceCandidates(sc.Spec); err != nil {
 				return nil, err
 			}
 			// The 2-D candidate set is 4× larger and the prior variance is
 			// sized for the largest configurations, so let the GP re-fit
 			// its kernel as data arrives — otherwise the exploration bonus
 			// dominates the tracking term for most of the run.
-			hyperopt = 6
+			cfg.HyperoptEvery = 6
 		}
-		var rng *stats.RNG
 		if acq == ucb.Thompson {
 			// Deterministic per-scenario stream, offset from the engine's.
-			rng = stats.NewRNG(sc.Seed + 7919)
+			cfg.RNG = stats.NewRNG(sc.Seed + 7919)
 		}
-		return core.New(core.Config{
-			Graph:               g,
-			Method:              method,
-			TaskBudget:          sc.TaskBudget,
-			YMax:                sc.Spec.YMax,
-			NoiseVar:            noiseSD * noiseSD,
-			Acquisition:         acq,
-			Candidates:          cands,
-			HyperoptEvery:       hyperopt,
-			RNG:                 rng,
-			ForecastAlpha:       sc.ForecastAlpha,
-			GPObservationBudget: sc.GPObservationBudget,
-			Counters:            sc.Counters,
-		})
+		cfg.Method = method
+		cfg.TaskBudget = sc.TaskBudget
+		cfg.Acquisition = acq
+		cfg.ForecastAlpha = sc.ForecastAlpha
+		cfg.GPObservationBudget = sc.GPObservationBudget
+		cfg.Counters = sc.metrics
+		return core.New(cfg)
 	}
 }
 
@@ -274,19 +219,6 @@ func resourceCandidates(spec *workload.Spec) ([][][]float64, error) {
 		out[i] = grid
 	}
 	return out, nil
-}
-
-func taskCandidates(spec *workload.Spec) [][][]float64 {
-	m := spec.Graph.NumOperators()
-	grid := make([][]float64, spec.MaxTasks)
-	for n := 1; n <= spec.MaxTasks; n++ {
-		grid[n-1] = []float64{float64(n)}
-	}
-	out := make([][][]float64, m)
-	for i := range out {
-		out[i] = grid
-	}
-	return out
 }
 
 // DhalionPolicy builds the rule-based baseline.
@@ -362,42 +294,30 @@ type Result struct {
 	// SkippedRounds counts decision rounds skipped for want of a fresh
 	// metrics sample (metrics blackouts / stale windows).
 	SkippedRounds int
-	// Counters is the run's shared fault/retry telemetry registry.
-	Counters *telemetry.Counters
+	// Metrics is the run's metrics registry: fault, retry and skip
+	// counts, plus the tracer's metrics on a traced run.
+	Metrics *telemetry.Registry
 }
 
 // Runner executes a scenario one decision slot at a time. Use it when a
 // caller (e.g. the dragsterd daemon) needs to observe or pace individual
-// slots; Run wraps it for batch execution.
+// slots; Run wraps it for batch execution. It drives one tenant on a
+// private cluster.
 type Runner struct {
-	sc      Scenario
-	policy  core.Autoscaler
-	job     JobRuntime
-	k8s     *cluster.Cluster
-	mon     *monitor.Monitor
-	chaos   *chaos.Engine
-	retrier *core.RescaleRetrier
-	res     *Result
-	slot    int
-	skipped int
-
-	// Per-slot working storage, grown once and reused by Step so the
-	// steady-state/violation bookkeeping allocates nothing per round.
-	capsBuf []float64
-	frep    dag.FlowReport
+	sc    Scenario
+	t     *tenant.Tenant
+	chaos *chaos.Engine
+	res   *Result
 }
 
-// NewRunner validates the scenario, builds the full stack (cluster, Flink
-// session, dataflow engine, monitor, policy) and precomputes the per-phase
-// optima.
+// NewRunner validates the scenario, builds the full stack (cluster,
+// substrate, and the tenant's engine, job, monitor and policy) and
+// precomputes the per-phase optima.
 func NewRunner(sc Scenario, factory PolicyFactory) (*Runner, error) {
 	if err := sc.setDefaults(); err != nil {
 		return nil, err
 	}
 	spec := sc.Spec
-	g := spec.Graph
-	m := g.NumOperators()
-
 	policy, err := factory(&sc)
 	if err != nil {
 		return nil, err
@@ -405,7 +325,7 @@ func NewRunner(sc Scenario, factory PolicyFactory) (*Runner, error) {
 
 	// Size the cluster generously; budgets are policy decisions, matching
 	// the paper's dollar-budget formulation rather than a hardware wall.
-	nNodes := (m*spec.MaxTasks+1)/4 + 1
+	nNodes := (spec.Graph.NumOperators()*spec.MaxTasks+1)/4 + 1
 	k8s := cluster.New(cluster.WithPricePerCoreHour(sc.PricePerCoreHour))
 	if err := k8s.AddNodes("node", nNodes, cluster.ResourceSpec{CPUMilli: 4000, MemoryMB: 8192}); err != nil {
 		return nil, err
@@ -414,77 +334,45 @@ func NewRunner(sc Scenario, factory PolicyFactory) (*Runner, error) {
 	// fixed seed reproduces the trace byte for byte.
 	sc.Tracer.SetClock(k8s.Clock)
 	k8s.SetTracer(sc.Tracer)
-	rng := stats.NewRNG(sc.Seed)
-	peak := peakRate(sc.Rates, sc.Slots)
-	var maxBuf float64
-	if sc.MaxBufferSeconds > 0 {
-		maxBuf = sc.MaxBufferSeconds * math.Max(peak, 1)
-	}
-	engine, err := streamsim.New(streamsim.Config{
-		Graph:            g,
-		Models:           spec.Models,
+	tc := tenant.Config{
+		Name:             spec.Name,
+		Workload:         spec,
+		Rates:            sc.Rates,
+		Horizon:          sc.Slots,
+		Seed:             sc.Seed,
 		NoiseSigma:       sc.NoiseSigma,
 		UtilNoiseSigma:   sc.UtilNoiseSigma,
-		MaxBufferPerEdge: maxBuf,
-		RNG:              rng,
-	})
+		MaxBufferSeconds: sc.MaxBufferSeconds,
+		InitialTasks:     sc.InitialTasks,
+		Policy:           policy,
+		Vertical:         sc.VerticalScaling,
+		Metrics:          sc.metrics,
+		Tracer:           sc.Tracer,
+	}
+	if sc.StreamEngine == "storm" {
+		tc.Storm, err = storm.NewCluster(k8s, storm.DefaultOptions())
+	} else {
+		tc.Session, err = flink.NewSession(k8s, flink.DefaultOptions())
+	}
 	if err != nil {
 		return nil, err
 	}
-	var job JobRuntime
-	switch sc.StreamEngine {
-	case "storm":
-		sCluster, err := storm.NewCluster(k8s, storm.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		job, err = sCluster.SubmitTopology(spec.Name, g, engine, sc.InitialTasks)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		session, err := flink.NewSession(k8s, flink.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		job, err = session.SubmitJob(spec.Name, g, engine, sc.InitialTasks)
-		if err != nil {
-			return nil, err
-		}
-	}
-	mon, err := monitor.New(monitor.DirectSource{Job: job}, monitor.Config{})
+	t, err := tenant.New(tc)
 	if err != nil {
 		return nil, err
-	}
-	mon.SetTracer(sc.Tracer)
-	// Rescale/run-slot spans exist on the Flink substrate only; Storm
-	// topologies are traced at the cluster and monitor layers.
-	if fj, ok := job.(*flink.Job); ok {
-		fj.SetTracer(sc.Tracer)
-	}
-	if dc, ok := policy.(*core.Controller); ok {
-		dc.SetTracer(sc.Tracer)
 	}
 	var chaosEng *chaos.Engine
 	if sc.Chaos != nil {
-		chaosEng, err = chaos.NewEngine(sc.Chaos, sc.ChaosSeed, sc.Counters)
+		chaosEng, err = chaos.NewEngine(sc.Chaos, sc.ChaosSeed, sc.metrics)
 		if err != nil {
 			return nil, err
 		}
 		chaosEng.SetTracer(sc.Tracer)
 		// The Flink rescale hooks only exist on flink.Job; Storm topologies
 		// get cluster- and monitor-level faults only.
-		fj, _ := job.(*flink.Job)
-		if err := chaosEng.Install(k8s, fj, mon); err != nil {
+		if err := chaosEng.Install(k8s, t.Flink(), t.Monitor()); err != nil {
 			return nil, err
 		}
-	}
-	retrier, err := core.NewRescaleRetrier(core.RetryConfig{
-		Retryable: func(err error) bool { return errors.Is(err, chaos.ErrInjected) },
-		Counters:  sc.Counters,
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	res := &Result{
@@ -494,6 +382,7 @@ func NewRunner(sc Scenario, factory PolicyFactory) (*Runner, error) {
 		SlotSecs:      sc.SlotSeconds,
 		PhaseStarts:   workload.PhaseBoundaries(sc.Rates, sc.Slots),
 		OptimaByPhase: make(map[int]*Optimum),
+		Metrics:       sc.metrics,
 	}
 	for _, ps := range res.PhaseStarts {
 		opt, err := OptimalConfig(spec, sc.Rates(ps, 0), sc.TaskBudget)
@@ -502,17 +391,7 @@ func NewRunner(sc Scenario, factory PolicyFactory) (*Runner, error) {
 		}
 		res.OptimaByPhase[ps] = opt
 	}
-	res.Counters = sc.Counters
-	return &Runner{sc: sc, policy: policy, job: job, k8s: k8s, mon: mon,
-		chaos: chaosEng, retrier: retrier, res: res}, nil
-}
-
-// applyChaos fires the scenario's fault schedule at the start of the
-// given slot (a no-op without a chaos spec).
-func (r *Runner) applyChaos(slot int) {
-	if r.chaos != nil {
-		r.chaos.BeginSlot(slot)
-	}
+	return &Runner{sc: sc, t: t, chaos: chaosEng, res: res}, nil
 }
 
 // ChaosTrace returns the deterministic fault trace so far (nil without a
@@ -524,25 +403,25 @@ func (r *Runner) ChaosTrace() []chaos.TraceEntry {
 	return r.chaos.Trace()
 }
 
-// FaultCounters returns the scenario's shared telemetry registry.
-func (r *Runner) FaultCounters() *telemetry.Counters { return r.sc.Counters }
+// Metrics returns the run's metrics registry.
+func (r *Runner) Metrics() *telemetry.Registry { return r.sc.metrics }
 
 // SkippedRounds returns how many decision rounds were skipped because the
 // metrics pipeline had no fresh sample.
-func (r *Runner) SkippedRounds() int { return r.skipped }
+func (r *Runner) SkippedRounds() int { return r.res.SkippedRounds }
 
 // PolicyName returns the running policy's name.
-func (r *Runner) PolicyName() string { return r.policy.Name() }
+func (r *Runner) PolicyName() string { return r.res.Policy }
 
 // Job exposes the underlying stream-engine runtime (status endpoints,
 // diagnostics).
-func (r *Runner) Job() JobRuntime { return r.job }
+func (r *Runner) Job() JobRuntime { return r.t.Job() }
 
 // Result returns the result accumulated so far (shared, not a copy).
 func (r *Runner) Result() *Result { return r.res }
 
 // Done reports whether every slot has run.
-func (r *Runner) Done() bool { return r.slot >= r.sc.Slots }
+func (r *Runner) Done() bool { return r.t.Slot() >= r.sc.Slots }
 
 // Step runs one decision slot: simulate, observe, decide, rescale. It
 // returns the slot's trace entry, which is also appended to Result().
@@ -550,108 +429,60 @@ func (r *Runner) Step() (*SlotTrace, error) {
 	if r.Done() {
 		return nil, errors.New("experiment: runner already finished")
 	}
-	sc, spec, g := r.sc, r.sc.Spec, r.sc.Spec.Graph
-	m := g.NumOperators()
-	slot := r.slot
+	sc := &r.sc
+	slot := r.t.Slot()
 
 	sc.Tracer.SetSlot(slot)
 	round := sc.Tracer.Begin("experiment", "round", telemetry.Int("slot", slot))
 	defer round.End()
-	r.applyChaos(slot)
-	rates := sc.Rates(slot, 0)
-	rep, err := r.job.RunSlot(sc.SlotSeconds, func(sec int) []float64 {
-		return sc.Rates(slot, sec)
-	})
+	if r.chaos != nil {
+		r.chaos.BeginSlot(slot)
+	}
+	rep, err := r.t.RunSlot(sc.SlotSeconds, true)
 	if err != nil {
 		return nil, err
 	}
-	tasksNow := r.job.EffectiveParallelism()
-	cpuNow := r.job.EffectiveCPUMilli()
-	// Ground-truth capacities at the current allocation (CPU-aware when
-	// the models support it), for steady-state and violation accounting.
-	// One EvaluateInto into reused runner storage covers both the steady
-	// throughput and the per-operator demand.
-	if cap(r.capsBuf) < m {
-		r.capsBuf = make([]float64, m)
-	}
-	caps := r.capsBuf[:m]
-	for i, n := range tasksNow {
-		if ra, ok := spec.Models[i].(streamsim.ResourceAware); ok && cpuNow[i] > 0 {
-			caps[i] = ra.CapacityWithCPU(n, cpuNow[i])
-		} else {
-			caps[i] = spec.Models[i].Capacity(n)
-		}
-	}
-	if err := g.EvaluateInto(&r.frep, rates, caps); err != nil {
+	use, err := r.t.Account()
+	if err != nil {
 		return nil, err
 	}
-	steady := r.frep.Throughput
-	// Violations are retained in the slot trace, so they stay per-slot.
-	viol := make([]float64, m)
-	for i := range viol {
-		viol[i] = r.frep.Demand[i] - caps[i]
-	}
-
 	tr := SlotTrace{
 		Slot:               slot,
-		Rates:              append([]float64(nil), rates...),
-		Tasks:              tasksNow,
-		CPUMilli:           cpuNow,
-		TotalTasks:         sum(tasksNow),
-		SteadyThroughput:   steady,
+		Rates:              append([]float64(nil), r.t.Rates()...),
+		Tasks:              use.Tasks,
+		CPUMilli:           use.CPUMilli,
+		TotalTasks:         mathx.SumInts(use.Tasks),
+		SteadyThroughput:   use.Steady,
 		MeasuredThroughput: rep.Throughput,
 		Processed:          rep.ProcessedTuples,
 		Dropped:            rep.DroppedTuples,
 		PausedSeconds:      rep.PausedSeconds,
 		CostCum:            rep.CostSoFar,
 		AvgLatencySec:      rep.AvgLatencySec,
-		Violations:         viol,
+		Violations:         r.t.Violations(),
 	}
 
 	r.annotateRound(round, &tr)
-	snap, err := r.mon.Collect()
+	fresh, err := r.t.Collect()
 	if err != nil {
-		if errors.Is(err, monitor.ErrNoSample) {
-			// Metrics blackout or stale repeat: no observation this slot.
-			// Skip the optimizer round and keep the current configuration
-			// rather than feeding the learner a fabricated sample.
-			r.skipped++
-			r.res.SkippedRounds = r.skipped
-			r.sc.Counters.Inc("runner_skipped_rounds")
-			round.Annotate(telemetry.Str("outcome", "skipped"))
-			sc.Tracer.Metrics().Inc("experiment_rounds_skipped")
-			r.res.Trace = append(r.res.Trace, tr)
-			r.slot++
-			return &r.res.Trace[len(r.res.Trace)-1], nil
-		}
 		return nil, err
 	}
-	var desired []int
-	var desiredCPU []int
-	if dc, ok := r.policy.(*core.Controller); ok {
-		var diag *core.LastTargets
-		if r.sc.VerticalScaling {
-			desired, desiredCPU, diag, err = dc.DecideResources(snap)
-		} else {
-			desired, diag, err = dc.DecideDetailed(snap)
-		}
-		if err != nil {
-			return nil, err
-		}
-		tr.TargetY = diag.Y
-	} else {
-		desired, err = r.policy.Decide(snap)
-		if err != nil {
-			return nil, err
-		}
+	if !fresh {
+		// Metrics blackout or stale repeat: the round is skipped and the
+		// current configuration kept.
+		r.res.SkippedRounds++
+		sc.metrics.Inc("runner_skipped_rounds")
+		round.Annotate(telemetry.Str("outcome", "skipped"))
+		r.res.Trace = append(r.res.Trace, tr)
+		return &r.res.Trace[len(r.res.Trace)-1], nil
 	}
+	if err := r.t.Decide(); err != nil {
+		return nil, err
+	}
+	tr.TargetY = r.t.TargetY()
 	r.res.Trace = append(r.res.Trace, tr)
-	r.slot++
 	if !r.Done() {
-		// Bounded-retry apply: injected savepoint failures and rescale
-		// timeouts are absorbed and retried with slot-based backoff; any
-		// non-injected error is fatal as before.
-		if err := r.retrier.Apply(r.job, desired, desiredCPU, slot); err != nil {
+		if err := r.t.Apply(); err != nil {
 			return nil, err
 		}
 	}
@@ -693,16 +524,4 @@ func Run(sc Scenario, factory PolicyFactory) (*Result, error) {
 		}
 	}
 	return r.Result(), nil
-}
-
-func peakRate(f workload.RateFunc, slots int) float64 {
-	var peak float64
-	for s := 0; s < slots; s++ {
-		for _, r := range f(s, 0) {
-			if r > peak {
-				peak = r
-			}
-		}
-	}
-	return peak
 }

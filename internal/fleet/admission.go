@@ -5,6 +5,7 @@ import (
 
 	"dragster/internal/cluster"
 	"dragster/internal/fleet/event"
+	"dragster/internal/mathx"
 	"dragster/internal/planner"
 	"dragster/internal/telemetry"
 )
@@ -30,7 +31,7 @@ import (
 func grant(spec *JobSpec) int {
 	g := spec.floor()
 	if spec.InitialTasks != nil {
-		if s := sum(spec.InitialTasks); s > g {
+		if s := mathx.SumInts(spec.InitialTasks); s > g {
 			g = s
 		}
 	}
@@ -85,7 +86,6 @@ func (m *Manager) ensurePlan(js *jobState) error {
 		telemetry.Str("job", js.spec.Name), telemetry.Int("total_tasks", p.TotalTasks),
 		telemetry.Int("probes", len(p.Probes)))
 	m.reg.Inc("fleet_jobs_planned")
-	m.cfg.Counters.Inc("fleet_jobs_planned")
 	return nil
 }
 
@@ -131,7 +131,6 @@ func (m *Manager) admitQueued(r int) (changed bool, err error) {
 		m.res.Admissions = append(m.res.Admissions, AdmissionEvent{Round: r, Job: js.spec.Name, Outcome: "admitted"})
 		m.tracer.Event("fleet", "admit", telemetry.Str("job", js.spec.Name), telemetry.Int("grant", g))
 		m.reg.Inc("fleet_jobs_admitted")
-		m.cfg.Counters.Inc("fleet_jobs_admitted")
 		changed = true
 	}
 	return changed, nil

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"dragster/internal/fleet/event"
+	"dragster/internal/mathx"
 	"dragster/internal/telemetry"
 )
 
@@ -89,7 +90,7 @@ func (m *Manager) rebalance(r int) error {
 		if targets[i] == js.budget {
 			continue
 		}
-		price := dualPrice(js.ctrl.Duals())
+		price := dualPrice(js.t.Controller().Duals())
 		m.emit(event.TypeGrant, js.spec.Name,
 			"price="+strconv.FormatFloat(price, 'g', 6, 64),
 			int64(js.budget), int64(targets[i]))
@@ -101,8 +102,7 @@ func (m *Manager) rebalance(r int) error {
 			telemetry.Int("from", js.budget), telemetry.Int("to", targets[i]),
 			telemetry.Float("price", price))
 		m.reg.Inc("fleet_arbiter_decisions")
-		m.cfg.Counters.Inc("fleet_arbiter_decisions")
-		if err := js.ctrl.SetTaskBudget(targets[i]); err != nil {
+		if err := js.t.Controller().SetTaskBudget(targets[i]); err != nil {
 			return fmt.Errorf("fleet: job %s: %w", js.spec.Name, err)
 		}
 		js.budget = targets[i]
@@ -171,7 +171,7 @@ func (m *Manager) dualPriceSplit() []int {
 	weights := make([]float64, n)
 	var wsum float64
 	for i, js := range m.running {
-		price := dualPrice(js.ctrl.Duals())
+		price := dualPrice(js.t.Controller().Duals())
 		if price <= minSurplusPrice {
 			continue // satisfied: no claim on the surplus
 		}
@@ -262,11 +262,11 @@ func largestRemainder(total int, weights []float64, wsum float64) []int {
 // the job's own next decision — the controller explores its widened
 // budget with its GP posteriors, not a blind scale-up.
 func (m *Manager) shrinkToBudget(js *jobState) error {
-	desired := js.fj.Parallelism()
-	if sum(desired) <= js.budget {
+	desired := js.t.Flink().Parallelism()
+	if mathx.SumInts(desired) <= js.budget {
 		return nil
 	}
-	for sum(desired) > js.budget {
+	for mathx.SumInts(desired) > js.budget {
 		best := -1
 		for i, n := range desired {
 			if n > 1 && (best < 0 || n > desired[best]) {
@@ -278,12 +278,12 @@ func (m *Manager) shrinkToBudget(js *jobState) error {
 		}
 		desired[best]--
 	}
-	m.emit(event.TypeShrink, js.spec.Name, "", int64(sum(desired)))
+	m.emit(event.TypeShrink, js.spec.Name, "", int64(mathx.SumInts(desired)))
 	m.tracer.Event("fleet", "shrink",
-		telemetry.Str("job", js.spec.Name), telemetry.Int("to", sum(desired)))
-	if err := js.fj.Rescale(desired); err != nil {
+		telemetry.Str("job", js.spec.Name), telemetry.Int("to", mathx.SumInts(desired)))
+	if err := js.t.Flink().Rescale(desired); err != nil {
 		return fmt.Errorf("fleet: shrinking job %s: %w", js.spec.Name, err)
 	}
-	js.usage = sum(desired)
+	js.usage = mathx.SumInts(desired)
 	return nil
 }

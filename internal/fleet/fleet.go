@@ -51,13 +51,13 @@ import (
 	"dragster/internal/fleet/event"
 	"dragster/internal/fleet/shard"
 	"dragster/internal/flink"
+	"dragster/internal/mathx"
 	"dragster/internal/monitor"
 	"dragster/internal/osp"
 	"dragster/internal/planner"
-	"dragster/internal/stats"
 	"dragster/internal/store"
-	"dragster/internal/streamsim"
 	"dragster/internal/telemetry"
+	"dragster/internal/tenant"
 	"dragster/internal/workload"
 )
 
@@ -233,12 +233,11 @@ type Config struct {
 	Chaos *chaos.Spec
 	// ChaosSeed seeds chaos victim selection (default Seed+104729).
 	ChaosSeed int64
-	// Counters receives fault/retry/admission telemetry (default: fresh).
-	Counters *telemetry.Counters
-	// Metrics receives the fleet gauges (per-job budget shares, queue
-	// depth, arbiter decision counts). Defaults to a fresh registry; when
-	// a Tracer with an attached registry is supplied, that registry wins
-	// so traces and metrics stay in one place.
+	// Metrics receives the fleet's counters and gauges (admissions,
+	// faults, retries, per-job budget shares, queue depth, arbiter
+	// decisions). Defaults to a fresh registry; when a Tracer with an
+	// attached registry is supplied, that registry wins so traces and
+	// metrics stay in one place.
 	Metrics *telemetry.Registry
 	// Tracer, when set, records a sim-time span trace of the fleet run
 	// with per-job labelled spans. Tracing serializes the per-round decide
@@ -367,9 +366,6 @@ func (c *Config) setDefaults() error {
 	if c.ChaosSeed == 0 {
 		c.ChaosSeed = c.Seed + 104729
 	}
-	if c.Counters == nil {
-		c.Counters = telemetry.NewCounters()
-	}
 	if c.Tracer != nil && c.Tracer.Metrics() != nil {
 		c.Metrics = c.Tracer.Metrics()
 	}
@@ -446,7 +442,7 @@ type Result struct {
 	ClusterCost       float64
 	PeakQueueDepth    int
 	SkippedRounds     int
-	Counters          *telemetry.Counters
+	Metrics           *telemetry.Registry // the run's one registry
 }
 
 // jobState is the Manager's per-tenant bookkeeping.
@@ -461,10 +457,9 @@ type jobState struct {
 	// their arrival round.
 	committed bool
 
-	ctrl    *core.Controller
-	fj      *flink.Job
-	mon     *monitor.Monitor
-	retrier *core.RescaleRetrier
+	// t is the tenant's engine, Flink job, monitor, controller and
+	// retrier (nil until admission).
+	t *tenant.Tenant
 
 	// db is the job's private history database (seeded from the kind
 	// archive at admission; the controller appends to it during Decide).
@@ -568,7 +563,7 @@ func New(cfg Config) (*Manager, error) {
 	}
 	m.session = session
 	if cfg.Chaos != nil {
-		eng, err := chaos.NewEngine(cfg.Chaos, cfg.ChaosSeed, cfg.Counters)
+		eng, err := chaos.NewEngine(cfg.Chaos, cfg.ChaosSeed, cfg.Metrics)
 		if err != nil {
 			return nil, err
 		}
@@ -585,34 +580,40 @@ func New(cfg Config) (*Manager, error) {
 		Arbitration:     cfg.Arbitration,
 		Slots:           cfg.Slots,
 		TotalTaskBudget: cfg.TotalTaskBudget,
-		Counters:        cfg.Counters,
+		Metrics:         cfg.Metrics,
 	}
-	for i := range cfg.Jobs {
-		js := &jobState{
-			idx:       i,
-			spec:      cfg.Jobs[i],
-			status:    StatusPending,
-			committed: true,
-			res: &JobResult{
-				Name:       cfg.Jobs[i].Name,
-				Workload:   cfg.Jobs[i].Workload.Name,
-				Status:     StatusPending,
-				ArriveSlot: cfg.Jobs[i].ArriveSlot,
-				AdmitSlot:  -1,
-				DepartSlot: -1,
-			},
-		}
-		m.jobs = append(m.jobs, js)
-		m.byName[js.spec.Name] = js
+	for _, spec := range cfg.Jobs {
+		m.addJob(spec, true)
 	}
 	return m, nil
+}
+
+// addJob registers a pending tenant in submission order.
+func (m *Manager) addJob(spec JobSpec, committed bool) {
+	js := &jobState{
+		idx:       len(m.jobs),
+		spec:      spec,
+		status:    StatusPending,
+		committed: committed,
+		res: &JobResult{
+			Name:       spec.Name,
+			Workload:   spec.Workload.Name,
+			Status:     StatusPending,
+			ArriveSlot: spec.ArriveSlot,
+			AdmitSlot:  -1,
+			DepartSlot: -1,
+		},
+	}
+	m.jobs = append(m.jobs, js)
+	m.byName[spec.Name] = js
 }
 
 // Cluster exposes the shared Kubernetes substrate (diagnostics, tests).
 func (m *Manager) Cluster() *cluster.Cluster { return m.k8s }
 
-// Metrics exposes the fleet's metrics registry (budget shares, queue
-// depth, arbiter decisions) — the daemon serves it at GET /metrics.
+// Metrics exposes the fleet's one metrics registry (admission, fault and
+// retry counters, budget shares, queue depth, arbiter decisions) — the
+// daemon serves it at GET /metrics.
 func (m *Manager) Metrics() *telemetry.Registry { return m.reg }
 
 // Round returns the next round index to run.
@@ -624,14 +625,7 @@ func (m *Manager) Done() bool { return m.round >= m.cfg.Slots }
 // Result returns the result accumulated so far (shared, not a copy).
 // Job statuses and cluster cost are refreshed on every call.
 func (m *Manager) Result() *Result {
-	for _, js := range m.jobs {
-		js.res.Status = js.status
-		js.res.Cost = jobCost(js)
-	}
-	m.res.Jobs = m.res.Jobs[:0]
-	for _, js := range m.jobs {
-		m.res.Jobs = append(m.res.Jobs, *js.res)
-	}
+	m.res.Jobs = m.Jobs()
 	m.res.ClusterCost = m.k8s.Cost()
 	return m.res
 }
@@ -667,21 +661,7 @@ func (m *Manager) submitInput(spec JobSpec) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("fleet: submit %s: %w", spec.Name, err)
 	}
-	js := &jobState{
-		idx:    len(m.jobs),
-		spec:   spec,
-		status: StatusPending,
-		res: &JobResult{
-			Name:       spec.Name,
-			Workload:   spec.Workload.Name,
-			Status:     StatusPending,
-			ArriveSlot: spec.ArriveSlot,
-			AdmitSlot:  -1,
-			DepartSlot: -1,
-		},
-	}
-	m.jobs = append(m.jobs, js)
-	m.byName[js.spec.Name] = js
+	m.addJob(spec, false)
 	m.inputs = append(m.inputs, InputRecord{Seq: stamped.Seq, Round: m.round, Kind: "submit", Job: spec.Name})
 	return stamped.Seq, nil
 }
@@ -823,23 +803,23 @@ func (m *Manager) Step() error {
 		m.chaos.BeginSlot(r)
 	}
 
-	rates, err := m.runSlots(r)
-	if err != nil {
+	if err := m.runSlots(r); err != nil {
 		return err
 	}
-	snaps, err := m.collect()
-	if err != nil {
+	if err := m.collect(); err != nil {
 		return err
 	}
-	decisions, err := m.decideAll(snaps)
-	if err != nil {
+	if err := m.decideAll(); err != nil {
 		return err
 	}
-	if err := m.applyDecisions(r, snaps, decisions); err != nil {
+	if err := m.applyDecisions(); err != nil {
 		return err
 	}
 	m.harvest()
-	total := m.record(r, rates, snaps)
+	total, err := m.record(r)
+	if err != nil {
+		return err
+	}
 	m.gauges()
 	m.emit(event.TypeRoundEnd, "", "", int64(total))
 	m.reg.Inc("fleet_rounds")
@@ -893,7 +873,7 @@ func (m *Manager) departJob(js *jobState, r int) {
 	if err := m.session.CancelJob(js.spec.Name); err != nil {
 		// Only possible if the job was already cancelled — a manager bug;
 		// surface via counters rather than silently diverging.
-		m.cfg.Counters.Inc("fleet_cancel_errors")
+		m.reg.Inc("fleet_cancel_errors")
 	}
 	js.status = StatusDeparted
 	js.res.DepartSlot = r
@@ -901,7 +881,6 @@ func (m *Manager) departJob(js *jobState, r int) {
 	m.emit(event.TypeDepart, js.spec.Name, "")
 	m.tracer.Event("fleet", "depart", telemetry.Str("job", js.spec.Name), telemetry.Int("round", r))
 	m.reg.Inc("fleet_jobs_departed")
-	m.cfg.Counters.Inc("fleet_jobs_departed")
 }
 
 // processArrivals moves due tenants into the admission queue, rejecting
@@ -936,86 +915,60 @@ func (m *Manager) reject(js *jobState, r int, why string) {
 	m.res.Admissions = append(m.res.Admissions, AdmissionEvent{Round: r, Job: js.spec.Name, Outcome: "rejected", Reason: why})
 	m.tracer.Event("fleet", "reject", telemetry.Str("job", js.spec.Name), telemetry.Str("reason", why))
 	m.reg.Inc("fleet_jobs_rejected")
-	m.cfg.Counters.Inc("fleet_jobs_rejected")
 }
 
-// runSlots co-simulates one decision slot for every running job. The
-// first running job owns the shared cluster clock (see
-// flink.RunSlotDetached); with no tenants the manager ticks it directly
-// so cost and chaos schedules stay on sim time. Returns each job's mean
-// offered rates for the round, indexed like m.running.
-func (m *Manager) runSlots(r int) ([][]float64, error) {
+// runSlots co-simulates one decision slot for every running tenant, each
+// at its own slot index. The first running tenant owns the shared
+// cluster clock (see flink.Job.RunSlotDetached); with no tenants the
+// manager ticks it directly so cost and chaos schedules stay on sim time.
+func (m *Manager) runSlots(r int) error {
 	if len(m.running) == 0 {
 		m.k8s.Tick(int64(m.cfg.SlotSeconds))
-		return nil, nil
+		return nil
 	}
-	rates := make([][]float64, len(m.running))
 	for i, js := range m.running {
-		jobSlot := js.fj.Slot()
-		rateAt := func(sec int) []float64 { return js.spec.Rates(jobSlot, sec) }
-		rates[i] = append([]float64(nil), js.spec.Rates(jobSlot, 0)...)
-		var err error
-		if i == 0 {
-			_, err = js.fj.RunSlot(m.cfg.SlotSeconds, rateAt)
-		} else {
-			_, err = js.fj.RunSlotDetached(m.cfg.SlotSeconds, rateAt)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("fleet: job %s round %d: %w", js.spec.Name, r, err)
+		if _, err := js.t.RunSlot(m.cfg.SlotSeconds, i == 0); err != nil {
+			return fmt.Errorf("fleet: job %s round %d: %w", js.spec.Name, r, err)
 		}
 	}
-	return rates, nil
+	return nil
 }
 
-// collect fetches each running job's monitor snapshot sequentially (the
-// tracer and monitor are single-threaded). A nil entry means the metrics
-// pipeline had no fresh sample and the job skips its decision round.
-func (m *Manager) collect() ([]*monitor.Snapshot, error) {
-	snaps := make([]*monitor.Snapshot, len(m.running))
-	for i, js := range m.running {
-		snap, err := js.mon.Collect()
+// collect fetches each running tenant's monitor snapshot sequentially
+// (the tracer and monitor are single-threaded). A tenant whose metrics
+// pipeline had no fresh sample skips its decision round.
+func (m *Manager) collect() error {
+	for _, js := range m.running {
+		fresh, err := js.t.Collect()
 		if err != nil {
-			if errors.Is(err, monitor.ErrNoSample) {
-				m.res.SkippedRounds++
-				m.cfg.Counters.Inc("fleet_skipped_rounds")
-				continue
-			}
-			return nil, fmt.Errorf("fleet: job %s: %w", js.spec.Name, err)
+			return fmt.Errorf("fleet: job %s: %w", js.spec.Name, err)
 		}
-		snaps[i] = snap
+		if !fresh {
+			m.res.SkippedRounds++
+			m.reg.Inc("fleet_skipped_rounds")
+		}
 	}
-	return snaps, nil
+	return nil
 }
 
-type decision struct {
-	desired []int
-	diag    *core.LastTargets
-}
-
-// decideAll runs every controller's Algorithm-2 pass for the round. The
-// controllers are independent (each owns its GPs, duals, and a private
+// decideAll runs every tenant's Algorithm-2 pass for the round. The
+// tenants are independent (each owns its GPs, duals, and a private
 // history DB), so the passes fan out across per-shard controller pools:
 // each tenant belongs to the shard its name hashes to, and each shard
 // walks its members on Config.DecideWorkers strided goroutines. The
-// registry and counters the controllers share are concurrent-safe and
-// order-insensitive, and results land in per-tenant slots reduced in
-// admission order, so the round is byte-identical at any shard or worker
-// count. A tracer serializes the fan-out (span emission is
-// single-threaded by contract), visiting tenants in admission order.
-func (m *Manager) decideAll(snaps []*monitor.Snapshot) ([]decision, error) {
-	out := make([]decision, len(m.running))
+// registry the controllers share is concurrent-safe and
+// order-insensitive, and each decision stays on its tenant until the
+// sequential apply pass reads them in admission order, so the round is
+// byte-identical at any shard or worker count. A tracer serializes the
+// fan-out (span emission is single-threaded by contract), visiting
+// tenants in admission order.
+func (m *Manager) decideAll() error {
 	errs := make([]error, len(m.running))
 	decideOne := func(i int) {
 		js := m.running[i]
-		if snaps[i] == nil {
-			return
-		}
-		desired, diag, err := js.ctrl.DecideDetailed(snaps[i])
-		if err != nil {
+		if err := js.t.Decide(); err != nil {
 			errs[i] = fmt.Errorf("fleet: job %s decide: %w", js.spec.Name, err)
-			return
 		}
-		out[i] = decision{desired: desired, diag: diag}
 	}
 	members := m.pool.Partition(len(m.running), func(i int) int {
 		return shard.Owner(m.running[i].spec.Name, m.cfg.Shards)
@@ -1027,26 +980,28 @@ func (m *Manager) decideAll(snaps []*monitor.Snapshot) ([]decision, error) {
 	// First failure in admission order wins, matching a sequential pass.
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// applyDecisions rescales each job to its decision, in admission order.
-// Injected savepoint/rescale faults are absorbed by the per-job retrier.
-func (m *Manager) applyDecisions(r int, snaps []*monitor.Snapshot, decisions []decision) error {
-	for i, js := range m.running {
-		if snaps[i] == nil {
+// applyDecisions rescales each tenant to its decision, in admission
+// order. Injected savepoint/rescale faults are absorbed by the tenant's
+// retrier.
+func (m *Manager) applyDecisions() error {
+	for _, js := range m.running {
+		if js.t.Snapshot() == nil {
 			m.emit(event.TypeSkip, js.spec.Name, "")
 			continue
 		}
-		if err := js.retrier.Apply(js.fj, decisions[i].desired, nil, r); err != nil {
+		if err := js.t.Apply(); err != nil {
 			return fmt.Errorf("fleet: job %s rescale: %w", js.spec.Name, err)
 		}
-		js.usage = sum(decisions[i].desired)
-		args := make([]int64, len(decisions[i].desired))
-		for k, n := range decisions[i].desired {
+		desired := js.t.Desired()
+		js.usage = mathx.SumInts(desired)
+		args := make([]int64, len(desired))
+		for k, n := range desired {
 			args[k] = int64(n)
 		}
 		m.emit(event.TypeDecide, js.spec.Name, "", args...)
@@ -1054,40 +1009,40 @@ func (m *Manager) applyDecisions(r int, snaps []*monitor.Snapshot, decisions []d
 	return nil
 }
 
-// record appends each running job's round trace and enforces the global
-// budget invariant bookkeeping, returning the round's Σ effective tasks.
-func (m *Manager) record(r int, rates [][]float64, snaps []*monitor.Snapshot) int {
+// record appends each running tenant's round trace, accounted at its
+// post-decision allocation, and enforces the global budget invariant
+// bookkeeping, returning the round's Σ effective tasks.
+func (m *Manager) record(r int) (int, error) {
 	total := 0
 	secs := float64(m.cfg.SlotSeconds)
-	for i, js := range m.running {
-		tasks := js.fj.EffectiveParallelism()
-		cpu := js.fj.EffectiveCPUMilli()
-		total += sum(tasks)
+	for _, js := range m.running {
+		use, err := js.t.Account()
+		if err != nil {
+			return 0, fmt.Errorf("fleet: job %s: %w", js.spec.Name, err)
+		}
+		tasks := mathx.SumInts(use.Tasks)
+		total += tasks
 		// Attributed cost: the CPU this job's pods reserved for the round.
 		var cpuMilli int
-		for k, n := range tasks {
-			cpuMilli += n * cpu[k]
+		for k, n := range use.Tasks {
+			cpuMilli += n * use.CPUMilli[k]
 		}
-		cost := jobCost(js) + float64(cpuMilli)/1000*secs/3600*m.cfg.PricePerCoreHour
-		if snaps[i] != nil {
-			js.need = estimateNeed(snaps[i], js.spec.Workload.MaxTasks)
-		}
+		snap := js.t.Snapshot()
 		jr := JobRound{
 			Round:      r,
-			JobSlot:    js.fj.Slot() - 1,
-			Rates:      rates[i],
-			Tasks:      tasks,
-			TotalTasks: sum(tasks),
+			JobSlot:    js.t.Slot() - 1,
+			Rates:      append([]float64(nil), js.t.Rates()...),
+			Tasks:      use.Tasks,
+			TotalTasks: tasks,
 			Budget:     js.budget,
-			CostCum:    cost,
-			DualPrice:  dualPrice(js.ctrl.Duals()),
-			Skipped:    snaps[i] == nil,
+			Steady:     use.Steady,
+			CostCum:    jobCost(js) + float64(cpuMilli)/1000*secs/3600*m.cfg.PricePerCoreHour,
+			DualPrice:  dualPrice(js.t.Controller().Duals()),
+			Skipped:    snap == nil,
 		}
-		if snaps[i] != nil {
-			jr.Measured = snaps[i].Throughput
-		}
-		if steady, ok := m.steadyThroughput(js, rates[i], tasks, cpu); ok {
-			jr.Steady = steady
+		if snap != nil {
+			js.need = estimateNeed(snap, js.spec.Workload.MaxTasks)
+			jr.Measured = snap.Throughput
 		}
 		js.res.Rounds = append(js.res.Rounds, jr)
 	}
@@ -1097,28 +1052,9 @@ func (m *Manager) record(r int, rates [][]float64, snaps []*monitor.Snapshot) in
 	m.res.TotalTasksByRound = append(m.res.TotalTasksByRound, total)
 	if total > m.cfg.TotalTaskBudget {
 		m.res.BudgetOverruns++
-		m.cfg.Counters.Inc("fleet_budget_overruns")
+		m.reg.Inc("fleet_budget_overruns")
 	}
-	return total
-}
-
-// steadyThroughput evaluates the job's ground-truth steady throughput at
-// the given allocation (the simulator's hidden capacity curves).
-func (m *Manager) steadyThroughput(js *jobState, rates []float64, tasks []int, cpu []int) (float64, bool) {
-	models := js.spec.Workload.Models
-	caps := make([]float64, len(tasks))
-	for i, n := range tasks {
-		if ra, ok := models[i].(streamsim.ResourceAware); ok && cpu[i] > 0 {
-			caps[i] = ra.CapacityWithCPU(n, cpu[i])
-		} else {
-			caps[i] = models[i].Capacity(n)
-		}
-	}
-	th, err := js.spec.Workload.Graph.Throughput(rates, caps)
-	if err != nil {
-		return 0, false
-	}
-	return th, true
+	return total, nil
 }
 
 // gauges publishes the fleet-level metrics after each round.
@@ -1130,7 +1066,7 @@ func (m *Manager) gauges() {
 	for _, js := range m.running {
 		allocated += js.budget
 		reg.SetGauge(telemetry.Label("fleet_budget_share", "job", js.spec.Name), float64(js.budget))
-		reg.SetGauge(telemetry.Label("fleet_dual_price", "job", js.spec.Name), dualPrice(js.ctrl.Duals()))
+		reg.SetGauge(telemetry.Label("fleet_dual_price", "job", js.spec.Name), dualPrice(js.t.Controller().Duals()))
 	}
 	reg.SetGauge("fleet_budget_allocated", float64(allocated))
 	reg.SetGauge("fleet_budget_total", float64(m.cfg.TotalTaskBudget))
@@ -1162,14 +1098,6 @@ func dualPrice(duals []float64) float64 {
 	return s / float64(len(duals))
 }
 
-func sum(xs []int) int {
-	s := 0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // needHeadroom pads the utilization-derived demand estimate so ordinary
 // load noise doesn't read as a shrink opportunity.
 const needHeadroom = 1.3
@@ -1196,48 +1124,15 @@ func estimateNeed(snap *monitor.Snapshot, maxTasks int) int {
 	return need
 }
 
-// buildStack constructs a newly admitted job's engine, Flink job,
-// monitor, controller (warm-started from the kind archive), and retrier.
+// buildStack constructs a newly admitted tenant: its controller,
+// warm-started from the kind archive (and its capacity plan's probes),
+// then its engine, Flink job, monitor and retrier.
 func (m *Manager) buildStack(js *jobState, r int) error {
 	spec := js.spec.Workload
-	rng := stats.NewRNG(m.cfg.Seed + int64(js.idx+1)*100003)
-	peak := peakRate(js.spec.Rates, m.cfg.Slots)
-	var maxBuf float64
-	if m.cfg.MaxBufferSeconds > 0 {
-		maxBuf = m.cfg.MaxBufferSeconds * math.Max(peak, 1)
-	}
-	engine, err := streamsim.New(streamsim.Config{
-		Graph:            spec.Graph,
-		Models:           spec.Models,
-		NoiseSigma:       m.cfg.NoiseSigma,
-		UtilNoiseSigma:   m.cfg.UtilNoiseSigma,
-		MaxBufferPerEdge: maxBuf,
-		RNG:              rng,
-	})
-	if err != nil {
-		return err
-	}
 	initial := js.spec.InitialTasks
 	if js.plan != nil {
 		initial = append([]int(nil), js.plan.Tasks...)
 	}
-	if initial == nil {
-		initial = make([]int, spec.Graph.NumOperators())
-		for i := range initial {
-			initial[i] = 1
-		}
-	}
-	fj, err := m.session.SubmitJob(js.spec.Name, spec.Graph, engine, initial)
-	if err != nil {
-		return err
-	}
-	fj.SetTracer(m.tracer)
-	mon, err := monitor.New(monitor.DirectSource{Job: fj}, monitor.Config{})
-	if err != nil {
-		return err
-	}
-	mon.SetTracer(m.tracer)
-
 	db, nRecords := m.archive.seed(spec, m.cfg.DisableWarmStart, m.cfg.WarmStartMaxPerOperator)
 	if js.plan != nil {
 		// The plan's probe observations are the tenant's own evidence, so
@@ -1250,36 +1145,38 @@ func (m *Manager) buildStack(js *jobState, r int) error {
 			}
 		}
 	}
-	capScale := spec.YMax / 3
-	noiseSD := math.Max(m.cfg.NoiseSigma, 0.02) * capScale
-	ctrl, err := core.New(core.Config{
-		Graph:         spec.Graph,
-		Method:        js.spec.Method,
-		TaskBudget:    js.budget,
-		YMax:          spec.YMax,
-		NoiseVar:      noiseSD * noiseSD,
-		Candidates:    taskCandidates(spec),
-		ForecastAlpha: m.cfg.ForecastAlpha,
-		Counters:      m.cfg.Counters,
-		DB:            db,
+	cc := tenant.ControllerConfig(spec, m.cfg.NoiseSigma)
+	cc.Method = js.spec.Method
+	cc.TaskBudget = js.budget
+	cc.ForecastAlpha = m.cfg.ForecastAlpha
+	cc.Counters = m.reg
+	cc.DB = db
+	ctrl, err := core.New(cc)
+	if err != nil {
+		return err
+	}
+	t, err := tenant.New(tenant.Config{
+		Name:             js.spec.Name,
+		Workload:         spec,
+		Rates:            js.spec.Rates,
+		Horizon:          m.cfg.Slots,
+		Seed:             m.cfg.Seed + int64(js.idx+1)*100003,
+		NoiseSigma:       m.cfg.NoiseSigma,
+		UtilNoiseSigma:   m.cfg.UtilNoiseSigma,
+		MaxBufferSeconds: m.cfg.MaxBufferSeconds,
+		InitialTasks:     initial,
+		Session:          m.session,
+		Policy:           ctrl,
+		Metrics:          m.reg,
+		Tracer:           m.tracer,
 	})
 	if err != nil {
 		return err
 	}
-	if m.tracer != nil {
-		ctrl.SetTracer(m.tracer)
-	}
-	retrier, err := core.NewRescaleRetrier(core.RetryConfig{
-		Retryable: func(err error) bool { return errors.Is(err, chaos.ErrInjected) },
-		Counters:  m.cfg.Counters,
-	})
-	if err != nil {
-		return err
-	}
-	js.ctrl, js.fj, js.mon, js.retrier = ctrl, fj, mon, retrier
+	js.t = t
 	js.db = db
 	js.harvested = make(map[string]int, spec.Graph.NumOperators())
-	js.usage = sum(initial)
+	js.usage = mathx.SumInts(t.Flink().Parallelism())
 	js.res.AdmitSlot = r
 	js.res.WarmStarted = nRecords > 0
 	js.res.WarmStartRecords = nRecords
@@ -1289,28 +1186,4 @@ func (m *Manager) buildStack(js *jobState, r int) error {
 		js.res.PlanProbes = len(js.plan.Probes)
 	}
 	return nil
-}
-
-func taskCandidates(spec *workload.Spec) [][][]float64 {
-	grid := make([][]float64, spec.MaxTasks)
-	for n := 1; n <= spec.MaxTasks; n++ {
-		grid[n-1] = []float64{float64(n)}
-	}
-	out := make([][][]float64, spec.Graph.NumOperators())
-	for i := range out {
-		out[i] = grid
-	}
-	return out
-}
-
-func peakRate(f workload.RateFunc, slots int) float64 {
-	var peak float64
-	for s := 0; s < slots; s++ {
-		for _, r := range f(s, 0) {
-			if r > peak {
-				peak = r
-			}
-		}
-	}
-	return peak
 }

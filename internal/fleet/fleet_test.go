@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -51,15 +52,21 @@ func threeJobConfig(t *testing.T) Config {
 
 func resultFingerprint(t *testing.T, res *Result) string {
 	t.Helper()
-	// Counters carries a mutex; compare it via its deterministic string
-	// and the rest of the result via JSON.
-	cs := res.Counters.String()
-	res.Counters = nil
+	// The registry carries a mutex; compare its counter records (gauges
+	// such as fleet_shards vary with the shard count by design) and the
+	// rest of the result via JSON.
+	var cs strings.Builder
+	for _, rec := range res.Metrics.Snapshot() {
+		if rec.Kind == "counter" {
+			fmt.Fprintf(&cs, "%s=%v ", rec.Name, rec.Value)
+		}
+	}
+	res.Metrics = nil
 	b, err := json.Marshal(res)
 	if err != nil {
 		t.Fatalf("marshal result: %v", err)
 	}
-	return string(b) + "\n" + cs
+	return string(b) + "\n" + cs.String()
 }
 
 func runFleet(t *testing.T, cfg Config) *Result {
@@ -112,7 +119,7 @@ func TestFleetBudgetInvariant(t *testing.T) {
 			t.Fatalf("round %d: Σ tasks %d > budget %d", r, total, cfg.TotalTaskBudget)
 		}
 	}
-	if got := res.Counters.Get("fleet_budget_overruns"); got != 0 {
+	if got := res.Metrics.CounterValue("fleet_budget_overruns"); got != 0 {
 		t.Fatalf("fleet_budget_overruns counter = %d, want 0", got)
 	}
 }
@@ -195,6 +202,42 @@ func TestFleetAdmissionRejectsImpossibleFloor(t *testing.T) {
 	}
 	if len(res.Admissions) != 1 || res.Admissions[0].Outcome != "rejected" {
 		t.Fatalf("admission log %+v, want one rejection", res.Admissions)
+	}
+}
+
+// TestFleetMembershipCountedOnce pins the single registry: one
+// departure and one rejection move fleet_jobs_departed and
+// fleet_jobs_rejected by exactly one each, in the round they happen.
+func TestFleetMembershipCountedOnce(t *testing.T) {
+	wc := mustSpec(t, workload.WordCount)
+	yahoo := mustSpec(t, workload.Yahoo)
+	budget := 2 * wc.Graph.NumOperators()
+	if yahoo.Graph.NumOperators() <= budget {
+		t.Fatalf("yahoo floor %d fits the budget %d", yahoo.Graph.NumOperators(), budget)
+	}
+	m, err := New(Config{
+		Jobs: []JobSpec{
+			{Name: "stay", Workload: wc, Rates: constRates(t, wc.LowRates)},
+			{Name: "leave", Workload: wc, Rates: constRates(t, wc.LowRates), DepartSlot: 2},
+			{Name: "giant", Workload: yahoo, Rates: constRates(t, yahoo.LowRates), ArriveSlot: 1},
+		},
+		Slots:           4,
+		SlotSeconds:     60,
+		TotalTaskBudget: budget,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := m.Metrics()
+	want := map[int][2]int64{0: {0, 0}, 1: {0, 1}, 2: {1, 1}, 3: {1, 1}}
+	for r := 0; r < 4; r++ {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+		got := [2]int64{reg.CounterValue("fleet_jobs_departed"), reg.CounterValue("fleet_jobs_rejected")}
+		if got != want[r] {
+			t.Errorf("after round %d: departed, rejected = %v, want %v", r, got, want[r])
+		}
 	}
 }
 

@@ -117,7 +117,7 @@ func (m *Manager) harvest() {
 				if err := arch.Append(r); err != nil {
 					continue
 				}
-				m.cfg.Counters.Inc("fleet_warmstart_harvested")
+				m.reg.Inc("fleet_warmstart_harvested")
 			}
 			js.harvested[name] = len(hist)
 		}

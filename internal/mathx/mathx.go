@@ -71,6 +71,15 @@ func Sum(xs []float64) float64 {
 	return sum
 }
 
+// SumInts returns the sum of xs (e.g. Σ tasks of a configuration).
+func SumInts(xs []int) int {
+	s := 0
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
 // Dot returns the inner product of a and b. It panics if the lengths differ.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {

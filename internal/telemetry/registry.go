@@ -8,10 +8,12 @@ import (
 )
 
 // Registry is the typed metrics surface of the observability layer:
-// monotonic counters, last-value gauges, and fixed-bucket histograms. It
-// generalizes Counters (kept for the fault-accounting paths) with types
-// and a deterministic snapshot, and follows the same nil-default hook
-// pattern: every method is a no-op on a nil receiver, so instrumented
+// monotonic counters, last-value gauges, and fixed-bucket histograms,
+// with a deterministic snapshot. One registry serves a whole run: the
+// chaos engine, the rescale retrier, the controllers, and the fleet count
+// faults, retries and admissions in it, so a seeded run's fault handling
+// can be compared across runs counter-for-counter. It follows the
+// nil-default hook pattern: every method is a no-op on a nil receiver, so instrumented
 // code needs no conditionals and runs unchanged when no registry is
 // installed. Safe for concurrent use — the parallel LML search and any
 // future worker pools may update metrics from multiple goroutines.

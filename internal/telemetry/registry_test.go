@@ -64,6 +64,62 @@ func TestRegistryTypedSnapshot(t *testing.T) {
 	}
 }
 
+// The counter half of the registry: Inc/Add accumulate per name, a
+// never-incremented counter reads 0, and the snapshot lists counters
+// sorted by name.
+func TestCountersBasics(t *testing.T) {
+	r := NewRegistry()
+	if got := r.CounterValue("missing"); got != 0 {
+		t.Errorf("CounterValue(missing) = %d", got)
+	}
+	r.Inc("b")
+	r.Add("a", 3)
+	r.Inc("b")
+	if got := r.CounterValue("a"); got != 3 {
+		t.Errorf("a = %d", got)
+	}
+	if got := r.CounterValue("b"); got != 2 {
+		t.Errorf("b = %d", got)
+	}
+	snap := r.Snapshot()
+	if len(snap) != 2 || snap[0].Name != "a" || snap[1].Name != "b" {
+		t.Errorf("snapshot not sorted: %+v", snap)
+	}
+	if snap[0].Kind != "counter" || snap[0].Value != 3 || snap[1].Value != 2 {
+		t.Errorf("snapshot values: %+v", snap)
+	}
+	if got := NewRegistry().Snapshot(); len(got) != 0 {
+		t.Errorf("empty registry snapshot has %d records", len(got))
+	}
+}
+
+func TestCountersNegativeDeltaPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("negative delta did not panic")
+		}
+	}()
+	NewRegistry().Add("x", -1)
+}
+
+func TestCountersConcurrent(t *testing.T) {
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				r.Inc("hits")
+			}
+		}()
+	}
+	wg.Wait()
+	if got := r.CounterValue("hits"); got != 8000 {
+		t.Errorf("hits = %d, want 8000", got)
+	}
+}
+
 func TestRegistryHistogramRedefine(t *testing.T) {
 	r := NewRegistry()
 	if err := r.DefineHistogram("h", []float64{1, 2}); err != nil {

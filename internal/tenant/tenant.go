@@ -1,0 +1,349 @@
+// Package tenant is one streaming job under a scaling policy: the
+// per-slot sequence of the paper's Algorithm 2 over the job's own
+// dataflow engine, substrate job, monitor, policy and rescale retrier.
+// The sequence is split into phases — RunSlot, Account, Collect, Decide,
+// Apply — so that the single-job experiment runner can walk them for its
+// one tenant while the fleet manager runs each across all its tenants on
+// a shared cluster. A Tenant is not safe for concurrent use, but distinct
+// tenants share only the concurrency-safe metrics registry, so their
+// Decide phases may run in parallel.
+package tenant
+
+import (
+	"errors"
+	"math"
+
+	"dragster/internal/chaos"
+	"dragster/internal/core"
+	"dragster/internal/dag"
+	"dragster/internal/flink"
+	"dragster/internal/monitor"
+	"dragster/internal/stats"
+	"dragster/internal/storm"
+	"dragster/internal/streamsim"
+	"dragster/internal/telemetry"
+	"dragster/internal/workload"
+)
+
+// Job is the stream-engine substrate a tenant drives (flink.Job,
+// storm.Topology).
+type Job interface {
+	RunSlot(seconds int, rateAt func(sec int) []float64) (*telemetry.SlotReport, error)
+	RescaleResources(tasks []int, cpuMilli []int) error
+	EffectiveParallelism() []int
+	EffectiveCPUMilli() []int
+	LastReport() *telemetry.SlotReport
+}
+
+// Config assembles a Tenant.
+type Config struct {
+	// Name is the job name on the substrate.
+	Name string
+	// Workload supplies the DAG and the ground-truth capacity models.
+	Workload *workload.Spec
+	// Rates is the offered load, indexed by the tenant's own slot count
+	// (slot 0 is its first slot).
+	Rates workload.RateFunc
+	// Horizon is the number of slots whose peak offered rate sizes the
+	// per-edge buffer cap.
+	Horizon int
+	// Seed seeds the dataflow engine's noise stream.
+	Seed int64
+	// NoiseSigma and UtilNoiseSigma are the engine's capacity and CPU
+	// reading noise.
+	NoiseSigma     float64
+	UtilNoiseSigma float64
+	// MaxBufferSeconds caps per-edge backlog at this many seconds of the
+	// peak offered rate (0 keeps buffers unbounded).
+	MaxBufferSeconds float64
+	// InitialTasks is the configuration at submission (nil = one task per
+	// operator).
+	InitialTasks []int
+	// Session or Storm is the substrate the job is submitted to; exactly
+	// one must be set.
+	Session *flink.SessionCluster
+	Storm   *storm.Cluster
+	// Policy decides each slot's configuration.
+	Policy core.Autoscaler
+	// Vertical makes a Dragster controller pick per-pod CPU as well as
+	// task counts (core.Controller.DecideResources).
+	Vertical bool
+	// Metrics receives the rescale retrier's counters.
+	Metrics *telemetry.Registry
+	// Tracer, when set, is installed on the job, monitor and controller.
+	Tracer *telemetry.Tracer
+}
+
+// Usage is a tenant's allocation during a slot with its ground-truth
+// steady throughput.
+type Usage struct {
+	Tasks    []int // effective parallelism
+	CPUMilli []int // per-pod CPU
+	Steady   float64
+}
+
+// Tenant is one job with its policy; see the package comment.
+type Tenant struct {
+	spec     *workload.Spec
+	rateFn   workload.RateFunc
+	job      Job
+	fj       *flink.Job // nil on Storm
+	mon      *monitor.Monitor
+	policy   core.Autoscaler
+	ctrl     *core.Controller // nil for baseline policies
+	retrier  *core.RescaleRetrier
+	vertical bool
+
+	slot   int
+	rateAt func(sec int) []float64 // reads slot; built once
+	rates  []float64               // offered rates at the current slot's start
+
+	snap       *monitor.Snapshot // nil when the round is skipped
+	desired    []int
+	desiredCPU []int
+	targetY    []float64
+
+	// Accounting scratch, grown once and reused every slot.
+	caps []float64
+	frep dag.FlowReport
+}
+
+// New builds the tenant's engine, submits its job, and wires the monitor,
+// tracer and rescale retrier around cfg.Policy.
+func New(cfg Config) (*Tenant, error) {
+	if cfg.Workload == nil || cfg.Rates == nil || cfg.Policy == nil {
+		return nil, errors.New("tenant: needs a Workload, a RateFunc and a Policy")
+	}
+	if (cfg.Session == nil) == (cfg.Storm == nil) {
+		return nil, errors.New("tenant: set exactly one of Session and Storm")
+	}
+	spec := cfg.Workload
+	var maxBuf float64
+	if cfg.MaxBufferSeconds > 0 {
+		maxBuf = cfg.MaxBufferSeconds * math.Max(peakRate(cfg.Rates, cfg.Horizon), 1)
+	}
+	engine, err := streamsim.New(streamsim.Config{
+		Graph:            spec.Graph,
+		Models:           spec.Models,
+		NoiseSigma:       cfg.NoiseSigma,
+		UtilNoiseSigma:   cfg.UtilNoiseSigma,
+		MaxBufferPerEdge: maxBuf,
+		RNG:              stats.NewRNG(cfg.Seed),
+	})
+	if err != nil {
+		return nil, err
+	}
+	initial := cfg.InitialTasks
+	if initial == nil {
+		initial = make([]int, spec.Graph.NumOperators())
+		for i := range initial {
+			initial[i] = 1
+		}
+	}
+	t := &Tenant{spec: spec, rateFn: cfg.Rates, policy: cfg.Policy, vertical: cfg.Vertical}
+	if cfg.Session != nil {
+		if t.fj, err = cfg.Session.SubmitJob(cfg.Name, spec.Graph, engine, initial); err != nil {
+			return nil, err
+		}
+		// Rescale/run-slot spans exist on the Flink substrate only; Storm
+		// topologies are traced at the cluster and monitor layers.
+		t.fj.SetTracer(cfg.Tracer)
+		t.job = t.fj
+	} else {
+		if t.job, err = cfg.Storm.SubmitTopology(cfg.Name, spec.Graph, engine, initial); err != nil {
+			return nil, err
+		}
+	}
+	if t.mon, err = monitor.New(monitor.DirectSource{Job: t.job}, monitor.Config{}); err != nil {
+		return nil, err
+	}
+	t.mon.SetTracer(cfg.Tracer)
+	if t.ctrl, _ = cfg.Policy.(*core.Controller); t.ctrl != nil {
+		t.ctrl.SetTracer(cfg.Tracer)
+	}
+	t.retrier, err = core.NewRescaleRetrier(core.RetryConfig{
+		// Injected savepoint failures and rescale timeouts are transient;
+		// any other rescale error is fatal.
+		Retryable: func(err error) bool { return errors.Is(err, chaos.ErrInjected) },
+		Counters:  cfg.Metrics,
+	})
+	if err != nil {
+		return nil, err
+	}
+	t.rateAt = func(sec int) []float64 { return t.rateFn(t.slot, sec) }
+	return t, nil
+}
+
+// ControllerConfig returns the Dragster controller settings every tenant
+// of spec shares: its graph and capacity bound, the 1..MaxTasks task grid
+// per operator, and GP noise sized from the capacity noise noiseSigma.
+// Callers add the method, budget and the rest.
+func ControllerConfig(spec *workload.Spec, noiseSigma float64) core.Config {
+	// Capacity observations carry roughly noiseSigma relative error;
+	// anchor the variance to the capacity scale.
+	noiseSD := math.Max(noiseSigma, 0.02) * (spec.YMax / 3)
+	grid := make([][]float64, spec.MaxTasks)
+	for n := 1; n <= spec.MaxTasks; n++ {
+		grid[n-1] = []float64{float64(n)}
+	}
+	cands := make([][][]float64, spec.Graph.NumOperators())
+	for i := range cands {
+		cands[i] = grid
+	}
+	return core.Config{Graph: spec.Graph, YMax: spec.YMax, NoiseVar: noiseSD * noiseSD, Candidates: cands}
+}
+
+func peakRate(f workload.RateFunc, slots int) float64 {
+	var peak float64
+	for s := 0; s < slots; s++ {
+		for _, r := range f(s, 0) {
+			if r > peak {
+				peak = r
+			}
+		}
+	}
+	return peak
+}
+
+// Job returns the substrate job.
+func (t *Tenant) Job() Job { return t.job }
+
+// Flink returns the Flink job, or nil on the Storm substrate.
+func (t *Tenant) Flink() *flink.Job { return t.fj }
+
+// Monitor returns the tenant's job monitor.
+func (t *Tenant) Monitor() *monitor.Monitor { return t.mon }
+
+// Controller returns the policy as a Dragster controller, or nil for
+// baseline policies.
+func (t *Tenant) Controller() *core.Controller { return t.ctrl }
+
+// Slot returns the number of slots run so far, which is also the index
+// of the next one.
+func (t *Tenant) Slot() int { return t.slot }
+
+// Rates returns the offered rates at the start of the last slot run. The
+// slice is reused by the next RunSlot; copy it to retain it.
+func (t *Tenant) Rates() []float64 { return t.rates }
+
+// RunSlot simulates the tenant's next slot for the given seconds. With
+// tickClock false the slot runs without advancing the shared cluster
+// clock (Flink only; see flink.Job.RunSlotDetached), for tenants that
+// share a cluster whose clock another tenant owns.
+func (t *Tenant) RunSlot(seconds int, tickClock bool) (*telemetry.SlotReport, error) {
+	t.rates = append(t.rates[:0], t.rateFn(t.slot, 0)...)
+	t.snap = nil
+	var rep *telemetry.SlotReport
+	var err error
+	if tickClock {
+		rep, err = t.job.RunSlot(seconds, t.rateAt)
+	} else {
+		rep, err = t.fj.RunSlotDetached(seconds, t.rateAt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	t.slot++
+	return rep, nil
+}
+
+// Account evaluates the ground-truth steady throughput of the job's
+// current allocation (CPU-aware where the capacity models are) at the
+// last slot's offered rates. The same evaluation leaves the per-operator
+// demand behind for Violations.
+//
+//lint:hotpath
+func (t *Tenant) Account() (Usage, error) {
+	tasks := t.job.EffectiveParallelism()
+	cpu := t.job.EffectiveCPUMilli()
+	if cap(t.caps) < len(tasks) {
+		t.caps = make([]float64, len(tasks))
+	}
+	caps := t.caps[:len(tasks)]
+	models := t.spec.Models
+	for i, n := range tasks {
+		if ra, ok := models[i].(streamsim.ResourceAware); ok && cpu[i] > 0 {
+			caps[i] = ra.CapacityWithCPU(n, cpu[i])
+		} else {
+			caps[i] = models[i].Capacity(n)
+		}
+	}
+	if err := t.spec.Graph.EvaluateInto(&t.frep, t.rates, caps); err != nil {
+		return Usage{}, err
+	}
+	return Usage{Tasks: tasks, CPUMilli: cpu, Steady: t.frep.Throughput}, nil
+}
+
+// Violations returns the realized soft-constraint l_i = demand − capacity
+// per operator from the last Account, in a new slice.
+func (t *Tenant) Violations() []float64 {
+	out := make([]float64, len(t.caps))
+	for i, c := range t.caps {
+		out[i] = t.frep.Demand[i] - c
+	}
+	return out
+}
+
+// Collect fetches the last slot's monitor snapshot. It reports false, with
+// no error, when the metrics pipeline had no fresh sample (a blackout or a
+// stale repeat): the round is then skipped, and Decide and Apply keep the
+// current configuration rather than feed the learner a fabricated sample.
+func (t *Tenant) Collect() (bool, error) {
+	snap, err := t.mon.Collect()
+	if errors.Is(err, monitor.ErrNoSample) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	t.snap = snap
+	return true, nil
+}
+
+// Snapshot returns the last collected snapshot, or nil on a skipped round.
+func (t *Tenant) Snapshot() *monitor.Snapshot { return t.snap }
+
+// Decide runs the policy on the collected snapshot: DecideResources for a
+// vertically scaling Dragster controller, DecideDetailed for any other,
+// Decide for baseline policies. It does nothing on a skipped round.
+func (t *Tenant) Decide() error {
+	if t.snap == nil {
+		return nil
+	}
+	var diag *core.LastTargets
+	var err error
+	t.desiredCPU, t.targetY = nil, nil
+	switch {
+	case t.ctrl != nil && t.vertical:
+		t.desired, t.desiredCPU, diag, err = t.ctrl.DecideResources(t.snap)
+	case t.ctrl != nil:
+		t.desired, diag, err = t.ctrl.DecideDetailed(t.snap)
+	default:
+		t.desired, err = t.policy.Decide(t.snap)
+	}
+	if err != nil {
+		return err
+	}
+	if diag != nil {
+		t.targetY = diag.Y
+	}
+	return nil
+}
+
+// Desired returns the task counts of the last decision.
+func (t *Tenant) Desired() []int { return t.desired }
+
+// TargetY returns the level-1 targets of the last decision (nil for
+// baseline policies).
+func (t *Tenant) TargetY() []float64 { return t.targetY }
+
+// Apply drives the substrate to the last decision through the rescale
+// retrier: injected faults are absorbed and retried with backoff measured
+// in the tenant's slots, other rescale errors are returned. It does
+// nothing on a skipped round.
+func (t *Tenant) Apply() error {
+	if t.snap == nil {
+		return nil
+	}
+	return t.retrier.Apply(t.job, t.desired, t.desiredCPU, t.slot-1)
+}
