@@ -191,10 +191,15 @@ func Dot(c []float64, vs []Value) Value {
 // Use Value.Grad to read individual entries, or call this once and index
 // by the variables' handles via GradOf.
 func (t *Tape) Backward(output Value) []float64 {
+	return t.backward(output, make([]float64, len(t.nodes)))
+}
+
+// backward is Backward into adj, which must be zeroed and as long as the
+// tape.
+func (t *Tape) backward(output Value, adj []float64) []float64 {
 	if output.tape != t {
 		panic("autodiff: Backward with foreign output")
 	}
-	adj := make([]float64, len(t.nodes))
 	adj[output.idx] = 1
 	for i := output.idx; i >= 0; i-- {
 		a := adj[i]
@@ -215,20 +220,50 @@ func (t *Tape) Backward(output Value) []float64 {
 // GradOf extracts the partial for variable v from a Backward result.
 func GradOf(adj []float64, v Value) float64 { return adj[v.idx] }
 
-// Gradient is a convenience wrapper: evaluate f over fresh variables at x
-// and return (f(x), ∇f(x)). The callback must build its result on the
-// provided tape using the supplied variable handles.
+// Gradient evaluates f over fresh variables at x and returns (f(x),
+// ∇f(x)) in a gradient slice the caller owns. The callback must build its
+// result on the provided tape using the supplied variable handles.
 func Gradient(x []float64, f func(t *Tape, vars []Value) Value) (float64, []float64) {
-	t := NewTape()
-	vars := make([]Value, len(x))
+	return new(Workspace).Gradient(x, f)
+}
+
+// Workspace is the reusable scratch of Gradient: the tape, the variable
+// handles, the adjoint and the gradient, grown once and reset per call,
+// so an optimizer's inner loop differentiates without allocating. The
+// zero value is ready to use. A Workspace is not safe for concurrent use.
+type Workspace struct {
+	tape Tape
+	vars []Value
+	adj  []float64
+	grad []float64
+}
+
+// Gradient is the package-level Gradient on w's storage. The returned
+// gradient aliases w and is valid only until the next call on w; copy it
+// to retain it.
+//
+//lint:hotpath
+func (w *Workspace) Gradient(x []float64, f func(t *Tape, vars []Value) Value) (float64, []float64) {
+	t := &w.tape
+	t.Reset()
+	if cap(w.vars) < len(x) {
+		w.vars = make([]Value, len(x))
+		w.grad = make([]float64, len(x))
+	}
+	w.vars = w.vars[:len(x)]
+	w.grad = w.grad[:len(x)]
 	for i, xi := range x {
-		vars[i] = t.Var(xi)
+		w.vars[i] = t.Var(xi)
 	}
-	out := f(t, vars)
-	adj := t.Backward(out)
-	grad := make([]float64, len(x))
-	for i, v := range vars {
-		grad[i] = GradOf(adj, v)
+	out := f(t, w.vars)
+	if cap(w.adj) < len(t.nodes) {
+		w.adj = make([]float64, len(t.nodes))
 	}
-	return out.Value(), grad
+	w.adj = w.adj[:len(t.nodes)]
+	clear(w.adj)
+	adj := t.backward(out, w.adj)
+	for i, v := range w.vars {
+		w.grad[i] = GradOf(adj, v)
+	}
+	return out.Value(), w.grad
 }

@@ -9,6 +9,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dragster/internal/telemetry"
@@ -73,6 +74,8 @@ type Deployment struct {
 	Name     string
 	Spec     ResourceSpec
 	Replicas int // desired
+
+	pods []*Pod // live pods, in creation order
 }
 
 // node is a worker machine.
@@ -109,8 +112,20 @@ type Cluster struct {
 	nodes       map[string]*node
 	nodeOrder   []string
 	deployments map[string]*Deployment
-	pods        map[string]*Pod
-	podOrder    []string
+	pods        map[string]*Pod // live pods by name
+
+	// live holds the live pods in creation order. Termination only counts
+	// the pod in dead; the next walk over live (livePods) compacts it, so
+	// removing a pod costs O(1) and the list never outgrows the live set
+	// by more than the pods removed since the last walk.
+	live []*Pod
+	dead int
+
+	// pending and runningCPU are maintained at placement, eviction and
+	// termination, so Tick reads the reserved CPU in O(1) and skips the
+	// scheduling pass when no pod waits.
+	pending    int
+	runningCPU int
 
 	clock       int64 // seconds
 	podSeq      int
@@ -119,12 +134,9 @@ type Cluster struct {
 	injector    Injector
 	tracer      *telemetry.Tracer
 
-	// metricsBuf backs PodMetrics and podsBuf backs PodsView: the monitor
-	// scrapes every pod once per slot and the substrates walk the pod list
-	// once per tick, so the response rows are reused instead of allocated
-	// per call.
+	// metricsBuf backs PodMetrics: the response rows are reused instead
+	// of allocated per scrape.
 	metricsBuf []PodMetric
-	podsBuf    []*Pod
 }
 
 // SetInjector installs (or, with nil, removes) the fault-injection hook.
@@ -201,11 +213,12 @@ func (c *Cluster) RemoveNode(name string) error {
 	// Evict: mark the victims pending and clear their placement. The
 	// deployment's desired count is unchanged, so reconcile/schedule will
 	// try to place them elsewhere.
-	for _, podName := range c.podOrder {
-		p := c.pods[podName]
-		if p == nil || p.NodeName != name {
+	for _, p := range c.livePods() {
+		if p.NodeName != name {
 			continue
 		}
+		c.runningCPU -= p.Spec.CPUMilli
+		c.pending++
 		p.Phase = PodPending
 		p.NodeName = ""
 		p.StartedAt = 0
@@ -224,11 +237,10 @@ func (c *Cluster) KillPod(name string) error {
 	if !ok {
 		return ErrUnknownPod
 	}
-	dep := p.Deployment
+	d := c.deployments[p.Deployment]
+	d.pods = slices.DeleteFunc(d.pods, func(q *Pod) bool { return q == p })
 	c.terminatePod(p)
-	if _, ok := c.deployments[dep]; ok {
-		c.reconcile(dep)
-	}
+	c.reconcile(d)
 	return nil
 }
 
@@ -258,8 +270,9 @@ func (c *Cluster) CreateDeployment(name string, spec ResourceSpec, replicas int)
 	if _, ok := c.deployments[name]; ok {
 		return fmt.Errorf("cluster: deployment %q already exists", name)
 	}
-	c.deployments[name] = &Deployment{Name: name, Spec: spec, Replicas: replicas}
-	c.reconcile(name)
+	d := &Deployment{Name: name, Spec: spec, Replicas: replicas}
+	c.deployments[name] = d
+	c.reconcile(d)
 	return nil
 }
 
@@ -274,7 +287,7 @@ func (c *Cluster) Scale(deployment string, replicas int) error {
 		return fmt.Errorf("cluster: negative replicas %d", replicas)
 	}
 	d.Replicas = replicas
-	c.reconcile(deployment)
+	c.reconcile(d)
 	return nil
 }
 
@@ -290,54 +303,43 @@ func (c *Cluster) Resize(deployment string, spec ResourceSpec) error {
 	}
 	d.Spec = spec
 	// Rolling replacement: terminate existing pods, let reconcile recreate.
-	for _, p := range c.deploymentPods(deployment) {
-		c.terminatePod(p)
-	}
-	c.reconcile(deployment)
+	c.terminateAll(d)
+	c.reconcile(d)
 	return nil
 }
 
 // DeleteDeployment removes the deployment and terminates its pods.
 func (c *Cluster) DeleteDeployment(deployment string) error {
-	if _, ok := c.deployments[deployment]; !ok {
+	d, ok := c.deployments[deployment]
+	if !ok {
 		return fmt.Errorf("cluster: unknown deployment %q", deployment)
 	}
-	for _, p := range c.deploymentPods(deployment) {
-		c.terminatePod(p)
-	}
+	c.terminateAll(d)
 	delete(c.deployments, deployment)
 	return nil
 }
 
 // reconcile drives the pod set of a deployment towards its desired state
 // and schedules pending pods.
-func (c *Cluster) reconcile(deployment string) {
-	d := c.deployments[deployment]
-	pods := c.deploymentPods(deployment)
-	live := pods[:0]
-	for _, p := range pods {
-		if p.Phase != PodTerminated {
-			live = append(live, p)
-		}
-	}
-	for len(live) > d.Replicas {
+func (c *Cluster) reconcile(d *Deployment) {
+	for len(d.pods) > d.Replicas {
 		// Scale down newest-first so long-lived pods keep their slots.
-		victim := live[len(live)-1]
-		c.terminatePod(victim)
-		live = live[:len(live)-1]
+		c.terminatePod(d.pods[len(d.pods)-1])
+		d.pods = d.pods[:len(d.pods)-1]
 	}
-	for len(live) < d.Replicas {
+	for len(d.pods) < d.Replicas {
 		c.podSeq++
 		p := &Pod{
-			Name:       fmt.Sprintf("%s-%d", deployment, c.podSeq),
-			Deployment: deployment,
+			Name:       fmt.Sprintf("%s-%d", d.Name, c.podSeq),
+			Deployment: d.Name,
 			Spec:       d.Spec,
 			Phase:      PodPending,
 			CreatedAt:  c.clock,
 		}
 		c.pods[p.Name] = p
-		c.podOrder = append(c.podOrder, p.Name)
-		live = append(live, p)
+		c.live = append(c.live, p)
+		c.pending++
+		d.pods = append(d.pods, p)
 	}
 	c.schedule()
 }
@@ -346,12 +348,14 @@ func (c *Cluster) reconcile(deployment string) {
 // whose remaining CPU after placement is smallest), mirroring the default
 // kube-scheduler's bin-packing tendency under LeastAllocated inversion.
 func (c *Cluster) schedule() {
+	if c.pending == 0 {
+		return
+	}
 	if c.injector != nil && c.injector.HoldScheduling(c.clock) {
 		return // delay spike: pending pods wait for a later pass
 	}
-	for _, name := range c.podOrder {
-		p := c.pods[name]
-		if p == nil || p.Phase != PodPending {
+	for _, p := range c.livePods() {
+		if p.Phase != PodPending {
 			continue
 		}
 		var best *node
@@ -372,6 +376,8 @@ func (c *Cluster) schedule() {
 		}
 		best.usedCPU += p.Spec.CPUMilli
 		best.usedMem += p.Spec.MemoryMB
+		c.runningCPU += p.Spec.CPUMilli
+		c.pending--
 		p.NodeName = best.name
 		p.Phase = PodRunning
 		p.StartedAt = c.clock
@@ -383,78 +389,102 @@ func (c *Cluster) schedule() {
 	}
 }
 
+// terminatePod releases p's node resources and drops it from the name
+// index. The caller removes it from its deployment's pod list; live is
+// compacted by the next walk.
 func (c *Cluster) terminatePod(p *Pod) {
-	if p.Phase == PodRunning {
+	switch p.Phase {
+	case PodRunning:
 		n := c.nodes[p.NodeName]
 		n.usedCPU -= p.Spec.CPUMilli
 		n.usedMem -= p.Spec.MemoryMB
+		c.runningCPU -= p.Spec.CPUMilli
+	case PodPending:
+		c.pending--
 	}
 	p.Phase = PodTerminated
 	p.cpuUsageMilli = 0
 	delete(c.pods, p.Name)
+	c.dead++
 }
 
-func (c *Cluster) deploymentPods(deployment string) []*Pod {
-	var out []*Pod
-	for _, name := range c.podOrder {
-		if p := c.pods[name]; p != nil && p.Deployment == deployment {
-			out = append(out, p)
+// terminateAll terminates every pod of d.
+func (c *Cluster) terminateAll(d *Deployment) {
+	for _, p := range d.pods {
+		c.terminatePod(p)
+	}
+	d.pods = d.pods[:0]
+}
+
+// livePods returns the live pods in creation order, first compacting out
+// the pods terminated since the last walk.
+func (c *Cluster) livePods() []*Pod {
+	if c.dead > 0 {
+		kept := c.live[:0]
+		for _, p := range c.live {
+			if p.Phase != PodTerminated {
+				kept = append(kept, p)
+			}
+		}
+		clear(c.live[len(kept):])
+		c.live = kept
+		c.dead = 0
+	}
+	return c.live
+}
+
+// countPods returns how many of a deployment's pods are in the phase
+// (0 for an unknown deployment).
+func (c *Cluster) countPods(deployment string, phase PodPhase) int {
+	d, ok := c.deployments[deployment]
+	if !ok {
+		return 0
+	}
+	n := 0
+	for _, p := range d.pods {
+		if p.Phase == phase {
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // RunningPods returns the number of Running pods in a deployment — the
 // effective parallelism the Flink layer sees.
 func (c *Cluster) RunningPods(deployment string) int {
-	n := 0
-	for _, p := range c.deploymentPods(deployment) {
-		if p.Phase == PodRunning {
-			n++
-		}
-	}
-	return n
+	return c.countPods(deployment, PodRunning)
 }
 
 // PendingPods returns the number of unschedulable pods in a deployment.
 func (c *Cluster) PendingPods(deployment string) int {
-	n := 0
-	for _, p := range c.deploymentPods(deployment) {
-		if p.Phase == PodPending {
-			n++
-		}
-	}
-	return n
+	return c.countPods(deployment, PodPending)
 }
 
 // Pods returns a snapshot (copies) of all live pods, ordered by creation.
 func (c *Cluster) Pods() []Pod {
-	out := make([]Pod, 0, len(c.pods))
-	for _, name := range c.podOrder {
-		if p := c.pods[name]; p != nil {
-			out = append(out, *p)
-		}
+	live := c.livePods()
+	out := make([]Pod, len(live))
+	for i, p := range live {
+		out[i] = *p
 	}
 	return out
 }
 
-// PodsView returns pointers to all live pods, ordered by creation,
-// without copying. The slice aliases a reused scratch buffer (the same
-// contract as PodMetrics): it is read-only and only valid until the next
-// PodsView call or any cluster mutation. The per-tick usage-reporting
-// loop in the stream substrates uses it to avoid copying every pod once
-// per simulated second.
-//
-//lint:hotpath
-func (c *Cluster) PodsView() []*Pod {
-	out := c.podsBuf[:0]
-	for _, name := range c.podOrder {
-		if p := c.pods[name]; p != nil {
-			out = append(out, p)
+// SetDeploymentUtil reports a deployment's current CPU utilization
+// (usage/limit) for each of its running pods, clamped to [0, limit] like
+// ReportCPUUsage; the metrics server exposes it via PodMetrics. The
+// stream substrates call it once per operator per simulated second. An
+// unknown deployment is ignored, as RunningPods reports 0 for it.
+func (c *Cluster) SetDeploymentUtil(deployment string, util float64) {
+	d, ok := c.deployments[deployment]
+	if !ok {
+		return
+	}
+	for _, p := range d.pods {
+		if p.Phase == PodRunning {
+			p.cpuUsageMilli = min(max(int(util*float64(p.Spec.CPUMilli)), 0), p.Spec.CPUMilli)
 		}
 	}
-	c.podsBuf = out
-	return out
 }
 
 // DeploymentSpec returns a deployment's current pod template.
@@ -477,15 +507,7 @@ func (c *Cluster) Deployments() []string {
 }
 
 // TotalRunningCPUMilli returns the CPU currently reserved by running pods.
-func (c *Cluster) TotalRunningCPUMilli() int {
-	var s int
-	for _, p := range c.pods {
-		if p.Phase == PodRunning {
-			s += p.Spec.CPUMilli
-		}
-	}
-	return s
-}
+func (c *Cluster) TotalRunningCPUMilli() int { return c.runningCPU }
 
 // Tick advances the cluster clock by the given seconds, accruing cost for
 // every running pod and retrying scheduling of pending pods.
@@ -545,9 +567,8 @@ type PodMetric struct {
 // PodMetrics call; copy it to retain rows.
 func (c *Cluster) PodMetrics() []PodMetric {
 	out := c.metricsBuf[:0]
-	for _, name := range c.podOrder {
-		p := c.pods[name]
-		if p == nil || p.Phase != PodRunning {
+	for _, p := range c.livePods() {
+		if p.Phase != PodRunning {
 			continue
 		}
 		out = append(out, PodMetric{
@@ -564,11 +585,15 @@ func (c *Cluster) PodMetrics() []PodMetric {
 // DeploymentUtilization returns the mean CPU utilization (usage/limit) of
 // a deployment's running pods, or 0 with ok=false when none run.
 func (c *Cluster) DeploymentUtilization(deployment string) (float64, bool) {
+	d, ok := c.deployments[deployment]
+	if !ok {
+		return 0, false
+	}
 	var sum float64
 	n := 0
-	for _, m := range c.PodMetrics() {
-		if m.Deployment == deployment {
-			sum += float64(m.CPUMilli) / float64(m.CPULimit)
+	for _, p := range d.pods {
+		if p.Phase == PodRunning {
+			sum += float64(p.cpuUsageMilli) / float64(p.Spec.CPUMilli)
 			n++
 		}
 	}

@@ -1,0 +1,266 @@
+package cluster
+
+import (
+	"fmt"
+	"strconv"
+	"strings"
+	"testing"
+
+	"dragster/internal/stats"
+)
+
+// checkIndex verifies the incrementally maintained state against a
+// recomputation from the pods themselves: the running-CPU and pending
+// counters, every node's used resources, the per-deployment pod lists,
+// and that the live list minus its terminated entries is exactly the
+// live set in creation order. With walk set it also checks that Pods()
+// returns that set and compacts the list; otherwise terminated entries
+// are left for the next operation's own walks.
+func checkIndex(t *testing.T, c *Cluster, step int, op string, walk bool) {
+	t.Helper()
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("step %d (%s): %s", step, op, fmt.Sprintf(format, args...))
+	}
+	var pods []*Pod
+	for _, p := range c.live {
+		if p.Phase == PodTerminated {
+			continue
+		}
+		if c.pods[p.Name] != p {
+			fail("live list holds %s, which the name index does not", p.Name)
+		}
+		pods = append(pods, p)
+	}
+	if dead := len(c.live) - len(pods); dead != c.dead || len(pods) != len(c.pods) {
+		fail("live list holds %d entries, %d terminated (counter %d), for %d live pods",
+			len(c.live), dead, c.dead, len(c.pods))
+	}
+	if walk {
+		snap := c.Pods()
+		if len(snap) != len(pods) {
+			fail("Pods() has %d pods, want %d", len(snap), len(pods))
+		}
+		for i := range snap {
+			if snap[i] != *pods[i] {
+				fail("Pods()[%d] = %s, want %s", i, snap[i].Name, pods[i].Name)
+			}
+		}
+		if len(c.live) != len(c.pods) || c.dead != 0 {
+			fail("live list holds %d entries after a walk, %d are live", len(c.live), len(c.pods))
+		}
+	}
+	runningCPU, pending := 0, 0
+	usedCPU := map[string]int{}
+	usedMem := map[string]int{}
+	byDep := map[string][]string{}
+	lastSeq := -1
+	for _, p := range pods {
+		if c.pods[p.Name] == nil {
+			fail("Pods() returned %s, which is not live", p.Name)
+		}
+		seq, err := strconv.Atoi(p.Name[strings.LastIndexByte(p.Name, '-')+1:])
+		if err != nil {
+			fail("pod name %q has no sequence suffix", p.Name)
+		}
+		if seq <= lastSeq {
+			fail("Pods() out of creation order: %s after sequence %d", p.Name, lastSeq)
+		}
+		lastSeq = seq
+		switch p.Phase {
+		case PodRunning:
+			runningCPU += p.Spec.CPUMilli
+			usedCPU[p.NodeName] += p.Spec.CPUMilli
+			usedMem[p.NodeName] += p.Spec.MemoryMB
+		case PodPending:
+			pending++
+		default:
+			fail("Pods() returned %s in phase %v", p.Name, p.Phase)
+		}
+		byDep[p.Deployment] = append(byDep[p.Deployment], p.Name)
+	}
+	if got := c.TotalRunningCPUMilli(); got != runningCPU {
+		fail("TotalRunningCPUMilli = %d, running pods reserve %d", got, runningCPU)
+	}
+	if c.pending != pending {
+		fail("pending counter = %d, pending pods = %d", c.pending, pending)
+	}
+	for name, n := range c.nodes {
+		if n.usedCPU != usedCPU[name] || n.usedMem != usedMem[name] {
+			fail("node %s uses %dm/%dMB, its running pods %dm/%dMB",
+				name, n.usedCPU, n.usedMem, usedCPU[name], usedMem[name])
+		}
+	}
+	for name, d := range c.deployments {
+		if len(d.pods) != d.Replicas {
+			fail("deployment %s has %d pods, wants %d", name, len(d.pods), d.Replicas)
+		}
+		for i, p := range d.pods {
+			if i >= len(byDep[name]) || byDep[name][i] != p.Name {
+				fail("deployment %s pod list %v disagrees with Pods() %v", name, podNames(d.pods), byDep[name])
+			}
+		}
+		if len(byDep[name]) != len(d.pods) {
+			fail("deployment %s pod list %v disagrees with Pods() %v", name, podNames(d.pods), byDep[name])
+		}
+	}
+}
+
+func podNames(ps []*Pod) []string {
+	out := make([]string, len(ps))
+	for i, p := range ps {
+		out[i] = p.Name
+	}
+	return out
+}
+
+// holdInjector holds scheduling while hold is set.
+type holdInjector struct{ hold bool }
+
+func (h *holdInjector) HoldScheduling(int64) bool { return h.hold }
+func (h *holdInjector) AfterTick(*Cluster, int64) {}
+
+// TestIndexInvariantsUnderRandomOperations drives a cluster through a
+// seeded random mix of every mutating operation, including capacity
+// shortages and scheduling holds, and checks the index after each one.
+func TestIndexInvariantsUnderRandomOperations(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		rng := stats.NewRNG(seed)
+		c := New()
+		inj := &holdInjector{}
+		c.SetInjector(inj)
+		nodeSeq, depSeq := 0, 0
+		addNode := func() error {
+			nodeSeq++
+			return c.AddNode(fmt.Sprintf("n%d", nodeSeq), ResourceSpec{CPUMilli: 2000 + 1000*rng.Intn(3), MemoryMB: 4096})
+		}
+		randSpec := func() ResourceSpec {
+			return ResourceSpec{CPUMilli: 250 * (1 + rng.Intn(6)), MemoryMB: 256 * (1 + rng.Intn(8))}
+		}
+		pick := func(names []string) string { return names[rng.Intn(len(names))] }
+		for i := 0; i < 3; i++ {
+			if err := addNode(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sawPending, sawDead := false, false
+		for step := 0; step < 2000; step++ {
+			var op string
+			var err error
+			deps, nodes := c.Deployments(), c.Nodes()
+			switch k := rng.Intn(10); {
+			case k == 0 || len(deps) == 0:
+				depSeq++
+				op = "create"
+				err = c.CreateDeployment(fmt.Sprintf("d%d", depSeq), randSpec(), rng.Intn(5))
+			case k <= 2:
+				op = "scale"
+				err = c.Scale(pick(deps), rng.Intn(7))
+			case k == 3:
+				op = "resize"
+				err = c.Resize(pick(deps), randSpec())
+			case k == 4:
+				op = "delete"
+				err = c.DeleteDeployment(pick(deps))
+			case k == 5:
+				op = "add-node"
+				err = addNode()
+			case k == 6 && len(nodes) > 1:
+				op = "remove-node"
+				err = c.RemoveNode(pick(nodes))
+			case k == 7:
+				op = "kill"
+				if victims := c.deployments[pick(deps)].pods; len(victims) > 0 {
+					err = c.KillPod(victims[rng.Intn(len(victims))].Name)
+				}
+			default:
+				op = "tick"
+				inj.hold = rng.Intn(3) == 0
+				c.Tick(1)
+			}
+			if err != nil {
+				t.Fatalf("seed %d step %d (%s): %v", seed, step, op, err)
+			}
+			sawPending = sawPending || c.pending > 0
+			sawDead = sawDead || c.dead > 0
+			checkIndex(t, c, step, op, step%3 == 0)
+		}
+		if !sawPending || !sawDead {
+			t.Fatalf("seed %d never reached a pending pod (%v) or an uncompacted termination (%v)", seed, sawPending, sawDead)
+		}
+	}
+}
+
+// TestLiveListDoesNotLeak pins that scale-up/scale-down churn leaves the
+// internal live list bounded by the live set: terminated pods wait only
+// until the next walk, never accumulate.
+func TestLiveListDoesNotLeak(t *testing.T) {
+	c := newTestCluster(t, 4)
+	spec := ResourceSpec{CPUMilli: 500, MemoryMB: 512}
+	if err := c.CreateDeployment("steady", spec, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateDeployment("churn", spec, 1); err != nil {
+		t.Fatal(err)
+	}
+	for cycle := 0; cycle < 1000; cycle++ {
+		if err := c.Scale("churn", 6); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Scale("churn", 1); err != nil {
+			t.Fatal(err)
+		}
+		c.Tick(1)
+	}
+	// The last scale-down removed 5 pods that no walk has visited yet.
+	if live := len(c.pods); live != 4 || len(c.live) > live+5 {
+		t.Fatalf("after 1000 cycles live list holds %d entries for %d live pods", len(c.live), live)
+	}
+	c.Pods()
+	if len(c.live) != len(c.pods) {
+		t.Fatalf("after a walk live list holds %d entries for %d live pods", len(c.live), len(c.pods))
+	}
+	for _, p := range c.live {
+		if p.Phase == PodTerminated {
+			t.Fatalf("live list holds terminated pod %s", p.Name)
+		}
+	}
+}
+
+func TestSteadyStateClusterCallsDoNotAllocate(t *testing.T) {
+	c := newTestCluster(t, 2)
+	if err := c.CreateDeployment("tm", ResourceSpec{CPUMilli: 1000, MemoryMB: 2048}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Tick(1) }); n != 0 {
+		t.Errorf("Tick(1) with nothing pending allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.SetDeploymentUtil("tm", 0.5) }); n != 0 {
+		t.Errorf("SetDeploymentUtil allocates %v times", n)
+	}
+}
+
+func TestSetDeploymentUtil(t *testing.T) {
+	c := newTestCluster(t, 1)
+	spec := ResourceSpec{CPUMilli: 1000, MemoryMB: 2048}
+	if err := c.CreateDeployment("tm", spec, 6); err != nil { // 4 fit, 2 stay pending
+		t.Fatal(err)
+	}
+	c.SetDeploymentUtil("tm", 0.42)
+	c.SetDeploymentUtil("missing", 0.9) // ignored
+	for _, p := range c.Pods() {
+		want := 0
+		if p.Phase == PodRunning {
+			want = 420
+		}
+		if p.cpuUsageMilli != want {
+			t.Errorf("%s (%v) usage = %dm, want %dm", p.Name, p.Phase, p.cpuUsageMilli, want)
+		}
+	}
+	for _, tc := range []struct{ util, want float64 }{{1.7, 1}, {-0.3, 0}} {
+		c.SetDeploymentUtil("tm", tc.util)
+		if got, ok := c.DeploymentUtilization("tm"); !ok || got != tc.want {
+			t.Errorf("util %v: DeploymentUtilization = %v, %v; want %v (clamped)", tc.util, got, ok, tc.want)
+		}
+	}
+}

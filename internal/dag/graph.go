@@ -512,14 +512,37 @@ func (g *Graph) Throughput(rates, y []float64) (float64, error) {
 	return rep.Throughput, nil
 }
 
-// evalTape records the topological evaluation on an autodiff tape and
-// returns the taped application throughput f plus the per-operator demand
-// Σ_{j∈S_i} h_{i,j}(e_i) (the unconstrained desired output used by the
-// soft-constraints of Eq. 11).
-func (g *Graph) evalTape(t *autodiff.Tape, rates []float64, vars []autodiff.Value) (f autodiff.Value, demand []autodiff.Value) {
-	flows := make([]autodiff.Value, len(g.edges))
-	inBuf := make([]autodiff.Value, g.maxInEdges)
-	demand = make([]autodiff.Value, len(g.operators))
+// Workspace is the reusable scratch of LagrangianGradient: the autodiff
+// workspace plus evalTape's per-edge flows, input vector and per-operator
+// demand, grown on first use and reused by every later call. One
+// Workspace may serve graphs of different sizes. The zero value is ready
+// to use; a Workspace is not safe for concurrent use.
+type Workspace struct {
+	ad     autodiff.Workspace
+	flows  []autodiff.Value
+	inBuf  []autodiff.Value
+	demand []autodiff.Value
+}
+
+// evalTape records the topological evaluation of g on an autodiff tape
+// and returns the taped application throughput f plus the per-operator
+// demand Σ_{j∈S_i} h_{i,j}(e_i) (the unconstrained desired output used by
+// the soft-constraints of Eq. 11). demand aliases w until the next call.
+//
+//lint:hotpath
+func (w *Workspace) evalTape(g *Graph, t *autodiff.Tape, rates []float64, vars []autodiff.Value) (f autodiff.Value, demand []autodiff.Value) {
+	if cap(w.flows) < len(g.edges) {
+		w.flows = make([]autodiff.Value, len(g.edges))
+	}
+	if cap(w.inBuf) < g.maxInEdges {
+		w.inBuf = make([]autodiff.Value, g.maxInEdges)
+	}
+	if cap(w.demand) < len(g.operators) {
+		w.demand = make([]autodiff.Value, len(g.operators))
+	}
+	flows := w.flows[:len(g.edges)]
+	inBuf := w.inBuf[:g.maxInEdges]
+	demand = w.demand[:len(g.operators)]
 	total := t.Const(0)
 	for _, id := range g.topo {
 		switch g.kinds[id] {
@@ -552,16 +575,11 @@ func (g *Graph) evalTape(t *autodiff.Tape, rates []float64, vars []autodiff.Valu
 
 // Gradient returns f(y) and ∂f/∂y_i for every operator, computed by taping
 // the topological evaluation with reverse-mode autodiff (the substitute
-// for the paper's PyTorch-autograd bottleneck identification).
+// for the paper's PyTorch-autograd bottleneck identification). It is the
+// Lagrangian at λ = 0 on a fresh workspace, so the gradient is the
+// caller's.
 func (g *Graph) Gradient(rates, y []float64) (float64, []float64, error) {
-	if err := g.checkEvalArgs(rates, y); err != nil {
-		return 0, nil, err
-	}
-	val, grad := autodiff.Gradient(y, func(t *autodiff.Tape, vars []autodiff.Value) autodiff.Value {
-		f, _ := g.evalTape(t, rates, vars)
-		return f
-	})
-	return val, grad, nil
+	return g.LagrangianGradient(new(Workspace), rates, y, make([]float64, len(g.operators)))
 }
 
 // LagrangianGradient returns the per-slot Lagrangian of Eq. 13,
@@ -569,8 +587,10 @@ func (g *Graph) Gradient(rates, y []float64) (float64, []float64, error) {
 //	L(y, λ) = f(y) − Σ_i λ_i · (demand_i(y) − y_i),
 //
 // and its gradient with respect to y. The online saddle point and online
-// gradient descent algorithms maximize this over y.
-func (g *Graph) LagrangianGradient(rates, y, lambda []float64) (float64, []float64, error) {
+// gradient descent algorithms maximize this over y. The evaluation runs
+// on w's storage: the returned gradient aliases w and is valid only until
+// the next call with w.
+func (g *Graph) LagrangianGradient(w *Workspace, rates, y, lambda []float64) (float64, []float64, error) {
 	if err := g.checkEvalArgs(rates, y); err != nil {
 		return 0, nil, err
 	}
@@ -582,8 +602,8 @@ func (g *Graph) LagrangianGradient(rates, y, lambda []float64) (float64, []float
 			return 0, nil, fmt.Errorf("dag: multiplier λ[%d] = %v invalid", i, l)
 		}
 	}
-	val, grad := autodiff.Gradient(y, func(t *autodiff.Tape, vars []autodiff.Value) autodiff.Value {
-		f, demand := g.evalTape(t, rates, vars)
+	val, grad := w.ad.Gradient(y, func(t *autodiff.Tape, vars []autodiff.Value) autodiff.Value {
+		f, demand := w.evalTape(g, t, rates, vars)
 		out := f
 		for i, dem := range demand {
 			if lambda[i] == 0 {

@@ -161,7 +161,7 @@ func TestRandomGraphsLagrangianReducesToThroughputAtZeroDuals(t *testing.T) {
 		for i := range y {
 			y[i] = rng.Uniform(1, 2000)
 		}
-		l, _, err := g.LagrangianGradient(rates, y, lambda)
+		l, _, err := g.LagrangianGradient(new(dag.Workspace), rates, y, lambda)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,5 +172,69 @@ func TestRandomGraphsLagrangianReducesToThroughputAtZeroDuals(t *testing.T) {
 		if math.Abs(l-f) > 1e-9*(1+f) {
 			t.Fatalf("trial %d: L(y, 0) = %v ≠ f(y) = %v", trial, l, f)
 		}
+	}
+}
+
+// TestLagrangianGradientWorkspaceReuse pins the workspace borrowing
+// contract: one Workspace reused across graphs of different sizes gives
+// values and gradients bit-equal to a fresh workspace per call.
+func TestLagrangianGradientWorkspaceReuse(t *testing.T) {
+	rng := stats.NewRNG(36)
+	ws := new(dag.Workspace)
+	for trial := 0; trial < 40; trial++ {
+		g := randomLayeredGraph(t, rng)
+		rates := make([]float64, g.NumSources())
+		for i := range rates {
+			rates[i] = rng.Uniform(10, 1000)
+		}
+		y := make([]float64, g.NumOperators())
+		lambda := make([]float64, g.NumOperators())
+		for i := range y {
+			y[i] = rng.Uniform(1, 2000)
+			if rng.Intn(2) == 0 {
+				lambda[i] = rng.Uniform(0, 2)
+			}
+		}
+		wantL, wantGrad, err := g.LagrangianGradient(new(dag.Workspace), rates, y, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotL, gotGrad, err := g.LagrangianGradient(ws, rates, y, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(gotL) != math.Float64bits(wantL) {
+			t.Fatalf("trial %d: reused workspace L = %v, fresh %v", trial, gotL, wantL)
+		}
+		for i := range wantGrad {
+			if math.Float64bits(gotGrad[i]) != math.Float64bits(wantGrad[i]) {
+				t.Fatalf("trial %d: reused workspace ∂L/∂y[%d] = %v, fresh %v", trial, i, gotGrad[i], wantGrad[i])
+			}
+		}
+	}
+}
+
+func TestLagrangianGradientWarmDoesNotAllocate(t *testing.T) {
+	g := randomLayeredGraph(t, stats.NewRNG(37))
+	rates := make([]float64, g.NumSources())
+	y := make([]float64, g.NumOperators())
+	lambda := make([]float64, g.NumOperators())
+	for i := range rates {
+		rates[i] = 100
+	}
+	for i := range y {
+		y[i] = 50
+		lambda[i] = 0.5
+	}
+	ws := new(dag.Workspace)
+	if _, _, err := g.LagrangianGradient(ws, rates, y, lambda); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := g.LagrangianGradient(ws, rates, y, lambda); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("warm LagrangianGradient allocates %v times per call", n)
 	}
 }

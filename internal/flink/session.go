@@ -103,15 +103,12 @@ type Job struct {
 
 	desired     []int    // desired parallelism per operator index
 	deployments []string // TaskManager deployment per operator index
+	opNames     []string // operator name per operator index
 
 	slot       int
 	lastReport *SlotReport
 	hooks      ChaosHooks
 	tracer     *telemetry.Tracer
-
-	// depUtil is reportPodUsage's deployment→utilization working map,
-	// cleared and refilled once per tick instead of allocated per call.
-	depUtil map[string]float64
 }
 
 // SetChaosHooks installs (or, with nil, removes) the fault-injection
@@ -145,12 +142,14 @@ func (s *SessionCluster) SubmitJob(name string, g *dag.Graph, engine *streamsim.
 		engine:      engine,
 		desired:     append([]int(nil), initial...),
 		deployments: make([]string, g.NumOperators()),
+		opNames:     make([]string, g.NumOperators()),
 	}
 	for i := 0; i < g.NumOperators(); i++ {
 		if initial[i] < 1 {
 			return nil, fmt.Errorf("flink: operator %d needs at least one task", i)
 		}
-		dep := deploymentName(name, g.OperatorName(i))
+		j.opNames[i] = g.OperatorName(i)
+		dep := deploymentName(name, j.opNames[i])
 		if err := s.k8s.CreateDeployment(dep, s.opts.TaskManagerSpec, initial[i]); err != nil {
 			return nil, err
 		}
@@ -395,18 +394,16 @@ func (j *Job) runSlot(seconds int, rateAt func(sec int) []float64, tickCluster b
 		if err := acc.Tick(rates, st); err != nil {
 			return nil, err
 		}
-		if err := j.reportPodUsage(st.Ops); err != nil {
-			return nil, err
+		// Spread each operator's utilization uniformly over its running
+		// pods, so HPA/VPA and the metrics server see live usage.
+		for i, dep := range j.deployments {
+			j.session.k8s.SetDeploymentUtil(dep, st.Ops[i].Util)
 		}
 		if tickCluster {
 			j.session.k8s.Tick(1)
 		}
 	}
-	names := make([]string, j.graph.NumOperators())
-	for i := range names {
-		names[i] = j.graph.OperatorName(i)
-	}
-	rep, err := acc.Finish(names, j.desired, j.EffectiveParallelism(), j.EffectiveCPUMilli(),
+	rep, err := acc.Finish(j.opNames, j.desired, j.EffectiveParallelism(), j.EffectiveCPUMilli(),
 		j.engine.DroppedTotal()-droppedBefore, j.session.k8s.Cost())
 	if err != nil {
 		return nil, err
@@ -419,35 +416,6 @@ func (j *Job) runSlot(seconds int, rateAt func(sec int) []float64, tickCluster b
 	j.slot++
 	j.lastReport = rep
 	return rep, nil
-}
-
-// reportPodUsage spreads each operator's utilization uniformly over its
-// running pods and reports it to the metrics server. Runs once per
-// simulated second, so the deployment map is reused and the pod list is
-// the cluster's no-copy view.
-//
-//lint:hotpath
-func (j *Job) reportPodUsage(ops []streamsim.OpTick) error {
-	if j.depUtil == nil {
-		j.depUtil = make(map[string]float64, len(j.deployments))
-	}
-	clear(j.depUtil)
-	for i, dep := range j.deployments {
-		j.depUtil[dep] = ops[i].Util
-	}
-	for _, p := range j.session.k8s.PodsView() {
-		util, ok := j.depUtil[p.Deployment]
-		if !ok || p.Phase != cluster.PodRunning {
-			continue
-		}
-		if err := j.session.k8s.ReportCPUUsage(p.Name, int(util*float64(p.Spec.CPUMilli))); err != nil {
-			// Only ErrUnknownPod is possible, and only if the pod list went
-			// stale mid-loop — a real bug worth surfacing, not swallowing.
-			//lint:allow hotpath cold error path: unknown pod is a cluster bug, never hit in steady state
-			return fmt.Errorf("flink: report usage for %s: %w", p.Name, err)
-		}
-	}
-	return nil
 }
 
 // LastReport returns the most recent slot report, or nil before the first

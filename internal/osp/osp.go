@@ -137,6 +137,7 @@ type Optimizer struct {
 	lambda []float64 // dual variables λ_i ≥ 0
 	yPrev  []float64 // previous target (OGD state / warm start)
 	t      int       // slot counter (starts at 1 on first Step)
+	ws     dag.Workspace
 }
 
 // New returns an Optimizer for the application graph.
@@ -243,9 +244,10 @@ func (o *Optimizer) maximizeLagrangian(rates []float64) ([]float64, error) {
 }
 
 // regularizedLagrangian returns L(y, λ) − w·Σy and its gradient, the
-// economy-regularized inner objective (see Config.EconomyWeight).
+// economy-regularized inner objective (see Config.EconomyWeight). The
+// gradient aliases the optimizer's workspace until the next call.
 func (o *Optimizer) regularizedLagrangian(rates, y []float64) (float64, []float64, error) {
-	l, grad, err := o.g.LagrangianGradient(rates, y, o.lambda)
+	l, grad, err := o.g.LagrangianGradient(&o.ws, rates, y, o.lambda)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -90,13 +90,10 @@ type Topology struct {
 	engine  *streamsim.Engine
 	desired []int
 	deps    []string // supervisor deployment per bolt (dense operator idx)
+	opNames []string // bolt name per dense operator index
 
 	slot       int
 	lastReport *telemetry.SlotReport
-
-	// depUtil is reportPodUsage's deployment→utilization working map,
-	// cleared and refilled once per tick instead of allocated per call.
-	depUtil map[string]float64
 }
 
 // SubmitTopology deploys a topology: one supervisor deployment per bolt
@@ -118,12 +115,14 @@ func (c *Cluster) SubmitTopology(name string, g *dag.Graph, engine *streamsim.En
 		engine:  engine,
 		desired: append([]int(nil), initial...),
 		deps:    make([]string, g.NumOperators()),
+		opNames: make([]string, g.NumOperators()),
 	}
 	for i := 0; i < g.NumOperators(); i++ {
 		if initial[i] < 1 {
 			return nil, fmt.Errorf("storm: bolt %d needs at least one executor", i)
 		}
-		dep := workerDeployment(name, g.OperatorName(i))
+		t.opNames[i] = g.OperatorName(i)
+		dep := workerDeployment(name, t.opNames[i])
 		if err := c.k8s.CreateDeployment(dep, c.opts.WorkerSpec, initial[i]); err != nil {
 			return nil, err
 		}
@@ -243,16 +242,12 @@ func (t *Topology) RunSlot(seconds int, rateAt func(sec int) []float64) (*teleme
 		if err := acc.Tick(rates, st); err != nil {
 			return nil, err
 		}
-		if err := t.reportPodUsage(st.Ops); err != nil {
-			return nil, err
+		for i, dep := range t.deps {
+			t.storm.k8s.SetDeploymentUtil(dep, st.Ops[i].Util)
 		}
 		t.storm.k8s.Tick(1)
 	}
-	names := make([]string, t.graph.NumOperators())
-	for i := range names {
-		names[i] = t.graph.OperatorName(i)
-	}
-	rep, err := acc.Finish(names, t.desired, t.EffectiveParallelism(), t.EffectiveCPUMilli(),
+	rep, err := acc.Finish(t.opNames, t.desired, t.EffectiveParallelism(), t.EffectiveCPUMilli(),
 		t.engine.DroppedTotal()-droppedBefore, t.storm.k8s.Cost())
 	if err != nil {
 		return nil, err
@@ -260,33 +255,6 @@ func (t *Topology) RunSlot(seconds int, rateAt func(sec int) []float64) (*teleme
 	t.slot++
 	t.lastReport = rep
 	return rep, nil
-}
-
-// reportPodUsage mirrors flink.Job.reportPodUsage: per-tick usage fan-out
-// over a reused deployment map and the cluster's no-copy pod view.
-//
-//lint:hotpath
-func (t *Topology) reportPodUsage(ops []streamsim.OpTick) error {
-	if t.depUtil == nil {
-		t.depUtil = make(map[string]float64, len(t.deps))
-	}
-	clear(t.depUtil)
-	for i, dep := range t.deps {
-		t.depUtil[dep] = ops[i].Util
-	}
-	for _, p := range t.storm.k8s.PodsView() {
-		util, ok := t.depUtil[p.Deployment]
-		if !ok || p.Phase != cluster.PodRunning {
-			continue
-		}
-		if err := t.storm.k8s.ReportCPUUsage(p.Name, int(util*float64(p.Spec.CPUMilli))); err != nil {
-			// Only ErrUnknownPod is possible, and only if the pod list went
-			// stale mid-loop — a real bug worth surfacing, not swallowing.
-			//lint:allow hotpath cold error path: unknown pod is a cluster bug, never hit in steady state
-			return fmt.Errorf("storm: report usage for %s: %w", p.Name, err)
-		}
-	}
-	return nil
 }
 
 // LastReport returns the most recent slot report (nil before the first).

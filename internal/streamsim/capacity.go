@@ -18,6 +18,9 @@ import (
 // CapacityModel maps a task count (parallelism) to the operator's
 // ground-truth service capacity in tuples/s of emitted output. Models must
 // be increasing in the task count and report 0 capacity for 0 tasks.
+// Capacity (and CapacityWithCPU of a ResourceAware model) must be a pure
+// function of its arguments: the Engine evaluates it only when an
+// operator's allocation changes and caches the result for every tick.
 type CapacityModel interface {
 	Capacity(tasks int) float64
 }

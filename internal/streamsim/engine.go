@@ -63,7 +63,8 @@ type Engine struct {
 	cfg   Config
 	g     *dag.Graph
 	tasks []int
-	cpu   []int // per-pod CPU millicores per operator (default 1000)
+	cpu   []int     // per-pod CPU millicores per operator (default 1000)
+	caps  []float64 // capacityOf per operator, refreshed when tasks or cpu change
 
 	slotNoise []float64    // capacity factor per operator, redrawn per slot
 	order     []dag.NodeID // cached topological order (operators+sinks)
@@ -128,12 +129,14 @@ func New(cfg Config) (*Engine, error) {
 		g:         cfg.Graph,
 		tasks:     make([]int, cfg.Graph.NumOperators()),
 		cpu:       make([]int, cfg.Graph.NumOperators()),
+		caps:      make([]float64, cfg.Graph.NumOperators()),
 		slotNoise: make([]float64, cfg.Graph.NumOperators()),
 	}
 	for i := range e.tasks {
 		e.tasks[i] = 1
 		e.cpu[i] = 1000
 	}
+	e.refreshCapacity()
 	for i := range e.slotNoise {
 		e.slotNoise[i] = 1
 	}
@@ -190,6 +193,7 @@ func (e *Engine) SetTasks(tasks []int) error {
 		}
 	}
 	copy(e.tasks, tasks)
+	e.refreshCapacity()
 	return nil
 }
 
@@ -216,6 +220,7 @@ func (e *Engine) SetCPU(cpuMilli []int) error {
 		}
 	}
 	copy(e.cpu, cpuMilli)
+	e.refreshCapacity()
 	return nil
 }
 
@@ -225,6 +230,16 @@ func (e *Engine) CPU() []int { return append([]int(nil), e.cpu...) }
 // CPUView returns the per-pod CPU vector without copying, under the same
 // read-only aliasing contract as TasksView (valid until the next SetCPU).
 func (e *Engine) CPUView() []int { return e.cpu }
+
+// refreshCapacity re-evaluates every operator's capacity into caps. The
+// allocation changes at most once per slot while Tick reads the capacity
+// every second, and models are pure (see CapacityModel), so the cache is
+// exact.
+func (e *Engine) refreshCapacity() {
+	for i := range e.caps {
+		e.caps[i] = e.capacityOf(i)
+	}
+}
 
 // capacityOf evaluates operator i's ground-truth capacity under the
 // current (tasks, cpu) allocation.
@@ -265,7 +280,7 @@ func (e *Engine) BeginSlot() {
 // current allocation (test/oracle use only — the optimizer must not call
 // this).
 func (e *Engine) TrueCapacity(i int) float64 {
-	return e.capacityOf(i)
+	return e.caps[i]
 }
 
 // ModelCapacities returns the noise-free capacity vector for an arbitrary
@@ -391,7 +406,7 @@ func (e *Engine) tickOperator(step *tickStep, st *TickStats) {
 		backlog += q[k]
 	}
 
-	y := e.capacityOf(int(oi)) * e.slotNoise[oi]
+	y := e.caps[oi] * e.slotNoise[oi]
 	op := &st.Ops[oi]
 	op.Capacity = y
 

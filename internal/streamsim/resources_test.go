@@ -116,3 +116,78 @@ func TestEngineSetCPUChangesCapacity(t *testing.T) {
 		t.Errorf("non-resource-aware capacity changed: %v", got)
 	}
 }
+
+// TestCachedCapacityTracksModel pins the capacity cache to the models it
+// caches, on the ResourceAware and the plain path, through every way the
+// allocation changes (including rejected updates, which must not move it).
+func TestCachedCapacityTracksModel(t *testing.T) {
+	b := dag.NewBuilder()
+	src := b.Source("s")
+	ops := []dag.NodeID{b.Operator("a"), b.Operator("b"), b.Operator("c")}
+	snk := b.Sink("k")
+	if err := b.Chain([]dag.NodeID{src, ops[0], ops[1], ops[2], snk},
+		[]dag.ThroughputFunc{nil, dag.Selectivity(1), dag.Selectivity(1), dag.Selectivity(1)}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	power, err := NewPowerCurve(120, 0.9, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled, err := NewCPUScaledCurve(power, 1000, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saturating, err := NewSaturatingCurve(power, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []CapacityModel{power, scaled, saturating}
+	e, err := New(Config{Graph: g, Models: models})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		tasks, cpu := e.TasksView(), e.CPUView()
+		st, err := e.Tick([]float64{50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range models {
+			want := m.Capacity(tasks[i])
+			if ra, ok := m.(ResourceAware); ok {
+				want = ra.CapacityWithCPU(tasks[i], cpu[i])
+			}
+			if got := e.TrueCapacity(i); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: cached capacity of op %d = %v, model gives %v", when, i, got, want)
+			}
+			if got := st.Ops[i].Capacity; math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: tick capacity of op %d = %v, model gives %v", when, i, got, want)
+			}
+		}
+	}
+	check("construction")
+	if err := e.SetTasks([]int{3, 5, 7}); err != nil {
+		t.Fatal(err)
+	}
+	check("SetTasks")
+	if err := e.SetCPU([]int{500, 2500, 1500}); err != nil {
+		t.Fatal(err)
+	}
+	check("SetCPU")
+	if err := e.SetTasks([]int{1, -1, 2}); err == nil {
+		t.Fatal("negative task count accepted")
+	}
+	if err := e.SetCPU([]int{1000, 1000}); err == nil {
+		t.Fatal("short CPU vector accepted")
+	}
+	check("rejected updates")
+	if err := e.SetTasks([]int{0, 2, 4}); err != nil {
+		t.Fatal(err)
+	}
+	check("SetTasks to zero")
+}
