@@ -55,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzGraphBuild -fuzztime 3s ./internal/dag
 	$(GO) test -run NONE -fuzz FuzzFleetEvent -fuzztime 3s ./internal/fleet/event
 	$(GO) test -run NONE -fuzz FuzzLoadTraceCSV -fuzztime 3s ./internal/workload
+	$(GO) test -run NONE -fuzz FuzzSubmitJob -fuzztime 3s ./internal/daemon
 
 # Everything: the GP-stack micro-benchmarks and the end-to-end harness
 # benchmarks.

@@ -39,7 +39,6 @@ import (
 	"dragster/internal/monitor"
 	"dragster/internal/osp"
 	"dragster/internal/store"
-	"dragster/internal/storm"
 	"dragster/internal/streamsim"
 	"dragster/internal/ucb"
 	"dragster/internal/workload"
@@ -148,20 +147,6 @@ var NewKubeCluster = cluster.New
 // WithPricePerCoreHour configures the cost meter.
 var WithPricePerCoreHour = cluster.WithPricePerCoreHour
 
-// StormCluster is an Apache-Storm-like cluster on Kubernetes — the second
-// substrate the paper names (rebalance-based rescaling, §3.2).
-type StormCluster = storm.Cluster
-
-// StormTopology is a running Storm topology.
-type StormTopology = storm.Topology
-
-// NewStormCluster creates the Storm control plane (Nimbus included).
-var NewStormCluster = storm.NewCluster
-
-// DefaultStormOptions returns the standard Storm setup (10 s rebalance
-// pause, homogeneous 1-CPU workers).
-var DefaultStormOptions = storm.DefaultOptions
-
 // FlinkSession is a Flink session cluster on Kubernetes.
 type FlinkSession = flink.SessionCluster
 
@@ -177,6 +162,11 @@ var NewFlinkSession = flink.NewSession
 // DefaultFlinkOptions mirrors the paper's setup (1 CPU / 2 GB slots, 30 s
 // savepoint pause).
 var DefaultFlinkOptions = flink.DefaultOptions
+
+// DefaultStormOptions returns the Storm preset of a session cluster — the
+// second substrate the paper names (rebalance-based rescaling, §3.2): a
+// 10 s rebalance pause and homogeneous 1-CPU workers.
+var DefaultStormOptions = flink.StormOptions
 
 // Engine is the ground-truth dataflow simulator.
 type Engine = streamsim.Engine

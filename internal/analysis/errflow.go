@@ -8,7 +8,7 @@ import (
 
 // errflowPkgs are the packages whose every error-returning function and
 // method is in the configured fallible set: these are the simulator's
-// stateful substrates (k8s-model cluster, Flink/Storm adapters, the
+// stateful substrates (k8s-model cluster, Flink adapter, the
 // observation store), where a swallowed error silently desynchronizes the
 // model from the controller's view of it.
 var errflowPkgs = []string{

@@ -121,8 +121,8 @@ func NewEngine(spec *Spec, seed int64, counters *telemetry.Registry) (*Engine, e
 }
 
 // Install wires the engine into the substrate. k8s is required; job and
-// mon may be nil when that layer is absent (e.g. a Storm topology, which
-// has no rescale hook surface).
+// mon may be nil when that layer is absent (e.g. the fleet, which injects
+// cluster-level faults only).
 func (e *Engine) Install(k8s *cluster.Cluster, job *flink.Job, mon *monitor.Monitor) error {
 	if k8s == nil {
 		return errors.New("chaos: Install needs a cluster")

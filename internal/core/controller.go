@@ -78,21 +78,12 @@ type Config struct {
 	// (0 disables; the defaults are well-calibrated for the built-in
 	// workloads, so this mainly serves custom capacity scales).
 	HyperoptEvery int
-	// HyperoptWorkers bounds the worker pool each hyperparameter refit
-	// uses to evaluate the LML grid in parallel (0 = automatic, capped at
-	// GOMAXPROCS). The grid argmax is reduced in grid order, so any worker
-	// count yields byte-identical kernels; this knob only trades refit
-	// latency against CPU.
-	HyperoptWorkers int
 	// GPObservationBudget caps the observations each operator's GP
 	// retains (0 = unlimited). With a budget, per-slot cost and memory
 	// stay flat over unbounded horizons — the month-long deployments the
 	// ROADMAP targets — at the price of an approximate (retained-set)
 	// posterior; see DESIGN.md "Bounded-memory posterior".
 	GPObservationBudget int
-	// GPEviction picks which observation a full budget drops (default
-	// gp.EvictLowestInformation; gp.EvictOldest is the sliding window).
-	GPEviction gp.EvictionPolicy
 	// RNG supplies posterior draws when Acquisition is ucb.Thompson
 	// (ignored otherwise).
 	RNG *stats.RNG
@@ -110,9 +101,6 @@ type Config struct {
 	// experiment runner and the fleet hand every component of a run the
 	// same registry, so a run's whole fault story lives in one snapshot.
 	Counters *telemetry.Registry
-	// OSP overrides the default level-1 configuration (Method and YMax
-	// from this Config still take precedence when set there).
-	OSP *osp.Config
 }
 
 // Controller is the Dragster optimization engine.
@@ -212,13 +200,7 @@ func New(cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("core: budget %d cannot host %d operators", cfg.TaskBudget, m)
 	}
 
-	ospCfg := osp.Config{Method: cfg.Method, YMax: cfg.YMax}
-	if cfg.OSP != nil {
-		ospCfg = *cfg.OSP
-		ospCfg.Method = cfg.Method
-		ospCfg.YMax = cfg.YMax
-	}
-	level1, err := osp.New(cfg.Graph, ospCfg)
+	level1, err := osp.New(cfg.Graph, osp.Config{Method: cfg.Method, YMax: cfg.YMax})
 	if err != nil {
 		return nil, err
 	}
@@ -241,10 +223,8 @@ func New(cfg Config) (*Controller, error) {
 			Kernel:            capacityKernel(cfg.Candidates[i], capScale),
 			ExplorationScale:  cfg.ExplorationScale,
 			RefitEvery:        cfg.HyperoptEvery,
-			LMLWorkers:        cfg.HyperoptWorkers,
 			RNG:               cfg.RNG,
 			ObservationBudget: cfg.GPObservationBudget,
-			Eviction:          cfg.GPEviction,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: operator %d searcher: %w", i, err)

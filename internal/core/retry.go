@@ -7,8 +7,8 @@ import (
 	"dragster/internal/telemetry"
 )
 
-// Rescaler is the substrate surface the retrier drives (flink.Job and
-// storm.Topology both satisfy it).
+// Rescaler is the substrate surface the retrier drives (flink.Job
+// satisfies it).
 type Rescaler interface {
 	RescaleResources(tasks []int, cpuMilli []int) error
 }

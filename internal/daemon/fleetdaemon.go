@@ -365,9 +365,9 @@ func (d *FleetDaemon) Handler() http.Handler {
 		writeJSON(w, out)
 	})
 	mux.HandleFunc("POST /fleet/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+		req, status, err := decodeSubmit(w, r)
+		if err != nil {
+			http.Error(w, err.Error(), status)
 			return
 		}
 		spec, err := req.ToSpec()
@@ -447,6 +447,35 @@ func (d *FleetDaemon) Handler() http.Handler {
 		}
 	})
 	return mux
+}
+
+// maxSubmitBodyBytes caps a POST /fleet/jobs body. A SubmitRequest is a
+// few hundred bytes; the cap keeps a hostile client from making the
+// daemon buffer an arbitrarily large body.
+const maxSubmitBodyBytes = 1 << 20
+
+// decodeSubmit reads a POST /fleet/jobs body strictly: exactly one JSON
+// object with no unknown fields (a misspelled field would otherwise be
+// dropped silently and the job run on defaults). On failure it returns
+// the status to answer with: 413 past maxSubmitBodyBytes, else 400.
+func decodeSubmit(w http.ResponseWriter, r *http.Request) (SubmitRequest, int, error) {
+	var req SubmitRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	if err == nil {
+		if err = dec.Decode(new(json.RawMessage)); errors.Is(err, io.EOF) {
+			return req, 0, nil
+		}
+		if err == nil {
+			err = errors.New("trailing data after the JSON object")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return req, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxSubmitBodyBytes)
+	}
+	return req, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

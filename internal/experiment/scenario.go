@@ -15,7 +15,6 @@ import (
 	"dragster/internal/osp"
 	"dragster/internal/stats"
 	"dragster/internal/store"
-	"dragster/internal/storm"
 	"dragster/internal/telemetry"
 	"dragster/internal/tenant"
 	"dragster/internal/ucb"
@@ -57,8 +56,8 @@ type Scenario struct {
 	// workload.WordCount2D); non-Dragster policies ignore the CPU axis.
 	VerticalScaling bool
 	// StreamEngine selects the substrate: "flink" (default; savepoint
-	// rescaling, ~30 s pause) or "storm" (rebalance, ~10 s pause,
-	// homogeneous workers — §3.2 of the paper).
+	// rescaling, 30 s pause) or "storm" (flink.StormOptions: rebalance,
+	// 10 s pause, homogeneous workers — §3.2 of the paper).
 	StreamEngine string
 	// ForecastAlpha enables Holt load forecasting in Dragster controllers
 	// (see core.Config.ForecastAlpha; 0 disables).
@@ -69,8 +68,8 @@ type Scenario struct {
 	// memory stay flat; non-Dragster policies ignore it.
 	GPObservationBudget int
 	// Chaos, when set, replays the fault schedule through a seeded
-	// chaos.Engine wired into the cluster, the Flink job (Storm has no
-	// rescale hook surface), and the monitor.
+	// chaos.Engine wired into the cluster, the job's rescale hooks, and
+	// the monitor.
 	Chaos *chaos.Spec
 	// ChaosSeed seeds the chaos engine's victim selection (default
 	// Seed+104729 so chaos randomness never aliases workload noise).
@@ -150,10 +149,6 @@ func (sc *Scenario) setDefaults() error {
 	}
 	return nil
 }
-
-// JobRuntime abstracts the stream-engine substrate the harness drives
-// (flink.Job, storm.Topology).
-type JobRuntime = tenant.Job
 
 // PolicyFactory builds an Autoscaler for a scenario.
 type PolicyFactory func(sc *Scenario) (core.Autoscaler, error)
@@ -349,12 +344,11 @@ func NewRunner(sc Scenario, factory PolicyFactory) (*Runner, error) {
 		Metrics:          sc.metrics,
 		Tracer:           sc.Tracer,
 	}
+	opts := flink.DefaultOptions()
 	if sc.StreamEngine == "storm" {
-		tc.Storm, err = storm.NewCluster(k8s, storm.DefaultOptions())
-	} else {
-		tc.Session, err = flink.NewSession(k8s, flink.DefaultOptions())
+		opts = flink.StormOptions()
 	}
-	if err != nil {
+	if tc.Session, err = flink.NewSession(k8s, opts); err != nil {
 		return nil, err
 	}
 	t, err := tenant.New(tc)
@@ -368,8 +362,6 @@ func NewRunner(sc Scenario, factory PolicyFactory) (*Runner, error) {
 			return nil, err
 		}
 		chaosEng.SetTracer(sc.Tracer)
-		// The Flink rescale hooks only exist on flink.Job; Storm topologies
-		// get cluster- and monitor-level faults only.
 		if err := chaosEng.Install(k8s, t.Flink(), t.Monitor()); err != nil {
 			return nil, err
 		}
@@ -412,10 +404,6 @@ func (r *Runner) SkippedRounds() int { return r.res.SkippedRounds }
 
 // PolicyName returns the running policy's name.
 func (r *Runner) PolicyName() string { return r.res.Policy }
-
-// Job exposes the underlying stream-engine runtime (status endpoints,
-// diagnostics).
-func (r *Runner) Job() JobRuntime { return r.t.Job() }
 
 // Result returns the result accumulated so far (shared, not a copy).
 func (r *Runner) Result() *Result { return r.res }

@@ -33,11 +33,17 @@ func TestDragsterOnStorm(t *testing.T) {
 	if conv < 0 {
 		t.Fatal("dragster on storm never converged")
 	}
-	// Reconfiguration slots pause ≤10 s (rebalance), never Flink's 30 s.
+	// Reconfiguration slots pause exactly the 10 s rebalance, never
+	// Flink's 30 s (and the search does reconfigure).
+	rebalanced := false
 	for _, tr := range res.Trace {
 		if tr.PausedSeconds > 10 {
 			t.Errorf("slot %d paused %ds — storm rebalance should cost ≤10 s", tr.Slot, tr.PausedSeconds)
 		}
+		rebalanced = rebalanced || tr.PausedSeconds == 10
+	}
+	if !rebalanced {
+		t.Error("no slot paused for a 10 s rebalance")
 	}
 }
 

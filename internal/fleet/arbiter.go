@@ -48,6 +48,11 @@ func (a Arbitration) String() string {
 // advantage over equal-split comes from.
 const minSurplusPrice = 0.01
 
+// hysteresisTasks is the smallest budget change a rebalance applies;
+// smaller moves keep the previous share, preventing rescale thrash from
+// price jitter.
+const hysteresisTasks = 2
+
 // rebalance re-partitions the global Σ-tasks budget across the running
 // jobs and applies the new shares. It is a pure function of observable
 // state (usage, duals, priorities) evaluated in admission order, so a
@@ -70,14 +75,14 @@ func (m *Manager) rebalance(r int) error {
 	}
 
 	// Hysteresis: keep the previous share when the move is smaller than
-	// the threshold — unless keeping every small move would overflow the
+	// hysteresisTasks — unless keeping every small move would overflow the
 	// budget (possible right after an admission squeezed the floors).
 	kept := make([]int, len(m.running))
 	keptSum := 0
 	for i, js := range m.running {
 		kept[i] = targets[i]
 		if diff := targets[i] - js.budget; js.budget >= js.spec.floor() &&
-			diff > -m.cfg.HysteresisTasks && diff < m.cfg.HysteresisTasks {
+			diff > -hysteresisTasks && diff < hysteresisTasks {
 			kept[i] = js.budget
 		}
 		keptSum += kept[i]

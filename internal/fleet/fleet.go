@@ -203,9 +203,6 @@ type Config struct {
 	// RebalanceEvery re-runs the arbiter every that many rounds (default
 	// 3). Membership changes (admission, departure) always trigger one.
 	RebalanceEvery int
-	// HysteresisTasks suppresses budget changes smaller than this many
-	// tasks (default 2), preventing rescale thrash from price jitter.
-	HysteresisTasks int
 	// MaxGrowTasks bounds how much one rebalance may grow a single job's
 	// budget (default 4); shrinks are not bounded, so the global invariant
 	// is restored immediately.
@@ -215,18 +212,11 @@ type Config struct {
 	MaxQueue int
 	// DisableWarmStart turns off cross-job GP seeding (used by ablations).
 	DisableWarmStart bool
-	// WarmStartMaxPerOperator caps how many history records per operator
-	// are replayed into a joining job's GPs (default 48; replay is O(n²)).
-	WarmStartMaxPerOperator int
 	// PricePerCoreHour sets the shared cost meter (default 0.08 $/core·h).
 	PricePerCoreHour float64
 	// MaxBufferSeconds caps per-edge backlog (default 120 s of each job's
 	// peak rate).
 	MaxBufferSeconds float64
-	// Nodes overrides the auto-sized node count; NodeSpec the node shape
-	// (default 4000m / 8192 MB).
-	Nodes    int
-	NodeSpec cluster.ResourceSpec
 	// Chaos, when set, replays a fault schedule through a seeded engine
 	// installed on the shared cluster (node crashes, scheduler delays —
 	// the cluster-level faults every tenant feels).
@@ -316,12 +306,6 @@ func (c *Config) setDefaults() error {
 	if c.RebalanceEvery < 1 {
 		return errors.New("fleet: RebalanceEvery must be ≥ 1")
 	}
-	if c.HysteresisTasks == 0 {
-		c.HysteresisTasks = 2
-	}
-	if c.HysteresisTasks < 1 {
-		return errors.New("fleet: HysteresisTasks must be ≥ 1")
-	}
 	if c.MaxGrowTasks == 0 {
 		c.MaxGrowTasks = 4
 	}
@@ -334,12 +318,6 @@ func (c *Config) setDefaults() error {
 	if c.MaxQueue < 1 {
 		return errors.New("fleet: MaxQueue must be ≥ 1")
 	}
-	if c.WarmStartMaxPerOperator == 0 {
-		c.WarmStartMaxPerOperator = 48
-	}
-	if c.WarmStartMaxPerOperator < 1 {
-		return errors.New("fleet: WarmStartMaxPerOperator must be ≥ 1")
-	}
 	if c.PricePerCoreHour == 0 {
 		c.PricePerCoreHour = 0.08
 	}
@@ -351,12 +329,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.MaxBufferSeconds < 0 {
 		return errors.New("fleet: negative MaxBufferSeconds")
-	}
-	if c.Nodes < 0 {
-		return errors.New("fleet: negative Nodes")
-	}
-	if c.NodeSpec == (cluster.ResourceSpec{}) {
-		c.NodeSpec = cluster.ResourceSpec{CPUMilli: 4000, MemoryMB: 8192}
 	}
 	if c.Chaos != nil {
 		if err := c.Chaos.Validate(); err != nil {
@@ -544,15 +516,12 @@ func New(cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	m.pool = pool
-	nNodes := cfg.Nodes
-	if nNodes == 0 {
-		// Size for the budget plus the JobManager, at ~4 task slots per
-		// node, with one spare so single-node failures degrade rather than
-		// wedge the fleet.
-		nNodes = (cfg.TotalTaskBudget+1)/4 + 2
-	}
+	// Size for the budget plus the JobManager, at ~4 task slots per node,
+	// with one spare so single-node failures degrade rather than wedge the
+	// fleet.
+	nNodes := (cfg.TotalTaskBudget+1)/4 + 2
 	m.k8s = cluster.New(cluster.WithPricePerCoreHour(cfg.PricePerCoreHour))
-	if err := m.k8s.AddNodes("node", nNodes, cfg.NodeSpec); err != nil {
+	if err := m.k8s.AddNodes("node", nNodes, cluster.ResourceSpec{CPUMilli: 4000, MemoryMB: 8192}); err != nil {
 		return nil, err
 	}
 	m.tracer.SetClock(m.k8s.Clock)
@@ -1133,7 +1102,7 @@ func (m *Manager) buildStack(js *jobState, r int) error {
 	if js.plan != nil {
 		initial = append([]int(nil), js.plan.Tasks...)
 	}
-	db, nRecords := m.archive.seed(spec, m.cfg.DisableWarmStart, m.cfg.WarmStartMaxPerOperator)
+	db, nRecords := m.archive.seed(spec, m.cfg.DisableWarmStart)
 	if js.plan != nil {
 		// The plan's probe observations are the tenant's own evidence, so
 		// they seed its GPs even when cross-job warm-start is disabled.

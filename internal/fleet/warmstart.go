@@ -56,11 +56,16 @@ func newWarmArchive() *warmArchive {
 	return &warmArchive{byKind: make(map[string]*store.DB)}
 }
 
+// warmStartMaxPerOperator caps how many history records per operator are
+// replayed into a joining job's GPs (replay is O(n²)).
+const warmStartMaxPerOperator = 48
+
 // seed builds a joining job's private history DB. When the archive holds
-// compatible history (and warm-start is enabled), up to maxPerOp of the
-// most recent records per operator are copied in; core.New replays them
-// into the job's GPs. Returns the DB and how many records were seeded.
-func (a *warmArchive) seed(spec *workload.Spec, disabled bool, maxPerOp int) (*store.DB, int) {
+// compatible history (and warm-start is enabled), up to
+// warmStartMaxPerOperator of the most recent records per operator are
+// copied in; core.New replays them into the job's GPs. Returns the DB and
+// how many records were seeded.
+func (a *warmArchive) seed(spec *workload.Spec, disabled bool) (*store.DB, int) {
 	db := store.New()
 	if disabled {
 		return db, 0
@@ -73,8 +78,8 @@ func (a *warmArchive) seed(spec *workload.Spec, disabled bool, maxPerOp int) (*s
 	for i := 0; i < spec.Graph.NumOperators(); i++ {
 		name := spec.Graph.OperatorName(i)
 		hist := arch.History(name)
-		if len(hist) > maxPerOp {
-			hist = hist[len(hist)-maxPerOp:]
+		if len(hist) > warmStartMaxPerOperator {
+			hist = hist[len(hist)-warmStartMaxPerOperator:]
 		}
 		for _, r := range hist {
 			if err := db.Append(r); err != nil {

@@ -214,6 +214,44 @@ func TestRescaleChargesPause(t *testing.T) {
 	}
 }
 
+// TestStormPresetRebalancePause pins the Storm preset: the Flink setup
+// with a 10 s rebalance stall in place of the 30 s savepoint pause, on
+// homogeneous 1-CPU workers.
+func TestStormPresetRebalancePause(t *testing.T) {
+	want := DefaultOptions()
+	want.RescalePauseSeconds = 10
+	if got := StormOptions(); got != want {
+		t.Fatalf("StormOptions() = %+v, want %+v", got, want)
+	}
+	k8s := cluster.New()
+	if err := k8s.AddNodes("n", 8, cluster.ResourceSpec{CPUMilli: 4000, MemoryMB: 8192}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(k8s, StormOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := chainGraph(t)
+	j, err := s.SubmitJob("wordcount", g, newEngine(t, g, 150), []int{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := func(int) []float64 { return []float64{100} }
+	if err := j.Rescale([]int{2, 2}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := j.RunSlot(60, rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PausedSeconds != 10 {
+		t.Errorf("PausedSeconds = %d, want 10", rep.PausedSeconds)
+	}
+	if got := j.EffectiveCPUMilli(); got[0] != 1000 || got[1] != 1000 {
+		t.Errorf("worker CPUs = %v, want homogeneous 1000m", got)
+	}
+}
+
 func TestRescaleValidation(t *testing.T) {
 	_, j := newSessionWithJob(t, 4, []int{1, 1})
 	if err := j.Rescale([]int{1}); err == nil {

@@ -5,6 +5,8 @@
 //
 // The actual dataflow dynamics are delegated to a streamsim.Engine; this
 // package owns the orchestration surface Dragster interacts with.
+// StormOptions reuses the same model for Apache Storm's rebalance-based
+// rescaling.
 package flink
 
 import (
@@ -37,6 +39,22 @@ func DefaultOptions() Options {
 		JobManagerSpec:      cluster.ResourceSpec{CPUMilli: 1000, MemoryMB: 2048},
 		RescalePauseSeconds: 30,
 	}
+}
+
+// StormOptions is the Apache Storm preset — the second substrate the
+// paper names (§3.2: "We can also apply Dragster in Storm and Heron to
+// adjust the number of executors for each Bolt via rebalancing"). A
+// `storm rebalance` deactivates the topology only while executors are
+// reassigned, so each reconfiguration stalls 10 s instead of the 30 s
+// savepoint stop-and-resume; everything else (one worker deployment per
+// bolt, 1 CPU / 2 GB slots) matches the Flink setup for comparability.
+// Storm workers are homogeneous slots with no per-pod CPU dimension, so
+// callers must not rescale a Storm job vertically (the experiment
+// harness rejects storm with vertical scaling).
+func StormOptions() Options {
+	o := DefaultOptions()
+	o.RescalePauseSeconds = 10
+	return o
 }
 
 // SessionCluster hosts Flink jobs on a Kubernetes cluster. The paper's

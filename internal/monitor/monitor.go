@@ -49,14 +49,14 @@ type Snapshot struct {
 	Operators       []OperatorMetrics
 }
 
-// Source supplies raw slot reports. flink.Job and storm.Topology satisfy
-// the direct case via DirectSource; HTTPSource scrapes the REST API.
+// Source supplies raw slot reports. flink.Job satisfies the direct case
+// via DirectSource; HTTPSource scrapes the REST API.
 type Source interface {
 	Fetch() (*telemetry.SlotReport, error)
 }
 
 // ReportingJob is any stream-engine runtime exposing its latest slot
-// report (flink.Job, storm.Topology).
+// report (flink.Job).
 type ReportingJob interface {
 	LastReport() *telemetry.SlotReport
 }

@@ -1,4 +1,9 @@
-package storm
+// Package storm_test checks the Apache Storm substrate of §3.2. Storm has
+// no code of its own: a Storm topology is a Flink session job built from
+// flink.StormOptions, whose only difference is the 10 s rebalance pause.
+// These tests drive that preset through the same cases the Storm cluster
+// type had.
+package storm_test
 
 import (
 	"math"
@@ -6,7 +11,10 @@ import (
 
 	"dragster/internal/cluster"
 	"dragster/internal/dag"
+	"dragster/internal/experiment"
+	"dragster/internal/flink"
 	"dragster/internal/streamsim"
+	"dragster/internal/workload"
 )
 
 func chainGraph(t testing.TB) *dag.Graph {
@@ -26,9 +34,8 @@ func chainGraph(t testing.TB) *dag.Graph {
 	return g
 }
 
-func newTopology(t testing.TB, perTask float64, initial []int) (*Cluster, *Topology) {
+func newEngine(t testing.TB, g *dag.Graph, perTask float64) *streamsim.Engine {
 	t.Helper()
-	g := chainGraph(t)
 	lin, err := streamsim.NewLinearCurve(perTask)
 	if err != nil {
 		t.Fatal(err)
@@ -37,42 +44,48 @@ func newTopology(t testing.TB, perTask float64, initial []int) (*Cluster, *Topol
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eng
+}
+
+func newTopology(t testing.TB, perTask float64, initial []int) (*flink.SessionCluster, *flink.Job) {
+	t.Helper()
+	g := chainGraph(t)
 	k8s := cluster.New()
 	if err := k8s.AddNodes("n", 8, cluster.ResourceSpec{CPUMilli: 4000, MemoryMB: 8192}); err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(k8s, DefaultOptions())
+	s, err := flink.NewSession(k8s, flink.StormOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo, err := c.SubmitTopology("wordcount", g, eng, initial)
+	topo, err := s.SubmitJob("wordcount", g, newEngine(t, g, perTask), initial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, topo
+	return s, topo
 }
 
 func TestNewClusterValidation(t *testing.T) {
-	if _, err := NewCluster(nil, DefaultOptions()); err == nil {
+	if _, err := flink.NewSession(nil, flink.StormOptions()); err == nil {
 		t.Error("nil cluster accepted")
 	}
 	empty := cluster.New() // nimbus unschedulable
-	if _, err := NewCluster(empty, DefaultOptions()); err == nil {
+	if _, err := flink.NewSession(empty, flink.StormOptions()); err == nil {
 		t.Error("unschedulable nimbus accepted")
 	}
 	k8s := cluster.New()
 	if err := k8s.AddNode("n", cluster.ResourceSpec{CPUMilli: 4000, MemoryMB: 8192}); err != nil {
 		t.Fatal(err)
 	}
-	bad := DefaultOptions()
-	bad.RebalancePauseSeconds = -1
-	if _, err := NewCluster(k8s, bad); err == nil {
+	bad := flink.StormOptions()
+	bad.RescalePauseSeconds = -1
+	if _, err := flink.NewSession(k8s, bad); err == nil {
 		t.Error("negative pause accepted")
 	}
 }
 
 func TestSubmitTopology(t *testing.T) {
-	c, topo := newTopology(t, 150, []int{2, 3})
+	s, topo := newTopology(t, 150, []int{2, 3})
 	if topo.Name() != "wordcount" {
 		t.Errorf("Name = %q", topo.Name())
 	}
@@ -83,15 +96,16 @@ func TestSubmitTopology(t *testing.T) {
 	if cpus[0] != 1000 || cpus[1] != 1000 {
 		t.Errorf("worker CPUs = %v", cpus)
 	}
-	deps := c.Cluster().Deployments()
-	want := map[string]bool{"storm-nimbus": true, "worker-wordcount-split": true, "worker-wordcount-count": true}
+	deps := s.Cluster().Deployments()
+	want := map[string]bool{"flink-jobmanager": true, "tm-wordcount-split": true, "tm-wordcount-count": true}
 	for _, d := range deps {
 		if !want[d] {
 			t.Errorf("unexpected deployment %q", d)
 		}
 	}
-	if _, err := c.SubmitTopology("again", topo.Graph(), nil, []int{1, 1}); err == nil {
-		t.Error("second topology accepted")
+	// The session hosts several topologies, but each name only once.
+	if _, err := s.SubmitJob("wordcount", topo.Graph(), newEngine(t, topo.Graph(), 10), []int{1, 1}); err == nil {
+		t.Error("duplicate topology name accepted")
 	}
 }
 
@@ -100,23 +114,19 @@ func TestSubmitTopologyValidation(t *testing.T) {
 	if err := k8s.AddNodes("n", 2, cluster.ResourceSpec{CPUMilli: 4000, MemoryMB: 8192}); err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(k8s, DefaultOptions())
+	s, err := flink.NewSession(k8s, flink.StormOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := chainGraph(t)
-	if _, err := c.SubmitTopology("x", nil, nil, []int{1, 1}); err == nil {
+	if _, err := s.SubmitJob("x", nil, nil, []int{1, 1}); err == nil {
 		t.Error("nil graph accepted")
 	}
-	lin, _ := streamsim.NewLinearCurve(10)
-	eng, err := streamsim.New(streamsim.Config{Graph: g, Models: []streamsim.CapacityModel{lin, lin}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.SubmitTopology("x", g, eng, []int{1}); err == nil {
+	eng := newEngine(t, g, 10)
+	if _, err := s.SubmitJob("x", g, eng, []int{1}); err == nil {
 		t.Error("wrong initial length accepted")
 	}
-	if _, err := c.SubmitTopology("x", g, eng, []int{0, 1}); err == nil {
+	if _, err := s.SubmitJob("x", g, eng, []int{0, 1}); err == nil {
 		t.Error("zero executors accepted")
 	}
 }
@@ -141,56 +151,42 @@ func TestRunSlotSteadyState(t *testing.T) {
 	}
 }
 
-func TestRebalancePauseShorterThanFlink(t *testing.T) {
-	_, topo := newTopology(t, 150, []int{1, 1})
-	rates := func(int) []float64 { return []float64{100} }
-	if _, err := topo.RunSlot(30, rates); err != nil {
-		t.Fatal(err)
-	}
-	if err := topo.Rebalance([]int{2, 2}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := topo.RunSlot(60, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Storm rebalance stalls 10 s, not Flink's 30 s.
-	if rep.PausedSeconds != 10 {
-		t.Errorf("PausedSeconds = %d, want 10", rep.PausedSeconds)
-	}
-	// No-op rebalance costs nothing.
-	if err := topo.Rebalance([]int{2, 2}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = topo.RunSlot(30, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PausedSeconds != 0 {
-		t.Errorf("no-op rebalance paused %ds", rep.PausedSeconds)
-	}
-}
-
 func TestRebalanceValidation(t *testing.T) {
 	_, topo := newTopology(t, 150, []int{1, 1})
-	if err := topo.Rebalance([]int{1}); err == nil {
+	if err := topo.Rescale([]int{1}); err == nil {
 		t.Error("wrong length accepted")
 	}
-	if err := topo.Rebalance([]int{0, 1}); err == nil {
+	if err := topo.Rescale([]int{0, 1}); err == nil {
 		t.Error("zero executors accepted")
 	}
 }
 
+// TestRescaleResourcesRejectsVertical checks that Storm's homogeneous
+// workers are never resized: the experiment harness, the one place a
+// Storm run is configured, refuses vertical scaling, while a rebalance
+// that keeps the 1-CPU slot size is accepted.
 func TestRescaleResourcesRejectsVertical(t *testing.T) {
-	_, topo := newTopology(t, 150, []int{1, 1})
-	if err := topo.RescaleResources([]int{2, 2}, []int{2000, 1000}); err == nil {
-		t.Error("heterogeneous CPU accepted on storm")
+	spec, err := workload.WordCount()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Matching or zero CPU entries are fine (harness compatibility).
-	if err := topo.RescaleResources([]int{2, 2}, []int{1000, 0}); err != nil {
+	rates, err := workload.Constant(spec.HighRates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := experiment.Run(experiment.Scenario{
+		Spec: spec, Rates: rates, Slots: 1, StreamEngine: "storm", VerticalScaling: true,
+	}, experiment.DragsterSaddle()); err == nil {
+		t.Error("vertical scaling accepted on storm")
+	}
+	_, topo := newTopology(t, 150, []int{1, 1})
+	if err := topo.RescaleResources([]int{2, 2}, []int{1000, 1000}); err != nil {
 		t.Errorf("homogeneous rescale rejected: %v", err)
 	}
 	if got := topo.EffectiveParallelism(); got[0] != 2 || got[1] != 2 {
 		t.Errorf("parallelism = %v", got)
+	}
+	if cpus := topo.EffectiveCPUMilli(); cpus[0] != 1000 || cpus[1] != 1000 {
+		t.Errorf("worker CPUs = %v, want homogeneous 1000m", cpus)
 	}
 }

@@ -1,7 +1,7 @@
-// Package telemetry defines the per-slot metrics surface shared by the
-// stream-engine substrates (Flink, Storm) and consumed by the Job
-// Monitor, plus the accumulator that builds a slot report from raw
-// engine ticks.
+// Package telemetry defines the per-slot metrics surface produced by the
+// stream-engine substrate (a Flink session, or its Storm preset) and
+// consumed by the Job Monitor, plus the accumulator that builds a slot
+// report from raw engine ticks.
 package telemetry
 
 import (
@@ -43,7 +43,7 @@ type SlotReport struct {
 }
 
 // SlotAccumulator folds engine ticks into a SlotReport. One accumulator
-// per slot; both the Flink and Storm substrates drive it.
+// per slot; the substrate's slot loop drives it.
 type SlotAccumulator struct {
 	job     string
 	slot    int

@@ -19,21 +19,10 @@ import (
 	"dragster/internal/flink"
 	"dragster/internal/monitor"
 	"dragster/internal/stats"
-	"dragster/internal/storm"
 	"dragster/internal/streamsim"
 	"dragster/internal/telemetry"
 	"dragster/internal/workload"
 )
-
-// Job is the stream-engine substrate a tenant drives (flink.Job,
-// storm.Topology).
-type Job interface {
-	RunSlot(seconds int, rateAt func(sec int) []float64) (*telemetry.SlotReport, error)
-	RescaleResources(tasks []int, cpuMilli []int) error
-	EffectiveParallelism() []int
-	EffectiveCPUMilli() []int
-	LastReport() *telemetry.SlotReport
-}
 
 // Config assembles a Tenant.
 type Config struct {
@@ -59,10 +48,9 @@ type Config struct {
 	// InitialTasks is the configuration at submission (nil = one task per
 	// operator).
 	InitialTasks []int
-	// Session or Storm is the substrate the job is submitted to; exactly
-	// one must be set.
+	// Session is the substrate the job is submitted to (a Flink session,
+	// or a Storm cluster built from flink.StormOptions).
 	Session *flink.SessionCluster
-	Storm   *storm.Cluster
 	// Policy decides each slot's configuration.
 	Policy core.Autoscaler
 	// Vertical makes a Dragster controller pick per-pod CPU as well as
@@ -86,8 +74,7 @@ type Usage struct {
 type Tenant struct {
 	spec     *workload.Spec
 	rateFn   workload.RateFunc
-	job      Job
-	fj       *flink.Job // nil on Storm
+	job      *flink.Job
 	mon      *monitor.Monitor
 	policy   core.Autoscaler
 	ctrl     *core.Controller // nil for baseline policies
@@ -111,11 +98,8 @@ type Tenant struct {
 // New builds the tenant's engine, submits its job, and wires the monitor,
 // tracer and rescale retrier around cfg.Policy.
 func New(cfg Config) (*Tenant, error) {
-	if cfg.Workload == nil || cfg.Rates == nil || cfg.Policy == nil {
-		return nil, errors.New("tenant: needs a Workload, a RateFunc and a Policy")
-	}
-	if (cfg.Session == nil) == (cfg.Storm == nil) {
-		return nil, errors.New("tenant: set exactly one of Session and Storm")
+	if cfg.Workload == nil || cfg.Rates == nil || cfg.Policy == nil || cfg.Session == nil {
+		return nil, errors.New("tenant: needs a Workload, a RateFunc, a Policy and a Session")
 	}
 	spec := cfg.Workload
 	var maxBuf float64
@@ -141,19 +125,10 @@ func New(cfg Config) (*Tenant, error) {
 		}
 	}
 	t := &Tenant{spec: spec, rateFn: cfg.Rates, policy: cfg.Policy, vertical: cfg.Vertical}
-	if cfg.Session != nil {
-		if t.fj, err = cfg.Session.SubmitJob(cfg.Name, spec.Graph, engine, initial); err != nil {
-			return nil, err
-		}
-		// Rescale/run-slot spans exist on the Flink substrate only; Storm
-		// topologies are traced at the cluster and monitor layers.
-		t.fj.SetTracer(cfg.Tracer)
-		t.job = t.fj
-	} else {
-		if t.job, err = cfg.Storm.SubmitTopology(cfg.Name, spec.Graph, engine, initial); err != nil {
-			return nil, err
-		}
+	if t.job, err = cfg.Session.SubmitJob(cfg.Name, spec.Graph, engine, initial); err != nil {
+		return nil, err
 	}
+	t.job.SetTracer(cfg.Tracer)
 	if t.mon, err = monitor.New(monitor.DirectSource{Job: t.job}, monitor.Config{}); err != nil {
 		return nil, err
 	}
@@ -205,11 +180,8 @@ func peakRate(f workload.RateFunc, slots int) float64 {
 	return peak
 }
 
-// Job returns the substrate job.
-func (t *Tenant) Job() Job { return t.job }
-
-// Flink returns the Flink job, or nil on the Storm substrate.
-func (t *Tenant) Flink() *flink.Job { return t.fj }
+// Flink returns the substrate job.
+func (t *Tenant) Flink() *flink.Job { return t.job }
 
 // Monitor returns the tenant's job monitor.
 func (t *Tenant) Monitor() *monitor.Monitor { return t.mon }
@@ -228,8 +200,8 @@ func (t *Tenant) Rates() []float64 { return t.rates }
 
 // RunSlot simulates the tenant's next slot for the given seconds. With
 // tickClock false the slot runs without advancing the shared cluster
-// clock (Flink only; see flink.Job.RunSlotDetached), for tenants that
-// share a cluster whose clock another tenant owns.
+// clock (see flink.Job.RunSlotDetached), for tenants that share a
+// cluster whose clock another tenant owns.
 func (t *Tenant) RunSlot(seconds int, tickClock bool) (*telemetry.SlotReport, error) {
 	t.rates = append(t.rates[:0], t.rateFn(t.slot, 0)...)
 	t.snap = nil
@@ -238,7 +210,7 @@ func (t *Tenant) RunSlot(seconds int, tickClock bool) (*telemetry.SlotReport, er
 	if tickClock {
 		rep, err = t.job.RunSlot(seconds, t.rateAt)
 	} else {
-		rep, err = t.fj.RunSlotDetached(seconds, t.rateAt)
+		rep, err = t.job.RunSlotDetached(seconds, t.rateAt)
 	}
 	if err != nil {
 		return nil, err

@@ -213,7 +213,7 @@ func TestVerticalDecidePath(t *testing.T) {
 	if len(r.t.TargetY()) != spec.Graph.NumOperators() {
 		t.Errorf("controller decision targets = %v", r.t.TargetY())
 	}
-	if got := r.t.Job().EffectiveCPUMilli(); !reflect.DeepEqual(got, r.t.desiredCPU) {
+	if got := r.t.Flink().EffectiveCPUMilli(); !reflect.DeepEqual(got, r.t.desiredCPU) {
 		t.Errorf("per-pod CPU after apply = %v, want %v", got, r.t.desiredCPU)
 	}
 	if got := r.t.Flink().Parallelism(); !reflect.DeepEqual(got, r.t.Desired()) {

@@ -49,32 +49,6 @@ func (a Acquisition) String() string {
 	}
 }
 
-// BonusForm selects the exploration-bonus functional form.
-type BonusForm int
-
-// Bonus forms. Eq. 18 of the paper literally writes β_t·σ², but the
-// proof of Theorem 1 manipulates β^{1/2}·σ confidence widths (Eq. 22),
-// and β·σ² is dimensionally a variance that swamps the |μ−y| tracking
-// term at realistic tuples/s scales. StdBonus (β^{1/2}·σ, the
-// Srinivas-et-al form the proof supports) is therefore the default;
-// VarianceBonus keeps the paper-literal expression for comparison.
-const (
-	StdBonus BonusForm = iota
-	VarianceBonus
-)
-
-// String implements fmt.Stringer.
-func (b BonusForm) String() string {
-	switch b {
-	case StdBonus:
-		return "sqrt-beta-sigma"
-	case VarianceBonus:
-		return "beta-sigma-squared"
-	default:
-		return fmt.Sprintf("BonusForm(%d)", int(b))
-	}
-}
-
 // Beta returns the UCB weight β_t = 2·log(|X|·t²·π²·δ/6) for candidate-set
 // size nCandidates and confidence parameter δ ∈ (1, ∞). t is clamped to 1.
 func Beta(t, nCandidates int, delta float64) float64 {
@@ -96,7 +70,6 @@ type Searcher struct {
 	candidates [][]float64
 	delta      float64
 	acq        Acquisition
-	bonus      BonusForm
 	explore    float64
 	refitEvery int
 	lmlWorkers int
@@ -153,8 +126,6 @@ type Config struct {
 	Delta float64
 	// Acquisition defaults to Extended.
 	Acquisition Acquisition
-	// Bonus defaults to StdBonus (see BonusForm).
-	Bonus BonusForm
 	// ExplorationScale multiplies the exploration bonus (default 1, the
 	// theoretical schedule). Practical deployments shrink it — the paper's
 	// sklearn implementation normalizes targets, which has the same
@@ -243,7 +214,6 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 		candidates: cands,
 		delta:      cfg.Delta,
 		acq:        cfg.Acquisition,
-		bonus:      cfg.Bonus,
 		explore:    cfg.ExplorationScale,
 		refitEvery: cfg.RefitEvery,
 		lmlWorkers: cfg.LMLWorkers,
@@ -448,12 +418,9 @@ func (s *Searcher) OptimisticAt(x []float64) (float64, error) {
 // configuration for the first slot, so this only happens at cold start).
 var ErrNoData = errors.New("ucb: no observations yet")
 
-// Static sentinels for invalid enum configurations: Select sits on the
+// Static sentinel for an invalid acquisition: Select sits on the
 // per-round critical path, so its error returns must not build strings.
-var (
-	errUnknownBonus       = errors.New("ucb: unknown bonus form")
-	errUnknownAcquisition = errors.New("ucb: unknown acquisition")
-)
+var errUnknownAcquisition = errors.New("ucb: unknown acquisition")
 
 // Select returns the candidate maximizing the acquisition for the given
 // target capacity, along with its index and the β_t used. For the
@@ -500,16 +467,12 @@ func (s *Searcher) Select(target float64) (x []float64, idx int, beta float64, e
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		var bonus float64
-		switch s.bonus {
-		case StdBonus:
-			bonus = math.Sqrt(beta) * math.Sqrt(variance)
-		case VarianceBonus:
-			bonus = beta * variance
-		default:
-			return nil, 0, 0, errUnknownBonus
-		}
-		bonus *= s.explore
+		// Eq. 18 of the paper literally writes β_t·σ², but the proof of
+		// Theorem 1 manipulates β^{1/2}·σ confidence widths (Eq. 22), and
+		// β·σ² is dimensionally a variance that swamps the |μ−y| tracking
+		// term at realistic tuples/s scales; the bonus is therefore the
+		// Srinivas-et-al β^{1/2}·σ form the proof supports.
+		bonus := math.Sqrt(beta) * math.Sqrt(variance) * s.explore
 		var score float64
 		switch s.acq {
 		case Extended:
