@@ -20,7 +20,11 @@
 // CI proves the budgeted GP's per-round cost is flat in the horizon.
 //
 // Entries are emitted sorted by benchmark name (CPU-count suffixes like
-// "-8" stripped) so the file is deterministic for a given machine.
+// "-8" stripped) so the file is deterministic for a given machine. The
+// snapshot header records the host — GOMAXPROCS, NumCPU and the Go
+// version, read by this process, which shares the bench run's environment
+// when piped from it. -gate does not compare hosts, but prints both when
+// it fails, since ns/op from different hosts are not comparable.
 package main
 
 import (
@@ -31,6 +35,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,9 +60,30 @@ type Entry struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
+// Host describes the machine a snapshot was taken on.
+type Host struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GoVersion  string `json:"go_version"`
+}
+
+func currentHost() *Host {
+	return &Host{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
+}
+
+// String renders the host for gate reports; snapshots written before
+// hosts were recorded have none.
+func (h *Host) String() string {
+	if h == nil {
+		return "not recorded"
+	}
+	return fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d %s", h.GOMAXPROCS, h.NumCPU, h.GoVersion)
+}
+
 // Snapshot is the BENCH_gp.json / BENCH_e2e.json document.
 type Snapshot struct {
 	GeneratedBy string  `json:"generated_by"`
+	Host        *Host   `json:"host,omitempty"`
 	Benchmarks  []Entry `json:"benchmarks"`
 }
 
@@ -106,7 +132,7 @@ func run(out, label string) error {
 	if err != nil {
 		return err
 	}
-	doc := Snapshot{GeneratedBy: label, Benchmarks: entries}
+	doc := Snapshot{GeneratedBy: label, Host: currentHost(), Benchmarks: entries}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return fmt.Errorf("benchsnapshot: marshal: %w", err)
@@ -169,6 +195,7 @@ func gate(gatePath string, tolerance float64) error {
 			status, want.Name, cur.NsPerOp, want.NsPerOp, ratio, tolerance)
 	}
 	if failures > 0 {
+		fmt.Fprintf(os.Stderr, "snapshot host: %v\nthis host:     %v\n", base.Host, currentHost())
 		return fmt.Errorf("benchsnapshot: %d benchmark(s) regressed past %.2fx of %s", failures, tolerance, gatePath)
 	}
 	fmt.Fprintf(os.Stderr, "benchsnapshot: %d benchmarks within %.2fx of %s\n", len(base.Benchmarks), tolerance, gatePath)

@@ -195,9 +195,6 @@ var (
 // Monitor is the Job Monitor (Eq. 8 capacity estimation, backpressure).
 type Monitor = monitor.Monitor
 
-// MonitorConfig tunes backpressure detection (zero value = defaults).
-type MonitorConfig = monitor.Config
-
 // Snapshot is the per-slot metrics view consumed by Autoscalers.
 type Snapshot = monitor.Snapshot
 

@@ -17,17 +17,14 @@ func TestNewDhalionValidation(t *testing.T) {
 	if _, err := NewDhalion(10, func(d *Dhalion) { d.MinTasks = 0 }); err == nil {
 		t.Error("MinTasks 0 accepted")
 	}
-	if _, err := NewDhalion(10, WithIdleUtil(1.5)); err == nil {
-		t.Error("IdleUtil > 1 accepted")
-	}
 	if _, err := NewDhalion(10, WithBudget(-1)); err == nil {
 		t.Error("negative budget accepted")
 	}
-	d, err := NewDhalion(10, WithBudget(5), WithIdleUtil(0.4))
+	d, err := NewDhalion(10, WithBudget(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.TaskBudget != 5 || d.IdleUtil != 0.4 || d.Name() != "dhalion" {
+	if d.TaskBudget != 5 || d.Name() != "dhalion" {
 		t.Errorf("options not applied: %+v", d)
 	}
 }

@@ -26,9 +26,6 @@ type Daedalus struct {
 	// (default 1).
 	MaxTasks int
 	MinTasks int
-	// TargetUtil is the utilization the model steers every operator to
-	// (default 0.75 — headroom below saturation, above idle-waste).
-	TargetUtil float64
 	// MaxStep bounds the per-operator parallelism change in one slot
 	// (default 2).
 	MaxStep int
@@ -37,20 +34,21 @@ type Daedalus struct {
 	TaskBudget int
 }
 
+// targetUtil is the utilization Daedalus steers every operator to:
+// headroom below saturation, above idle waste.
+const targetUtil = 0.75
+
 // NewDaedalus validates and returns the policy.
 func NewDaedalus(maxTasks int, opts ...func(*Daedalus)) (*Daedalus, error) {
 	if maxTasks < 1 {
 		return nil, errors.New("baseline: MaxTasks must be ≥ 1")
 	}
-	d := &Daedalus{MaxTasks: maxTasks, MinTasks: 1, TargetUtil: 0.75, MaxStep: 2}
+	d := &Daedalus{MaxTasks: maxTasks, MinTasks: 1, MaxStep: 2}
 	for _, o := range opts {
 		o(d)
 	}
 	if d.MinTasks < 1 || d.MinTasks > d.MaxTasks {
 		return nil, fmt.Errorf("baseline: MinTasks %d outside [1, %d]", d.MinTasks, d.MaxTasks)
-	}
-	if d.TargetUtil <= 0 || d.TargetUtil >= 1 {
-		return nil, fmt.Errorf("baseline: TargetUtil %v outside (0, 1)", d.TargetUtil)
 	}
 	if d.MaxStep < 1 {
 		return nil, errors.New("baseline: MaxStep must be ≥ 1")
@@ -64,11 +62,6 @@ func NewDaedalus(maxTasks int, opts ...func(*Daedalus)) (*Daedalus, error) {
 // WithDaedalusBudget sets the task budget.
 func WithDaedalusBudget(b int) func(*Daedalus) {
 	return func(d *Daedalus) { d.TaskBudget = b }
-}
-
-// WithTargetUtil overrides the utilization setpoint.
-func WithTargetUtil(u float64) func(*Daedalus) {
-	return func(d *Daedalus) { d.TargetUtil = u }
 }
 
 // Name implements the Autoscaler surface.
@@ -91,7 +84,7 @@ func (d *Daedalus) Decide(snap *monitor.Snapshot) ([]int, error) {
 		// needs cur·util/target tasks at the setpoint.
 		want := cur
 		if om.Util > 0 {
-			want = int(math.Ceil(float64(cur) * om.Util / d.TargetUtil))
+			want = int(math.Ceil(float64(cur) * om.Util / targetUtil))
 		}
 		if om.Backpressured && want <= om.Tasks {
 			// A saturated operator under-reports its demand (util tops out

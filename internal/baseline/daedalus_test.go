@@ -13,20 +13,17 @@ func TestNewDaedalusValidation(t *testing.T) {
 	if _, err := NewDaedalus(10, func(d *Daedalus) { d.MinTasks = 20 }); err == nil {
 		t.Error("MinTasks above MaxTasks accepted")
 	}
-	if _, err := NewDaedalus(10, WithTargetUtil(1.2)); err == nil {
-		t.Error("TargetUtil > 1 accepted")
-	}
 	if _, err := NewDaedalus(10, func(d *Daedalus) { d.MaxStep = 0 }); err == nil {
 		t.Error("MaxStep 0 accepted")
 	}
 	if _, err := NewDaedalus(10, WithDaedalusBudget(-1)); err == nil {
 		t.Error("negative budget accepted")
 	}
-	d, err := NewDaedalus(10, WithDaedalusBudget(12), WithTargetUtil(0.6))
+	d, err := NewDaedalus(10, WithDaedalusBudget(12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.TaskBudget != 12 || d.TargetUtil != 0.6 || d.Name() != "daedalus" {
+	if d.TaskBudget != 12 || d.Name() != "daedalus" {
 		t.Errorf("options not applied: %+v", d)
 	}
 }

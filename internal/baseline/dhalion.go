@@ -24,31 +24,28 @@ type Dhalion struct {
 	MaxTasks int
 	// MinTasks floors scale-down (default 1).
 	MinTasks int
-	// IdleUtil is the CPU threshold below which a task is removed
-	// (default 0.7, which parks the scale-down at roughly 1.4× the
-	// minimal configuration — the over-provisioning gap behind the
-	// paper's Table 2 cost comparison).
-	IdleUtil float64
 	// TaskBudget bounds Σ tasks when positive. Dhalion respects the budget
 	// by refusing scale-ups that would exceed it (it does not rebalance
 	// across operators — the behaviour behind Fig. 4(d)).
 	TaskBudget int
 }
 
+// idleUtil is the CPU threshold below which Dhalion removes a task. It
+// parks the scale-down at roughly 1.4× the minimal configuration — the
+// over-provisioning gap behind the paper's Table 2 cost comparison.
+const idleUtil = 0.7
+
 // NewDhalion validates and returns the policy.
 func NewDhalion(maxTasks int, opts ...func(*Dhalion)) (*Dhalion, error) {
 	if maxTasks < 1 {
 		return nil, errors.New("baseline: MaxTasks must be ≥ 1")
 	}
-	d := &Dhalion{MaxTasks: maxTasks, MinTasks: 1, IdleUtil: 0.7}
+	d := &Dhalion{MaxTasks: maxTasks, MinTasks: 1}
 	for _, o := range opts {
 		o(d)
 	}
 	if d.MinTasks < 1 || d.MinTasks > d.MaxTasks {
 		return nil, fmt.Errorf("baseline: MinTasks %d outside [1, %d]", d.MinTasks, d.MaxTasks)
-	}
-	if d.IdleUtil <= 0 || d.IdleUtil >= 1 {
-		return nil, fmt.Errorf("baseline: IdleUtil %v outside (0, 1)", d.IdleUtil)
 	}
 	if d.TaskBudget < 0 {
 		return nil, errors.New("baseline: negative TaskBudget")
@@ -59,11 +56,6 @@ func NewDhalion(maxTasks int, opts ...func(*Dhalion)) (*Dhalion, error) {
 // WithBudget sets the task budget.
 func WithBudget(b int) func(*Dhalion) {
 	return func(d *Dhalion) { d.TaskBudget = b }
-}
-
-// WithIdleUtil overrides the idle threshold.
-func WithIdleUtil(u float64) func(*Dhalion) {
-	return func(d *Dhalion) { d.IdleUtil = u }
 }
 
 // Name implements the Autoscaler surface.
@@ -104,7 +96,7 @@ func (d *Dhalion) Decide(snap *monitor.Snapshot) ([]int, error) {
 	// cluster-wide in one resolution — this is what gives it the fast
 	// down-phase convergence of Table 2).
 	for i, om := range snap.Operators {
-		if om.Tasks > d.MinTasks && om.Util < d.IdleUtil {
+		if om.Tasks > d.MinTasks && om.Util < idleUtil {
 			tasks[i]--
 		}
 	}

@@ -59,20 +59,8 @@ type Config struct {
 	// NoiseVar is the GP observation noise σ² on Eq. 8 capacity samples
 	// (required; the square of roughly NoiseSigma·capacity-scale).
 	NoiseVar float64
-	// Delta is Theorem 1's confidence parameter δ ∈ (1, ∞); default 2.
-	Delta float64
 	// Acquisition selects extended (default) or conventional GP-UCB.
 	Acquisition ucb.Acquisition
-	// BottleneckTol is the relative target-vs-estimate deviation above
-	// which an operator is reconfigured (default 0.1).
-	BottleneckTol float64
-	// MinObserveUtil skips GP observations from nearly idle slots, whose
-	// Eq. 8 estimate badly underestimates capacity (default 0.15).
-	MinObserveUtil float64
-	// ExplorationScale shrinks the GP-UCB exploration bonus (default 0.1;
-	// see ucb.Config.ExplorationScale). 1 restores the raw theoretical
-	// schedule.
-	ExplorationScale float64
 	// HyperoptEvery re-fits each operator's GP kernel hyperparameters by
 	// log-marginal-likelihood grid search every HyperoptEvery observations
 	// (0 disables; the defaults are well-calibrated for the built-in
@@ -102,6 +90,20 @@ type Config struct {
 	// same registry, so a run's whole fault story lives in one snapshot.
 	Counters *telemetry.Registry
 }
+
+// bottleneckTol is the relative target-vs-estimate deviation above which
+// an operator is reconfigured.
+const bottleneckTol = 0.1
+
+// minObserveUtil skips GP observations from nearly idle slots, whose
+// Eq. 8 estimate badly underestimates capacity.
+const minObserveUtil = 0.15
+
+// explorationScale shrinks the GP-UCB exploration bonus (see
+// ucb.Config.ExplorationScale; 1 is the raw theoretical schedule). The
+// paper's sklearn implementation normalizes targets, which has the same
+// effect.
+const explorationScale = 0.1
 
 // Controller is the Dragster optimization engine.
 type Controller struct {
@@ -153,24 +155,6 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.NoiseVar <= 0 {
 		return nil, errors.New("core: NoiseVar must be positive")
 	}
-	if cfg.BottleneckTol == 0 {
-		cfg.BottleneckTol = 0.1
-	}
-	if cfg.BottleneckTol < 0 {
-		return nil, errors.New("core: negative BottleneckTol")
-	}
-	if cfg.MinObserveUtil == 0 {
-		cfg.MinObserveUtil = 0.15
-	}
-	if cfg.MinObserveUtil < 0 || cfg.MinObserveUtil >= 1 {
-		return nil, errors.New("core: MinObserveUtil outside [0, 1)")
-	}
-	if cfg.ExplorationScale == 0 {
-		cfg.ExplorationScale = 0.1
-	}
-	if cfg.ExplorationScale < 0 {
-		return nil, errors.New("core: negative ExplorationScale")
-	}
 	if cfg.HyperoptEvery < 0 {
 		return nil, errors.New("core: negative HyperoptEvery")
 	}
@@ -218,10 +202,9 @@ func New(cfg Config) (*Controller, error) {
 		s, err := ucb.NewSearcher(ucb.Config{
 			NoiseVar:          cfg.NoiseVar,
 			Candidates:        cfg.Candidates[i],
-			Delta:             cfg.Delta,
 			Acquisition:       cfg.Acquisition,
 			Kernel:            capacityKernel(cfg.Candidates[i], capScale),
-			ExplorationScale:  cfg.ExplorationScale,
+			ExplorationScale:  explorationScale,
 			RefitEvery:        cfg.HyperoptEvery,
 			RNG:               cfg.RNG,
 			ObservationBudget: cfg.GPObservationBudget,
@@ -438,7 +421,7 @@ func (c *Controller) DecideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 			c.lastCPU[i] = om.CPUMilli
 			continue
 		}
-		if om.Util >= c.cfg.MinObserveUtil && om.CapacityObs > 0 {
+		if om.Util >= minObserveUtil && om.CapacityObs > 0 {
 			if err := c.searchers[i].Observe(cfgVec, om.CapacityObs); err != nil {
 				return nil, nil, err
 			}
@@ -535,7 +518,7 @@ func (c *Controller) DecideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 			est[i] = capObs[i]
 		}
 	}
-	bottlenecks, err := osp.Bottlenecks(y, est, c.cfg.BottleneckTol)
+	bottlenecks, err := osp.Bottlenecks(y, est, bottleneckTol)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -81,9 +81,6 @@ func TestNewValidation(t *testing.T) {
 		{"nil graph", func(c *Config) { c.Graph = nil }},
 		{"zero ymax", func(c *Config) { c.YMax = 0 }},
 		{"zero noise", func(c *Config) { c.NoiseVar = 0 }},
-		{"negative tol", func(c *Config) { c.BottleneckTol = -1 }},
-		{"bad util", func(c *Config) { c.MinObserveUtil = 2 }},
-		{"negative explore", func(c *Config) { c.ExplorationScale = -1 }},
 		{"wrong candidates", func(c *Config) { c.Candidates = [][][]float64{{{1}}} }},
 		{"negative budget", func(c *Config) { c.TaskBudget = -1 }},
 		{"tiny budget", func(c *Config) { c.TaskBudget = 1 }},
@@ -267,14 +264,19 @@ func TestDualsAccessor(t *testing.T) {
 }
 
 func TestSkipsIdleObservations(t *testing.T) {
-	c := newController(t, func(cfg *Config) { cfg.MinObserveUtil = 0.5 })
+	c := newController(t)
 	rng := stats.NewRNG(8)
 	snap := snapshotAt(0, 1, []int{10, 10}, rng) // nearly idle
+	snap.Operators[0].Util = minObserveUtil - 0.01
+	snap.Operators[1].Util = minObserveUtil
 	if _, err := c.Decide(snap); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Searcher(0).Observations(); got != 0 {
 		t.Errorf("idle observation was not skipped: %d", got)
+	}
+	if got := c.Searcher(1).Observations(); got != 1 {
+		t.Errorf("observation at the util threshold was skipped: %d", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"dragster/internal/telemetry"
 )
@@ -13,17 +12,15 @@ type Rescaler interface {
 	RescaleResources(tasks []int, cpuMilli []int) error
 }
 
+// maxRescaleAttempts bounds how often one desired configuration is
+// attempted before it is abandoned. The controller re-decides every slot,
+// so abandoning a target only means waiting for the next one. The backoff
+// after failure k is 2^(k−1) decision slots, so the longest wait before an
+// abandonment is 4 slots.
+const maxRescaleAttempts = 4
+
 // RetryConfig tunes a RescaleRetrier.
 type RetryConfig struct {
-	// MaxAttempts bounds how often one desired configuration is attempted
-	// before it is abandoned (default 4). The controller re-decides every
-	// slot, so abandoning a target only means waiting for the next one.
-	MaxAttempts int
-	// BackoffSlots is the backoff after the first failure, in decision
-	// slots; it doubles per consecutive failure (default 1).
-	BackoffSlots int
-	// MaxBackoffSlots caps the exponential backoff (default 8).
-	MaxBackoffSlots int
 	// Retryable classifies rescale errors. Errors for which it returns
 	// false are propagated to the caller as fatal instead of retried; nil
 	// treats every error as transient.
@@ -48,21 +45,9 @@ type RescaleRetrier struct {
 	lastErr   error
 }
 
-// NewRescaleRetrier validates cfg and returns a retrier.
-func NewRescaleRetrier(cfg RetryConfig) (*RescaleRetrier, error) {
-	if cfg.MaxAttempts == 0 {
-		cfg.MaxAttempts = 4
-	}
-	if cfg.BackoffSlots == 0 {
-		cfg.BackoffSlots = 1
-	}
-	if cfg.MaxBackoffSlots == 0 {
-		cfg.MaxBackoffSlots = 8
-	}
-	if cfg.MaxAttempts < 1 || cfg.BackoffSlots < 1 || cfg.MaxBackoffSlots < cfg.BackoffSlots {
-		return nil, fmt.Errorf("core: invalid retry config %+v", cfg)
-	}
-	return &RescaleRetrier{cfg: cfg}, nil
+// NewRescaleRetrier returns a retrier.
+func NewRescaleRetrier(cfg RetryConfig) *RescaleRetrier {
+	return &RescaleRetrier{cfg: cfg}
 }
 
 // LastErr returns the most recent rescale error absorbed into retry
@@ -76,7 +61,7 @@ func (r *RescaleRetrier) Pending() bool { return r.pendTasks != nil }
 // Apply attempts to drive the substrate to the desired configuration at
 // the given decision slot. Transient failures (per Retryable) are
 // absorbed: the target is re-attempted on a later Apply call once the
-// backoff expires, up to MaxAttempts, after which the target is
+// backoff expires, up to maxRescaleAttempts, after which the target is
 // abandoned. A changed desired configuration always supersedes the
 // pending one and resets the attempt budget. Only non-retryable errors
 // are returned.
@@ -118,17 +103,13 @@ func (r *RescaleRetrier) Apply(job Rescaler, tasks, cpuMilli []int, slot int) er
 	r.lastErr = err
 	r.attempts++
 	r.cfg.Counters.Inc("rescale_failures")
-	if r.attempts >= r.cfg.MaxAttempts {
+	if r.attempts >= maxRescaleAttempts {
 		r.cfg.Counters.Inc("rescale_abandoned")
 		r.reset()
 		r.lastErr = err
 		return nil
 	}
-	backoff := r.cfg.BackoffSlots << (r.attempts - 1)
-	if backoff > r.cfg.MaxBackoffSlots {
-		backoff = r.cfg.MaxBackoffSlots
-	}
-	r.nextSlot = slot + backoff
+	r.nextSlot = slot + 1<<(r.attempts-1)
 	return nil
 }
 

@@ -30,17 +30,8 @@ func (s *scriptedRescaler) RescaleResources(tasks, cpuMilli []int) error {
 
 func transientOnly(err error) bool { return errors.Is(err, errTransient) }
 
-func newRetrier(t *testing.T, cfg RetryConfig) *RescaleRetrier {
-	t.Helper()
-	r, err := NewRescaleRetrier(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
 func TestRetrierSuccessPassthrough(t *testing.T) {
-	r := newRetrier(t, RetryConfig{Retryable: transientOnly})
+	r := NewRescaleRetrier(RetryConfig{Retryable: transientOnly})
 	job := &scriptedRescaler{}
 	if err := r.Apply(job, []int{2, 3}, nil, 0); err != nil {
 		t.Fatal(err)
@@ -55,7 +46,7 @@ func TestRetrierSuccessPassthrough(t *testing.T) {
 
 func TestRetrierRecoversAfterBackoff(t *testing.T) {
 	cs := telemetry.NewRegistry()
-	r := newRetrier(t, RetryConfig{Retryable: transientOnly, Counters: cs})
+	r := NewRescaleRetrier(RetryConfig{Retryable: transientOnly, Counters: cs})
 	job := &scriptedRescaler{errs: []error{errTransient}}
 	target := []int{4, 4}
 
@@ -93,14 +84,15 @@ func TestRetrierRecoversAfterBackoff(t *testing.T) {
 }
 
 func TestRetrierNewTargetSupersedesPending(t *testing.T) {
-	r := newRetrier(t, RetryConfig{Retryable: transientOnly, BackoffSlots: 4, MaxBackoffSlots: 8})
+	r := NewRescaleRetrier(RetryConfig{Retryable: transientOnly})
 	job := &scriptedRescaler{errs: []error{errTransient}}
 	if err := r.Apply(job, []int{2, 2}, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	// A different target at the very next slot must not wait out the old
-	// backoff: it supersedes the pending one and applies immediately.
-	if err := r.Apply(job, []int{3, 3}, nil, 1); err != nil {
+	// A different target in the same slot must not wait out the old
+	// target's one-slot backoff: it supersedes the pending one and
+	// applies immediately.
+	if err := r.Apply(job, []int{3, 3}, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if job.calls != 2 || job.last[0] != 3 {
@@ -113,14 +105,26 @@ func TestRetrierNewTargetSupersedesPending(t *testing.T) {
 
 func TestRetrierAbandonsAfterMaxAttempts(t *testing.T) {
 	cs := telemetry.NewRegistry()
-	r := newRetrier(t, RetryConfig{MaxAttempts: 2, Retryable: transientOnly, Counters: cs})
-	job := &scriptedRescaler{errs: []error{errTransient, errTransient}}
-	target := []int{5, 5}
-	if err := r.Apply(job, target, nil, 0); err != nil {
-		t.Fatal(err)
+	r := NewRescaleRetrier(RetryConfig{Retryable: transientOnly, Counters: cs})
+	job := &scriptedRescaler{}
+	for i := 0; i < maxRescaleAttempts; i++ {
+		job.errs = append(job.errs, errTransient)
 	}
-	if err := r.Apply(job, target, nil, 1); err != nil {
+	target := []int{5, 5}
+	// Attempt k fails at slot 2^(k−1)−1, once the previous backoff ends.
+	for k := 1; k < maxRescaleAttempts; k++ {
+		if err := r.Apply(job, target, nil, 1<<(k-1)-1); err != nil {
+			t.Fatal(err)
+		}
+		if !r.Pending() {
+			t.Fatalf("target abandoned after %d of %d attempts", k, maxRescaleAttempts)
+		}
+	}
+	if err := r.Apply(job, target, nil, 1<<(maxRescaleAttempts-1)-1); err != nil {
 		t.Fatalf("abandonment must absorb the final error: %v", err)
+	}
+	if job.calls != maxRescaleAttempts {
+		t.Fatalf("%d attempts, want %d", job.calls, maxRescaleAttempts)
 	}
 	if r.Pending() {
 		t.Error("abandoned target still pending")
@@ -132,7 +136,7 @@ func TestRetrierAbandonsAfterMaxAttempts(t *testing.T) {
 		t.Errorf("rescale_abandoned = %d, want 1", got)
 	}
 	// The next (fresh) target starts with a clean attempt budget.
-	if err := r.Apply(job, []int{6, 6}, nil, 2); err != nil {
+	if err := r.Apply(job, []int{6, 6}, nil, 1<<(maxRescaleAttempts-1)); err != nil {
 		t.Fatal(err)
 	}
 	if job.last[0] != 6 {
@@ -140,9 +144,15 @@ func TestRetrierAbandonsAfterMaxAttempts(t *testing.T) {
 	}
 }
 
+// TestRetrierBackoffGrowsAndCaps pins the exponential backoff — 1, 2, 4
+// slots after failures 1, 2, 3 — and its cap: the attempt budget ends the
+// wait, so no target ever backs off longer than 4 slots.
 func TestRetrierBackoffGrowsAndCaps(t *testing.T) {
-	r := newRetrier(t, RetryConfig{MaxAttempts: 10, BackoffSlots: 1, MaxBackoffSlots: 2, Retryable: transientOnly})
-	job := &scriptedRescaler{errs: []error{errTransient, errTransient, errTransient}}
+	if maxRescaleAttempts != 4 {
+		t.Fatalf("maxRescaleAttempts = %d; the schedule below assumes 4", maxRescaleAttempts)
+	}
+	r := NewRescaleRetrier(RetryConfig{Retryable: transientOnly})
+	job := &scriptedRescaler{errs: []error{errTransient, errTransient, errTransient, errTransient}}
 	target := []int{7, 7}
 	// Failure 1 at slot 0 → backoff 1 → eligible at slot 1.
 	if err := r.Apply(job, target, nil, 0); err != nil {
@@ -158,26 +168,29 @@ func TestRetrierBackoffGrowsAndCaps(t *testing.T) {
 	if job.calls != 2 {
 		t.Fatalf("attempted during grown backoff: %d calls", job.calls)
 	}
-	// Failure 3 at slot 3 → backoff would be 4, capped at 2 → slot 5.
+	// Failure 3 at slot 3 → backoff 4 → eligible at slot 7.
 	if err := r.Apply(job, target, nil, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Apply(job, target, nil, 4); err != nil {
-		t.Fatal(err)
+	for slot := 4; slot < 7; slot++ {
+		if err := r.Apply(job, target, nil, slot); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if job.calls != 3 {
-		t.Fatalf("attempted during capped backoff: %d calls", job.calls)
+		t.Fatalf("attempted during grown backoff: %d calls", job.calls)
 	}
-	if err := r.Apply(job, target, nil, 5); err != nil {
+	// Failure 4 at slot 7 exhausts the attempts: no further backoff.
+	if err := r.Apply(job, target, nil, 7); err != nil {
 		t.Fatal(err)
 	}
 	if job.calls != 4 || r.Pending() {
-		t.Errorf("capped backoff retry missing: calls=%d pending=%v", job.calls, r.Pending())
+		t.Errorf("fourth failure did not end the retry: calls=%d pending=%v", job.calls, r.Pending())
 	}
 }
 
 func TestRetrierNonRetryablePropagates(t *testing.T) {
-	r := newRetrier(t, RetryConfig{Retryable: transientOnly})
+	r := NewRescaleRetrier(RetryConfig{Retryable: transientOnly})
 	fatal := errors.New("bad parallelism")
 	job := &scriptedRescaler{errs: []error{fatal}}
 	err := r.Apply(job, []int{1, 1}, nil, 0)
@@ -190,7 +203,7 @@ func TestRetrierNonRetryablePropagates(t *testing.T) {
 }
 
 func TestRetrierNilRetryableTreatsAllAsTransient(t *testing.T) {
-	r := newRetrier(t, RetryConfig{})
+	r := NewRescaleRetrier(RetryConfig{})
 	job := &scriptedRescaler{errs: []error{errors.New("anything")}}
 	if err := r.Apply(job, []int{1, 1}, nil, 0); err != nil {
 		t.Fatalf("nil Retryable did not absorb: %v", err)
@@ -204,16 +217,10 @@ func TestRetrierValidation(t *testing.T) {
 	if err := (&RescaleRetrier{}).Apply(nil, []int{1}, nil, 0); err == nil {
 		t.Error("nil rescaler accepted")
 	}
-	if _, err := NewRescaleRetrier(RetryConfig{BackoffSlots: 4, MaxBackoffSlots: 2}); err == nil {
-		t.Error("MaxBackoffSlots < BackoffSlots accepted")
-	}
-	if _, err := NewRescaleRetrier(RetryConfig{MaxAttempts: -1}); err == nil {
-		t.Error("negative MaxAttempts accepted")
-	}
 }
 
 func TestRetrierCPUDimensionTracked(t *testing.T) {
-	r := newRetrier(t, RetryConfig{Retryable: transientOnly})
+	r := NewRescaleRetrier(RetryConfig{Retryable: transientOnly})
 	job := &scriptedRescaler{errs: []error{errTransient}}
 	if err := r.Apply(job, []int{2, 2}, []int{500, 500}, 0); err != nil {
 		t.Fatal(err)

@@ -149,7 +149,7 @@ func (d *Daemon) Snapshot() State {
 //	GET /metrics  → Prometheus text format
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		d.mu.RLock()
 		err := d.lastErr
 		d.mu.RUnlock()
@@ -159,13 +159,13 @@ func (d *Daemon) Handler() http.Handler {
 		}
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if err := json.NewEncoder(w).Encode(d.Snapshot()); err != nil {
 			return // headers already sent
 		}
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		s := d.Snapshot()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		scalar := func(name, typ, help string, v float64) {

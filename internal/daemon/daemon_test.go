@@ -3,6 +3,7 @@ package daemon
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -103,10 +104,12 @@ func TestRunToCompletionAndEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := make([]byte, 1<<16)
-	n, _ := resp.Body.Read(body)
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	text := string(body[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(body)
 	for _, want := range []string{
 		"dragster_slots_completed 5",
 		"dragster_processed_tuples_total",
@@ -126,6 +129,35 @@ func TestRunToCompletionAndEndpoints(t *testing.T) {
 	// The full result is available for post-hoc analysis.
 	if got := d.Result(); len(got.Trace) != 5 {
 		t.Errorf("result trace length %d", len(got.Trace))
+	}
+}
+
+// TestRoutesAcceptOnlyGET: the single-job surface is read-only, like the
+// fleet daemon's, so any other method gets 405 Method Not Allowed.
+func TestRoutesAcceptOnlyGET(t *testing.T) {
+	d, err := New(testConfig(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	for _, path := range []string{"/healthz", "/status", "/metrics"} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("POST %s = %d, want 405", path, resp.StatusCode)
+		}
+		resp, err = http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s = %d, want 200", path, resp.StatusCode)
+		}
 	}
 }
 

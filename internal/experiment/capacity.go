@@ -31,7 +31,7 @@ import (
 
 // capacitySLOFraction is the per-round bar: steady throughput ≥ this
 // fraction of the ground-truth optimal throughput at the round's rates.
-// Slightly below the planner's own 0.95 SLOFraction so the comparison
+// Slightly below the planner's own 0.95 feasibility bar so the comparison
 // measures adaptation lag, not rounding at the feasibility boundary.
 const capacitySLOFraction = 0.9
 

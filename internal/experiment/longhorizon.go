@@ -27,18 +27,16 @@ type LongHorizonConfig struct {
 	// feasible only for small Rounds; the per-round cost grows
 	// quadratically without a budget).
 	Budget int
-	// Eviction picks the budget's eviction policy
-	// (default gp.EvictLowestInformation).
-	Eviction gp.EvictionPolicy
 	// Seed drives observation noise (default 1).
 	Seed int64
-	// Checkpoints is how many cumulative-regret checkpoints to record
-	// (default 10, spaced evenly over Rounds).
-	Checkpoints int
 	// onCheckpoint, when set, fires as each checkpoint is recorded (the
 	// soak test samples runtime.MemStats mid-run through it).
 	onCheckpoint func(LongHorizonPoint)
 }
+
+// lhCheckpoints is how many cumulative-regret checkpoints a run records,
+// spaced evenly over its rounds.
+const lhCheckpoints = 10
 
 // LongHorizonPoint is one cumulative-regret checkpoint.
 type LongHorizonPoint struct {
@@ -50,7 +48,6 @@ type LongHorizonPoint struct {
 type LongHorizonResult struct {
 	Rounds      int
 	Budget      int
-	Policy      gp.EvictionPolicy
 	CumRegret   float64 // cumulative target-tracking regret over the run
 	Retained    int     // observations held at the end
 	Evictions   uint64
@@ -78,9 +75,6 @@ func LongHorizon(cfg LongHorizonConfig) (*LongHorizonResult, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Checkpoints <= 0 {
-		cfg.Checkpoints = 10
-	}
 	cands := make([][]float64, 24)
 	for i := range cands {
 		cands[i] = []float64{float64(i + 1)}
@@ -90,14 +84,13 @@ func LongHorizon(cfg LongHorizonConfig) (*LongHorizonResult, error) {
 		Candidates:        cands,
 		ExplorationScale:  0.1,
 		ObservationBudget: cfg.Budget,
-		Eviction:          cfg.Eviction,
 	})
 	if err != nil {
 		return nil, err
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	res := &LongHorizonResult{Rounds: cfg.Rounds, Budget: cfg.Budget, Policy: cfg.Eviction}
-	every := cfg.Rounds / cfg.Checkpoints
+	res := &LongHorizonResult{Rounds: cfg.Rounds, Budget: cfg.Budget}
+	every := cfg.Rounds / lhCheckpoints
 	if every == 0 {
 		every = 1
 	}
@@ -162,7 +155,7 @@ func RenderLongHorizon(w io.Writer, results []*LongHorizonResult) {
 		policy := "-"
 		if r.Budget > 0 {
 			budget = fmt.Sprintf("%d", r.Budget)
-			policy = r.Policy.String()
+			policy = gp.EvictLowestInformation.String()
 		}
 		fmt.Fprintf(w, "%-10s %-22s %12d %12d %12.0f %14.3f\n",
 			budget, policy, r.Retained, r.Evictions, r.CumRegret,

@@ -37,7 +37,7 @@ func heapAfterGC() uint64 {
 // test's wall time is one run, not two.
 func TestLongHorizonSoakBudget256(t *testing.T) {
 	rounds := soakRounds()
-	cfg := LongHorizonConfig{Rounds: rounds, Budget: 256, Checkpoints: 20, Seed: 1}
+	cfg := LongHorizonConfig{Rounds: rounds, Budget: 256, Seed: 1}
 
 	var (
 		wg       sync.WaitGroup
@@ -79,8 +79,8 @@ func TestLongHorizonSoakBudget256(t *testing.T) {
 	if want := uint64(rounds - 256); res.Evictions != want {
 		t.Errorf("evictions = %d, want %d (one per round past the budget)", res.Evictions, want)
 	}
-	if len(res.Checkpoints) != 20 {
-		t.Fatalf("recorded %d checkpoints, want 20", len(res.Checkpoints))
+	if len(res.Checkpoints) != lhCheckpoints {
+		t.Fatalf("recorded %d checkpoints, want %d", len(res.Checkpoints), lhCheckpoints)
 	}
 	prev := 0.0
 	for _, p := range res.Checkpoints {

@@ -5,6 +5,7 @@ import (
 
 	"dragster/internal/cluster"
 	"dragster/internal/fleet/event"
+	"dragster/internal/flink"
 	"dragster/internal/mathx"
 	"dragster/internal/planner"
 	"dragster/internal/telemetry"
@@ -70,7 +71,7 @@ func (m *Manager) ensurePlan(js *jobState) error {
 		NoiseSigma:       m.cfg.NoiseSigma,
 		UtilNoiseSigma:   m.cfg.UtilNoiseSigma,
 		PricePerCoreHour: m.cfg.PricePerCoreHour,
-		TaskCPUMilli:     m.session.Options().TaskManagerSpec.CPUMilli,
+		TaskCPUMilli:     flink.TaskManagerSpec().CPUMilli,
 	})
 	if err != nil {
 		return fmt.Errorf("fleet: planning job %s: %w", js.spec.Name, err)
@@ -147,7 +148,7 @@ func (m *Manager) admissible(js *jobState, g int) (string, bool) {
 		return fmt.Sprintf("budget: floors %d + grant %d > total %d", committed, g, m.cfg.TotalTaskBudget), false
 	}
 	free := m.freeCapacity()
-	tm := m.session.Options().TaskManagerSpec
+	tm := flink.TaskManagerSpec()
 	need := cluster.ResourceSpec{CPUMilli: g * tm.CPUMilli, MemoryMB: g * tm.MemoryMB}
 	if need.CPUMilli > free.CPUMilli || need.MemoryMB > free.MemoryMB {
 		return fmt.Sprintf("capacity: need %dm/%dMB, free %dm/%dMB",

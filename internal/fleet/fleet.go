@@ -1053,9 +1053,9 @@ func (m *Manager) gauges() {
 }
 
 // dualPrice condenses a job's dual vector into its scalar shadow price:
-// the mean positive multiplier. λ is already normalized to O(1) by
-// osp.Config.ViolationScale, so prices are comparable across jobs of
-// different capacity scales.
+// the mean positive multiplier. λ is already normalized to O(1): the osp
+// dual update divides each violation by the job's YMax, so prices are
+// comparable across jobs of different capacity scales.
 func dualPrice(duals []float64) float64 {
 	if len(duals) == 0 {
 		return 0

@@ -30,7 +30,7 @@ import (
 
 // minHarvestUtil drops low-utilization capacity observations from the
 // archive: below it the Eq. 8 sample says more about the offered load
-// than about the operator's capacity (mirrors core's MinObserveUtil).
+// than about the operator's capacity (mirrors core's minObserveUtil).
 const minHarvestUtil = 0.15
 
 // fingerprint is the archive key for a workload spec.

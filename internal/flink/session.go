@@ -20,13 +20,19 @@ import (
 	"dragster/internal/telemetry"
 )
 
+// Pod templates of the paper's setup: every TaskManager pod provides one
+// task slot of 1 CPU / 2 GB, and the JobManager pod gets the same.
+var (
+	taskManagerSpec = cluster.ResourceSpec{CPUMilli: 1000, MemoryMB: 2048}
+	jobManagerSpec  = cluster.ResourceSpec{CPUMilli: 1000, MemoryMB: 2048}
+)
+
+// TaskManagerSpec returns the pod template of every TaskManager (one task
+// slot).
+func TaskManagerSpec() cluster.ResourceSpec { return taskManagerSpec }
+
 // Options configures a session cluster.
 type Options struct {
-	// TaskManagerSpec is the pod template of every TaskManager (the paper
-	// uses 1 CPU / 2 GB per slot).
-	TaskManagerSpec cluster.ResourceSpec
-	// JobManagerSpec is the JobManager pod template.
-	JobManagerSpec cluster.ResourceSpec
 	// RescalePauseSeconds is the savepoint stop-and-resume cost charged on
 	// every configuration change (the paper measures ≈30 s).
 	RescalePauseSeconds int
@@ -34,11 +40,7 @@ type Options struct {
 
 // DefaultOptions mirrors the paper's setup.
 func DefaultOptions() Options {
-	return Options{
-		TaskManagerSpec:     cluster.ResourceSpec{CPUMilli: 1000, MemoryMB: 2048},
-		JobManagerSpec:      cluster.ResourceSpec{CPUMilli: 1000, MemoryMB: 2048},
-		RescalePauseSeconds: 30,
-	}
+	return Options{RescalePauseSeconds: 30}
 }
 
 // StormOptions is the Apache Storm preset — the second substrate the
@@ -73,16 +75,10 @@ func NewSession(k8s *cluster.Cluster, opts Options) (*SessionCluster, error) {
 	if k8s == nil {
 		return nil, errors.New("flink: nil cluster")
 	}
-	if err := opts.TaskManagerSpec.Validate(); err != nil {
-		return nil, fmt.Errorf("flink: task manager spec: %w", err)
-	}
-	if err := opts.JobManagerSpec.Validate(); err != nil {
-		return nil, fmt.Errorf("flink: job manager spec: %w", err)
-	}
 	if opts.RescalePauseSeconds < 0 {
 		return nil, errors.New("flink: negative rescale pause")
 	}
-	if err := k8s.CreateDeployment("flink-jobmanager", opts.JobManagerSpec, 1); err != nil {
+	if err := k8s.CreateDeployment("flink-jobmanager", jobManagerSpec, 1); err != nil {
 		return nil, err
 	}
 	if k8s.RunningPods("flink-jobmanager") != 1 {
@@ -93,9 +89,6 @@ func NewSession(k8s *cluster.Cluster, opts Options) (*SessionCluster, error) {
 
 // Cluster returns the underlying Kubernetes cluster.
 func (s *SessionCluster) Cluster() *cluster.Cluster { return s.k8s }
-
-// Options returns the session's pod templates and rescale costs.
-func (s *SessionCluster) Options() Options { return s.opts }
 
 // ChaosHooks is the Flink-side fault-injection surface. A chaos engine
 // installs one via Job.SetChaosHooks; with none installed every hook site
@@ -168,7 +161,7 @@ func (s *SessionCluster) SubmitJob(name string, g *dag.Graph, engine *streamsim.
 		}
 		j.opNames[i] = g.OperatorName(i)
 		dep := deploymentName(name, j.opNames[i])
-		if err := s.k8s.CreateDeployment(dep, s.opts.TaskManagerSpec, initial[i]); err != nil {
+		if err := s.k8s.CreateDeployment(dep, taskManagerSpec, initial[i]); err != nil {
 			return nil, err
 		}
 		j.deployments[i] = dep

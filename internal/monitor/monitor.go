@@ -107,31 +107,18 @@ func (h HTTPSource) Fetch() (*telemetry.SlotReport, error) {
 	return &rep, nil
 }
 
-// Config tunes backpressure detection.
-type Config struct {
-	// BacklogSeconds flags backpressure when the end-of-slot backlog
-	// exceeds this many seconds of the operator's input rate (default 2).
-	BacklogSeconds float64
-	// UtilSaturation flags backpressure at or above this mean CPU
-	// utilization (default 0.95).
-	UtilSaturation float64
-	// MinUtil floors the utilization used in the Eq. 8 division so a
-	// near-idle observation does not produce an absurd capacity estimate
-	// (default 0.05).
-	MinUtil float64
-}
-
-func (c *Config) setDefaults() {
-	if c.BacklogSeconds == 0 {
-		c.BacklogSeconds = 2
-	}
-	if c.UtilSaturation == 0 {
-		c.UtilSaturation = 0.95
-	}
-	if c.MinUtil == 0 {
-		c.MinUtil = 0.05
-	}
-}
+// Backpressure detection and the Eq. 8 division.
+const (
+	// backlogSeconds flags backpressure when the end-of-slot backlog
+	// exceeds this many seconds of the operator's input rate.
+	backlogSeconds = 2
+	// utilSaturation flags backpressure at or above this mean CPU
+	// utilization.
+	utilSaturation = 0.95
+	// minUtil floors the utilization used in the Eq. 8 division so a
+	// near-idle observation does not produce an absurd capacity estimate.
+	minUtil = 0.05
+)
 
 // ErrNoSample reports that the metrics pipeline has no fresh sample for
 // the current slot — the metrics server is blacked out, or the fetched
@@ -153,7 +140,6 @@ type Interceptor interface {
 // Monitor converts raw slot reports into snapshots.
 type Monitor struct {
 	src Source
-	cfg Config
 
 	interceptor Interceptor
 	tracer      *telemetry.Tracer
@@ -166,15 +152,11 @@ type Monitor struct {
 }
 
 // New returns a Monitor over the given source.
-func New(src Source, cfg Config) (*Monitor, error) {
+func New(src Source) (*Monitor, error) {
 	if src == nil {
 		return nil, errors.New("monitor: nil source")
 	}
-	cfg.setDefaults()
-	if cfg.BacklogSeconds < 0 || cfg.UtilSaturation <= 0 || cfg.UtilSaturation > 1 || cfg.MinUtil <= 0 {
-		return nil, fmt.Errorf("monitor: invalid config %+v", cfg)
-	}
-	return &Monitor{src: src, cfg: cfg}, nil
+	return &Monitor{src: src}, nil
 }
 
 // SetInterceptor installs (or, with nil, removes) the fetch interceptor.
@@ -246,8 +228,8 @@ func (m *Monitor) Collect() (*Snapshot, error) {
 	copy(snap.SourceRates, rep.SourceRates)
 	for i, v := range rep.Vertices {
 		util := v.Util
-		if util < m.cfg.MinUtil {
-			util = m.cfg.MinUtil
+		if util < minUtil {
+			util = minUtil
 		}
 		om := OperatorMetrics{
 			Name:         v.Name,
@@ -260,8 +242,8 @@ func (m *Monitor) Collect() (*Snapshot, error) {
 			Backlog:      v.Backlog,
 			CapacityObs:  v.OutRate / util,
 		}
-		om.Backpressured = v.Util >= m.cfg.UtilSaturation ||
-			(v.InRate > 0 && v.Backlog > m.cfg.BacklogSeconds*v.InRate)
+		om.Backpressured = v.Util >= utilSaturation ||
+			(v.InRate > 0 && v.Backlog > backlogSeconds*v.InRate)
 		snap.Operators[i] = om
 	}
 	m.tracer.Event("monitor", "collect",

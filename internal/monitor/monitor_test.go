@@ -49,14 +49,8 @@ func buildJob(t testing.TB, perTask float64, initial []int) (*flink.SessionClust
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, Config{}); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Error("nil source accepted")
-	}
-	if _, err := New(DirectSource{}, Config{UtilSaturation: 2}); err == nil {
-		t.Error("bad saturation accepted")
-	}
-	if _, err := New(DirectSource{}, Config{BacklogSeconds: -1}); err == nil {
-		t.Error("negative backlog threshold accepted")
 	}
 }
 
@@ -75,7 +69,7 @@ func TestCollectCapacityEstimate(t *testing.T) {
 	if _, err := j.RunSlot(60, func(int) []float64 { return []float64{100} }); err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(DirectSource{Job: j}, Config{})
+	m, err := New(DirectSource{Job: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +104,7 @@ func TestCollectBackpressureSignal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := New(DirectSource{Job: j}, Config{})
+	m, err := New(DirectSource{Job: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +119,12 @@ func TestCollectBackpressureSignal(t *testing.T) {
 
 func TestMinUtilFloorsCapacityEstimate(t *testing.T) {
 	// Nearly idle operator: tiny offered load with huge capacity would
-	// produce a wild estimate if util were used raw; MinUtil caps it.
+	// produce a wild estimate if util were used raw; minUtil caps it.
 	_, j := buildJob(t, 100000, []int{1, 1})
 	if _, err := j.RunSlot(30, func(int) []float64 { return []float64{1} }); err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(DirectSource{Job: j}, Config{MinUtil: 0.05})
+	m, err := New(DirectSource{Job: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +132,13 @@ func TestMinUtilFloorsCapacityEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// OutRate ≈ 2/s, estimate capped at 2/0.05 = 40.
-	if snap.Operators[0].CapacityObs > 45 {
-		t.Errorf("capacity estimate %v not floored", snap.Operators[0].CapacityObs)
+	// OutRate ≈ 2/s, estimate capped at 2/minUtil = 40.
+	op := snap.Operators[0]
+	if op.Util >= minUtil {
+		t.Fatalf("util %v not below the floor %v; the scenario is not idle", op.Util, minUtil)
+	}
+	if want := op.OutRate / minUtil; op.CapacityObs != want || want > 45 {
+		t.Errorf("capacity estimate %v not floored at OutRate/minUtil = %v", op.CapacityObs, want)
 	}
 }
 
@@ -152,7 +150,7 @@ func TestHTTPSource(t *testing.T) {
 	srv := httptest.NewServer(flink.NewRESTHandler(s))
 	defer srv.Close()
 
-	m, err := New(HTTPSource{BaseURL: srv.URL, JobName: "wc"}, Config{})
+	m, err := New(HTTPSource{BaseURL: srv.URL, JobName: "wc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +163,7 @@ func TestHTTPSource(t *testing.T) {
 	}
 
 	// Unknown job → error surfaced.
-	bad, err := New(HTTPSource{BaseURL: srv.URL, JobName: "missing"}, Config{})
+	bad, err := New(HTTPSource{BaseURL: srv.URL, JobName: "missing"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +171,7 @@ func TestHTTPSource(t *testing.T) {
 		t.Error("missing job fetch succeeded")
 	}
 	// Unreachable server → transport error surfaced.
-	gone, err := New(HTTPSource{BaseURL: "http://127.0.0.1:1", JobName: "wc"}, Config{})
+	gone, err := New(HTTPSource{BaseURL: "http://127.0.0.1:1", JobName: "wc"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func report(slot int) *telemetry.SlotReport {
 // yield a second snapshot for slot N.
 func TestCollectRejectsStaleRepeat(t *testing.T) {
 	src := &fakeSource{rep: report(0)}
-	m, err := New(src, Config{})
+	m, err := New(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func (f funcInterceptor) InterceptReport(rep *telemetry.SlotReport) (*telemetry.
 }
 
 func TestInterceptorErrorPropagates(t *testing.T) {
-	m, err := New(&fakeSource{rep: report(0)}, Config{})
+	m, err := New(&fakeSource{rep: report(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestInterceptorErrorPropagates(t *testing.T) {
 }
 
 func TestInterceptorNilReportBecomesNoSample(t *testing.T) {
-	m, err := New(&fakeSource{rep: report(0)}, Config{})
+	m, err := New(&fakeSource{rep: report(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestInterceptorNilReportBecomesNoSample(t *testing.T) {
 }
 
 func TestInterceptorCanSubstituteReport(t *testing.T) {
-	m, err := New(&fakeSource{rep: report(3)}, Config{})
+	m, err := New(&fakeSource{rep: report(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestInterceptorCanSubstituteReport(t *testing.T) {
 
 func TestSetInterceptorNilRestoresCleanPath(t *testing.T) {
 	src := &fakeSource{rep: report(0)}
-	m, err := New(src, Config{})
+	m, err := New(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,89 +45,39 @@ type Config struct {
 	Method Method
 	// YMax bounds every target capacity from above (the capacity reachable
 	// at the largest configuration; keeps the inner maximization compact).
+	// It also normalizes violations in the dual update and sets the OGD
+	// step size η = YMax/10.
 	YMax float64
-	// GammaScale scales the dual step size γ_t = GammaScale/√t (Theorem 1
-	// uses γ = 1/√t).
-	GammaScale float64
-	// ViolationScale normalizes violations in the dual update
-	// (λ ← max(0, λ + γ·l/ViolationScale)) so the multipliers stay O(1)
-	// against the O(1) throughput-gradient they compete with in the
-	// Lagrangian — the dimensionless form of Eq. 15. Defaults to YMax.
-	ViolationScale float64
-	// ViolationClamp bounds each normalized per-slot dual step to
-	// [−ViolationClamp, +ViolationClamp] (default 0.1). Cold-start slots
-	// produce violations ~5× larger than the slack available once capacity
-	// catches up, so without the clamp one starving slot inflates λ for
-	// many subsequent slots; with it, only *sustained* violations build
-	// dual pressure. Clipped subgradients keep the Eq. 15 dynamics valid.
-	ViolationClamp float64
-	// Eta is the OGD step size (Eq. 16). Ignored by SaddlePoint.
-	Eta float64
-	// InnerIters bounds the projected-gradient inner solve of Eq. 14.
-	InnerIters int
-	// HeadroomFactor multiplies demand-driven targets to keep slack above
-	// the offered load (1.0 = none). Small headroom (e.g. 1.05) absorbs
-	// cloud noise without material cost.
-	HeadroomFactor float64
-	// EconomyWeight selects the *minimal* maximizer of the Lagrangian by
-	// subtracting EconomyWeight·Σ_i y_i from the inner objective. The
-	// throughput function plateaus once every operator covers its demand,
-	// so the argmax of Eq. 14 is a whole region; the paper's behaviour
-	// ("adjust the capacity to meet the input rate", §6.4) corresponds to
-	// its smallest element, which is what yields the cost savings when
-	// load drops. Must be small relative to the throughput slope
-	// (default 0.01).
-	EconomyWeight float64
 }
 
-func (c *Config) setDefaults() error {
-	if c.YMax <= 0 {
-		return errors.New("osp: YMax must be positive")
-	}
-	if c.GammaScale == 0 {
-		c.GammaScale = 0.3
-	}
-	if c.GammaScale < 0 {
-		return errors.New("osp: negative GammaScale")
-	}
-	if c.Eta == 0 {
-		c.Eta = c.YMax / 10
-	}
-	if c.Eta < 0 {
-		return errors.New("osp: negative Eta")
-	}
-	if c.InnerIters == 0 {
-		c.InnerIters = 200
-	}
-	if c.InnerIters < 1 {
-		return errors.New("osp: InnerIters must be ≥ 1")
-	}
-	if c.HeadroomFactor == 0 {
-		c.HeadroomFactor = 1.05
-	}
-	if c.HeadroomFactor < 1 {
-		return errors.New("osp: HeadroomFactor must be ≥ 1")
-	}
-	if c.EconomyWeight == 0 {
-		c.EconomyWeight = 0.05
-	}
-	if c.EconomyWeight < 0 || c.EconomyWeight >= 1 {
-		return errors.New("osp: EconomyWeight must be in [0, 1)")
-	}
-	if c.ViolationScale == 0 {
-		c.ViolationScale = c.YMax
-	}
-	if c.ViolationScale <= 0 {
-		return errors.New("osp: ViolationScale must be positive")
-	}
-	if c.ViolationClamp == 0 {
-		c.ViolationClamp = 0.1
-	}
-	if c.ViolationClamp <= 0 {
-		return errors.New("osp: ViolationClamp must be positive")
-	}
-	return nil
-}
+// gammaScale scales the dual step size γ_t = gammaScale/√t (Theorem 1
+// uses γ = 1/√t).
+const gammaScale = 0.3
+
+// violationClamp bounds each normalized per-slot dual step to
+// [−violationClamp, +violationClamp]. Cold-start slots produce violations
+// ~5× larger than the slack available once capacity catches up, so
+// without the clamp one starving slot inflates λ for many subsequent
+// slots; with it, only *sustained* violations build dual pressure.
+// Clipped subgradients keep the Eq. 15 dynamics valid.
+const violationClamp = 0.1
+
+// innerIters bounds the projected-gradient inner solve of Eq. 14.
+const innerIters = 200
+
+// headroomFactor multiplies demand-driven saddle-point targets to keep
+// slack above the offered load. Small headroom absorbs cloud noise
+// without material cost.
+const headroomFactor = 1.05
+
+// economyWeight selects the *minimal* maximizer of the Lagrangian by
+// subtracting economyWeight·Σ_i y_i from the inner objective. The
+// throughput function plateaus once every operator covers its demand, so
+// the argmax of Eq. 14 is a whole region; the paper's behaviour ("adjust
+// the capacity to meet the input rate", §6.4) corresponds to its smallest
+// element, which is what yields the cost savings when load drops. It must
+// stay in [0, 1), small relative to the throughput slope.
+const economyWeight = 0.05
 
 // Optimizer tracks the dual state and produces per-slot capacity targets.
 // Not safe for concurrent use.
@@ -145,8 +95,8 @@ func New(g *dag.Graph, cfg Config) (*Optimizer, error) {
 	if g == nil {
 		return nil, errors.New("osp: nil graph")
 	}
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
+	if cfg.YMax <= 0 {
+		return nil, errors.New("osp: YMax must be positive")
 	}
 	m := g.NumOperators()
 	o := &Optimizer{
@@ -201,7 +151,7 @@ func (o *Optimizer) Step(rates []float64) ([]float64, error) {
 			return nil, err
 		}
 		for i := range y {
-			need := rep.Demand[i] * o.cfg.HeadroomFactor
+			need := rep.Demand[i] * headroomFactor
 			if y[i] < need {
 				y[i] = math.Min(need, o.cfg.YMax)
 			}
@@ -218,7 +168,7 @@ func (o *Optimizer) maximizeLagrangian(rates []float64) ([]float64, error) {
 	best := append([]float64(nil), y...)
 	bestL := math.Inf(-1)
 	step0 := o.cfg.YMax / 8
-	for k := 1; k <= o.cfg.InnerIters; k++ {
+	for k := 1; k <= innerIters; k++ {
 		l, grad, err := o.regularizedLagrangian(rates, y)
 		if err != nil {
 			return nil, err
@@ -244,25 +194,25 @@ func (o *Optimizer) maximizeLagrangian(rates []float64) ([]float64, error) {
 }
 
 // regularizedLagrangian returns L(y, λ) − w·Σy and its gradient, the
-// economy-regularized inner objective (see Config.EconomyWeight). The
+// economy-regularized inner objective (see economyWeight). The
 // gradient aliases the optimizer's workspace until the next call.
 func (o *Optimizer) regularizedLagrangian(rates, y []float64) (float64, []float64, error) {
 	l, grad, err := o.g.LagrangianGradient(&o.ws, rates, y, o.lambda)
 	if err != nil {
 		return 0, nil, err
 	}
-	w := o.cfg.EconomyWeight
 	for i := range grad {
-		l -= w * y[i]
-		grad[i] -= w
+		l -= economyWeight * y[i]
+		grad[i] -= economyWeight
 	}
 	return l, grad, nil
 }
 
 // ogdStep is Eq. 16: one normalized gradient step on L_{t−1} from the
-// previous target. Normalization makes the step length η regardless of
-// the local slope, so the tracker moves at the same speed scaling down
-// (where only the small economy slope points the way) as scaling up.
+// previous target, with step size η = YMax/10. Normalization makes the
+// step length η regardless of the local slope, so the tracker moves at
+// the same speed scaling down (where only the small economy slope points
+// the way) as scaling up.
 func (o *Optimizer) ogdStep(rates []float64) ([]float64, error) {
 	_, grad, err := o.regularizedLagrangian(rates, o.yPrev)
 	if err != nil {
@@ -274,8 +224,9 @@ func (o *Optimizer) ogdStep(rates []float64) ([]float64, error) {
 		copy(y, o.yPrev)
 		return y, nil
 	}
+	eta := o.cfg.YMax / 10
 	for i := range y {
-		y[i] = mathx.Clamp(o.yPrev[i]+o.cfg.Eta*grad[i]/gn, 0, o.cfg.YMax)
+		y[i] = mathx.Clamp(o.yPrev[i]+eta*grad[i]/gn, 0, o.cfg.YMax)
 	}
 	return y, nil
 }
@@ -284,9 +235,12 @@ func (o *Optimizer) ogdStep(rates []float64) ([]float64, error) {
 //
 //	λ_i ← max(0, λ_i + γ_t·l_i),
 //
-// with γ_t = GammaScale/√t, where l_i = demand_i − y_i(x_i(t)) is the
+// with γ_t = gammaScale/√t, where l_i = demand_i − y_i(x_i(t)) is the
 // realized soft-constraint value of slot t (positive when the operator
-// could not keep up).
+// could not keep up). Each l_i enters as l_i/YMax, clamped to
+// ±violationClamp: dividing by YMax keeps the multipliers O(1) against
+// the O(1) throughput gradient they compete with in the Lagrangian — the
+// dimensionless form of Eq. 15.
 func (o *Optimizer) ObserveViolations(l []float64) error {
 	if len(l) != len(o.lambda) {
 		return fmt.Errorf("osp: got %d violations, want %d", len(l), len(o.lambda))
@@ -295,12 +249,12 @@ func (o *Optimizer) ObserveViolations(l []float64) error {
 	if t < 1 {
 		t = 1
 	}
-	gamma := o.cfg.GammaScale / math.Sqrt(float64(t))
+	gamma := gammaScale / math.Sqrt(float64(t))
 	for i, li := range l {
 		if math.IsNaN(li) || math.IsInf(li, 0) {
 			return fmt.Errorf("osp: violation l[%d] = %v invalid", i, li)
 		}
-		step := mathx.Clamp(li/o.cfg.ViolationScale, -o.cfg.ViolationClamp, o.cfg.ViolationClamp)
+		step := mathx.Clamp(li/o.cfg.YMax, -violationClamp, violationClamp)
 		o.lambda[i] = math.Max(0, o.lambda[i]+gamma*step)
 	}
 	return nil

@@ -74,41 +74,43 @@ func TestSingleOperatorJobs(t *testing.T) {
 	}
 }
 
-// TestOGDStepSizeEdgeCases pins the two extremes of the Eq. 16 step size:
-// a tiny η may move the iterate at most η per slot, and a huge η must be
-// absorbed by the [0, YMax] projection rather than overshoot.
+// TestOGDStepSizeEdgeCases pins the two extremes of the Eq. 16 step size
+// η = YMax/10: a tiny η may move the iterate at most η per slot, and a
+// huge η must be absorbed by the [0, YMax] projection rather than
+// overshoot below zero.
 func TestOGDStepSizeEdgeCases(t *testing.T) {
 	cases := []struct {
 		name string
-		eta  float64
-		// maxMove bounds |y_t − y_{t−1}| per slot (the normalized step
-		// length is exactly η before projection, and projection only
-		// shrinks it).
-		maxMove float64
+		ymax float64 // η = ymax/10
 	}{
-		{"tiny-eta", 1e-6, 1e-6 + 1e-12},
-		{"unit-eta", 1, 1 + 1e-9},
-		{"huge-eta", 1e9, 1000}, // clamped by the box, never beyond YMax
+		{"tiny-eta", 1e-5},
+		{"unit-eta", 10},
+		// The warm start YMax/4 sits far above the demand, so the economy
+		// slope drives the iterate into the box floor within four steps.
+		{"huge-eta", 1e10},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g := twoOpChain(t)
-			o, err := New(g, Config{Method: GradientDescent, YMax: 1000, Eta: tc.eta})
+			o, err := New(g, Config{Method: GradientDescent, YMax: tc.ymax})
 			if err != nil {
 				t.Fatal(err)
 			}
-			prev := []float64{250, 250} // the neutral warm start YMax/4
+			// The normalized step length is exactly η before projection,
+			// and projection only shrinks it.
+			maxMove := tc.ymax / 10 * (1 + 1e-9)
+			prev := []float64{tc.ymax / 4, tc.ymax / 4} // the neutral warm start
 			for slot := 0; slot < 4; slot++ {
 				y, err := o.Step([]float64{300})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i := range y {
-					if y[i] < 0 || y[i] > 1000 {
+					if y[i] < 0 || y[i] > tc.ymax {
 						t.Fatalf("slot %d: y[%d] = %g escapes [0, YMax]", slot, i, y[i])
 					}
-					if move := math.Abs(y[i] - prev[i]); move > tc.maxMove {
-						t.Fatalf("slot %d: op %d moved %g, step bound %g", slot, i, move, tc.maxMove)
+					if move := math.Abs(y[i] - prev[i]); move > maxMove {
+						t.Fatalf("slot %d: op %d moved %g, step bound %g", slot, i, move, maxMove)
 					}
 				}
 				prev = y
@@ -118,14 +120,14 @@ func TestOGDStepSizeEdgeCases(t *testing.T) {
 }
 
 // TestDualUpdateClampTable drives ObserveViolations through its edge
-// cases as a table: the normalized step is clamped to ±ViolationClamp,
+// cases as a table: the normalized step is clamped to ±violationClamp,
 // multipliers never go negative, γ_t falls as 1/√t, and non-finite
 // violations are rejected without corrupting state.
 func TestDualUpdateClampTable(t *testing.T) {
 	const (
 		ymax  = 1000.0
-		gamma = 0.4
-		clamp = 0.1
+		gamma = gammaScale
+		clamp = violationClamp
 	)
 	cases := []struct {
 		name       string
@@ -174,7 +176,7 @@ func TestDualUpdateClampTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g := twoOpChain(t)
-			o, err := New(g, Config{YMax: ymax, GammaScale: gamma, ViolationClamp: clamp})
+			o, err := New(g, Config{YMax: ymax})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,7 +210,7 @@ func TestDualUpdateClampTable(t *testing.T) {
 // arriving before any Step uses γ_1, not a division by √0.
 func TestObserveViolationsBeforeFirstStep(t *testing.T) {
 	g := twoOpChain(t)
-	o, err := New(g, Config{YMax: 1000, GammaScale: 0.4, ViolationClamp: 0.1})
+	o, err := New(g, Config{YMax: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +218,7 @@ func TestObserveViolationsBeforeFirstStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := o.Duals()
-	want := 0.4 * 0.1 // γ_1 · clamp
+	want := gammaScale * violationClamp // γ_1 · clamp
 	if math.Abs(got[0]-want) > 1e-12 {
 		t.Errorf("λ[0] = %g, want %g (γ_1 step)", got[0], want)
 	}
@@ -225,8 +227,8 @@ func TestObserveViolationsBeforeFirstStep(t *testing.T) {
 	}
 }
 
-// TestConfigValidationTable covers the Config fields the original
-// validation test leaves untouched.
+// TestConfigValidationTable covers Config validation and the ranges the
+// fixed update constants must keep.
 func TestConfigValidationTable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -234,11 +236,9 @@ func TestConfigValidationTable(t *testing.T) {
 		ok   bool
 	}{
 		{"defaults", Config{YMax: 100}, true},
-		{"negative-violation-scale", Config{YMax: 100, ViolationScale: -1}, false},
-		{"negative-violation-clamp", Config{YMax: 100, ViolationClamp: -0.1}, false},
-		{"economy-weight-one", Config{YMax: 100, EconomyWeight: 1}, false},
-		{"negative-economy-weight", Config{YMax: 100, EconomyWeight: -0.2}, false},
-		{"explicit-valid", Config{YMax: 100, GammaScale: 0.2, Eta: 5, InnerIters: 50, HeadroomFactor: 1.2, EconomyWeight: 0.1, ViolationScale: 50, ViolationClamp: 0.3}, true},
+		{"explicit-valid", Config{Method: GradientDescent, YMax: 100}, true},
+		// YMax is the dual update's violation scale.
+		{"negative-violation-scale", Config{YMax: -1}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -252,6 +252,56 @@ func TestConfigValidationTable(t *testing.T) {
 			}
 		})
 	}
+
+	// A huge slack after a huge violation moves λ down by exactly one
+	// clamped step: the clamp is positive and symmetric.
+	t.Run("negative-violation-clamp", func(t *testing.T) {
+		o, err := New(twoOpChain(t), Config{YMax: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range []float64{1e12, -1e12} {
+			if err := o.ObserveViolations([]float64{l, 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := o.Duals()[0]; got != 0 {
+			t.Errorf("λ after equal clamped steps up and down = %g, want 0", got)
+		}
+		if violationClamp <= 0 {
+			t.Errorf("violationClamp = %g, want > 0", violationClamp)
+		}
+	})
+	// economyWeight < 1 keeps the throughput slope dominant: an
+	// under-provisioned OGD iterate must still grow toward the demand.
+	t.Run("economy-weight-one", func(t *testing.T) {
+		o, err := New(singleOpChain(t), Config{Method: GradientDescent, YMax: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := o.Step([]float64{800}) // demand 800, warm start 250
+		if err != nil {
+			t.Fatal(err)
+		}
+		if y[0] <= 250 {
+			t.Errorf("under-provisioned OGD target fell to %g from 250", y[0])
+		}
+	})
+	// economyWeight > 0 is what scales an over-provisioned OGD iterate
+	// down when demand is covered.
+	t.Run("negative-economy-weight", func(t *testing.T) {
+		o, err := New(singleOpChain(t), Config{Method: GradientDescent, YMax: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := o.Step([]float64{50}) // demand 50, warm start 250
+		if err != nil {
+			t.Fatal(err)
+		}
+		if y[0] >= 250 {
+			t.Errorf("over-provisioned OGD target rose to %g from 250", y[0])
+		}
+	})
 }
 
 // TestBottlenecksTable exercises the relative-deviation selector at its

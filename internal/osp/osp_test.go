@@ -33,23 +33,14 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(g, Config{}); err == nil {
 		t.Error("zero YMax accepted")
 	}
-	if _, err := New(g, Config{YMax: 100, GammaScale: -1}); err == nil {
-		t.Error("negative gamma accepted")
-	}
-	if _, err := New(g, Config{YMax: 100, Eta: -1}); err == nil {
-		t.Error("negative eta accepted")
-	}
-	if _, err := New(g, Config{YMax: 100, InnerIters: -3}); err == nil {
-		t.Error("negative iters accepted")
-	}
-	if _, err := New(g, Config{YMax: 100, HeadroomFactor: 0.5}); err == nil {
-		t.Error("headroom < 1 accepted")
+	if _, err := New(g, Config{YMax: -100}); err == nil {
+		t.Error("negative YMax accepted")
 	}
 }
 
 func TestSaddlePointTargetsCoverDemand(t *testing.T) {
 	g := twoOpChain(t)
-	o, err := New(g, Config{YMax: 1000, HeadroomFactor: 1.05})
+	o, err := New(g, Config{YMax: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +50,8 @@ func TestSaddlePointTargetsCoverDemand(t *testing.T) {
 	}
 	// Demand at map = 200 output/s; shuffle demand = what map emits.
 	// Targets must cover demand with headroom.
-	if y[0] < 200 {
-		t.Errorf("map target %v below demand 200", y[0])
+	if y[0] < 200*headroomFactor {
+		t.Errorf("map target %v below demand·headroom %v", y[0], 200*headroomFactor)
 	}
 	if y[1] < y[0]*0.9 { // shuffle must roughly track map output
 		t.Errorf("shuffle target %v far below map emission %v", y[1], y[0])
@@ -99,10 +90,11 @@ func TestSaddlePointScalesDownWhenLoadDrops(t *testing.T) {
 
 func TestOGDMovesSmoothly(t *testing.T) {
 	g := twoOpChain(t)
-	o, err := New(g, Config{YMax: 1000, Method: GradientDescent, Eta: 20, HeadroomFactor: 1})
+	o, err := New(g, Config{YMax: 1000, Method: GradientDescent})
 	if err != nil {
 		t.Fatal(err)
 	}
+	const eta = 1000 / 10 // η = YMax/10
 	// Repeated steps move targets by bounded increments (|Δ| ≤ η per step)
 	// and hover within one step of the demand kink (map demand = 200 at
 	// rate 100; OGD has no hard floor, it tracks).
@@ -116,11 +108,11 @@ func TestOGDMovesSmoothly(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := range y {
-			if math.Abs(y[j]-prev[j]) > 20+1e-9 {
+			if math.Abs(y[j]-prev[j]) > eta+1e-9 {
 				t.Errorf("step %d: OGD jump %v → %v exceeds η", i, prev[j], y[j])
 			}
 		}
-		if y[0] < 200-20-1e-9 {
+		if y[0] < 200-eta-1e-9 {
 			t.Errorf("step %d: map target %v more than one step below demand 200", i, y[0])
 		}
 		prev = y
@@ -133,7 +125,7 @@ func TestOGDMovesSmoothly(t *testing.T) {
 
 func TestDualUpdateAndDecay(t *testing.T) {
 	g := twoOpChain(t)
-	o, err := New(g, Config{YMax: 1000, GammaScale: 1})
+	o, err := New(g, Config{YMax: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +136,10 @@ func TestDualUpdateAndDecay(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := o.Duals()
-	// γ_1 = 1, ViolationScale = YMax = 1000: λ_0 = 50/1000, λ_1 = 0.
-	if math.Abs(d[0]-0.05) > 1e-9 || d[1] != 0 {
-		t.Errorf("duals = %v, want [0.05 0]", d)
+	// γ_1 = gammaScale, violations scaled by YMax = 1000:
+	// λ_0 = gammaScale·50/1000, λ_1 = 0.
+	if want := gammaScale * 0.05; math.Abs(d[0]-want) > 1e-9 || d[1] != 0 {
+		t.Errorf("duals = %v, want [%v 0]", d, want)
 	}
 	// Negative violation drives λ back down but never below zero.
 	if err := o.ObserveViolations([]float64{-1e6, -1}); err != nil {
@@ -169,7 +162,7 @@ func TestDualsRaiseTargets(t *testing.T) {
 	// With a large λ on the shuffle operator, the Lagrangian pushes its
 	// target capacity up relative to the dual-free solution.
 	g := twoOpChain(t)
-	base, err := New(g, Config{YMax: 1000, HeadroomFactor: 1})
+	base, err := New(g, Config{YMax: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +170,7 @@ func TestDualsRaiseTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pressured, err := New(g, Config{YMax: 1000, HeadroomFactor: 1, GammaScale: 1})
+	pressured, err := New(g, Config{YMax: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +238,7 @@ func TestBottlenecks(t *testing.T) {
 
 func BenchmarkSaddlePointStep(b *testing.B) {
 	g := twoOpChain(b)
-	o, err := New(g, Config{YMax: 1000, InnerIters: 200})
+	o, err := New(g, Config{YMax: 1000})
 	if err != nil {
 		b.Fatal(err)
 	}

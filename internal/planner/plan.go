@@ -28,7 +28,8 @@ type Plan struct {
 	Seed int64 `json:"seed"`
 	// TargetRates is the sustained per-source load the plan covers.
 	TargetRates []float64 `json:"target_rates"`
-	// SLOFraction and Beta echo the planning knobs.
+	// SLOFraction and Beta echo the planner's fixed feasibility bar and
+	// confidence-bound width.
 	SLOFraction float64 `json:"slo_fraction"`
 	Beta        float64 `json:"beta"`
 	// Tasks is the per-operator admission floor; TotalTasks its sum.

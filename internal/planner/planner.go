@@ -46,6 +46,14 @@ import (
 // unconstrained target throughput (dag.Evaluate rejects Inf).
 const bigCap = 1e15
 
+// sloFraction is the fraction of the unconstrained target throughput a
+// plan must predict to be called feasible.
+const sloFraction = 0.95
+
+// lcbBeta widens the GP lower confidence bound used to cover demand:
+// lcb = mu − lcbBeta·sigma.
+const lcbBeta = 1
+
 // Config assembles a planning run.
 type Config struct {
 	// Spec is the workload to plan (DAG, capacity models, grid bounds).
@@ -54,25 +62,12 @@ type Config struct {
 	// plan must cover (required; one entry per source).
 	TargetRates []float64
 	// Seed drives probe-simulation noise. Plans are a pure function of
-	// (Spec, TargetRates, Seed, knobs): same inputs, byte-identical plan.
+	// the config: same inputs, byte-identical plan.
 	Seed int64
-	// ProbeSeconds is the simulated length of one probe run (default 30).
-	ProbeSeconds int
-	// ProbeBudget bounds the total number of probe simulations (default
-	// 6 per operator). The schedule visits operators in topological
-	// order, ascending task counts, and stops early per operator once a
-	// probe comes back unsaturated.
-	ProbeBudget int
 	// NoiseSigma / UtilNoiseSigma mirror the simulator knobs the live run
 	// will see (defaults 0.05 / 0.02).
 	NoiseSigma     float64
 	UtilNoiseSigma float64
-	// SLOFraction is the fraction of the unconstrained target throughput
-	// the plan must predict to be called feasible (default 0.95).
-	SLOFraction float64
-	// Beta widens the GP lower confidence bound used to cover demand:
-	// lcb = mu − Beta·sigma (default 1).
-	Beta float64
 	// PricePerCoreHour and TaskCPUMilli size the plan's predicted cost at
 	// SLO (defaults 0.08 $/core·h, 1000 m per task).
 	PricePerCoreHour float64
@@ -97,18 +92,6 @@ func (c *Config) setDefaults() error {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.ProbeSeconds == 0 {
-		c.ProbeSeconds = 30
-	}
-	if c.ProbeSeconds < probeWarmupSec+5 {
-		return fmt.Errorf("planner: ProbeSeconds must be ≥ %d", probeWarmupSec+5)
-	}
-	if c.ProbeBudget == 0 {
-		c.ProbeBudget = 6 * c.Spec.Graph.NumOperators()
-	}
-	if c.ProbeBudget < 1 {
-		return errors.New("planner: ProbeBudget must be ≥ 1")
-	}
 	if c.NoiseSigma == 0 {
 		c.NoiseSigma = 0.05
 	}
@@ -117,18 +100,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.NoiseSigma < 0 || c.UtilNoiseSigma < 0 {
 		return errors.New("planner: negative noise")
-	}
-	if c.SLOFraction == 0 {
-		c.SLOFraction = 0.95
-	}
-	if c.SLOFraction <= 0 || c.SLOFraction > 1 {
-		return errors.New("planner: SLOFraction outside (0, 1]")
-	}
-	if c.Beta == 0 {
-		c.Beta = 1
-	}
-	if c.Beta < 0 {
-		return errors.New("planner: negative Beta")
 	}
 	if c.PricePerCoreHour == 0 {
 		c.PricePerCoreHour = 0.08
@@ -155,7 +126,7 @@ func Build(cfg Config) (*Plan, error) {
 	spec := cfg.Spec
 	m := spec.Graph.NumOperators()
 
-	probes, err := runSchedule(&cfg)
+	probes, err := runSchedule(&cfg, probesPerOperator*m)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +175,7 @@ func Build(cfg Config) (*Plan, error) {
 			sigma := math.Sqrt(math.Max(variance, 0))
 			curves[i].Mu[n-1] = mu
 			curves[i].Sigma[n-1] = sigma
-			lcb[i][n-1] = math.Max(math.Max(0, mu-cfg.Beta*sigma), floor)
+			lcb[i][n-1] = math.Max(math.Max(0, mu-lcbBeta*sigma), floor)
 			if n > 1 && lcb[i][n-2] > lcb[i][n-1] {
 				lcb[i][n-1] = lcb[i][n-2]
 			}
@@ -233,22 +204,22 @@ func Build(cfg Config) (*Plan, error) {
 		total += n
 	}
 	// Probe spend: each probe runs the probed operator at its pinned task
-	// count and every other operator at the grid maximum for ProbeSeconds.
+	// count and every other operator at the grid maximum for probeSeconds.
 	probeTaskSec := 0.0
 	for _, pr := range probes {
-		probeTaskSec += float64(pr.Tasks+(m-1)*spec.MaxTasks) * float64(cfg.ProbeSeconds)
+		probeTaskSec += float64(pr.Tasks+(m-1)*spec.MaxTasks) * float64(probeSeconds)
 	}
 	p := &Plan{
 		Workload:            spec.Name,
 		Seed:                cfg.Seed,
 		TargetRates:         append([]float64(nil), cfg.TargetRates...),
-		SLOFraction:         cfg.SLOFraction,
-		Beta:                cfg.Beta,
+		SLOFraction:         sloFraction,
+		Beta:                lcbBeta,
 		Tasks:               tasks,
 		TotalTasks:          total,
 		PredictedThroughput: predicted,
 		TargetThroughput:    target,
-		Feasible:            predicted >= cfg.SLOFraction*target,
+		Feasible:            predicted >= sloFraction*target,
 		CostPerHour:         float64(total*cfg.TaskCPUMilli) / 1000 * cfg.PricePerCoreHour,
 		ProbeCost:           probeTaskSec / 3600 * float64(cfg.TaskCPUMilli) / 1000 * cfg.PricePerCoreHour,
 		Curves:              curves,

@@ -47,13 +47,23 @@ func TestBuildDeterministic(t *testing.T) {
 
 func TestProbeBudgetBound(t *testing.T) {
 	cfg := wordcountConfig(t, 5)
-	cfg.ProbeBudget = 3
 	p, err := Build(cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if len(p.Probes) > 3 {
-		t.Fatalf("budget 3, ran %d probes", len(p.Probes))
+	if limit := probesPerOperator * cfg.Spec.Graph.NumOperators(); len(p.Probes) > limit {
+		t.Fatalf("budget %d, ran %d probes", limit, len(p.Probes))
+	}
+	// The schedule stops hard at the budget even mid-operator.
+	if err := cfg.setDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	probes, err := runSchedule(&cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(probes) != 3 {
+		t.Fatalf("budget 3, ran %d probes", len(probes))
 	}
 }
 
@@ -123,11 +133,7 @@ func TestConfigValidation(t *testing.T) {
 		{"nil spec", func(c *Config) { c.Spec = nil }},
 		{"rate count", func(c *Config) { c.TargetRates = []float64{1, 2} }},
 		{"negative rate", func(c *Config) { c.TargetRates = []float64{-1} }},
-		{"short probe", func(c *Config) { c.ProbeSeconds = probeWarmupSec + 1 }},
-		{"negative budget", func(c *Config) { c.ProbeBudget = -1 }},
 		{"negative noise", func(c *Config) { c.NoiseSigma = -0.1 }},
-		{"slo > 1", func(c *Config) { c.SLOFraction = 1.5 }},
-		{"negative beta", func(c *Config) { c.Beta = -1 }},
 		{"negative price", func(c *Config) { c.PricePerCoreHour = -1 }},
 		{"zero cpu", func(c *Config) { c.TaskCPUMilli = -5 }},
 	}

@@ -24,9 +24,16 @@ import (
 // (capacity curves are monotone in the task count, so every larger probe
 // would be unsaturated too).
 
+// probeSeconds is the simulated length of one probe run.
+const probeSeconds = 30
+
 // probeWarmupSec is the prefix of each probe excluded from the averages
 // (queues fill and the drain pattern stabilizes during it).
 const probeWarmupSec = 5
+
+// probesPerOperator sizes the probe budget: a plan runs at most this many
+// probe simulations per operator in total.
+const probesPerOperator = 6
 
 // Saturation thresholds: arrivals must outpace consumption by 5% and the
 // mean reported utilization must be pinned near the top of its range.
@@ -70,8 +77,8 @@ func probePoints(maxTasks int) []int {
 
 // runSchedule executes the budget-bounded probe schedule: operators in
 // topological (dense-index) order, ascending task counts, early stop per
-// operator on the first unsaturated probe, hard stop at ProbeBudget.
-func runSchedule(cfg *Config) ([]Probe, error) {
+// operator on the first unsaturated probe, hard stop after budget probes.
+func runSchedule(cfg *Config, budget int) ([]Probe, error) {
 	spec := cfg.Spec
 	m := spec.Graph.NumOperators()
 	drive := driveRates(cfg)
@@ -79,7 +86,7 @@ func runSchedule(cfg *Config) ([]Probe, error) {
 	var probes []Probe
 	for i := 0; i < m; i++ {
 		for _, n := range points {
-			if len(probes) >= cfg.ProbeBudget {
+			if len(probes) >= budget {
 				return probes, nil
 			}
 			pr, err := runProbe(cfg, i, n, drive, int64(len(probes)))
@@ -133,7 +140,7 @@ func runProbe(cfg *Config, op, n int, drive []float64, probeIdx int64) (Probe, e
 		Models:           spec.Models,
 		NoiseSigma:       cfg.NoiseSigma,
 		UtilNoiseSigma:   cfg.UtilNoiseSigma,
-		MaxBufferPerEdge: 4 * float64(cfg.ProbeSeconds) * math.Max(peak, 1),
+		MaxBufferPerEdge: 4 * float64(probeSeconds) * math.Max(peak, 1),
 		RNG:              stats.NewRNG(cfg.Seed + 7919*(probeIdx+1)),
 	})
 	if err != nil {
@@ -146,7 +153,7 @@ func runProbe(cfg *Config, op, n int, drive []float64, probeIdx int64) (Probe, e
 
 	var arrived, consumed, emitted, util float64
 	samples := 0
-	for sec := 0; sec < cfg.ProbeSeconds; sec++ {
+	for sec := 0; sec < probeSeconds; sec++ {
 		st, err := engine.Tick(drive)
 		if err != nil {
 			return Probe{}, fmt.Errorf("planner: probe %s n=%d tick %d: %w",

@@ -123,7 +123,7 @@ func RestoreCheckpoint(r io.Reader, wantKind string) (*Checkpoint, error) {
 }
 
 // SaveFile snapshots the checkpoint to path atomically (temporary file
-// plus rename, like DB.SaveFile).
+// plus rename).
 func (c *Checkpoint) SaveFile(path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)

@@ -1,7 +1,7 @@
-// Package store implements Dragster's Database component: the list of
-// candidate configurations per operator and the timestamped history of
-// (configuration, throughput, observed capacity, utilization) tuples the
-// optimization engine learns from. The store can snapshot itself to JSON
+// Package store implements Dragster's Database component: the
+// timestamped history of (configuration, throughput, observed capacity,
+// utilization) tuples the optimization engine learns from, plus the
+// candidate-grid constructors. The store can snapshot itself to JSON
 // and restore, which is what lets a restarted controller warm-start its
 // Gaussian processes ("learn from history").
 package store
@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 )
 
@@ -27,54 +26,12 @@ type Record struct {
 
 // DB is the in-memory database. It is safe for concurrent use.
 type DB struct {
-	mu         sync.RWMutex
-	records    []Record
-	candidates map[string][][]float64
+	mu      sync.RWMutex
+	records []Record
 }
 
 // New returns an empty database.
-func New() *DB {
-	return &DB{candidates: make(map[string][][]float64)}
-}
-
-// SetCandidates registers the candidate configuration list for an
-// operator, replacing any previous list. Configurations are copied.
-func (d *DB) SetCandidates(operator string, configs [][]float64) error {
-	if operator == "" {
-		return errors.New("store: empty operator name")
-	}
-	if len(configs) == 0 {
-		return fmt.Errorf("store: operator %q needs at least one candidate", operator)
-	}
-	dim := len(configs[0])
-	cp := make([][]float64, len(configs))
-	for i, c := range configs {
-		if len(c) != dim || dim == 0 {
-			return fmt.Errorf("store: candidate %d of %q has dimension %d, want %d > 0", i, operator, len(c), dim)
-		}
-		cp[i] = append([]float64(nil), c...)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.candidates[operator] = cp
-	return nil
-}
-
-// Candidates returns a copy of the operator's candidate list, or nil when
-// none is registered.
-func (d *DB) Candidates(operator string) [][]float64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	src, ok := d.candidates[operator]
-	if !ok {
-		return nil
-	}
-	out := make([][]float64, len(src))
-	for i, c := range src {
-		out[i] = append([]float64(nil), c...)
-	}
-	return out
-}
+func New() *DB { return &DB{} }
 
 // Append stores a record. The config slice is copied.
 func (d *DB) Append(r Record) error {
@@ -114,10 +71,10 @@ func (d *DB) Len() int {
 	return len(d.records)
 }
 
-// snapshot is the JSON wire format.
+// snapshot is the JSON wire format. Older snapshots also carry a
+// "candidates" object, which Restore ignores.
 type snapshot struct {
-	Records    []Record               `json:"records"`
-	Candidates map[string][][]float64 `json:"candidates"`
+	Records []Record `json:"records"`
 }
 
 // Snapshot writes the full database as JSON.
@@ -126,7 +83,7 @@ func (d *DB) Snapshot(w io.Writer) error {
 	defer d.mu.RUnlock()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(snapshot{Records: d.records, Candidates: d.candidates})
+	return enc.Encode(snapshot{Records: d.records})
 }
 
 // Restore replaces the database contents from a Snapshot stream.
@@ -138,45 +95,7 @@ func (d *DB) Restore(r io.Reader) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.records = s.Records
-	if s.Candidates == nil {
-		s.Candidates = make(map[string][][]float64)
-	}
-	d.candidates = s.Candidates
 	return nil
-}
-
-// SaveFile snapshots the database to path (written atomically via a
-// temporary file in the same directory).
-func (d *DB) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: save: %w", err)
-	}
-	if err := d.Snapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: save: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: save: %w", err)
-	}
-	return nil
-}
-
-// LoadFile restores the database from a SaveFile snapshot.
-func (d *DB) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("store: load: %w", err)
-	}
-	defer f.Close()
-	return d.Restore(f)
 }
 
 // TaskGrid returns the 1-D candidate list {min, ..., max} task counts, the

@@ -7,42 +7,6 @@ import (
 	"testing"
 )
 
-func TestSetCandidatesValidation(t *testing.T) {
-	d := New()
-	if err := d.SetCandidates("", [][]float64{{1}}); err == nil {
-		t.Error("empty operator accepted")
-	}
-	if err := d.SetCandidates("op", nil); err == nil {
-		t.Error("empty candidates accepted")
-	}
-	if err := d.SetCandidates("op", [][]float64{{1}, {1, 2}}); err == nil {
-		t.Error("mixed dimensions accepted")
-	}
-	if err := d.SetCandidates("op", [][]float64{{}}); err == nil {
-		t.Error("zero-dimension candidates accepted")
-	}
-}
-
-func TestCandidatesCopySemantics(t *testing.T) {
-	d := New()
-	in := [][]float64{{1}, {2}}
-	if err := d.SetCandidates("op", in); err != nil {
-		t.Fatal(err)
-	}
-	in[0][0] = 99
-	got := d.Candidates("op")
-	if got[0][0] != 1 {
-		t.Error("SetCandidates did not copy input")
-	}
-	got[1][0] = 99
-	if d.Candidates("op")[1][0] != 2 {
-		t.Error("Candidates leaked internal storage")
-	}
-	if d.Candidates("missing") != nil {
-		t.Error("missing operator should return nil")
-	}
-}
-
 func TestAppendHistory(t *testing.T) {
 	d := New()
 	if err := d.Append(Record{Operator: "", Config: []float64{1}}); err == nil {
@@ -77,9 +41,6 @@ func TestAppendHistory(t *testing.T) {
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	d := New()
-	if err := d.SetCandidates("map", [][]float64{{1}, {2}, {3}}); err != nil {
-		t.Fatal(err)
-	}
 	if err := d.Append(Record{Slot: 4, Operator: "map", Config: []float64{2}, Throughput: 123, Util: 0.7}); err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +59,25 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if h[0].Throughput != 123 || h[0].Util != 0.7 || h[0].Slot != 4 {
 		t.Errorf("restored record = %+v", h[0])
 	}
-	if got := d2.Candidates("map"); len(got) != 3 || got[2][0] != 3 {
-		t.Errorf("restored candidates = %v", got)
+}
+
+// TestRestoreLegacyCandidatesSnapshot: snapshots written before the
+// candidate lists left the database carry a "candidates" object; Restore
+// still loads their records.
+func TestRestoreLegacyCandidatesSnapshot(t *testing.T) {
+	legacy := `{
+  "records": [
+    {"slot": 3, "operator": "map", "config": [2], "throughput": 90, "capacity_obs": 120, "util": 0.8}
+  ],
+  "candidates": {"map": [[1], [2], [3]]}
+}`
+	d := New()
+	if err := d.Restore(strings.NewReader(legacy)); err != nil {
+		t.Fatal(err)
+	}
+	h := d.History("map")
+	if len(h) != 1 || h[0].Slot != 3 || h[0].Config[0] != 2 || h[0].CapacityObs != 120 {
+		t.Errorf("restored history = %+v", h)
 	}
 }
 
@@ -108,12 +86,12 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	if err := d.Restore(strings.NewReader("{not json")); err == nil {
 		t.Error("garbage restore succeeded")
 	}
-	// Valid JSON with no candidates leaves a usable empty map.
+	// Valid JSON with no records leaves a usable empty database.
 	if err := d.Restore(strings.NewReader(`{"records": null}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SetCandidates("op", [][]float64{{1}}); err != nil {
-		t.Errorf("store unusable after minimal restore: %v", err)
+	if err := d.Append(Record{Operator: "op", Config: []float64{1}}); err != nil || d.Len() != 1 {
+		t.Errorf("store unusable after minimal restore: len=%d err=%v", d.Len(), err)
 	}
 }
 
@@ -134,33 +112,6 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if d.Len() != 800 {
 		t.Errorf("Len = %d, want 800", d.Len())
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	d := New()
-	if err := d.SetCandidates("map", [][]float64{{1}, {2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Append(Record{Slot: 1, Operator: "map", Config: []float64{2}, CapacityObs: 50}); err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/history.json"
-	if err := d.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	d2 := New()
-	if err := d2.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if d2.Len() != 1 || len(d2.Candidates("map")) != 2 {
-		t.Errorf("restored db: len=%d candidates=%v", d2.Len(), d2.Candidates("map"))
-	}
-	if err := d2.LoadFile(path + ".missing"); err == nil {
-		t.Error("missing file load succeeded")
-	}
-	if err := d.SaveFile("/nonexistent-dir/x.json"); err == nil {
-		t.Error("save into missing directory succeeded")
 	}
 }
 

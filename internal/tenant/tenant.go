@@ -129,22 +129,19 @@ func New(cfg Config) (*Tenant, error) {
 		return nil, err
 	}
 	t.job.SetTracer(cfg.Tracer)
-	if t.mon, err = monitor.New(monitor.DirectSource{Job: t.job}, monitor.Config{}); err != nil {
+	if t.mon, err = monitor.New(monitor.DirectSource{Job: t.job}); err != nil {
 		return nil, err
 	}
 	t.mon.SetTracer(cfg.Tracer)
 	if t.ctrl, _ = cfg.Policy.(*core.Controller); t.ctrl != nil {
 		t.ctrl.SetTracer(cfg.Tracer)
 	}
-	t.retrier, err = core.NewRescaleRetrier(core.RetryConfig{
+	t.retrier = core.NewRescaleRetrier(core.RetryConfig{
 		// Injected savepoint failures and rescale timeouts are transient;
 		// any other rescale error is fatal.
 		Retryable: func(err error) bool { return errors.Is(err, chaos.ErrInjected) },
 		Counters:  cfg.Metrics,
 	})
-	if err != nil {
-		return nil, err
-	}
 	t.rateAt = func(sec int) []float64 { return t.rateFn(t.slot, sec) }
 	return t, nil
 }

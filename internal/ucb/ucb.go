@@ -62,13 +62,16 @@ func Beta(t, nCandidates int, delta float64) float64 {
 	return 2 * math.Log(arg)
 }
 
+// confidenceDelta is the confidence parameter δ ∈ (1, ∞) of Theorem 1
+// that every Searcher's β_t uses. The paper leaves δ free; 2 is sensible.
+const confidenceDelta = 2
+
 // Searcher runs the per-operator Bayesian search. Each Dragster operator
 // owns one Searcher over its candidate configuration list. Not safe for
 // concurrent use.
 type Searcher struct {
 	reg        *gp.Regressor
 	candidates [][]float64
-	delta      float64
 	acq        Acquisition
 	explore    float64
 	refitEvery int
@@ -121,9 +124,6 @@ type Config struct {
 	NoiseVar float64
 	// Candidates is the operator's configuration list (required, copied).
 	Candidates [][]float64
-	// Delta is the confidence parameter δ ∈ (1, ∞) of Theorem 1
-	// (default 2: 1−1/δ = 50%... the paper leaves δ free; 2 is sensible).
-	Delta float64
 	// Acquisition defaults to Extended.
 	Acquisition Acquisition
 	// ExplorationScale multiplies the exploration bonus (default 1, the
@@ -172,12 +172,6 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 		}
 		cands[i] = append([]float64(nil), c...)
 	}
-	if cfg.Delta == 0 {
-		cfg.Delta = 2
-	}
-	if cfg.Delta <= 1 {
-		return nil, fmt.Errorf("ucb: delta %v must exceed 1", cfg.Delta)
-	}
 	if cfg.ExplorationScale == 0 {
 		cfg.ExplorationScale = 1
 	}
@@ -212,7 +206,6 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 	s := &Searcher{
 		reg:        reg,
 		candidates: cands,
-		delta:      cfg.Delta,
 		acq:        cfg.Acquisition,
 		explore:    cfg.ExplorationScale,
 		refitEvery: cfg.RefitEvery,
@@ -409,7 +402,7 @@ func (s *Searcher) OptimisticAt(x []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	beta := Beta(s.t, len(s.candidates), s.delta)
+	beta := Beta(s.t, len(s.candidates), confidenceDelta)
 	return mu + s.explore*math.Sqrt(beta)*math.Sqrt(variance), nil
 }
 
@@ -429,7 +422,7 @@ func (s *Searcher) Select(target float64) (x []float64, idx int, beta float64, e
 	if s.reg.Len() == 0 {
 		return nil, 0, 0, ErrNoData
 	}
-	beta = Beta(s.t, len(s.candidates), s.delta)
+	beta = Beta(s.t, len(s.candidates), confidenceDelta)
 	if s.acq == Thompson {
 		sample, err := s.reg.SampleJoint(s.candidates, func() float64 { return s.rng.Normal(0, 1) })
 		if err != nil {

@@ -61,9 +61,6 @@ func TestNewSearcherValidation(t *testing.T) {
 	if _, err := NewSearcher(Config{NoiseVar: 1, Candidates: [][]float64{{1}, {1, 2}}}); err == nil {
 		t.Error("ragged candidates accepted")
 	}
-	if _, err := NewSearcher(Config{NoiseVar: 1, Candidates: [][]float64{{1}}, Delta: 0.5}); err == nil {
-		t.Error("delta ≤ 1 accepted")
-	}
 	if _, err := NewSearcher(Config{NoiseVar: 0, Candidates: [][]float64{{1}}}); err == nil {
 		t.Error("zero noise accepted")
 	}
