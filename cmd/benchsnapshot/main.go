@@ -20,7 +20,10 @@
 // CI proves the budgeted GP's per-round cost is flat in the horizon.
 //
 // Entries are emitted sorted by benchmark name (CPU-count suffixes like
-// "-8" stripped) so the file is deterministic for a given machine. The
+// "-8" stripped) so the file is deterministic for a given machine. A
+// benchmark repeated by `go test -count N` collapses to one entry holding
+// the median of each column, so a snapshot or a gate judges the typical
+// run rather than whichever ran last. The
 // snapshot header records the host — GOMAXPROCS, NumCPU and the Go
 // version, read by this process, which shares the bench run's environment
 // when piped from it. -gate does not compare hosts, but prints both when
@@ -87,10 +90,10 @@ type Snapshot struct {
 	Benchmarks  []Entry `json:"benchmarks"`
 }
 
-// parseEntries reads `go test -bench` output and returns the benchmark
-// lines sorted by name.
+// parseEntries reads `go test -bench` output and returns one entry per
+// benchmark name, sorted by name, with repeats collapsed to medians.
 func parseEntries(r io.Reader) ([]Entry, error) {
-	var entries []Entry
+	runs := map[string][]Entry{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -115,20 +118,45 @@ func parseEntries(r io.Reader) ([]Entry, error) {
 				return nil, fmt.Errorf("benchsnapshot: allocs/op %q: %w", m[5], err)
 			}
 		}
-		entries = append(entries, e)
+		runs[e.Name] = append(runs[e.Name], e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("benchsnapshot: reading input: %w", err)
 	}
-	if len(entries) == 0 {
+	if len(runs) == 0 {
 		return nil, fmt.Errorf("benchsnapshot: no benchmark lines found on stdin")
+	}
+	entries := make([]Entry, 0, len(runs))
+	for name, rs := range runs {
+		entries = append(entries, Entry{
+			Name:        name,
+			Iterations:  int64(median(rs, func(e Entry) float64 { return float64(e.Iterations) })),
+			NsPerOp:     median(rs, func(e Entry) float64 { return e.NsPerOp }),
+			BytesPerOp:  median(rs, func(e Entry) float64 { return e.BytesPerOp }),
+			AllocsPerOp: median(rs, func(e Entry) float64 { return e.AllocsPerOp }),
+		})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
 	return entries, nil
 }
 
-func run(out, label string) error {
-	entries, err := parseEntries(os.Stdin)
+// median returns the median of col over rs: the middle value, or the mean
+// of the two middle values for an even count.
+func median(rs []Entry, col func(Entry) float64) float64 {
+	vs := make([]float64, len(rs))
+	for i, e := range rs {
+		vs[i] = col(e)
+	}
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
+}
+
+func run(out, label string, in io.Reader) error {
+	entries, err := parseEntries(in)
 	if err != nil {
 		return err
 	}
@@ -154,7 +182,7 @@ func run(out, label string) error {
 // snapshot value. Stdin benchmarks absent from the snapshot pass (new
 // benchmarks gate only once committed), and B/op / allocs/op are
 // informational — wall time is the contract.
-func gate(gatePath string, tolerance float64) error {
+func gate(gatePath string, tolerance float64, in io.Reader) error {
 	if tolerance < 1 {
 		return fmt.Errorf("benchsnapshot: -tolerance %g < 1 would reject unchanged results", tolerance)
 	}
@@ -169,7 +197,7 @@ func gate(gatePath string, tolerance float64) error {
 	if len(base.Benchmarks) == 0 {
 		return fmt.Errorf("benchsnapshot: %s has no benchmarks", gatePath)
 	}
-	entries, err := parseEntries(os.Stdin)
+	entries, err := parseEntries(in)
 	if err != nil {
 		return err
 	}
@@ -280,9 +308,9 @@ func main() {
 	case *flatPath != "":
 		err = flat(*flatPath, pairs, *tolerance)
 	case *gatePath != "":
-		err = gate(*gatePath, *tolerance)
+		err = gate(*gatePath, *tolerance, os.Stdin)
 	default:
-		err = run(*out, *label)
+		err = run(*out, *label, os.Stdin)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -31,7 +31,7 @@ func ExampleNewGraphBuilder() {
 	// Output: throughput: 150 tuples/s
 }
 
-// ExampleGraph_Gradient shows the autodiff-based bottleneck signal: the
+// ExampleGraph_Gradient shows the reverse-sweep bottleneck signal: the
 // saturated operator carries all the throughput gradient.
 func ExampleGraph_Gradient() {
 	b := dragster.NewGraphBuilder()
@@ -52,6 +52,46 @@ func ExampleGraph_Gradient() {
 	}
 	fmt.Printf("∂f/∂y_map=%.0f ∂f/∂y_shuffle=%.0f\n", grad[0], grad[1])
 	// Output: ∂f/∂y_map=1 ∂f/∂y_shuffle=0
+}
+
+// saturating is a user-defined throughput function h(e) = k·e/(1 + e/c):
+// an operator whose output per input tuple falls as its input grows (a
+// deduplicating stage, say). It is increasing and concave, as Dragster
+// requires, and supplies its own vector-Jacobian product.
+type saturating struct{ k, c float64 }
+
+func (s saturating) Eval(in []float64) float64 { return s.k * in[0] / (1 + in[0]/s.c) }
+
+func (s saturating) AddVJP(in []float64, a float64, inAdj []float64) {
+	d := 1 + in[0]/s.c
+	inAdj[0] += a * s.k / (d * d)
+}
+
+func (s saturating) Name() string { return "saturating" }
+
+// Example_customThroughputFunc plugs a ThroughputFunc defined outside the
+// module into a graph: the gradient flows through its AddVJP, so the
+// starved parse stage's marginal value is dedup's h'(50) = 1/1.5².
+func Example_customThroughputFunc() {
+	b := dragster.NewGraphBuilder()
+	src := b.Source("source")
+	parse := b.Operator("parse")
+	dedup := b.Operator("dedup")
+	snk := b.Sink("sink")
+	b.Edge(src, parse, nil, 1)
+	b.Edge(parse, dedup, dragster.Selectivity(1), 1)
+	b.Edge(dedup, snk, saturating{k: 1, c: 100}, 1)
+	g, err := b.Build()
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Parse capacity 50 < offered 100: parse is the bottleneck.
+	th, grad, err := g.Gradient([]float64{100}, []float64{50, 1000})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("throughput=%.2f ∂f/∂y_parse=%.3f ∂f/∂y_dedup=%.0f\n", th, grad[0], grad[1])
+	// Output: throughput=33.33 ∂f/∂y_parse=0.444 ∂f/∂y_dedup=0
 }
 
 // ExampleNewController wires the Dragster controller against a fabricated

@@ -149,7 +149,7 @@ func New(cfg Config) (*Controller, error) {
 		return nil, errors.New("core: nil graph")
 	}
 	m := cfg.Graph.NumOperators()
-	if cfg.YMax <= 0 {
+	if cfg.YMax <= 0 || math.IsNaN(cfg.YMax) || math.IsInf(cfg.YMax, 0) {
 		return nil, errors.New("core: YMax must be positive")
 	}
 	if cfg.NoiseVar <= 0 {

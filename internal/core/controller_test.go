@@ -80,6 +80,8 @@ func TestNewValidation(t *testing.T) {
 	}{
 		{"nil graph", func(c *Config) { c.Graph = nil }},
 		{"zero ymax", func(c *Config) { c.YMax = 0 }},
+		{"nan ymax", func(c *Config) { c.YMax = math.NaN() }},
+		{"inf ymax", func(c *Config) { c.YMax = math.Inf(1) }},
 		{"zero noise", func(c *Config) { c.NoiseVar = 0 }},
 		{"wrong candidates", func(c *Config) { c.Candidates = [][][]float64{{{1}}} }},
 		{"negative budget", func(c *Config) { c.TaskBudget = -1 }},

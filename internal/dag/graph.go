@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"dragster/internal/autodiff"
 )
 
 // Kind classifies a node in the data stream graph.
@@ -293,8 +291,10 @@ func (g *Graph) topoSort() ([]NodeID, error) {
 	return order, nil
 }
 
-// probe runs a dummy evaluation to surface throughput-function dimension
-// mismatches at build time instead of first use.
+// probe runs a dummy evaluation and one gradient sweep to surface
+// throughput-function dimension mismatches at build time instead of first
+// use. The sweep runs at y = 0 with λ = 1: every edge then takes the
+// capacity branch and every h receives the adjoint −1, so each AddVJP runs.
 func (g *Graph) probe() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -309,7 +309,15 @@ func (g *Graph) probe() (err error) {
 	for i := range y {
 		y[i] = 1
 	}
-	_, err = g.Evaluate(rates, y)
+	if _, err = g.Evaluate(rates, y); err != nil {
+		return err
+	}
+	clear(y)
+	lambda := make([]float64, len(g.operators))
+	for i := range lambda {
+		lambda[i] = 1
+	}
+	_, _, err = g.LagrangianGradient(new(Workspace), rates, y, lambda)
 	return err
 }
 
@@ -512,70 +520,22 @@ func (g *Graph) Throughput(rates, y []float64) (float64, error) {
 	return rep.Throughput, nil
 }
 
-// Workspace is the reusable scratch of LagrangianGradient: the autodiff
-// workspace plus evalTape's per-edge flows, input vector and per-operator
-// demand, grown on first use and reused by every later call. One
-// Workspace may serve graphs of different sizes. The zero value is ready
-// to use; a Workspace is not safe for concurrent use.
+// Workspace is the reusable scratch of LagrangianGradient: the forward
+// sweep's FlowReport plus the per-edge flow adjoints, the gradient and one
+// operator's input-adjoint vector, grown on first use and reused by every
+// later call. One Workspace may serve graphs of different
+// sizes. The zero value is ready to use; a Workspace is not safe for
+// concurrent use.
 type Workspace struct {
-	ad     autodiff.Workspace
-	flows  []autodiff.Value
-	inBuf  []autodiff.Value
-	demand []autodiff.Value
+	rep   FlowReport
+	adj   []float64 // edge ID -> ∂L/∂flow
+	grad  []float64 // operator index -> ∂L/∂y
+	inAdj []float64
 }
 
-// evalTape records the topological evaluation of g on an autodiff tape
-// and returns the taped application throughput f plus the per-operator
-// demand Σ_{j∈S_i} h_{i,j}(e_i) (the unconstrained desired output used by
-// the soft-constraints of Eq. 11). demand aliases w until the next call.
-//
-//lint:hotpath
-func (w *Workspace) evalTape(g *Graph, t *autodiff.Tape, rates []float64, vars []autodiff.Value) (f autodiff.Value, demand []autodiff.Value) {
-	if cap(w.flows) < len(g.edges) {
-		w.flows = make([]autodiff.Value, len(g.edges))
-	}
-	if cap(w.inBuf) < g.maxInEdges {
-		w.inBuf = make([]autodiff.Value, g.maxInEdges)
-	}
-	if cap(w.demand) < len(g.operators) {
-		w.demand = make([]autodiff.Value, len(g.operators))
-	}
-	flows := w.flows[:len(g.edges)]
-	inBuf := w.inBuf[:g.maxInEdges]
-	demand = w.demand[:len(g.operators)]
-	total := t.Const(0)
-	for _, id := range g.topo {
-		switch g.kinds[id] {
-		case Source:
-			rate := rates[g.srcIndex[id]]
-			for _, ei := range g.succEdges[id] {
-				flows[ei] = t.Const(g.alphaByID[ei] * rate)
-			}
-		case Operator:
-			oi := g.opIndex[id]
-			in := inBuf[:len(g.predEdges[id])]
-			for k, ei := range g.predEdges[id] {
-				in[k] = flows[ei]
-			}
-			dem := t.Const(0)
-			for _, ei := range g.succEdges[id] {
-				want := g.hByID[ei].EvalAD(t, in)
-				dem = dem.Add(want)
-				flows[ei] = vars[oi].Scale(g.alphaByID[ei]).Min(want)
-			}
-			demand[oi] = dem
-		case Sink:
-			for _, ei := range g.predEdges[id] {
-				total = total.Add(flows[ei])
-			}
-		}
-	}
-	return total, demand
-}
-
-// Gradient returns f(y) and ∂f/∂y_i for every operator, computed by taping
-// the topological evaluation with reverse-mode autodiff (the substitute
-// for the paper's PyTorch-autograd bottleneck identification). It is the
+// Gradient returns f(y) and ∂f/∂y_i for every operator, computed by one
+// reverse sweep over the topological evaluation (the substitute for the
+// paper's PyTorch-autograd bottleneck identification). It is the
 // Lagrangian at λ = 0 on a fresh workspace, so the gradient is the
 // caller's.
 func (g *Graph) Gradient(rates, y []float64) (float64, []float64, error) {
@@ -590,8 +550,14 @@ func (g *Graph) Gradient(rates, y []float64) (float64, []float64, error) {
 // gradient descent algorithms maximize this over y. The evaluation runs
 // on w's storage: the returned gradient aliases w and is valid only until
 // the next call with w.
+//
+// The forward pass is EvaluateInto. The reverse pass walks the topological
+// order backwards and adds every adjoint in the order a reverse-mode tape
+// of that evaluation would (with the λ terms taped last and min ties
+// routed to the capacity branch), so the result is bit-for-bit the taped
+// gradient.
 func (g *Graph) LagrangianGradient(w *Workspace, rates, y, lambda []float64) (float64, []float64, error) {
-	if err := g.checkEvalArgs(rates, y); err != nil {
+	if err := g.EvaluateInto(&w.rep, rates, y); err != nil {
 		return 0, nil, err
 	}
 	if len(lambda) != len(g.operators) {
@@ -602,17 +568,76 @@ func (g *Graph) LagrangianGradient(w *Workspace, rates, y, lambda []float64) (fl
 			return 0, nil, fmt.Errorf("dag: multiplier λ[%d] = %v invalid", i, l)
 		}
 	}
-	val, grad := w.ad.Gradient(y, func(t *autodiff.Tape, vars []autodiff.Value) autodiff.Value {
-		f, demand := w.evalTape(g, t, rates, vars)
-		out := f
-		for i, dem := range demand {
-			if lambda[i] == 0 {
-				continue
-			}
-			// −λ_i·(demand_i − y_i)
-			out = out.Sub(dem.Sub(vars[i]).Scale(lambda[i]))
+	val := w.rep.Throughput
+	for i, l := range lambda {
+		if l != 0 {
+			val -= l * (w.rep.Demand[i] - y[i])
 		}
-		return out
-	})
-	return val, grad, nil
+	}
+	return val, w.reverse(g, y, lambda), nil
+}
+
+// reverse is LagrangianGradient's reverse sweep over the flows w.rep
+// holds for y. The returned gradient aliases w.
+//
+//lint:hotpath
+func (w *Workspace) reverse(g *Graph, y, lambda []float64) []float64 {
+	if cap(w.adj) < len(g.edges) {
+		w.adj = make([]float64, len(g.edges))
+	}
+	if cap(w.grad) < len(g.operators) {
+		w.grad = make([]float64, len(g.operators))
+	}
+	if cap(w.inAdj) < g.maxInEdges {
+		w.inAdj = make([]float64, g.maxInEdges)
+	}
+	flows := w.rep.flows[:len(g.edges)]
+	adj := w.adj[:len(g.edges)]
+	grad := w.grad[:len(g.operators)]
+	// Every edge's adjoint is complete before it is read: its head comes
+	// later in topological order, so the backward walk visits it first.
+	for t := len(g.topo) - 1; t >= 0; t-- {
+		id := g.topo[t]
+		switch g.kinds[id] {
+		case Sink:
+			for _, ei := range g.predEdges[id] {
+				adj[ei] = 1
+			}
+		case Operator:
+			oi := g.opIndex[id]
+			lam := lambda[oi]
+			preds := g.predEdges[id]
+			in := w.rep.inBuf[:len(preds)] // EvaluateInto is done with it
+			inAdj := w.inAdj[:len(preds)]
+			for k, ei := range preds {
+				in[k] = flows[ei]
+			}
+			clear(inAdj)
+			// A tape of L records −λ_i·(demand_i − y_i) last, so y_i's
+			// adjoint starts at λ_i and every h output's ends with −λ_i.
+			gy := lam
+			succ := g.succEdges[id]
+			for s := len(succ) - 1; s >= 0; s-- {
+				ei := succ[s]
+				alpha := g.alphaByID[ei]
+				var ah float64
+				if a := adj[ei]; a != 0 {
+					// flow = min(α·y, h), ties to α·y.
+					if flows[ei] == alpha*y[oi] {
+						gy += a * alpha
+					} else {
+						ah = a
+					}
+				}
+				if ah -= lam; ah != 0 {
+					g.hByID[ei].AddVJP(in, ah, inAdj)
+				}
+			}
+			grad[oi] = gy
+			for k, ei := range preds {
+				adj[ei] = inAdj[k]
+			}
+		}
+	}
+	return grad
 }

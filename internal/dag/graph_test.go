@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -250,6 +251,13 @@ func TestBuildValidationErrors(t *testing.T) {
 			two, _ := NewLinear(1, 1) // expects 2 inputs, operator has 1
 			b.Edge(o, k, two, 1)
 		}, "probe failed"},
+		{"h gradient dimension mismatch", func(b *Builder) {
+			s := b.Source("s")
+			o := b.Operator("o")
+			k := b.Sink("k")
+			b.Edge(s, o, nil, 1)
+			b.Edge(o, k, twoInputVJP{}, 1)
+		}, "probe failed"},
 	}
 	for _, c := range cases {
 		err := mk(c.f)
@@ -262,6 +270,21 @@ func TestBuildValidationErrors(t *testing.T) {
 		}
 	}
 }
+
+// twoInputVJP evaluates any input vector but its gradient method expects
+// exactly two inputs: an h whose arity bug only the gradient path reaches.
+type twoInputVJP struct{}
+
+func (twoInputVJP) Eval(in []float64) float64 { return in[0] }
+
+func (twoInputVJP) AddVJP(in []float64, a float64, inAdj []float64) {
+	if len(in) != 2 {
+		panic(fmt.Sprintf("twoInputVJP expects 2 inputs, got %d", len(in)))
+	}
+	inAdj[0] += a
+}
+
+func (twoInputVJP) Name() string { return "two-input-vjp" }
 
 func TestCycleDetection(t *testing.T) {
 	b := NewBuilder()

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"dragster/internal/autodiff"
 )
 
 // ThroughputLearner is implemented by throughput functions whose
@@ -97,18 +95,20 @@ func (l *LearnedLinear) PredictionGap() float64 {
 
 // Eval implements ThroughputFunc.
 func (l *LearnedLinear) Eval(in []float64) float64 {
-	if len(in) != 1 {
-		panic(fmt.Sprintf("dag: LearnedLinear expects 1 input, got %d", len(in)))
-	}
+	l.check(len(in))
 	return l.K() * in[0]
 }
 
-// EvalAD implements ThroughputFunc.
-func (l *LearnedLinear) EvalAD(_ *autodiff.Tape, in []autodiff.Value) autodiff.Value {
-	if len(in) != 1 {
-		panic(fmt.Sprintf("dag: LearnedLinear expects 1 input, got %d", len(in)))
+// AddVJP implements ThroughputFunc: ∂h/∂in[0] = k̂.
+func (l *LearnedLinear) AddVJP(in []float64, a float64, inAdj []float64) {
+	l.check(len(in))
+	inAdj[0] += a * l.K()
+}
+
+func (l *LearnedLinear) check(n int) {
+	if n != 1 {
+		panic(fmt.Sprintf("dag: LearnedLinear expects 1 input, got %d", n))
 	}
-	return in[0].Scale(l.K())
 }
 
 // Name implements ThroughputFunc.

@@ -2,27 +2,29 @@
 // graph of sources, operators and a sink (§4.1 of the Dragster paper). It
 // provides the throughput functions h_{i,j} of Eq. 2, evaluation of the
 // application throughput f_t(y) under capacity truncation (Eq. 4), and its
-// gradient ∂f/∂y_i via reverse-mode autodiff — the quantity Dragster uses to
-// identify bottleneck operators.
+// gradient ∂f/∂y_i by one hand-derived reverse sweep over the graph — the
+// quantity Dragster uses to identify bottleneck operators.
 package dag
 
 import (
 	"fmt"
 	"math"
 
-	"dragster/internal/autodiff"
+	"dragster/internal/mathx"
 )
 
 // ThroughputFunc is the input→output throughput mapping h_{i,j} of an edge
 // (Eq. 3). Implementations must be increasing and concave in each input,
-// per the paper's modelling assumption, and must implement both a plain
-// float evaluation and a taped evaluation so gradients can flow.
+// per the paper's modelling assumption, and must supply both the value and
+// its vector-Jacobian product so gradients can flow through the edge.
 type ThroughputFunc interface {
 	// Eval maps the input throughput vector (ordered like the operator's
 	// predecessor list) to the emitted throughput on this edge.
 	Eval(inputs []float64) float64
-	// EvalAD is Eval recorded on an autodiff tape.
-	EvalAD(t *autodiff.Tape, inputs []autodiff.Value) autodiff.Value
+	// AddVJP adds a·∂h/∂inputs[k] into inAdj[k] for every input k, where
+	// a is the adjoint of h's output. A kink (min) routes to one attaining
+	// argument. inAdj is as long as inputs and must only be added to.
+	AddVJP(inputs []float64, a float64, inAdj []float64)
 	// Name identifies the functional form for logs and persistence.
 	Name() string
 }
@@ -50,17 +52,15 @@ func NewLinear(k ...float64) (Linear, error) {
 // Eval implements ThroughputFunc.
 func (l Linear) Eval(in []float64) float64 {
 	l.check(len(in))
-	var s float64
-	for i, v := range in {
-		s += l.K[i] * v
-	}
-	return s
+	return mathx.Dot(l.K, in)
 }
 
-// EvalAD implements ThroughputFunc.
-func (l Linear) EvalAD(_ *autodiff.Tape, in []autodiff.Value) autodiff.Value {
+// AddVJP implements ThroughputFunc: ∂h/∂in[k] = K[k].
+func (l Linear) AddVJP(in []float64, a float64, inAdj []float64) {
 	l.check(len(in))
-	return autodiff.Dot(l.K, in)
+	for k, kk := range l.K {
+		inAdj[k] += a * kk
+	}
 }
 
 // Name implements ThroughputFunc.
@@ -104,14 +104,17 @@ func (m MinRate) Eval(in []float64) float64 {
 	return out
 }
 
-// EvalAD implements ThroughputFunc.
-func (m MinRate) EvalAD(_ *autodiff.Tape, in []autodiff.Value) autodiff.Value {
+// AddVJP implements ThroughputFunc: the whole adjoint goes to the first
+// input attaining the minimum, the one Eval returns.
+func (m MinRate) AddVJP(in []float64, a float64, inAdj []float64) {
 	m.check(len(in))
-	out := in[0].Scale(m.K[0])
-	for i := 1; i < len(in); i++ {
-		out = out.Min(in[i].Scale(m.K[i]))
+	arg := 0
+	for k := 1; k < len(in); k++ {
+		if m.K[k]*in[k] < m.K[arg]*in[arg] {
+			arg = k
+		}
 	}
-	return out
+	inAdj[arg] += a * m.K[arg]
 }
 
 // Name implements ThroughputFunc.
@@ -149,17 +152,17 @@ func NewTanh(k1 float64, k ...float64) (Tanh, error) {
 // Eval implements ThroughputFunc.
 func (t Tanh) Eval(in []float64) float64 {
 	t.check(len(in))
-	var s float64
-	for i, v := range in {
-		s += t.K[i] * v
-	}
-	return t.K1 * math.Tanh(s)
+	return t.K1 * math.Tanh(mathx.Dot(t.K, in))
 }
 
-// EvalAD implements ThroughputFunc.
-func (t Tanh) EvalAD(_ *autodiff.Tape, in []autodiff.Value) autodiff.Value {
+// AddVJP implements ThroughputFunc: ∂h/∂in[k] = K1·(1 − tanh²(k·e))·K[k].
+func (t Tanh) AddVJP(in []float64, a float64, inAdj []float64) {
 	t.check(len(in))
-	return autodiff.Dot(t.K, in).Tanh().Scale(t.K1)
+	th := math.Tanh(mathx.Dot(t.K, in))
+	d := (a * t.K1) * (1 - th*th)
+	for k, kk := range t.K {
+		inAdj[k] += d * kk
+	}
 }
 
 // Name implements ThroughputFunc.

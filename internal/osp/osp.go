@@ -95,7 +95,7 @@ func New(g *dag.Graph, cfg Config) (*Optimizer, error) {
 	if g == nil {
 		return nil, errors.New("osp: nil graph")
 	}
-	if cfg.YMax <= 0 {
+	if cfg.YMax <= 0 || math.IsNaN(cfg.YMax) || math.IsInf(cfg.YMax, 0) {
 		return nil, errors.New("osp: YMax must be positive")
 	}
 	m := g.NumOperators()

@@ -239,6 +239,8 @@ func TestConfigValidationTable(t *testing.T) {
 		{"explicit-valid", Config{Method: GradientDescent, YMax: 100}, true},
 		// YMax is the dual update's violation scale.
 		{"negative-violation-scale", Config{YMax: -1}, false},
+		{"nan-ymax", Config{YMax: math.NaN()}, false},
+		{"inf-ymax", Config{YMax: math.Inf(1)}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

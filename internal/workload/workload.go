@@ -13,6 +13,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dragster/internal/dag"
 	"dragster/internal/streamsim"
@@ -48,7 +49,7 @@ func (s *Spec) Validate() error {
 	if len(s.HighRates) != s.Graph.NumSources() || len(s.LowRates) != s.Graph.NumSources() {
 		return fmt.Errorf("workload %s: rate vectors must match %d sources", s.Name, s.Graph.NumSources())
 	}
-	if s.MaxTasks < 1 || s.YMax <= 0 {
+	if s.MaxTasks < 1 || s.YMax <= 0 || math.IsNaN(s.YMax) || math.IsInf(s.YMax, 0) {
 		return fmt.Errorf("workload %s: MaxTasks=%d YMax=%v invalid", s.Name, s.MaxTasks, s.YMax)
 	}
 	return nil

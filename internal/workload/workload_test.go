@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"dragster/internal/dag"
@@ -237,6 +238,16 @@ func TestSpecValidateCatchesCorruption(t *testing.T) {
 	s4.MaxTasks = 0
 	if err := s4.Validate(); err == nil {
 		t.Error("zero MaxTasks accepted")
+	}
+	for _, ymax := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		s5, err := WordCount()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s5.YMax = ymax
+		if err := s5.Validate(); err == nil {
+			t.Errorf("YMax %v accepted", ymax)
+		}
 	}
 }
 
