@@ -15,7 +15,7 @@
 // (/fleet/status, /fleet/jobs, POST/DELETE job management):
 //
 //	dragsterd -fleet "hot=wordcount:high,light=group:low" \
-//	          -fleet-budget 20 -arbiter dual -slots 100 -shards 4
+//	          -fleet-budget 20 -arbiter dual -slots 100
 //
 // The daemon drives the simulated Flink-on-Kubernetes stack; in a real
 // deployment the same loop would sit behind the Flink REST API and the
@@ -55,12 +55,11 @@ func main() {
 		fleetJobs   = flag.String("fleet", "", `fleet mode: comma-separated "name=workload:profile" job list`)
 		fleetBudget = flag.Int("fleet-budget", 20, "fleet mode: global Σ-tasks budget")
 		arbiter     = flag.String("arbiter", "dual", "fleet mode: budget arbitration, dual|equal")
-		shards      = flag.Int("shards", 0, "fleet mode: decide-pool shard count (0 = single shard)")
 	)
 	flag.Parse()
 	var err error
 	if *fleetJobs != "" {
-		err = runFleet(*addr, *fleetJobs, *arbiter, *slots, *slotSec, *fleetBudget, *shards, *wall, *seed)
+		err = runFleet(*addr, *fleetJobs, *arbiter, *slots, *slotSec, *fleetBudget, *wall, *seed)
 	} else {
 		err = run(*addr, *wl, *policy, *profile, *period, *slots, *slotSec, *wall, *budget, *seed)
 	}
@@ -71,7 +70,7 @@ func main() {
 }
 
 // runFleet parses the job list and serves the multi-job control plane.
-func runFleet(addr, jobList, arbiter string, slots, slotSec, budget, shards int, wall time.Duration, seed int64) error {
+func runFleet(addr, jobList, arbiter string, slots, slotSec, budget int, wall time.Duration, seed int64) error {
 	var jobs []fleet.JobSpec
 	for _, item := range strings.Split(jobList, ",") {
 		name, rest, ok := strings.Cut(strings.TrimSpace(item), "=")
@@ -103,14 +102,13 @@ func runFleet(addr, jobList, arbiter string, slots, slotSec, budget, shards int,
 			Seed:            seed,
 			TotalTaskBudget: budget,
 			Arbitration:     arb,
-			Shards:          shards,
 		},
 		SlotWallInterval: wall,
 	})
 	if err != nil {
 		return err
 	}
-	return serve(addr, fmt.Sprintf("fleet mode, %d jobs, budget %d, arbiter %s, shards %d", len(jobs), budget, arb, shards),
+	return serve(addr, fmt.Sprintf("fleet mode, %d jobs, budget %d, arbiter %s", len(jobs), budget, arb),
 		d.Handler(), d.Run, func() string {
 			res := d.Result()
 			return fmt.Sprintf("finished %d rounds, $%.2f cluster spend", res.Slots, res.ClusterCost)

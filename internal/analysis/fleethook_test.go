@@ -13,9 +13,9 @@ func TestFleethookAllowsFleetPackage(t *testing.T) {
 	runFixture(t, "dragster/internal/fleet", FleethookAnalyzer())
 }
 
-// TestFleethookAllowsFleetSubpackages: the sharded control plane splits
-// internal/fleet into subpackages (event, shard); the allowlist is a
-// path prefix, so they inherit the fleet's arbitration ownership.
+// TestFleethookAllowsFleetSubpackages: the control plane splits
+// internal/fleet into subpackages (event); the allowlist is a path
+// prefix, so they inherit the fleet's arbitration ownership.
 func TestFleethookAllowsFleetSubpackages(t *testing.T) {
-	runFixture(t, "dragster/internal/fleet/shard", FleethookAnalyzer())
+	runFixture(t, "dragster/internal/fleet/event", FleethookAnalyzer())
 }

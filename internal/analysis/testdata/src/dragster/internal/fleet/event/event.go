@@ -1,7 +1,7 @@
-// Package shard stands in for dragster/internal/fleet/shard in
+// Package event stands in for dragster/internal/fleet/event in
 // fleethook fixtures: subpackages of internal/fleet share ownership of
 // budget arbitration, so the entry point is legal here too.
-package shard
+package event
 
 import "dragster/internal/core"
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -234,6 +235,67 @@ func TestFleetDaemonSubmitAndKill(t *testing.T) {
 	}
 }
 
+// TestFleetMetricsDropKilledJob: a killed tenant's labelled series leave
+// /metrics, so the per-job budget shares that remain sum to
+// fleet_budget_allocated instead of counting a departed job's last grant.
+func TestFleetMetricsDropKilledJob(t *testing.T) {
+	d, err := NewFleet(testFleetConfig(t, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	if err := d.StepN(2); err != nil {
+		t.Fatal(err)
+	}
+	if text := getText(t, srv.URL+"/metrics"); !strings.Contains(text, `fleet_budget_share{job="alpha"}`) {
+		t.Fatalf("running alpha has no budget share before the kill:\n%s", text)
+	}
+	del, err := http.NewRequest(http.MethodDelete, srv.URL+"/fleet/jobs/alpha", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("kill = %d", resp.StatusCode)
+	}
+	if err := d.StepN(2); err != nil {
+		t.Fatal(err)
+	}
+	text := getText(t, srv.URL+"/metrics")
+	var shares, allocated float64
+	haveAllocated := false
+	for _, line := range strings.Split(text, "\n") {
+		if strings.Contains(line, `job="alpha"`) {
+			t.Errorf("killed job still on /metrics: %s", line)
+		}
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		switch {
+		case strings.HasPrefix(name, "fleet_budget_share{"):
+			shares += v
+		case name == "fleet_budget_allocated":
+			allocated, haveAllocated = v, true
+		}
+	}
+	if !haveAllocated || allocated <= 0 {
+		t.Fatalf("fleet_budget_allocated missing or zero:\n%s", text)
+	}
+	if shares != allocated {
+		t.Errorf("per-job budget shares sum to %v, fleet_budget_allocated is %v:\n%s", shares, allocated, text)
+	}
+}
+
 // TestFleetSubmitRejectsBadRates pins that a submitted rate vector that
 // does not fit the workload is refused up front: accepted, it would fail
 // the next round for every tenant.
@@ -323,6 +385,23 @@ func TestFleetDaemonHonoursContextCancel(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not stop on cancel")
 	}
+}
+
+func getText(t testing.TB, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d", url, resp.StatusCode)
+	}
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func getJSON(t testing.TB, url string, v any) {

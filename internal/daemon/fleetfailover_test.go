@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -54,6 +55,8 @@ func traceOf(t *testing.T, d *FleetDaemon) string {
 func TestFleetDaemonFailover(t *testing.T) {
 	const slots = 8
 	dyn := SubmitRequest{Name: "dyn", Workload: "group", Profile: "low"}
+	// Reference and primary decide serially (GOMAXPROCS 1).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	// Uninterrupted reference run.
 	ref, err := NewFleet(testFleetConfig(t, slots))
@@ -96,10 +99,9 @@ func TestFleetDaemonFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Replica takes over on a different shard count.
-	repCfg := testFleetConfig(t, slots)
-	repCfg.Fleet.Shards = 4
-	replica, err := ResumeFleet(repCfg, bytes.NewReader(ckBytes))
+	// Replica takes over at a different decide worker count.
+	runtime.GOMAXPROCS(4)
+	replica, err := ResumeFleet(testFleetConfig(t, slots), bytes.NewReader(ckBytes))
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

@@ -68,7 +68,7 @@ func BenchmarkRepeat8Seeds(b *testing.B) {
 			seeds := Seeds(8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := RepeatWorkers(sc, factory, seeds, workers); err != nil {
+				if _, err := repeat(sc, factory, seeds, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,11 +10,11 @@ import (
 )
 
 // Fleet-at-scale scenario: the event-driven control plane driving 1,000+
-// tenants through the sharded decide pools. Unlike FleetBench — which
+// tenants through the parallel decide fan-out. Unlike FleetBench — which
 // scores arbitration quality on a 3-job fleet — this scenario is a
 // control-plane load test: what matters is that per-round latency stays
 // bounded as the tenant count grows, and that the event trace stays a
-// pure function of the seed no matter how many shards the decide work is
+// pure function of the seed no matter how many CPUs the decide work is
 // spread over.
 
 // FleetScaleConfig sizes the scenario.
@@ -25,8 +25,6 @@ type FleetScaleConfig struct {
 	// (default 5; the admission round — which builds every tenant's
 	// controller stack — is reported separately).
 	Rounds int
-	// Shards is the decide-pool count handed to fleet.Config (default 16).
-	Shards int
 	Seed   int64
 	// Now, when non-nil, is sampled around every round to report wall
 	// latency. The experiment package may not read the wall clock itself
@@ -38,7 +36,7 @@ type FleetScaleConfig struct {
 
 // FleetScaleResult is one scaled run.
 type FleetScaleResult struct {
-	Jobs, Rounds, Shards int
+	Jobs, Rounds int
 	// AdmitMillis is the admission round's wall time (0 without a clock):
 	// every tenant arrives, is admitted against the budget, and builds
 	// its simulator + controller stack.
@@ -46,8 +44,8 @@ type FleetScaleResult struct {
 	// RoundMillis are per-round wall times for the steady-state rounds.
 	RoundMillis []float64
 	// TraceEvents / TraceHash summarize the committed event log. The hash
-	// is the shard-invariance witness: equal seeds must produce equal
-	// hashes at any shard count.
+	// is the determinism witness: equal seeds must produce equal hashes
+	// at any worker count.
 	TraceEvents int
 	TraceHash   uint64
 	// TotalTasks is Σ effective tasks across tenants in the final round.
@@ -61,9 +59,6 @@ func FleetScale(cfg FleetScaleConfig) (*FleetScaleResult, error) {
 	}
 	if cfg.Rounds == 0 {
 		cfg.Rounds = 5
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 16
 	}
 	specs := make([]fleet.JobSpec, cfg.Jobs)
 	for i := range specs {
@@ -84,7 +79,6 @@ func FleetScale(cfg FleetScaleConfig) (*FleetScaleResult, error) {
 		Seed:            cfg.Seed,
 		TotalTaskBudget: 4 * cfg.Jobs,
 		MaxQueue:        cfg.Jobs,
-		Shards:          cfg.Shards,
 		// All tenants share one workload kind; cross-job warm start would
 		// be O(jobs × history) archive replay at admission and is not what
 		// this scenario measures.
@@ -93,7 +87,7 @@ func FleetScale(cfg FleetScaleConfig) (*FleetScaleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &FleetScaleResult{Jobs: cfg.Jobs, Rounds: cfg.Rounds, Shards: cfg.Shards}
+	res := &FleetScaleResult{Jobs: cfg.Jobs, Rounds: cfg.Rounds}
 	stamp := func() time.Time {
 		if cfg.Now == nil {
 			return time.Time{}
@@ -129,9 +123,8 @@ func FleetScale(cfg FleetScaleConfig) (*FleetScaleResult, error) {
 
 // RenderFleetScale writes the scaled-run report.
 func RenderFleetScale(w io.Writer, r *FleetScaleResult) {
-	fmt.Fprintf(w, "Fleet at scale: %d tenants, %d shards, %d steady-state rounds\n",
-		r.Jobs, r.Shards, r.Rounds)
-	fmt.Fprintf(w, "  trace: %d events, hash %016x (seed-determined at any shard count)\n",
+	fmt.Fprintf(w, "Fleet at scale: %d tenants, %d steady-state rounds\n", r.Jobs, r.Rounds)
+	fmt.Fprintf(w, "  trace: %d events, hash %016x (seed-determined at any worker count)\n",
 		r.TraceEvents, r.TraceHash)
 	fmt.Fprintf(w, "  final round Σ tasks: %d\n", r.TotalTasks)
 	if r.AdmitMillis == 0 && len(r.RoundMillis) > 0 && r.RoundMillis[0] == 0 {

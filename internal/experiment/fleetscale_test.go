@@ -1,17 +1,20 @@
 package experiment
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
 
-// TestFleetScaleShardInvariant: the scaled scenario's event trace is a
-// pure function of the seed — shard count changes wall time, never the
-// hash. Kept at 64 tenants so the full matrix stays test-speed; the
-// 1,000-tenant point runs under `benchmark -exp fleetscale` and the
-// BenchmarkFleetRound1000Jobs gate.
-func TestFleetScaleShardInvariant(t *testing.T) {
-	base, err := FleetScale(FleetScaleConfig{Jobs: 64, Rounds: 3, Shards: 1, Seed: 9})
+// TestFleetScaleWorkerInvariant: the scaled scenario's event trace is a
+// pure function of the seed — the decide fan-out's worker count (set
+// through GOMAXPROCS) changes wall time, never the hash. Kept at 64
+// tenants so the matrix stays test-speed; the 1,000-tenant point runs
+// under `benchmark -exp fleetscale` and the BenchmarkFleetRound1000Jobs
+// gate.
+func TestFleetScaleWorkerInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base, err := FleetScale(FleetScaleConfig{Jobs: 64, Rounds: 3, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,27 +24,28 @@ func TestFleetScaleShardInvariant(t *testing.T) {
 	if base.TotalTasks == 0 {
 		t.Fatal("no tasks placed")
 	}
-	for _, shards := range []int{4, 16} {
-		got, err := FleetScale(FleetScaleConfig{Jobs: 64, Rounds: 3, Shards: shards, Seed: 9})
+	for _, procs := range []int{4, 16} {
+		runtime.GOMAXPROCS(procs)
+		got, err := FleetScale(FleetScaleConfig{Jobs: 64, Rounds: 3, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.TraceHash != base.TraceHash || got.TraceEvents != base.TraceEvents {
-			t.Fatalf("shards=%d: trace (%d events, %016x) diverged from 1-shard (%d events, %016x)",
-				shards, got.TraceEvents, got.TraceHash, base.TraceEvents, base.TraceHash)
+			t.Fatalf("GOMAXPROCS=%d: trace (%d events, %016x) diverged from the serial run (%d events, %016x)",
+				procs, got.TraceEvents, got.TraceHash, base.TraceEvents, base.TraceHash)
 		}
 	}
 }
 
 func TestRenderFleetScale(t *testing.T) {
-	r, err := FleetScale(FleetScaleConfig{Jobs: 16, Rounds: 2, Shards: 4, Seed: 9})
+	r, err := FleetScale(FleetScaleConfig{Jobs: 16, Rounds: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
 	RenderFleetScale(&sb, r)
 	out := sb.String()
-	for _, want := range []string{"16 tenants", "4 shards", "hash"} {
+	for _, want := range []string{"16 tenants", "2 steady-state rounds", "hash"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}

@@ -82,10 +82,10 @@ func TestRepeatWorkersByteIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var want string
-			for _, workers := range []int{1, 2, 4} {
+			for _, workers := range []int{1, 2, 4, 0} {
 				sc := parallelScenario(t)
 				sc.Chaos = tc.spec()
-				rr, err := RepeatWorkers(sc, DragsterSaddle(), seeds, workers)
+				rr, err := repeat(sc, DragsterSaddle(), seeds, workers)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -103,58 +103,13 @@ func TestRepeatWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepByteIdentical pins the same property for Sweep across mixed
-// policies and seeds: results come back in input order, byte-identical
-// at any worker count.
-func TestSweepByteIdentical(t *testing.T) {
-	mkPoints := func() []SweepPoint {
-		mk := func(seed int64) Scenario {
-			sc := parallelScenario(t)
-			sc.Seed = seed
-			return sc
-		}
-		return []SweepPoint{
-			{Name: "saddle", Scenario: mk(2), Factory: DragsterSaddle()},
-			{Name: "ogd", Scenario: mk(3), Factory: DragsterOGD()},
-			{Name: "dhalion", Scenario: mk(4), Factory: DhalionPolicy()},
-		}
-	}
-	var want []string
-	for _, workers := range []int{1, 4} {
-		points := mkPoints()
-		runs, err := Sweep(points, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(runs) != len(points) {
-			t.Fatalf("workers=%d: got %d results, want %d", workers, len(runs), len(points))
-		}
-		got := make([]string, len(runs))
-		for i, res := range runs {
-			if res.Policy == "" {
-				t.Fatalf("workers=%d: point %d (%s) missing result", workers, i, points[i].Name)
-			}
-			got[i] = resultJSON(t, res)
-		}
-		if workers == 1 {
-			want = got
-			continue
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("workers=%d: point %d (%s) differs from sequential run", workers, i, points[i].Name)
-			}
-		}
-	}
-}
-
 // TestRepeatWorkersErrorIsSeedOrdered pins the failure contract: when
 // several seeds fail, the reported error is the lowest-index one, the
 // same a sequential Repeat would surface first.
 func TestRepeatWorkersErrorIsSeedOrdered(t *testing.T) {
 	sc := parallelScenario(t)
 	sc.InitialTasks = []int{1} // wrong arity: every seed fails in NewRunner
-	_, err := RepeatWorkers(sc, DragsterSaddle(), []int64{3, 7, 11}, 4)
+	_, err := repeat(sc, DragsterSaddle(), []int64{3, 7, 11}, 4)
 	if err == nil {
 		t.Fatal("want error")
 	}

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"math"
+
+	"dragster/internal/par"
 )
 
 // Aggregate summarizes one metric across repeated runs.
@@ -59,10 +62,43 @@ type RepeatResult struct {
 }
 
 // Repeat runs the scenario under the policy once per seed — in parallel,
-// one worker per CPU (see RepeatWorkers) — and aggregates the headline
-// metrics. The scenario's own Seed field is ignored.
+// one worker per CPU — and aggregates the headline metrics. The
+// scenario's own Seed field is ignored.
+//
+// The per-seed runs share no mutable state: each builds its own cluster,
+// engine, RNG and policy inside Run and counts in its own registry, and
+// Spec, ControllerGraph and the capacity models are immutable. Results
+// land in per-seed slots and are aggregated in seed order after the
+// fan-out joins, so the output is byte-identical at any worker count. A
+// scenario with a Tracer runs the seeds sequentially: the tracer is
+// single-threaded by contract and every run would share it.
 func Repeat(sc Scenario, factory PolicyFactory, seeds []int64) (*RepeatResult, error) {
-	return RepeatWorkers(sc, factory, seeds, 0)
+	return repeat(sc, factory, seeds, 0)
+}
+
+// repeat is Repeat at an explicit par.For worker count (≤ 0 = one per
+// CPU); the tests and benchmarks pin it.
+func repeat(sc Scenario, factory PolicyFactory, seeds []int64, workers int) (*RepeatResult, error) {
+	if len(seeds) == 0 {
+		return nil, errors.New("experiment: Repeat needs at least one seed")
+	}
+	if sc.Tracer != nil {
+		workers = 1
+	}
+	runs := make([]*Result, len(seeds))
+	errs := make([]error, len(seeds))
+	par.For(len(seeds), workers, func(i int) {
+		s := sc
+		s.Seed = seeds[i]
+		runs[i], errs[i] = Run(s, factory)
+	})
+	// First failure in seed order wins, matching the sequential behaviour.
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("experiment: seed %d: %w", seeds[i], err)
+		}
+	}
+	return aggregateRuns(runs)
 }
 
 // aggregateRuns folds completed per-seed runs, in seed order, into the

@@ -220,7 +220,7 @@ func TestFleetAdmissionEdges(t *testing.T) {
 
 // TestFleetDuplicateNames: duplicate tenant names are refused at both
 // construction and runtime submission — a name is the identity events,
-// checkpoints, and shard ownership all key on.
+// checkpoints, and per-job metrics all key on.
 func TestFleetDuplicateNames(t *testing.T) {
 	jobs := []JobSpec{
 		wcJob(t, "same", 0, 0, nil),

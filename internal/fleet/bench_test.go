@@ -14,12 +14,12 @@ import (
 const fleetBenchWindow = 16
 
 // benchmarkFleetRound measures one steady-state fleet round (simulate
-// every tenant's slot, collect, decide across the shard pools, apply,
-// record) at the given tenant and shard count. Each b.N iteration is
+// every tenant's slot, collect, decide through par.For, apply,
+// record) at the given tenant count. Each b.N iteration is
 // exactly one Step at round index 1..fleetBenchWindow of a fresh manager:
 // construction and the first round — which admits every tenant and builds
 // its stack — happen with the timer stopped, once per window.
-func benchmarkFleetRound(b *testing.B, jobs, shards int) {
+func benchmarkFleetRound(b *testing.B, jobs int) {
 	b.Helper()
 	specs := make([]JobSpec, jobs)
 	for i := range specs {
@@ -41,7 +41,6 @@ func benchmarkFleetRound(b *testing.B, jobs, shards int) {
 			Seed:            3,
 			TotalTaskBudget: 4 * jobs,
 			MaxQueue:        jobs,
-			Shards:          shards,
 			// Cross-job GP seeding grows the shared archive every round
 			// (all tenants here share one workload kind); disable it so the
 			// timer sees the control plane, not the archive's growth.
@@ -72,10 +71,6 @@ func benchmarkFleetRound(b *testing.B, jobs, shards int) {
 	}
 }
 
-func BenchmarkFleetRound10Jobs(b *testing.B)   { benchmarkFleetRound(b, 10, 1) }
-func BenchmarkFleetRound100Jobs(b *testing.B)  { benchmarkFleetRound(b, 100, 1) }
-func BenchmarkFleetRound1000Jobs(b *testing.B) { benchmarkFleetRound(b, 1000, 1) }
-
-func BenchmarkFleetRound1000Jobs16Shards(b *testing.B) {
-	benchmarkFleetRound(b, 1000, 16)
-}
+func BenchmarkFleetRound10Jobs(b *testing.B)   { benchmarkFleetRound(b, 10) }
+func BenchmarkFleetRound100Jobs(b *testing.B)  { benchmarkFleetRound(b, 100) }
+func BenchmarkFleetRound1000Jobs(b *testing.B) { benchmarkFleetRound(b, 1000) }

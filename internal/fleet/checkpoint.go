@@ -33,8 +33,7 @@ type fleetMeta struct {
 	SlotSeconds     int      `json:"slot_seconds"`
 	TotalTaskBudget int      `json:"total_task_budget"`
 	Arbitration     int      `json:"arbitration"`
-	Shards          int      `json:"shards"` // informational; traces are shard-invariant
-	Round           int      `json:"round"`  // rounds completed when the checkpoint was cut
+	Round           int      `json:"round"` // rounds completed when the checkpoint was cut
 	ConfigJobs      []string `json:"config_jobs"`
 }
 
@@ -74,7 +73,6 @@ func (m *Manager) BuildCheckpoint() (*store.Checkpoint, error) {
 		SlotSeconds:     m.cfg.SlotSeconds,
 		TotalTaskBudget: m.cfg.TotalTaskBudget,
 		Arbitration:     int(m.cfg.Arbitration),
-		Shards:          m.cfg.Shards,
 		Round:           m.round,
 	}
 	for i := range m.cfg.Jobs {

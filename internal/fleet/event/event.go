@@ -9,10 +9,10 @@
 // arrival, admission, rejection, budget grant, shrink, decision,
 // departure — is an Event stamped with the next sequence number at the
 // moment the transition is applied, never from inside a worker
-// goroutine. Sharding therefore changes which goroutine computes a
-// decision but not the order transitions commit, which is what makes the
-// headline invariant hold: a fixed seed produces a byte-identical event
-// trace at any shard count.
+// goroutine. The decide fan-out therefore changes which goroutine
+// computes a decision but not the order transitions commit, which is
+// what makes the headline invariant hold: a fixed seed produces a
+// byte-identical event trace at any worker count.
 package event
 
 import (
@@ -100,9 +100,9 @@ func validType(t Type) bool { return t >= TypeSubmit && t <= TypePlan }
 
 // Event is one fleet control-plane transition. Seq is assigned by the
 // Log (or an Inbox) at commit time and is globally unique and dense
-// within its stream. Events deliberately carry no shard identifier: the
-// trace must be byte-identical at every shard count, so anything
-// shard-dependent belongs in telemetry, not here.
+// within its stream. Events deliberately carry no worker or goroutine
+// identity: the trace must be byte-identical at every worker count, so
+// anything scheduling-dependent belongs in telemetry, not here.
 type Event struct {
 	Seq   uint64
 	Round int
@@ -205,7 +205,7 @@ func (l *Log) Events() []Event {
 }
 
 // Bytes returns the canonical binary encoding of the whole history —
-// the byte string golden-trace tests compare across shard counts and
+// the byte string golden-trace tests compare across worker counts and
 // across a failover.
 func (l *Log) Bytes() []byte {
 	l.mu.Lock()

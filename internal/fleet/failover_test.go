@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"testing"
+
+	"dragster/internal/store"
 )
 
 // checkpointCut is the round at which the failover tests kill the
@@ -11,14 +13,13 @@ import (
 // not just the replay of committed history.
 const checkpointCut = 6
 
-// runPrimaryToCheckpoint drives the event scenario until checkpointCut
-// rounds have completed, posts that round's inputs (left pending), and
-// returns the serialized checkpoint.
-func runPrimaryToCheckpoint(t *testing.T, shards int) []byte {
+// runPrimaryToCheckpoint drives the event scenario at GOMAXPROCS procs
+// until checkpointCut rounds have completed, posts that round's inputs
+// (left pending), and returns the serialized checkpoint.
+func runPrimaryToCheckpoint(t *testing.T, procs int) []byte {
 	t.Helper()
-	cfg := threeJobConfig(t)
-	cfg.Shards = shards
-	m, err := New(cfg)
+	defer withProcs(procs)()
+	m, err := New(threeJobConfig(t))
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
@@ -37,20 +38,19 @@ func runPrimaryToCheckpoint(t *testing.T, shards int) []byte {
 }
 
 // TestFleetFailoverTraceByteIdentical is the failover half of the
-// headline invariant: a replica resumed from a mid-run checkpoint — on a
-// different shard count than the primary — finishes the run with an
-// event trace and result byte-identical to an uninterrupted run.
+// headline invariant: a replica resumed from a mid-run checkpoint — at a
+// different decide worker count than the primary — finishes the run with
+// an event trace and result byte-identical to an uninterrupted run.
 func TestFleetFailoverTraceByteIdentical(t *testing.T) {
-	ref := runEventScenario(t, 4, 2)
+	ref := runEventScenario(t, 1)
 	refTrace := ref.TraceBytes()
 	refFP := resultFingerprint(t, ref.Result())
 
-	ckBytes := runPrimaryToCheckpoint(t, 4)
+	ckBytes := runPrimaryToCheckpoint(t, 2)
 
-	repCfg := threeJobConfig(t)
-	repCfg.Shards = 16
+	defer withProcs(7)()
 	specs := map[string]JobSpec{"delta": deltaSpec(t)}
-	rep, err := ResumeReader(repCfg, bytes.NewReader(ckBytes), specs)
+	rep, err := ResumeReader(threeJobConfig(t), bytes.NewReader(ckBytes), specs)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -70,18 +70,54 @@ func TestFleetFailoverTraceByteIdentical(t *testing.T) {
 }
 
 // TestFleetCheckpointDeterministic: the checkpoint bytes themselves are
-// a pure function of manager state.
+// a pure function of manager state, whatever worker count produced it.
 func TestFleetCheckpointDeterministic(t *testing.T) {
 	a := runPrimaryToCheckpoint(t, 1)
-	b := runPrimaryToCheckpoint(t, 4)
-	// Shard count is recorded in the meta section, so normalize it by
-	// checkpointing two same-shard runs instead of comparing across.
-	c := runPrimaryToCheckpoint(t, 1)
-	if !bytes.Equal(a, c) {
-		t.Fatal("two identical runs produced different checkpoints")
-	}
-	if len(b) == 0 {
+	if len(a) == 0 {
 		t.Fatal("empty checkpoint")
+	}
+	for _, procs := range []int{1, 7} {
+		if b := runPrimaryToCheckpoint(t, procs); !bytes.Equal(a, b) {
+			t.Fatalf("GOMAXPROCS=%d: checkpoint differs from the serial run's", procs)
+		}
+	}
+}
+
+// TestFleetResumeAcceptsLegacyShardsMeta: checkpoints written while the
+// fleet still had a shard count carry "shards" in their meta section.
+// The key is no longer read, and such a checkpoint must still resume and
+// finish byte-identical to an uninterrupted run.
+func TestFleetResumeAcceptsLegacyShardsMeta(t *testing.T) {
+	ref := runEventScenario(t, 0)
+	ck, err := store.RestoreCheckpoint(bytes.NewReader(runPrimaryToCheckpoint(t, 0)), CheckpointKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]any
+	if err := ck.Get("meta", &meta); err != nil {
+		t.Fatal(err)
+	}
+	meta["shards"] = 4
+	if err := ck.Put("meta", meta); err != nil {
+		t.Fatal(err)
+	}
+	var raw bytes.Buffer
+	if err := ck.Snapshot(&raw); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw.Bytes(), []byte(`"shards": 4`)) {
+		t.Fatalf("legacy meta key not in the checkpoint: %s", raw.Bytes())
+	}
+	rep, err := ResumeReader(threeJobConfig(t), &raw, map[string]JobSpec{"delta": deltaSpec(t)})
+	if err != nil {
+		t.Fatalf("resume with a legacy shards key: %v", err)
+	}
+	if _, err := rep.Run(); err != nil {
+		t.Fatalf("replica run: %v", err)
+	}
+	if !bytes.Equal(rep.TraceBytes(), ref.TraceBytes()) {
+		t.Fatalf("replica trace diverged from uninterrupted run:\n%s",
+			firstTraceDiff(rep.TraceText(), ref.TraceText()))
 	}
 }
 

@@ -27,11 +27,10 @@
 // appended to a sequence-numbered event log with a canonical binary
 // encoding. The log is the behavioural identity of a run: two runs are
 // the same iff their trace bytes are equal, which is how the tests prove
-// that shard count, worker count, and mid-run failover are all invisible
-// to the outcome. Per-tenant decide steps are dispatched across
-// per-shard controller pools (see the shard subpackage); events are only
-// ever emitted from the sequential section of the round loop, never from
-// worker goroutines.
+// that the decide fan-out's worker count and mid-run failover are both
+// invisible to the outcome. Per-tenant decide steps fan out through
+// par.For; events are only ever emitted from the sequential section of
+// the round loop, never from worker goroutines.
 //
 // Everything is deterministic at a fixed seed: jobs are processed in a
 // stable order, the arbiter is a pure function of observable state, and
@@ -42,18 +41,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"strconv"
 
 	"dragster/internal/chaos"
 	"dragster/internal/cluster"
 	"dragster/internal/core"
 	"dragster/internal/fleet/event"
-	"dragster/internal/fleet/shard"
 	"dragster/internal/flink"
 	"dragster/internal/mathx"
 	"dragster/internal/monitor"
 	"dragster/internal/osp"
+	"dragster/internal/par"
 	"dragster/internal/planner"
 	"dragster/internal/store"
 	"dragster/internal/telemetry"
@@ -236,18 +233,6 @@ type Config struct {
 	Tracer *telemetry.Tracer
 	// ForecastAlpha enables Holt load forecasting in every controller.
 	ForecastAlpha float64
-	// DecideWorkers bounds the per-round controller fan-out: each round's
-	// independent tenant decisions run on this many goroutines (0 = one
-	// per CPU). The reduction is always in admission order, so the result
-	// is byte-identical at any worker count; a Tracer forces 1.
-	DecideWorkers int
-	// Shards partitions the running tenants into deterministic ownership
-	// domains — each job name hashes to one shard, and each shard runs its
-	// tenants' decide steps on its own pool of DecideWorkers goroutines.
-	// Shards is purely a throughput knob: events carry no shard
-	// information, so the event trace and every result are byte-identical
-	// at any shard count (default 1).
-	Shards int
 }
 
 func (c *Config) setDefaults() error {
@@ -287,15 +272,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.NoiseSigma < 0 || c.UtilNoiseSigma < 0 {
 		return errors.New("fleet: negative noise")
-	}
-	if c.DecideWorkers < 0 {
-		return errors.New("fleet: negative DecideWorkers")
-	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
-	if c.Shards < 0 {
-		return errors.New("fleet: negative Shards")
 	}
 	if c.TotalTaskBudget < 1 {
 		return errors.New("fleet: TotalTaskBudget must be ≥ 1")
@@ -473,7 +449,6 @@ type Manager struct {
 
 	log    *event.Log        // committed control-plane history (the trace)
 	inbox  *event.MessageSet // external inputs awaiting their round
-	pool   *shard.Pool       // per-shard decide dispatch
 	inputs []InputRecord     // external inputs in stamp order, for replay
 }
 
@@ -505,17 +480,6 @@ func New(cfg Config) (*Manager, error) {
 		log:     event.NewLog(),
 		inbox:   event.NewMessageSet(),
 	}
-	workers := cfg.DecideWorkers
-	if workers == 0 {
-		// Spread the CPU across the shards; at one shard this matches the
-		// historical one-worker-per-core fan-out exactly.
-		workers = (runtime.GOMAXPROCS(0) + cfg.Shards - 1) / cfg.Shards
-	}
-	pool, err := shard.NewPool(cfg.Shards, workers)
-	if err != nil {
-		return nil, err
-	}
-	m.pool = pool
 	// Size for the budget plus the JobManager, at ~4 task slots per node,
 	// with one spare so single-node failures degrade rather than wedge the
 	// fleet.
@@ -667,7 +631,7 @@ func (m *Manager) Events() []event.Event { return m.log.Events() }
 
 // TraceBytes returns the canonical binary encoding of the event trace.
 // Two runs are behaviourally identical iff these bytes are equal — the
-// property the shard-count and failover tests pin.
+// property the worker-count and failover tests pin.
 func (m *Manager) TraceBytes() []byte { return m.log.Bytes() }
 
 // TraceText renders the trace one line per event (golden files, debugging).
@@ -847,6 +811,10 @@ func (m *Manager) departJob(js *jobState, r int) {
 	js.status = StatusDeparted
 	js.res.DepartSlot = r
 	js.budget = 0
+	// A departed tenant holds no share, so its labelled series leave
+	// /metrics rather than report their last values forever.
+	m.reg.DeleteGauge(telemetry.Label("fleet_budget_share", "job", js.spec.Name))
+	m.reg.DeleteGauge(telemetry.Label("fleet_dual_price", "job", js.spec.Name))
 	m.emit(event.TypeDepart, js.spec.Name, "")
 	m.tracer.Event("fleet", "depart", telemetry.Str("job", js.spec.Name), telemetry.Int("round", r))
 	m.reg.Inc("fleet_jobs_departed")
@@ -922,15 +890,13 @@ func (m *Manager) collect() error {
 
 // decideAll runs every tenant's Algorithm-2 pass for the round. The
 // tenants are independent (each owns its GPs, duals, and a private
-// history DB), so the passes fan out across per-shard controller pools:
-// each tenant belongs to the shard its name hashes to, and each shard
-// walks its members on Config.DecideWorkers strided goroutines. The
-// registry the controllers share is concurrent-safe and
+// history DB), so the passes fan out through par.For, one goroutine per
+// CPU. The registry the controllers share is concurrent-safe and
 // order-insensitive, and each decision stays on its tenant until the
 // sequential apply pass reads them in admission order, so the round is
-// byte-identical at any shard or worker count. A tracer serializes the
-// fan-out (span emission is single-threaded by contract), visiting
-// tenants in admission order.
+// byte-identical at any worker count. A tracer serializes the fan-out
+// (span emission is single-threaded by contract), visiting tenants in
+// admission order.
 func (m *Manager) decideAll() error {
 	errs := make([]error, len(m.running))
 	decideOne := func(i int) {
@@ -939,12 +905,12 @@ func (m *Manager) decideAll() error {
 			errs[i] = fmt.Errorf("fleet: job %s decide: %w", js.spec.Name, err)
 		}
 	}
-	members := m.pool.Partition(len(m.running), func(i int) int {
-		return shard.Owner(m.running[i].spec.Name, m.cfg.Shards)
-	})
-	sp := m.tracer.Begin("fleet", "decide_dispatch",
-		telemetry.Int("tenants", len(m.running)), telemetry.Int("shards", m.cfg.Shards))
-	m.pool.Dispatch(members, m.tracer != nil, decideOne)
+	workers := 0
+	if m.tracer != nil {
+		workers = 1
+	}
+	sp := m.tracer.Begin("fleet", "decide_dispatch", telemetry.Int("tenants", len(m.running)))
+	par.For(len(m.running), workers, decideOne)
 	sp.End()
 	// First failure in admission order wins, matching a sequential pass.
 	for _, err := range errs {
@@ -1039,14 +1005,6 @@ func (m *Manager) gauges() {
 	}
 	reg.SetGauge("fleet_budget_allocated", float64(allocated))
 	reg.SetGauge("fleet_budget_total", float64(m.cfg.TotalTaskBudget))
-	reg.SetGauge("fleet_shards", float64(m.cfg.Shards))
-	shardJobs := make([]int, m.cfg.Shards)
-	for _, js := range m.running {
-		shardJobs[shard.Owner(js.spec.Name, m.cfg.Shards)]++
-	}
-	for s, n := range shardJobs {
-		reg.SetGauge(telemetry.Label("fleet_shard_jobs", "shard", strconv.Itoa(s)), float64(n))
-	}
 	reg.SetGauge("fleet_inbox_pending", float64(m.inbox.Pending()))
 	reg.SetGauge("fleet_inbox_deduped", float64(m.inbox.Deduped()))
 	reg.SetGauge("fleet_events_committed", float64(m.log.Len()))
@@ -1093,6 +1051,15 @@ func estimateNeed(snap *monitor.Snapshot, maxTasks int) int {
 	return need
 }
 
+// tenantObservationBudget caps every fleet tenant's per-operator GP at
+// this many retained observations, with the default lowest-information
+// eviction (DESIGN.md "Bounded-memory posterior"). Without a cap a
+// long-lived tenant's decide cost grows with its age. 256 exceeds the
+// warmStartMaxPerOperator seed records plus the rounds of every shipped
+// fleet run, so eviction — the only code path that reads the budget —
+// fires only in longer runs.
+const tenantObservationBudget = 256
+
 // buildStack constructs a newly admitted tenant: its controller,
 // warm-started from the kind archive (and its capacity plan's probes),
 // then its engine, Flink job, monitor and retrier.
@@ -1118,6 +1085,7 @@ func (m *Manager) buildStack(js *jobState, r int) error {
 	cc.Method = js.spec.Method
 	cc.TaskBudget = js.budget
 	cc.ForecastAlpha = m.cfg.ForecastAlpha
+	cc.GPObservationBudget = tenantObservationBudget
 	cc.Counters = m.reg
 	cc.DB = db
 	ctrl, err := core.New(cc)

@@ -52,8 +52,7 @@ func threeJobConfig(t *testing.T) Config {
 
 func resultFingerprint(t *testing.T, res *Result) string {
 	t.Helper()
-	// The registry carries a mutex; compare its counter records (gauges
-	// such as fleet_shards vary with the shard count by design) and the
+	// The registry carries a mutex; compare its counter records and the
 	// rest of the result via JSON.
 	var cs strings.Builder
 	for _, rec := range res.Metrics.Snapshot() {
@@ -80,6 +79,31 @@ func runFleet(t *testing.T, cfg Config) *Result {
 		t.Fatalf("fleet.Run: %v", err)
 	}
 	return res
+}
+
+// TestFleetTenantGPsAreBudgeted: every admitted tenant's per-operator GP
+// carries the fleet's observation budget, so a long-lived tenant's
+// decide cost stops growing once the budget fills.
+func TestFleetTenantGPsAreBudgeted(t *testing.T) {
+	m, err := New(threeJobConfig(t))
+	if err != nil {
+		t.Fatalf("fleet.New: %v", err)
+	}
+	if err := m.Step(); err != nil {
+		t.Fatalf("admission round: %v", err)
+	}
+	if len(m.running) == 0 {
+		t.Fatal("no tenant admitted")
+	}
+	for _, js := range m.running {
+		ctrl := js.t.Controller()
+		for i := 0; i < js.spec.Workload.Graph.NumOperators(); i++ {
+			if got := ctrl.Searcher(i).Regressor().ObservationBudget(); got != tenantObservationBudget {
+				t.Errorf("job %s operator %d: GP observation budget %d, want %d",
+					js.spec.Name, i, got, tenantObservationBudget)
+			}
+		}
+	}
 }
 
 // TestFleetDeterministic runs the same mixed fleet twice at one seed and
@@ -383,6 +407,11 @@ func TestFleetGauges(t *testing.T) {
 	}
 	if v, ok := reg.GaugeValue("fleet_running_jobs"); !ok || v != 2 {
 		t.Fatalf("fleet_running_jobs = %v,%v, want 2 (beta departed)", v, ok)
+	}
+	for _, name := range []string{"fleet_budget_share", "fleet_dual_price"} {
+		if v, ok := reg.GaugeValue(telemetry.Label(name, "job", "beta")); ok {
+			t.Fatalf("departed beta still exports %s = %v", name, v)
+		}
 	}
 	if reg.CounterValue("fleet_rounds") != int64(cfg.Slots) {
 		t.Fatalf("fleet_rounds = %d, want %d", reg.CounterValue("fleet_rounds"), cfg.Slots)

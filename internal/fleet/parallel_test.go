@@ -7,9 +7,9 @@ import (
 )
 
 // TestFleetDecideWorkersByteIdentical pins the determinism property of
-// the bounded per-round decide fan-out: any DecideWorkers setting must
-// reproduce the sequential result byte for byte, with and without a
-// cluster-level chaos schedule.
+// the per-round decide fan-out: every worker count (set through
+// GOMAXPROCS) must reproduce the sequential result byte for byte, with
+// and without a cluster-level chaos schedule.
 func TestFleetDecideWorkersByteIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -23,17 +23,19 @@ func TestFleetDecideWorkersByteIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var want string
-			for _, workers := range []int{1, 2, 4} {
+			for _, procs := range decideWorkerCounts {
 				cfg := threeJobConfig(t)
-				cfg.DecideWorkers = workers
 				cfg.Chaos = tc.spec()
-				got := resultFingerprint(t, runFleet(t, cfg))
-				if workers == 1 {
+				got := func() string {
+					defer withProcs(procs)()
+					return resultFingerprint(t, runFleet(t, cfg))
+				}()
+				if procs == 1 {
 					want = got
 					continue
 				}
 				if got != want {
-					t.Errorf("DecideWorkers=%d produced different bytes than DecideWorkers=1", workers)
+					t.Errorf("GOMAXPROCS=%d produced different bytes than the serial run", procs)
 				}
 			}
 		})

@@ -39,12 +39,10 @@ func plannedDynamicSpec(t *testing.T) JobSpec {
 	return JobSpec{Name: "dyn", Workload: wc, Rates: constRates(t, wc.LowRates), PlanOnAdmit: true}
 }
 
-func runPlannedScenario(t *testing.T, shards, workers int) *Manager {
+func runPlannedScenario(t *testing.T, procs int) *Manager {
 	t.Helper()
-	cfg := plannedConfig(t)
-	cfg.Shards = shards
-	cfg.DecideWorkers = workers
-	m, err := New(cfg)
+	defer withProcs(procs)()
+	m, err := New(plannedConfig(t))
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
@@ -66,7 +64,7 @@ func runPlannedScenario(t *testing.T, shards, workers int) *Manager {
 // configuration, seed their GPs from the probe records, and the plan is
 // journaled as one TypePlan event per planned tenant before its admit.
 func TestFleetPlannedAdmission(t *testing.T) {
-	m := runPlannedScenario(t, 1, 1)
+	m := runPlannedScenario(t, 1)
 
 	plans := map[string]event.Event{}
 	admits := map[string]event.Event{}
@@ -132,42 +130,37 @@ func TestFleetPlannedAdmission(t *testing.T) {
 	}
 }
 
-// TestFleetPlannedTraceByteIdenticalAcrossShards extends the headline
+// TestFleetPlannedTraceByteIdenticalAcrossWorkers extends the headline
 // determinism invariant to planner-admitted tenants: fixed seed →
-// byte-identical event trace (TypePlan events included) at any
-// shard/worker shape.
-func TestFleetPlannedTraceByteIdenticalAcrossShards(t *testing.T) {
-	base := runPlannedScenario(t, 1, 1)
+// byte-identical event trace (TypePlan events included) at any decide
+// worker count.
+func TestFleetPlannedTraceByteIdenticalAcrossWorkers(t *testing.T) {
+	base := runPlannedScenario(t, 1)
 	baseTrace := base.TraceBytes()
 	baseFP := resultFingerprint(t, base.Result())
-	for _, tc := range []struct {
-		shards, workers int
-	}{
-		{1, 4}, {4, 2}, {16, 0},
-	} {
-		m := runPlannedScenario(t, tc.shards, tc.workers)
+	for _, procs := range decideWorkerCounts[1:] {
+		m := runPlannedScenario(t, procs)
 		if !bytes.Equal(m.TraceBytes(), baseTrace) {
-			t.Fatalf("shards=%d workers=%d: trace diverged:\n%s",
-				tc.shards, tc.workers, firstTraceDiff(m.TraceText(), base.TraceText()))
+			t.Fatalf("GOMAXPROCS=%d: trace diverged:\n%s",
+				procs, firstTraceDiff(m.TraceText(), base.TraceText()))
 		}
 		if fp := resultFingerprint(t, m.Result()); fp != baseFP {
-			t.Fatalf("shards=%d workers=%d: result fingerprint diverged", tc.shards, tc.workers)
+			t.Fatalf("GOMAXPROCS=%d: result fingerprint diverged", procs)
 		}
 	}
 }
 
 // TestFleetPlannedFailover runs the checkpoint/failover harness over the
-// planned scenario: a replica resumed mid-run on a different shard count
-// must rebuild the same plans (digest-verified by Resume) and finish
-// with a byte-identical trace.
+// planned scenario: a replica resumed mid-run at a different decide
+// worker count must rebuild the same plans (digest-verified by Resume)
+// and finish with a byte-identical trace.
 func TestFleetPlannedFailover(t *testing.T) {
 	const cut = 5
-	ref := runPlannedScenario(t, 4, 2)
+	ref := runPlannedScenario(t, 1)
 	refTrace := ref.TraceBytes()
 
-	cfg := plannedConfig(t)
-	cfg.Shards = 4
-	primary, err := New(cfg)
+	defer withProcs(2)()
+	primary, err := New(plannedConfig(t))
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
@@ -186,10 +179,9 @@ func TestFleetPlannedFailover(t *testing.T) {
 		t.Fatalf("checkpoint: %v", err)
 	}
 
-	repCfg := plannedConfig(t)
-	repCfg.Shards = 16
+	defer withProcs(7)()
 	specs := map[string]JobSpec{"dyn": plannedDynamicSpec(t)}
-	rep, err := ResumeReader(repCfg, bytes.NewReader(buf.Bytes()), specs)
+	rep, err := ResumeReader(plannedConfig(t), bytes.NewReader(buf.Bytes()), specs)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -208,7 +200,7 @@ func TestFleetPlannedFailover(t *testing.T) {
 // TestFleetPlannedWarmStart: the planned tenant's controller starts from
 // the probe curve, so its first decision must not be the cold floor.
 func TestFleetPlannedWarmStart(t *testing.T) {
-	m := runPlannedScenario(t, 1, 1)
+	m := runPlannedScenario(t, 1)
 	for _, jr := range m.Result().Jobs {
 		if jr.Name != "planned" {
 			continue

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"dragster/internal/telemetry"
@@ -43,14 +44,27 @@ func scenarioInputs(t *testing.T, m *Manager, r int) {
 	}
 }
 
+// decideWorkerCounts are the GOMAXPROCS values the determinism tests run
+// the decide fan-out at: serial, fewer workers than tenants, and more
+// workers than tenants (par.For caps those at the tenant count).
+var decideWorkerCounts = []int{1, 2, 7, 64}
+
+// withProcs sets GOMAXPROCS — the decide fan-out's worker count — to
+// procs and returns the call that restores it; procs 0 leaves it as is.
+func withProcs(procs int) (restore func()) {
+	if procs <= 0 {
+		return func() {}
+	}
+	prev := runtime.GOMAXPROCS(procs)
+	return func() { runtime.GOMAXPROCS(prev) }
+}
+
 // runEventScenario drives the canonical mixed fleet plus the dynamic
-// schedule above to completion at the given shard/worker shape.
-func runEventScenario(t *testing.T, shards, workers int) *Manager {
+// schedule above to completion at GOMAXPROCS procs (0 = unchanged).
+func runEventScenario(t *testing.T, procs int) *Manager {
 	t.Helper()
-	cfg := threeJobConfig(t)
-	cfg.Shards = shards
-	cfg.DecideWorkers = workers
-	m, err := New(cfg)
+	defer withProcs(procs)()
+	m, err := New(threeJobConfig(t))
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
@@ -111,33 +125,29 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// TestFleetTraceByteIdenticalAcrossShards is the headline invariant of
+// TestFleetTraceByteIdenticalAcrossWorkers is the headline invariant of
 // the event-driven control plane: a fixed seed produces the exact same
-// event trace and grant sequence at ANY shard count and worker count —
-// sharding is a throughput knob, never a behaviour knob.
-func TestFleetTraceByteIdenticalAcrossShards(t *testing.T) {
-	base := runEventScenario(t, 1, 1)
+// event trace and grant sequence at ANY decide worker count — the
+// fan-out is a throughput mechanism, never a behaviour knob.
+func TestFleetTraceByteIdenticalAcrossWorkers(t *testing.T) {
+	base := runEventScenario(t, 1)
 	baseTrace := base.TraceBytes()
 	baseText := base.TraceText()
 	baseFP := resultFingerprint(t, base.Result())
 	if len(base.Events()) == 0 {
 		t.Fatal("scenario committed no events")
 	}
-	for _, tc := range []struct {
-		shards, workers int
-	}{
-		{1, 0}, {1, 4}, {4, 1}, {4, 2}, {16, 0}, {16, 3},
-	} {
-		m := runEventScenario(t, tc.shards, tc.workers)
+	for _, procs := range decideWorkerCounts[1:] {
+		m := runEventScenario(t, procs)
 		if !bytes.Equal(m.TraceBytes(), baseTrace) {
-			t.Fatalf("shards=%d workers=%d: trace diverged from shards=1 workers=1:\n%s",
-				tc.shards, tc.workers, firstTraceDiff(m.TraceText(), baseText))
+			t.Fatalf("GOMAXPROCS=%d: trace diverged from the serial run:\n%s",
+				procs, firstTraceDiff(m.TraceText(), baseText))
 		}
 		if m.TraceHash() != base.TraceHash() {
-			t.Fatalf("shards=%d workers=%d: trace hash diverged with equal bytes", tc.shards, tc.workers)
+			t.Fatalf("GOMAXPROCS=%d: trace hash diverged with equal bytes", procs)
 		}
 		if fp := resultFingerprint(t, m.Result()); fp != baseFP {
-			t.Fatalf("shards=%d workers=%d: result fingerprint diverged", tc.shards, tc.workers)
+			t.Fatalf("GOMAXPROCS=%d: result fingerprint diverged", procs)
 		}
 	}
 }
@@ -145,11 +155,10 @@ func TestFleetTraceByteIdenticalAcrossShards(t *testing.T) {
 // TestFleetTracedRunKeepsTrace: installing a Tracer serializes dispatch
 // but must not change the committed event trace.
 func TestFleetTracedRunKeepsTrace(t *testing.T) {
-	base := runEventScenario(t, 4, 2)
+	base := runEventScenario(t, 2)
 
+	defer withProcs(7)()
 	cfg := threeJobConfig(t)
-	cfg.Shards = 4
-	cfg.DecideWorkers = 2
 	cfg.Tracer = telemetry.NewTracer()
 	m, err := New(cfg)
 	if err != nil {
@@ -167,44 +176,14 @@ func TestFleetTracedRunKeepsTrace(t *testing.T) {
 	}
 }
 
-// TestFleetShardsFromEnv re-runs the event scenario at the shard count
-// named by the FLEET_SHARDS environment variable and holds its trace to
-// the committed golden. This is CI's shard-matrix entry point: the
-// fleet-race job runs the package at FLEET_SHARDS ∈ {1, 4, 16} under
-// -race, so every matrix leg proves both memory safety and byte-identity
-// at its shard count.
-func TestFleetShardsFromEnv(t *testing.T) {
-	v := os.Getenv("FLEET_SHARDS")
-	if v == "" {
-		t.Skip("FLEET_SHARDS not set (CI shard-matrix knob)")
-	}
-	shards := 0
-	for i := 0; i < len(v); i++ {
-		if v[i] < '0' || v[i] > '9' {
-			t.Fatalf("FLEET_SHARDS=%q: want a positive integer", v)
-		}
-		shards = shards*10 + int(v[i]-'0')
-	}
-	if shards < 1 {
-		t.Fatalf("FLEET_SHARDS=%q: want ≥ 1", v)
-	}
-	m := runEventScenario(t, shards, 0)
-	want, err := os.ReadFile(filepath.Join("testdata", "fleet_trace.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.TraceText(); got != string(want) {
-		t.Fatalf("shards=%d: trace diverged from golden:\n%s",
-			shards, firstTraceDiff(got, string(want)))
-	}
-}
-
 // TestFleetGoldenTrace pins the scenario's full event trace as a golden
 // file, so any change to control-plane behaviour — ordering, event
-// payloads, admission outcomes — shows up as a reviewable diff.
+// payloads, admission outcomes — shows up as a reviewable diff. It runs
+// at the process's GOMAXPROCS, so CI's fleet-race matrix (GOMAXPROCS 1,
+// 2 and 8 under -race) holds every leg to the same golden.
 // Regenerate with: go test ./internal/fleet -run TestFleetGoldenTrace -update
 func TestFleetGoldenTrace(t *testing.T) {
-	m := runEventScenario(t, 4, 2)
+	m := runEventScenario(t, 0)
 	got := m.TraceText()
 	path := filepath.Join("testdata", "fleet_trace.golden")
 	if *updateGolden {

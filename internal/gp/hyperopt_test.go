@@ -164,13 +164,13 @@ func TestMaximizeLMLDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1 := build()
-	ls1, v1, lml1, err := r1.MaximizeLMLWorkers(grid, 1)
+	ls1, v1, lml1, err := r1.maximizeLML(grid, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 7, 32, 0} {
 		r := build()
-		ls, v, lml, err := r.MaximizeLMLWorkers(grid, workers)
+		ls, v, lml, err := r.maximizeLML(grid, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

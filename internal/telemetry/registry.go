@@ -67,6 +67,18 @@ func (r *Registry) SetGauge(name string, v float64) {
 	r.mu.Unlock()
 }
 
+// DeleteGauge drops the named gauge, so a series whose subject is gone
+// (a departed tenant's budget share) stops being exported instead of
+// reporting its last value forever. Deleting an unset gauge is a no-op.
+func (r *Registry) DeleteGauge(name string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	delete(r.gauges, name)
+	r.mu.Unlock()
+}
+
 // DefineHistogram declares a fixed-bucket histogram with the given
 // ascending upper bounds (an implicit +Inf bucket is appended). Redefining
 // with different bounds is an error; redefining identically is a no-op, so

@@ -10,6 +10,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Inc("a")
 	r.Add("a", 5)
 	r.SetGauge("g", 1.5)
+	r.DeleteGauge("g")
 	if err := r.DefineHistogram("h", []float64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -22,6 +23,27 @@ func TestNilRegistryIsInert(t *testing.T) {
 	}
 	if _, ok := r.GaugeValue("g"); ok {
 		t.Error("nil registry gauge set")
+	}
+}
+
+func TestRegistryDeleteGauge(t *testing.T) {
+	r := NewRegistry()
+	r.SetGauge("keep", 1)
+	r.SetGauge("drop", 2)
+	r.DeleteGauge("drop")
+	r.DeleteGauge("never_set")
+	if _, ok := r.GaugeValue("drop"); ok {
+		t.Error("deleted gauge still set")
+	}
+	if v, ok := r.GaugeValue("keep"); !ok || v != 1 {
+		t.Errorf("untouched gauge = %v,%v", v, ok)
+	}
+	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Name != "keep" {
+		t.Errorf("snapshot after delete = %+v", snap)
+	}
+	r.SetGauge("drop", 3) // a deleted gauge can be set again
+	if v, ok := r.GaugeValue("drop"); !ok || v != 3 {
+		t.Errorf("re-set gauge = %v,%v", v, ok)
 	}
 }
 

@@ -75,7 +75,6 @@ type Searcher struct {
 	acq        Acquisition
 	explore    float64
 	refitEvery int
-	lmlWorkers int
 	rng        *stats.RNG
 	t          int // observations consumed (the UCB round counter)
 
@@ -137,11 +136,6 @@ type Config struct {
 	// This mirrors the sklearn GaussianProcessRegressor's per-fit
 	// optimizer the paper's implementation used.
 	RefitEvery int
-	// LMLWorkers bounds the worker pool of the parallel LML grid search
-	// run on each hyperparameter refit (0 = automatic; see
-	// gp.Regressor.MaximizeLMLWorkers — the result is deterministic for
-	// any worker count).
-	LMLWorkers int
 	// RNG supplies the posterior draws for the Thompson acquisition
 	// (required for Thompson, ignored otherwise).
 	RNG *stats.RNG
@@ -181,9 +175,6 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 	if cfg.RefitEvery < 0 {
 		return nil, fmt.Errorf("ucb: negative refit interval %d", cfg.RefitEvery)
 	}
-	if cfg.LMLWorkers < 0 {
-		return nil, fmt.Errorf("ucb: negative LML worker count %d", cfg.LMLWorkers)
-	}
 	if cfg.Acquisition == Thompson && cfg.RNG == nil {
 		return nil, errors.New("ucb: Thompson acquisition needs an RNG")
 	}
@@ -209,7 +200,6 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 		acq:        cfg.Acquisition,
 		explore:    cfg.ExplorationScale,
 		refitEvery: cfg.RefitEvery,
-		lmlWorkers: cfg.LMLWorkers,
 		rng:        cfg.RNG,
 		diam:       diam,
 		crossKxx:   make([]float64, len(cands)),
@@ -354,7 +344,7 @@ func (s *Searcher) refitHyperparams() error {
 		telemetry.Int("n", s.t),
 		telemetry.Int("grid", len(grid.LengthScales)*len(grid.Variances)))
 	defer sp.End()
-	ls, variance, lml, err := s.reg.MaximizeLMLWorkers(grid, s.lmlWorkers)
+	ls, variance, lml, err := s.reg.MaximizeLML(grid)
 	if err != nil {
 		sp.Annotate(telemetry.Str("error", err.Error()))
 		return err

@@ -3,6 +3,7 @@ package ucb
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -427,17 +428,18 @@ func TestSelectMatchesUncachedPosteriors(t *testing.T) {
 }
 
 // TestSearchDeterministicWithParallelLML runs the same seeded search —
-// hyperparameter refits enabled — under different LML worker pool sizes
-// and requires the full selection trajectory to be identical: the
-// parallel grid search must not leak scheduling nondeterminism into the
-// seeded experiments.
+// hyperparameter refits enabled — at different GOMAXPROCS values, which
+// set the LML grid search's worker count, and requires the full
+// selection trajectory to be identical: the parallel grid search must not
+// leak scheduling nondeterminism into the seeded experiments.
 func TestSearchDeterministicWithParallelLML(t *testing.T) {
-	trajectory := func(workers int) []int {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	trajectory := func(procs int) []int {
+		runtime.GOMAXPROCS(procs)
 		s, err := NewSearcher(Config{
 			NoiseVar:   25,
 			Candidates: taskCandidates(t),
 			RefitEvery: 5,
-			LMLWorkers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -458,11 +460,11 @@ func TestSearchDeterministicWithParallelLML(t *testing.T) {
 		return picks
 	}
 	serial := trajectory(1)
-	for _, workers := range []int{2, 8, 0} {
-		got := trajectory(workers)
+	for _, procs := range []int{2, 8, 64} {
+		got := trajectory(procs)
 		for i := range serial {
 			if got[i] != serial[i] {
-				t.Fatalf("workers=%d: step %d selected %d, serial selected %d", workers, i, got[i], serial[i])
+				t.Fatalf("GOMAXPROCS=%d: step %d selected %d, serial selected %d", procs, i, got[i], serial[i])
 			}
 		}
 	}
