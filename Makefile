@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-gp bench-e2e bench-e2e-gate bench-snapshot bench-flat fuzz-smoke lint lint-sarif repro repro-quick examples clean
+.PHONY: all build test race cover bench bench-gp bench-e2e bench-e2e-gate bench-snapshot bench-flat fuzz-smoke lint lint-sarif repro repro-check repro-quick examples clean
 
 all: build test lint
 
@@ -100,6 +100,12 @@ bench-flat:
 # Regenerate every paper table and figure at the paper's 10-minute slots.
 repro:
 	$(GO) run ./cmd/benchmark -exp all -slotsec 600 | tee results_full.txt
+
+# Byte-identity contract: a fresh -exp all run must reproduce the
+# committed results_full.txt exactly. The check assumes amd64: on arm64
+# Go may fuse multiply-adds, which changes the last bits of some floats.
+repro-check:
+	$(GO) run ./cmd/benchmark -exp all -slotsec 600 | diff -u results_full.txt -
 
 # Same experiments at 1-minute slots (~10× faster, same shapes).
 repro-quick:

@@ -51,7 +51,7 @@ func main() {
 	fmt.Printf("built DAG: %d sources, %d operators\n", g.NumSources(), g.NumOperators())
 
 	// ---- 2. The substrate: Kubernetes + Flink + dataflow simulator ----
-	k8s := dragster.NewKubeCluster(dragster.WithPricePerCoreHour(0.08))
+	k8s := dragster.NewKubeCluster()
 	if err := k8s.AddNodes("node", 8, dragster.ResourceSpec{CPUMilli: 4000, MemoryMB: 8192}); err != nil {
 		log.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestCustomDAGSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	k8s := dragster.NewKubeCluster(dragster.WithPricePerCoreHour(0.08))
+	k8s := dragster.NewKubeCluster()
 	if err := k8s.AddNodes("node", 8, dragster.ResourceSpec{CPUMilli: 4000, MemoryMB: 8192}); err != nil {
 		t.Fatal(err)
 	}

@@ -87,6 +87,10 @@ type Engine struct {
 // optimizer and substrate spans it perturbs.
 func (e *Engine) SetTracer(tr *telemetry.Tracer) { e.tracer = tr }
 
+// SeedOffset separates a run's chaos stream from its workload noise: a
+// run seeded s seeds its chaos engine s+SeedOffset.
+const SeedOffset = 104729
+
 // NewEngine validates the spec and returns an engine seeded with the
 // given seed. Fault counts go to counters, or, when it is nil, to a
 // private registry (exposed via Metrics).

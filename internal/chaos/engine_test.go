@@ -231,6 +231,35 @@ func TestEngineStaleWindowBeforeAnySampleIsBlackout(t *testing.T) {
 // TestEngineDeterministicReplay drives two engines with the same spec and
 // seed over identically-built clusters and requires identical traces and
 // counters — the core chaos guarantee.
+// TestEngineSeedChangesVictims checks that the seed actually steers
+// victim selection: the engine must not be secretly deterministic in a
+// way that ignores its seed. Two seeds may pick the same pod by chance
+// for one kill, so the probe uses several.
+func TestEngineSeedChangesVictims(t *testing.T) {
+	victims := func(seed int64) []chaos.TraceEntry {
+		k8s := testCluster(t)
+		e, err := chaos.NewEngine(chaos.NewSpec("victims").
+			OOMKillPod(0).OOMKillPod(1).OOMKillPod(2).OOMKillPod(3), seed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Install(k8s, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		for slot := 0; slot < 4; slot++ {
+			e.BeginSlot(slot)
+		}
+		return e.Trace()
+	}
+	a, b := victims(1001), victims(2002)
+	if len(a) != 4 {
+		t.Fatalf("trace = %v, want 4 OOM kills", a)
+	}
+	if reflect.DeepEqual(a, b) {
+		t.Errorf("different seeds picked identical victims across 4 OOM kills:\n%v", a)
+	}
+}
+
 func TestEngineDeterministicReplay(t *testing.T) {
 	spec := func() *chaos.Spec {
 		return chaos.NewSpec("det").

@@ -151,8 +151,13 @@ func (c *Cluster) SetTracer(tr *telemetry.Tracer) { c.tracer = tr }
 // Option configures a Cluster.
 type Option func(*Cluster)
 
+// DefaultPricePerCoreHour is the dollar price of one CPU core for one
+// hour unless WithPricePerCoreHour overrides it: roughly a small cloud
+// VM core.
+const DefaultPricePerCoreHour = 0.08
+
 // WithPricePerCoreHour sets the dollar price of one CPU core for one hour
-// (default 0.08, roughly a small cloud VM core).
+// (default DefaultPricePerCoreHour).
 func WithPricePerCoreHour(p float64) Option {
 	return func(c *Cluster) { c.pricePerCPU = p }
 }
@@ -163,7 +168,7 @@ func New(opts ...Option) *Cluster {
 		nodes:       make(map[string]*node),
 		deployments: make(map[string]*Deployment),
 		pods:        make(map[string]*Pod),
-		pricePerCPU: 0.08,
+		pricePerCPU: DefaultPricePerCoreHour,
 	}
 	for _, o := range opts {
 		o(c)
@@ -471,8 +476,8 @@ func (c *Cluster) Pods() []Pod {
 }
 
 // SetDeploymentUtil reports a deployment's current CPU utilization
-// (usage/limit) for each of its running pods, clamped to [0, limit] like
-// ReportCPUUsage; the metrics server exposes it via PodMetrics. The
+// (usage/limit) for each of its running pods, clamped to [0, limit]; the
+// metrics server exposes it via PodMetrics. The
 // stream substrates call it once per operator per simulated second. An
 // unknown deployment is ignored, as RunningPods reports 0 for it.
 func (c *Cluster) SetDeploymentUtil(deployment string, util float64) {
@@ -533,25 +538,8 @@ func (c *Cluster) Cost() float64 { return c.cost }
 // PricePerCoreHour returns the configured price.
 func (c *Cluster) PricePerCoreHour() float64 { return c.pricePerCPU }
 
-// ErrUnknownPod is returned by metrics operations on missing pods.
+// ErrUnknownPod is returned by operations on missing pods.
 var ErrUnknownPod = errors.New("cluster: unknown pod")
-
-// ReportCPUUsage lets the workload layer report a pod's current CPU usage
-// in millicores; the metrics server exposes it via PodMetrics.
-func (c *Cluster) ReportCPUUsage(podName string, milli int) error {
-	p, ok := c.pods[podName]
-	if !ok {
-		return ErrUnknownPod
-	}
-	if milli < 0 {
-		milli = 0
-	}
-	if milli > p.Spec.CPUMilli {
-		milli = p.Spec.CPUMilli
-	}
-	p.cpuUsageMilli = milli
-	return nil
-}
 
 // PodMetric is one row of the metrics-server response.
 type PodMetric struct {
@@ -580,25 +568,4 @@ func (c *Cluster) PodMetrics() []PodMetric {
 	}
 	c.metricsBuf = out
 	return out
-}
-
-// DeploymentUtilization returns the mean CPU utilization (usage/limit) of
-// a deployment's running pods, or 0 with ok=false when none run.
-func (c *Cluster) DeploymentUtilization(deployment string) (float64, bool) {
-	d, ok := c.deployments[deployment]
-	if !ok {
-		return 0, false
-	}
-	var sum float64
-	n := 0
-	for _, p := range d.pods {
-		if p.Phase == PodRunning {
-			sum += float64(p.cpuUsageMilli) / float64(p.Spec.CPUMilli)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return sum / float64(n), true
 }

@@ -182,33 +182,15 @@ func TestMetricsServer(t *testing.T) {
 	if err := c.CreateDeployment("tm", ResourceSpec{CPUMilli: 1000, MemoryMB: 512}, 2); err != nil {
 		t.Fatal(err)
 	}
-	pods := c.Pods()
-	if err := c.ReportCPUUsage(pods[0].Name, 800); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ReportCPUUsage(pods[1].Name, 400); err != nil {
-		t.Fatal(err)
-	}
-	util, ok := c.DeploymentUtilization("tm")
-	if !ok || math.Abs(util-0.6) > 1e-9 {
-		t.Errorf("utilization = %v ok=%v, want 0.6", util, ok)
-	}
-	// Usage is clamped to the limit and floored at zero.
-	if err := c.ReportCPUUsage(pods[0].Name, 5000); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ReportCPUUsage(pods[1].Name, -5); err != nil {
-		t.Fatal(err)
-	}
+	c.SetDeploymentUtil("tm", 0.6)
 	ms := c.PodMetrics()
-	if ms[0].CPUMilli != 1000 || ms[1].CPUMilli != 0 {
-		t.Errorf("clamping failed: %+v", ms)
+	if len(ms) != 2 {
+		t.Fatalf("metrics rows = %+v, want 2", ms)
 	}
-	if err := c.ReportCPUUsage("nope", 1); err != ErrUnknownPod {
-		t.Errorf("err = %v, want ErrUnknownPod", err)
-	}
-	if _, ok := c.DeploymentUtilization("missing"); ok {
-		t.Error("utilization of missing deployment reported ok")
+	for _, m := range ms {
+		if m.Deployment != "tm" || m.CPUMilli != 600 || m.CPULimit != 1000 {
+			t.Errorf("row = %+v, want tm at 600m of 1000m", m)
+		}
 	}
 }
 
@@ -218,138 +200,5 @@ func TestPodPhaseString(t *testing.T) {
 	}
 	if !strings.Contains(PodPhase(9).String(), "9") {
 		t.Error("unknown phase string")
-	}
-}
-
-func TestHPAValidation(t *testing.T) {
-	if _, err := NewHPA("", 1, 2, 0.5); err == nil {
-		t.Error("empty deployment accepted")
-	}
-	if _, err := NewHPA("d", 0, 2, 0.5); err == nil {
-		t.Error("min 0 accepted")
-	}
-	if _, err := NewHPA("d", 3, 2, 0.5); err == nil {
-		t.Error("max < min accepted")
-	}
-	if _, err := NewHPA("d", 1, 2, 1.5); err == nil {
-		t.Error("target > 1 accepted")
-	}
-}
-
-func TestHPAScalesUpOnHighUtilization(t *testing.T) {
-	c := newTestCluster(t, 4)
-	if err := c.CreateDeployment("tm", ResourceSpec{CPUMilli: 1000, MemoryMB: 512}, 2); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range c.Pods() {
-		if err := c.ReportCPUUsage(p.Name, 950); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h, err := NewHPA("tm", 1, 10, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	desired, acted, err := h.Reconcile(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !acted || desired != 4 { // ceil(2 * 0.95/0.5) = 4
-		t.Errorf("HPA desired = %d acted=%v, want 4/true", desired, acted)
-	}
-	if got := c.RunningPods("tm"); got != 4 {
-		t.Errorf("RunningPods = %d", got)
-	}
-}
-
-func TestHPAToleranceSuppressesChurn(t *testing.T) {
-	c := newTestCluster(t, 4)
-	if err := c.CreateDeployment("tm", ResourceSpec{CPUMilli: 1000, MemoryMB: 512}, 2); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range c.Pods() {
-		if err := c.ReportCPUUsage(p.Name, 520); err != nil { // util 0.52 vs target 0.5
-			t.Fatal(err)
-		}
-	}
-	h, err := NewHPA("tm", 1, 10, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, acted, err := h.Reconcile(c); err != nil || acted {
-		t.Errorf("HPA acted within tolerance (err=%v)", err)
-	}
-}
-
-func TestHPAEnsuresMinimumWhenNothingRuns(t *testing.T) {
-	c := newTestCluster(t, 2)
-	if err := c.CreateDeployment("tm", ResourceSpec{CPUMilli: 500, MemoryMB: 512}, 0); err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHPA("tm", 2, 5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	desired, acted, err := h.Reconcile(c)
-	if err != nil || !acted || desired != 2 {
-		t.Errorf("HPA min bootstrap: desired=%d acted=%v err=%v", desired, acted, err)
-	}
-}
-
-func TestVPARecommendAndReconcile(t *testing.T) {
-	c := newTestCluster(t, 2)
-	if err := c.CreateDeployment("tm", ResourceSpec{CPUMilli: 1000, MemoryMB: 512}, 2); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range c.Pods() {
-		if err := c.ReportCPUUsage(p.Name, 900); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v, err := NewVPA("tm", 1.5, 100, 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, ok := v.Recommend(c)
-	if !ok || rec != 1350 {
-		t.Errorf("Recommend = %d ok=%v, want 1350", rec, ok)
-	}
-	acted, err := v.Reconcile(c)
-	if err != nil || !acted {
-		t.Fatalf("Reconcile acted=%v err=%v", acted, err)
-	}
-	for _, p := range c.Pods() {
-		if p.Spec.CPUMilli != 1350 {
-			t.Errorf("pod spec = %d, want 1350", p.Spec.CPUMilli)
-		}
-	}
-}
-
-func TestVPAValidation(t *testing.T) {
-	if _, err := NewVPA("", 1.2, 1, 2); err == nil {
-		t.Error("empty name accepted")
-	}
-	if _, err := NewVPA("d", 0.9, 1, 2); err == nil {
-		t.Error("headroom < 1 accepted")
-	}
-	if _, err := NewVPA("d", 1.2, 5, 2); err == nil {
-		t.Error("max < min accepted")
-	}
-}
-
-func TestVPANoPodsNoAction(t *testing.T) {
-	c := newTestCluster(t, 1)
-	if err := c.CreateDeployment("tm", ResourceSpec{CPUMilli: 500, MemoryMB: 256}, 0); err != nil {
-		t.Fatal(err)
-	}
-	v, err := NewVPA("tm", 1.2, 100, 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := v.Recommend(c); ok {
-		t.Error("recommendation without pods")
-	}
-	if acted, err := v.Reconcile(c); err != nil || acted {
-		t.Errorf("Reconcile without pods acted=%v err=%v", acted, err)
 	}
 }

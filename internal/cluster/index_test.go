@@ -257,10 +257,15 @@ func TestSetDeploymentUtil(t *testing.T) {
 			t.Errorf("%s (%v) usage = %dm, want %dm", p.Name, p.Phase, p.cpuUsageMilli, want)
 		}
 	}
-	for _, tc := range []struct{ util, want float64 }{{1.7, 1}, {-0.3, 0}} {
+	for _, tc := range []struct {
+		util float64
+		want int
+	}{{1.7, 1000}, {-0.3, 0}} {
 		c.SetDeploymentUtil("tm", tc.util)
-		if got, ok := c.DeploymentUtilization("tm"); !ok || got != tc.want {
-			t.Errorf("util %v: DeploymentUtilization = %v, %v; want %v (clamped)", tc.util, got, ok, tc.want)
+		for _, m := range c.PodMetrics() {
+			if m.CPUMilli != tc.want {
+				t.Errorf("util %v: %s usage = %dm, want %dm (clamped)", tc.util, m.Pod, m.CPUMilli, tc.want)
+			}
 		}
 	}
 }

@@ -85,7 +85,8 @@ type Config struct {
 	// history is replayed into the GPs at construction (warm start).
 	DB *store.DB
 	// Counters, when set, receives fault-handling telemetry
-	// (core_stale_snapshot_skips, core_rejected_capacity_obs). The
+	// (core_stale_snapshot_skips, core_rejected_capacity_obs,
+	// core_rejected_throughput_obs). The
 	// experiment runner and the fleet hand every component of a run the
 	// same registry, so a run's whole fault story lives in one snapshot.
 	Counters *telemetry.Registry
@@ -115,10 +116,6 @@ type Controller struct {
 	lastTasks  []int
 	lastCPU    []int // last observed per-pod CPU (0 = unknown/1-D configs)
 	slot       int
-	// rejectedSamples counts throughput-learner observations rejected as
-	// invalid (non-positive or non-finite rates); a high count means the
-	// monitor is feeding the Theorem-2 regression garbage.
-	rejectedSamples int
 	// Stale-metric guard: a snapshot whose slot does not advance past the
 	// last decided one is a repeat (metrics staleness) and is skipped
 	// wholesale rather than re-fed into the GPs and dual updates.
@@ -314,11 +311,6 @@ func (c *Controller) SetTaskBudget(budget int) error {
 	return nil
 }
 
-// RejectedSamples returns how many throughput-learner observations were
-// rejected as invalid so far; nonzero values indicate degraded Theorem-2
-// model fitting.
-func (c *Controller) RejectedSamples() int { return c.rejectedSamples }
-
 // StaleSkips returns how many optimizer rounds were skipped because the
 // snapshot's slot had already been decided (stale metrics).
 func (c *Controller) StaleSkips() int { return c.staleSkips }
@@ -458,9 +450,10 @@ func (c *Controller) DecideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 			if learner, ok := c.g.H(key).(dag.ThroughputLearner); ok {
 				// Per-edge output approximated by the α split of the
 				// aggregate; the learner rejects invalid samples, which we
-				// count rather than silently drop.
+				// count rather than silently drop: a high count means the
+				// monitor is feeding the Theorem-2 regression garbage.
 				if err := learner.ObserveRates(om.ConsumedRate, om.OutRate*c.g.Alpha(key)); err != nil {
-					c.rejectedSamples++
+					c.cfg.Counters.Inc("core_rejected_throughput_obs")
 				}
 			}
 		}

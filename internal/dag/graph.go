@@ -360,15 +360,6 @@ func (g *Graph) Preds(id NodeID) []NodeID { return append([]NodeID(nil), g.preds
 // Succs returns the ordered successor list of a node.
 func (g *Graph) Succs(id NodeID) []NodeID { return append([]NodeID(nil), g.succs[id]...) }
 
-// PredsView returns the ordered predecessor list of a node without
-// copying. The slice aliases the Graph's internal storage and must be
-// treated as read-only; it is valid for the Graph's lifetime.
-func (g *Graph) PredsView(id NodeID) []NodeID { return g.preds[id] }
-
-// SuccsView returns the ordered successor list of a node without copying,
-// under the same read-only aliasing contract as PredsView.
-func (g *Graph) SuccsView(id NodeID) []NodeID { return g.succs[id] }
-
 // NumEdges returns the number of edges (the size of the dense edge-ID
 // space used by EdgeByID, PredEdgeIDs and SuccEdgeIDs).
 func (g *Graph) NumEdges() int { return len(g.edges) }

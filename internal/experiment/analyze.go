@@ -160,12 +160,3 @@ func MeanLatency(res *Result) float64 {
 	}
 	return s / float64(len(res.Trace))
 }
-
-// Speedup divides a baseline convergence time by a candidate's; both in
-// minutes with -1 meaning "never converged".
-func Speedup(baselineMinutes, candidateMinutes float64) (float64, error) {
-	if candidateMinutes <= 0 || baselineMinutes <= 0 {
-		return 0, fmt.Errorf("experiment: cannot compute speedup from %v / %v", baselineMinutes, candidateMinutes)
-	}
-	return baselineMinutes / candidateMinutes, nil
-}

@@ -235,13 +235,3 @@ func TestRunValidation(t *testing.T) {
 		t.Error("bad static tasks accepted")
 	}
 }
-
-func TestSpeedup(t *testing.T) {
-	s, err := Speedup(140, 70)
-	if err != nil || s != 2 {
-		t.Errorf("Speedup = %v err=%v", s, err)
-	}
-	if _, err := Speedup(-1, 70); err == nil {
-		t.Error("unconverged baseline accepted")
-	}
-}

@@ -6,6 +6,7 @@ import (
 
 	"dragster/internal/osp"
 	"dragster/internal/regret"
+	"dragster/internal/streamsim"
 	"dragster/internal/workload"
 )
 
@@ -124,7 +125,7 @@ func RegretRun(spec *workload.Spec, method osp.Method, T, slotSeconds int, seed 
 		H:           2 * maxOpt.Throughput,
 		G:           1,
 		Epsilon:     0.05 * maxOpt.Throughput,
-		SigmaNoise:  0.05 * maxOpt.Throughput / 3,
+		SigmaNoise:  streamsim.CloudNoiseSigma * maxOpt.Throughput / 3,
 		Delta:       2,
 		VStar:       vStar,
 	}

@@ -31,13 +31,10 @@ type Scenario struct {
 	SlotSeconds int
 	// Seed drives all stochastic behaviour (default 1).
 	Seed int64
-	// NoiseSigma is the per-slot capacity cloud noise (default 0.05).
-	NoiseSigma float64
-	// UtilNoiseSigma perturbs CPU readings (default 0.02).
-	UtilNoiseSigma float64
 	// TaskBudget bounds Σ tasks for budget experiments; 0 = unbounded.
 	TaskBudget int
-	// PricePerCoreHour sets the cost meter (default 0.08 $/core·h).
+	// PricePerCoreHour sets the cost meter (0 keeps the cluster's
+	// default price).
 	PricePerCoreHour float64
 	// InitialTasks is the slot-0 configuration (default all 1).
 	InitialTasks []int
@@ -46,9 +43,6 @@ type Scenario struct {
 	// controller works from predicted/learned throughput functions while
 	// the simulator runs the ground truth.
 	ControllerGraph *dag.Graph
-	// MaxBufferSeconds caps per-edge backlog at this many seconds of the
-	// peak offered rate (default 120; 0 keeps buffers unbounded).
-	MaxBufferSeconds float64
 	// VerticalScaling switches Dragster controllers to the 2-D
 	// configuration space (tasks × per-pod CPU ∈ {500, 1000, 1500, 2000}m)
 	// and makes the runner apply both dimensions via RescaleResources.
@@ -71,9 +65,6 @@ type Scenario struct {
 	// chaos.Engine wired into the cluster, the job's rescale hooks, and
 	// the monitor.
 	Chaos *chaos.Spec
-	// ChaosSeed seeds the chaos engine's victim selection (default
-	// Seed+104729 so chaos randomness never aliases workload noise).
-	ChaosSeed int64
 	// Tracer, when set, records a sim-time span trace of the run: one
 	// "round" span per decision slot with the optimizer, substrate, and
 	// chaos events nested inside, all stamped with the cluster clock.
@@ -103,29 +94,11 @@ func (sc *Scenario) setDefaults() error {
 	if sc.Seed == 0 {
 		sc.Seed = 1
 	}
-	if sc.NoiseSigma == 0 {
-		sc.NoiseSigma = 0.05
-	}
-	if sc.UtilNoiseSigma == 0 {
-		sc.UtilNoiseSigma = 0.02
-	}
-	if sc.NoiseSigma < 0 || sc.UtilNoiseSigma < 0 {
-		return errors.New("experiment: negative noise")
-	}
-	if sc.PricePerCoreHour == 0 {
-		sc.PricePerCoreHour = 0.08
-	}
 	if sc.PricePerCoreHour < 0 {
 		return errors.New("experiment: negative price")
 	}
 	if m := sc.Spec.Graph.NumOperators(); sc.InitialTasks != nil && len(sc.InitialTasks) != m {
 		return fmt.Errorf("experiment: got %d initial tasks, want %d", len(sc.InitialTasks), m)
-	}
-	if sc.MaxBufferSeconds == 0 {
-		sc.MaxBufferSeconds = 120
-	}
-	if sc.MaxBufferSeconds < 0 {
-		return errors.New("experiment: negative MaxBufferSeconds")
 	}
 	if sc.StreamEngine == "" {
 		sc.StreamEngine = "flink"
@@ -140,9 +113,6 @@ func (sc *Scenario) setDefaults() error {
 		if err := sc.Chaos.Validate(); err != nil {
 			return err
 		}
-	}
-	if sc.ChaosSeed == 0 {
-		sc.ChaosSeed = sc.Seed + 104729
 	}
 	if sc.metrics = sc.Tracer.Metrics(); sc.metrics == nil {
 		sc.metrics = telemetry.NewRegistry()
@@ -174,7 +144,7 @@ func DragsterThompson() PolicyFactory {
 
 func dragsterFactory(method osp.Method, acq ucb.Acquisition) PolicyFactory {
 	return func(sc *Scenario) (core.Autoscaler, error) {
-		cfg := tenant.ControllerConfig(sc.Spec, sc.NoiseSigma)
+		cfg := tenant.ControllerConfig(sc.Spec)
 		if sc.ControllerGraph != nil {
 			cfg.Graph = sc.ControllerGraph
 		}
@@ -321,7 +291,11 @@ func NewRunner(sc Scenario, factory PolicyFactory) (*Runner, error) {
 	// Size the cluster generously; budgets are policy decisions, matching
 	// the paper's dollar-budget formulation rather than a hardware wall.
 	nNodes := (spec.Graph.NumOperators()*spec.MaxTasks+1)/4 + 1
-	k8s := cluster.New(cluster.WithPricePerCoreHour(sc.PricePerCoreHour))
+	var price []cluster.Option
+	if sc.PricePerCoreHour > 0 {
+		price = append(price, cluster.WithPricePerCoreHour(sc.PricePerCoreHour))
+	}
+	k8s := cluster.New(price...)
 	if err := k8s.AddNodes("node", nNodes, cluster.ResourceSpec{CPUMilli: 4000, MemoryMB: 8192}); err != nil {
 		return nil, err
 	}
@@ -330,19 +304,16 @@ func NewRunner(sc Scenario, factory PolicyFactory) (*Runner, error) {
 	sc.Tracer.SetClock(k8s.Clock)
 	k8s.SetTracer(sc.Tracer)
 	tc := tenant.Config{
-		Name:             spec.Name,
-		Workload:         spec,
-		Rates:            sc.Rates,
-		Horizon:          sc.Slots,
-		Seed:             sc.Seed,
-		NoiseSigma:       sc.NoiseSigma,
-		UtilNoiseSigma:   sc.UtilNoiseSigma,
-		MaxBufferSeconds: sc.MaxBufferSeconds,
-		InitialTasks:     sc.InitialTasks,
-		Policy:           policy,
-		Vertical:         sc.VerticalScaling,
-		Metrics:          sc.metrics,
-		Tracer:           sc.Tracer,
+		Name:         spec.Name,
+		Workload:     spec,
+		Rates:        sc.Rates,
+		Horizon:      sc.Slots,
+		Seed:         sc.Seed,
+		InitialTasks: sc.InitialTasks,
+		Policy:       policy,
+		Vertical:     sc.VerticalScaling,
+		Metrics:      sc.metrics,
+		Tracer:       sc.Tracer,
 	}
 	opts := flink.DefaultOptions()
 	if sc.StreamEngine == "storm" {
@@ -357,7 +328,7 @@ func NewRunner(sc Scenario, factory PolicyFactory) (*Runner, error) {
 	}
 	var chaosEng *chaos.Engine
 	if sc.Chaos != nil {
-		chaosEng, err = chaos.NewEngine(sc.Chaos, sc.ChaosSeed, sc.metrics)
+		chaosEng, err = chaos.NewEngine(sc.Chaos, sc.Seed+chaos.SeedOffset, sc.metrics)
 		if err != nil {
 			return nil, err
 		}

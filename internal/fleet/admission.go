@@ -65,13 +65,9 @@ func (m *Manager) ensurePlan(js *jobState) error {
 		return nil
 	}
 	p, err := planner.Build(planner.Config{
-		Spec:             js.spec.Workload,
-		TargetRates:      m.planTargetRates(js),
-		Seed:             m.cfg.Seed + int64(js.idx+1)*999983,
-		NoiseSigma:       m.cfg.NoiseSigma,
-		UtilNoiseSigma:   m.cfg.UtilNoiseSigma,
-		PricePerCoreHour: m.cfg.PricePerCoreHour,
-		TaskCPUMilli:     flink.TaskManagerSpec().CPUMilli,
+		Spec:        js.spec.Workload,
+		TargetRates: m.planTargetRates(js),
+		Seed:        m.cfg.Seed + int64(js.idx+1)*999983,
 	})
 	if err != nil {
 		return fmt.Errorf("fleet: planning job %s: %w", js.spec.Name, err)

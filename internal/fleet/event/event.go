@@ -238,21 +238,3 @@ func (l *Log) Hash() uint64 {
 	h.Write(l.Bytes())
 	return h.Sum64()
 }
-
-// HashPrefix returns the digest of the first n events (n past the end
-// hashes the whole log).
-func (l *Log) HashPrefix(n int) uint64 {
-	l.mu.Lock()
-	evs := l.evs
-	if n < len(evs) {
-		evs = evs[:n]
-	}
-	var buf []byte
-	for _, e := range evs {
-		buf = Append(buf, e)
-	}
-	l.mu.Unlock()
-	h := fnv.New64a()
-	h.Write(buf)
-	return h.Sum64()
-}

@@ -2,6 +2,7 @@ package event
 
 import (
 	"bytes"
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -103,11 +104,10 @@ func TestLogSequencesAndHash(t *testing.T) {
 	if len(decoded) != len(evs) {
 		t.Fatalf("decoded %d events from log bytes, want %d", len(decoded), len(evs))
 	}
-	if l.Hash() != l.HashPrefix(l.Len()) {
-		t.Fatal("full-prefix hash differs from Hash")
-	}
-	if l.HashPrefix(1) == l.Hash() {
-		t.Fatal("prefix hash should differ from full hash")
+	h := fnv.New64a()
+	h.Write(l.Bytes())
+	if l.Hash() != h.Sum64() {
+		t.Fatal("Hash is not the FNV-1a digest of the log bytes")
 	}
 	if !strings.Contains(l.Text(), "admit job=alpha") {
 		t.Fatalf("text rendering missing admit line:\n%s", l.Text())
@@ -160,6 +160,9 @@ func TestMessageSetGapBlocksDelivery(t *testing.T) {
 	if got := s.Ready(); got != nil {
 		t.Fatalf("delivery across a gap: %v", got)
 	}
+	if s.NextSeq() != 1 {
+		t.Fatalf("NextSeq = %d across the gap, want 1", s.NextSeq())
+	}
 	if fresh, err := s.Add(Event{Seq: 1, Type: TypeSubmit, Job: "a"}); !fresh || err != nil {
 		t.Fatalf("add seq 1: fresh=%v err=%v", fresh, err)
 	}
@@ -167,26 +170,8 @@ func TestMessageSetGapBlocksDelivery(t *testing.T) {
 	if len(got) != 2 || got[0].Job != "a" || got[1].Job != "b" {
 		t.Fatalf("ready = %v, want a then b", got)
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("pending = %d after drain", s.Pending())
-	}
-}
-
-func TestMessageSetSkipTo(t *testing.T) {
-	s := NewMessageSet()
-	if _, err := s.Post(Event{Type: TypeSubmit, Job: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	s.SkipTo(10)
-	if s.Pending() != 0 || s.NextSeq() != 10 {
-		t.Fatalf("after SkipTo(10): pending=%d next=%d", s.Pending(), s.NextSeq())
-	}
-	e, err := s.Post(Event{Type: TypeSubmit, Job: "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Seq != 10 {
-		t.Fatalf("post after SkipTo stamped %d, want 10", e.Seq)
+	if s.Pending() != 0 || s.NextSeq() != 3 {
+		t.Fatalf("pending = %d, NextSeq = %d after drain; want 0, 3", s.Pending(), s.NextSeq())
 	}
 }
 

@@ -155,16 +155,3 @@ func (s *MessageSet) Deduped() uint64 {
 	defer s.mu.Unlock()
 	return s.deduped
 }
-
-// SkipTo fast-forwards both the stamp and delivery cursors to resume
-// after a checkpoint: the next posted or delivered message will carry
-// sequence number seq. Pending messages are discarded (a replica
-// reconstructs them from the recorded input log).
-func (s *MessageSet) SkipTo(seq uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.seq = seq - 1
-	s.next = seq
-	s.pending = make(map[uint64]Event)
-	s.keys = make(map[msgKey]bool)
-}

@@ -188,9 +188,6 @@ type Config struct {
 	// dataflow noise uses an independent deterministic stream derived
 	// from it.
 	Seed int64
-	// NoiseSigma / UtilNoiseSigma mirror the single-job scenario knobs.
-	NoiseSigma     float64
-	UtilNoiseSigma float64
 	// TotalTaskBudget is the global Σ_jobs Σ_ops tasks bound the arbiter
 	// partitions (required).
 	TotalTaskBudget int
@@ -209,17 +206,10 @@ type Config struct {
 	MaxQueue int
 	// DisableWarmStart turns off cross-job GP seeding (used by ablations).
 	DisableWarmStart bool
-	// PricePerCoreHour sets the shared cost meter (default 0.08 $/core·h).
-	PricePerCoreHour float64
-	// MaxBufferSeconds caps per-edge backlog (default 120 s of each job's
-	// peak rate).
-	MaxBufferSeconds float64
 	// Chaos, when set, replays a fault schedule through a seeded engine
 	// installed on the shared cluster (node crashes, scheduler delays —
 	// the cluster-level faults every tenant feels).
 	Chaos *chaos.Spec
-	// ChaosSeed seeds chaos victim selection (default Seed+104729).
-	ChaosSeed int64
 	// Metrics receives the fleet's counters and gauges (admissions,
 	// faults, retries, per-job budget shares, queue depth, arbiter
 	// decisions). Defaults to a fresh registry; when a Tracer with an
@@ -231,8 +221,6 @@ type Config struct {
 	// fan-out (the Tracer is single-threaded by contract), so traced runs
 	// trade parallelism for byte-identical traces.
 	Tracer *telemetry.Tracer
-	// ForecastAlpha enables Holt load forecasting in every controller.
-	ForecastAlpha float64
 }
 
 func (c *Config) setDefaults() error {
@@ -264,15 +252,6 @@ func (c *Config) setDefaults() error {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.NoiseSigma == 0 {
-		c.NoiseSigma = 0.05
-	}
-	if c.UtilNoiseSigma == 0 {
-		c.UtilNoiseSigma = 0.02
-	}
-	if c.NoiseSigma < 0 || c.UtilNoiseSigma < 0 {
-		return errors.New("fleet: negative noise")
-	}
 	if c.TotalTaskBudget < 1 {
 		return errors.New("fleet: TotalTaskBudget must be ≥ 1")
 	}
@@ -294,34 +273,16 @@ func (c *Config) setDefaults() error {
 	if c.MaxQueue < 1 {
 		return errors.New("fleet: MaxQueue must be ≥ 1")
 	}
-	if c.PricePerCoreHour == 0 {
-		c.PricePerCoreHour = 0.08
-	}
-	if c.PricePerCoreHour < 0 {
-		return errors.New("fleet: negative price")
-	}
-	if c.MaxBufferSeconds == 0 {
-		c.MaxBufferSeconds = 120
-	}
-	if c.MaxBufferSeconds < 0 {
-		return errors.New("fleet: negative MaxBufferSeconds")
-	}
 	if c.Chaos != nil {
 		if err := c.Chaos.Validate(); err != nil {
 			return err
 		}
-	}
-	if c.ChaosSeed == 0 {
-		c.ChaosSeed = c.Seed + 104729
 	}
 	if c.Tracer != nil && c.Tracer.Metrics() != nil {
 		c.Metrics = c.Tracer.Metrics()
 	}
 	if c.Metrics == nil {
 		c.Metrics = telemetry.NewRegistry()
-	}
-	if c.ForecastAlpha < 0 || c.ForecastAlpha >= 1 {
-		return errors.New("fleet: ForecastAlpha outside [0, 1)")
 	}
 	return nil
 }
@@ -484,7 +445,7 @@ func New(cfg Config) (*Manager, error) {
 	// with one spare so single-node failures degrade rather than wedge the
 	// fleet.
 	nNodes := (cfg.TotalTaskBudget+1)/4 + 2
-	m.k8s = cluster.New(cluster.WithPricePerCoreHour(cfg.PricePerCoreHour))
+	m.k8s = cluster.New()
 	if err := m.k8s.AddNodes("node", nNodes, cluster.ResourceSpec{CPUMilli: 4000, MemoryMB: 8192}); err != nil {
 		return nil, err
 	}
@@ -496,7 +457,7 @@ func New(cfg Config) (*Manager, error) {
 	}
 	m.session = session
 	if cfg.Chaos != nil {
-		eng, err := chaos.NewEngine(cfg.Chaos, cfg.ChaosSeed, cfg.Metrics)
+		eng, err := chaos.NewEngine(cfg.Chaos, cfg.Seed+chaos.SeedOffset, cfg.Metrics)
 		if err != nil {
 			return nil, err
 		}
@@ -639,11 +600,6 @@ func (m *Manager) TraceText() string { return m.log.Text() }
 
 // TraceHash returns the FNV-1a hash of the canonical trace encoding.
 func (m *Manager) TraceHash() uint64 { return m.log.Hash() }
-
-// Inputs returns a copy of the recorded external inputs (replica replay).
-func (m *Manager) Inputs() []InputRecord {
-	return append([]InputRecord(nil), m.inputs...)
-}
 
 // emit commits one event to the control-plane log at the current round.
 // Emission only ever happens on the sequential section of the round
@@ -971,7 +927,7 @@ func (m *Manager) record(r int) (int, error) {
 			TotalTasks: tasks,
 			Budget:     js.budget,
 			Steady:     use.Steady,
-			CostCum:    jobCost(js) + float64(cpuMilli)/1000*secs/3600*m.cfg.PricePerCoreHour,
+			CostCum:    jobCost(js) + float64(cpuMilli)/1000*secs/3600*m.k8s.PricePerCoreHour(),
 			DualPrice:  dualPrice(js.t.Controller().Duals()),
 			Skipped:    snap == nil,
 		}
@@ -1081,10 +1037,9 @@ func (m *Manager) buildStack(js *jobState, r int) error {
 			}
 		}
 	}
-	cc := tenant.ControllerConfig(spec, m.cfg.NoiseSigma)
+	cc := tenant.ControllerConfig(spec)
 	cc.Method = js.spec.Method
 	cc.TaskBudget = js.budget
-	cc.ForecastAlpha = m.cfg.ForecastAlpha
 	cc.GPObservationBudget = tenantObservationBudget
 	cc.Counters = m.reg
 	cc.DB = db
@@ -1093,19 +1048,16 @@ func (m *Manager) buildStack(js *jobState, r int) error {
 		return err
 	}
 	t, err := tenant.New(tenant.Config{
-		Name:             js.spec.Name,
-		Workload:         spec,
-		Rates:            js.spec.Rates,
-		Horizon:          m.cfg.Slots,
-		Seed:             m.cfg.Seed + int64(js.idx+1)*100003,
-		NoiseSigma:       m.cfg.NoiseSigma,
-		UtilNoiseSigma:   m.cfg.UtilNoiseSigma,
-		MaxBufferSeconds: m.cfg.MaxBufferSeconds,
-		InitialTasks:     initial,
-		Session:          m.session,
-		Policy:           ctrl,
-		Metrics:          m.reg,
-		Tracer:           m.tracer,
+		Name:         js.spec.Name,
+		Workload:     spec,
+		Rates:        js.spec.Rates,
+		Horizon:      m.cfg.Slots,
+		Seed:         m.cfg.Seed + int64(js.idx+1)*100003,
+		InitialTasks: initial,
+		Session:      m.session,
+		Policy:       ctrl,
+		Metrics:      m.reg,
+		Tracer:       m.tracer,
 	})
 	if err != nil {
 		return err

@@ -177,6 +177,57 @@ func TestFleetLifecycle(t *testing.T) {
 	}
 }
 
+// TestFleetWarmArchiveBounded runs a WordCount tenant for more harvestable
+// rounds than warm-start ever replays: the kind archive keeps only the
+// last warmStartMaxPerOperator records per operator, the harvest counter
+// still counts every record, and a later arrival is seeded with a full
+// window per operator.
+func TestFleetWarmArchiveBounded(t *testing.T) {
+	wc := mustSpec(t, workload.WordCount)
+	const arrive = 60
+	m, err := New(Config{
+		Jobs: []JobSpec{
+			{Name: "alpha", Workload: wc, Rates: constRates(t, wc.HighRates)},
+			{Name: "late", Workload: wc, Rates: constRates(t, wc.HighRates), ArriveSlot: arrive},
+		},
+		Slots:           arrive + 1,
+		SlotSeconds:     60,
+		Seed:            3,
+		TotalTaskBudget: 40,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := m.archive.byKind[fingerprint(wc)]
+	if len(ops) != wc.Graph.NumOperators() {
+		t.Fatalf("archive holds %d operators, want %d", len(ops), wc.Graph.NumOperators())
+	}
+	held := 0
+	for name, recs := range ops {
+		if len(recs) > warmStartMaxPerOperator {
+			t.Errorf("operator %s holds %d records, want ≤ %d", name, len(recs), warmStartMaxPerOperator)
+		}
+		held += len(recs)
+	}
+	if harvested := res.Metrics.CounterValue("fleet_warmstart_harvested"); harvested <= int64(held) {
+		t.Errorf("harvested %d records but the archive holds %d: the run never filled a window", harvested, held)
+	}
+	for _, jr := range res.Jobs {
+		if jr.Name != "late" {
+			continue
+		}
+		if want := warmStartMaxPerOperator * wc.Graph.NumOperators(); jr.WarmStartRecords != want {
+			t.Errorf("late arrival seeded with %d records, want %d", jr.WarmStartRecords, want)
+		}
+		return
+	}
+	t.Fatal("no result for the late arrival")
+}
+
 // TestFleetWarmStart: gamma shares alpha's workload fingerprint and
 // arrives after alpha has produced history, so it must be seeded; beta's
 // workload is structurally different and must not be.
@@ -520,7 +571,6 @@ func TestFleetConfigValidation(t *testing.T) {
 		func(c *Config) { c.Jobs[0].DepartSlot = 1; c.Jobs[0].ArriveSlot = 2 },
 		func(c *Config) { c.Jobs[0].Priority = -1 },
 		func(c *Config) { c.RebalanceEvery = -1 },
-		func(c *Config) { c.ForecastAlpha = 1.5 },
 	}
 	for i, mutate := range bad {
 		cfg := ok()

@@ -46,45 +46,57 @@ func fingerprint(spec *workload.Spec) string {
 	return b.String()
 }
 
-// warmArchive accumulates harvested capacity observations per workload
-// kind. It is only touched from the manager's sequential round loop.
-type warmArchive struct {
-	byKind map[string]*store.DB
-}
-
-func newWarmArchive() *warmArchive {
-	return &warmArchive{byKind: make(map[string]*store.DB)}
-}
-
 // warmStartMaxPerOperator caps how many history records per operator are
 // replayed into a joining job's GPs (replay is O(n²)).
 const warmStartMaxPerOperator = 48
 
+// warmArchive keeps, per workload kind and operator, the most recent
+// warmStartMaxPerOperator harvested capacity observations, oldest first.
+// That is exactly the set seed replays, so the archive's size depends on
+// the kinds and operators seen, not on the fleet's age. It is only
+// touched from the manager's sequential round loop.
+type warmArchive struct {
+	byKind map[string]map[string][]store.Record
+}
+
+func newWarmArchive() *warmArchive {
+	return &warmArchive{byKind: make(map[string]map[string][]store.Record)}
+}
+
+// add appends r to its operator's window in the kind archive, dropping
+// the oldest record once the window is full.
+func (a *warmArchive) add(kind string, r store.Record) {
+	ops, ok := a.byKind[kind]
+	if !ok {
+		ops = make(map[string][]store.Record)
+		a.byKind[kind] = ops
+	}
+	recs := append(ops[r.Operator], r)
+	if len(recs) > warmStartMaxPerOperator {
+		recs = recs[1:]
+	}
+	ops[r.Operator] = recs
+}
+
 // seed builds a joining job's private history DB. When the archive holds
-// compatible history (and warm-start is enabled), up to
-// warmStartMaxPerOperator of the most recent records per operator are
-// copied in; core.New replays them into the job's GPs. Returns the DB and
-// how many records were seeded.
+// compatible history (and warm-start is enabled), its records for each
+// operator are copied in; core.New replays them into the job's GPs.
+// Returns the DB and how many records were seeded.
 func (a *warmArchive) seed(spec *workload.Spec, disabled bool) (*store.DB, int) {
 	db := store.New()
 	if disabled {
 		return db, 0
 	}
-	arch, ok := a.byKind[fingerprint(spec)]
+	ops, ok := a.byKind[fingerprint(spec)]
 	if !ok {
 		return db, 0
 	}
 	n := 0
 	for i := 0; i < spec.Graph.NumOperators(); i++ {
-		name := spec.Graph.OperatorName(i)
-		hist := arch.History(name)
-		if len(hist) > warmStartMaxPerOperator {
-			hist = hist[len(hist)-warmStartMaxPerOperator:]
-		}
-		for _, r := range hist {
+		for _, r := range ops[spec.Graph.OperatorName(i)] {
 			if err := db.Append(r); err != nil {
-				// Records were validated on the way into the archive; an
-				// append failure here would be a programming error.
+				// Records were validated on the way into the tenant's
+				// DB; an append failure here would be a programming error.
 				continue
 			}
 			n++
@@ -105,12 +117,7 @@ func (m *Manager) harvest() {
 		if js.db == nil {
 			continue
 		}
-		key := fingerprint(js.spec.Workload)
-		arch, ok := m.archive.byKind[key]
-		if !ok {
-			arch = store.New()
-			m.archive.byKind[key] = arch
-		}
+		kind := fingerprint(js.spec.Workload)
 		for i := 0; i < js.spec.Workload.Graph.NumOperators(); i++ {
 			name := js.spec.Workload.Graph.OperatorName(i)
 			hist := js.db.History(name)
@@ -119,9 +126,7 @@ func (m *Manager) harvest() {
 				if !harvestable(r) {
 					continue
 				}
-				if err := arch.Append(r); err != nil {
-					continue
-				}
+				m.archive.add(kind, r)
 				m.reg.Inc("fleet_warmstart_harvested")
 			}
 			js.harvested[name] = len(hist)

@@ -297,12 +297,18 @@ func TestMetricsServerSeesPodUsage(t *testing.T) {
 	if _, err := j.RunSlot(30, func(int) []float64 { return []float64{100} }); err != nil {
 		t.Fatal(err)
 	}
-	util, ok := s.Cluster().DeploymentUtilization("tm-wordcount-map")
-	if !ok {
-		t.Fatal("no metrics for map deployment")
+	rows := 0
+	for _, m := range s.Cluster().PodMetrics() {
+		if m.Deployment != "tm-wordcount-map" {
+			continue
+		}
+		rows++
+		if m.CPUMilli <= 0 || m.CPUMilli > m.CPULimit {
+			t.Errorf("map pod %s usage = %dm of %dm", m.Pod, m.CPUMilli, m.CPULimit)
+		}
 	}
-	if util <= 0 || util > 1 {
-		t.Errorf("map utilization = %v", util)
+	if rows == 0 {
+		t.Fatal("no metrics for map deployment")
 	}
 }
 

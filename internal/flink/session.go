@@ -249,9 +249,9 @@ func (j *Job) Rescale(parallelism []int) error {
 }
 
 // RescaleResources applies a new parallelism vector and, when cpuMilli is
-// non-nil, new per-pod CPU allocations (the VPA dimension of the paper's
-// configuration vector). CPU changes trigger a rolling pod replacement
-// plus the savepoint pause.
+// non-nil, new per-pod CPU allocations (the vertical dimension of the
+// paper's configuration vector, applied through cluster Resize). CPU
+// changes trigger a rolling pod replacement plus the savepoint pause.
 func (j *Job) RescaleResources(parallelism []int, cpuMilli []int) error {
 	if len(parallelism) != len(j.desired) {
 		return fmt.Errorf("flink: got %d parallelisms, want %d", len(parallelism), len(j.desired))
@@ -364,7 +364,7 @@ type SlotReport = telemetry.SlotReport
 // RunSlot advances the job by `seconds` ticks at the offered rates
 // returned by rateAt (called with the second offset within the slot) and
 // returns the slot report. It also feeds per-pod CPU usage to the
-// Kubernetes metrics server so HPA/VPA and the Job Monitor see live data.
+// Kubernetes metrics server so its PodMetrics rows carry live usage.
 func (j *Job) RunSlot(seconds int, rateAt func(sec int) []float64) (*SlotReport, error) {
 	return j.runSlot(seconds, rateAt, true)
 }
@@ -406,7 +406,7 @@ func (j *Job) runSlot(seconds int, rateAt func(sec int) []float64, tickCluster b
 			return nil, err
 		}
 		// Spread each operator's utilization uniformly over its running
-		// pods, so HPA/VPA and the metrics server see live usage.
+		// pods, so the metrics server sees live usage.
 		for i, dep := range j.deployments {
 			j.session.k8s.SetDeploymentUtil(dep, st.Ops[i].Util)
 		}

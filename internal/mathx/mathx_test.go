@@ -31,18 +31,6 @@ func TestClampPanicsOnInvertedBounds(t *testing.T) {
 	Clamp(0, 1, 0)
 }
 
-func TestClampInt(t *testing.T) {
-	if got := ClampInt(5, 1, 10); got != 5 {
-		t.Errorf("ClampInt(5,1,10) = %d", got)
-	}
-	if got := ClampInt(-5, 1, 10); got != 1 {
-		t.Errorf("ClampInt(-5,1,10) = %d", got)
-	}
-	if got := ClampInt(50, 1, 10); got != 10 {
-		t.Errorf("ClampInt(50,1,10) = %d", got)
-	}
-}
-
 func TestClampPropertyInRange(t *testing.T) {
 	f := func(v float64) bool {
 		if math.IsNaN(v) {
@@ -53,24 +41,6 @@ func TestClampPropertyInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestApprox(t *testing.T) {
-	if !Approx(1, 1+1e-12, 1e-9) {
-		t.Error("near-identical values should be approx equal")
-	}
-	if Approx(1, 1.1, 1e-9) {
-		t.Error("distant values should not be approx equal")
-	}
-	if Approx(math.NaN(), math.NaN(), 1) {
-		t.Error("NaN must not be approx equal to NaN")
-	}
-	if !Approx(1e12, 1e12+1, 1e-9) {
-		t.Error("relative tolerance should accept 1e12 vs 1e12+1")
-	}
-	if !Approx(0, 0, 0) {
-		t.Error("exact equality must hold at zero tolerance")
 	}
 }
 
@@ -110,53 +80,8 @@ func TestDot(t *testing.T) {
 	Dot([]float64{1}, []float64{1, 2})
 }
 
-func TestArgMax(t *testing.T) {
-	if got := ArgMax([]float64{1, 5, 3}); got != 1 {
-		t.Errorf("ArgMax = %d, want 1", got)
-	}
-	if got := ArgMax(nil); got != -1 {
-		t.Errorf("ArgMax(nil) = %d, want -1", got)
-	}
-	if got := ArgMax([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("ArgMax tie = %d, want 0", got)
-	}
-	if got := ArgMax([]float64{math.NaN(), 1}); got != 1 {
-		t.Errorf("ArgMax with NaN = %d, want 1", got)
-	}
-	if got := ArgMax([]float64{math.NaN()}); got != -1 {
-		t.Errorf("ArgMax(all NaN) = %d, want -1", got)
-	}
-}
-
-func TestArgMin(t *testing.T) {
-	if got := ArgMin([]float64{4, -1, 3}); got != 1 {
-		t.Errorf("ArgMin = %d, want 1", got)
-	}
-	if got := ArgMin(nil); got != -1 {
-		t.Errorf("ArgMin(nil) = %d, want -1", got)
-	}
-	if got := ArgMin([]float64{math.NaN(), 7, 7}); got != 1 {
-		t.Errorf("ArgMin NaN/tie = %d, want 1", got)
-	}
-}
-
-func TestMaxOfMinOf(t *testing.T) {
-	if got := MaxOf(1, 9, -3); got != 9 {
-		t.Errorf("MaxOf = %v", got)
-	}
-	if got := MinOf(1, 9, -3); got != -3 {
-		t.Errorf("MinOf = %v", got)
-	}
-	if got := MaxOf(); !math.IsInf(got, -1) {
-		t.Errorf("MaxOf() = %v, want -Inf", got)
-	}
-	if got := MinOf(); !math.IsInf(got, 1) {
-		t.Errorf("MinOf() = %v, want +Inf", got)
-	}
-}
-
 func TestNorm2(t *testing.T) {
-	if got := Norm2([]float64{3, 4}); !Approx(got, 5, 1e-12) {
+	if got := Norm2([]float64{3, 4}); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Norm2(3,4) = %v, want 5", got)
 	}
 	if got := Norm2(nil); got != 0 {
@@ -182,21 +107,9 @@ func TestNorm2PropertyNonNegativeAndScale(t *testing.T) {
 		}
 		// |x| scaling: Norm2(2x) == 2*Norm2(x) up to fp error.
 		n2 := Norm2([]float64{2 * a, 2 * b, 2 * c})
-		return Approx(n2, 2*n, 1e-9)
+		return n2 == 2*n || math.Abs(n2-2*n) <= 1e-9*math.Max(1, math.Max(n2, 2*n))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLerp(t *testing.T) {
-	if got := Lerp(2, 10, 0); got != 2 {
-		t.Errorf("Lerp t=0 = %v", got)
-	}
-	if got := Lerp(2, 10, 1); got != 10 {
-		t.Errorf("Lerp t=1 = %v", got)
-	}
-	if got := Lerp(2, 10, 0.5); got != 6 {
-		t.Errorf("Lerp t=0.5 = %v", got)
 	}
 }

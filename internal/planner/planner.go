@@ -38,7 +38,10 @@ import (
 	"fmt"
 	"math"
 
+	"dragster/internal/cluster"
+	"dragster/internal/flink"
 	"dragster/internal/gp"
+	"dragster/internal/streamsim"
 	"dragster/internal/workload"
 )
 
@@ -64,14 +67,6 @@ type Config struct {
 	// Seed drives probe-simulation noise. Plans are a pure function of
 	// the config: same inputs, byte-identical plan.
 	Seed int64
-	// NoiseSigma / UtilNoiseSigma mirror the simulator knobs the live run
-	// will see (defaults 0.05 / 0.02).
-	NoiseSigma     float64
-	UtilNoiseSigma float64
-	// PricePerCoreHour and TaskCPUMilli size the plan's predicted cost at
-	// SLO (defaults 0.08 $/core·h, 1000 m per task).
-	PricePerCoreHour float64
-	TaskCPUMilli     int
 }
 
 func (c *Config) setDefaults() error {
@@ -91,27 +86,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.NoiseSigma == 0 {
-		c.NoiseSigma = 0.05
-	}
-	if c.UtilNoiseSigma == 0 {
-		c.UtilNoiseSigma = 0.02
-	}
-	if c.NoiseSigma < 0 || c.UtilNoiseSigma < 0 {
-		return errors.New("planner: negative noise")
-	}
-	if c.PricePerCoreHour == 0 {
-		c.PricePerCoreHour = 0.08
-	}
-	if c.PricePerCoreHour < 0 {
-		return errors.New("planner: negative price")
-	}
-	if c.TaskCPUMilli == 0 {
-		c.TaskCPUMilli = 1000
-	}
-	if c.TaskCPUMilli < 1 {
-		return errors.New("planner: TaskCPUMilli must be ≥ 1")
 	}
 	return nil
 }
@@ -203,6 +177,7 @@ func Build(cfg Config) (*Plan, error) {
 	for _, n := range tasks {
 		total += n
 	}
+	taskCPU := flink.TaskManagerSpec().CPUMilli
 	// Probe spend: each probe runs the probed operator at its pinned task
 	// count and every other operator at the grid maximum for probeSeconds.
 	probeTaskSec := 0.0
@@ -220,8 +195,8 @@ func Build(cfg Config) (*Plan, error) {
 		PredictedThroughput: predicted,
 		TargetThroughput:    target,
 		Feasible:            predicted >= sloFraction*target,
-		CostPerHour:         float64(total*cfg.TaskCPUMilli) / 1000 * cfg.PricePerCoreHour,
-		ProbeCost:           probeTaskSec / 3600 * float64(cfg.TaskCPUMilli) / 1000 * cfg.PricePerCoreHour,
+		CostPerHour:         float64(total*taskCPU) / 1000 * cluster.DefaultPricePerCoreHour,
+		ProbeCost:           probeTaskSec / 3600 * float64(taskCPU) / 1000 * cluster.DefaultPricePerCoreHour,
 		Curves:              curves,
 		Probes:              probes,
 	}
@@ -235,7 +210,7 @@ func fitCurves(cfg *Config, probes []Probe) ([]*gp.Regressor, error) {
 	spec := cfg.Spec
 	m := spec.Graph.NumOperators()
 	capScale := spec.YMax / 3
-	noiseSD := math.Max(cfg.NoiseSigma, 0.02) * capScale
+	noiseSD := streamsim.CloudNoiseSigma * capScale
 	regs := make([]*gp.Regressor, m)
 	for i := 0; i < m; i++ {
 		kernel, err := gp.NewSquaredExponential(float64(spec.MaxTasks)/2, capScale*capScale)

@@ -133,9 +133,6 @@ func TestConfigValidation(t *testing.T) {
 		{"nil spec", func(c *Config) { c.Spec = nil }},
 		{"rate count", func(c *Config) { c.TargetRates = []float64{1, 2} }},
 		{"negative rate", func(c *Config) { c.TargetRates = []float64{-1} }},
-		{"negative noise", func(c *Config) { c.NoiseSigma = -0.1 }},
-		{"negative price", func(c *Config) { c.PricePerCoreHour = -1 }},
-		{"zero cpu", func(c *Config) { c.TaskCPUMilli = -5 }},
 	}
 	for _, c := range cases {
 		cfg := Config{Spec: spec, TargetRates: spec.HighRates, Seed: 1}

@@ -138,8 +138,8 @@ func runProbe(cfg *Config, op, n int, drive []float64, probeIdx int64) (Probe, e
 	engine, err := streamsim.New(streamsim.Config{
 		Graph:            spec.Graph,
 		Models:           spec.Models,
-		NoiseSigma:       cfg.NoiseSigma,
-		UtilNoiseSigma:   cfg.UtilNoiseSigma,
+		NoiseSigma:       streamsim.CloudNoiseSigma,
+		UtilNoiseSigma:   streamsim.CloudUtilNoiseSigma,
 		MaxBufferPerEdge: 4 * float64(probeSeconds) * math.Max(peak, 1),
 		RNG:              stats.NewRNG(cfg.Seed + 7919*(probeIdx+1)),
 	})

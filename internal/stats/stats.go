@@ -1,14 +1,12 @@
-// Package stats provides the deterministic randomness and summary
-// statistics used throughout the Dragster reproduction. Every stochastic
-// component (cloud noise, GP observation noise, workload jitter) draws from
-// a stats.RNG seeded explicitly, so experiments are reproducible
-// run-to-run.
+// Package stats provides the deterministic randomness used throughout
+// the Dragster reproduction. Every stochastic component (cloud noise, GP
+// observation noise, workload jitter) draws from a stats.RNG seeded
+// explicitly, so experiments are reproducible run-to-run.
 package stats
 
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // RNG wraps math/rand.Rand with the distributions the simulator needs.
@@ -54,140 +52,3 @@ func (g *RNG) LogNormal(mu, sigma float64) float64 {
 func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r.Float64()
 }
-
-// Perm returns a random permutation of {0, ..., n-1}.
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N             int
-	Mean, Std     float64
-	Min, Max      float64
-	P50, P90, P99 float64
-}
-
-// Summarize computes a Summary over xs. It returns the zero Summary for an
-// empty input.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.P50 = Percentile(sorted, 0.50)
-	s.P90 = Percentile(sorted, 0.90)
-	s.P99 = Percentile(sorted, 0.99)
-	return s
-}
-
-// Percentile returns the p-quantile (0 ≤ p ≤ 1) of an ascending-sorted
-// slice using linear interpolation. It panics on an empty slice or p
-// outside [0, 1].
-func Percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		panic("stats: Percentile of empty slice")
-	}
-	if p < 0 || p > 1 {
-		panic("stats: Percentile p outside [0, 1]")
-	}
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Welford tracks running mean and variance without storing samples. The
-// job monitor uses one per operator to smooth noisy per-tick observations.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds a new observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations folded in so far.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 before any observation).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the running sample variance (0 for fewer than 2 samples).
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the running sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Reset clears the accumulator.
-func (w *Welford) Reset() { *w = Welford{} }
-
-// EWMA is an exponentially weighted moving average with smoothing factor
-// alpha in (0, 1]; larger alpha weights recent samples more.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor. It panics if
-// alpha is outside (0, 1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: EWMA alpha outside (0, 1]")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add folds in an observation and returns the updated average.
-func (e *EWMA) Add(x float64) float64 {
-	if !e.init {
-		e.value, e.init = x, true
-		return x
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-	return e.value
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether at least one sample has been added.
-func (e *EWMA) Initialized() bool { return e.init }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 )
 
@@ -120,38 +119,4 @@ func RestoreCheckpoint(r io.Reader, wantKind string) (*Checkpoint, error) {
 		wire.Sections = make(map[string]json.RawMessage)
 	}
 	return &Checkpoint{Kind: wire.Kind, Version: wire.Version, sections: wire.Sections}, nil
-}
-
-// SaveFile snapshots the checkpoint to path atomically (temporary file
-// plus rename).
-func (c *Checkpoint) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: save checkpoint: %w", err)
-	}
-	if err := c.Snapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: save checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: save checkpoint: %w", err)
-	}
-	return nil
-}
-
-// LoadCheckpointFile restores a checkpoint from a SaveFile snapshot.
-func LoadCheckpointFile(path, wantKind string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: load checkpoint: %w", err)
-	}
-	defer f.Close()
-	return RestoreCheckpoint(f, wantKind)
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -94,27 +93,5 @@ func TestCheckpointMissingSection(t *testing.T) {
 	}
 	if err := ck.Put("", 1); err == nil {
 		t.Fatal("empty section name accepted")
-	}
-}
-
-func TestCheckpointSaveLoadFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fleet.ckpt")
-	ck := NewCheckpoint("fleet")
-	if err := ck.Put("round", 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.SaveFile(path); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	got, err := LoadCheckpointFile(path, "fleet")
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	var round int
-	if err := got.Get("round", &round); err != nil || round != 3 {
-		t.Fatalf("round = %d, %v; want 3", round, err)
-	}
-	if _, err := LoadCheckpointFile(filepath.Join(t.TempDir(), "absent"), "fleet"); err == nil {
-		t.Fatal("loading a missing file should error")
 	}
 }

@@ -9,6 +9,16 @@ import (
 	"dragster/internal/stats"
 )
 
+// The simulated cloud's noise (Eq. 8 of the paper's testbed): every
+// tenant engine runs with these, and the capacity planner probes with
+// them so its curves see the noise the live run will.
+const (
+	// CloudNoiseSigma is the per-slot multiplicative capacity noise.
+	CloudNoiseSigma = 0.05
+	// CloudUtilNoiseSigma is the additive noise on CPU readings.
+	CloudUtilNoiseSigma = 0.02
+)
+
 // Config assembles an Engine.
 type Config struct {
 	// Graph is the application topology.
@@ -224,9 +234,6 @@ func (e *Engine) SetCPU(cpuMilli []int) error {
 	return nil
 }
 
-// CPU returns a copy of the per-pod CPU vector.
-func (e *Engine) CPU() []int { return append([]int(nil), e.cpu...) }
-
 // CPUView returns the per-pod CPU vector without copying, under the same
 // read-only aliasing contract as TasksView (valid until the next SetCPU).
 func (e *Engine) CPUView() []int { return e.cpu }
@@ -281,19 +288,6 @@ func (e *Engine) BeginSlot() {
 // this).
 func (e *Engine) TrueCapacity(i int) float64 {
 	return e.caps[i]
-}
-
-// ModelCapacities returns the noise-free capacity vector for an arbitrary
-// parallelism vector — the oracle used for brute-force optimum search.
-func (e *Engine) ModelCapacities(tasks []int) ([]float64, error) {
-	if len(tasks) != len(e.tasks) {
-		return nil, fmt.Errorf("streamsim: got %d task counts, want %d", len(tasks), len(e.tasks))
-	}
-	out := make([]float64, len(tasks))
-	for i, n := range tasks {
-		out[i] = e.cfg.Models[i].Capacity(n)
-	}
-	return out, nil
 }
 
 // DroppedTotal returns cumulative tuples dropped to buffer caps.

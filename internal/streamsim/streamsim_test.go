@@ -322,16 +322,19 @@ func TestSlotNoiseMeanOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w stats.Welford
-	for i := 0; i < 5000; i++ {
+	const n = 5000
+	var sum, sumSq float64
+	for i := 0; i < n; i++ {
 		e.BeginSlot()
-		w.Add(e.slotNoise[0])
+		sum += e.slotNoise[0]
+		sumSq += e.slotNoise[0] * e.slotNoise[0]
 	}
-	if math.Abs(w.Mean()-1) > 0.02 {
-		t.Errorf("slot noise mean = %v, want ≈1", w.Mean())
+	mean := sum / n
+	if math.Abs(mean-1) > 0.02 {
+		t.Errorf("slot noise mean = %v, want ≈1", mean)
 	}
-	if w.Std() < 0.1 {
-		t.Errorf("slot noise std = %v, want ≈0.2", w.Std())
+	if std := math.Sqrt(sumSq/n - mean*mean); std < 0.1 {
+		t.Errorf("slot noise std = %v, want ≈0.2", std)
 	}
 }
 

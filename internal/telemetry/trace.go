@@ -31,9 +31,6 @@ func Float(k string, v float64) Attr {
 	return Attr{Key: k, Value: strconv.FormatFloat(v, 'g', -1, 64)}
 }
 
-// Bool builds a boolean attribute.
-func Bool(k string, v bool) Attr { return Attr{Key: k, Value: strconv.FormatBool(v)} }
-
 // SpanRecord is one closed span of the sim-time trace. Start and End are
 // simulation seconds (the cluster clock), never wall time: traces from a
 // fixed seed are byte-identical across runs and machines, which is what

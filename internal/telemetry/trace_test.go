@@ -128,7 +128,6 @@ func TestAttrConstructors(t *testing.T) {
 		{Int64("a", 1<<40), "1099511627776"},
 		{Float("a", 0.1), "0.1"},
 		{Float("a", 12345.678), "12345.678"},
-		{Bool("a", true), "true"},
 	}
 	for _, c := range cases {
 		if c.attr.Value != c.want {

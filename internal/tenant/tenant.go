@@ -24,6 +24,10 @@ import (
 	"dragster/internal/workload"
 )
 
+// maxBufferSeconds caps each engine edge's backlog at this many seconds
+// of the tenant's peak offered rate; tuples beyond it are dropped.
+const maxBufferSeconds = 120
+
 // Config assembles a Tenant.
 type Config struct {
 	// Name is the job name on the substrate.
@@ -38,13 +42,6 @@ type Config struct {
 	Horizon int
 	// Seed seeds the dataflow engine's noise stream.
 	Seed int64
-	// NoiseSigma and UtilNoiseSigma are the engine's capacity and CPU
-	// reading noise.
-	NoiseSigma     float64
-	UtilNoiseSigma float64
-	// MaxBufferSeconds caps per-edge backlog at this many seconds of the
-	// peak offered rate (0 keeps buffers unbounded).
-	MaxBufferSeconds float64
 	// InitialTasks is the configuration at submission (nil = one task per
 	// operator).
 	InitialTasks []int
@@ -102,16 +99,12 @@ func New(cfg Config) (*Tenant, error) {
 		return nil, errors.New("tenant: needs a Workload, a RateFunc, a Policy and a Session")
 	}
 	spec := cfg.Workload
-	var maxBuf float64
-	if cfg.MaxBufferSeconds > 0 {
-		maxBuf = cfg.MaxBufferSeconds * math.Max(peakRate(cfg.Rates, cfg.Horizon), 1)
-	}
 	engine, err := streamsim.New(streamsim.Config{
 		Graph:            spec.Graph,
 		Models:           spec.Models,
-		NoiseSigma:       cfg.NoiseSigma,
-		UtilNoiseSigma:   cfg.UtilNoiseSigma,
-		MaxBufferPerEdge: maxBuf,
+		NoiseSigma:       streamsim.CloudNoiseSigma,
+		UtilNoiseSigma:   streamsim.CloudUtilNoiseSigma,
+		MaxBufferPerEdge: maxBufferSeconds * math.Max(peakRate(cfg.Rates, cfg.Horizon), 1),
 		RNG:              stats.NewRNG(cfg.Seed),
 	})
 	if err != nil {
@@ -148,12 +141,12 @@ func New(cfg Config) (*Tenant, error) {
 
 // ControllerConfig returns the Dragster controller settings every tenant
 // of spec shares: its graph and capacity bound, the 1..MaxTasks task grid
-// per operator, and GP noise sized from the capacity noise noiseSigma.
+// per operator, and GP noise sized from the engine's capacity noise.
 // Callers add the method, budget and the rest.
-func ControllerConfig(spec *workload.Spec, noiseSigma float64) core.Config {
-	// Capacity observations carry roughly noiseSigma relative error;
+func ControllerConfig(spec *workload.Spec) core.Config {
+	// Capacity observations carry roughly CloudNoiseSigma relative error;
 	// anchor the variance to the capacity scale.
-	noiseSD := math.Max(noiseSigma, 0.02) * (spec.YMax / 3)
+	noiseSD := streamsim.CloudNoiseSigma * (spec.YMax / 3)
 	grid := make([][]float64, spec.MaxTasks)
 	for n := 1; n <= spec.MaxTasks; n++ {
 		grid[n-1] = []float64{float64(n)}

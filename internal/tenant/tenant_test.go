@@ -42,18 +42,15 @@ func newRig(t *testing.T, spec *workload.Spec, policy core.Autoscaler, vertical 
 	}
 	reg := telemetry.NewRegistry()
 	tn, err := New(Config{
-		Name:             spec.Name,
-		Workload:         spec,
-		Rates:            rates,
-		Horizon:          8,
-		Seed:             3,
-		NoiseSigma:       0.05,
-		UtilNoiseSigma:   0.02,
-		MaxBufferSeconds: 120,
-		Session:          session,
-		Policy:           policy,
-		Vertical:         vertical,
-		Metrics:          reg,
+		Name:     spec.Name,
+		Workload: spec,
+		Rates:    rates,
+		Horizon:  8,
+		Seed:     3,
+		Session:  session,
+		Policy:   policy,
+		Vertical: vertical,
+		Metrics:  reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +192,7 @@ func TestVerticalDecidePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ControllerConfig(spec, 0.05)
+	cfg := ControllerConfig(spec)
 	for i := range cfg.Candidates {
 		cfg.Candidates[i] = grid
 	}

@@ -122,8 +122,7 @@ func LoadTraceCSV(r io.Reader) (RateFunc, error) {
 
 // Scale composes a base profile with a time-varying multiplier — the
 // trace-replay building block: a diurnal (or replayed-CSV) base shaped by
-// an event multiplier like FlashCrowdMultiplier or
-// BlackFridayMultiplier.
+// an event multiplier like BlackFridayMultiplier.
 func Scale(base RateFunc, mult func(slot, sec int) float64) (RateFunc, error) {
 	if base == nil || mult == nil {
 		return nil, errors.New("workload: Scale needs a base profile and a multiplier")
@@ -137,41 +136,6 @@ func Scale(base RateFunc, mult func(slot, sec int) float64) (RateFunc, error) {
 		}
 		return out
 	}, nil
-}
-
-// FlashCrowdMultiplier models an unanticipated traffic spike: load jumps
-// straight to peak× at startSlot (the "flash"), holds for holdSlots, and
-// decays linearly back to 1× over decaySlots. holdSlots=1, decaySlots=0
-// is a single-slot spike.
-func FlashCrowdMultiplier(startSlot, holdSlots, decaySlots int, peak float64) (func(slot, sec int) float64, error) {
-	if startSlot < 0 || holdSlots < 1 || decaySlots < 0 {
-		return nil, fmt.Errorf("workload: flash crowd start %d hold %d decay %d invalid", startSlot, holdSlots, decaySlots)
-	}
-	if peak < 1 || math.IsNaN(peak) || math.IsInf(peak, 0) {
-		return nil, fmt.Errorf("workload: flash crowd peak %v must be a finite multiplier ≥ 1", peak)
-	}
-	return func(slot, _ int) float64 {
-		t := slot - startSlot
-		switch {
-		case t < 0:
-			return 1
-		case t < holdSlots:
-			return peak
-		case t < holdSlots+decaySlots:
-			return peak - (peak-1)*float64(t-holdSlots+1)/float64(decaySlots+1)
-		default:
-			return 1
-		}
-	}, nil
-}
-
-// FlashCrowd applies FlashCrowdMultiplier to a base profile.
-func FlashCrowd(base RateFunc, startSlot, holdSlots, decaySlots int, peak float64) (RateFunc, error) {
-	m, err := FlashCrowdMultiplier(startSlot, holdSlots, decaySlots, peak)
-	if err != nil {
-		return nil, err
-	}
-	return Scale(base, m)
 }
 
 // BlackFridayMultiplier models an anticipated sales event: load builds

@@ -156,51 +156,6 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestFlashCrowdShape(t *testing.T) {
-	base, err := Constant([]float64{1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := FlashCrowd(base, 10, 2, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f(9, 0)[0]; got != 1000 {
-		t.Errorf("pre-spike rate = %v", got)
-	}
-	if got := f(10, 0)[0]; got != 3000 {
-		t.Errorf("spike onset = %v, want 3000 (flash, no ramp)", got)
-	}
-	if got := f(11, 0)[0]; got != 3000 {
-		t.Errorf("hold = %v, want 3000", got)
-	}
-	// Linear decay strictly between peak and base, then back to base.
-	for slot := 12; slot < 14; slot++ {
-		got := f(slot, 0)[0]
-		if got <= 1000 || got >= 3000 {
-			t.Errorf("decay slot %d rate = %v outside (1000, 3000)", slot, got)
-		}
-		if prev := f(slot-1, 0)[0]; got >= prev {
-			t.Errorf("decay slot %d rate %v did not fall from %v", slot, got, prev)
-		}
-	}
-	if got := f(14, 0)[0]; got != 1000 {
-		t.Errorf("post-decay rate = %v, want 1000", got)
-	}
-
-	for _, bad := range []func() (RateFunc, error){
-		func() (RateFunc, error) { return FlashCrowd(base, -1, 1, 0, 2) },
-		func() (RateFunc, error) { return FlashCrowd(base, 0, 0, 0, 2) },
-		func() (RateFunc, error) { return FlashCrowd(base, 0, 1, -1, 2) },
-		func() (RateFunc, error) { return FlashCrowd(base, 0, 1, 0, 0.5) },
-		func() (RateFunc, error) { return FlashCrowd(base, 0, 1, 0, math.NaN()) },
-	} {
-		if _, err := bad(); err == nil {
-			t.Error("invalid flash-crowd config accepted")
-		}
-	}
-}
-
 func TestBlackFridayShape(t *testing.T) {
 	base, err := Constant([]float64{1000})
 	if err != nil {
@@ -259,7 +214,12 @@ func TestPhaseBoundariesEdges(t *testing.T) {
 	}
 	// Single-slot spike: base → spike → base is three phases after the
 	// mandatory slot-0 start.
-	f, err := FlashCrowd(base, 3, 1, 0, 4)
+	f, err := Scale(base, func(slot, _ int) float64 {
+		if slot == 3 {
+			return 4
+		}
+		return 1
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
