@@ -49,7 +49,7 @@ var deadExportKeep = map[string]string{
 	"dragster/internal/chaos.Spec.MaxSlot":                 "sizes a run to a built Spec's schedule",
 	"dragster/internal/cluster.Cluster.Deployments":        "test seam onto the deployment list",
 	"dragster/internal/cluster.Cluster.PendingPods":        "test seam onto unscheduled pods",
-	"dragster/internal/cluster.Cluster.PodMetrics":         "the metrics-server read side of SetDeploymentUtil, which the substrate feeds every second",
+	"dragster/internal/cluster.Cluster.PodMetrics":         "the metrics-server read side of SetDeploymentUtil, which the substrate feeds once per slot",
 	"dragster/internal/stats.RNG.Uniform":                  "the RNG's uniform draw, kept beside Normal and LogNormal",
 
 	// Features with no caller yet.

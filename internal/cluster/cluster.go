@@ -477,9 +477,9 @@ func (c *Cluster) Pods() []Pod {
 
 // SetDeploymentUtil reports a deployment's current CPU utilization
 // (usage/limit) for each of its running pods, clamped to [0, limit]; the
-// metrics server exposes it via PodMetrics. The
-// stream substrates call it once per operator per simulated second. An
-// unknown deployment is ignored, as RunningPods reports 0 for it.
+// metrics server exposes it via PodMetrics. The stream substrates call it
+// once per operator per slot, with the utilization of the slot's last
+// tick. An unknown deployment is ignored, as RunningPods reports 0 for it.
 func (c *Cluster) SetDeploymentUtil(deployment string, util float64) {
 	d, ok := c.deployments[deployment]
 	if !ok {

@@ -638,10 +638,11 @@ func (c *Controller) maxTasksOf(op int) int {
 
 // taskLoss estimates how much removing one task from operator op (at
 // `from` tasks) increases its shortfall against target: the projection
-// trims tasks where the GP says capacity is least needed.
+// trims tasks where the GP says capacity is least needed. It reads only
+// posterior means, so it skips the variance's triangular solve.
 func (c *Controller) taskLoss(op, from int, target float64) float64 {
-	muFrom, _, errA := c.searchers[op].Regressor().Posterior(c.configFor(op, from, c.lastCPU[op]))
-	muTo, _, errB := c.searchers[op].Regressor().Posterior(c.configFor(op, from-1, c.lastCPU[op]))
+	muFrom, errA := c.searchers[op].Regressor().Mean(c.configFor(op, from, c.lastCPU[op]))
+	muTo, errB := c.searchers[op].Regressor().Mean(c.configFor(op, from-1, c.lastCPU[op]))
 	if errA != nil || errB != nil {
 		// No data yet: assume linear capacity in tasks so trimming larger
 		// allocations first is neutral.

@@ -382,6 +382,10 @@ type jobState struct {
 	// tenants). Memoized so blocked rounds never re-probe or re-journal.
 	plan *planner.Plan
 
+	// shareGauge and priceGauge are the job's labelled /metrics series
+	// names, encoded once at registration rather than every round.
+	shareGauge, priceGauge string
+
 	budget   int // current Σ-tasks share
 	usage    int // Σ desired tasks last applied
 	need     int // Σ tasks demand estimate from the last snapshot (0 = none yet)
@@ -485,10 +489,12 @@ func New(cfg Config) (*Manager, error) {
 // addJob registers a pending tenant in submission order.
 func (m *Manager) addJob(spec JobSpec, committed bool) {
 	js := &jobState{
-		idx:       len(m.jobs),
-		spec:      spec,
-		status:    StatusPending,
-		committed: committed,
+		idx:        len(m.jobs),
+		spec:       spec,
+		status:     StatusPending,
+		committed:  committed,
+		shareGauge: telemetry.Label("fleet_budget_share", "job", spec.Name),
+		priceGauge: telemetry.Label("fleet_dual_price", "job", spec.Name),
 		res: &JobResult{
 			Name:       spec.Name,
 			Workload:   spec.Workload.Name,
@@ -769,8 +775,8 @@ func (m *Manager) departJob(js *jobState, r int) {
 	js.budget = 0
 	// A departed tenant holds no share, so its labelled series leave
 	// /metrics rather than report their last values forever.
-	m.reg.DeleteGauge(telemetry.Label("fleet_budget_share", "job", js.spec.Name))
-	m.reg.DeleteGauge(telemetry.Label("fleet_dual_price", "job", js.spec.Name))
+	m.reg.DeleteGauge(js.shareGauge)
+	m.reg.DeleteGauge(js.priceGauge)
 	m.emit(event.TypeDepart, js.spec.Name, "")
 	m.tracer.Event("fleet", "depart", telemetry.Str("job", js.spec.Name), telemetry.Int("round", r))
 	m.reg.Inc("fleet_jobs_departed")
@@ -956,8 +962,8 @@ func (m *Manager) gauges() {
 	allocated := 0
 	for _, js := range m.running {
 		allocated += js.budget
-		reg.SetGauge(telemetry.Label("fleet_budget_share", "job", js.spec.Name), float64(js.budget))
-		reg.SetGauge(telemetry.Label("fleet_dual_price", "job", js.spec.Name), dualPrice(js.t.Controller().Duals()))
+		reg.SetGauge(js.shareGauge, float64(js.budget))
+		reg.SetGauge(js.priceGauge, dualPrice(js.t.Controller().Duals()))
 	}
 	reg.SetGauge("fleet_budget_allocated", float64(allocated))
 	reg.SetGauge("fleet_budget_total", float64(m.cfg.TotalTaskBudget))

@@ -120,16 +120,15 @@ func (m *Manager) harvest() {
 		kind := fingerprint(js.spec.Workload)
 		for i := 0; i < js.spec.Workload.Graph.NumOperators(); i++ {
 			name := js.spec.Workload.Graph.OperatorName(i)
-			hist := js.db.History(name)
-			from := js.harvested[name]
-			for _, r := range hist[from:] {
+			fresh := js.db.HistoryFrom(name, js.harvested[name])
+			for _, r := range fresh {
 				if !harvestable(r) {
 					continue
 				}
 				m.archive.add(kind, r)
 				m.reg.Inc("fleet_warmstart_harvested")
 			}
-			js.harvested[name] = len(hist)
+			js.harvested[name] += len(fresh)
 		}
 	}
 }

@@ -312,6 +312,64 @@ func TestMetricsServerSeesPodUsage(t *testing.T) {
 	}
 }
 
+// TestMetricsServerSeesLastTickUsage: a slot whose load drops mid-slot
+// leaves every running pod's PodMetrics row at the utilization of the
+// slot's last tick, replayed here on a twin engine with the same
+// parallelism and CPU.
+func TestMetricsServerSeesLastTickUsage(t *testing.T) {
+	s, j := newSessionWithJob(t, 8, []int{2, 2})
+	const seconds = 30
+	rateAt := func(sec int) []float64 {
+		if sec < 20 {
+			return []float64{120} // the map emits 240 of its 300 tuples/s
+		}
+		return []float64{30}
+	}
+	if _, err := j.RunSlot(seconds, rateAt); err != nil {
+		t.Fatal(err)
+	}
+	twin := newEngine(t, chainGraph(t), 150)
+	if err := twin.SetTasks(j.engine.TasksView()); err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.SetCPU(j.engine.CPUView()); err != nil {
+		t.Fatal(err)
+	}
+	twin.BeginSlot()
+	var first, last []float64
+	for sec := 0; sec < seconds; sec++ {
+		st, err := twin.Tick(rateAt(sec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = last[:0]
+		for _, op := range st.Ops {
+			last = append(last, op.Util)
+		}
+		if sec == 0 {
+			first = append([]float64(nil), last...)
+		}
+	}
+	if first[0] == last[0] || first[1] == last[1] {
+		t.Fatalf("utilization %v did not change over the slot (last tick %v)", first, last)
+	}
+	want := map[string]float64{"tm-wordcount-map": last[0], "tm-wordcount-shuffle": last[1]}
+	rows := 0
+	for _, m := range s.Cluster().PodMetrics() {
+		util, ok := want[m.Deployment]
+		if !ok {
+			continue
+		}
+		rows++
+		if usage := min(max(int(util*float64(m.CPULimit)), 0), m.CPULimit); m.CPUMilli != usage {
+			t.Errorf("%s usage = %dm, want the last tick's %dm (util %v)", m.Pod, m.CPUMilli, usage, util)
+		}
+	}
+	if rows != 4 {
+		t.Fatalf("PodMetrics has %d operator pod rows, want 4", rows)
+	}
+}
+
 func TestRESTHandler(t *testing.T) {
 	s, j := newSessionWithJob(t, 8, []int{2, 3})
 	h := NewRESTHandler(s)

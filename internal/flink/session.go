@@ -364,7 +364,8 @@ type SlotReport = telemetry.SlotReport
 // RunSlot advances the job by `seconds` ticks at the offered rates
 // returned by rateAt (called with the second offset within the slot) and
 // returns the slot report. It also feeds per-pod CPU usage to the
-// Kubernetes metrics server so its PodMetrics rows carry live usage.
+// Kubernetes metrics server so its PodMetrics rows carry the usage of the
+// slot's last tick.
 func (j *Job) RunSlot(seconds int, rateAt func(sec int) []float64) (*SlotReport, error) {
 	return j.runSlot(seconds, rateAt, true)
 }
@@ -396,23 +397,26 @@ func (j *Job) runSlot(seconds int, rateAt func(sec int) []float64, tickCluster b
 		return nil, fmt.Errorf("flink: %w", err)
 	}
 	droppedBefore := j.engine.DroppedTotal()
+	var st streamsim.TickStats
 	for sec := 0; sec < seconds; sec++ {
 		rates := rateAt(sec)
-		st, err := j.engine.Tick(rates)
+		st, err = j.engine.Tick(rates)
 		if err != nil {
 			return nil, err
 		}
 		if err := acc.Tick(rates, st); err != nil {
 			return nil, err
 		}
-		// Spread each operator's utilization uniformly over its running
-		// pods, so the metrics server sees live usage.
-		for i, dep := range j.deployments {
-			j.session.k8s.SetDeploymentUtil(dep, st.Ops[i].Util)
-		}
 		if tickCluster {
 			j.session.k8s.Tick(1)
 		}
+	}
+	// Spread each operator's last-tick utilization uniformly over its
+	// running pods. The metrics server is read between slots, so one write
+	// per slot shows what a write every tick would. st is set: the slot
+	// accumulator rejects slots shorter than one tick.
+	for i, dep := range j.deployments {
+		j.session.k8s.SetDeploymentUtil(dep, st.Ops[i].Util)
 	}
 	rep, err := acc.Finish(j.opNames, j.desired, j.EffectiveParallelism(), j.EffectiveCPUMilli(),
 		j.engine.DroppedTotal()-droppedBefore, j.session.k8s.Cost())

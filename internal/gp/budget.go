@@ -41,7 +41,7 @@ func (p EvictionPolicy) String() string {
 // posterior stays bit-identical to a from-scratch fit of the retained
 // set — eviction downdates the factor with linalg.Cholesky.Downdate and
 // recomputes the centring sum with a fresh in-order loop, both of which
-// reproduce the reference fitSystem arithmetic exactly.
+// reproduce the reference factorSystem/solveWeights arithmetic exactly.
 func (r *Regressor) SetObservationBudget(budget int, policy EvictionPolicy) error {
 	if budget < 0 {
 		return fmt.Errorf("gp: observation budget must be >= 0, got %d", budget)
@@ -96,10 +96,10 @@ func (r *Regressor) evictOne() {
 	}
 	idx := 0
 	if r.evictPolicy == EvictLowestInformation && n > 1 {
-		if err := r.ensureFit(); err == nil {
+		if err := r.ensureFactor(); err == nil {
 			best := math.Inf(1)
 			for i := 0; i < n; i++ {
-				if d := r.chol.L.At(i, i); d < best {
+				if d := r.chol.At(i, i); d < best {
 					best, idx = d, i
 				}
 			}
@@ -113,8 +113,9 @@ func (r *Regressor) evictOne() {
 	copy(r.ys[idx:], r.ys[idx+1:])
 	r.ys = r.ys[:n-1]
 	// Recompute the centring sum with a fresh in-order loop — a running
-	// subtraction would drift from fitSystem's addition order and break
-	// the bit-identity contract with a from-scratch refit.
+	// subtraction would drift from the in-order sum a regressor built from
+	// the retained set holds, and break the bit-identity contract with a
+	// from-scratch refit.
 	var sum float64
 	for _, y := range r.ys {
 		sum += y
@@ -134,13 +135,7 @@ func (r *Regressor) evictOne() {
 			r.dirty = true
 			break
 		}
-		m := len(r.ys)
-		r.mean = r.ySum / float64(m)
-		r.alpha = growFloats(r.alpha, m)
-		for i, yi := range r.ys {
-			r.alpha[i] = yi - r.mean
-		}
-		r.chol.SolveVecInto(r.alpha, r.alpha)
+		r.alphaStale = true // ensureFit re-solves on the next read of μ
 	}
 	r.evictions++
 	r.tracer.Metrics().Inc("gp_evictions")

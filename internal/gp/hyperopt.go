@@ -95,10 +95,11 @@ func (r *Regressor) maximizeLML(grid HyperGrid, workers int) (lengthScale, varia
 	lmls := make([]float64, len(points))
 	feasible := make([]bool, len(points))
 	par.For(len(points), workers, func(i int) {
-		mean, chol, alpha, ferr := fitSystem(r.xs, r.ys, r.ySum, kernels[i], r.noiseVar)
+		chol, ferr := factorSystem(r.xs, kernels[i], r.noiseVar)
 		if ferr != nil {
 			return // numerically infeasible combination; skip
 		}
+		mean, alpha := solveWeights(nil, chol, r.ys, r.ySum)
 		lmls[i] = lmlFromFit(r.ys, mean, alpha, chol)
 		feasible[i] = true
 	})

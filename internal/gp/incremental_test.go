@@ -135,3 +135,97 @@ func TestPosteriorAllocFreeSteadyState(t *testing.T) {
 		t.Errorf("Posterior allocates %v times per query in steady state, want 0", allocs)
 	}
 }
+
+// TestMeanMatchesPosteriorBitForBit: across random observe / evict /
+// kernel-swap / hyperparameter-refit interleavings, Mean(x) equals the μ
+// of Posterior(x) bit for bit, whichever of the two reads first after a
+// mutation (the first read is the one that re-solves the lazy α).
+func TestMeanMatchesPosteriorBitForBit(t *testing.T) {
+	if _, err := mustRegressor(t, mustSE(t, 1, 1), 0.1).Mean([]float64{0}); err != ErrEmpty {
+		t.Fatalf("Mean on an empty regressor: err = %v, want ErrEmpty", err)
+	}
+	probes := [][]float64{{-4, 2}, {0, 0}, {1.5, -3}, {5, 5}}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := stats.NewRNG(seed)
+		r := mustRegressor(t, mustSE(t, 1.5, 4), 0.2)
+		for step := 0; step < 120; step++ {
+			switch op := rng.Uniform(0, 1); {
+			case op < 0.65 || r.Len() < 3:
+				if err := r.Observe([]float64{rng.Uniform(-5, 5), rng.Uniform(-5, 5)}, rng.Normal(10, 3)); err != nil {
+					t.Fatal(err)
+				}
+			case op < 0.8:
+				policy := EvictLowestInformation
+				if rng.Uniform(0, 1) < 0.5 {
+					policy = EvictOldest
+				}
+				if err := r.SetObservationBudget(r.Len()-1-rng.Intn(2), policy); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.SetObservationBudget(0, policy); err != nil {
+					t.Fatal(err)
+				}
+			case op < 0.92:
+				if err := r.SetKernel(mustSE(t, rng.Uniform(0.5, 3), rng.Uniform(1, 8))); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				grid, err := DefaultHyperGrid(10, 9)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, _, err := r.MaximizeLML(grid); err != nil {
+					t.Fatal(err)
+				}
+			}
+			meanFirst := step%2 == 0
+			for _, p := range probes {
+				var mean, mu float64
+				var errM, errP error
+				if meanFirst {
+					mean, errM = r.Mean(p)
+					mu, _, errP = r.Posterior(p)
+				} else {
+					mu, _, errP = r.Posterior(p)
+					mean, errM = r.Mean(p)
+				}
+				if errM != nil || errP != nil {
+					t.Fatalf("seed %d step %d: Mean err %v, Posterior err %v", seed, step, errM, errP)
+				}
+				if math.Float64bits(mean) != math.Float64bits(mu) {
+					t.Fatalf("seed %d step %d at %v: Mean %v, Posterior μ %v", seed, step, p, mean, mu)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkObserveReplay48 is the warm-start shape: a fresh regressor
+// observes 48 archived points one at a time, then the first decision
+// reads one posterior mean.
+func BenchmarkObserveReplay48(b *testing.B) {
+	rng := stats.NewRNG(15)
+	pts := make([][]float64, 48)
+	vals := make([]float64, 48)
+	for j := range pts {
+		pts[j] = []float64{float64(1 + rng.Intn(10)), rng.Uniform(500, 2000)}
+		vals[j] = rng.Normal(1000, 100)
+	}
+	kern, err := NewARDSquaredExponential([]float64{2, 300}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := mustRegressor(b, kern, 0.1)
+		for j := range pts {
+			if err := r.Observe(pts[j], vals[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := r.Mean(pts[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -30,9 +30,12 @@ var ErrEmpty = errors.New("gp: no observations")
 // (linalg.Cholesky.Extend) instead of refactorizing from scratch in O(n³),
 // so a T-observation search costs O(T³) total rather than O(T⁴). A full
 // refactorization happens only on a kernel swap (SetKernel / MaximizeLML)
-// or after a numerically failed extension. Posterior queries reuse
-// per-regressor scratch buffers, so the steady-state query path is
-// allocation-free. A Regressor is not safe for concurrent use.
+// or after a numerically failed extension. The weights α are solved
+// lazily, on the first read of μ after the observations changed, so a
+// burst of Observes (a warm-start replay) pays for one α solve, not one
+// per point. Posterior queries reuse per-regressor scratch buffers, so
+// the steady-state query path is allocation-free. A Regressor is not safe
+// for concurrent use.
 type Regressor struct {
 	kernel   Kernel
 	noiseVar float64 // σ²
@@ -41,11 +44,14 @@ type Regressor struct {
 	ys   []float64
 	ySum float64 // running Σy, same addition order as a fresh loop
 
-	// fitted state
-	dirty bool
-	mean  float64
-	chol  *linalg.Cholesky
-	alpha []float64 // (K+σ²I)⁻¹ (y − mean)
+	// fitted state. dirty means chol must be refactorized from scratch;
+	// alphaStale means chol is current but mean and alpha must be
+	// re-solved against it (ensureFit does both, in that order).
+	dirty      bool
+	alphaStale bool
+	mean       float64
+	chol       *linalg.Cholesky
+	alpha      []float64 // (K+σ²I)⁻¹ (y − mean)
 
 	// kernelEpoch increments on every SetKernel; callers that cache
 	// kernel-derived quantities (the UCB cross-covariance cache) compare
@@ -53,9 +59,8 @@ type Regressor struct {
 	kernelEpoch uint64
 
 	// scratch buffers reused across queries (never returned to callers).
-	kxBuf  []float64
-	vBuf   []float64
-	rowBuf []float64
+	kxBuf []float64
+	vBuf  []float64
 
 	// accumulated information gain ½ Σ log(1 + σ⁻²·σ²_{t−1}(x_t)),
 	// the empirical counterpart of Γ_T in Theorem 1. Evictions do not
@@ -123,10 +128,12 @@ func (r *Regressor) Observations() ([][]float64, []float64) {
 }
 
 // growFloats returns buf resized to n, reallocating only when capacity is
-// insufficient. Contents are unspecified.
+// insufficient — and then geometrically, so a buffer that tracks a
+// growing observation count reallocates O(log n) times. Contents are
+// unspecified.
 func growFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
-		return make([]float64, n)
+		buf = append(buf[:cap(buf)], make([]float64, n-cap(buf))...)
 	}
 	return buf[:n]
 }
@@ -134,9 +141,11 @@ func growFloats(buf []float64, n int) []float64 {
 // Observe appends a noisy sample y at point x. The point is copied. Before
 // storing, the predictive variance at x is folded into the running
 // information gain — free of charge, since the factorization is already
-// current. The factor is then extended in place (O(n²)); only if the
-// posterior is dirty (kernel swap, numerical failure) does the next query
-// fall back to a full refit.
+// current. The kernel row k(x_i, x) that variance needs is also the border
+// row of the bordered Gram matrix, so it is evaluated once and the factor
+// is then extended in place (O(n²)); α is only marked stale. If the
+// posterior is dirty (kernel swap, numerical failure) the next query
+// falls back to a full refit.
 func (r *Regressor) Observe(x []float64, y float64) error {
 	if len(x) == 0 {
 		return errors.New("gp: empty input point")
@@ -148,20 +157,23 @@ func (r *Regressor) Observe(x []float64, y float64) error {
 		return fmt.Errorf("gp: non-finite observation %v", y)
 	}
 	n := len(r.ys)
-	if n > 0 {
-		if _, s2, err := r.Posterior(x); err == nil {
-			r.infoGain += 0.5 * math.Log(1+s2/r.noiseVar)
-		}
-	} else {
-		r.infoGain += 0.5 * math.Log(1+r.kernel.Eval(x, x)/r.noiseVar)
+	kxx := r.kernel.Eval(x, x)
+	var row []float64
+	if n == 0 {
+		r.infoGain += 0.5 * math.Log(1+kxx/r.noiseVar)
+	} else if err := r.ensureFactor(); err == nil {
+		row = r.crossRow(x)
+		r.infoGain += 0.5 * math.Log(1+r.varianceFromCross(row, kxx)/r.noiseVar)
 	}
 	r.xs = append(r.xs, append([]float64(nil), x...))
 	r.ys = append(r.ys, y)
 	r.ySum += y
-	r.tracer.Event("gp", "observe",
-		telemetry.Str("op", r.label),
-		telemetry.Int("n", n+1),
-		telemetry.Float("y", y))
+	if r.tracer != nil { // the float attribute would format even untraced
+		r.tracer.Event("gp", "observe",
+			telemetry.Str("op", r.label),
+			telemetry.Int("n", n+1),
+			telemetry.Float("y", y))
+	}
 	r.tracer.Metrics().Inc("gp_observations")
 	if n == 0 || r.dirty || r.chol == nil {
 		// No current factor to extend (first point, kernel swap pending, or
@@ -171,44 +183,43 @@ func (r *Regressor) Observe(x []float64, y float64) error {
 		return nil
 	}
 	// Incremental path: border the factor with the new cross-covariance row.
-	row := growFloats(r.rowBuf, n)
-	r.rowBuf = row
-	for i := 0; i < n; i++ {
-		row[i] = r.kernel.Eval(r.xs[i], x)
-	}
-	if err := r.chol.Extend(row, r.kernel.Eval(x, x)+r.noiseVar); err != nil {
+	if err := r.chol.Extend(row, kxx+r.noiseVar); err != nil {
 		r.dirty = true // numerically degenerate; next query refits from scratch
 		r.enforceBudget()
 		return nil
 	}
 	// The empirical mean moved, so α = (K+σ²I)⁻¹(y−mean) is re-solved
-	// against the extended factor: two triangular solves, O(n²).
-	r.mean = r.ySum / float64(n+1)
-	r.alpha = growFloats(r.alpha, n+1)
-	for i, yi := range r.ys {
-		r.alpha[i] = yi - r.mean
-	}
-	r.chol.SolveVecInto(r.alpha, r.alpha)
-	r.dirty = false
+	// against the extended factor on the next read of μ.
+	r.alphaStale = true
 	r.enforceBudget()
 	return nil
+}
+
+// crossRow evaluates kx[i] = k(x_i, x) over the observations into the
+// query scratch and returns it.
+func (r *Regressor) crossRow(x []float64) []float64 {
+	kx := growFloats(r.kxBuf, len(r.xs))
+	r.kxBuf = kx
+	for i := range r.xs {
+		kx[i] = r.kernel.Eval(r.xs[i], x)
+	}
+	return kx
 }
 
 // InformationGain returns the accumulated empirical information gain,
 // the quantity bounded by Γ_T in Theorem 1.
 func (r *Regressor) InformationGain() float64 { return r.infoGain }
 
-// fitSystem factorizes K+σ²I over xs under the given kernel and solves for
-// the centred weights. It is free of shared state so hyperparameter search
-// can evaluate candidate kernels concurrently on a snapshot; refit uses it
-// for the from-scratch path. The arithmetic (Gram fill order, centring,
-// solve order) is the reference the incremental path must reproduce.
-func fitSystem(xs [][]float64, ys []float64, ySum float64, kernel Kernel, noiseVar float64) (mean float64, chol *linalg.Cholesky, alpha []float64, err error) {
-	n := len(ys)
+// factorSystem factorizes K+σ²I over xs under the given kernel. It is
+// free of shared state so hyperparameter search can evaluate candidate
+// kernels concurrently on a snapshot; refit uses it for the from-scratch
+// path. Its Gram fill order and solveWeights' centring and solve order
+// are the reference the incremental path must reproduce.
+func factorSystem(xs [][]float64, kernel Kernel, noiseVar float64) (*linalg.Cholesky, error) {
+	n := len(xs)
 	if n == 0 {
-		return 0, nil, nil, ErrEmpty
+		return nil, ErrEmpty
 	}
-	mean = ySum / float64(n)
 	k := linalg.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
@@ -217,16 +228,25 @@ func fitSystem(xs [][]float64, ys []float64, ySum float64, kernel Kernel, noiseV
 			k.Set(j, i, v)
 		}
 	}
-	chol, err = linalg.NewCholesky(k.AddScaledIdentity(noiseVar))
+	chol, err := linalg.NewCholesky(k.AddScaledIdentity(noiseVar))
 	if err != nil {
-		return 0, nil, nil, fmt.Errorf("gp: refit: %w", err)
+		return nil, fmt.Errorf("gp: refit: %w", err)
 	}
-	alpha = make([]float64, n)
+	return chol, nil
+}
+
+// solveWeights returns the empirical mean ySum/n and the centred weights
+// α = (K+σ²I)⁻¹(y − mean) against chol, written into dst when its
+// capacity suffices. Both are a pure function of (chol, ys, ySum), which
+// is what lets the regressor defer the solve until μ is read.
+func solveWeights(dst []float64, chol *linalg.Cholesky, ys []float64, ySum float64) (mean float64, alpha []float64) {
+	mean = ySum / float64(len(ys))
+	alpha = growFloats(dst, len(ys))
 	for i, y := range ys {
 		alpha[i] = y - mean
 	}
 	chol.SolveVecInto(alpha, alpha)
-	return mean, chol, alpha, nil
+	return mean, alpha
 }
 
 func (r *Regressor) refit() error {
@@ -235,21 +255,37 @@ func (r *Regressor) refit() error {
 		telemetry.Int("n", len(r.ys)))
 	defer sp.End()
 	r.tracer.Metrics().Inc("gp_refits")
-	mean, chol, alpha, err := fitSystem(r.xs, r.ys, r.ySum, r.kernel, r.noiseVar)
+	chol, err := factorSystem(r.xs, r.kernel, r.noiseVar)
 	if err != nil {
 		sp.Annotate(telemetry.Str("error", err.Error()))
 		return err
 	}
-	r.mean, r.chol, r.alpha = mean, chol, alpha
+	r.chol = chol
 	r.dirty = false
+	r.alphaStale = true
 	return nil
 }
 
-// ensureFit refits from scratch if a kernel swap or failed extension left
-// the factorization stale.
-func (r *Regressor) ensureFit() error {
+// ensureFactor refits from scratch if a kernel swap or failed extension
+// left the factorization stale. Readers of the factor alone (the
+// information-gain variance, the eviction leverage scan) stop here.
+func (r *Regressor) ensureFactor() error {
 	if r.dirty {
 		return r.refit()
+	}
+	return nil
+}
+
+// ensureFit brings the whole posterior up to date: the factor, then α
+// when observations changed since the last solve. Every read of μ goes
+// through it.
+func (r *Regressor) ensureFit() error {
+	if err := r.ensureFactor(); err != nil {
+		return err
+	}
+	if r.alphaStale {
+		r.mean, r.alpha = solveWeights(r.alpha, r.chol, r.ys, r.ySum)
+		r.alphaStale = false
 	}
 	return nil
 }
@@ -261,13 +297,21 @@ func (r *Regressor) Posterior(x []float64) (mu, variance float64, err error) {
 	if err := r.ensureFit(); err != nil {
 		return 0, 0, err
 	}
-	n := len(r.ys)
-	kx := growFloats(r.kxBuf, n)
-	r.kxBuf = kx
-	for i := range r.xs {
-		kx[i] = r.kernel.Eval(r.xs[i], x)
+	return r.posteriorFromCross(r.crossRow(x), r.kernel.Eval(x, x))
+}
+
+// Mean returns the predictive mean μ_t(x) alone: the μ of Posterior bit
+// for bit (same terms, same float order), without the O(n²) forward solve
+// the variance needs. With no observations it returns ErrEmpty.
+func (r *Regressor) Mean(x []float64) (float64, error) {
+	if err := r.ensureFit(); err != nil {
+		return 0, err
 	}
-	return r.posteriorFromCross(kx, r.kernel.Eval(x, x))
+	mu := r.mean
+	for i, a := range r.alpha {
+		mu += r.kernel.Eval(r.xs[i], x) * a
+	}
+	return mu, nil
 }
 
 // PosteriorFromCross returns the predictive mean and variance at a point
@@ -294,18 +338,24 @@ func (r *Regressor) posteriorFromCross(kx []float64, kxx float64) (mu, variance 
 	for i, a := range r.alpha {
 		mu += kx[i] * a
 	}
-	// σ²(x) = k(x,x) − ‖L⁻¹ k_t(x)‖²
+	return mu, r.varianceFromCross(kx, kxx), nil
+}
+
+// varianceFromCross returns σ²(x) = k(x,x) − ‖L⁻¹ k_t(x)‖², floored at 0,
+// from the cross-covariance vector kx and kxx = k(x,x). Only the factor
+// must be current.
+func (r *Regressor) varianceFromCross(kx []float64, kxx float64) float64 {
 	v := growFloats(r.vBuf, len(kx))
 	r.vBuf = v
 	r.chol.SolveLowerVecInto(v, kx)
-	variance = kxx
+	variance := kxx
 	for _, vi := range v {
 		variance -= vi * vi
 	}
 	if variance < 0 { // numerical floor
 		variance = 0
 	}
-	return mu, variance, nil
+	return variance
 }
 
 // PosteriorBatch evaluates the posterior at every candidate, amortizing the
@@ -341,11 +391,7 @@ func (r *Regressor) PosteriorJoint(points [][]float64) (mu []float64, cov *linal
 	backing := make([]float64, p*n)
 	vs := make([][]float64, p)
 	for j, x := range points {
-		kx := growFloats(r.kxBuf, n)
-		r.kxBuf = kx
-		for i := range r.xs {
-			kx[i] = r.kernel.Eval(r.xs[i], x)
-		}
+		kx := r.crossRow(x)
 		mu[j] = r.mean
 		for i, a := range r.alpha {
 			mu[j] += kx[i] * a
@@ -404,7 +450,7 @@ func (r *Regressor) SampleJoint(points [][]float64, gauss func() float64) ([]flo
 	for i := range out {
 		out[i] = mu[i]
 		for k := 0; k <= i; k++ {
-			out[i] += chol.L.At(i, k) * eps[k]
+			out[i] += chol.At(i, k) * eps[k]
 		}
 	}
 	return out, nil

@@ -9,21 +9,22 @@ import (
 // It is the workhorse behind the GP posterior (Eq. 17 of the Dragster
 // paper): solving (K + σ²I)⁻¹ b reduces to two triangular solves.
 //
-// A factor built by NewCholesky also retains a private copy of A itself,
-// kept in sync by Extend, because Downdate — the removal dual of Extend —
-// must recompute trailing factor columns from the original matrix entries
-// to stay bit-identical with a from-scratch refactorization (L·Lᵀ only
-// reproduces A up to rounding). A zero-constructed Cholesky{L: ...} still
-// supports every query and Extend, but not Downdate.
+// L is stored packed by rows: row i holds columns 0..i and starts at
+// offset i(i+1)/2, so bordering the factor with a new row (Extend) is an
+// append and the slice grows its capacity geometrically. The factor also
+// retains the lower triangle of A itself, packed the same way and kept in
+// sync by Extend, because Downdate — the removal dual of Extend — must
+// recompute trailing factor columns from the original matrix entries to
+// stay bit-identical with a from-scratch refactorization (L·Lᵀ only
+// reproduces A up to rounding). Every factor is built by NewCholesky.
 type Cholesky struct {
-	L *Matrix // lower triangular, Rows == Cols
-
-	// a is the factorized matrix (NewCholesky path only; nil otherwise).
-	a *Matrix
-	// w is the Extend scratch for the border solve L·w = row, so the
-	// steady-state Extend allocates nothing once capacity has grown.
-	w []float64
+	n int
+	l []float64 // L, packed lower-triangular rows
+	a []float64 // lower triangle of A, packed like l
 }
+
+// tri returns the packed offset of row i: the entry count of rows 0..i−1.
+func tri(i int) int { return i * (i + 1) / 2 }
 
 // NewCholesky factorizes the SPD matrix a. It returns ErrNotSPD if a is not
 // square, not symmetric within 1e-8·max|a|, or a pivot becomes non-positive.
@@ -42,61 +43,63 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 	if !a.IsSymmetric(1e-8*maxAbs + 1e-12) {
 		return nil, ErrNotSPD
 	}
+	c := &Cholesky{n: n, l: make([]float64, tri(n)), a: make([]float64, tri(n))}
+	for i := 0; i < n; i++ {
+		copy(c.a[tri(i):tri(i)+i+1], a.Data[i*n:i*n+i+1])
+	}
+	if err := factorColumns(c.l, c.a, 0, n); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
 
-	l := NewMatrix(n, n)
-	for j := 0; j < n; j++ {
+// factorColumns computes columns from..n−1 of the packed factor l of the
+// packed n×n matrix a with the column recurrence
+//
+//	L[j][j] = √(A[j][j] − Σ_{k<j} L[j][k]²)
+//	L[i][j] = (A[i][j] − Σ_{k<j} L[i][k]·L[j][k]) / L[j][j],  i > j.
+//
+// Columns before from must already be final. NewCholesky runs it over
+// every column and Downdate over the columns a deletion invalidated; both
+// share this one float order, which is what makes them bit-identical.
+func factorColumns(l, a []float64, from, n int) error {
+	for j := from; j < n; j++ {
+		lj := l[tri(j) : tri(j)+j+1]
 		var d float64
-		for k := 0; k < j; k++ {
-			v := l.At(j, k)
+		for _, v := range lj[:j] {
 			d += v * v
 		}
-		d = a.At(j, j) - d
+		d = a[tri(j)+j] - d
 		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrNotSPD
+			return ErrNotSPD
 		}
 		ljj := math.Sqrt(d)
-		l.Set(j, j, ljj)
+		lj[j] = ljj
 		for i := j + 1; i < n; i++ {
+			li := l[tri(i) : tri(i)+i+1]
 			var s float64
-			for k := 0; k < j; k++ {
-				s += l.At(i, k) * l.At(j, k)
+			for k, v := range lj[:j] {
+				s += li[k] * v
 			}
-			l.Set(i, j, (a.At(i, j)-s)/ljj)
+			li[j] = (a[tri(i)+j] - s) / ljj
 		}
 	}
-	return &Cholesky{L: l, a: a.Clone()}, nil
+	return nil
 }
 
 // N returns the order of the factorized matrix.
-func (c *Cholesky) N() int { return c.L.Rows }
+func (c *Cholesky) N() int { return c.n }
 
-// growSquare restrides m from n×n to (n+1)×(n+1) row-major, reusing
-// m.Data when capacity allows and reallocating otherwise. Rows move
-// back to front: row i's destination i·(n+1) starts at or after the end
-// i·n of row i−1's source, so no unmoved row is clobbered, and Go's copy
-// handles the self-overlap within a row like memmove. The new last row
-// and column are zeroed (the backing array may hold stale values from an
-// earlier shrink). Returns the matrix to assign back (it differs from m
-// only on the reallocation path).
-func growSquare(m *Matrix) *Matrix {
-	n := m.Rows
-	if cap(m.Data) < (n+1)*(n+1) {
-		g := NewMatrix(n+1, n+1)
-		for i := 0; i < n; i++ {
-			copy(g.Data[i*(n+1):i*(n+1)+n], m.Data[i*n:(i+1)*n])
-		}
-		return g
+// At returns L[i][j]; entries above the diagonal are 0. It panics if i or
+// j is out of range.
+func (c *Cholesky) At(i, j int) float64 {
+	if i < 0 || i >= c.n || j < 0 || j >= c.n {
+		panic(fmt.Sprintf("linalg: Cholesky.At(%d, %d) out of range [0,%d)", i, j, c.n))
 	}
-	m.Data = m.Data[:(n+1)*(n+1)]
-	for i := n - 1; i >= 0; i-- {
-		copy(m.Data[i*(n+1):i*(n+1)+n], m.Data[i*n:(i+1)*n])
-		m.Data[i*(n+1)+n] = 0
+	if j > i {
+		return 0
 	}
-	for j := n * (n + 1); j < (n+1)*(n+1); j++ {
-		m.Data[j] = 0
-	}
-	m.Rows, m.Cols = n+1, n+1
-	return m
+	return c.l[tri(i)+j]
 }
 
 // Extend grows the factor of the n×n matrix A to the factor of the
@@ -111,47 +114,45 @@ func growSquare(m *Matrix) *Matrix {
 // NewCholesky's column recurrence term for term, so an extended factor is
 // bit-identical to refactorizing A' from scratch. On ErrNotSPD (the new
 // pivot is not positive) the receiver is left unchanged — the border
-// solve lands in scratch and is committed only after the pivot check.
+// solve runs in the spare capacity past the packed factor and is
+// committed only after the pivot check.
 //
-// When backing capacity suffices (after a Downdate shrank the factor,
-// or on a reused buffer), Extend restrides L and the retained copy of A
-// in place and allocates nothing, which is what makes the budgeted
-// evict-then-observe steady state in internal/gp allocation-free.
+// Both packed arrays only append, so a run of Extends reallocates
+// O(log n) times, and once a Downdate has shrunk the factor the next
+// Extend refills the freed capacity without allocating — which is what
+// makes the budgeted evict-then-observe steady state in internal/gp
+// allocation-free.
 func (c *Cholesky) Extend(row []float64, diag float64) error {
-	n := c.L.Rows
+	n := c.n
 	if len(row) != n {
 		panic(fmt.Sprintf("linalg: Extend row length %d, want %d", len(row), n))
 	}
-	if cap(c.w) < n {
-		c.w = make([]float64, n+1)
-	}
-	w := c.w[:n]
+	base := len(c.l)
+	c.l = append(c.l, row...)
+	w := c.l[base:]
+	off := 0
 	for j := 0; j < n; j++ {
+		lj := c.l[off : off+j+1]
 		var s float64
-		for k := 0; k < j; k++ {
-			s += w[k] * c.L.At(j, k)
+		for k, v := range lj[:j] {
+			s += w[k] * v
 		}
-		w[j] = (row[j] - s) / c.L.At(j, j)
+		w[j] = (w[j] - s) / lj[j] // w[j] still holds row[j]
+		off += j + 1
 	}
 	var d float64
-	for k := 0; k < n; k++ {
-		d += w[k] * w[k]
+	for _, v := range w {
+		d += v * v
 	}
 	d = diag - d
 	if d <= 0 || math.IsNaN(d) {
+		c.l = c.l[:base]
 		return ErrNotSPD
 	}
-	c.L = growSquare(c.L)
-	copy(c.L.Data[n*(n+1):n*(n+1)+n], w)
-	c.L.Data[n*(n+1)+n] = math.Sqrt(d)
-	if c.a != nil {
-		c.a = growSquare(c.a)
-		for j := 0; j < n; j++ {
-			c.a.Data[n*(n+1)+j] = row[j]
-			c.a.Data[j*(n+1)+n] = row[j]
-		}
-		c.a.Data[n*(n+1)+n] = diag
-	}
+	c.l = append(c.l, math.Sqrt(d))
+	c.a = append(c.a, row...)
+	c.a = append(c.a, diag)
+	c.n++
 	return nil
 }
 
@@ -164,22 +165,18 @@ func (c *Cholesky) Extend(row []float64, diag float64) error {
 // all of which survive the deletion untouched), and columns j ≥ i are
 // recomputed with exactly NewCholesky's recurrence over the compacted
 // copy of A that the factor retains. Cost is O((n−i)·n) — removing the
-// newest row is O(n), the oldest O(n²).
+// newest row is O(1), the oldest O(n²).
 //
-// Downdate panics if the factor was not built by NewCholesky (no base
-// matrix to recompute from), if i is out of range, or if n == 1 (an
-// empty factor is not representable; callers track emptiness). It
-// returns ErrNotSPD if a recomputed pivot is not positive — possible
-// only through accumulated rounding, since a principal submatrix of an
-// SPD matrix is SPD — and in that case the receiver is left invalid and
-// must be discarded (the caller refits from its retained observations).
+// Downdate panics if i is out of range or if n == 1 (an empty factor is
+// not representable; callers track emptiness). It returns ErrNotSPD if a
+// recomputed pivot is not positive — possible only through accumulated
+// rounding, since a principal submatrix of an SPD matrix is SPD — and in
+// that case the receiver is left invalid and must be discarded (the
+// caller refits from its retained observations).
 //
 //lint:hotpath
 func (c *Cholesky) Downdate(i int) error {
-	n := c.L.Rows
-	if c.a == nil {
-		panic("linalg: Downdate on a factor without its base matrix (not built by NewCholesky)")
-	}
+	n := c.n
 	if i < 0 || i >= n {
 		//lint:allow hotpath cold panic path: formatting happens only on caller misuse, never in steady state
 		panic(fmt.Sprintf("linalg: Downdate index %d out of range [0,%d)", i, n))
@@ -187,63 +184,34 @@ func (c *Cholesky) Downdate(i int) error {
 	if n == 1 {
 		panic("linalg: Downdate would empty the factor; drop the Cholesky instead")
 	}
-	m := n - 1
-	compactSquare(c.a, i)
-	compactSquare(c.L, i)
-	// Recompute columns i..m−1 with the NewCholesky column recurrence over
-	// the compacted A. Column-major order guarantees every factor entry the
-	// recurrence reads (columns k < j) is already final: k < i carried over,
-	// k ∈ [i, j) recomputed on an earlier pass of this loop.
-	for j := i; j < m; j++ {
-		var d float64
-		for k := 0; k < j; k++ {
-			v := c.L.At(j, k)
-			d += v * v
-		}
-		d = c.a.At(j, j) - d
-		if d <= 0 || math.IsNaN(d) {
-			return ErrNotSPD
-		}
-		ljj := math.Sqrt(d)
-		c.L.Set(j, j, ljj)
-		for r := j + 1; r < m; r++ {
-			var s float64
-			for k := 0; k < j; k++ {
-				s += c.L.At(r, k) * c.L.At(j, k)
-			}
-			c.L.Set(r, j, (c.a.At(r, j)-s)/ljj)
-		}
-	}
-	return nil
+	c.a = deletePacked(c.a, n, i)
+	c.l = deletePacked(c.l, n, i)
+	c.n = n - 1
+	// Column-major order guarantees every factor entry the recurrence reads
+	// (columns k < j) is already final: k < i carried over, k ∈ [i, j)
+	// recomputed on an earlier pass.
+	return factorColumns(c.l, c.a, i, n-1)
 }
 
-// compactSquare deletes row i and column i of the n×n matrix m in place,
-// leaving an (n−1)×(n−1) matrix on the same backing array. The forward
-// scan is safe because every destination index is at or before its
-// source (deleting entries only ever shifts data left).
-func compactSquare(m *Matrix, i int) {
-	n := m.Rows
-	dst := 0
-	for r := 0; r < n; r++ {
-		if r == i {
-			continue
-		}
-		for k := 0; k < n; k++ {
-			if k == i {
-				continue
-			}
-			m.Data[dst] = m.Data[r*n+k]
-			dst++
-		}
+// deletePacked deletes row i and column i of the packed n×n lower
+// triangle p in place and returns the packed (n−1)×(n−1) result on the
+// same backing array. Rows before i hold no column ≥ i and stay put; each
+// later row shifts left, and every destination index is at or before its
+// source, so the forward scan never clobbers an unmoved entry.
+func deletePacked(p []float64, n, i int) []float64 {
+	dst := tri(i)
+	for r := i + 1; r < n; r++ {
+		row := p[tri(r) : tri(r)+r+1]
+		dst += copy(p[dst:], row[:i])
+		dst += copy(p[dst:], row[i+1:])
 	}
-	m.Data = m.Data[:(n-1)*(n-1)]
-	m.Rows, m.Cols = n-1, n-1
+	return p[:tri(n-1)]
 }
 
 // SolveVec solves A·x = b for x, where A is the factorized matrix.
 // It panics if len(b) != n.
 func (c *Cholesky) SolveVec(b []float64) []float64 {
-	return c.SolveVecInto(make([]float64, c.L.Rows), b)
+	return c.SolveVecInto(make([]float64, c.n), b)
 }
 
 // SolveVecInto solves A·x = b into dst and returns dst, allocating
@@ -258,39 +226,45 @@ func (c *Cholesky) SolveVecInto(dst, b []float64) []float64 {
 // before writing index i and otherwise only touches already-computed
 // entries.
 func (c *Cholesky) forwardSolveInto(y, b []float64) {
-	n := c.L.Rows
+	n := c.n
 	if len(b) != n || len(y) != n {
 		panic("linalg: SolveVec dimension mismatch")
 	}
+	off := 0
 	for i := 0; i < n; i++ {
+		li := c.l[off : off+i+1]
 		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= c.L.At(i, k) * y[k]
+		for k, v := range li[:i] {
+			s -= v * y[k]
 		}
-		y[i] = s / c.L.At(i, i)
+		y[i] = s / li[i]
+		off += i + 1
 	}
 }
 
 // backwardSolveInto solves Lᵀ·x = y into x. x may alias y: index i is
 // read from y before being written and later entries are already final.
 func (c *Cholesky) backwardSolveInto(x, y []float64) {
-	n := c.L.Rows
+	n := c.n
 	if len(y) != n || len(x) != n {
 		panic("linalg: SolveVec dimension mismatch")
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
+		// L[k][i] for k = i+1, i+2, …: row k starts k+1 entries after row k−1.
+		idx := tri(i+1) + i
 		for k := i + 1; k < n; k++ {
-			s -= c.L.At(k, i) * x[k]
+			s -= c.l[idx] * x[k]
+			idx += k + 1
 		}
-		x[i] = s / c.L.At(i, i)
+		x[i] = s / c.l[tri(i)+i]
 	}
 }
 
 // SolveLowerVec solves L·y = b (forward substitution only). The GP variance
 // computation needs this half-solve: σ²(x) = k(x,x) − ‖L⁻¹ k_t(x)‖².
 func (c *Cholesky) SolveLowerVec(b []float64) []float64 {
-	return c.SolveLowerVecInto(make([]float64, c.L.Rows), b)
+	return c.SolveLowerVecInto(make([]float64, c.n), b)
 }
 
 // SolveLowerVecInto solves L·y = b into dst and returns dst, allocating
@@ -304,8 +278,8 @@ func (c *Cholesky) SolveLowerVecInto(dst, b []float64) []float64 {
 // likelihood.
 func (c *Cholesky) LogDet() float64 {
 	var s float64
-	for i := 0; i < c.L.Rows; i++ {
-		s += math.Log(c.L.At(i, i))
+	for i := 0; i < c.n; i++ {
+		s += math.Log(c.l[tri(i)+i])
 	}
 	return 2 * s
 }

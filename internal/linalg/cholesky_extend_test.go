@@ -46,9 +46,9 @@ func TestExtendBitIdenticalToFromScratch(t *testing.T) {
 			}
 			for i := 0; i < k+1; i++ {
 				for j := 0; j < k+1; j++ {
-					if inc.L.At(i, j) != ref.L.At(i, j) {
+					if inc.At(i, j) != ref.At(i, j) {
 						t.Fatalf("trial %d size %d: L[%d][%d] = %v incremental, %v from scratch",
-							trial, k+1, i, j, inc.L.At(i, j), ref.L.At(i, j))
+							trial, k+1, i, j, inc.At(i, j), ref.At(i, j))
 					}
 				}
 			}
@@ -65,7 +65,7 @@ func TestExtendRejectsNonSPDAndLeavesFactorIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := ch.L.Clone()
+	before := ch.dense()
 	// Bordering with diag 0 makes the pivot non-positive.
 	if err := ch.Extend([]float64{1, 1}, 0); err != ErrNotSPD {
 		t.Fatalf("err = %v, want ErrNotSPD", err)
@@ -74,7 +74,7 @@ func TestExtendRejectsNonSPDAndLeavesFactorIntact(t *testing.T) {
 		t.Fatalf("failed Extend changed order to %d", ch.N())
 	}
 	for i := range before.Data {
-		if ch.L.Data[i] != before.Data[i] {
+		if ch.dense().Data[i] != before.Data[i] {
 			t.Fatal("failed Extend mutated the factor")
 		}
 	}
@@ -133,7 +133,7 @@ func TestSolveIntoMatchesAllocatingAndSupportsAliasing(t *testing.T) {
 			for j := 0; j < n; j++ {
 				var aij float64
 				for k := 0; k <= i && k <= j; k++ {
-					aij += ch.L.At(i, k) * ch.L.At(j, k)
+					aij += ch.At(i, k) * ch.At(j, k)
 				}
 				s += aij * x[j]
 			}
@@ -147,10 +147,43 @@ func TestSolveIntoMatchesAllocatingAndSupportsAliasing(t *testing.T) {
 	}
 }
 
+// TestExtendAllocsLogarithmic pins the append-only layout: growing a fresh
+// order-1 factor to order 65 reallocates each packed array only when its
+// capacity doubles, so 64 Extends allocate O(log n) times, not once each.
+func TestExtendAllocsLogarithmic(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	a := randomSPD(rng, 65)
+	one := leadingMinor(a, 1)
+	rows := make([][]float64, 65)
+	for k := 1; k < 65; k++ {
+		rows[k] = append([]float64(nil), a.Data[k*65:k*65+k]...)
+	}
+	grow := func() {
+		ch, err := NewCholesky(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k < 65; k++ {
+			if err := ch.Extend(rows[k], a.At(k, k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Two packed arrays of 2145 entries each grow geometrically from a
+	// single entry: about a dozen reallocations apiece, plus NewCholesky's
+	// own three allocations — well under one allocation per Extend.
+	if allocs := testing.AllocsPerRun(20, grow); allocs > 40 {
+		t.Fatalf("64 Extends allocate %.0f times, want O(log n) (≤ 40)", allocs)
+	}
+}
+
+// BenchmarkCholeskyExtend64 times one Extend of an order-64 factor. Each
+// iteration downdates the new row away again (an O(1) truncation for the
+// newest row), so every timed Extend borders the same order-64 factor.
 func BenchmarkCholeskyExtend64(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	a := randomSPD(rng, 65)
-	base, err := NewCholesky(leadingMinor(a, 64))
+	ch, err := NewCholesky(leadingMinor(a, 64))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -160,8 +193,10 @@ func BenchmarkCholeskyExtend64(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ch := Cholesky{L: base.L}
 		if err := ch.Extend(row, a.At(64, 64)); err != nil {
+			b.Fatal(err)
+		}
+		if err := ch.Downdate(64); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -147,7 +147,8 @@ func TestCholeskyReconstructs(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		// L·Lᵀ must reproduce A.
-		rec := ch.L.Mul(ch.L.T())
+		l := ch.dense()
+		rec := l.Mul(l.T())
 		for i := range a.Data {
 			if math.Abs(rec.Data[i]-a.Data[i]) > 1e-8*(1+math.Abs(a.Data[i])) {
 				t.Fatalf("trial %d: reconstruction error at %d: %v vs %v", trial, i, rec.Data[i], a.Data[i])
@@ -214,7 +215,7 @@ func TestCholeskySolveLowerVec(t *testing.T) {
 	b := []float64{2, 3}
 	y := ch.SolveLowerVec(b)
 	// Check L·y == b.
-	back := ch.L.MulVec(y)
+	back := ch.dense().MulVec(y)
 	for i := range b {
 		if math.Abs(back[i]-b[i]) > 1e-12 {
 			t.Errorf("L·y [%d] = %v, want %v", i, back[i], b[i])

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -58,6 +59,56 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	h := d2.History("map")
 	if h[0].Throughput != 123 || h[0].Util != 0.7 || h[0].Slot != 4 {
 		t.Errorf("restored record = %+v", h[0])
+	}
+}
+
+// TestHistoryIndexSurvivesRestore: the per-operator index is rebuilt by
+// Restore, so History after a Snapshot/Restore round trip equals History
+// before it for every operator — also when the restoring DB held other
+// records — and HistoryFrom is History's suffix.
+func TestHistoryIndexSurvivesRestore(t *testing.T) {
+	ops := []string{"map", "shuffle", "sink"}
+	d := New()
+	for i := 0; i < 30; i++ {
+		op := ops[(i*i+i/3)%len(ops)]
+		r := Record{Slot: i, Operator: op, Config: []float64{float64(i % 7), float64(i)}, CapacityObs: float64(10 * i), Util: 0.5}
+		if err := d.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := d.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d2 := New()
+	if err := d2.Append(Record{Operator: "map", Config: []float64{42}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range append(ops, "nobody") {
+		before, after := d.History(op), d2.History(op)
+		if !reflect.DeepEqual(before, after) {
+			t.Fatalf("History(%s) after restore = %+v, want %+v", op, after, before)
+		}
+		for from := 0; from <= len(before)+1; from++ {
+			got := d2.HistoryFrom(op, from)
+			var want []Record
+			if from < len(before) {
+				want = before[from:]
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("HistoryFrom(%s, %d) = %+v, want %+v", op, from, got, want)
+			}
+		}
+	}
+	// Appends after a restore extend the rebuilt index.
+	if err := d2.Append(Record{Slot: 99, Operator: "sink", Config: []float64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if h := d2.History("sink"); len(h) != len(d.History("sink"))+1 || h[len(h)-1].Slot != 99 {
+		t.Errorf("History(sink) after append = %+v", h)
 	}
 }
 

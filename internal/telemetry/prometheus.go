@@ -25,15 +25,14 @@ func Label(name, key, value string) string {
 	b.WriteByte('{')
 	b.WriteString(key)
 	b.WriteString(`="`)
-	b.WriteString(escapeLabelValue(value))
+	b.WriteString(labelEscaper.Replace(value))
 	b.WriteString(`"}`)
 	return b.String()
 }
 
-func escapeLabelValue(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a label value per the exposition format. A
+// strings.Replacer is safe for concurrent use, so one serves every call.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // baseName strips a Label-encoded series down to its metric family name.
 func baseName(name string) string {

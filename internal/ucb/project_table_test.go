@@ -1,7 +1,11 @@
 package ucb
 
 import (
+	"math"
+	"slices"
 	"testing"
+
+	"dragster/internal/stats"
 )
 
 // TestProjectTasksEdgeTable drives the budget projection through its
@@ -101,5 +105,77 @@ func TestProjectTasksEdgeTable(t *testing.T) {
 				t.Fatalf("projection %v exceeds budget %d", got, tc.budget)
 			}
 		})
+	}
+}
+
+// projectTasksRecomputing is the reference projection: every trim
+// re-evaluates the loss of every operator above the floor and takes the
+// first strict minimum.
+func projectTasksRecomputing(desired []int, budget, minTasks int, loss func(op, fromTasks int) float64) []int {
+	out := append([]int(nil), desired...)
+	total := 0
+	for i, v := range out {
+		if v < minTasks {
+			out[i] = minTasks
+		}
+		total += out[i]
+	}
+	for total > budget {
+		best, bestLoss := -1, math.Inf(1)
+		for i, v := range out {
+			if v <= minTasks {
+				continue
+			}
+			if l := loss(i, v); l < bestLoss {
+				bestLoss, best = l, i
+			}
+		}
+		if best == -1 {
+			return nil
+		}
+		out[best]--
+		total--
+	}
+	return out
+}
+
+// TestProjectTasksCachedLossesMatchRecomputing: on random loss tables —
+// drawn from a small value set so ties are common — the cached
+// projection returns exactly what recomputing every loss every step
+// returns, and calls loss at most once per operator plus once per trim.
+func TestProjectTasksCachedLossesMatchRecomputing(t *testing.T) {
+	rng := stats.NewRNG(71)
+	for trial := 0; trial < 500; trial++ {
+		m := 1 + rng.Intn(6)
+		minTasks := 1 + rng.Intn(2)
+		desired := make([]int, m)
+		table := make([][]float64, m)
+		total := 0
+		for i := range desired {
+			desired[i] = rng.Intn(12)
+			table[i] = make([]float64, 13)
+			for j := range table[i] {
+				table[i][j] = float64(rng.Intn(4))
+				if rng.Intn(20) == 0 {
+					table[i][j] = math.Inf(1)
+				}
+			}
+			total += max(desired[i], minTasks)
+		}
+		budget := minTasks*m + rng.Intn(total-minTasks*m+3)
+		calls := 0
+		loss := func(op, from int) float64 {
+			calls++
+			return table[op][from]
+		}
+		got, err := ProjectTasks(desired, budget, minTasks, loss)
+		want := projectTasksRecomputing(desired, budget, minTasks, func(op, from int) float64 { return table[op][from] })
+		if (err != nil) != (want == nil) || !slices.Equal(got, want) {
+			t.Fatalf("trial %d: ProjectTasks(%v, %d, %d) = %v, %v; recomputing gives %v",
+				trial, desired, budget, minTasks, got, err, want)
+		}
+		if excess := max(total-budget, 0); calls > m+excess {
+			t.Fatalf("trial %d: %d loss calls for %d operators and excess %d", trial, calls, m, excess)
+		}
 	}
 }

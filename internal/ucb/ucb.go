@@ -490,7 +490,13 @@ func (s *Searcher) traceSelect(target float64, idx int, beta float64) {
 // to its target shortfall. loss(op, fromTasks) must return the estimated
 // penalty of going from fromTasks to fromTasks−1 for that operator
 // (larger = more valuable to keep). minTasks floors every operator
-// (usually 1).
+// (usually 1). Ties go to the lowest operator index.
+//
+// loss must be a pure function of its arguments for the duration of one
+// call: each operator's loss is computed once and cached, and a trim
+// recomputes only the trimmed operator's entry, so the projection makes
+// at most len(desired) + excess loss calls instead of one per operator
+// per trimmed task.
 func ProjectTasks(desired []int, budget, minTasks int, loss func(op, fromTasks int) float64) ([]int, error) {
 	if budget < minTasks*len(desired) {
 		return nil, fmt.Errorf("ucb: budget %d cannot host %d operators at min %d tasks", budget, len(desired), minTasks)
@@ -507,15 +513,22 @@ func ProjectTasks(desired []int, budget, minTasks int, loss func(op, fromTasks i
 		}
 		total += v
 	}
+	if total <= budget {
+		return out, nil
+	}
+	// losses[i] caches loss(i, out[i]) for every operator above the floor.
+	losses := make([]float64, len(out))
+	for i, v := range out {
+		if v > minTasks {
+			losses[i] = loss(i, v)
+		}
+	}
 	for total > budget {
 		best := -1
 		bestLoss := math.Inf(1)
 		for i, v := range out {
-			if v <= minTasks {
-				continue
-			}
-			if l := loss(i, v); l < bestLoss {
-				bestLoss, best = l, i
+			if v > minTasks && losses[i] < bestLoss {
+				bestLoss, best = losses[i], i
 			}
 		}
 		if best == -1 {
@@ -525,6 +538,9 @@ func ProjectTasks(desired []int, budget, minTasks int, loss func(op, fromTasks i
 		}
 		out[best]--
 		total--
+		if out[best] > minTasks && total > budget {
+			losses[best] = loss(best, out[best])
+		}
 	}
 	return out, nil
 }
