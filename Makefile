@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-gp bench-e2e bench-e2e-gate bench-snapshot bench-flat fuzz-smoke lint lint-sarif repro repro-check repro-quick examples clean
+.PHONY: all build test race cover bench bench-gp bench-e2e bench-e2e-gate bench-layers bench-snapshot bench-flat fuzz-smoke lint lint-sarif repro repro-check repro-quick examples clean
 
 all: build test lint
 
@@ -57,9 +57,9 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzLoadTraceCSV -fuzztime 3s ./internal/workload
 	$(GO) test -run NONE -fuzz FuzzSubmitJob -fuzztime 3s ./internal/daemon
 
-# Everything: the GP-stack micro-benchmarks and the end-to-end harness
-# benchmarks.
-bench: bench-gp bench-e2e
+# Everything: the GP-stack micro-benchmarks, the end-to-end harness
+# benchmarks and the dag/OSP layer benchmarks.
+bench: bench-gp bench-e2e bench-layers
 
 # GP/linalg/UCB micro-benchmarks only (the optimizer inner loops).
 bench-gp:
@@ -72,6 +72,14 @@ bench-gp:
 bench-e2e:
 	$(GO) test -run NONE -bench 'RunRoundsPerSec|Repeat8Seeds|FleetRound' -benchmem \
 		./internal/experiment ./internal/fleet | $(GO) run ./cmd/benchsnapshot -out BENCH_e2e.json -label "make bench-e2e"
+
+# dag and OSP layer benchmarks — one evaluation and one gradient of a
+# two-operator chain, one saddle-point step at λ = 0, and one on the
+# Yahoo graph with the dual update moving λ before every step —
+# snapshotted into BENCH_layers.json. Recorded, not gated.
+bench-layers:
+	$(GO) test -run NONE -bench 'EvaluateChain|GradientChain|SaddlePointStep' -benchmem \
+		./internal/dag ./internal/osp | $(GO) run ./cmd/benchsnapshot -out BENCH_layers.json -label "make bench-layers"
 
 # Re-run the e2e benchmarks three times and fail if any median ns/op
 # regressed more than 20% against the committed snapshot (CI runs the

@@ -495,16 +495,18 @@ func (c *Controller) DecideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 		ospSpan.End()
 		return nil, nil, err
 	}
-	ospSpan.Annotate(telemetry.Str("y", fmtFloats(y)))
+	if c.tracer != nil { // untraced decides format nothing
+		ospSpan.Annotate(telemetry.Str("y", fmtFloats(y)))
+	}
 	ospSpan.End()
 	c.tracer.Metrics().Inc("osp_steps")
 
 	// (4) Bottlenecks: operators whose current estimated capacity deviates
-	// from the target. The estimate prefers the GP posterior at the current
-	// configuration and falls back to the raw observation.
+	// from the target. The estimate prefers the GP posterior mean at the
+	// current configuration and falls back to the raw observation.
 	est := make([]float64, m)
 	for i := range est {
-		mu, _, err := c.searchers[i].Regressor().Posterior(c.configFor(i, c.lastTasks[i], c.lastCPU[i]))
+		mu, err := c.searchers[i].Regressor().Mean(c.configFor(i, c.lastTasks[i], c.lastCPU[i]))
 		if err == nil {
 			est[i] = mu
 		} else {
@@ -555,7 +557,9 @@ func (c *Controller) DecideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 		for i, n := range desired {
 			chosen[i] = c.nearestWithTasks(i, n, chosen[i])
 		}
-		projSpan.Annotate(telemetry.Str("tasks", fmt.Sprint(desired)))
+		if c.tracer != nil {
+			projSpan.Annotate(telemetry.Str("tasks", fmt.Sprint(desired)))
+		}
 		projSpan.End()
 	}
 	c.tracer.Metrics().Inc("core_decides")
@@ -582,22 +586,37 @@ func fmtFloats(vs []float64) string {
 // total at or below the budget. Prediction uses optimistic (UCB)
 // capacities so unexplored operators still attract tasks; when any
 // operator's GP is still empty the step is skipped (cold start).
+//
+// Nothing a searcher's OptimisticAt reads (its GP, its round count for β)
+// changes inside one call, so each (operator, tasks) value is computed
+// once and reused by every trial move that revisits it.
 func (c *Controller) rebalanceUnderBudget(tasks []int, rates []float64) []int {
 	m := len(tasks)
+	type optimistic struct {
+		capacity float64
+		ok       bool
+	}
+	type opTasks struct{ op, tasks int }
+	memo := make(map[opTasks]optimistic)
+	caps := make([]float64, m)
+	var rep dag.FlowReport
 	predicted := func(ts []int) (float64, bool) {
-		caps := make([]float64, m)
 		for i, n := range ts {
-			opt, err := c.searchers[i].OptimisticAt(c.configFor(i, n, c.lastCPU[i]))
-			if err != nil {
+			o, seen := memo[opTasks{i, n}]
+			if !seen {
+				opt, err := c.searchers[i].OptimisticAt(c.configFor(i, n, c.lastCPU[i]))
+				o = optimistic{capacity: math.Max(opt, 0), ok: err == nil}
+				memo[opTasks{i, n}] = o
+			}
+			if !o.ok {
 				return 0, false
 			}
-			caps[i] = math.Max(opt, 0)
+			caps[i] = o.capacity
 		}
-		th, err := c.g.Throughput(rates, caps)
-		if err != nil {
+		if err := c.g.EvaluateInto(&rep, rates, caps); err != nil {
 			return 0, false
 		}
-		return th, true
+		return rep.Throughput, true
 	}
 	cur, ok := predicted(tasks)
 	if !ok {

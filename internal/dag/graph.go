@@ -67,8 +67,23 @@ type Graph struct {
 	sources   []NodeID
 	operators []NodeID
 	sinks     []NodeID
-	opIndex   map[NodeID]int // NodeID -> dense operator index
-	srcIndex  map[NodeID]int
+	opIdx     []int // NodeID -> dense operator index, -1 for other kinds
+
+	// The evaluation plan the forward and reverse sweeps walk, compiled
+	// once at Build. Sources have no inputs and sinks no outputs, so
+	// pushing every source first and summing every sink last keeps each
+	// sweep's float order that of the topological walk.
+	opPlan    []opStep    // operators in topological order
+	sinkEdges []int32     // edges into sinks: sinks in topological order, preds order
+	linK      [][]float64 // edge ID -> Linear rate vector (nil unless h is a Linear)
+	pure      bool        // every operator out-edge is a Linear, and there are ≤ 64
+}
+
+// opStep is one operator's entry in the evaluation plan.
+type opStep struct {
+	index int     // dense operator index
+	preds []int32 // incoming edge IDs, preds order
+	succs []int32 // outgoing edge IDs, succs order
 }
 
 // Builder accumulates nodes and edges for a Graph.
@@ -139,8 +154,7 @@ func (b *Builder) Build() (*Graph, error) {
 		succs:     make([][]NodeID, n),
 		edgeH:     make(map[EdgeKey]ThroughputFunc, len(b.edges)),
 		edgeAlpha: make(map[EdgeKey]float64, len(b.edges)),
-		opIndex:   make(map[NodeID]int),
-		srcIndex:  make(map[NodeID]int),
+		opIdx:     make([]int, n),
 	}
 	for _, e := range b.edges {
 		if e.from < 0 || int(e.from) >= n || e.to < 0 || int(e.to) >= n {
@@ -169,6 +183,10 @@ func (b *Builder) Build() (*Graph, error) {
 		if e.alpha < 0 || math.IsNaN(e.alpha) || math.IsInf(e.alpha, 0) {
 			return nil, fmt.Errorf("dag: edge %s→%s has invalid splitting weight %v", g.names[e.from], g.names[e.to], e.alpha)
 		}
+		if l, ok := e.h.(Linear); ok {
+			// The Graph is immutable: it must not share the caller's K.
+			e.h = Linear{K: append([]float64(nil), l.K...)}
+		}
 		g.preds[e.to] = append(g.preds[e.to], e.from)
 		g.succs[e.from] = append(g.succs[e.from], e.to)
 		g.edgeH[key] = e.h
@@ -177,12 +195,12 @@ func (b *Builder) Build() (*Graph, error) {
 
 	for id := 0; id < n; id++ {
 		nid := NodeID(id)
+		g.opIdx[id] = -1
 		switch g.kinds[id] {
 		case Source:
 			if len(g.succs[id]) == 0 {
 				return nil, fmt.Errorf("dag: source %q has no successors", g.names[id])
 			}
-			g.srcIndex[nid] = len(g.sources)
 			g.sources = append(g.sources, nid)
 		case Operator:
 			if len(g.preds[id]) == 0 {
@@ -191,7 +209,7 @@ func (b *Builder) Build() (*Graph, error) {
 			if len(g.succs[id]) == 0 {
 				return nil, fmt.Errorf("dag: operator %q has no successors", g.names[id])
 			}
-			g.opIndex[nid] = len(g.operators)
+			g.opIdx[id] = len(g.operators)
 			g.operators = append(g.operators, nid)
 		case Sink:
 			if len(g.preds[id]) == 0 {
@@ -222,6 +240,7 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	g.topo = topo
 	g.buildEdgeIndex()
+	g.buildPlan()
 
 	if err := g.probe(); err != nil {
 		return nil, err
@@ -260,6 +279,33 @@ func (g *Graph) buildEdgeIndex() {
 	}
 }
 
+// buildPlan compiles the evaluation plan from the topological order and
+// the flat edge index. Called once from Build, after buildEdgeIndex.
+func (g *Graph) buildPlan() {
+	g.linK = make([][]float64, len(g.edges))
+	for ei, h := range g.hByID {
+		if l, ok := h.(Linear); ok {
+			g.linK[ei] = l.K
+		}
+	}
+	g.opPlan = make([]opStep, 0, len(g.operators))
+	opEdges := 0
+	g.pure = true
+	for _, id := range g.topo {
+		switch g.kinds[id] {
+		case Operator:
+			g.opPlan = append(g.opPlan, opStep{index: g.opIdx[id], preds: g.predEdges[id], succs: g.succEdges[id]})
+			for _, ei := range g.succEdges[id] {
+				g.pure = g.pure && g.linK[ei] != nil
+			}
+			opEdges += len(g.succEdges[id])
+		case Sink:
+			g.sinkEdges = append(g.sinkEdges, g.predEdges[id]...)
+		}
+	}
+	g.pure = g.pure && opEdges <= 64
+}
+
 // topoSort runs Kahn's algorithm, returning an order or a cycle error.
 func (g *Graph) topoSort() ([]NodeID, error) {
 	n := len(g.names)
@@ -291,16 +337,23 @@ func (g *Graph) topoSort() ([]NodeID, error) {
 	return order, nil
 }
 
-// probe runs a dummy evaluation and one gradient sweep to surface
-// throughput-function dimension mismatches at build time instead of first
-// use. The sweep runs at y = 0 with λ = 1: every edge then takes the
-// capacity branch and every h receives the adjoint −1, so each AddVJP runs.
+// probe checks every Linear's arity, then runs a dummy evaluation and one
+// gradient sweep to surface throughput-function dimension mismatches at
+// build time instead of first use. The sweep runs at y = 0 with λ = 1:
+// every edge then takes the capacity branch and every h receives the
+// adjoint −1, so each AddVJP runs.
 func (g *Graph) probe() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("dag: throughput function probe failed: %v", r)
 		}
 	}()
+	// The sweeps evaluate a Linear inline, without its own arity check.
+	for ei, k := range g.linK {
+		if k != nil {
+			Linear{K: k}.check(len(g.predEdges[g.edges[ei].From]))
+		}
+	}
 	rates := make([]float64, len(g.sources))
 	for i := range rates {
 		rates[i] = 1
@@ -345,10 +398,10 @@ func (g *Graph) KindOf(id NodeID) Kind { return g.kinds[id] }
 // OperatorIndex returns the dense index of an operator node (the position
 // of its capacity in capacity vectors), or -1 if id is not an operator.
 func (g *Graph) OperatorIndex(id NodeID) int {
-	if i, ok := g.opIndex[id]; ok {
-		return i
+	if id < 0 || int(id) >= len(g.opIdx) {
+		return -1
 	}
-	return -1
+	return g.opIdx[id]
 }
 
 // OperatorName returns the name of the operator with dense index i.
@@ -410,6 +463,10 @@ type FlowReport struct {
 	inBuf []float64
 }
 
+// nonNegFinite reports 0 ≤ v < +Inf: false for negatives, NaN and ±Inf
+// in two comparisons, since the sweeps validate every argument per call.
+func nonNegFinite(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+
 func (g *Graph) checkEvalArgs(rates, y []float64) error {
 	if len(rates) != len(g.sources) {
 		return fmt.Errorf("dag: got %d source rates, want %d", len(rates), len(g.sources))
@@ -418,12 +475,12 @@ func (g *Graph) checkEvalArgs(rates, y []float64) error {
 		return fmt.Errorf("dag: got %d capacities, want %d", len(y), len(g.operators))
 	}
 	for i, r := range rates {
-		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+		if !nonNegFinite(r) {
 			return fmt.Errorf("dag: source rate[%d] = %v invalid", i, r)
 		}
 	}
 	for i, c := range y {
-		if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
+		if !nonNegFinite(c) {
 			return fmt.Errorf("dag: capacity y[%d] = %v invalid", i, c)
 		}
 	}
@@ -454,52 +511,88 @@ func (g *Graph) EvaluateInto(rep *FlowReport, rates, y []float64) error {
 	m := len(g.operators)
 	if cap(rep.Inflow) < m {
 		rep.Inflow = make([]float64, m)
-		rep.Demand = make([]float64, m)
 		rep.Output = make([]float64, m)
 	}
 	rep.Inflow = rep.Inflow[:m]
-	rep.Demand = rep.Demand[:m]
 	rep.Output = rep.Output[:m]
-	clear(rep.Inflow)
-	clear(rep.Demand)
-	clear(rep.Output)
+	rep.Throughput, _ = g.forward(rep, rates, y)
+	for _, op := range g.opPlan {
+		var inflow, output float64
+		for _, ei := range op.preds {
+			inflow += rep.flows[ei]
+		}
+		for _, ei := range op.succs {
+			output += rep.flows[ei]
+		}
+		rep.Inflow[op.index], rep.Output[op.index] = inflow, output
+	}
+	return nil
+}
+
+// forward is the topological pass EvaluateInto and LagrangianForward
+// share: it applies the truncation of Eq. 4 edge by edge over the plan,
+// fills rep's flows and Demand, and returns the sink throughput and the
+// branch pattern. Bit b of the pattern is set when the b-th operator
+// out-edge in plan order carries its capacity share, flow == α·y: the
+// test the reverse sweep branches on, in the same expression. It leaves
+// Inflow and Output, which the Lagrangian never reads, to EvaluateInto.
+// Demand sums in successor order and sinks in topological order.
+//
+//lint:hotpath
+func (g *Graph) forward(rep *FlowReport, rates, y []float64) (throughput float64, pattern uint64) {
+	m := len(g.operators)
+	if cap(rep.Demand) < m {
+		rep.Demand = make([]float64, m)
+	}
+	rep.Demand = rep.Demand[:m]
 	if cap(rep.flows) < len(g.edges) {
 		rep.flows = make([]float64, len(g.edges))
 	}
-	flows := rep.flows[:len(g.edges)]
-	clear(flows)
 	if cap(rep.inBuf) < g.maxInEdges {
 		rep.inBuf = make([]float64, g.maxInEdges)
 	}
-	rep.Throughput = 0
-	for _, id := range g.topo {
-		switch g.kinds[id] {
-		case Source:
-			rate := rates[g.srcIndex[id]]
-			for _, ei := range g.succEdges[id] {
-				flows[ei] = g.alphaByID[ei] * rate
-			}
-		case Operator:
-			oi := g.opIndex[id]
-			in := rep.inBuf[:len(g.predEdges[id])]
-			for k, ei := range g.predEdges[id] {
-				in[k] = flows[ei]
-				rep.Inflow[oi] += in[k]
-			}
-			for _, ei := range g.succEdges[id] {
-				want := g.hByID[ei].Eval(in)
-				rep.Demand[oi] += want
-				flow := math.Min(g.alphaByID[ei]*y[oi], want)
-				flows[ei] = flow
-				rep.Output[oi] += flow
-			}
-		case Sink:
-			for _, ei := range g.predEdges[id] {
-				rep.Throughput += flows[ei]
-			}
+	flows := rep.flows[:len(g.edges)]
+	for i, id := range g.sources {
+		rate := rates[i]
+		for _, ei := range g.succEdges[id] {
+			flows[ei] = g.alphaByID[ei] * rate
 		}
 	}
-	return nil
+	var bit uint
+	for t := range g.opPlan {
+		op := &g.opPlan[t]
+		in := rep.inBuf[:len(op.preds)]
+		for k, ei := range op.preds {
+			in[k] = flows[ei]
+		}
+		yi := y[op.index]
+		var demand float64
+		for _, ei := range op.succs {
+			// A Linear inline, in mathx.Dot's order; Build has checked
+			// its arity. Any other h through its interface.
+			var want float64
+			if k := g.linK[ei]; k != nil {
+				for i, kk := range k {
+					want += kk * in[i]
+				}
+			} else {
+				want = g.hByID[ei].Eval(in)
+			}
+			demand += want
+			share := g.alphaByID[ei] * yi
+			flow := min(share, want) // math.Min's NaN and ±0 rules, inlined
+			flows[ei] = flow
+			if flow == share {
+				pattern |= 1 << bit
+			}
+			bit++
+		}
+		rep.Demand[op.index] = demand
+	}
+	for _, ei := range g.sinkEdges {
+		throughput += flows[ei]
+	}
+	return throughput, pattern
 }
 
 // Throughput is shorthand for Evaluate(...).Throughput.
@@ -511,16 +604,16 @@ func (g *Graph) Throughput(rates, y []float64) (float64, error) {
 	return rep.Throughput, nil
 }
 
-// Workspace is the reusable scratch of LagrangianGradient: the forward
-// sweep's FlowReport plus the per-edge flow adjoints, the gradient and one
-// operator's input-adjoint vector, grown on first use and reused by every
-// later call. One Workspace may serve graphs of different
-// sizes. The zero value is ready to use; a Workspace is not safe for
-// concurrent use.
+// Workspace is the reusable scratch of LagrangianGradient and its two
+// halves: the forward sweep's flows and demands plus the per-edge flow
+// adjoints, the gradient and one operator's input-adjoint vector, grown
+// on first use and reused by every later call. One Workspace may serve
+// graphs of different sizes. The zero value is ready to use; a Workspace
+// is not safe for concurrent use.
 type Workspace struct {
-	rep   FlowReport
-	adj   []float64 // edge ID -> ∂L/∂flow
-	grad  []float64 // operator index -> ∂L/∂y
+	rep   FlowReport // flows and Demand; Inflow and Output stay unused
+	adj   []float64  // edge ID -> ∂L/∂flow
+	grad  []float64  // operator index -> ∂L/∂y
 	inAdj []float64
 }
 
@@ -542,37 +635,57 @@ func (g *Graph) Gradient(rates, y []float64) (float64, []float64, error) {
 // on w's storage: the returned gradient aliases w and is valid only until
 // the next call with w.
 //
-// The forward pass is EvaluateInto. The reverse pass walks the topological
-// order backwards and adds every adjoint in the order a reverse-mode tape
-// of that evaluation would (with the λ terms taped last and min ties
-// routed to the capacity branch), so the result is bit-for-bit the taped
-// gradient.
+// It is LagrangianForward followed by LagrangianReverse. The reverse
+// sweep walks the topological order backwards and adds every adjoint in
+// the order a reverse-mode tape of that evaluation would (with the λ
+// terms taped last and min ties routed to the capacity branch), so the
+// result is bit-for-bit the taped gradient.
 func (g *Graph) LagrangianGradient(w *Workspace, rates, y, lambda []float64) (float64, []float64, error) {
-	if err := g.EvaluateInto(&w.rep, rates, y); err != nil {
+	val, _, _, err := g.LagrangianForward(w, rates, y, lambda)
+	if err != nil {
 		return 0, nil, err
 	}
+	return val, g.LagrangianReverse(w, y, lambda), nil
+}
+
+// LagrangianForward is the forward half of LagrangianGradient: it
+// validates the arguments as LagrangianGradient does and returns the same
+// L(y, λ), bit for bit, without the gradient. pattern has one bit per
+// operator out-edge (at most 64 are numbered), set exactly when the edge
+// carries its capacity share, flow == α·y: the only test through which
+// the reverse sweep reads y. pure reports that every operator out-edge
+// is a Linear and that there are at most 64 of them. On a pure graph the
+// gradient is therefore a function of (pattern, λ) alone: a caller that
+// holds λ fixed may reuse one LagrangianReverse result for every y with
+// the same pattern.
+func (g *Graph) LagrangianForward(w *Workspace, rates, y, lambda []float64) (val float64, pattern uint64, pure bool, err error) {
+	if err := g.checkEvalArgs(rates, y); err != nil {
+		return 0, 0, false, err
+	}
 	if len(lambda) != len(g.operators) {
-		return 0, nil, fmt.Errorf("dag: got %d multipliers, want %d", len(lambda), len(g.operators))
+		return 0, 0, false, fmt.Errorf("dag: got %d multipliers, want %d", len(lambda), len(g.operators))
 	}
 	for i, l := range lambda {
-		if l < 0 || math.IsNaN(l) || math.IsInf(l, 0) {
-			return 0, nil, fmt.Errorf("dag: multiplier λ[%d] = %v invalid", i, l)
+		if !nonNegFinite(l) {
+			return 0, 0, false, fmt.Errorf("dag: multiplier λ[%d] = %v invalid", i, l)
 		}
 	}
-	val := w.rep.Throughput
+	val, pattern = g.forward(&w.rep, rates, y)
 	for i, l := range lambda {
 		if l != 0 {
 			val -= l * (w.rep.Demand[i] - y[i])
 		}
 	}
-	return val, w.reverse(g, y, lambda), nil
+	return val, pattern, g.pure, nil
 }
 
-// reverse is LagrangianGradient's reverse sweep over the flows w.rep
-// holds for y. The returned gradient aliases w.
+// LagrangianReverse is the reverse half of LagrangianGradient: ∂L/∂y over
+// the flows the last LagrangianForward on w left, which must have run on
+// g with the same y and λ. The returned gradient aliases w and is valid
+// only until the next call with w.
 //
 //lint:hotpath
-func (w *Workspace) reverse(g *Graph, y, lambda []float64) []float64 {
+func (g *Graph) LagrangianReverse(w *Workspace, y, lambda []float64) []float64 {
 	if cap(w.adj) < len(g.edges) {
 		w.adj = make([]float64, len(g.edges))
 	}
@@ -585,49 +698,49 @@ func (w *Workspace) reverse(g *Graph, y, lambda []float64) []float64 {
 	flows := w.rep.flows[:len(g.edges)]
 	adj := w.adj[:len(g.edges)]
 	grad := w.grad[:len(g.operators)]
+	for _, ei := range g.sinkEdges {
+		adj[ei] = 1
+	}
 	// Every edge's adjoint is complete before it is read: its head comes
 	// later in topological order, so the backward walk visits it first.
-	for t := len(g.topo) - 1; t >= 0; t-- {
-		id := g.topo[t]
-		switch g.kinds[id] {
-		case Sink:
-			for _, ei := range g.predEdges[id] {
-				adj[ei] = 1
-			}
-		case Operator:
-			oi := g.opIndex[id]
-			lam := lambda[oi]
-			preds := g.predEdges[id]
-			in := w.rep.inBuf[:len(preds)] // EvaluateInto is done with it
-			inAdj := w.inAdj[:len(preds)]
-			for k, ei := range preds {
-				in[k] = flows[ei]
-			}
-			clear(inAdj)
-			// A tape of L records −λ_i·(demand_i − y_i) last, so y_i's
-			// adjoint starts at λ_i and every h output's ends with −λ_i.
-			gy := lam
-			succ := g.succEdges[id]
-			for s := len(succ) - 1; s >= 0; s-- {
-				ei := succ[s]
-				alpha := g.alphaByID[ei]
-				var ah float64
-				if a := adj[ei]; a != 0 {
-					// flow = min(α·y, h), ties to α·y.
-					if flows[ei] == alpha*y[oi] {
-						gy += a * alpha
-					} else {
-						ah = a
-					}
+	for t := len(g.opPlan) - 1; t >= 0; t-- {
+		op := &g.opPlan[t]
+		lam := lambda[op.index]
+		yi := y[op.index]
+		in := w.rep.inBuf[:len(op.preds)] // the forward sweep is done with it
+		for k, ei := range op.preds {
+			in[k] = flows[ei]
+		}
+		inAdj := w.inAdj[:len(op.preds)]
+		clear(inAdj)
+		// A tape of L records −λ_i·(demand_i − y_i) last, so y_i's
+		// adjoint starts at λ_i and every h output's ends with −λ_i.
+		gy := lam
+		for s := len(op.succs) - 1; s >= 0; s-- {
+			ei := op.succs[s]
+			alpha := g.alphaByID[ei]
+			var ah float64
+			if a := adj[ei]; a != 0 {
+				// flow = min(α·y, h), ties to α·y.
+				if flows[ei] == alpha*yi {
+					gy += a * alpha
+				} else {
+					ah = a
 				}
-				if ah -= lam; ah != 0 {
+			}
+			if ah -= lam; ah != 0 {
+				if k := g.linK[ei]; k != nil {
+					for i, kk := range k {
+						inAdj[i] += ah * kk
+					}
+				} else {
 					g.hByID[ei].AddVJP(in, ah, inAdj)
 				}
 			}
-			grad[oi] = gy
-			for k, ei := range preds {
-				adj[ei] = inAdj[k]
-			}
+		}
+		grad[op.index] = gy
+		for k, ei := range op.preds {
+			adj[ei] = inAdj[k]
 		}
 	}
 	return grad

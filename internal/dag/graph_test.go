@@ -251,6 +251,30 @@ func TestBuildValidationErrors(t *testing.T) {
 			two, _ := NewLinear(1, 1) // expects 2 inputs, operator has 1
 			b.Edge(o, k, two, 1)
 		}, "probe failed"},
+		// The sweeps evaluate a Linear inline, so Build's arity check is
+		// all that stands between a wrong-length K and a silent result.
+		{"Linear longer than its inputs", func(b *Builder) {
+			s := b.Source("s")
+			o := b.Operator("o")
+			k := b.Sink("k")
+			b.Edge(s, o, nil, 1)
+			b.Edge(o, k, Linear{K: []float64{1, 1}}, 1)
+		}, "probe failed: dag: Linear expects 2 inputs, got 1"},
+		{"Linear shorter than its inputs", func(b *Builder) {
+			s1, s2 := b.Source("s1"), b.Source("s2")
+			o := b.Operator("o")
+			k := b.Sink("k")
+			b.Edge(s1, o, nil, 1)
+			b.Edge(s2, o, nil, 1)
+			b.Edge(o, k, Selectivity(1), 1)
+		}, "probe failed: dag: Linear expects 1 inputs, got 2"},
+		{"empty Linear", func(b *Builder) {
+			s := b.Source("s")
+			o := b.Operator("o")
+			k := b.Sink("k")
+			b.Edge(s, o, nil, 1)
+			b.Edge(o, k, Linear{}, 1)
+		}, "probe failed: dag: Linear expects 0 inputs, got 1"},
 		{"h gradient dimension mismatch", func(b *Builder) {
 			s := b.Source("s")
 			o := b.Operator("o")

@@ -1,0 +1,336 @@
+package dag_test
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"dragster/internal/dag"
+	"dragster/internal/stats"
+)
+
+// dyadicPoint draws rates, capacities and multipliers on the coarse grid
+// the mixed-graph tape test uses, so min(α·y, h) ties exactly.
+func dyadicPoint(g *dag.Graph, rng *stats.RNG) (rates, y, lambda []float64) {
+	rates = make([]float64, g.NumSources())
+	for i := range rates {
+		rates[i] = []float64{64, 128}[rng.Intn(2)]
+	}
+	y = make([]float64, g.NumOperators())
+	lambda = make([]float64, g.NumOperators())
+	for i := range y {
+		y[i] = []float64{16, 32, 64, 128, 256}[rng.Intn(5)]
+		if rng.Intn(2) == 0 {
+			lambda[i] = rng.Uniform(0, 2)
+		}
+	}
+	return rates, y, lambda
+}
+
+// wantPure is the purity rule restated: every operator out-edge is a
+// Linear, and there are at most 64 of them.
+func wantPure(g *dag.Graph) bool {
+	n := 0
+	for _, id := range g.Operators() {
+		for _, ei := range g.SuccEdgeIDs(id) {
+			if _, ok := g.HByID(ei).(dag.Linear); !ok {
+				return false
+			}
+			n++
+		}
+	}
+	return n <= 64
+}
+
+// TestLagrangianForwardMatchesGradientL: the forward sweep alone, on a
+// fresh workspace, returns LagrangianGradient's (and the tape's) L bit for
+// bit and reports purity exactly when every operator out-edge is a Linear.
+func TestLagrangianForwardMatchesGradientL(t *testing.T) {
+	rng := stats.NewRNG(51)
+	var pure, mixed int
+	for trial := 0; trial < 200; trial++ {
+		var g *dag.Graph
+		if trial%2 == 0 {
+			g = randomLayeredGraph(t, rng)
+		} else {
+			g = mixedGraph(t, rng)
+		}
+		rates, y, lambda := dyadicPoint(g, rng)
+		wantL, _, err := g.LagrangianGradient(new(dag.Workspace), rates, y, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotL, _, gotPure, err := g.LagrangianForward(new(dag.Workspace), rates, y, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(gotL) != math.Float64bits(wantL) {
+			t.Fatalf("trial %d: forward L = %v, LagrangianGradient %v", trial, gotL, wantL)
+		}
+		if tapeL, _, _, _ := tapeLagrangian(g, rates, y, lambda); math.Float64bits(gotL) != math.Float64bits(tapeL) {
+			t.Fatalf("trial %d: forward L = %v, tape %v", trial, gotL, tapeL)
+		}
+		if gotPure != wantPure(g) {
+			t.Fatalf("trial %d: pure = %v, want %v", trial, gotPure, !gotPure)
+		}
+		if gotPure {
+			pure++
+		} else {
+			mixed++
+		}
+	}
+	if pure == 0 || mixed == 0 {
+		t.Fatalf("generators gave %d pure and %d non-pure graphs", pure, mixed)
+	}
+}
+
+// TestBranchPatternIsTheCapacityTest: bit b of the pattern is set exactly
+// when the b-th operator out-edge passes the reverse sweep's capacity
+// test, flow == α·y, over the flows the sweep leaves behind.
+func TestBranchPatternIsTheCapacityTest(t *testing.T) {
+	rng := stats.NewRNG(52)
+	ws := new(dag.Workspace)
+	var set, unset int
+	for trial := 0; trial < 300; trial++ {
+		var g *dag.Graph
+		if trial%2 == 0 {
+			g = randomLayeredGraph(t, rng)
+		} else {
+			g = mixedGraph(t, rng)
+		}
+		rates, y, lambda := dyadicPoint(g, rng)
+		_, pattern, _, err := g.LagrangianForward(ws, rates, y, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flows := dag.SweptFlows(ws)
+		edges, ops := dag.PatternEdges(g)
+		for b, ei := range edges {
+			capacity := flows[ei] == g.AlphaByID(ei)*y[ops[b]]
+			if bit := pattern>>uint(b)&1 == 1; bit != capacity {
+				t.Fatalf("trial %d: edge %d bit = %v, capacity test = %v", trial, ei, bit, capacity)
+			}
+			if capacity {
+				set++
+			} else {
+				unset++
+			}
+		}
+	}
+	if set == 0 || unset == 0 {
+		t.Fatalf("generator exercised %d capacity and %d demand branches", set, unset)
+	}
+}
+
+// TestPatternDeterminesPureGradient is the fact the OSP's per-step memo
+// rests on: on a pure graph, two capacity vectors with the same branch
+// pattern have bit-identical gradients at the same λ.
+func TestPatternDeterminesPureGradient(t *testing.T) {
+	rng := stats.NewRNG(53)
+	ws := new(dag.Workspace)
+	var shared int
+	for trial := 0; trial < 40; trial++ {
+		g := randomLayeredGraph(t, rng)
+		rates, _, lambda := dyadicPoint(g, rng)
+		seen := map[uint64][]float64{}
+		for draw := 0; draw < 50; draw++ {
+			y := make([]float64, g.NumOperators())
+			for i := range y {
+				y[i] = rng.Uniform(1, 2000)
+			}
+			_, pattern, pure, err := g.LagrangianForward(ws, rates, y, lambda)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !pure {
+				t.Fatalf("trial %d: a Linear-only graph is not pure", trial)
+			}
+			grad := g.LagrangianReverse(ws, y, lambda)
+			want, ok := seen[pattern]
+			if !ok {
+				seen[pattern] = append([]float64(nil), grad...)
+				continue
+			}
+			shared++
+			for i := range want {
+				if math.Float64bits(grad[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d: pattern %b gives ∂L/∂y[%d] = %v and %v", trial, pattern, i, grad[i], want[i])
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two draws shared a pattern")
+	}
+}
+
+// chainGraph builds source → n Linear operators → sink.
+func chainGraph(t *testing.T, n int) *dag.Graph {
+	t.Helper()
+	b := dag.NewBuilder()
+	nodes := []dag.NodeID{b.Source("src")}
+	hs := []dag.ThroughputFunc{nil}
+	for i := 0; i < n; i++ {
+		nodes = append(nodes, b.Operator(fmt.Sprintf("op-%d", i)))
+		hs = append(hs, dag.Selectivity(1))
+	}
+	nodes = append(nodes, b.Sink("sink"))
+	if err := b.Chain(nodes, hs); err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestPurityNeedsAtMost64Edges: a pattern has 64 bits, so a Linear graph
+// with 65 operator out-edges is not pure.
+func TestPurityNeedsAtMost64Edges(t *testing.T) {
+	for _, c := range []struct {
+		ops  int
+		pure bool
+	}{{1, true}, {64, true}, {65, false}} {
+		g := chainGraph(t, c.ops)
+		y := make([]float64, c.ops)
+		for i := range y {
+			y[i] = 10
+		}
+		_, _, pure, err := g.LagrangianForward(new(dag.Workspace), []float64{5}, y, make([]float64, c.ops))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pure != c.pure {
+			t.Errorf("%d-operator chain: pure = %v, want %v", c.ops, pure, c.pure)
+		}
+	}
+}
+
+// TestBuildCopiesLinearRates: the Graph is immutable, so mutating the
+// caller's K after Build changes neither Evaluate nor the edge's h.
+func TestBuildCopiesLinearRates(t *testing.T) {
+	k := []float64{2}
+	b := dag.NewBuilder()
+	src := b.Source("src")
+	op := b.Operator("op")
+	snk := b.Sink("sink")
+	if err := b.Chain([]dag.NodeID{src, op, snk}, []dag.ThroughputFunc{nil, dag.Linear{K: k}}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := g.Evaluate([]float64{10}, []float64{100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k[0] = 5
+	after, err := g.Evaluate([]float64{10}, []float64{100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Throughput != 20 || after.Throughput != 20 || after.Demand[0] != 20 {
+		t.Errorf("throughput %v then %v (demand %v) after mutating K, want 20", before.Throughput, after.Throughput, after.Demand[0])
+	}
+	if got := g.H(dag.EdgeKey{From: op, To: snk}).(dag.Linear).K[0]; got != 2 {
+		t.Errorf("edge h has K[0] = %v, want the 2 it was built with", got)
+	}
+}
+
+// opaque hides a ThroughputFunc's concrete type, so the sweeps reach a
+// Linear through its interface methods instead of the inline path.
+type opaque struct{ dag.ThroughputFunc }
+
+// rebuild copies g, wrapping every edge function in opaque when hide is
+// set. Edges are re-added head by head in predecessor order, so both
+// copies share one structure whatever the wrapping.
+func rebuild(t *testing.T, g *dag.Graph, hide bool) *dag.Graph {
+	t.Helper()
+	b := dag.NewBuilder()
+	n := g.NumSources() + g.NumOperators() + len(g.Sinks())
+	for id := dag.NodeID(0); int(id) < n; id++ {
+		switch g.KindOf(id) {
+		case dag.Source:
+			b.Source(g.Name(id))
+		case dag.Operator:
+			b.Operator(g.Name(id))
+		case dag.Sink:
+			b.Sink(g.Name(id))
+		}
+	}
+	for to := dag.NodeID(0); int(to) < n; to++ {
+		for _, ei := range g.PredEdgeIDs(to) {
+			h := g.HByID(ei)
+			if hide && h != nil {
+				h = opaque{h}
+			}
+			b.Edge(g.EdgeByID(ei).From, to, h, g.AlphaByID(ei))
+		}
+	}
+	out, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestInlineLinearMatchesInterface: the inline Linear evaluation and VJP
+// are bit-identical to Linear.Eval and Linear.AddVJP, in L, the gradient
+// and every evaluated flow.
+func TestInlineLinearMatchesInterface(t *testing.T) {
+	rng := stats.NewRNG(54)
+	for trial := 0; trial < 60; trial++ {
+		g := randomLayeredGraph(t, rng)
+		inline, iface := rebuild(t, g, false), rebuild(t, g, true)
+		rates, y, lambda := dyadicPoint(g, rng)
+		if trial%2 == 0 {
+			for i := range y {
+				y[i] = rng.Uniform(1, 2000)
+			}
+		}
+		_, _, inlinePure, err := inline.LagrangianForward(new(dag.Workspace), rates, y, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, ifacePure, err := iface.LagrangianForward(new(dag.Workspace), rates, y, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !inlinePure || ifacePure {
+			t.Fatalf("trial %d: pure = %v inline, %v behind the interface", trial, inlinePure, ifacePure)
+		}
+		wantL, wantGrad, err := iface.LagrangianGradient(new(dag.Workspace), rates, y, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotL, gotGrad, err := inline.LagrangianGradient(new(dag.Workspace), rates, y, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(gotL) != math.Float64bits(wantL) {
+			t.Fatalf("trial %d: inline L = %v, interface %v", trial, gotL, wantL)
+		}
+		for i := range wantGrad {
+			if math.Float64bits(gotGrad[i]) != math.Float64bits(wantGrad[i]) {
+				t.Fatalf("trial %d: inline ∂L/∂y[%d] = %v, interface %v", trial, i, gotGrad[i], wantGrad[i])
+			}
+		}
+		want, err := iface.Evaluate(rates, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := inline.Evaluate(rates, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range [][2][]float64{{got.Inflow, want.Inflow}, {got.Demand, want.Demand}, {got.Output, want.Output}, {{got.Throughput}, {want.Throughput}}} {
+			for i := range pair[1] {
+				if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+					t.Fatalf("trial %d: inline report %v, interface %v", trial, pair[0], pair[1])
+				}
+			}
+		}
+	}
+}

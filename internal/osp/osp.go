@@ -87,7 +87,47 @@ type Optimizer struct {
 	lambda []float64 // dual variables λ_i ≥ 0
 	yPrev  []float64 // previous target (OGD state / warm start)
 	t      int       // slot counter (starts at 1 on first Step)
-	ws     dag.Workspace
+
+	// Scratch reused by every Step.
+	ws   dag.Workspace
+	rep  dag.FlowReport // the headroom floor's evaluation
+	y    []float64      // the inner solve's iterate
+	grad []float64      // the regularized gradient on a memo miss
+	memo gradMemo
+}
+
+// gradMemo maps a branch pattern (see dag.Graph.LagrangianForward) to the
+// economy-regularized gradient and its norm. On a pure graph that
+// gradient is a function of the pattern and λ alone, and λ cannot change
+// inside one Step, so Step resets the memo and nothing else invalidates
+// it. One Step adds at most innerIters entries; on the workload graphs a
+// step visits a few to a few tens of patterns, so lookup is a linear
+// scan, newest first.
+type gradMemo struct {
+	patterns []uint64
+	norms    []float64
+	grads    []float64 // entry j is grads[j·m : (j+1)·m]
+}
+
+func (c *gradMemo) reset() {
+	c.patterns, c.norms, c.grads = c.patterns[:0], c.norms[:0], c.grads[:0]
+}
+
+// find returns the gradient and norm stored for pattern.
+func (c *gradMemo) find(pattern uint64, m int) ([]float64, float64, bool) {
+	for j := len(c.patterns) - 1; j >= 0; j-- {
+		if c.patterns[j] == pattern {
+			return c.grads[j*m : (j+1)*m], c.norms[j], true
+		}
+	}
+	return nil, 0, false
+}
+
+// add stores a copy of grad and its norm for pattern.
+func (c *gradMemo) add(pattern uint64, grad []float64, norm float64) {
+	c.patterns = append(c.patterns, pattern)
+	c.norms = append(c.norms, norm)
+	c.grads = append(c.grads, grad...)
 }
 
 // New returns an Optimizer for the application graph.
@@ -104,6 +144,8 @@ func New(g *dag.Graph, cfg Config) (*Optimizer, error) {
 		cfg:    cfg,
 		lambda: make([]float64, m),
 		yPrev:  make([]float64, m),
+		y:      make([]float64, m),
+		grad:   make([]float64, m),
 	}
 	for i := range o.yPrev {
 		o.yPrev[i] = cfg.YMax / 4 // neutral warm start
@@ -126,6 +168,7 @@ func (o *Optimizer) Step(rates []float64) ([]float64, error) {
 		return nil, fmt.Errorf("osp: got %d rates, want %d", len(rates), o.g.NumSources())
 	}
 	o.t++
+	o.memo.reset() // λ may have moved since the last Step
 	var y []float64
 	var err error
 	switch o.cfg.Method {
@@ -146,12 +189,11 @@ func (o *Optimizer) Step(rates []float64) ([]float64, error) {
 	// a *smooth* tracker and the floor would collapse it into the saddle
 	// point solution (§6.2 distinguishes the two trajectories).
 	if o.cfg.Method == SaddlePoint {
-		rep, err := o.g.Evaluate(rates, y)
-		if err != nil {
+		if err := o.g.EvaluateInto(&o.rep, rates, y); err != nil {
 			return nil, err
 		}
 		for i := range y {
-			need := rep.Demand[i] * headroomFactor
+			need := o.rep.Demand[i] * headroomFactor
 			if y[i] < need {
 				y[i] = math.Min(need, o.cfg.YMax)
 			}
@@ -164,12 +206,13 @@ func (o *Optimizer) Step(rates []float64) ([]float64, error) {
 // maximizeLagrangian solves Eq. 14 by projected gradient ascent over the
 // box [0, YMax]^M with diminishing steps.
 func (o *Optimizer) maximizeLagrangian(rates []float64) ([]float64, error) {
-	y := append([]float64(nil), o.yPrev...)
+	y := o.y
+	copy(y, o.yPrev)
 	best := append([]float64(nil), y...)
 	bestL := math.Inf(-1)
 	step0 := o.cfg.YMax / 8
 	for k := 1; k <= innerIters; k++ {
-		l, grad, err := o.regularizedLagrangian(rates, y)
+		l, grad, gn, err := o.objective(rates, y)
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +220,6 @@ func (o *Optimizer) maximizeLagrangian(rates []float64) ([]float64, error) {
 			bestL = l
 			copy(best, y)
 		}
-		gn := mathx.Norm2(grad)
 		if gn < 1e-12 {
 			break
 		}
@@ -187,25 +229,49 @@ func (o *Optimizer) maximizeLagrangian(rates []float64) ([]float64, error) {
 		}
 	}
 	// Evaluate the final iterate too.
-	if l, _, err := o.regularizedLagrangian(rates, y); err == nil && l > bestL {
+	if l, _, _, err := o.regularizedLagrangian(rates, y); err == nil && l > bestL {
 		copy(best, y)
 	}
 	return best, nil
 }
 
-// regularizedLagrangian returns L(y, λ) − w·Σy and its gradient, the
-// economy-regularized inner objective (see economyWeight). The
-// gradient aliases the optimizer's workspace until the next call.
-func (o *Optimizer) regularizedLagrangian(rates, y []float64) (float64, []float64, error) {
-	l, grad, err := o.g.LagrangianGradient(&o.ws, rates, y, o.lambda)
+// regularizedLagrangian returns L(y, λ) − w·Σy, the economy-regularized
+// inner objective (see economyWeight), with the forward sweep's branch
+// pattern and purity.
+func (o *Optimizer) regularizedLagrangian(rates, y []float64) (l float64, pattern uint64, pure bool, err error) {
+	l, pattern, pure, err = o.g.LagrangianForward(&o.ws, rates, y, o.lambda)
 	if err != nil {
-		return 0, nil, err
+		return 0, 0, false, err
 	}
-	for i := range grad {
+	for i := range y {
 		l -= economyWeight * y[i]
-		grad[i] -= economyWeight
 	}
-	return l, grad, nil
+	return l, pattern, pure, nil
+}
+
+// objective returns the regularized objective at y, its gradient and the
+// gradient's norm. On a pure graph the gradient and norm come from the
+// step's memo when y's branch pattern has been seen. The gradient is
+// valid until the next call.
+func (o *Optimizer) objective(rates, y []float64) (l float64, grad []float64, gn float64, err error) {
+	l, pattern, pure, err := o.regularizedLagrangian(rates, y)
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	if pure {
+		if grad, gn, ok := o.memo.find(pattern, len(y)); ok {
+			return l, grad, gn, nil
+		}
+	}
+	grad = o.grad
+	for i, d := range o.g.LagrangianReverse(&o.ws, y, o.lambda) {
+		grad[i] = d - economyWeight
+	}
+	gn = mathx.Norm2(grad)
+	if pure {
+		o.memo.add(pattern, grad, gn)
+	}
+	return l, grad, gn, nil
 }
 
 // ogdStep is Eq. 16: one normalized gradient step on L_{t−1} from the
@@ -214,11 +280,10 @@ func (o *Optimizer) regularizedLagrangian(rates, y []float64) (float64, []float6
 // the same speed scaling down (where only the small economy slope points
 // the way) as scaling up.
 func (o *Optimizer) ogdStep(rates []float64) ([]float64, error) {
-	_, grad, err := o.regularizedLagrangian(rates, o.yPrev)
+	_, grad, gn, err := o.objective(rates, o.yPrev)
 	if err != nil {
 		return nil, err
 	}
-	gn := mathx.Norm2(grad)
 	y := make([]float64, len(o.yPrev))
 	if gn < 1e-12 {
 		copy(y, o.yPrev)
