@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-gp bench-e2e bench-e2e-gate bench-layers bench-snapshot bench-flat fuzz-smoke lint lint-sarif repro repro-check repro-quick examples clean
+.PHONY: all build test race cover loc bench bench-gp bench-e2e bench-e2e-gate bench-layers bench-snapshot bench-flat fuzz-smoke lint lint-sarif repro repro-check repro-quick examples clean
 
 all: build test lint
 
@@ -44,6 +44,11 @@ race:
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./cmd/covergate -profile cover.out -floors COVERAGE_FLOOR.txt
+
+# Non-test Go lines outside perfbench/ and every testdata/ directory:
+# the size measure simplicity changes are judged by.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
 
 # Short coverage-guided run of every fuzz target (go test accepts one
 # -fuzz pattern per invocation, hence the loop). Catches fuzz-harness rot

@@ -12,10 +12,7 @@ import (
 	"testing"
 
 	"dragster/internal/experiment"
-	"dragster/internal/gp"
 	"dragster/internal/osp"
-	"dragster/internal/stats"
-	"dragster/internal/ucb"
 	"dragster/internal/workload"
 )
 
@@ -256,7 +253,7 @@ func BenchmarkAblationAcquisition(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var extCost, convCost, thompCost float64
+	var extCost, convCost float64
 	for i := 0; i < b.N; i++ {
 		run := func(f experiment.PolicyFactory) float64 {
 			res, err := experiment.Run(experiment.Scenario{
@@ -269,11 +266,9 @@ func BenchmarkAblationAcquisition(b *testing.B) {
 		}
 		extCost = run(experiment.DragsterSaddle())
 		convCost = run(experiment.DragsterConventionalUCB())
-		thompCost = run(experiment.DragsterThompson())
 	}
 	if extCost > 0 {
 		b.ReportMetric(100*(convCost/extCost-1), "%conventional-cost-premium")
-		b.ReportMetric(100*(thompCost/extCost-1), "%thompson-cost-premium")
 	}
 }
 
@@ -307,86 +302,6 @@ func BenchmarkAblationVerticalScaling(b *testing.B) {
 	}
 	b.ReportMetric(c1, "tasks-only-$/1e9")
 	b.ReportMetric(c2, "tasks+cpu-$/1e9")
-}
-
-// BenchmarkAblationKernel — design-choice ablation: SE versus Matérn-5/2
-// kernel for learning a concave capacity curve from noisy Eq. 8 samples.
-// Reports each kernel's mean absolute prediction error after 20 samples.
-func BenchmarkAblationKernel(b *testing.B) {
-	truth := func(n float64) float64 { return 16000 * math.Pow(n, 0.85) }
-	cands := make([][]float64, 10)
-	for n := 1; n <= 10; n++ {
-		cands[n-1] = []float64{float64(n)}
-	}
-	evalKernel := func(k gp.Kernel, seed int64) float64 {
-		rng := stats.NewRNG(seed)
-		s, err := ucb.NewSearcher(ucb.Config{Kernel: k, NoiseVar: 1e6, Candidates: cands})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 20; i++ {
-			n := 1 + float64(rng.Intn(10))
-			if err := s.Observe([]float64{n}, truth(n)+rng.Normal(0, 1000)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		var mae float64
-		for n := 1; n <= 10; n++ {
-			mu, _, err := s.PosteriorAt(n - 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mae += math.Abs(mu - truth(float64(n)))
-		}
-		return mae / 10
-	}
-	se, err := gp.NewSquaredExponential(2.25, 2.5e9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mat, err := gp.NewMatern52(2.25, 2.5e9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var seMAE, matMAE float64
-	for i := 0; i < b.N; i++ {
-		seMAE = evalKernel(se, int64(i+1))
-		matMAE = evalKernel(mat, int64(i+1))
-	}
-	b.ReportMetric(seMAE, "se-mae-tuples/s")
-	b.ReportMetric(matMAE, "matern-mae-tuples/s")
-}
-
-// BenchmarkForecastUnderDrift — extension: Holt load forecasting versus
-// the paper's one-slot-lagged targets, under sinusoidal offered-load
-// drift (the "gradual drifts" of §1). Reports processed tuples for each.
-func BenchmarkForecastUnderDrift(b *testing.B) {
-	spec, err := workload.WordCount()
-	if err != nil {
-		b.Fatal(err)
-	}
-	drift, err := workload.Sinusoid([]float64{30000}, []float64{20000}, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var lagged, forecast float64
-	for i := 0; i < b.N; i++ {
-		run := func(alpha float64) float64 {
-			res, err := experiment.Run(experiment.Scenario{
-				Spec: spec, Rates: drift, Slots: 48, SlotSeconds: benchSlotSeconds,
-				Seed: int64(i + 1), ForecastAlpha: alpha,
-			}, experiment.DragsterSaddle())
-			if err != nil {
-				b.Fatal(err)
-			}
-			return experiment.TotalProcessed(res)
-		}
-		lagged = run(0)
-		forecast = run(0.6)
-	}
-	if lagged > 0 {
-		b.ReportMetric(100*(forecast/lagged-1), "%goodput-gain-forecast")
-	}
 }
 
 // BenchmarkStormSubstrate — Dragster on the Storm substrate (§3.2:

@@ -115,7 +115,6 @@ type Acquisition = ucb.Acquisition
 const (
 	ExtendedUCB     = ucb.Extended
 	ConventionalUCB = ucb.Conventional
-	ThompsonUCB     = ucb.Thompson
 )
 
 // ---- Baselines ----
@@ -257,11 +256,10 @@ type PolicyFactory = experiment.PolicyFactory
 
 // Policy factories for the three evaluated schemes (plus extras).
 var (
-	DragsterSaddlePolicy   = experiment.DragsterSaddle
-	DragsterOGDPolicy      = experiment.DragsterOGD
-	DragsterThompsonPolicy = experiment.DragsterThompson
-	DhalionPolicy          = experiment.DhalionPolicy
-	DS2Policy              = experiment.DS2Policy
+	DragsterSaddlePolicy = experiment.DragsterSaddle
+	DragsterOGDPolicy    = experiment.DragsterOGD
+	DhalionPolicy        = experiment.DhalionPolicy
+	DS2Policy            = experiment.DS2Policy
 )
 
 // Fleet is the multi-job control plane: N controllers sharing one

@@ -142,9 +142,6 @@ func (e *Engine) Install(k8s *cluster.Cluster, job *flink.Job, mon *monitor.Moni
 	return nil
 }
 
-// Spec returns the scenario being replayed.
-func (e *Engine) Spec() *Spec { return e.spec }
-
 // Metrics returns the registry the engine counts faults in.
 func (e *Engine) Metrics() *telemetry.Registry { return e.counters }
 

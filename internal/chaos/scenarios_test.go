@@ -63,11 +63,12 @@ func runGolden(t *testing.T, cs *chaos.Spec) *goldenRun {
 			t.Fatalf("step failed: %v", err)
 		}
 	}
+	res := r.Result()
 	return &goldenRun{
-		res:     r.Result(),
+		res:     res,
 		trace:   r.ChaosTrace(),
-		counts:  r.Metrics().Snapshot(),
-		skipped: r.SkippedRounds(),
+		counts:  res.Metrics.Snapshot(),
+		skipped: res.SkippedRounds,
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"dragster/internal/gp"
 	"dragster/internal/monitor"
 	"dragster/internal/osp"
-	"dragster/internal/stats"
 	"dragster/internal/store"
 	"dragster/internal/telemetry"
 	"dragster/internal/ucb"
@@ -72,15 +71,6 @@ type Config struct {
 	// ROADMAP targets — at the price of an approximate (retained-set)
 	// posterior; see DESIGN.md "Bounded-memory posterior".
 	GPObservationBudget int
-	// RNG supplies posterior draws when Acquisition is ucb.Thompson
-	// (ignored otherwise).
-	RNG *stats.RNG
-	// ForecastAlpha enables Holt load forecasting with the given level
-	// smoothing factor (0 disables): level-1 targets are computed against
-	// the one-slot-ahead rate forecast instead of last slot's observation,
-	// removing the systematic lag under drifting load. The trend factor
-	// defaults to ForecastAlpha/2.
-	ForecastAlpha float64
 	// DB, when set, receives one record per operator per slot, and its
 	// history is replayed into the GPs at construction (warm start).
 	DB *store.DB
@@ -108,14 +98,13 @@ const explorationScale = 0.1
 
 // Controller is the Dragster optimization engine.
 type Controller struct {
-	cfg        Config
-	g          *dag.Graph
-	level1     *osp.Optimizer
-	searchers  []*ucb.Searcher
-	forecaster *loadForecaster // nil when forecasting is off
-	lastTasks  []int
-	lastCPU    []int // last observed per-pod CPU (0 = unknown/1-D configs)
-	slot       int
+	cfg       Config
+	g         *dag.Graph
+	level1    *osp.Optimizer
+	searchers []*ucb.Searcher
+	lastTasks []int
+	lastCPU   []int // last observed per-pod CPU (0 = unknown/1-D configs)
+	slot      int
 	// Stale-metric guard: a snapshot whose slot does not advance past the
 	// last decided one is a repeat (metrics staleness) and is skipped
 	// wholesale rather than re-fed into the GPs and dual updates.
@@ -157,9 +146,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	if cfg.GPObservationBudget < 0 {
 		return nil, errors.New("core: negative GPObservationBudget")
-	}
-	if cfg.ForecastAlpha < 0 || cfg.ForecastAlpha >= 1 {
-		return nil, errors.New("core: ForecastAlpha outside [0, 1)")
 	}
 	if cfg.Candidates == nil {
 		grid, err := store.TaskGrid(1, 10)
@@ -203,7 +189,6 @@ func New(cfg Config) (*Controller, error) {
 			Kernel:            capacityKernel(cfg.Candidates[i], capScale),
 			ExplorationScale:  explorationScale,
 			RefitEvery:        cfg.HyperoptEvery,
-			RNG:               cfg.RNG,
 			ObservationBudget: cfg.GPObservationBudget,
 		})
 		if err != nil {
@@ -211,13 +196,6 @@ func New(cfg Config) (*Controller, error) {
 		}
 		c.searchers[i] = s
 		c.lastTasks[i] = int(math.Round(cfg.Candidates[i][0][0]))
-	}
-	if cfg.ForecastAlpha > 0 {
-		f, err := newLoadForecaster(cfg.Graph.NumSources(), cfg.ForecastAlpha, cfg.ForecastAlpha/2)
-		if err != nil {
-			return nil, err
-		}
-		c.forecaster = f
 	}
 	if cfg.DB != nil {
 		if err := c.warmStart(); err != nil {
@@ -290,9 +268,6 @@ func (c *Controller) Searcher(i int) *ucb.Searcher { return c.searchers[i] }
 
 // Duals returns the level-1 dual variables.
 func (c *Controller) Duals() []float64 { return c.level1.Duals() }
-
-// TaskBudget returns the current Σ-tasks budget (0 = unbounded).
-func (c *Controller) TaskBudget() int { return c.cfg.TaskBudget }
 
 // SetTaskBudget re-partitions this controller's share of a shared
 // cluster budget: subsequent decisions project onto Σ_i tasks_i ≤ budget
@@ -483,14 +458,9 @@ func (c *Controller) DecideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 		return nil, nil, err
 	}
 
-	// (3) Level 1: target capacities from last slot's objective — or from
-	// the one-slot-ahead forecast when forecasting is enabled.
-	targetRates := snap.SourceRates
-	if c.forecaster != nil {
-		c.forecaster.observe(snap.SourceRates)
-		targetRates = c.forecaster.predict()
-	}
-	y, err := c.level1.Step(targetRates)
+	// (3) Level 1: target capacities from last slot's objective (§4.2.1:
+	// the objective is only known one slot later).
+	y, err := c.level1.Step(snap.SourceRates)
 	if err != nil {
 		ospSpan.End()
 		return nil, nil, err
@@ -553,7 +523,7 @@ func (c *Controller) DecideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 			projSpan.End()
 			return nil, nil, err
 		}
-		desired = c.rebalanceUnderBudget(desired, targetRates)
+		desired = c.rebalanceUnderBudget(desired, snap.SourceRates)
 		for i, n := range desired {
 			chosen[i] = c.nearestWithTasks(i, n, chosen[i])
 		}

@@ -301,6 +301,16 @@ func TestConventionalAcquisitionConfigurable(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnknownAcquisition: the searchers validate the
+// acquisition, so a bad value fails construction instead of every Decide.
+func TestNewRejectsUnknownAcquisition(t *testing.T) {
+	for _, acq := range []ucb.Acquisition{2, -1} {
+		if _, err := New(Config{Graph: chain(t), YMax: 1000, NoiseVar: 100, Acquisition: acq}); err == nil {
+			t.Errorf("%v accepted", acq)
+		}
+	}
+}
+
 func TestDecideWithUnknownOperatorCountErrors(t *testing.T) {
 	c := newController(t)
 	snap := &monitor.Snapshot{

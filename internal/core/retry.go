@@ -54,10 +54,6 @@ func NewRescaleRetrier(cfg RetryConfig) *RescaleRetrier {
 // state, or nil after a success.
 func (r *RescaleRetrier) LastErr() error { return r.lastErr }
 
-// Pending reports whether a desired configuration is still waiting to be
-// applied (a failure is being backed off).
-func (r *RescaleRetrier) Pending() bool { return r.pendTasks != nil }
-
 // Apply attempts to drive the substrate to the desired configuration at
 // the given decision slot. Transient failures (per Retryable) are
 // absorbed: the target is re-attempted on a later Apply call once the

@@ -39,8 +39,8 @@ func TestRetrierSuccessPassthrough(t *testing.T) {
 	if job.calls != 1 || job.last[0] != 2 || job.last[1] != 3 {
 		t.Errorf("apply did not pass the target through: calls=%d last=%v", job.calls, job.last)
 	}
-	if r.Pending() || r.LastErr() != nil {
-		t.Errorf("clean success left retry state: pending=%v lastErr=%v", r.Pending(), r.LastErr())
+	if r.pendTasks != nil || r.LastErr() != nil {
+		t.Errorf("clean success left retry state: pending=%v lastErr=%v", r.pendTasks != nil, r.LastErr())
 	}
 }
 
@@ -53,8 +53,8 @@ func TestRetrierRecoversAfterBackoff(t *testing.T) {
 	if err := r.Apply(job, target, nil, 0); err != nil {
 		t.Fatalf("transient failure escaped: %v", err)
 	}
-	if !r.Pending() || !errors.Is(r.LastErr(), errTransient) {
-		t.Fatalf("failure not absorbed: pending=%v lastErr=%v", r.Pending(), r.LastErr())
+	if r.pendTasks == nil || !errors.Is(r.LastErr(), errTransient) {
+		t.Fatalf("failure not absorbed: pending=%v lastErr=%v", r.pendTasks != nil, r.LastErr())
 	}
 	// Same slot: still backing off, no new attempt.
 	if err := r.Apply(job, target, nil, 0); err != nil {
@@ -67,8 +67,8 @@ func TestRetrierRecoversAfterBackoff(t *testing.T) {
 	if err := r.Apply(job, target, nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if job.calls != 2 || r.Pending() || r.LastErr() != nil {
-		t.Errorf("recovery incomplete: calls=%d pending=%v lastErr=%v", job.calls, r.Pending(), r.LastErr())
+	if job.calls != 2 || r.pendTasks != nil || r.LastErr() != nil {
+		t.Errorf("recovery incomplete: calls=%d pending=%v lastErr=%v", job.calls, r.pendTasks != nil, r.LastErr())
 	}
 	for name, want := range map[string]int64{
 		"rescale_failures":      1,
@@ -98,7 +98,7 @@ func TestRetrierNewTargetSupersedesPending(t *testing.T) {
 	if job.calls != 2 || job.last[0] != 3 {
 		t.Errorf("superseding target not applied: calls=%d last=%v", job.calls, job.last)
 	}
-	if r.Pending() {
+	if r.pendTasks != nil {
 		t.Error("retry state survived a successful supersede")
 	}
 }
@@ -116,7 +116,7 @@ func TestRetrierAbandonsAfterMaxAttempts(t *testing.T) {
 		if err := r.Apply(job, target, nil, 1<<(k-1)-1); err != nil {
 			t.Fatal(err)
 		}
-		if !r.Pending() {
+		if r.pendTasks == nil {
 			t.Fatalf("target abandoned after %d of %d attempts", k, maxRescaleAttempts)
 		}
 	}
@@ -126,7 +126,7 @@ func TestRetrierAbandonsAfterMaxAttempts(t *testing.T) {
 	if job.calls != maxRescaleAttempts {
 		t.Fatalf("%d attempts, want %d", job.calls, maxRescaleAttempts)
 	}
-	if r.Pending() {
+	if r.pendTasks != nil {
 		t.Error("abandoned target still pending")
 	}
 	if !errors.Is(r.LastErr(), errTransient) {
@@ -184,8 +184,8 @@ func TestRetrierBackoffGrowsAndCaps(t *testing.T) {
 	if err := r.Apply(job, target, nil, 7); err != nil {
 		t.Fatal(err)
 	}
-	if job.calls != 4 || r.Pending() {
-		t.Errorf("fourth failure did not end the retry: calls=%d pending=%v", job.calls, r.Pending())
+	if job.calls != 4 || r.pendTasks != nil {
+		t.Errorf("fourth failure did not end the retry: calls=%d pending=%v", job.calls, r.pendTasks != nil)
 	}
 }
 
@@ -197,7 +197,7 @@ func TestRetrierNonRetryablePropagates(t *testing.T) {
 	if !errors.Is(err, fatal) {
 		t.Fatalf("fatal error absorbed: %v", err)
 	}
-	if r.Pending() {
+	if r.pendTasks != nil {
 		t.Error("fatal error left a pending target")
 	}
 }
@@ -208,7 +208,7 @@ func TestRetrierNilRetryableTreatsAllAsTransient(t *testing.T) {
 	if err := r.Apply(job, []int{1, 1}, nil, 0); err != nil {
 		t.Fatalf("nil Retryable did not absorb: %v", err)
 	}
-	if !r.Pending() {
+	if r.pendTasks == nil {
 		t.Error("absorbed failure not pending")
 	}
 }

@@ -50,10 +50,7 @@ func TestWarmStartSurvivesStoreRoundTrip(t *testing.T) {
 	var decisions [][]int
 	var targets []float64
 	for _, seedDB := range []*store.DB{db, restored} {
-		c := newController(t, func(cfg *Config) {
-			cfg.DB = seedDB
-			cfg.RNG = stats.NewRNG(99)
-		})
+		c := newController(t, func(cfg *Config) { cfg.DB = seedDB })
 		next, diag, err := c.DecideDetailed(probe)
 		if err != nil {
 			t.Fatal(err)

@@ -128,9 +128,6 @@ func (d *Daemon) Run(ctx context.Context) error {
 	return nil
 }
 
-// Result exposes the accumulated run result.
-func (d *Daemon) Result() *experiment.Result { return d.runner.Result() }
-
 // Snapshot returns a copy of the current state.
 func (d *Daemon) Snapshot() State {
 	d.mu.RLock()

@@ -127,7 +127,7 @@ func TestRunToCompletionAndEndpoints(t *testing.T) {
 	}
 
 	// The full result is available for post-hoc analysis.
-	if got := d.Result(); len(got.Trace) != 5 {
+	if got := d.runner.Result(); len(got.Trace) != 5 {
 		t.Errorf("result trace length %d", len(got.Trace))
 	}
 }

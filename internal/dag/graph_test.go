@@ -480,11 +480,6 @@ func TestThroughputFuncValidation(t *testing.T) {
 	if _, err := NewTanh(1); err == nil {
 		t.Error("Tanh without rates accepted")
 	}
-	for _, fn := range []ThroughputFunc{Selectivity(1), mustMinRate(t, 1), mustTanh(t, 1, 1)} {
-		if fn.Name() == "" {
-			t.Errorf("%T has empty name", fn)
-		}
-	}
 }
 
 func mustMinRate(t *testing.T, k ...float64) MinRate {

@@ -110,6 +110,3 @@ func (l *LearnedLinear) check(n int) {
 		panic(fmt.Sprintf("dag: LearnedLinear expects 1 input, got %d", n))
 	}
 }
-
-// Name implements ThroughputFunc.
-func (l *LearnedLinear) Name() string { return "learned-linear" }

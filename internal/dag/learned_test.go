@@ -131,9 +131,6 @@ func TestLearnedLinearInGraph(t *testing.T) {
 	if grad[0] <= 0 {
 		t.Errorf("gradient with learned h = %v", grad[0])
 	}
-	if l.Name() != "learned-linear" {
-		t.Errorf("Name = %q", l.Name())
-	}
 }
 
 func TestLearnedLinearConcurrentSafety(t *testing.T) {

@@ -25,8 +25,6 @@ type ThroughputFunc interface {
 	// a is the adjoint of h's output. A kink (min) routes to one attaining
 	// argument. inAdj is as long as inputs and must only be added to.
 	AddVJP(inputs []float64, a float64, inAdj []float64)
-	// Name identifies the functional form for logs and persistence.
-	Name() string
 }
 
 // Linear is Eq. 2a: h(e) = k · e (inner product with a constant rate
@@ -62,9 +60,6 @@ func (l Linear) AddVJP(in []float64, a float64, inAdj []float64) {
 		inAdj[k] += a * kk
 	}
 }
-
-// Name implements ThroughputFunc.
-func (l Linear) Name() string { return "linear" }
 
 func (l Linear) check(n int) {
 	if n != len(l.K) {
@@ -117,9 +112,6 @@ func (m MinRate) AddVJP(in []float64, a float64, inAdj []float64) {
 	inAdj[arg] += a * m.K[arg]
 }
 
-// Name implements ThroughputFunc.
-func (m MinRate) Name() string { return "min-rate" }
-
 func (m MinRate) check(n int) {
 	if n != len(m.K) {
 		panic(fmt.Sprintf("dag: MinRate expects %d inputs, got %d", len(m.K), n))
@@ -164,9 +156,6 @@ func (t Tanh) AddVJP(in []float64, a float64, inAdj []float64) {
 		inAdj[k] += d * kk
 	}
 }
-
-// Name implements ThroughputFunc.
-func (t Tanh) Name() string { return "tanh" }
 
 func (t Tanh) check(n int) {
 	if n != len(t.K) {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 
-	"dragster/internal/gp"
 	"dragster/internal/stats"
 	"dragster/internal/ucb"
 )
@@ -155,7 +154,7 @@ func RenderLongHorizon(w io.Writer, results []*LongHorizonResult) {
 		policy := "-"
 		if r.Budget > 0 {
 			budget = fmt.Sprintf("%d", r.Budget)
-			policy = gp.EvictLowestInformation.String()
+			policy = "lowest-information"
 		}
 		fmt.Fprintf(w, "%-10s %-22s %12d %12d %12.0f %14.3f\n",
 			budget, policy, r.Retained, r.Evictions, r.CumRegret,

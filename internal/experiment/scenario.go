@@ -13,7 +13,6 @@ import (
 	"dragster/internal/mathx"
 	"dragster/internal/monitor"
 	"dragster/internal/osp"
-	"dragster/internal/stats"
 	"dragster/internal/store"
 	"dragster/internal/telemetry"
 	"dragster/internal/tenant"
@@ -53,9 +52,6 @@ type Scenario struct {
 	// rescaling, 30 s pause) or "storm" (flink.StormOptions: rebalance,
 	// 10 s pause, homogeneous workers — §3.2 of the paper).
 	StreamEngine string
-	// ForecastAlpha enables Holt load forecasting in Dragster controllers
-	// (see core.Config.ForecastAlpha; 0 disables).
-	ForecastAlpha float64
 	// GPObservationBudget caps each operator GP's retained observations
 	// in Dragster controllers (see core.Config.GPObservationBudget; 0 =
 	// unlimited). Long-horizon scenarios set this so per-slot cost and
@@ -136,12 +132,6 @@ func DragsterConventionalUCB() PolicyFactory {
 	return dragsterFactory(osp.SaddlePoint, ucb.Conventional)
 }
 
-// DragsterThompson is the ablation variant replacing the UCB bonus with
-// Thompson sampling (one joint posterior draw per decision).
-func DragsterThompson() PolicyFactory {
-	return dragsterFactory(osp.SaddlePoint, ucb.Thompson)
-}
-
 func dragsterFactory(method osp.Method, acq ucb.Acquisition) PolicyFactory {
 	return func(sc *Scenario) (core.Autoscaler, error) {
 		cfg := tenant.ControllerConfig(sc.Spec)
@@ -159,14 +149,9 @@ func dragsterFactory(method osp.Method, acq ucb.Acquisition) PolicyFactory {
 			// dominates the tracking term for most of the run.
 			cfg.HyperoptEvery = 6
 		}
-		if acq == ucb.Thompson {
-			// Deterministic per-scenario stream, offset from the engine's.
-			cfg.RNG = stats.NewRNG(sc.Seed + 7919)
-		}
 		cfg.Method = method
 		cfg.TaskBudget = sc.TaskBudget
 		cfg.Acquisition = acq
-		cfg.ForecastAlpha = sc.ForecastAlpha
 		cfg.GPObservationBudget = sc.GPObservationBudget
 		cfg.Counters = sc.metrics
 		return core.New(cfg)
@@ -365,13 +350,6 @@ func (r *Runner) ChaosTrace() []chaos.TraceEntry {
 	}
 	return r.chaos.Trace()
 }
-
-// Metrics returns the run's metrics registry.
-func (r *Runner) Metrics() *telemetry.Registry { return r.sc.metrics }
-
-// SkippedRounds returns how many decision rounds were skipped because the
-// metrics pipeline had no fresh sample.
-func (r *Runner) SkippedRounds() int { return r.res.SkippedRounds }
 
 // PolicyName returns the running policy's name.
 func (r *Runner) PolicyName() string { return r.res.Policy }

@@ -117,16 +117,6 @@ func (m *Manager) BuildCheckpoint() (*store.Checkpoint, error) {
 	return ck, nil
 }
 
-// WriteCheckpoint snapshots the manager to w (the daemon's checkpoint
-// surface; deterministic bytes for a given state).
-func (m *Manager) WriteCheckpoint(w io.Writer) error {
-	ck, err := m.BuildCheckpoint()
-	if err != nil {
-		return err
-	}
-	return ck.Snapshot(w)
-}
-
 // ResumeReader restores a replica from a serialized checkpoint.
 func ResumeReader(cfg Config, r io.Reader, specs map[string]JobSpec) (*Manager, error) {
 	ck, err := store.RestoreCheckpoint(r, CheckpointKind)

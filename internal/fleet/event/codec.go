@@ -49,9 +49,6 @@ func Append(buf []byte, e Event) []byte {
 	return buf
 }
 
-// Encode returns the canonical encoding of e.
-func Encode(e Event) []byte { return Append(nil, e) }
-
 var (
 	errShort        = errors.New("event: truncated encoding")
 	errNonCanonical = errors.New("event: non-minimal varint")

@@ -188,13 +188,6 @@ func (l *Log) Len() int {
 	return len(l.evs)
 }
 
-// NextSeq returns the sequence number the next Emit will assign.
-func (l *Log) NextSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq + 1
-}
-
 // Events returns a copy of the committed history in commit order.
 func (l *Log) Events() []Event {
 	l.mu.Lock()

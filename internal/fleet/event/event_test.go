@@ -25,7 +25,7 @@ func sampleEvents() []Event {
 func TestCodecRoundTrip(t *testing.T) {
 	for i, want := range sampleEvents() {
 		want.Seq = uint64(i + 1)
-		enc := Encode(want)
+		enc := Append(nil, want)
 		got, n, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("event %d: decode: %v", i, err)
@@ -37,7 +37,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("event %d: round-trip mismatch:\n got %s\nwant %s", i, got, want)
 		}
 		// Canonical: re-encoding the decoded event reproduces the bytes.
-		if !bytes.Equal(Encode(got), enc) {
+		if !bytes.Equal(Append(nil, got), enc) {
 			t.Fatalf("event %d: encoding is not canonical", i)
 		}
 	}
@@ -62,7 +62,7 @@ func TestDecodeAllRejectsTrailingGarbage(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruptInput(t *testing.T) {
-	good := Encode(Event{Seq: 1, Round: 3, Type: TypeAdmit, Job: "a", Args: []int64{2}})
+	good := Append(nil, Event{Seq: 1, Round: 3, Type: TypeAdmit, Job: "a", Args: []int64{2}})
 	cases := map[string][]byte{
 		"empty":              nil,
 		"truncated":          good[:len(good)-2],
@@ -79,8 +79,8 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 
 func TestLogSequencesAndHash(t *testing.T) {
 	l := NewLog()
-	if l.NextSeq() != 1 {
-		t.Fatalf("fresh log NextSeq = %d, want 1", l.NextSeq())
+	if l.seq != 0 {
+		t.Fatalf("fresh log seq = %d, want 0", l.seq)
 	}
 	for _, e := range sampleEvents() {
 		stamped := l.Emit(e)

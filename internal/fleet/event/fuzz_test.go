@@ -29,7 +29,7 @@ func FuzzFleetEvent(f *testing.F) {
 			utf8.ValidString(job) && utf8.ValidString(note) &&
 			round >= -1<<31 && round < 1<<31 {
 			want := Event{Seq: seq, Round: round, Type: Type(typ), Job: job, Args: []int64{a0, a1}, Note: note}
-			enc := Encode(want)
+			enc := Append(nil, want)
 			got, n, err := Decode(enc)
 			if err != nil {
 				t.Fatalf("decode of valid encoding failed: %v", err)
@@ -40,7 +40,7 @@ func FuzzFleetEvent(f *testing.F) {
 			if got.Seq != want.Seq || !equalPayload(got, want) {
 				t.Fatalf("round-trip mismatch:\n got %s\nwant %s", got, want)
 			}
-			if !bytes.Equal(Encode(got), enc) {
+			if !bytes.Equal(Append(nil, got), enc) {
 				t.Fatal("re-encoding diverged from original encoding")
 			}
 		}
@@ -50,7 +50,7 @@ func FuzzFleetEvent(f *testing.F) {
 			if n <= 0 || n > len(raw) {
 				t.Fatalf("decode reported %d consumed bytes of %d", n, len(raw))
 			}
-			re := Encode(e)
+			re := Append(nil, e)
 			e2, _, err := Decode(re)
 			if err != nil {
 				t.Fatalf("re-encoding of decoded event does not decode: %v", err)

@@ -31,7 +31,11 @@ func runPrimaryToCheckpoint(t *testing.T, procs int) []byte {
 	}
 	scenarioInputs(t, m, checkpointCut)
 	var buf bytes.Buffer
-	if err := m.WriteCheckpoint(&buf); err != nil {
+	ck, err := m.BuildCheckpoint()
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if err := ck.Snapshot(&buf); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	return buf.Bytes()

@@ -144,8 +144,8 @@ func (j *JobSpec) validate() error {
 	if j.DepartSlot > 0 && j.DepartSlot <= j.ArriveSlot {
 		return fmt.Errorf("fleet: job %s departs at round %d before arriving at %d", j.Name, j.DepartSlot, j.ArriveSlot)
 	}
-	if j.Priority < 0 {
-		return fmt.Errorf("fleet: job %s: negative priority", j.Name)
+	if j.Priority < 0 || math.IsNaN(j.Priority) || math.IsInf(j.Priority, 0) {
+		return fmt.Errorf("fleet: job %s: priority %v is negative or not finite", j.Name, j.Priority)
 	}
 	m := j.Workload.Graph.NumOperators()
 	if j.InitialTasks != nil && len(j.InitialTasks) != m {
@@ -507,9 +507,6 @@ func (m *Manager) addJob(spec JobSpec, committed bool) {
 	m.jobs = append(m.jobs, js)
 	m.byName[spec.Name] = js
 }
-
-// Cluster exposes the shared Kubernetes substrate (diagnostics, tests).
-func (m *Manager) Cluster() *cluster.Cluster { return m.k8s }
 
 // Metrics exposes the fleet's one metrics registry (admission, fault and
 // retry counters, budget shares, queue depth, arbiter decisions) — the

@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -578,6 +579,36 @@ func TestFleetConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("bad config %d accepted", i)
 		}
+	}
+}
+
+// TestFleetRejectsNonFinitePriority: a NaN or infinite priority would
+// reach dualPriceSplit as a NaN weight sum once the job is starved, so
+// both entry points that validate a JobSpec reject it.
+func TestFleetRejectsNonFinitePriority(t *testing.T) {
+	wc := mustSpec(t, workload.WordCount)
+	job := func(name string, priority float64) JobSpec {
+		return JobSpec{Name: name, Workload: wc, Rates: constRates(t, wc.LowRates), Priority: priority}
+	}
+	for _, tc := range []struct {
+		name     string
+		priority float64
+	}{
+		{"NaN", math.NaN()},
+		{"+Inf", math.Inf(1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := New(Config{Jobs: []JobSpec{job("a", tc.priority)}, Slots: 1, TotalTaskBudget: 10}); err == nil {
+				t.Error("New accepted the priority")
+			}
+			m, err := New(Config{Jobs: []JobSpec{job("a", 1)}, Slots: 1, TotalTaskBudget: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Submit(job("b", tc.priority)); err == nil {
+				t.Error("Submit accepted the priority")
+			}
+		})
 	}
 }
 

@@ -175,7 +175,11 @@ func TestFleetPlannedFailover(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := primary.WriteCheckpoint(&buf); err != nil {
+	ck, err := primary.BuildCheckpoint()
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if err := ck.Snapshot(&buf); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 

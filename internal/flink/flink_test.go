@@ -11,6 +11,7 @@ import (
 	"dragster/internal/cluster"
 	"dragster/internal/dag"
 	"dragster/internal/streamsim"
+	"dragster/internal/telemetry"
 )
 
 func chainGraph(t testing.TB) *dag.Graph {
@@ -85,7 +86,7 @@ func TestSubmitJobCreatesDeployments(t *testing.T) {
 	if got := j.EffectiveParallelism(); got[0] != 2 || got[1] != 3 {
 		t.Errorf("EffectiveParallelism = %v", got)
 	}
-	deps := s.Cluster().Deployments()
+	deps := s.k8s.Deployments()
 	want := map[string]bool{"flink-jobmanager": true, "tm-wordcount-map": true, "tm-wordcount-shuffle": true}
 	for _, d := range deps {
 		if !want[d] {
@@ -97,29 +98,29 @@ func TestSubmitJobCreatesDeployments(t *testing.T) {
 		t.Errorf("missing deployments: %v", want)
 	}
 	// A duplicate job name is rejected; a distinct name is hosted alongside.
-	if _, err := s.SubmitJob("wordcount", j.Graph(), newEngine(t, j.Graph(), 10), []int{1, 1}); err == nil {
+	if _, err := s.SubmitJob("wordcount", j.graph, newEngine(t, j.graph, 10), []int{1, 1}); err == nil {
 		t.Error("duplicate job name accepted")
 	}
-	j2, err := s.SubmitJob("tenant2", j.Graph(), newEngine(t, j.Graph(), 10), []int{1, 1})
+	j2, err := s.SubmitJob("tenant2", j.graph, newEngine(t, j.graph, 10), []int{1, 1})
 	if err != nil {
 		t.Fatalf("second job rejected: %v", err)
 	}
 	if got := len(s.Jobs()); got != 2 {
 		t.Fatalf("Jobs() = %d jobs, want 2", got)
 	}
-	if _, ok := s.Job("tenant2"); !ok {
+	if _, ok := s.jobs["tenant2"]; !ok {
 		t.Error("Job(tenant2) not found")
 	}
 	// Cancelling deletes the tenant's TaskManager deployments only.
 	if err := s.CancelJob("tenant2"); err != nil {
 		t.Fatal(err)
 	}
-	for _, dep := range s.Cluster().Deployments() {
+	for _, dep := range s.k8s.Deployments() {
 		if strings.HasPrefix(dep, "tm-tenant2-") {
 			t.Errorf("deployment %q survived CancelJob", dep)
 		}
 	}
-	if _, ok := s.Job("tenant2"); ok {
+	if _, ok := s.jobs["tenant2"]; ok {
 		t.Error("cancelled job still listed")
 	}
 	_ = j2
@@ -177,7 +178,7 @@ func TestRunSlotSteadyState(t *testing.T) {
 	if rep.CostSoFar <= 0 {
 		t.Error("no cost accrued")
 	}
-	if j.LastReport() != rep || j.Slot() != 1 {
+	if j.LastReport() != rep || j.slot != 1 {
 		t.Error("report bookkeeping wrong")
 	}
 }
@@ -298,7 +299,7 @@ func TestMetricsServerSeesPodUsage(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := 0
-	for _, m := range s.Cluster().PodMetrics() {
+	for _, m := range s.k8s.PodMetrics() {
 		if m.Deployment != "tm-wordcount-map" {
 			continue
 		}
@@ -355,7 +356,7 @@ func TestMetricsServerSeesLastTickUsage(t *testing.T) {
 	}
 	want := map[string]float64{"tm-wordcount-map": last[0], "tm-wordcount-shuffle": last[1]}
 	rows := 0
-	for _, m := range s.Cluster().PodMetrics() {
+	for _, m := range s.k8s.PodMetrics() {
 		util, ok := want[m.Deployment]
 		if !ok {
 			continue
@@ -419,7 +420,7 @@ func TestRESTHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var verts []VertexStats
+	var verts []telemetry.VertexStats
 	if err := json.NewDecoder(resp.Body).Decode(&verts); err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestRescaleResourcesAppliesCPU(t *testing.T) {
 		t.Errorf("throughput after vertical scale = %v, want ≈500", rep.Throughput)
 	}
 	// Pods actually carry the new template.
-	for _, p := range s.Cluster().Pods() {
+	for _, p := range s.k8s.Pods() {
 		if p.Deployment == "tm-res-op" && p.Spec.CPUMilli != 2000 {
 			t.Errorf("pod %s CPU = %d", p.Name, p.Spec.CPUMilli)
 		}

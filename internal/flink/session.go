@@ -87,9 +87,6 @@ func NewSession(k8s *cluster.Cluster, opts Options) (*SessionCluster, error) {
 	return &SessionCluster{k8s: k8s, opts: opts, jobs: make(map[string]*Job)}, nil
 }
 
-// Cluster returns the underlying Kubernetes cluster.
-func (s *SessionCluster) Cluster() *cluster.Cluster { return s.k8s }
-
 // ChaosHooks is the Flink-side fault-injection surface. A chaos engine
 // installs one via Job.SetChaosHooks; with none installed every hook site
 // is a no-op, so fault-free runs execute the exact pre-hook code path.
@@ -174,12 +171,6 @@ func (s *SessionCluster) SubmitJob(name string, g *dag.Graph, engine *streamsim.
 	return j, nil
 }
 
-// Job returns the named job, if the session hosts it.
-func (s *SessionCluster) Job(name string) (*Job, bool) {
-	j, ok := s.jobs[name]
-	return j, ok
-}
-
 // Jobs returns the hosted jobs in submission order.
 func (s *SessionCluster) Jobs() []*Job {
 	out := make([]*Job, 0, len(s.jobOrder))
@@ -220,12 +211,6 @@ func deploymentName(job, op string) string {
 	san := strings.ToLower(strings.ReplaceAll(op, " ", "-"))
 	return fmt.Sprintf("tm-%s-%s", strings.ToLower(job), san)
 }
-
-// Name returns the job name.
-func (j *Job) Name() string { return j.name }
-
-// Graph returns the application DAG.
-func (j *Job) Graph() *dag.Graph { return j.graph }
 
 // Parallelism returns the desired parallelism vector.
 func (j *Job) Parallelism() []int { return append([]int(nil), j.desired...) }
@@ -353,10 +338,6 @@ func (j *Job) syncEngineTasks() error {
 	return j.engine.SetCPU(j.EffectiveCPUMilli())
 }
 
-// VertexStats is the per-operator view a slot report exposes (the Flink
-// REST API vertex payload). Alias of the shared telemetry type.
-type VertexStats = telemetry.VertexStats
-
 // SlotReport summarizes one decision slot of job execution. Alias of the
 // shared telemetry type.
 type SlotReport = telemetry.SlotReport
@@ -436,6 +417,3 @@ func (j *Job) runSlot(seconds int, rateAt func(sec int) []float64, tickCluster b
 // LastReport returns the most recent slot report, or nil before the first
 // slot completes.
 func (j *Job) LastReport() *SlotReport { return j.lastReport }
-
-// Slot returns the index of the next slot to run.
-func (j *Job) Slot() int { return j.slot }

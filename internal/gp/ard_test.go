@@ -39,9 +39,6 @@ func TestARDBasicProperties(t *testing.T) {
 	if math.Abs(short-long) > 1e-12 {
 		t.Errorf("anisotropy wrong: short-axis %v vs equivalent long-axis %v", short, long)
 	}
-	if k.Name() == "" {
-		t.Error("empty name")
-	}
 }
 
 func TestARDKernelDimMismatchPanics(t *testing.T) {

@@ -5,54 +5,25 @@ import (
 	"math"
 )
 
-// EvictionPolicy selects which observation a budgeted Regressor drops
-// when it exceeds its observation budget.
-type EvictionPolicy int
-
-const (
-	// EvictLowestInformation drops the observation contributing the least
-	// information to the posterior: the one with the smallest conditional
-	// standard deviation given its predecessors, read off the Cholesky
-	// diagonal as L[i][i] = std(y_i | y_0..y_{i−1}) in O(1) per candidate.
-	// Ties break toward the oldest (lowest) index, so the policy is fully
-	// deterministic for a given observation sequence.
-	EvictLowestInformation EvictionPolicy = iota
-	// EvictOldest always drops index 0 — the sliding-window degenerate
-	// policy, useful when the workload drifts and stale observations are
-	// misleading regardless of their leverage.
-	EvictOldest
-)
-
-// String names the policy for config dumps and experiment tables.
-func (p EvictionPolicy) String() string {
-	switch p {
-	case EvictLowestInformation:
-		return "lowest-information"
-	case EvictOldest:
-		return "oldest"
-	default:
-		return fmt.Sprintf("EvictionPolicy(%d)", int(p))
-	}
-}
-
 // SetObservationBudget caps the number of retained observations at
-// budget, evicting immediately (and on every future Observe) per policy.
-// budget 0 removes the cap; negative budgets are an error. The retained
+// budget, evicting immediately (and on every future Observe) the
+// observation contributing the least information to the posterior: the
+// one with the smallest conditional standard deviation given its
+// predecessors, read off the Cholesky diagonal as
+// L[i][i] = std(y_i | y_0..y_{i−1}) in O(1) per candidate. Ties break
+// toward the oldest (lowest) index, so eviction is fully deterministic
+// for a given observation sequence.
+//
+// A budget of 0 removes the cap; negative budgets are an error. The retained
 // posterior stays bit-identical to a from-scratch fit of the retained
 // set — eviction downdates the factor with linalg.Cholesky.Downdate and
 // recomputes the centring sum with a fresh in-order loop, both of which
 // reproduce the reference factorSystem/solveWeights arithmetic exactly.
-func (r *Regressor) SetObservationBudget(budget int, policy EvictionPolicy) error {
+func (r *Regressor) SetObservationBudget(budget int) error {
 	if budget < 0 {
 		return fmt.Errorf("gp: observation budget must be >= 0, got %d", budget)
 	}
-	switch policy {
-	case EvictLowestInformation, EvictOldest:
-	default:
-		return fmt.Errorf("gp: unknown eviction policy %d", int(policy))
-	}
 	r.budget = budget
-	r.evictPolicy = policy
 	r.enforceBudget()
 	return nil
 }
@@ -82,7 +53,7 @@ func (r *Regressor) enforceBudget() {
 	}
 }
 
-// evictOne removes one observation per the eviction policy. It never
+// evictOne removes the lowest-information observation. It never
 // fails: if the factorization needed for the leverage scan cannot be
 // produced, it falls back to evicting the oldest observation and leaves
 // the regressor dirty so the next query refits from the retained set.
@@ -95,7 +66,7 @@ func (r *Regressor) evictOne() {
 		return
 	}
 	idx := 0
-	if r.evictPolicy == EvictLowestInformation && n > 1 {
+	if n > 1 {
 		if err := r.ensureFactor(); err == nil {
 			best := math.Inf(1)
 			for i := 0; i < n; i++ {

@@ -12,7 +12,7 @@ import (
 // budgeted posterior must reproduce.
 func exactRetained(t testing.TB, r *Regressor) *Regressor {
 	t.Helper()
-	ref := mustRegressor(t, r.Kernel(), r.NoiseVar())
+	ref := mustRegressor(t, r.Kernel(), r.noiseVar)
 	xs, ys := r.Observations()
 	for i := range xs {
 		if err := ref.Observe(xs[i], ys[i]); err != nil {
@@ -44,7 +44,7 @@ func comparePosteriors(t *testing.T, budgeted, exact *Regressor, probes [][]floa
 
 // TestBudgetedPosteriorMatchesExactOracle is the headline property suite:
 // across randomized evict/extend interleavings — random kernels,
-// dimensions, budgets, policies, mid-stream budget changes and
+// dimensions, budgets, mid-stream budget changes and
 // hyperparameter refits — the budgeted posterior must match an exact
 // from-scratch posterior over the retained set to 1e-9. (In practice the
 // incremental path is bit-identical; the tolerance is the contract.)
@@ -55,9 +55,8 @@ func TestBudgetedPosteriorMatchesExactOracle(t *testing.T) {
 		kernel := mustSE(t, 0.5+2*rng.Float64(), 0.5+rng.Float64())
 		noise := 0.01 + 0.1*rng.Float64()
 		budget := 1 + rng.Intn(12)
-		policy := EvictionPolicy(rng.Intn(2))
 		r := mustRegressor(t, kernel, noise)
-		if err := r.SetObservationBudget(budget, policy); err != nil {
+		if err := r.SetObservationBudget(budget); err != nil {
 			t.Fatal(err)
 		}
 		probes := make([][]float64, 5)
@@ -84,7 +83,7 @@ func TestBudgetedPosteriorMatchesExactOracle(t *testing.T) {
 			// swap the kernel the way a hyperparameter refit would.
 			if step == steps/2 && rng.Intn(2) == 0 {
 				budget = 1 + budget/2
-				if err := r.SetObservationBudget(budget, policy); err != nil {
+				if err := r.SetObservationBudget(budget); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -97,8 +96,8 @@ func TestBudgetedPosteriorMatchesExactOracle(t *testing.T) {
 					"trial/step oracle")
 			}
 		}
-		if want := uint64(steps - r.Len()); policy == EvictOldest && r.Evictions() < want {
-			t.Fatalf("trial %d: Evictions() = %d, want >= %d", trial, r.Evictions(), want)
+		if want := uint64(steps - r.Len()); r.Evictions() != want {
+			t.Fatalf("trial %d: Evictions() = %d, want %d", trial, r.Evictions(), want)
 		}
 	}
 }
@@ -116,23 +115,21 @@ func TestBudgetEdgeCases(t *testing.T) {
 		}
 	}
 	t.Run("budget one keeps exactly one", func(t *testing.T) {
-		for _, policy := range []EvictionPolicy{EvictLowestInformation, EvictOldest} {
-			r := mustRegressor(t, kernel, 0.1)
-			if err := r.SetObservationBudget(1, policy); err != nil {
-				t.Fatal(err)
-			}
-			obs(r, 5)
-			if r.Len() != 1 {
-				t.Fatalf("policy %v: Len = %d, want 1", policy, r.Len())
-			}
-			if _, _, err := r.Posterior([]float64{0.5}); err != nil {
-				t.Fatalf("policy %v: posterior with one point: %v", policy, err)
-			}
+		r := mustRegressor(t, kernel, 0.1)
+		if err := r.SetObservationBudget(1); err != nil {
+			t.Fatal(err)
+		}
+		obs(r, 5)
+		if r.Len() != 1 {
+			t.Fatalf("Len = %d, want 1", r.Len())
+		}
+		if _, _, err := r.Posterior([]float64{0.5}); err != nil {
+			t.Fatalf("posterior with one point: %v", err)
 		}
 	})
 	t.Run("budget at or above n evicts nothing", func(t *testing.T) {
 		r := mustRegressor(t, kernel, 0.1)
-		if err := r.SetObservationBudget(10, EvictLowestInformation); err != nil {
+		if err := r.SetObservationBudget(10); err != nil {
 			t.Fatal(err)
 		}
 		obs(r, 10)
@@ -142,7 +139,7 @@ func TestBudgetEdgeCases(t *testing.T) {
 	})
 	t.Run("zero budget is unlimited", func(t *testing.T) {
 		r := mustRegressor(t, kernel, 0.1)
-		if err := r.SetObservationBudget(0, EvictOldest); err != nil {
+		if err := r.SetObservationBudget(0); err != nil {
 			t.Fatal(err)
 		}
 		obs(r, 20)
@@ -152,20 +149,14 @@ func TestBudgetEdgeCases(t *testing.T) {
 	})
 	t.Run("negative budget rejected", func(t *testing.T) {
 		r := mustRegressor(t, kernel, 0.1)
-		if err := r.SetObservationBudget(-1, EvictOldest); err == nil {
+		if err := r.SetObservationBudget(-1); err == nil {
 			t.Fatal("negative budget accepted")
-		}
-	})
-	t.Run("unknown policy rejected", func(t *testing.T) {
-		r := mustRegressor(t, kernel, 0.1)
-		if err := r.SetObservationBudget(4, EvictionPolicy(99)); err == nil {
-			t.Fatal("unknown policy accepted")
 		}
 	})
 	t.Run("lowering budget drains immediately", func(t *testing.T) {
 		r := mustRegressor(t, kernel, 0.1)
 		obs(r, 12)
-		if err := r.SetObservationBudget(3, EvictLowestInformation); err != nil {
+		if err := r.SetObservationBudget(3); err != nil {
 			t.Fatal(err)
 		}
 		if r.Len() != 3 || r.Evictions() != 9 {
@@ -174,22 +165,9 @@ func TestBudgetEdgeCases(t *testing.T) {
 		comparePosteriors(t, r, exactRetained(t, r),
 			[][]float64{{0.5}, {4.5}, {11}}, 1e-9, "post-drain")
 	})
-	t.Run("sliding window retains the last budget observations in order", func(t *testing.T) {
-		r := mustRegressor(t, kernel, 0.1)
-		if err := r.SetObservationBudget(4, EvictOldest); err != nil {
-			t.Fatal(err)
-		}
-		obs(r, 9)
-		xs, _ := r.Observations()
-		for i, x := range xs {
-			if want := float64(5 + i); x[0] != want {
-				t.Fatalf("retained[%d] = %v, want x = %v", i, x[0], want)
-			}
-		}
-	})
 	t.Run("evict then refit hyperparameters", func(t *testing.T) {
 		r := mustRegressor(t, kernel, 0.1)
-		if err := r.SetObservationBudget(6, EvictLowestInformation); err != nil {
+		if err := r.SetObservationBudget(6); err != nil {
 			t.Fatal(err)
 		}
 		rng := stats.NewRNG(11)
@@ -220,25 +198,29 @@ func TestBudgetEdgeCases(t *testing.T) {
 }
 
 // TestEvictionHookReportsIndices checks the hook sees every eviction with
-// the retained-set index actually removed, in order.
+// the retained-set index actually removed, in order: a shadow list that
+// appends each observed point and deletes each reported index must end
+// equal to the retained set.
 func TestEvictionHookReportsIndices(t *testing.T) {
 	r := mustRegressor(t, mustSE(t, 1, 1), 0.1)
-	var got []int
-	r.SetEvictionHook(func(idx int) { got = append(got, idx) })
-	if err := r.SetObservationBudget(3, EvictOldest); err != nil {
+	var shadow []float64
+	r.SetEvictionHook(func(idx int) { shadow = append(shadow[:idx], shadow[idx+1:]...) })
+	if err := r.SetObservationBudget(3); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
-		if err := r.Observe([]float64{float64(i)}, 1); err != nil {
+	for _, x := range []float64{0, 4, 8, 0.1, 12, 4.2} {
+		shadow = append(shadow, x)
+		if err := r.Observe([]float64{x}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(got) != 3 {
-		t.Fatalf("hook fired %d times, want 3", len(got))
+	xs, _ := r.Observations()
+	if len(xs) != len(shadow) {
+		t.Fatalf("retained %d points, shadow %v", len(xs), shadow)
 	}
-	for i, idx := range got {
-		if idx != 0 {
-			t.Fatalf("hook[%d] = %d, want 0 (sliding window evicts the oldest)", i, idx)
+	for i, x := range xs {
+		if x[0] != shadow[i] {
+			t.Fatalf("retained[%d] = %v, shadow %v: hook indices do not match the evictions", i, x[0], shadow)
 		}
 	}
 	if r.Evictions() != 3 {
@@ -253,7 +235,7 @@ func TestLowestInformationPrefersRedundantPoint(t *testing.T) {
 	r := mustRegressor(t, mustSE(t, 1, 1), 1e-4)
 	var evicted []int
 	r.SetEvictionHook(func(idx int) { evicted = append(evicted, idx) })
-	if err := r.SetObservationBudget(3, EvictLowestInformation); err != nil {
+	if err := r.SetObservationBudget(3); err != nil {
 		t.Fatal(err)
 	}
 	// Three well-separated anchors, then a near-duplicate of the first.
@@ -286,7 +268,7 @@ func TestBudgetedObserveAddsNoAllocations(t *testing.T) {
 	measure := func(budget int) float64 {
 		r := mustRegressor(t, mustSE(t, 1, 1), 0.1)
 		if budget > 0 {
-			if err := r.SetObservationBudget(budget, EvictLowestInformation); err != nil {
+			if err := r.SetObservationBudget(budget); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -315,7 +297,7 @@ func TestBudgetedObserveAddsNoAllocations(t *testing.T) {
 func benchmarkObserveBudget(b *testing.B, warm int) {
 	rng := stats.NewRNG(21)
 	r := mustRegressor(b, mustSE(b, 1.5, 1), 0.1)
-	if err := r.SetObservationBudget(256, EvictLowestInformation); err != nil {
+	if err := r.SetObservationBudget(256); err != nil {
 		b.Fatal(err)
 	}
 	pts := make([][]float64, warm)

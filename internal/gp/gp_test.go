@@ -33,32 +33,28 @@ func TestKernelValidation(t *testing.T) {
 	if _, err := NewSquaredExponential(1, -1); err == nil {
 		t.Error("SE with negative variance accepted")
 	}
-	if _, err := NewMatern52(-1, 1); err == nil {
-		t.Error("Matérn with negative length scale accepted")
-	}
 }
 
 func TestKernelBasicProperties(t *testing.T) {
-	se := mustSE(t, 2, 3)
-	m, err := NewMatern52(2, 3)
+	ard, err := NewARDSquaredExponential([]float64{2, 2}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []Kernel{se, m} {
+	for _, k := range []Kernel{mustSE(t, 2, 3), ard} {
 		x := []float64{1, 2}
 		y := []float64{3, -1}
 		// Symmetry.
 		if k.Eval(x, y) != k.Eval(y, x) {
-			t.Errorf("%s not symmetric", k.Name())
+			t.Errorf("%T not symmetric", k)
 		}
 		// Self-covariance equals process variance.
 		if got := k.Eval(x, x); math.Abs(got-3) > 1e-12 {
-			t.Errorf("%s k(x,x) = %v, want 3", k.Name(), got)
+			t.Errorf("%T k(x,x) = %v, want 3", k, got)
 		}
 		// Decay with distance.
 		far := []float64{100, 100}
 		if k.Eval(x, far) >= k.Eval(x, y) {
-			t.Errorf("%s does not decay with distance", k.Name())
+			t.Errorf("%T does not decay with distance", k)
 		}
 	}
 }

@@ -155,14 +155,10 @@ func TestMeanMatchesPosteriorBitForBit(t *testing.T) {
 					t.Fatal(err)
 				}
 			case op < 0.8:
-				policy := EvictLowestInformation
-				if rng.Uniform(0, 1) < 0.5 {
-					policy = EvictOldest
-				}
-				if err := r.SetObservationBudget(r.Len()-1-rng.Intn(2), policy); err != nil {
+				if err := r.SetObservationBudget(r.Len() - 1 - rng.Intn(2)); err != nil {
 					t.Fatal(err)
 				}
-				if err := r.SetObservationBudget(0, policy); err != nil {
+				if err := r.SetObservationBudget(0); err != nil {
 					t.Fatal(err)
 				}
 			case op < 0.92:

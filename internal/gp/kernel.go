@@ -1,7 +1,7 @@
 // Package gp implements exact Gaussian-process regression with the
 // squared-exponential kernel used by Dragster (Eq. 7 and Eq. 17 of the
-// paper), plus a Matérn-5/2 alternative for ablation. It replaces the
-// Python sklearn dependency of the original implementation.
+// paper), isotropic or with one length scale per dimension (ARD). It
+// replaces the Python sklearn dependency of the original implementation.
 package gp
 
 import (
@@ -15,8 +15,6 @@ type Kernel interface {
 	// Eval returns k(x, x'). Implementations must be symmetric and return
 	// the process variance when x == x'.
 	Eval(x, y []float64) float64
-	// Name identifies the kernel in logs and ablation tables.
-	Name() string
 }
 
 // SquaredExponential is the SE (RBF) kernel
@@ -41,9 +39,6 @@ func NewSquaredExponential(lengthScale, variance float64) (SquaredExponential, e
 func (k SquaredExponential) Eval(x, y []float64) float64 {
 	return k.Variance * math.Exp(-sqDist(x, y)/(2*k.LengthScale*k.LengthScale))
 }
-
-// Name implements Kernel.
-func (k SquaredExponential) Name() string { return "squared-exponential" }
 
 // ARDSquaredExponential is the SE kernel with automatic-relevance-
 // determination length scales — one per input dimension:
@@ -88,35 +83,6 @@ func (k ARDSquaredExponential) Eval(x, y []float64) float64 {
 	}
 	return k.Variance * math.Exp(-s/2)
 }
-
-// Name implements Kernel.
-func (k ARDSquaredExponential) Name() string { return "ard-squared-exponential" }
-
-// Matern52 is the Matérn kernel with ν = 5/2:
-// k(r) = σ_f² (1 + √5 r/ℓ + 5r²/(3ℓ²)) exp(−√5 r/ℓ).
-// Offered as an ablation alternative; rougher sample paths than SE.
-type Matern52 struct {
-	LengthScale float64
-	Variance    float64
-}
-
-// NewMatern52 validates the hyperparameters and returns the kernel.
-func NewMatern52(lengthScale, variance float64) (Matern52, error) {
-	if lengthScale <= 0 || variance <= 0 {
-		return Matern52{}, fmt.Errorf("gp: Matérn-5/2 kernel requires positive hyperparameters, got ℓ=%v σ_f²=%v", lengthScale, variance)
-	}
-	return Matern52{LengthScale: lengthScale, Variance: variance}, nil
-}
-
-// Eval implements Kernel.
-func (k Matern52) Eval(x, y []float64) float64 {
-	r := math.Sqrt(sqDist(x, y))
-	a := math.Sqrt(5) * r / k.LengthScale
-	return k.Variance * (1 + a + a*a/3) * math.Exp(-a)
-}
-
-// Name implements Kernel.
-func (k Matern52) Name() string { return "matern-5/2" }
 
 func sqDist(x, y []float64) float64 {
 	if len(x) != len(y) {

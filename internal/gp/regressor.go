@@ -69,10 +69,9 @@ type Regressor struct {
 
 	// observation budget (0 = unlimited) and its eviction machinery;
 	// see budget.go.
-	budget      int
-	evictPolicy EvictionPolicy
-	evictions   uint64
-	onEvict     func(idx int)
+	budget    int
+	evictions uint64
+	onEvict   func(idx int)
 
 	// observability hooks; nil-safe, see internal/telemetry.
 	tracer *telemetry.Tracer
@@ -110,9 +109,6 @@ func (r *Regressor) Kernel() Kernel { return r.kernel }
 // Caches of kernel-derived values are valid only while the epoch they were
 // filled under still matches.
 func (r *Regressor) KernelEpoch() uint64 { return r.kernelEpoch }
-
-// NoiseVar returns the observation noise variance σ².
-func (r *Regressor) NoiseVar() float64 { return r.noiseVar }
 
 // Len returns the number of stored observations.
 func (r *Regressor) Len() int { return len(r.ys) }
@@ -370,90 +366,6 @@ func (r *Regressor) PosteriorBatch(candidates [][]float64) (mus, variances []flo
 		}
 	}
 	return mus, variances, nil
-}
-
-// PosteriorJoint returns the joint posterior over a set of points: the
-// mean vector and the full covariance matrix (Eq. 17 applied pairwise).
-// Needed for Thompson sampling, which draws one correlated sample across
-// all candidates.
-func (r *Regressor) PosteriorJoint(points [][]float64) (mu []float64, cov *linalg.Matrix, err error) {
-	if len(points) == 0 {
-		return nil, nil, errors.New("gp: PosteriorJoint with no points")
-	}
-	if err := r.ensureFit(); err != nil {
-		return nil, nil, err
-	}
-	n := len(r.ys)
-	p := len(points)
-	mu = make([]float64, p)
-	// kx = k_t(points[j]) reuses the query scratch; vs[j] = L⁻¹ kx lives in
-	// one p×n backing array (it must survive the whole pairwise pass).
-	backing := make([]float64, p*n)
-	vs := make([][]float64, p)
-	for j, x := range points {
-		kx := r.crossRow(x)
-		mu[j] = r.mean
-		for i, a := range r.alpha {
-			mu[j] += kx[i] * a
-		}
-		vs[j] = backing[j*n : (j+1)*n]
-		r.chol.SolveLowerVecInto(vs[j], kx)
-	}
-	cov = linalg.NewMatrix(p, p)
-	for a := 0; a < p; a++ {
-		for b := a; b < p; b++ {
-			c := r.kernel.Eval(points[a], points[b])
-			for i := 0; i < n; i++ {
-				c -= vs[a][i] * vs[b][i]
-			}
-			if a == b && c < 0 {
-				c = 0 // numerical floor, as in Posterior
-			}
-			cov.Set(a, b, c)
-			cov.Set(b, a, c)
-		}
-	}
-	return mu, cov, nil
-}
-
-// SampleJoint draws one sample from the joint posterior at the given
-// points using normal(0,1) draws from gauss: z = μ + L·ε with L the
-// Cholesky factor of the (jitter-stabilized) covariance.
-func (r *Regressor) SampleJoint(points [][]float64, gauss func() float64) ([]float64, error) {
-	mu, cov, err := r.PosteriorJoint(points)
-	if err != nil {
-		return nil, err
-	}
-	// Jitter for positive definiteness: posterior covariances are often
-	// numerically singular at well-observed points.
-	var trace float64
-	for i := 0; i < cov.Rows; i++ {
-		trace += cov.At(i, i)
-	}
-	jitter := 1e-9*trace/float64(cov.Rows) + 1e-12
-	var chol *linalg.Cholesky
-	for attempt := 0; attempt < 6; attempt++ {
-		chol, err = linalg.NewCholesky(cov.AddScaledIdentity(jitter))
-		if err == nil {
-			break
-		}
-		jitter *= 100
-	}
-	if err != nil {
-		return nil, fmt.Errorf("gp: joint covariance not factorizable: %w", err)
-	}
-	eps := make([]float64, len(points))
-	for i := range eps {
-		eps[i] = gauss()
-	}
-	out := make([]float64, len(points))
-	for i := range out {
-		out[i] = mu[i]
-		for k := 0; k <= i; k++ {
-			out[i] += chol.At(i, k) * eps[k]
-		}
-	}
-	return out, nil
 }
 
 // LogMarginalLikelihood returns log p(y | X, θ) for the current

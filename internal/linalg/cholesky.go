@@ -87,9 +87,6 @@ func factorColumns(l, a []float64, from, n int) error {
 	return nil
 }
 
-// N returns the order of the factorized matrix.
-func (c *Cholesky) N() int { return c.n }
-
 // At returns L[i][j]; entries above the diagonal are 0. It panics if i or
 // j is out of range.
 func (c *Cholesky) At(i, j int) float64 {

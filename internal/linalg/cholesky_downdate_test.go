@@ -44,8 +44,8 @@ func TestDowndateBitIdenticalToFromScratch(t *testing.T) {
 			if err := ch.Downdate(i); err != nil {
 				t.Fatalf("trial %d: Downdate(%d): %v", trial, i, err)
 			}
-			if ch.N() != n-1 {
-				t.Fatalf("trial %d: N() = %d after Downdate, want %d", trial, ch.N(), n-1)
+			if ch.n != n-1 {
+				t.Fatalf("trial %d: N() = %d after Downdate, want %d", trial, ch.n, n-1)
 			}
 			ref, err := NewCholesky(deleteRowCol(a, i))
 			if err != nil {
@@ -110,8 +110,8 @@ func TestExtendDowndateRoundTrip(t *testing.T) {
 		if err := ch.Downdate(n); err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
-		if ch.N() != n {
-			t.Fatalf("cycle %d: N() = %d, want %d", cycle, ch.N(), n)
+		if ch.n != n {
+			t.Fatalf("cycle %d: N() = %d, want %d", cycle, ch.n, n)
 		}
 		for r := 0; r < n; r++ {
 			for c := 0; c <= r; c++ {

@@ -53,8 +53,8 @@ func TestExtendBitIdenticalToFromScratch(t *testing.T) {
 				}
 			}
 		}
-		if inc.N() != n {
-			t.Fatalf("N() = %d, want %d", inc.N(), n)
+		if inc.n != n {
+			t.Fatalf("N() = %d, want %d", inc.n, n)
 		}
 	}
 }
@@ -70,8 +70,8 @@ func TestExtendRejectsNonSPDAndLeavesFactorIntact(t *testing.T) {
 	if err := ch.Extend([]float64{1, 1}, 0); err != ErrNotSPD {
 		t.Fatalf("err = %v, want ErrNotSPD", err)
 	}
-	if ch.N() != 2 {
-		t.Fatalf("failed Extend changed order to %d", ch.N())
+	if ch.n != 2 {
+		t.Fatalf("failed Extend changed order to %d", ch.n)
 	}
 	for i := range before.Data {
 		if ch.dense().Data[i] != before.Data[i] {

@@ -156,9 +156,6 @@ func New(g *dag.Graph, cfg Config) (*Optimizer, error) {
 // Duals returns a copy of the current multipliers.
 func (o *Optimizer) Duals() []float64 { return append([]float64(nil), o.lambda...) }
 
-// Slot returns the number of Step calls so far.
-func (o *Optimizer) Slot() int { return o.t }
-
 // Step consumes last slot's observed source rates (which define
 // f_{t−1}) and returns the target capacity vector y_t. For SaddlePoint it
 // maximizes the Lagrangian by projected gradient ascent (f is concave, so

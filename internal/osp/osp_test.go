@@ -59,8 +59,8 @@ func TestSaddlePointTargetsCoverDemand(t *testing.T) {
 	if y[0] > 1000 || y[1] > 1000 {
 		t.Errorf("targets exceed YMax: %v", y)
 	}
-	if o.Slot() != 1 {
-		t.Errorf("Slot = %d", o.Slot())
+	if o.t != 1 {
+		t.Errorf("Slot = %d", o.t)
 	}
 }
 

@@ -31,8 +31,8 @@ func TestRegretMonotoneUnderConstantReward(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if a.T() != tc.slots {
-				t.Fatalf("T() = %d, want %d", a.T(), tc.slots)
+			if len(a.regretSer) != tc.slots {
+				t.Fatalf("T() = %d, want %d", len(a.regretSer), tc.slots)
 			}
 			ser := a.RegretSeries()
 			for s := 1; s < len(ser); s++ {

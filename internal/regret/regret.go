@@ -41,9 +41,6 @@ func (a *Accountant) Record(optimal, achieved float64, violations []float64) err
 	return nil
 }
 
-// T returns the number of recorded slots.
-func (a *Accountant) T() int { return len(a.regretSer) }
-
 // Regret returns cumulative dynamic regret Reg_T.
 func (a *Accountant) Regret() float64 { return a.regret }
 

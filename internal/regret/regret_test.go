@@ -7,7 +7,7 @@ import (
 
 func TestAccountantBasics(t *testing.T) {
 	a := NewAccountant()
-	if a.T() != 0 || a.Regret() != 0 || a.Fit() != 0 {
+	if len(a.regretSer) != 0 || a.Regret() != 0 || a.Fit() != 0 {
 		t.Error("fresh accountant not zero")
 	}
 	if err := a.Record(100, 80, []float64{5, -2}); err != nil {
@@ -16,8 +16,8 @@ func TestAccountantBasics(t *testing.T) {
 	if err := a.Record(100, 95, []float64{1, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if a.T() != 2 {
-		t.Errorf("T = %d", a.T())
+	if len(a.regretSer) != 2 {
+		t.Errorf("T = %d", len(a.regretSer))
 	}
 	if a.Regret() != 25 {
 		t.Errorf("Regret = %v, want 25", a.Regret())

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Checkpoint is a generic, versioned, sectioned snapshot envelope: each
@@ -76,16 +75,6 @@ func (c *Checkpoint) Get(section string, v any) error {
 func (c *Checkpoint) Has(section string) bool {
 	_, ok := c.sections[section]
 	return ok
-}
-
-// Sections lists the section names in sorted order.
-func (c *Checkpoint) Sections() []string {
-	out := make([]string, 0, len(c.sections))
-	for name := range c.sections {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // checkpointWire is the JSON envelope layout.

@@ -35,8 +35,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if sec.Round != want.Round || sec.Budgets["alpha"] != 9 || sec.Budgets["beta"] != 4 {
 		t.Fatalf("restored %+v, want %+v", sec, want)
 	}
-	if s := got.Sections(); len(s) != 2 || s[0] != "arbiter" || s[1] != "meta" {
-		t.Fatalf("sections %v, want [arbiter meta]", s)
+	if len(got.sections) != 2 {
+		t.Fatalf("sections %v, want arbiter and meta", got.sections)
 	}
 	if !got.Has("meta") || got.Has("nope") {
 		t.Fatal("Has misreports sections")

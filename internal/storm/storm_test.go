@@ -47,7 +47,7 @@ func newEngine(t testing.TB, g *dag.Graph, perTask float64) *streamsim.Engine {
 	return eng
 }
 
-func newTopology(t testing.TB, perTask float64, initial []int) (*flink.SessionCluster, *flink.Job) {
+func newTopology(t testing.TB, perTask float64, initial []int) (*cluster.Cluster, *flink.SessionCluster, *flink.Job) {
 	t.Helper()
 	g := chainGraph(t)
 	k8s := cluster.New()
@@ -62,7 +62,7 @@ func newTopology(t testing.TB, perTask float64, initial []int) (*flink.SessionCl
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, topo
+	return k8s, s, topo
 }
 
 func TestNewClusterValidation(t *testing.T) {
@@ -85,10 +85,7 @@ func TestNewClusterValidation(t *testing.T) {
 }
 
 func TestSubmitTopology(t *testing.T) {
-	s, topo := newTopology(t, 150, []int{2, 3})
-	if topo.Name() != "wordcount" {
-		t.Errorf("Name = %q", topo.Name())
-	}
+	k8s, s, topo := newTopology(t, 150, []int{2, 3})
 	if got := topo.EffectiveParallelism(); got[0] != 2 || got[1] != 3 {
 		t.Errorf("parallelism = %v", got)
 	}
@@ -96,7 +93,7 @@ func TestSubmitTopology(t *testing.T) {
 	if cpus[0] != 1000 || cpus[1] != 1000 {
 		t.Errorf("worker CPUs = %v", cpus)
 	}
-	deps := s.Cluster().Deployments()
+	deps := k8s.Deployments()
 	want := map[string]bool{"flink-jobmanager": true, "tm-wordcount-split": true, "tm-wordcount-count": true}
 	for _, d := range deps {
 		if !want[d] {
@@ -104,7 +101,8 @@ func TestSubmitTopology(t *testing.T) {
 		}
 	}
 	// The session hosts several topologies, but each name only once.
-	if _, err := s.SubmitJob("wordcount", topo.Graph(), newEngine(t, topo.Graph(), 10), []int{1, 1}); err == nil {
+	g := chainGraph(t)
+	if _, err := s.SubmitJob("wordcount", g, newEngine(t, g, 10), []int{1, 1}); err == nil {
 		t.Error("duplicate topology name accepted")
 	}
 }
@@ -132,7 +130,7 @@ func TestSubmitTopologyValidation(t *testing.T) {
 }
 
 func TestRunSlotSteadyState(t *testing.T) {
-	_, topo := newTopology(t, 150, []int{2, 3})
+	_, _, topo := newTopology(t, 150, []int{2, 3})
 	rep, err := topo.RunSlot(60, func(int) []float64 { return []float64{100} })
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +141,7 @@ func TestRunSlotSteadyState(t *testing.T) {
 	if rep.Vertices[0].Name != "split" || rep.Vertices[0].RunningTasks != 2 {
 		t.Errorf("vertex 0 = %+v", rep.Vertices[0])
 	}
-	if topo.LastReport() != rep || topo.Slot() != 1 {
+	if topo.LastReport() != rep || rep.Job != "wordcount" {
 		t.Error("report bookkeeping wrong")
 	}
 	if rep.CostSoFar <= 0 {
@@ -152,7 +150,7 @@ func TestRunSlotSteadyState(t *testing.T) {
 }
 
 func TestRebalanceValidation(t *testing.T) {
-	_, topo := newTopology(t, 150, []int{1, 1})
+	_, _, topo := newTopology(t, 150, []int{1, 1})
 	if err := topo.Rescale([]int{1}); err == nil {
 		t.Error("wrong length accepted")
 	}
@@ -179,7 +177,7 @@ func TestRescaleResourcesRejectsVertical(t *testing.T) {
 	}, experiment.DragsterSaddle()); err == nil {
 		t.Error("vertical scaling accepted on storm")
 	}
-	_, topo := newTopology(t, 150, []int{1, 1})
+	_, _, topo := newTopology(t, 150, []int{1, 1})
 	if err := topo.RescaleResources([]int{2, 2}, []int{1000, 1000}); err != nil {
 		t.Errorf("homogeneous rescale rejected: %v", err)
 	}

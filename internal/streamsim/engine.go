@@ -207,9 +207,6 @@ func (e *Engine) SetTasks(tasks []int) error {
 	return nil
 }
 
-// Tasks returns a copy of the current parallelism vector.
-func (e *Engine) Tasks() []int { return append([]int(nil), e.tasks...) }
-
 // TasksView returns the current parallelism vector without copying. The
 // slice aliases Engine state: it is read-only and only valid until the
 // next SetTasks — the same aliasing contract as TickStats.Ops. Callers on
@@ -267,9 +264,6 @@ func (e *Engine) Pause(ticks int) {
 	e.pause = ticks
 }
 
-// Paused reports whether a pause is active.
-func (e *Engine) Paused() bool { return e.pause > 0 }
-
 // BeginSlot redraws the per-slot capacity noise. Call once per decision
 // slot (the cloud-noise level varies slot-to-slot, not tick-to-tick).
 func (e *Engine) BeginSlot() {
@@ -292,10 +286,6 @@ func (e *Engine) TrueCapacity(i int) float64 {
 
 // DroppedTotal returns cumulative tuples dropped to buffer caps.
 func (e *Engine) DroppedTotal() float64 { return e.dropped }
-
-// ProcessedTotal returns cumulative sink throughput (the paper's
-// "number of processed tuples").
-func (e *Engine) ProcessedTotal() float64 { return e.processed }
 
 // BufferedTotal returns the backlog summed over all edges. Edges are
 // visited in topological order so the float sum is identical across runs

@@ -20,11 +20,6 @@ func Str(k, v string) Attr { return Attr{Key: k, Value: v} }
 // Int builds an integer attribute.
 func Int(k string, v int) Attr { return Attr{Key: k, Value: strconv.Itoa(v)} }
 
-// Int64 builds a 64-bit integer attribute.
-func Int64(k string, v int64) Attr {
-	return Attr{Key: k, Value: strconv.FormatInt(v, 10)}
-}
-
 // Float builds a float attribute rendered with the shortest round-trip
 // representation ('g', -1), which is deterministic for a given value.
 func Float(k string, v float64) Attr {

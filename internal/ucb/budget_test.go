@@ -8,20 +8,22 @@ import (
 	"dragster/internal/stats"
 )
 
+// budgetNoise is the observation noise of budgetedSearcher's GP.
+const budgetNoise = 25
+
 // budgetedSearcher returns a Searcher over a 1-D task grid with the given
 // observation budget and hyperparameter refit cadence.
-func budgetedSearcher(t testing.TB, budget, refitEvery int, policy gp.EvictionPolicy) *Searcher {
+func budgetedSearcher(t testing.TB, budget, refitEvery int) *Searcher {
 	t.Helper()
 	cands := make([][]float64, 20)
 	for i := range cands {
 		cands[i] = []float64{1 + float64(i)*0.5}
 	}
 	s, err := NewSearcher(Config{
-		NoiseVar:          25,
+		NoiseVar:          budgetNoise,
 		Candidates:        cands,
 		RefitEvery:        refitEvery,
 		ObservationBudget: budget,
-		Eviction:          policy,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +37,7 @@ func budgetedSearcher(t testing.TB, budget, refitEvery int, policy gp.EvictionPo
 // the cached budgeted Select must agree with.
 func bruteForceSelect(t *testing.T, s *Searcher, target, beta float64) int {
 	t.Helper()
-	ref, err := gp.NewRegressor(s.Regressor().Kernel(), s.Regressor().NoiseVar())
+	ref, err := gp.NewRegressor(s.Regressor().Kernel(), budgetNoise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func bruteForceSelect(t *testing.T, s *Searcher, target, beta float64) int {
 		}
 	}
 	best, idx := math.Inf(-1), -1
-	for i, cand := range s.Candidates() {
+	for i, cand := range s.candidates {
 		mu, variance, err := ref.Posterior(cand)
 		if err != nil {
 			t.Fatal(err)
@@ -69,14 +71,12 @@ func TestBudgetedSelectMatchesBruteForce(t *testing.T) {
 		name       string
 		budget     int
 		refitEvery int
-		policy     gp.EvictionPolicy
 	}{
-		{"lowest-information", 8, 0, gp.EvictLowestInformation},
-		{"sliding-window", 8, 0, gp.EvictOldest},
-		{"with-hyper-refits", 10, 7, gp.EvictLowestInformation},
+		{"lowest-information", 8, 0},
+		{"with-hyper-refits", 10, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := budgetedSearcher(t, tc.budget, tc.refitEvery, tc.policy)
+			s := budgetedSearcher(t, tc.budget, tc.refitEvery)
 			rng := stats.NewRNG(29)
 			for round := 0; round < 60; round++ {
 				n := rng.Uniform(1, 10)
@@ -105,7 +105,7 @@ func TestBudgetedSelectMatchesBruteForce(t *testing.T) {
 // churn: every cached entry must equal a fresh kernel evaluation against
 // the retained observation it claims to cover.
 func TestEvictionKeepsCrossCacheAligned(t *testing.T) {
-	s := budgetedSearcher(t, 6, 0, gp.EvictLowestInformation)
+	s := budgetedSearcher(t, 6, 0)
 	rng := stats.NewRNG(31)
 	for round := 0; round < 40; round++ {
 		n := rng.Uniform(1, 10)
@@ -136,7 +136,7 @@ func TestEvictionKeepsCrossCacheAligned(t *testing.T) {
 // evicted before it ever reaches the cache: the cache must stay aligned
 // (idx == crossN no-op path in onEvict).
 func TestSelectAfterEvictingTheNewPoint(t *testing.T) {
-	s := budgetedSearcher(t, 3, 0, gp.EvictLowestInformation)
+	s := budgetedSearcher(t, 3, 0)
 	// Three well-separated anchors fill the budget.
 	for _, n := range []float64{1, 5, 10} {
 		if err := s.Observe([]float64{n}, capCurve(n)); err != nil {

@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"dragster/internal/gp"
-	"dragster/internal/stats"
 	"dragster/internal/telemetry"
 )
 
@@ -25,14 +24,10 @@ import (
 type Acquisition int
 
 // Acquisitions. Extended is the paper's target-tracking rule; Conventional
-// is classic GP-UCB maximization (kept for the ablation benchmark);
-// Thompson replaces the UCB bonus with posterior sampling — one joint
-// draw across all candidates, pick the one whose sampled capacity tracks
-// the target (randomness is the exploration).
+// is classic GP-UCB maximization (Remark 1's comparison).
 const (
 	Extended Acquisition = iota
 	Conventional
-	Thompson
 )
 
 // String implements fmt.Stringer.
@@ -42,8 +37,6 @@ func (a Acquisition) String() string {
 		return "extended"
 	case Conventional:
 		return "conventional"
-	case Thompson:
-		return "thompson"
 	default:
 		return fmt.Sprintf("Acquisition(%d)", int(a))
 	}
@@ -75,7 +68,6 @@ type Searcher struct {
 	acq        Acquisition
 	explore    float64
 	refitEvery int
-	rng        *stats.RNG
 	t          int // observations consumed (the UCB round counter)
 
 	// diam caches candidateDiameter: the candidate list is immutable, so
@@ -136,18 +128,12 @@ type Config struct {
 	// This mirrors the sklearn GaussianProcessRegressor's per-fit
 	// optimizer the paper's implementation used.
 	RefitEvery int
-	// RNG supplies the posterior draws for the Thompson acquisition
-	// (required for Thompson, ignored otherwise).
-	RNG *stats.RNG
 	// ObservationBudget caps the GP's retained observations (0 =
 	// unlimited). With a budget, per-round Observe/Select cost stays flat
 	// over unbounded horizons instead of growing as O(n²); see
 	// gp.Regressor.SetObservationBudget and DESIGN.md "Bounded-memory
 	// posterior".
 	ObservationBudget int
-	// Eviction picks which observation a full budget drops (default
-	// gp.EvictLowestInformation; gp.EvictOldest is the sliding window).
-	Eviction gp.EvictionPolicy
 }
 
 // NewSearcher validates cfg and returns a Searcher.
@@ -175,8 +161,8 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 	if cfg.RefitEvery < 0 {
 		return nil, fmt.Errorf("ucb: negative refit interval %d", cfg.RefitEvery)
 	}
-	if cfg.Acquisition == Thompson && cfg.RNG == nil {
-		return nil, errors.New("ucb: Thompson acquisition needs an RNG")
+	if cfg.Acquisition != Extended && cfg.Acquisition != Conventional {
+		return nil, fmt.Errorf("ucb: unknown acquisition %v", cfg.Acquisition)
 	}
 	diam := candidateDiameter(cands)
 	if cfg.Kernel == nil {
@@ -191,7 +177,7 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := reg.SetObservationBudget(cfg.ObservationBudget, cfg.Eviction); err != nil {
+	if err := reg.SetObservationBudget(cfg.ObservationBudget); err != nil {
 		return nil, fmt.Errorf("ucb: %w", err)
 	}
 	s := &Searcher{
@@ -200,7 +186,6 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 		acq:        cfg.Acquisition,
 		explore:    cfg.ExplorationScale,
 		refitEvery: cfg.RefitEvery,
-		rng:        cfg.RNG,
 		diam:       diam,
 		crossKxx:   make([]float64, len(cands)),
 		crossEpoch: reg.KernelEpoch(),
@@ -213,13 +198,6 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 	// without it every eviction would force an O(C·n) rebuild in Select.
 	reg.SetEvictionHook(s.onEvict)
 	return s, nil
-}
-
-// SetObservationBudget re-caps the underlying regressor's retained
-// observations mid-run (0 = unlimited), draining immediately; the
-// cross-covariance cache follows along through the eviction hook.
-func (s *Searcher) SetObservationBudget(budget int, policy gp.EvictionPolicy) error {
-	return s.reg.SetObservationBudget(budget, policy)
 }
 
 // onEvict is the regressor's eviction hook: observation idx was just
@@ -364,15 +342,6 @@ func (s *Searcher) Observations() int { return s.t }
 // posterior inspection, persistence).
 func (s *Searcher) Regressor() *gp.Regressor { return s.reg }
 
-// Candidates returns a copy of the candidate list.
-func (s *Searcher) Candidates() [][]float64 {
-	out := make([][]float64, len(s.candidates))
-	for i, c := range s.candidates {
-		out[i] = append([]float64(nil), c...)
-	}
-	return out
-}
-
 // PosteriorAt returns μ, σ² at candidate index i (ErrNoData before any
 // observation).
 func (s *Searcher) PosteriorAt(i int) (float64, float64, error) {
@@ -401,10 +370,6 @@ func (s *Searcher) OptimisticAt(x []float64) (float64, error) {
 // configuration for the first slot, so this only happens at cold start).
 var ErrNoData = errors.New("ucb: no observations yet")
 
-// Static sentinel for an invalid acquisition: Select sits on the
-// per-round critical path, so its error returns must not build strings.
-var errUnknownAcquisition = errors.New("ucb: unknown acquisition")
-
 // Select returns the candidate maximizing the acquisition for the given
 // target capacity, along with its index and the β_t used. For the
 // Conventional acquisition the target is ignored.
@@ -413,22 +378,6 @@ func (s *Searcher) Select(target float64) (x []float64, idx int, beta float64, e
 		return nil, 0, 0, ErrNoData
 	}
 	beta = Beta(s.t, len(s.candidates), confidenceDelta)
-	if s.acq == Thompson {
-		sample, err := s.reg.SampleJoint(s.candidates, func() float64 { return s.rng.Normal(0, 1) })
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		idx = -1
-		bestScore := math.Inf(-1)
-		for i, v := range sample {
-			score := -math.Abs(v - target)
-			if score > bestScore {
-				bestScore, idx = score, i
-			}
-		}
-		s.traceSelect(target, idx, beta)
-		return append([]float64(nil), s.candidates[idx]...), idx, beta, nil
-	}
 	// Score candidates from the cross-covariance cache: only observations
 	// that arrived since the last Select (or a kernel swap) cost kernel
 	// evaluations; the per-candidate posterior is then two cached-vector
@@ -456,14 +405,9 @@ func (s *Searcher) Select(target float64) (x []float64, idx int, beta float64, e
 		// term at realistic tuples/s scales; the bonus is therefore the
 		// Srinivas-et-al β^{1/2}·σ form the proof supports.
 		bonus := math.Sqrt(beta) * math.Sqrt(variance) * s.explore
-		var score float64
-		switch s.acq {
-		case Extended:
+		score := mu + bonus // Conventional
+		if s.acq == Extended {
 			score = -math.Abs(mu-target) + bonus
-		case Conventional:
-			score = mu + bonus
-		default:
-			return nil, 0, 0, errUnknownAcquisition
 		}
 		if score > bestScore {
 			bestScore, idx = score, i

@@ -173,13 +173,8 @@ func TestCandidatesCopied(t *testing.T) {
 		t.Fatal(err)
 	}
 	in[0][0] = 99
-	if s.Candidates()[0][0] != 1 {
+	if s.candidates[0][0] != 1 {
 		t.Error("constructor did not copy candidates")
-	}
-	got := s.Candidates()
-	got[1][0] = 99
-	if s.Candidates()[1][0] != 2 {
-		t.Error("Candidates leaked internal storage")
 	}
 }
 
@@ -308,7 +303,7 @@ func TestRefitEveryImprovesFit(t *testing.T) {
 }
 
 func TestAcquisitionString(t *testing.T) {
-	if Extended.String() != "extended" || Conventional.String() != "conventional" || Thompson.String() != "thompson" {
+	if Extended.String() != "extended" || Conventional.String() != "conventional" {
 		t.Error("acquisition names wrong")
 	}
 	if Acquisition(7).String() == "" {
@@ -316,61 +311,18 @@ func TestAcquisitionString(t *testing.T) {
 	}
 }
 
-func TestThompsonRequiresRNG(t *testing.T) {
-	if _, err := NewSearcher(Config{
-		NoiseVar:    25,
-		Candidates:  taskCandidates(t),
-		Acquisition: Thompson,
-	}); err == nil {
-		t.Error("Thompson without RNG accepted")
-	}
-}
-
-func TestThompsonTracksTarget(t *testing.T) {
-	s, err := NewSearcher(Config{
-		NoiseVar:    25,
-		Candidates:  taskCandidates(t),
-		Acquisition: Thompson,
-		RNG:         stats.NewRNG(17),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRNG(18)
-	for _, n := range []float64{1, 4, 7, 10} {
-		if err := s.Observe([]float64{n}, capCurve(n)+rng.Normal(0, 5)); err != nil {
-			t.Fatal(err)
+// TestNewSearcherRejectsUnknownAcquisition: an acquisition outside
+// Extended/Conventional fails at construction, not in every later Select.
+// Acquisition(2) is the value the removed Thompson ablation used.
+func TestNewSearcherRejectsUnknownAcquisition(t *testing.T) {
+	for _, acq := range []Acquisition{2, -1} {
+		if _, err := NewSearcher(Config{
+			NoiseVar:    25,
+			Candidates:  taskCandidates(t),
+			Acquisition: acq,
+		}); err == nil {
+			t.Errorf("%v accepted", acq)
 		}
-	}
-	// Thompson is stochastic; check the MODE of its choices tracks the
-	// target (capCurve(6) ≈ 500) after the select→observe loop warms up.
-	counts := make(map[int]int)
-	for i := 0; i < 30; i++ {
-		x, idx, beta, err := s.Select(500)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if beta <= 0 {
-			t.Fatalf("β = %v", beta)
-		}
-		counts[idx]++
-		if err := s.Observe(x, capCurve(x[0])+rng.Normal(0, 5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	best, bestN := -1, 0
-	for idx, n := range counts {
-		if n > bestN {
-			best, bestN = idx, n
-		}
-	}
-	chosen := float64(best + 1)
-	if math.Abs(chosen-6) > 1 {
-		t.Errorf("Thompson mode at %v tasks (%d/30 picks), want ≈6", chosen, bestN)
-	}
-	// And it must actually explore: more than one distinct arm pulled.
-	if len(counts) < 2 {
-		t.Error("Thompson never explored")
 	}
 }
 
@@ -403,7 +355,7 @@ func TestSelectMatchesUncachedPosteriors(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Reference scoring without the cache.
-		mus, vars, err := s.Regressor().PosteriorBatch(s.Candidates())
+		mus, vars, err := s.Regressor().PosteriorBatch(s.candidates)
 		if err != nil {
 			t.Fatal(err)
 		}
