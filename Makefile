@@ -56,7 +56,7 @@ loc:
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzNewCholesky -fuzztime 3s ./internal/linalg
 	$(GO) test -run NONE -fuzz FuzzCholeskyExtend -fuzztime 3s ./internal/linalg
-	$(GO) test -run NONE -fuzz FuzzCholeskyDowndate -fuzztime 3s ./internal/linalg
+	$(GO) test -run NONE -fuzz FuzzCholeskyUpdateDiag -fuzztime 3s ./internal/linalg
 	$(GO) test -run NONE -fuzz FuzzGraphBuild -fuzztime 3s ./internal/dag
 	$(GO) test -run NONE -fuzz FuzzFleetEvent -fuzztime 3s ./internal/fleet/event
 	$(GO) test -run NONE -fuzz FuzzLoadTraceCSV -fuzztime 3s ./internal/workload
@@ -101,14 +101,18 @@ bench-snapshot:
 		./internal/gp ./internal/ucb ./internal/linalg | $(GO) run ./cmd/benchsnapshot -out BENCH_gp.json
 
 # Flat-horizon gate: inside the committed BENCH_gp.json, the 10k-warm
-# budgeted Observe/Select benchmarks must sit within 1.2× of their
-# 1k-warm twins — the bounded-memory posterior's whole point is that
-# per-round cost depends on the budget, not the horizon. Reads only the
-# snapshot, so CI can run it without timing jitter.
+# grid Observe/Select benchmarks must sit within 1.2× of their 1k-warm
+# twins, and inside BENCH_e2e.json the warm-started fleet's rounds
+# 241–256 within 1.2× of its rounds 1–16 — a GP holds one row per
+# distinct configuration, so per-round cost depends on the candidate
+# grid, not the horizon. Reads only the snapshots, so CI can run it
+# without timing jitter.
 bench-flat:
 	$(GO) run ./cmd/benchsnapshot -flat BENCH_gp.json \
-		-pair BenchmarkObserve1kBudget256=BenchmarkObserve10kBudget256 \
-		-pair BenchmarkSelect1kBudget256=BenchmarkSelect10kBudget256
+		-pair BenchmarkObserveGrid1k=BenchmarkObserveGrid10k \
+		-pair BenchmarkSelectGrid1k=BenchmarkSelectGrid10k
+	$(GO) run ./cmd/benchsnapshot -flat BENCH_e2e.json \
+		-pair BenchmarkFleetRoundWarmEarly100Jobs=BenchmarkFleetRoundWarmLate100Jobs
 
 # Regenerate every paper table and figure at the paper's 10-minute slots.
 repro:

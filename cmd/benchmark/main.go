@@ -183,14 +183,11 @@ func run(exp string, slotSec int, seed int64, budget int) error {
 			}
 			experiment.RenderFleetScale(w, r)
 		case "longhorizon":
-			// Budgeted vs exact posteriors over 1200 rounds (the exact
-			// run dominates the wall clock — its per-round cost grows
-			// quadratically, which is the point of the table).
-			rs, err := experiment.LongHorizonSweep([]int{0, 64, 128, 256}, 1200, seed)
+			r, err := experiment.LongHorizon(experiment.LongHorizonConfig{Rounds: 1200, Seed: seed})
 			if err != nil {
 				return err
 			}
-			experiment.RenderLongHorizon(w, rs)
+			experiment.RenderLongHorizon(w, r)
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}

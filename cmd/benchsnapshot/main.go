@@ -15,9 +15,9 @@
 // With -flat, the tool reads no stdin at all: it checks scaling pairs
 // *within* the committed snapshot. Each repeated -pair small=large flag
 // names two benchmarks that differ only in problem scale (e.g. 1k vs 10k
-// warm observations at a fixed observation budget); the large one must
-// stay within the tolerance factor of the small one's ns/op. This is how
-// CI proves the budgeted GP's per-round cost is flat in the horizon.
+// warm observations drawn from a fixed candidate grid); the large one
+// must stay within the tolerance factor of the small one's ns/op. This is
+// how CI proves the GP's per-round cost is flat in the horizon.
 //
 // Entries are emitted sorted by benchmark name (CPU-count suffixes like
 // "-8" stripped) so the file is deterministic for a given machine. A

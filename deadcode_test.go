@@ -52,14 +52,13 @@ var deadExportKeep = map[string]string{
 	"dragster/internal/cluster.Cluster.PodMetrics":         "the metrics-server read side of SetDeploymentUtil, which the substrate feeds once per slot",
 	"dragster/internal/stats.RNG.Uniform":                  "the RNG's uniform draw, kept beside Normal and LogNormal",
 	"dragster/internal/stats.RNG.Float64":                  "the unit uniform draw dagtest's random graphs are built from",
-	"dragster/internal/stats.RNG.Split":                    "no production caller; kept with its test until both are deleted together (ROADMAP)",
 	"dragster/internal/chaos.Engine.Metrics":               "test seam onto the engine's fault counters, read by the external chaos tests",
 	"dragster/internal/dag.Graph.Name":                     "node names for sources and sinks, which the external sweep tests rebuild graphs from",
 	"dragster/internal/dag.LearnedLinear.PredictionGap":    "the Theorem-2 convergence measure the learned-throughput tests check",
 	"dragster/internal/fleet/event.MessageSet.Add":         "the at-least-once re-add path whose dedupe and gap rules the event tests and fuzz target pin",
-	"dragster/internal/gp.Regressor.ObservationBudget":     "test seam: the core and fleet tests check the budget reached every GP",
+	"dragster/internal/linalg.Cholesky.At":                 "test oracle: the bit-identity tests and fuzz targets compare factors entry by entry",
+	"dragster/internal/linalg.Matrix.AddScaledIdentity":    "test oracle beside T and Mul: the ridge that makes the tests' random BᵀB inputs SPD",
 	"dragster/internal/linalg.Matrix.T":                    "test oracle beside Mul: builds SPD inputs BᵀB and checks L·Lᵀ = A",
-	"dragster/internal/mathx.Sum":                          "no production caller; kept with its tests until they are deleted together (ROADMAP)",
 
 	// Features with no caller yet.
 	"dragster/internal/flink.NewRESTHandler": "constructs the Flink REST seam",

@@ -65,12 +65,6 @@ type Config struct {
 	// (0 disables; the defaults are well-calibrated for the built-in
 	// workloads, so this mainly serves custom capacity scales).
 	HyperoptEvery int
-	// GPObservationBudget caps the observations each operator's GP
-	// retains (0 = unlimited). With a budget, per-slot cost and memory
-	// stay flat over unbounded horizons — the month-long deployments the
-	// ROADMAP targets — at the price of an approximate (retained-set)
-	// posterior; see DESIGN.md "Bounded-memory posterior".
-	GPObservationBudget int
 	// DB, when set, receives one record per operator per slot, and its
 	// history is replayed into the GPs at construction (warm start).
 	DB *store.DB
@@ -144,9 +138,6 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.HyperoptEvery < 0 {
 		return nil, errors.New("core: negative HyperoptEvery")
 	}
-	if cfg.GPObservationBudget < 0 {
-		return nil, errors.New("core: negative GPObservationBudget")
-	}
 	if cfg.Candidates == nil {
 		grid, err := store.TaskGrid(1, 10)
 		if err != nil {
@@ -183,13 +174,12 @@ func New(cfg Config) (*Controller, error) {
 	capScale := cfg.YMax // kernel variance in capacity units²
 	for i := 0; i < m; i++ {
 		s, err := ucb.NewSearcher(ucb.Config{
-			NoiseVar:          cfg.NoiseVar,
-			Candidates:        cfg.Candidates[i],
-			Acquisition:       cfg.Acquisition,
-			Kernel:            capacityKernel(cfg.Candidates[i], capScale),
-			ExplorationScale:  explorationScale,
-			RefitEvery:        cfg.HyperoptEvery,
-			ObservationBudget: cfg.GPObservationBudget,
+			NoiseVar:         cfg.NoiseVar,
+			Candidates:       cfg.Candidates[i],
+			Acquisition:      cfg.Acquisition,
+			Kernel:           capacityKernel(cfg.Candidates[i], capScale),
+			ExplorationScale: explorationScale,
+			RefitEvery:       cfg.HyperoptEvery,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: operator %d searcher: %w", i, err)

@@ -13,19 +13,16 @@ import (
 // The long-horizon scenario exercises the ROADMAP's months-of-rounds
 // regime directly at the optimizer layer: a single extended-GP-UCB
 // searcher tracks a slowly oscillating capacity target against a concave
-// hidden capacity curve for tens of thousands of rounds. Without an
-// observation budget, round cost grows as O(t²) and memory as O(t) —
-// the full cluster simulation never reaches this regime in test time,
-// which is exactly why the scenario drives ucb.Searcher directly.
+// hidden capacity curve for tens of thousands of rounds. The GP keeps one
+// row per distinct configuration, so its exact posterior never holds more
+// than the 24 candidates however long the run — the full cluster
+// simulation never reaches this regime in test time, which is exactly why
+// the scenario drives ucb.Searcher directly.
 
 // LongHorizonConfig parameterizes one long-horizon run.
 type LongHorizonConfig struct {
 	// Rounds is the number of select→observe rounds (required).
 	Rounds int
-	// Budget caps the GP's retained observations (0 = exact/unbudgeted —
-	// feasible only for small Rounds; the per-round cost grows
-	// quadratically without a budget).
-	Budget int
 	// Seed drives observation noise (default 1).
 	Seed int64
 	// onCheckpoint, when set, fires as each checkpoint is recorded (the
@@ -45,12 +42,11 @@ type LongHorizonPoint struct {
 
 // LongHorizonResult summarizes a long-horizon run.
 type LongHorizonResult struct {
-	Rounds      int
-	Budget      int
-	CumRegret   float64 // cumulative target-tracking regret over the run
-	Retained    int     // observations held at the end
-	Evictions   uint64
-	Checkpoints []LongHorizonPoint
+	Rounds       int
+	CumRegret    float64 // cumulative target-tracking regret over the run
+	Observations int     // observations the GP took
+	Rows         int     // distinct configurations the GP holds at the end
+	Checkpoints  []LongHorizonPoint
 }
 
 // lhCapacity is the hidden concave capacity curve (tuples/s at n tasks),
@@ -79,16 +75,15 @@ func LongHorizon(cfg LongHorizonConfig) (*LongHorizonResult, error) {
 		cands[i] = []float64{float64(i + 1)}
 	}
 	s, err := ucb.NewSearcher(ucb.Config{
-		NoiseVar:          100,
-		Candidates:        cands,
-		ExplorationScale:  0.1,
-		ObservationBudget: cfg.Budget,
+		NoiseVar:         100,
+		Candidates:       cands,
+		ExplorationScale: 0.1,
 	})
 	if err != nil {
 		return nil, err
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	res := &LongHorizonResult{Rounds: cfg.Rounds, Budget: cfg.Budget}
+	res := &LongHorizonResult{Rounds: cfg.Rounds}
 	every := cfg.Rounds / lhCheckpoints
 	if every == 0 {
 		every = 1
@@ -121,43 +116,15 @@ func LongHorizon(cfg LongHorizonConfig) (*LongHorizonResult, error) {
 			}
 		}
 	}
-	res.Retained = s.Regressor().Len()
-	res.Evictions = s.Regressor().Evictions()
+	res.Observations = s.Regressor().Len()
+	res.Rows = s.Regressor().Rows()
 	return res, nil
 }
 
-// LongHorizonSweep runs the scenario once per budget (0 = exact) with a
-// shared round count and seed, for the budgeted-vs-exact regret table in
-// EXPERIMENTS.md.
-func LongHorizonSweep(budgets []int, rounds int, seed int64) ([]*LongHorizonResult, error) {
-	out := make([]*LongHorizonResult, 0, len(budgets))
-	for _, b := range budgets {
-		r, err := LongHorizon(LongHorizonConfig{Rounds: rounds, Budget: b, Seed: seed})
-		if err != nil {
-			return nil, fmt.Errorf("budget %d: %w", b, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// RenderLongHorizon prints the sweep as the budgeted-vs-exact table.
-func RenderLongHorizon(w io.Writer, results []*LongHorizonResult) {
-	if len(results) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "Long horizon: budgeted vs exact GP posteriors (%d rounds, target-tracking regret)\n", results[0].Rounds)
-	fmt.Fprintf(w, "%-10s %-22s %12s %12s %12s %14s\n",
-		"budget", "eviction", "retained", "evictions", "cum regret", "regret/round")
-	for _, r := range results {
-		budget := "exact"
-		policy := "-"
-		if r.Budget > 0 {
-			budget = fmt.Sprintf("%d", r.Budget)
-			policy = "lowest-information"
-		}
-		fmt.Fprintf(w, "%-10s %-22s %12d %12d %12.0f %14.3f\n",
-			budget, policy, r.Retained, r.Evictions, r.CumRegret,
-			r.CumRegret/float64(r.Rounds))
-	}
+// RenderLongHorizon prints one run as the long-horizon table row.
+func RenderLongHorizon(w io.Writer, r *LongHorizonResult) {
+	fmt.Fprintf(w, "Long horizon: exact GP posterior, one row per configuration (%d rounds, target-tracking regret)\n", r.Rounds)
+	fmt.Fprintf(w, "%12s %12s %12s %14s\n", "observations", "rows", "cum regret", "regret/round")
+	fmt.Fprintf(w, "%12d %12d %12.0f %14.3f\n",
+		r.Observations, r.Rows, r.CumRegret, r.CumRegret/float64(r.Rounds))
 }

@@ -52,11 +52,6 @@ type Scenario struct {
 	// rescaling, 30 s pause) or "storm" (flink.StormOptions: rebalance,
 	// 10 s pause, homogeneous workers — §3.2 of the paper).
 	StreamEngine string
-	// GPObservationBudget caps each operator GP's retained observations
-	// in Dragster controllers (see core.Config.GPObservationBudget; 0 =
-	// unlimited). Long-horizon scenarios set this so per-slot cost and
-	// memory stay flat; non-Dragster policies ignore it.
-	GPObservationBudget int
 	// Chaos, when set, replays the fault schedule through a seeded
 	// chaos.Engine wired into the cluster, the job's rescale hooks, and
 	// the monitor.
@@ -152,7 +147,6 @@ func dragsterFactory(method osp.Method, acq ucb.Acquisition) PolicyFactory {
 		cfg.Method = method
 		cfg.TaskBudget = sc.TaskBudget
 		cfg.Acquisition = acq
-		cfg.GPObservationBudget = sc.GPObservationBudget
 		cfg.Counters = sc.metrics
 		return core.New(cfg)
 	}

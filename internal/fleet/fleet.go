@@ -1010,15 +1010,6 @@ func estimateNeed(snap *monitor.Snapshot, maxTasks int) int {
 	return need
 }
 
-// tenantObservationBudget caps every fleet tenant's per-operator GP at
-// this many retained observations, with the default lowest-information
-// eviction (DESIGN.md "Bounded-memory posterior"). Without a cap a
-// long-lived tenant's decide cost grows with its age. 256 exceeds the
-// warmStartMaxPerOperator seed records plus the rounds of every shipped
-// fleet run, so eviction — the only code path that reads the budget —
-// fires only in longer runs.
-const tenantObservationBudget = 256
-
 // buildStack constructs a newly admitted tenant: its controller,
 // warm-started from the kind archive (and its capacity plan's probes),
 // then its engine, Flink job, monitor and retrier.
@@ -1043,7 +1034,6 @@ func (m *Manager) buildStack(js *jobState, r int) error {
 	cc := tenant.ControllerConfig(spec)
 	cc.Method = js.spec.Method
 	cc.TaskBudget = js.budget
-	cc.GPObservationBudget = tenantObservationBudget
 	cc.Counters = m.reg
 	cc.DB = db
 	ctrl, err := core.New(cc)

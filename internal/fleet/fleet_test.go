@@ -82,28 +82,37 @@ func runFleet(t *testing.T, cfg Config) *Result {
 	return res
 }
 
-// TestFleetTenantGPsAreBudgeted: every admitted tenant's per-operator GP
-// carries the fleet's observation budget, so a long-lived tenant's
-// decide cost stops growing once the budget fills.
-func TestFleetTenantGPsAreBudgeted(t *testing.T) {
+// TestFleetTenantGPRowsBoundedByGrid: a tenant's per-operator GP holds
+// one row per distinct task count, so however many rounds a tenant lives
+// (and however much history warm-start replays into it) its decide cost
+// is bounded by the MaxTasks grid, not by its age.
+func TestFleetTenantGPRowsBoundedByGrid(t *testing.T) {
 	m, err := New(threeJobConfig(t))
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
-	if err := m.Step(); err != nil {
-		t.Fatalf("admission round: %v", err)
+	for round := 0; round < 8; round++ {
+		if err := m.Step(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
 	}
 	if len(m.running) == 0 {
-		t.Fatal("no tenant admitted")
+		t.Fatal("no tenant running")
 	}
+	merged := false
 	for _, js := range m.running {
 		ctrl := js.t.Controller()
 		for i := 0; i < js.spec.Workload.Graph.NumOperators(); i++ {
-			if got := ctrl.Searcher(i).Regressor().ObservationBudget(); got != tenantObservationBudget {
-				t.Errorf("job %s operator %d: GP observation budget %d, want %d",
-					js.spec.Name, i, got, tenantObservationBudget)
+			reg := ctrl.Searcher(i).Regressor()
+			if reg.Rows() > js.spec.Workload.MaxTasks {
+				t.Errorf("job %s operator %d: %d GP rows over a %d-task grid",
+					js.spec.Name, i, reg.Rows(), js.spec.Workload.MaxTasks)
 			}
+			merged = merged || reg.Len() > reg.Rows()
 		}
+	}
+	if !merged {
+		t.Error("no GP merged a repeated configuration; the test did not exercise row merging")
 	}
 }
 

@@ -47,7 +47,9 @@ func DefaultHyperGrid(diameter, targetVar float64) (HyperGrid, error) {
 
 // MaximizeLML fits SE-kernel hyperparameters by exhaustive search over the
 // grid, maximizing the log marginal likelihood of the regressor's current
-// observations. Every (lengthScale, variance) grid point is evaluated on a
+// observations. It scores the row means (LogMarginalLikelihood), which
+// differ from the raw observations' likelihood by a kernel-independent
+// term, so both pick the same grid point. Every (lengthScale, variance) grid point is evaluated on a
 // snapshot of the observations through par.For, one worker per CPU. Each
 // evaluation builds and factorizes its own Gram matrix, so the live
 // regressor — kernel, factorization, information gain — is untouched
@@ -89,18 +91,18 @@ func (r *Regressor) maximizeLML(grid HyperGrid, workers int) (lengthScale, varia
 		}
 		kernels[i] = k
 	}
-	// xs/ys are append-only and not mutated for the duration of the call
-	// (the Regressor is single-owner), so sharing the backing slices with
-	// the workers is a read-only snapshot.
+	// The rows are not mutated for the duration of the call (the
+	// Regressor is single-owner), so sharing the backing slices with the
+	// workers is a read-only snapshot.
 	lmls := make([]float64, len(points))
 	feasible := make([]bool, len(points))
 	par.For(len(points), workers, func(i int) {
-		chol, ferr := factorSystem(r.xs, kernels[i], r.noiseVar)
+		chol, ferr := factorSystem(r.xs, r.counts, kernels[i], r.noiseVar)
 		if ferr != nil {
 			return // numerically infeasible combination; skip
 		}
-		mean, alpha := solveWeights(nil, chol, r.ys, r.ySum)
-		lmls[i] = lmlFromFit(r.ys, mean, alpha, chol)
+		mean, alpha := solveWeights(nil, chol, r.counts, r.sums, r.ySum, r.n)
+		lmls[i] = lmlFromFit(r.counts, r.sums, mean, alpha, chol)
 		feasible[i] = true
 	})
 	best := -1

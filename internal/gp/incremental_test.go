@@ -17,14 +17,15 @@ func forceScratch(t *testing.T, r *Regressor) {
 	}
 }
 
-// TestIncrementalMatchesFromScratch interleaves Observe / Posterior /
-// SetKernel / LogMarginalLikelihood sequences on two regressors fed
-// identically — one running the incremental rank-1 path, one forced to
-// refactorize from scratch before every operation — and requires means,
-// variances, log marginal likelihood, and information gain to agree to
-// 1e-9 over randomized seeded sequences. (The Extend arithmetic is
-// designed to be bit-identical; the tolerance guards the contract the
-// rest of the system needs.)
+// TestIncrementalMatchesFromScratch interleaves Observe (new and
+// repeated points) / Posterior / SetKernel / LogMarginalLikelihood
+// sequences on two regressors fed identically — one running the
+// incremental path, one forced to refactorize from scratch before every
+// operation — and requires means, variances, log marginal likelihood,
+// and information gain to agree to 1e-9 over randomized seeded
+// sequences. (The Extend and UpdateDiag arithmetic is designed to be
+// bit-identical; the tolerance guards the contract the rest of the
+// system needs.)
 func TestIncrementalMatchesFromScratch(t *testing.T) {
 	const tol = 1e-9
 	for seed := int64(1); seed <= 6; seed++ {
@@ -37,6 +38,10 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			switch op := rng.Uniform(0, 1); {
 			case op < 0.7 || inc.Len() == 0:
 				x := []float64{rng.Uniform(-5, 5), rng.Uniform(-5, 5)}
+				if inc.Rows() > 0 && rng.Float64() < 0.4 {
+					xs, _ := inc.Observations() // a repeat updates a diagonal entry
+					x = xs[rng.Intn(len(xs))]
+				}
 				y := rng.Normal(10, 3)
 				forceScratch(t, ref)
 				if err := inc.Observe(x, y); err != nil {
@@ -136,7 +141,7 @@ func TestPosteriorAllocFreeSteadyState(t *testing.T) {
 	}
 }
 
-// TestMeanMatchesPosteriorBitForBit: across random observe / evict /
+// TestMeanMatchesPosteriorBitForBit: across random observe / repeat /
 // kernel-swap / hyperparameter-refit interleavings, Mean(x) equals the μ
 // of Posterior(x) bit for bit, whichever of the two reads first after a
 // mutation (the first read is the one that re-solves the lazy α).
@@ -155,10 +160,9 @@ func TestMeanMatchesPosteriorBitForBit(t *testing.T) {
 					t.Fatal(err)
 				}
 			case op < 0.8:
-				if err := r.SetObservationBudget(r.Len() - 1 - rng.Intn(2)); err != nil {
-					t.Fatal(err)
-				}
-				if err := r.SetObservationBudget(0); err != nil {
+				// Repeat an observed point: its row's diagonal is updated.
+				xs, _ := r.Observations()
+				if err := r.Observe(xs[rng.Intn(len(xs))], rng.Normal(10, 3)); err != nil {
 					t.Fatal(err)
 				}
 			case op < 0.92:

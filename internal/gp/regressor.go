@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"dragster/internal/linalg"
 	"dragster/internal/telemetry"
@@ -25,24 +26,38 @@ var ErrEmpty = errors.New("gp: no observations")
 // Observations are centred on their empirical mean so unexplored regions
 // revert to the mean rather than to zero.
 //
-// The Cholesky factor of K_t + σ²I is maintained incrementally: Observe
-// extends the existing factor by one bordered row in O(n²)
-// (linalg.Cholesky.Extend) instead of refactorizing from scratch in O(n³),
-// so a T-observation search costs O(T³) total rather than O(T⁴). A full
-// refactorization happens only on a kernel swap (SetKernel / MaximizeLML)
-// or after a numerically failed extension. The weights α are solved
-// lazily, on the first read of μ after the observations changed, so a
-// burst of Observes (a warm-start replay) pays for one α solve, not one
-// per point. Posterior queries reuse per-regressor scratch buffers, so
-// the steady-state query path is allocation-free. A Regressor is not safe
-// for concurrent use.
+// The regressor keeps one row per distinct configuration x_j, holding the
+// count k_j of observations made there and the sum s_j of their targets.
+// k noisy draws at one point are the same evidence as one draw of their
+// mean with noise σ²/k, so row j enters the system with target s_j/k_j and
+// noise σ²/k_j on its diagonal, and the posterior is the exact posterior
+// of every observation. Controllers observe only grid points, so the row
+// count — and with it every solve — is bounded by the candidate grid, not
+// by the horizon.
+//
+// The Cholesky factor of K + σ²·diag(1/k_j) is maintained incrementally:
+// a new configuration extends the factor by one bordered row in O(n²)
+// (linalg.Cholesky.Extend), and a repeated one rewrites its diagonal entry
+// (linalg.Cholesky.UpdateDiag); both are bit-identical to refactorizing
+// from scratch. A full refactorization happens only on a kernel swap
+// (SetKernel / MaximizeLML) or after a numerically failed update. The
+// weights α are solved lazily, on the first read of μ after the
+// observations changed, so a burst of Observes (a warm-start replay)
+// pays for one α solve, not one per point. Posterior queries reuse
+// per-regressor scratch buffers, so the steady-state query path is
+// allocation-free. A Regressor is not safe for concurrent use.
 type Regressor struct {
 	kernel   Kernel
 	noiseVar float64 // σ²
 
-	xs   [][]float64
-	ys   []float64
-	ySum float64 // running Σy, same addition order as a fresh loop
+	// One row per distinct configuration, in first-seen order: xs[j] is
+	// the point, counts[j] the observations made there and sums[j] the
+	// sum of their targets in observation order.
+	xs     [][]float64
+	counts []int
+	sums   []float64
+	n      int     // observations, Σ counts
+	ySum   float64 // running Σy over every observation, in observation order
 
 	// fitted state. dirty means chol must be refactorized from scratch;
 	// alphaStale means chol is current but mean and alpha must be
@@ -51,7 +66,7 @@ type Regressor struct {
 	alphaStale bool
 	mean       float64
 	chol       *linalg.Cholesky
-	alpha      []float64 // (K+σ²I)⁻¹ (y − mean)
+	alpha      []float64 // (K+σ²·diag(1/k))⁻¹ (s/k − mean), one entry per row
 
 	// kernelEpoch increments on every SetKernel; callers that cache
 	// kernel-derived quantities (the UCB cross-covariance cache) compare
@@ -63,15 +78,9 @@ type Regressor struct {
 	vBuf  []float64
 
 	// accumulated information gain ½ Σ log(1 + σ⁻²·σ²_{t−1}(x_t)),
-	// the empirical counterpart of Γ_T in Theorem 1. Evictions do not
-	// subtract from it — it records what was learned, not what is held.
+	// the empirical counterpart of Γ_T in Theorem 1, one term per
+	// observation.
 	infoGain float64
-
-	// observation budget (0 = unlimited) and its eviction machinery;
-	// see budget.go.
-	budget    int
-	evictions uint64
-	onEvict   func(idx int)
 
 	// observability hooks; nil-safe, see internal/telemetry.
 	tracer *telemetry.Tracer
@@ -110,17 +119,23 @@ func (r *Regressor) Kernel() Kernel { return r.kernel }
 // filled under still matches.
 func (r *Regressor) KernelEpoch() uint64 { return r.kernelEpoch }
 
-// Len returns the number of stored observations.
-func (r *Regressor) Len() int { return len(r.ys) }
+// Len returns the number of observations made.
+func (r *Regressor) Len() int { return r.n }
 
-// Observations returns copies of the stored inputs and targets, in
-// insertion order (used by the history database for persistence).
+// Rows returns the number of distinct configurations observed: the order
+// of the factored system and the length of every cross-covariance vector.
+func (r *Regressor) Rows() int { return len(r.xs) }
+
+// Observations returns copies of the distinct observed points and, for
+// each, the mean of the targets observed there, in first-seen order.
 func (r *Regressor) Observations() ([][]float64, []float64) {
 	xs := make([][]float64, len(r.xs))
-	for i, x := range r.xs {
-		xs[i] = append([]float64(nil), x...)
+	means := make([]float64, len(r.xs))
+	for j, x := range r.xs {
+		xs[j] = append([]float64(nil), x...)
+		means[j] = r.sums[j] / float64(r.counts[j])
 	}
-	return xs, append([]float64(nil), r.ys...)
+	return xs, means
 }
 
 // growFloats returns buf resized to n, reallocating only when capacity is
@@ -134,14 +149,16 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// Observe appends a noisy sample y at point x. The point is copied. Before
-// storing, the predictive variance at x is folded into the running
-// information gain — free of charge, since the factorization is already
-// current. The kernel row k(x_i, x) that variance needs is also the border
-// row of the bordered Gram matrix, so it is evaluated once and the factor
-// is then extended in place (O(n²)); α is only marked stale. If the
-// posterior is dirty (kernel swap, numerical failure) the next query
-// falls back to a full refit.
+// Observe records a noisy sample y at point x. Before storing, the
+// predictive variance at x is folded into the running information gain —
+// free of charge, since the factorization is already current. A point
+// equal to an observed one, element for element, joins that point's row:
+// its count and target sum grow and its diagonal entry σ²/k shrinks. Any
+// other point is copied into a new row, and the kernel row k(x_j, x) the
+// variance needed is also the border row of the bordered Gram matrix, so
+// it is evaluated once. Either way the factor is updated in place and α
+// is only marked stale. If the posterior is dirty (kernel swap, numerical
+// failure) the next query falls back to a full refit.
 func (r *Regressor) Observe(x []float64, y float64) error {
 	if len(x) == 0 {
 		return errors.New("gp: empty input point")
@@ -152,42 +169,50 @@ func (r *Regressor) Observe(x []float64, y float64) error {
 	if math.IsNaN(y) || math.IsInf(y, 0) {
 		return fmt.Errorf("gp: non-finite observation %v", y)
 	}
-	n := len(r.ys)
 	kxx := r.kernel.Eval(x, x)
 	var row []float64
-	if n == 0 {
+	if r.n == 0 {
 		r.infoGain += 0.5 * math.Log(1+kxx/r.noiseVar)
 	} else if err := r.ensureFactor(); err == nil {
 		row = r.crossRow(x)
 		r.infoGain += 0.5 * math.Log(1+r.varianceFromCross(row, kxx)/r.noiseVar)
 	}
-	r.xs = append(r.xs, append([]float64(nil), x...))
-	r.ys = append(r.ys, y)
+	r.n++
 	r.ySum += y
 	if r.tracer != nil { // the float attribute would format even untraced
 		r.tracer.Event("gp", "observe",
 			telemetry.Str("op", r.label),
-			telemetry.Int("n", n+1),
+			telemetry.Int("n", r.n),
 			telemetry.Float("y", y))
 	}
 	r.tracer.Metrics().Inc("gp_observations")
-	if n == 0 || r.dirty || r.chol == nil {
-		// No current factor to extend (first point, kernel swap pending, or
-		// an earlier fit failed); refit lazily on the next query.
-		r.dirty = true
-		r.enforceBudget()
+	j := slices.IndexFunc(r.xs, func(p []float64) bool { return slices.Equal(p, x) })
+	if j < 0 {
+		j = len(r.xs)
+		r.xs = append(r.xs, append([]float64(nil), x...))
+		r.counts = append(r.counts, 0)
+		r.sums = append(r.sums, 0)
+	}
+	r.counts[j]++
+	r.sums[j] += y
+	if r.dirty {
+		// No current factor to update (first point, kernel swap pending,
+		// or an earlier fit failed); refit lazily on the next query.
 		return nil
 	}
-	// Incremental path: border the factor with the new cross-covariance row.
-	if err := r.chol.Extend(row, kxx+r.noiseVar); err != nil {
+	var err error
+	if r.counts[j] == 1 {
+		err = r.chol.Extend(row, kxx+r.noiseVar)
+	} else {
+		err = r.chol.UpdateDiag(j, kxx+r.noiseVar/float64(r.counts[j]))
+	}
+	if err != nil {
 		r.dirty = true // numerically degenerate; next query refits from scratch
-		r.enforceBudget()
 		return nil
 	}
-	// The empirical mean moved, so α = (K+σ²I)⁻¹(y−mean) is re-solved
-	// against the extended factor on the next read of μ.
+	// The empirical mean moved, so α is re-solved against the updated
+	// factor on the next read of μ.
 	r.alphaStale = true
-	r.enforceBudget()
 	return nil
 }
 
@@ -206,40 +231,43 @@ func (r *Regressor) crossRow(x []float64) []float64 {
 // the quantity bounded by Γ_T in Theorem 1.
 func (r *Regressor) InformationGain() float64 { return r.infoGain }
 
-// factorSystem factorizes K+σ²I over xs under the given kernel. It is
-// free of shared state so hyperparameter search can evaluate candidate
-// kernels concurrently on a snapshot; refit uses it for the from-scratch
-// path. Its Gram fill order and solveWeights' centring and solve order
-// are the reference the incremental path must reproduce.
-func factorSystem(xs [][]float64, kernel Kernel, noiseVar float64) (*linalg.Cholesky, error) {
+// factorSystem factorizes K + σ²·diag(1/k_j) over the rows xs with
+// observation counts k under the given kernel. It is free of shared state
+// so hyperparameter search can evaluate candidate kernels concurrently on
+// a snapshot; refit uses it for the from-scratch path. Its Gram fill
+// order and solveWeights' centring and solve order are the reference the
+// incremental path must reproduce.
+func factorSystem(xs [][]float64, counts []int, kernel Kernel, noiseVar float64) (*linalg.Cholesky, error) {
 	n := len(xs)
 	if n == 0 {
 		return nil, ErrEmpty
 	}
 	k := linalg.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
+		k.Set(i, i, kernel.Eval(xs[i], xs[i])+noiseVar/float64(counts[i]))
+		for j := i + 1; j < n; j++ {
 			v := kernel.Eval(xs[i], xs[j])
 			k.Set(i, j, v)
 			k.Set(j, i, v)
 		}
 	}
-	chol, err := linalg.NewCholesky(k.AddScaledIdentity(noiseVar))
+	chol, err := linalg.NewCholesky(k)
 	if err != nil {
 		return nil, fmt.Errorf("gp: refit: %w", err)
 	}
 	return chol, nil
 }
 
-// solveWeights returns the empirical mean ySum/n and the centred weights
-// α = (K+σ²I)⁻¹(y − mean) against chol, written into dst when its
-// capacity suffices. Both are a pure function of (chol, ys, ySum), which
-// is what lets the regressor defer the solve until μ is read.
-func solveWeights(dst []float64, chol *linalg.Cholesky, ys []float64, ySum float64) (mean float64, alpha []float64) {
-	mean = ySum / float64(len(ys))
-	alpha = growFloats(dst, len(ys))
-	for i, y := range ys {
-		alpha[i] = y - mean
+// solveWeights returns the empirical mean ySum/n over all n observations
+// and the centred weights α_j = ((K+σ²·diag(1/k))⁻¹(s/k − mean))_j against
+// chol, written into dst when its capacity suffices. Both are a pure
+// function of (chol, counts, sums, ySum, n), which is what lets the
+// regressor defer the solve until μ is read.
+func solveWeights(dst []float64, chol *linalg.Cholesky, counts []int, sums []float64, ySum float64, n int) (mean float64, alpha []float64) {
+	mean = ySum / float64(n)
+	alpha = growFloats(dst, len(sums))
+	for j, s := range sums {
+		alpha[j] = s/float64(counts[j]) - mean
 	}
 	chol.SolveVecInto(alpha, alpha)
 	return mean, alpha
@@ -248,10 +276,10 @@ func solveWeights(dst []float64, chol *linalg.Cholesky, ys []float64, ySum float
 func (r *Regressor) refit() error {
 	sp := r.tracer.Begin("gp", "refit",
 		telemetry.Str("op", r.label),
-		telemetry.Int("n", len(r.ys)))
+		telemetry.Int("n", r.n))
 	defer sp.End()
 	r.tracer.Metrics().Inc("gp_refits")
-	chol, err := factorSystem(r.xs, r.kernel, r.noiseVar)
+	chol, err := factorSystem(r.xs, r.counts, r.kernel, r.noiseVar)
 	if err != nil {
 		sp.Annotate(telemetry.Str("error", err.Error()))
 		return err
@@ -264,7 +292,7 @@ func (r *Regressor) refit() error {
 
 // ensureFactor refits from scratch if a kernel swap or failed extension
 // left the factorization stale. Readers of the factor alone (the
-// information-gain variance, the eviction leverage scan) stop here.
+// information-gain variance) stop here.
 func (r *Regressor) ensureFactor() error {
 	if r.dirty {
 		return r.refit()
@@ -280,7 +308,7 @@ func (r *Regressor) ensureFit() error {
 		return err
 	}
 	if r.alphaStale {
-		r.mean, r.alpha = solveWeights(r.alpha, r.chol, r.ys, r.ySum)
+		r.mean, r.alpha = solveWeights(r.alpha, r.chol, r.counts, r.sums, r.ySum, r.n)
 		r.alphaStale = false
 	}
 	return nil
@@ -311,8 +339,8 @@ func (r *Regressor) Mean(x []float64) (float64, error) {
 }
 
 // PosteriorFromCross returns the predictive mean and variance at a point
-// whose cross-covariance vector against the observations is already known:
-// kx[i] = k(x_i, x) in insertion order, and kxx = k(x, x). The UCB layer
+// whose cross-covariance vector against the rows is already known:
+// kx[j] = k(x_j, x) in row order (Rows entries), and kxx = k(x, x). The UCB layer
 // maintains kx incrementally per candidate, so Select skips the O(n)
 // kernel evaluations per candidate per round. kx must have been computed
 // under the current kernel (compare KernelEpoch); it is not modified.
@@ -320,15 +348,15 @@ func (r *Regressor) PosteriorFromCross(kx []float64, kxx float64) (mu, variance 
 	if err := r.ensureFit(); err != nil {
 		return 0, 0, err
 	}
-	if len(kx) != len(r.ys) {
+	if len(kx) != len(r.xs) {
 		//lint:allow hotpath cold validation guard: a length mismatch is a caller bug, never hit in steady state
-		return 0, 0, fmt.Errorf("gp: cross-covariance length %d, want %d", len(kx), len(r.ys))
+		return 0, 0, fmt.Errorf("gp: cross-covariance length %d, want %d", len(kx), len(r.xs))
 	}
 	return r.posteriorFromCross(kx, kxx)
 }
 
 // posteriorFromCross is the shared Eq. 17 evaluation; the fit must be
-// current and len(kx) == n.
+// current and len(kx) == Rows().
 func (r *Regressor) posteriorFromCross(kx []float64, kxx float64) (mu, variance float64, err error) {
 	mu = r.mean
 	for i, a := range r.alpha {
@@ -368,23 +396,27 @@ func (r *Regressor) PosteriorBatch(candidates [][]float64) (mus, variances []flo
 	return mus, variances, nil
 }
 
-// LogMarginalLikelihood returns log p(y | X, θ) for the current
-// observations — useful for hyperparameter diagnostics.
+// LogMarginalLikelihood returns the log marginal likelihood of the row
+// means s_j/k_j under noise σ²/k_j — useful for hyperparameter
+// diagnostics. It differs from log p(y | X, θ) over the raw observations
+// by a term that depends on σ² and the repeated targets but not on the
+// kernel, so both rank kernels alike.
 func (r *Regressor) LogMarginalLikelihood() (float64, error) {
 	if err := r.ensureFit(); err != nil {
 		return 0, err
 	}
-	return lmlFromFit(r.ys, r.mean, r.alpha, r.chol), nil
+	return lmlFromFit(r.counts, r.sums, r.mean, r.alpha, r.chol), nil
 }
 
-// lmlFromFit evaluates log p(y | X, θ) from a current fit:
-// −½ (y−μ)ᵀα − ½ log det(K+σ²I) − ½ n log 2π.
-func lmlFromFit(ys []float64, mean float64, alpha []float64, chol *linalg.Cholesky) float64 {
+// lmlFromFit evaluates the row-mean log marginal likelihood from a
+// current fit: −½ (s/k − μ)ᵀα − ½ log det(K+σ²·diag(1/k)) − ½ n log 2π
+// over n rows.
+func lmlFromFit(counts []int, sums []float64, mean float64, alpha []float64, chol *linalg.Cholesky) float64 {
 	var fit float64
-	for i, y := range ys {
-		fit += (y - mean) * alpha[i]
+	for j, s := range sums {
+		fit += (s/float64(counts[j]) - mean) * alpha[j]
 	}
-	return -0.5*fit - 0.5*chol.LogDet() - 0.5*float64(len(ys))*math.Log(2*math.Pi)
+	return -0.5*fit - 0.5*chol.LogDet() - 0.5*float64(len(sums))*math.Log(2*math.Pi)
 }
 
 // SEInformationGainBound returns the Theorem-1 asymptotic bound

@@ -13,10 +13,10 @@ import (
 // offset i(i+1)/2, so bordering the factor with a new row (Extend) is an
 // append and the slice grows its capacity geometrically. The factor also
 // retains the lower triangle of A itself, packed the same way and kept in
-// sync by Extend, because Downdate — the removal dual of Extend — must
-// recompute trailing factor columns from the original matrix entries to
-// stay bit-identical with a from-scratch refactorization (L·Lᵀ only
-// reproduces A up to rounding). Every factor is built by NewCholesky.
+// sync by Extend, because UpdateDiag must recompute trailing factor
+// columns from the original matrix entries to stay bit-identical with a
+// from-scratch refactorization (L·Lᵀ only reproduces A up to rounding).
+// Every factor is built by NewCholesky.
 type Cholesky struct {
 	n int
 	l []float64 // L, packed lower-triangular rows
@@ -28,7 +28,7 @@ func tri(i int) int { return i * (i + 1) / 2 }
 
 // NewCholesky factorizes the SPD matrix a. It returns ErrNotSPD if a is not
 // square, not symmetric within 1e-8·max|a|, or a pivot becomes non-positive.
-// a is not modified (the factor keeps its own copy for Downdate).
+// a is not modified (the factor keeps its own copy for UpdateDiag).
 func NewCholesky(a *Matrix) (*Cholesky, error) {
 	n := a.Rows
 	if a.Cols != n {
@@ -60,8 +60,9 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 //	L[i][j] = (A[i][j] − Σ_{k<j} L[i][k]·L[j][k]) / L[j][j],  i > j.
 //
 // Columns before from must already be final. NewCholesky runs it over
-// every column and Downdate over the columns a deletion invalidated; both
-// share this one float order, which is what makes them bit-identical.
+// every column and UpdateDiag over the columns a diagonal change
+// invalidated; both share this one float order, which is what makes them
+// bit-identical.
 func factorColumns(l, a []float64, from, n int) error {
 	for j := from; j < n; j++ {
 		lj := l[tri(j) : tri(j)+j+1]
@@ -115,10 +116,7 @@ func (c *Cholesky) At(i, j int) float64 {
 // committed only after the pivot check.
 //
 // Both packed arrays only append, so a run of Extends reallocates
-// O(log n) times, and once a Downdate has shrunk the factor the next
-// Extend refills the freed capacity without allocating — which is what
-// makes the budgeted evict-then-observe steady state in internal/gp
-// allocation-free.
+// O(log n) times.
 func (c *Cholesky) Extend(row []float64, diag float64) error {
 	n := c.n
 	if len(row) != n {
@@ -153,56 +151,20 @@ func (c *Cholesky) Extend(row []float64, diag float64) error {
 	return nil
 }
 
-// Downdate removes observation i from the factor: it shrinks the factor
-// of the n×n matrix A to the factor of the (n−1)×(n−1) matrix A with row
-// and column i deleted, in place and allocation-free. It is the removal
-// dual of Extend, and like Extend it is bit-identical to refactorizing
-// the retained submatrix from scratch: columns j < i of L are unchanged
-// (the column-j recurrence reads only A entries and factor columns k < j,
-// all of which survive the deletion untouched), and columns j ≥ i are
-// recomputed with exactly NewCholesky's recurrence over the compacted
-// copy of A that the factor retains. Cost is O((n−i)·n) — removing the
-// newest row is O(1), the oldest O(n²).
-//
-// Downdate panics if i is out of range or if n == 1 (an empty factor is
-// not representable; callers track emptiness). It returns ErrNotSPD if a
-// recomputed pivot is not positive — possible only through accumulated
-// rounding, since a principal submatrix of an SPD matrix is SPD — and in
-// that case the receiver is left invalid and must be discarded (the
-// caller refits from its retained observations).
-//
-//lint:hotpath
-func (c *Cholesky) Downdate(i int) error {
-	n := c.n
-	if i < 0 || i >= n {
-		//lint:allow hotpath cold panic path: formatting happens only on caller misuse, never in steady state
-		panic(fmt.Sprintf("linalg: Downdate index %d out of range [0,%d)", i, n))
+// UpdateDiag replaces the diagonal entry A[j][j] of the factorized
+// matrix with diag and refactors columns j..n−1 in place, allocating
+// nothing. Columns before j read neither A[j][j] nor any column ≥ j, so
+// they stay valid, and the recomputed columns run NewCholesky's own
+// recurrence over the retained copy of A: the result is bit-identical to
+// NewCholesky of the updated matrix. Cost is O((n−j)·n²). It panics if j
+// is out of range. On ErrNotSPD the receiver is left invalid and must be
+// discarded.
+func (c *Cholesky) UpdateDiag(j int, diag float64) error {
+	if j < 0 || j >= c.n {
+		panic(fmt.Sprintf("linalg: UpdateDiag index %d out of range [0,%d)", j, c.n))
 	}
-	if n == 1 {
-		panic("linalg: Downdate would empty the factor; drop the Cholesky instead")
-	}
-	c.a = deletePacked(c.a, n, i)
-	c.l = deletePacked(c.l, n, i)
-	c.n = n - 1
-	// Column-major order guarantees every factor entry the recurrence reads
-	// (columns k < j) is already final: k < i carried over, k ∈ [i, j)
-	// recomputed on an earlier pass.
-	return factorColumns(c.l, c.a, i, n-1)
-}
-
-// deletePacked deletes row i and column i of the packed n×n lower
-// triangle p in place and returns the packed (n−1)×(n−1) result on the
-// same backing array. Rows before i hold no column ≥ i and stay put; each
-// later row shifts left, and every destination index is at or before its
-// source, so the forward scan never clobbers an unmoved entry.
-func deletePacked(p []float64, n, i int) []float64 {
-	dst := tri(i)
-	for r := i + 1; r < n; r++ {
-		row := p[tri(r) : tri(r)+r+1]
-		dst += copy(p[dst:], row[:i])
-		dst += copy(p[dst:], row[i+1:])
-	}
-	return p[:tri(n-1)]
+	c.a[tri(j)+j] = diag
+	return factorColumns(c.l, c.a, j, c.n)
 }
 
 // SolveVec solves A·x = b for x, where A is the factorized matrix.

@@ -11,3 +11,8 @@ func (c *Cholesky) dense() *Matrix {
 	}
 	return m
 }
+
+// truncate drops every row from n on, undoing the Extends that added them.
+func (c *Cholesky) truncate(n int) {
+	c.l, c.a, c.n = c.l[:tri(n)], c.a[:tri(n)], n
+}

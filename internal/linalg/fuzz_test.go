@@ -114,81 +114,44 @@ func FuzzCholeskyExtend(f *testing.F) {
 	})
 }
 
-// FuzzCholeskyDowndate checks the Downdate contract two ways on every
-// fuzz-generated SPD matrix: (1) extend-then-downdate of the border
-// round-trips to the original factor bit-identically, and (2) removing a
-// fuzz-chosen interior row/column matches factorizing the retained
-// submatrix from scratch, bit for bit.
-func FuzzCholeskyDowndate(f *testing.F) {
+// FuzzCholeskyUpdateDiag checks the UpdateDiag contract on every
+// fuzz-generated SPD matrix: factor a fuzz-chosen leading block, Extend
+// it row by row to the full matrix, then change a fuzz-chosen diagonal
+// entry by less than the ridge; the updated factor must equal NewCholesky
+// of the updated matrix bit for bit.
+func FuzzCholeskyUpdateDiag(f *testing.F) {
 	f.Add([]byte{1, 3, 141, 59, 26, 53, 58, 97, 93, 238, 46})
 	f.Add([]byte{4, 128, 0, 255, 17, 42, 128, 128, 90, 100, 110, 120, 130, 140, 150, 160, 170, 180, 190, 200, 210, 220, 230, 240, 250, 5, 15, 25, 35, 45, 55, 65, 75, 85, 95, 105, 115})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, n := fuzzSPD(data)
-		if a == nil || n < 3 {
+		if a == nil || len(data) < 4 {
 			t.Skip("not enough bytes")
 		}
-		// (1) Round trip: factor the leading minor, extend with the border,
-		// downdate the border away, expect the original bits back.
-		lead := NewMatrix(n-1, n-1)
-		for i := 0; i < n-1; i++ {
-			for j := 0; j < n-1; j++ {
-				lead.Set(i, j, a.At(i, j))
-			}
-		}
-		ch, err := NewCholesky(lead)
+		m := 1 + int(data[len(data)-3])%n
+		ch, err := NewCholesky(leadingMinor(a, m))
 		if err != nil {
 			t.Fatalf("leading block rejected: %v", err)
 		}
-		before := ch.dense()
-		row := make([]float64, n-1)
-		for j := 0; j < n-1; j++ {
-			row[j] = a.At(n-1, j)
-		}
-		if err := ch.Extend(row, a.At(n-1, n-1)); err != nil {
-			t.Fatalf("Extend of SPD border failed: %v", err)
-		}
-		if err := ch.Downdate(n - 1); err != nil {
-			t.Fatalf("Downdate of the border failed: %v", err)
-		}
-		for i := 0; i < n-1; i++ {
-			for j := 0; j <= i; j++ {
-				if got, want := ch.At(i, j), before.At(i, j); got != want {
-					t.Fatalf("round-trip L[%d][%d] = %v, want %v: not bit-identical", i, j, got, want)
-				}
+		for k := m; k < n; k++ {
+			if err := ch.Extend(a.Data[k*n:k*n+k], a.At(k, k)); err != nil {
+				t.Fatalf("Extend of SPD border failed: %v", err)
 			}
 		}
-		// (2) Interior removal: a fuzz-chosen index must match the
-		// from-scratch factorization of the compacted matrix.
-		idx := int(data[len(data)-1]) % n
-		full, err := NewCholesky(a)
+		j := int(data[len(data)-2]) % n
+		// fuzzSPD's ridge is 1e-3·n, so a change in (−ridge, +ridge) keeps
+		// the matrix positive definite.
+		a.Set(j, j, a.At(j, j)+1e-3*float64(n)*(float64(data[len(data)-1])-128)/129)
+		if err := ch.UpdateDiag(j, a.At(j, j)); err != nil {
+			t.Fatalf("UpdateDiag(%d) failed: %v", j, err)
+		}
+		ref, err := NewCholesky(a)
 		if err != nil {
-			t.Fatalf("full matrix rejected: %v", err)
+			t.Fatalf("updated matrix rejected: %v", err)
 		}
-		if err := full.Downdate(idx); err != nil {
-			t.Fatalf("Downdate(%d) failed: %v", idx, err)
-		}
-		sub := NewMatrix(n-1, n-1)
-		for i, ii := 0, 0; i < n; i++ {
-			if i == idx {
-				continue
-			}
-			for j, jj := 0, 0; j < n; j++ {
-				if j == idx {
-					continue
-				}
-				sub.Set(ii, jj, a.At(i, j))
-				jj++
-			}
-			ii++
-		}
-		ref, err := NewCholesky(sub)
-		if err != nil {
-			t.Fatalf("retained submatrix rejected: %v", err)
-		}
-		for i := 0; i < n-1; i++ {
-			for j := 0; j <= i; j++ {
-				if got, want := full.At(i, j), ref.At(i, j); got != want {
-					t.Fatalf("downdated L[%d][%d] = %v, from-scratch = %v: not bit-identical", i, j, got, want)
+		for i := 0; i < n; i++ {
+			for k := 0; k <= i; k++ {
+				if got, want := ch.At(i, k), ref.At(i, k); got != want {
+					t.Fatalf("updated L[%d][%d] = %v, from-scratch = %v: not bit-identical", i, k, got, want)
 				}
 			}
 		}

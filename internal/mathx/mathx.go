@@ -1,5 +1,5 @@
 // Package mathx provides small numeric helpers shared across the Dragster
-// code base: clamping, compensated summation, inner products and norms.
+// code base: clamping, integer sums, inner products and norms.
 //
 // Everything here is allocation-free and safe for concurrent use.
 package mathx
@@ -19,20 +19,6 @@ func Clamp(v, lo, hi float64) float64 {
 	default:
 		return v
 	}
-}
-
-// Sum returns the compensated (Kahan) sum of xs. It is more accurate than a
-// naive loop when xs mixes magnitudes, which happens routinely when
-// accumulating per-tick tuple counts over thousand-slot experiments.
-func Sum(xs []float64) float64 {
-	var sum, comp float64
-	for _, x := range xs {
-		y := x - comp
-		t := sum + y
-		comp = (t - sum) - y
-		sum = t
-	}
-	return sum
 }
 
 // SumInts returns the sum of xs (e.g. Σ tasks of a configuration).

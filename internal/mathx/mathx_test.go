@@ -44,30 +44,6 @@ func TestClampPropertyInRange(t *testing.T) {
 	}
 }
 
-func TestSumMatchesNaiveOnSmallInput(t *testing.T) {
-	xs := []float64{1, 2, 3, 4.5, -2.5}
-	if got := Sum(xs); got != 8 {
-		t.Errorf("Sum = %v, want 8", got)
-	}
-	if got := Sum(nil); got != 0 {
-		t.Errorf("Sum(nil) = %v, want 0", got)
-	}
-}
-
-func TestSumCompensation(t *testing.T) {
-	// 1 followed by many tiny values that a naive float64 loop drops.
-	xs := make([]float64, 1+1e4)
-	xs[0] = 1
-	for i := 1; i < len(xs); i++ {
-		xs[i] = 1e-16
-	}
-	got := Sum(xs)
-	want := 1 + 1e4*1e-16
-	if math.Abs(got-want) > 1e-18 {
-		t.Errorf("compensated Sum = %.20f, want %.20f", got, want)
-	}
-}
-
 func TestDot(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Errorf("Dot = %v, want 32", got)

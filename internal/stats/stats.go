@@ -10,7 +10,7 @@ import (
 )
 
 // RNG wraps math/rand.Rand with the distributions the simulator needs.
-// It is NOT safe for concurrent use; give each goroutine its own via Split.
+// It is NOT safe for concurrent use; give each goroutine its own.
 type RNG struct {
 	r *rand.Rand
 }
@@ -18,13 +18,6 @@ type RNG struct {
 // NewRNG returns a deterministic generator for the given seed.
 func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
-}
-
-// Split derives an independent child generator. Children created with
-// distinct labels (or in sequence) produce uncorrelated streams, letting
-// components own private randomness without sharing a lock.
-func (g *RNG) Split() *RNG {
-	return NewRNG(g.r.Int63())
 }
 
 // Float64 returns a uniform sample from [0, 1).

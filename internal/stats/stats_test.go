@@ -14,21 +14,6 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
-func TestRNGSplitIndependence(t *testing.T) {
-	g := NewRNG(7)
-	c1 := g.Split()
-	c2 := g.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if c1.Float64() == c2.Float64() {
-			same++
-		}
-	}
-	if same > 5 {
-		t.Errorf("split streams look correlated: %d/100 identical draws", same)
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	g := NewRNG(1)
 	const n = 200000

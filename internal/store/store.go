@@ -36,13 +36,21 @@ type DB struct {
 // New returns an empty database.
 func New() *DB { return &DB{} }
 
-// Append stores a record. The config slice is copied.
-func (d *DB) Append(r Record) error {
+// check rejects a record the GPs could not learn from.
+func (r Record) check() error {
 	if r.Operator == "" {
 		return errors.New("store: record without operator")
 	}
 	if len(r.Config) == 0 {
 		return errors.New("store: record without config")
+	}
+	return nil
+}
+
+// Append stores a record. The config slice is copied.
+func (d *DB) Append(r Record) error {
+	if err := r.check(); err != nil {
+		return err
 	}
 	r.Config = append([]float64(nil), r.Config...)
 	d.mu.Lock()
@@ -106,11 +114,18 @@ func (d *DB) Snapshot(w io.Writer) error {
 	return enc.Encode(snapshot{Records: d.records})
 }
 
-// Restore replaces the database contents from a Snapshot stream.
+// Restore replaces the database contents from a Snapshot stream. A
+// stream holding any record Append would reject is rejected whole, and
+// the database is left unchanged.
 func (d *DB) Restore(r io.Reader) error {
 	var s snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return fmt.Errorf("store: restore: %w", err)
+	}
+	for i, rec := range s.Records {
+		if err := rec.check(); err != nil {
+			return fmt.Errorf("store: restore: record %d: %w", i, err)
+		}
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -146,6 +146,57 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestRestoreChecksRecordsLikeAppend: Restore applies Append's record
+// checks. A stream with a record Append would reject is refused whole and
+// leaves the database as it was; a valid record still round-trips.
+func TestRestoreChecksRecordsLikeAppend(t *testing.T) {
+	valid := `{"slot":1,"operator":"op0","config":[3],"throughput":5,"capacity_obs":7,"util":0.5}`
+	for _, tc := range []struct {
+		name   string
+		record string
+		ok     bool
+	}{
+		{"no operator", `{"slot":1,"operator":"","config":[3],"throughput":5,"capacity_obs":7,"util":0.5}`, false},
+		{"empty config", `{"slot":1,"operator":"op0","config":[],"throughput":5,"capacity_obs":7,"util":0.5}`, false},
+		{"valid", valid, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := New()
+			if err := d.Append(Record{Operator: "keep", Config: []float64{1}}); err != nil {
+				t.Fatal(err)
+			}
+			err := d.Restore(strings.NewReader(`{"records":[` + valid + `,` + tc.record + `]}`))
+			if !tc.ok {
+				if err == nil {
+					t.Fatal("restore accepted a record Append rejects")
+				}
+				if d.Len() != 1 || len(d.History("keep")) != 1 || len(d.History("op0")) != 0 {
+					t.Fatalf("rejected restore changed the database: len=%d", d.Len())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := d.History("op0")
+			if d.Len() != 2 || len(h) != 2 || h[1].Config[0] != 3 || h[1].CapacityObs != 7 {
+				t.Fatalf("restored history = %+v", h)
+			}
+			var buf bytes.Buffer
+			if err := d.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			again := New()
+			if err := again.Restore(&buf); err != nil {
+				t.Fatalf("round-trip restore: %v", err)
+			}
+			if !reflect.DeepEqual(again.History("op0"), h) {
+				t.Fatalf("round trip changed the records: %+v", again.History("op0"))
+			}
+		})
+	}
+}
+
 func TestConcurrentAccess(t *testing.T) {
 	d := New()
 	var wg sync.WaitGroup

@@ -78,14 +78,14 @@ type Searcher struct {
 	// rescanning reg.Observations() per refit, without the O(n) copy).
 	meanY, m2Y float64
 
-	// Cross-covariance cache for Select: crossK[i*C+ci] = k(x_i, cand_ci)
-	// (observation-major so one Observe appends one contiguous block of C
-	// entries), crossKxx[ci] = k(cand_ci, cand_ci). Valid only while
-	// crossEpoch matches the regressor's kernel epoch; a kernel swap
-	// (hyperparameter refit) forces a full recompute.
+	// Cross-covariance cache for Select: crossK[j*C+ci] = k(x_j, cand_ci)
+	// over the regressor's rows (row-major so a new row appends one
+	// contiguous block of C entries), crossKxx[ci] = k(cand_ci, cand_ci).
+	// Valid only while crossEpoch matches the regressor's kernel epoch; a
+	// kernel swap (hyperparameter refit) forces a full recompute.
 	crossK     []float64
 	crossKxx   []float64
-	crossN     int // observations covered by crossK
+	crossN     int // rows covered by crossK
 	crossEpoch uint64
 	kxScratch  []float64 // per-candidate gather buffer for PosteriorFromCross
 
@@ -128,12 +128,6 @@ type Config struct {
 	// This mirrors the sklearn GaussianProcessRegressor's per-fit
 	// optimizer the paper's implementation used.
 	RefitEvery int
-	// ObservationBudget caps the GP's retained observations (0 =
-	// unlimited). With a budget, per-round Observe/Select cost stays flat
-	// over unbounded horizons instead of growing as O(n²); see
-	// gp.Regressor.SetObservationBudget and DESIGN.md "Bounded-memory
-	// posterior".
-	ObservationBudget int
 }
 
 // NewSearcher validates cfg and returns a Searcher.
@@ -177,9 +171,6 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := reg.SetObservationBudget(cfg.ObservationBudget); err != nil {
-		return nil, fmt.Errorf("ucb: %w", err)
-	}
 	s := &Searcher{
 		reg:        reg,
 		candidates: cands,
@@ -193,30 +184,7 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 	for ci, cand := range s.candidates {
 		s.crossKxx[ci] = reg.Kernel().Eval(cand, cand)
 	}
-	// The eviction hook keeps the cross-covariance cache aligned with the
-	// retained set by deleting exactly the evicted observation's block —
-	// without it every eviction would force an O(C·n) rebuild in Select.
-	reg.SetEvictionHook(s.onEvict)
 	return s, nil
-}
-
-// onEvict is the regressor's eviction hook: observation idx was just
-// removed from the retained set, so its C cached cross-covariances are
-// deleted in place (one memmove), keeping the cache aligned without
-// touching the other n−1 blocks. idx ≥ crossN means the evicted
-// observation was never cached (it was newer than the last sync) and the
-// cache is already consistent; a stale epoch means a kernel swap will
-// force a full rebuild anyway.
-//
-//lint:hotpath
-func (s *Searcher) onEvict(idx int) {
-	if s.crossEpoch != s.reg.KernelEpoch() || idx >= s.crossN {
-		return
-	}
-	c := len(s.candidates)
-	copy(s.crossK[idx*c:], s.crossK[(idx+1)*c:s.crossN*c])
-	s.crossK = s.crossK[:(s.crossN-1)*c]
-	s.crossN--
 }
 
 func candidateDiameter(cands [][]float64) float64 {
@@ -257,12 +225,13 @@ func (s *Searcher) Observe(x []float64, capacityObs float64) error {
 	return nil
 }
 
-// appendCross extends the cross-covariance cache by the one observation
-// just fed — O(C) kernel evaluations instead of the O(C·n) a full rebuild
-// costs. If the cache is already stale (kernel swapped since the last
-// sync) the append is skipped and Select's syncCross rebuilds it.
+// appendCross extends the cross-covariance cache when the observation
+// just fed opened a new row — O(C) kernel evaluations instead of the
+// O(C·n) a full rebuild costs. A repeated configuration adds no row and
+// leaves the cache as it is. If the cache is stale (kernel swapped since
+// the last sync) the append is skipped and Select's syncCross rebuilds it.
 func (s *Searcher) appendCross(x []float64) {
-	if s.crossEpoch != s.reg.KernelEpoch() || s.crossN != s.reg.Len()-1 {
+	if s.crossEpoch != s.reg.KernelEpoch() || s.crossN != s.reg.Rows()-1 {
 		return
 	}
 	k := s.reg.Kernel()
@@ -274,17 +243,17 @@ func (s *Searcher) appendCross(x []float64) {
 
 // syncCross brings the cross-covariance cache up to date with the
 // regressor: a no-op in steady state (appendCross keeps it current), a
-// catch-up append if observations arrived out of band, and a full O(C·n)
+// catch-up append if rows arrived out of band, and a full O(C·n)
 // recompute after a kernel swap — kernel swaps invalidate every cached
 // covariance, including the candidate self-covariances.
 func (s *Searcher) syncCross() {
 	epoch := s.reg.KernelEpoch()
-	n := s.reg.Len()
+	n := s.reg.Rows()
 	if s.crossEpoch == epoch && s.crossN == n {
 		return
 	}
 	k := s.reg.Kernel()
-	if s.crossEpoch != epoch || s.crossN > n {
+	if s.crossEpoch != epoch {
 		s.crossK = s.crossK[:0]
 		s.crossN = 0
 		s.crossEpoch = epoch
@@ -378,12 +347,12 @@ func (s *Searcher) Select(target float64) (x []float64, idx int, beta float64, e
 		return nil, 0, 0, ErrNoData
 	}
 	beta = Beta(s.t, len(s.candidates), confidenceDelta)
-	// Score candidates from the cross-covariance cache: only observations
-	// that arrived since the last Select (or a kernel swap) cost kernel
+	// Score candidates from the cross-covariance cache: only rows that
+	// appeared since the last Select (or a kernel swap) cost kernel
 	// evaluations; the per-candidate posterior is then two cached-vector
 	// triangular passes via PosteriorFromCross.
 	s.syncCross()
-	n := s.reg.Len()
+	n := s.reg.Rows()
 	c := len(s.candidates)
 	if cap(s.kxScratch) < n {
 		s.kxScratch = make([]float64, n)
