@@ -11,13 +11,15 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// deadExportKeep lists the exported functions, methods and types that no
-// production file uses, each with the reason it stays. Keys are
-// "<import path>.<Name>" or "<import path>.<Receiver>.<Method>".
+// deadExportKeep lists the exported functions, methods, types and struct
+// fields that no production file uses (for a field: reads), each with the
+// reason it stays. Keys are "<import path>.<Name>",
+// "<import path>.<Receiver>.<Method>" or "<import path>.<Type>.<Field>".
 var deadExportKeep = map[string]string{
 	// Test seams and oracles.
 	"dragster/internal/dag.Graph.Gradient":                 "the throughput gradient example_test.go documents",
@@ -59,6 +61,23 @@ var deadExportKeep = map[string]string{
 	"dragster/internal/linalg.Cholesky.At":                 "test oracle: the bit-identity tests and fuzz targets compare factors entry by entry",
 	"dragster/internal/linalg.Matrix.AddScaledIdentity":    "test oracle beside T and Mul: the ridge that makes the tests' random BᵀB inputs SPD",
 	"dragster/internal/linalg.Matrix.T":                    "test oracle beside Mul: builds SPD inputs BᵀB and checks L·Lᵀ = A",
+	"dragster/internal/streamsim.OpTick.Capacity":          "test seam: the per-tick effective capacity the CPU-scaling tests check bit for bit",
+	"dragster/internal/experiment.MeanLatency":             "the Little's-law latency summary beside TotalProcessed and CostPerBillion; the trace and Theorem-2 tests compare policies by it",
+	"dragster/internal/experiment.RepeatResult.Runs":       "the per-seed results behind the aggregates, which the worker-count determinism test compares byte for byte",
+
+	// Run results' handles on the run's one metrics registry.
+	"dragster/internal/experiment.Result.Metrics": "a Run caller's only handle on the run's registry",
+	"dragster/internal/fleet.Result.Metrics":      "a fleet Run caller's handle on the run's registry, beside experiment.Result.Metrics; the fleet tests fingerprint counters through it",
+
+	// The metrics-server seam: PodMetrics' rows.
+	"dragster/internal/cluster.PodMetric.Pod":        "the metrics-server seam: a PodMetrics row",
+	"dragster/internal/cluster.PodMetric.Deployment": "the metrics-server seam: a PodMetrics row",
+	"dragster/internal/cluster.PodMetric.CPUMilli":   "the metrics-server seam: a PodMetrics row",
+	"dragster/internal/cluster.PodMetric.CPULimit":   "the metrics-server seam: a PodMetrics row",
+
+	// Decision provenance (the ROADMAP's observability item).
+	"dragster/internal/core.LastTargets.Beta":        "decision provenance: the UCB weight of the last decision",
+	"dragster/internal/core.LastTargets.Bottlenecks": "decision provenance: the operators the last decision reconfigured",
 
 	// Features with no caller yet.
 	"dragster/internal/flink.NewRESTHandler": "constructs the Flink REST seam",
@@ -76,8 +95,9 @@ func callerOnly(dir string) bool {
 }
 
 // TestNoDeadExports fails on any exported function, method or type that
-// no production file uses, and on any keep-list entry that is stale
-// because its symbol is gone or production code uses it after all.
+// no production file uses, on any exported struct field that no
+// production file reads, and on any keep-list entry that is stale because
+// its symbol is gone or production code uses it after all.
 func TestNoDeadExports(t *testing.T) {
 	dead, declared, err := deadExports(".", "dragster", callerOnly)
 	if err != nil {
@@ -87,7 +107,7 @@ func TestNoDeadExports(t *testing.T) {
 	for _, k := range dead {
 		isDead[k] = true
 		if deadExportKeep[k] == "" {
-			t.Errorf("%s has no production caller: delete it, or keep it in deadExportKeep with a reason", k)
+			t.Errorf("%s has no production caller or reader: delete it, or keep it in deadExportKeep with a reason", k)
 		}
 	}
 	var keys []string
@@ -109,12 +129,16 @@ func TestNoDeadExports(t *testing.T) {
 // dead method shares its name with a live method of another type, and a
 // method is reached only through an interface. A match by name would
 // pass the first; a match by object must flag it and pass the second.
+// The fixture's struct fields pin what counts as a read: a field only
+// set in literals and assignments, only incremented, or only appended to
+// itself is dead; a read field and a JSON-tagged one are not.
 func TestDeadExportsMatchByObject(t *testing.T) {
 	dead, _, err := deadExports(filepath.Join("testdata", "deadexport"), "fixture", func(string) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"fixture.Dead.Close"}; !reflect.DeepEqual(dead, want) {
+	want := []string{"fixture.Dead.Close", "fixture.Tally.Bumped", "fixture.Tally.Log", "fixture.Tally.Set"}
+	if !reflect.DeepEqual(dead, want) {
 		t.Errorf("dead = %v, want %v", dead, want)
 	}
 }
@@ -122,11 +146,14 @@ func TestDeadExportsMatchByObject(t *testing.T) {
 // deadExports type-checks every non-test package under root (import
 // path mod plus the directory) and returns, sorted, the exported
 // functions, methods and types whose object no production file uses
-// outside its own declaration, together with every checked declaration.
-// Keys have the deadExportKeep form. A method also counts as used when it
-// satisfies an interface one of whose methods production code calls, or
-// one of stdCallbacks. Directories named testdata or dagtest (test
-// support) are skipped.
+// outside its own declaration, and the exported fields of exported struct
+// types that no production file reads, together with every checked
+// declaration. Keys have the deadExportKeep form. A method also counts as
+// used when it satisfies an interface one of whose methods production
+// code calls, or one of stdCallbacks. A field with a json tag counts as
+// read, because the encoder reads it; fieldWrites lists the uses that
+// only write. Directories named testdata or dagtest (test support) are
+// skipped.
 func deadExports(root, mod string, callerOnly func(dir string) bool) (dead []string, declared map[string]bool, err error) {
 	l := &typesLoader{
 		root: root,
@@ -174,6 +201,7 @@ func deadExports(root, mod string, callerOnly func(dir string) bool) (dead []str
 	// receivers of its methods.
 	type span struct{ from, to token.Pos }
 	keyOf := map[types.Object]string{}
+	used := map[types.Object]bool{}
 	own := map[types.Object][]span{}
 	declared = map[string]bool{}
 	for _, p := range all {
@@ -201,11 +229,27 @@ func deadExports(root, mod string, callerOnly func(dir string) bool) (dead []str
 					own[obj] = append(own[obj], span{d.Pos(), d.End()})
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
-						if ts, ok := s.(*ast.TypeSpec); ok && ts.Name.IsExported() {
-							obj := p.info.Defs[ts.Name]
-							key := p.pkg.Path() + "." + ts.Name.Name
-							keyOf[obj], declared[key] = key, true
-							own[obj] = append(own[obj], span{ts.Pos(), ts.End()})
+						ts, ok := s.(*ast.TypeSpec)
+						if !ok || !ts.Name.IsExported() {
+							continue
+						}
+						obj := p.info.Defs[ts.Name]
+						key := p.pkg.Path() + "." + ts.Name.Name
+						keyOf[obj], declared[key] = key, true
+						own[obj] = append(own[obj], span{ts.Pos(), ts.End()})
+						st, ok := ts.Type.(*ast.StructType)
+						if !ok {
+							continue
+						}
+						for _, f := range st.Fields.List {
+							for _, name := range f.Names {
+								if !name.IsExported() {
+									continue
+								}
+								fobj := p.info.Defs[name]
+								keyOf[fobj], declared[key+"."+name.Name] = key+"."+name.Name, true
+								used[fobj] = jsonTagged(f.Tag)
+							}
 						}
 					}
 				}
@@ -214,14 +258,19 @@ func deadExports(root, mod string, callerOnly func(dir string) bool) (dead []str
 	}
 
 	// Uses, and the interface methods production code calls.
-	used := map[types.Object]bool{}
 	ifaceCalls := map[*types.Func]bool{} // interface methods called
 	for _, p := range all {
+		writes := fieldWrites(p)
 		for id, obj := range p.info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
 				obj = fn.Origin()
 				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
 					ifaceCalls[fn] = true
+				}
+			}
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				if obj = v.Origin(); writes[id] {
+					continue
 				}
 			}
 			if _, ok := keyOf[obj]; !ok || used[obj] {
@@ -277,6 +326,67 @@ func deadExports(root, mod string, callerOnly func(dir string) bool) (dead []str
 	}
 	sort.Strings(dead)
 	return dead, declared, nil
+}
+
+// fieldWrites returns the field identifiers in p's files whose use only
+// writes the field: a composite-literal key, the target of an assignment,
+// an op-assignment or ++/--, and the x.F inside x.F = append(x.F, …).
+func fieldWrites(p *loadedPkg) map[*ast.Ident]bool {
+	w := map[*ast.Ident]bool{}
+	target := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			w[sel.Sel] = true
+		}
+	}
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							w[id] = true
+						}
+					}
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					target(lhs)
+					if len(n.Rhs) != len(n.Lhs) {
+						continue
+					}
+					call, ok := n.Rhs[i].(*ast.CallExpr)
+					if !ok || len(call.Args) == 0 {
+						continue
+					}
+					if fn, ok := call.Fun.(*ast.Ident); ok {
+						if _, builtin := p.info.Uses[fn].(*types.Builtin); builtin && fn.Name == "append" &&
+							types.ExprString(call.Args[0]) == types.ExprString(lhs) {
+							target(call.Args[0])
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	return w
+}
+
+// jsonTagged reports whether a struct field's tag names it for
+// encoding/json.
+func jsonTagged(tag *ast.BasicLit) bool {
+	if tag == nil {
+		return false
+	}
+	s, err := strconv.Unquote(tag.Value)
+	if err != nil {
+		return false
+	}
+	name, ok := reflect.StructTag(s).Lookup("json")
+	return ok && name != "-"
 }
 
 // stdCallbacks are the standard-library interfaces, besides error, whose

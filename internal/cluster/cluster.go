@@ -63,8 +63,6 @@ type Pod struct {
 	Spec       ResourceSpec
 	Phase      PodPhase
 	NodeName   string // empty while pending
-	CreatedAt  int64  // cluster clock, seconds
-	StartedAt  int64  // 0 until running
 
 	cpuUsageMilli int // reported by the workload, read by the metrics server
 }
@@ -226,7 +224,6 @@ func (c *Cluster) RemoveNode(name string) error {
 		c.pending++
 		p.Phase = PodPending
 		p.NodeName = ""
-		p.StartedAt = 0
 		p.cpuUsageMilli = 0
 	}
 	c.schedule()
@@ -339,7 +336,6 @@ func (c *Cluster) reconcile(d *Deployment) {
 			Deployment: d.Name,
 			Spec:       d.Spec,
 			Phase:      PodPending,
-			CreatedAt:  c.clock,
 		}
 		c.pods[p.Name] = p
 		c.live = append(c.live, p)
@@ -385,7 +381,6 @@ func (c *Cluster) schedule() {
 		c.pending--
 		p.NodeName = best.name
 		p.Phase = PodRunning
-		p.StartedAt = c.clock
 		c.tracer.Event("cluster", "place",
 			telemetry.Str("pod", p.Name),
 			telemetry.Str("node", best.name),

@@ -409,15 +409,13 @@ func (c *Controller) DecideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 		if om.ConsumedRate <= 0 {
 			continue
 		}
-		id := ops[i]
-		for _, s := range c.g.Succs(id) {
-			key := dag.EdgeKey{From: id, To: s}
-			if learner, ok := c.g.H(key).(dag.ThroughputLearner); ok {
+		for _, ei := range c.g.SuccEdgeIDs(ops[i]) {
+			if learner, ok := c.g.HByID(ei).(dag.ThroughputLearner); ok {
 				// Per-edge output approximated by the α split of the
 				// aggregate; the learner rejects invalid samples, which we
 				// count rather than silently drop: a high count means the
 				// monitor is feeding the Theorem-2 regression garbage.
-				if err := learner.ObserveRates(om.ConsumedRate, om.OutRate*c.g.Alpha(key)); err != nil {
+				if err := learner.ObserveRates(om.ConsumedRate, om.OutRate*c.g.AlphaByID(ei)); err != nil {
 					c.cfg.Counters.Inc("core_rejected_throughput_obs")
 				}
 			}

@@ -1,9 +1,5 @@
 package dag
 
-// TopoOrder exposes the evaluation order to the external test package, so
-// its tape oracle sums sink inflows in the same order EvaluateInto does.
-func TopoOrder(g *Graph) []NodeID { return g.topo }
-
 // PatternEdges lists the operator out-edges in the order the branch
 // pattern numbers them, each with its operator's dense index.
 func PatternEdges(g *Graph) (edges []int32, ops []int) {

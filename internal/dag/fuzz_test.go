@@ -70,18 +70,30 @@ func FuzzGraphBuild(f *testing.F) {
 			if g.OperatorName(i) != g.Name(id) {
 				t.Fatalf("OperatorName(%d) = %q, Name = %q", i, g.OperatorName(i), g.Name(id))
 			}
-			if len(g.Preds(id)) == 0 || len(g.Succs(id)) == 0 {
-				t.Fatalf("operator %d dangling: preds=%v succs=%v", id, g.Preds(id), g.Succs(id))
+			if len(g.PredEdgeIDs(id)) == 0 || len(g.SuccEdgeIDs(id)) == 0 {
+				t.Fatalf("operator %d dangling: in-edges=%v out-edges=%v", id, g.PredEdgeIDs(id), g.SuccEdgeIDs(id))
 			}
 		}
 		for _, id := range g.Sources() {
-			if len(g.Preds(id)) != 0 {
-				t.Fatalf("source %d has predecessors %v", id, g.Preds(id))
+			if len(g.PredEdgeIDs(id)) != 0 {
+				t.Fatalf("source %d has in-edges %v", id, g.PredEdgeIDs(id))
 			}
 		}
-		for _, id := range g.Sinks() {
-			if len(g.Succs(id)) != 0 {
-				t.Fatalf("sink %d has successors %v", id, g.Succs(id))
+		// TopoOrder lists every node once, and every edge points forward.
+		topo := g.TopoOrder()
+		pos := make(map[NodeID]int, len(topo))
+		for i, id := range topo {
+			if _, dup := pos[id]; dup {
+				t.Fatalf("TopoOrder lists node %d twice: %v", id, topo)
+			}
+			pos[id] = i
+			if g.KindOf(id) == Sink && len(g.SuccEdgeIDs(id)) != 0 {
+				t.Fatalf("sink %d has out-edges %v", id, g.SuccEdgeIDs(id))
+			}
+		}
+		for ei := int32(0); int(ei) < g.NumEdges(); ei++ {
+			if e := g.EdgeByID(ei); pos[e.From] >= pos[e.To] {
+				t.Fatalf("edge %d→%d points backwards in TopoOrder %v", e.From, e.To, topo)
 			}
 		}
 

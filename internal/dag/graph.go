@@ -46,16 +46,10 @@ type Graph struct {
 	names []string
 	kinds []Kind
 
-	preds [][]NodeID // ordered; defines the input-vector order for h
-	succs [][]NodeID
-
-	edgeH     map[EdgeKey]ThroughputFunc
-	edgeAlpha map[EdgeKey]float64
-
-	// Flat edge index, built once at Build so per-tick consumers
-	// (streamsim, Evaluate) touch dense arrays instead of the maps above:
-	// edge IDs are assigned walking nodes in ID order and each node's
-	// successor list in declaration order.
+	// The edge index, built once at Build: edge IDs are assigned walking
+	// nodes in ID order and each node's successor list in declaration
+	// order. A node's predecessor order defines the input-vector order
+	// for its out-edges' h.
 	edges      []EdgeKey        // edge ID -> key
 	alphaByID  []float64        // edge ID -> α
 	hByID      []ThroughputFunc // edge ID -> h (nil for source edges)
@@ -66,7 +60,6 @@ type Graph struct {
 	topo      []NodeID
 	sources   []NodeID
 	operators []NodeID
-	sinks     []NodeID
 	opIdx     []int // NodeID -> dense operator index, -1 for other kinds
 
 	// The evaluation plan the forward and reverse sweeps walk, compiled
@@ -148,20 +141,19 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, errors.New("dag: empty graph")
 	}
 	g := &Graph{
-		names:     append([]string(nil), b.names...),
-		kinds:     append([]Kind(nil), b.kinds...),
-		preds:     make([][]NodeID, n),
-		succs:     make([][]NodeID, n),
-		edgeH:     make(map[EdgeKey]ThroughputFunc, len(b.edges)),
-		edgeAlpha: make(map[EdgeKey]float64, len(b.edges)),
-		opIdx:     make([]int, n),
+		names: append([]string(nil), b.names...),
+		kinds: append([]Kind(nil), b.kinds...),
+		opIdx: make([]int, n),
 	}
+	preds := make([][]NodeID, n)
+	succs := make([][]NodeID, n)
+	byKey := make(map[EdgeKey]builderEdge, len(b.edges))
 	for _, e := range b.edges {
 		if e.from < 0 || int(e.from) >= n || e.to < 0 || int(e.to) >= n {
 			return nil, fmt.Errorf("dag: edge (%d→%d) references unknown node", e.from, e.to)
 		}
 		key := EdgeKey{From: e.from, To: e.to}
-		if _, dup := g.edgeAlpha[key]; dup {
+		if _, dup := byKey[key]; dup {
 			return nil, fmt.Errorf("dag: duplicate edge %s→%s", g.names[e.from], g.names[e.to])
 		}
 		if g.kinds[e.from] == Sink {
@@ -187,59 +179,59 @@ func (b *Builder) Build() (*Graph, error) {
 			// The Graph is immutable: it must not share the caller's K.
 			e.h = Linear{K: append([]float64(nil), l.K...)}
 		}
-		g.preds[e.to] = append(g.preds[e.to], e.from)
-		g.succs[e.from] = append(g.succs[e.from], e.to)
-		g.edgeH[key] = e.h
-		g.edgeAlpha[key] = e.alpha
+		preds[e.to] = append(preds[e.to], e.from)
+		succs[e.from] = append(succs[e.from], e.to)
+		byKey[key] = e
 	}
 
+	sinks := 0
 	for id := 0; id < n; id++ {
 		nid := NodeID(id)
 		g.opIdx[id] = -1
 		switch g.kinds[id] {
 		case Source:
-			if len(g.succs[id]) == 0 {
+			if len(succs[id]) == 0 {
 				return nil, fmt.Errorf("dag: source %q has no successors", g.names[id])
 			}
 			g.sources = append(g.sources, nid)
 		case Operator:
-			if len(g.preds[id]) == 0 {
+			if len(preds[id]) == 0 {
 				return nil, fmt.Errorf("dag: operator %q has no predecessors", g.names[id])
 			}
-			if len(g.succs[id]) == 0 {
+			if len(succs[id]) == 0 {
 				return nil, fmt.Errorf("dag: operator %q has no successors", g.names[id])
 			}
 			g.opIdx[id] = len(g.operators)
 			g.operators = append(g.operators, nid)
 		case Sink:
-			if len(g.preds[id]) == 0 {
+			if len(preds[id]) == 0 {
 				return nil, fmt.Errorf("dag: sink %q has no predecessors", g.names[id])
 			}
-			g.sinks = append(g.sinks, nid)
+			sinks++
 		}
-		if len(g.succs[id]) > 0 {
+		if len(succs[id]) > 0 {
 			var sum float64
-			for _, s := range g.succs[id] {
-				sum += g.edgeAlpha[EdgeKey{From: nid, To: s}]
+			for _, s := range succs[id] {
+				sum += byKey[EdgeKey{From: nid, To: s}].alpha
 			}
 			if math.Abs(sum-1) > 1e-9 {
 				return nil, fmt.Errorf("dag: splitting weights leaving %q sum to %v, want 1", g.names[id], sum)
 			}
 		}
 	}
-	if len(g.sinks) == 0 {
+	if sinks == 0 {
 		return nil, errors.New("dag: graph has no sink")
 	}
 	if len(g.sources) == 0 {
 		return nil, errors.New("dag: graph has no source")
 	}
 
-	topo, err := g.topoSort()
+	topo, err := topoSort(preds, succs)
 	if err != nil {
 		return nil, err
 	}
 	g.topo = topo
-	g.buildEdgeIndex()
+	g.buildEdgeIndex(preds, succs, byKey)
 	g.buildPlan()
 
 	if err := g.probe(); err != nil {
@@ -249,32 +241,32 @@ func (b *Builder) Build() (*Graph, error) {
 }
 
 // buildEdgeIndex assigns each edge a dense ID and materializes the flat
-// per-node adjacency arrays the hot paths iterate. Called once from Build;
-// the maps stay authoritative for key-based queries (Alpha, H).
-func (g *Graph) buildEdgeIndex() {
+// per-node adjacency arrays every query and sweep iterates. Called once
+// from Build with its adjacency lists and edges by key.
+func (g *Graph) buildEdgeIndex(preds, succs [][]NodeID, byKey map[EdgeKey]builderEdge) {
 	n := len(g.names)
-	ids := make(map[EdgeKey]int32, len(g.edgeAlpha))
+	ids := make(map[EdgeKey]int32, len(byKey))
 	g.succEdges = make([][]int32, n)
 	g.predEdges = make([][]int32, n)
 	for id := 0; id < n; id++ {
 		from := NodeID(id)
-		for _, to := range g.succs[id] {
+		for _, to := range succs[id] {
 			key := EdgeKey{From: from, To: to}
 			ei := int32(len(g.edges))
 			ids[key] = ei
 			g.edges = append(g.edges, key)
-			g.alphaByID = append(g.alphaByID, g.edgeAlpha[key])
-			g.hByID = append(g.hByID, g.edgeH[key])
+			g.alphaByID = append(g.alphaByID, byKey[key].alpha)
+			g.hByID = append(g.hByID, byKey[key].h)
 			g.succEdges[id] = append(g.succEdges[id], ei)
 		}
 	}
 	for id := 0; id < n; id++ {
 		to := NodeID(id)
-		for _, from := range g.preds[id] {
+		for _, from := range preds[id] {
 			g.predEdges[id] = append(g.predEdges[id], ids[EdgeKey{From: from, To: to}])
 		}
-		if len(g.preds[id]) > g.maxInEdges {
-			g.maxInEdges = len(g.preds[id])
+		if len(preds[id]) > g.maxInEdges {
+			g.maxInEdges = len(preds[id])
 		}
 	}
 }
@@ -307,11 +299,13 @@ func (g *Graph) buildPlan() {
 }
 
 // topoSort runs Kahn's algorithm, returning an order or a cycle error.
-func (g *Graph) topoSort() ([]NodeID, error) {
-	n := len(g.names)
+// The queue starts from the nodes without predecessors in ID order and
+// pops first in, first out, pushing successors in declaration order.
+func topoSort(preds, succs [][]NodeID) ([]NodeID, error) {
+	n := len(preds)
 	indeg := make([]int, n)
 	for id := 0; id < n; id++ {
-		indeg[id] = len(g.preds[id])
+		indeg[id] = len(preds[id])
 	}
 	var queue []NodeID
 	for id := 0; id < n; id++ {
@@ -324,7 +318,7 @@ func (g *Graph) topoSort() ([]NodeID, error) {
 		id := queue[0]
 		queue = queue[1:]
 		order = append(order, id)
-		for _, s := range g.succs[id] {
+		for _, s := range succs[id] {
 			indeg[s]--
 			if indeg[s] == 0 {
 				queue = append(queue, s)
@@ -386,8 +380,11 @@ func (g *Graph) Operators() []NodeID { return append([]NodeID(nil), g.operators.
 // Sources returns the source node IDs in dense-index order.
 func (g *Graph) Sources() []NodeID { return append([]NodeID(nil), g.sources...) }
 
-// Sinks returns the sink node IDs.
-func (g *Graph) Sinks() []NodeID { return append([]NodeID(nil), g.sinks...) }
+// TopoOrder returns every node ID in the topological order Build
+// computed: the sources in ID order, then Kahn's first-in, first-out walk
+// pushing successors in declaration order. Every sweep and the stream
+// simulator's tick visit nodes in this order.
+func (g *Graph) TopoOrder() []NodeID { return append([]NodeID(nil), g.topo...) }
 
 // Name returns the node's name.
 func (g *Graph) Name(id NodeID) string { return g.names[id] }
@@ -406,12 +403,6 @@ func (g *Graph) OperatorIndex(id NodeID) int {
 
 // OperatorName returns the name of the operator with dense index i.
 func (g *Graph) OperatorName(i int) string { return g.names[g.operators[i]] }
-
-// Preds returns the ordered predecessor list of a node.
-func (g *Graph) Preds(id NodeID) []NodeID { return append([]NodeID(nil), g.preds[id]...) }
-
-// Succs returns the ordered successor list of a node.
-func (g *Graph) Succs(id NodeID) []NodeID { return append([]NodeID(nil), g.succs[id]...) }
 
 // NumEdges returns the number of edges (the size of the dense edge-ID
 // space used by EdgeByID, PredEdgeIDs and SuccEdgeIDs).
@@ -434,12 +425,6 @@ func (g *Graph) PredEdgeIDs(id NodeID) []int32 { return g.predEdges[id] }
 // SuccEdgeIDs returns a node's outgoing edge IDs in successor order.
 // Read-only view; aliases Graph storage.
 func (g *Graph) SuccEdgeIDs(id NodeID) []int32 { return g.succEdges[id] }
-
-// Alpha returns the capacity-splitting weight of edge e.
-func (g *Graph) Alpha(e EdgeKey) float64 { return g.edgeAlpha[e] }
-
-// H returns the throughput function of edge e (nil for source edges).
-func (g *Graph) H(e EdgeKey) ThroughputFunc { return g.edgeH[e] }
 
 // FlowReport is the result of one steady-state evaluation of the DAG.
 // A report may be reused across evaluations via EvaluateInto, which

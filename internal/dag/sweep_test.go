@@ -234,7 +234,7 @@ func TestBuildCopiesLinearRates(t *testing.T) {
 	if before.Throughput != 20 || after.Throughput != 20 || after.Demand[0] != 20 {
 		t.Errorf("throughput %v then %v (demand %v) after mutating K, want 20", before.Throughput, after.Throughput, after.Demand[0])
 	}
-	if got := g.H(dag.EdgeKey{From: op, To: snk}).(dag.Linear).K[0]; got != 2 {
+	if got := g.HByID(g.SuccEdgeIDs(op)[0]).(dag.Linear).K[0]; got != 2 {
 		t.Errorf("edge h has K[0] = %v, want the 2 it was built with", got)
 	}
 }
@@ -249,7 +249,7 @@ type opaque struct{ dag.ThroughputFunc }
 func rebuild(t *testing.T, g *dag.Graph, hide bool) *dag.Graph {
 	t.Helper()
 	b := dag.NewBuilder()
-	n := g.NumSources() + g.NumOperators() + len(g.Sinks())
+	n := len(g.TopoOrder())
 	for id := dag.NodeID(0); int(id) < n; id++ {
 		switch g.KindOf(id) {
 		case dag.Source:

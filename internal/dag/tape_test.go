@@ -147,7 +147,7 @@ func tapeLagrangian(g *dag.Graph, rates, y, lambda []float64) (val float64, grad
 			srcIndex[id] = i
 		}
 		total := t.Const(0)
-		for _, id := range dag.TopoOrder(g) {
+		for _, id := range g.TopoOrder() {
 			switch g.KindOf(id) {
 			case dag.Source:
 				rate := rates[srcIndex[id]]

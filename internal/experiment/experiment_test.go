@@ -228,8 +228,8 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Scenario{Spec: spec, Rates: rates, Slots: 0}, DragsterSaddle()); err == nil {
 		t.Error("zero slots accepted")
 	}
-	if _, err := Run(Scenario{Spec: spec, Rates: rates, Slots: 1, InitialTasks: []int{1}}, DragsterSaddle()); err == nil {
-		t.Error("bad initial tasks accepted")
+	if _, err := Run(Scenario{Spec: spec, Rates: rates, Slots: 1, StreamEngine: "spark"}, DragsterSaddle()); err == nil {
+		t.Error("unknown stream engine accepted")
 	}
 	if _, err := Run(Scenario{Spec: spec, Rates: rates, Slots: 1}, StaticPolicy([]int{1})); err == nil {
 		t.Error("bad static tasks accepted")

@@ -23,10 +23,8 @@ var PolicyOrder = []string{"dhalion", "dragster-saddle", "dragster-ogd"}
 // TrajectoryPoint is one step of a Fig. 4 search path over the
 // (map tasks, shuffle tasks) grid.
 type TrajectoryPoint struct {
-	Slot             int
-	MapTasks         int
-	ShuffleTasks     int
-	SteadyThroughput float64
+	MapTasks     int
+	ShuffleTasks int
 }
 
 // Fig4Result holds everything Fig. 4 plots for one budget setting.
@@ -99,10 +97,8 @@ func Fig4(budget int, slots int, slotSeconds int, seed int64) (*Fig4Result, erro
 		}
 		for _, tr := range res.Trace {
 			out.Paths[name] = append(out.Paths[name], TrajectoryPoint{
-				Slot:             tr.Slot,
-				MapTasks:         tr.Tasks[0],
-				ShuffleTasks:     tr.Tasks[1],
-				SteadyThroughput: tr.SteadyThroughput,
+				MapTasks:     tr.Tasks[0],
+				ShuffleTasks: tr.Tasks[1],
 			})
 		}
 		conv, err := ConvergenceMinutes(res)
@@ -265,10 +261,9 @@ func Fig6(slots, phaseSlots, slotSeconds int, seed int64) (*Fig6Result, error) {
 
 // Fig7Result holds the Yahoo experiment (Fig. 7 + Table 3).
 type Fig7Result struct {
-	SlotMinutes float64
-	Throughput  map[string][]float64
-	Phases      map[string][]PhaseStats
-	Results     map[string]*Result
+	Throughput map[string][]float64
+	Phases     map[string][]PhaseStats
+	Results    map[string]*Result
 }
 
 // Fig7 reproduces Fig. 7 / Table 3: the Yahoo benchmark starting at the
@@ -283,10 +278,9 @@ func Fig7(slots, changeSlot, slotSeconds int, seed int64) (*Fig7Result, error) {
 		return nil, err
 	}
 	out := &Fig7Result{
-		SlotMinutes: float64(slotSeconds) / 60,
-		Throughput:  make(map[string][]float64),
-		Phases:      make(map[string][]PhaseStats),
-		Results:     make(map[string]*Result),
+		Throughput: make(map[string][]float64),
+		Phases:     make(map[string][]PhaseStats),
+		Results:    make(map[string]*Result),
 	}
 	policies := PolicySet()
 	for _, name := range PolicyOrder {

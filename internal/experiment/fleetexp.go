@@ -48,7 +48,6 @@ type FleetScore struct {
 	BudgetOverruns  int
 	SkippedRounds   int
 	Jobs            []FleetJobScore
-	Result          *fleet.Result
 }
 
 // RunFleetScenario runs the fleet and scores every tenant.
@@ -73,7 +72,6 @@ func scoreFleet(res *fleet.Result, specs map[string]*workload.Spec) (*FleetScore
 		Arbitration:    res.Arbitration,
 		BudgetOverruns: res.BudgetOverruns,
 		SkippedRounds:  res.SkippedRounds,
-		Result:         res,
 	}
 	// Optima are pure functions of (workload, rates); cache them so a
 	// constant-rate tenant costs one grid search, not one per round.

@@ -107,8 +107,8 @@ func TestNilTracerLeavesRunUnchanged(t *testing.T) {
 	if !reflect.DeepEqual(plain.Trace, traced.Trace) {
 		t.Error("slot traces differ between nil-tracer and traced runs")
 	}
-	if plain.SkippedRounds != traced.SkippedRounds {
-		t.Errorf("skipped rounds differ: %d vs %d", plain.SkippedRounds, traced.SkippedRounds)
+	if p, tr := plain.Metrics.CounterValue("runner_skipped_rounds"), traced.Metrics.CounterValue("runner_skipped_rounds"); p != tr {
+		t.Errorf("skipped rounds differ: %d vs %d", p, tr)
 	}
 	if !reflect.DeepEqual(plain.PhaseStarts, traced.PhaseStarts) {
 		t.Error("phase starts differ between nil-tracer and traced runs")

@@ -40,6 +40,7 @@ func TestLongHorizonSoak(t *testing.T) {
 	var (
 		wg       sync.WaitGroup
 		runs     [2]*LongHorizonResult
+		points   [2][]checkpoint
 		errs     [2]error
 		heapMid  uint64
 		heapEnd  uint64
@@ -50,11 +51,10 @@ func TestLongHorizonSoak(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			c := cfg
-			if i == 0 {
-				c.onCheckpoint = func(p LongHorizonPoint) {
-					if p.Round == sampleAt {
-						heapMid = heapAfterGC()
-					}
+			c.onCheckpoint = func(round int, cumRegret float64) {
+				points[i] = append(points[i], checkpoint{round, cumRegret})
+				if i == 0 && round == sampleAt {
+					heapMid = heapAfterGC()
 				}
 			}
 			runs[i], errs[i] = LongHorizon(c)
@@ -77,17 +77,17 @@ func TestLongHorizonSoak(t *testing.T) {
 	if res.Rows < 1 || res.Rows > 24 {
 		t.Errorf("GP holds %d rows, want 1..24 (one per candidate at most)", res.Rows)
 	}
-	if len(res.Checkpoints) != lhCheckpoints {
-		t.Fatalf("recorded %d checkpoints, want %d", len(res.Checkpoints), lhCheckpoints)
+	if len(points[0]) != lhCheckpoints {
+		t.Fatalf("reported %d checkpoints, want %d", len(points[0]), lhCheckpoints)
 	}
 	prev := 0.0
-	for _, p := range res.Checkpoints {
-		if p.CumRegret < prev {
-			t.Fatalf("cumulative regret decreased at round %d: %v < %v", p.Round, p.CumRegret, prev)
+	for _, p := range points[0] {
+		if p.cumRegret < prev {
+			t.Fatalf("cumulative regret decreased at round %d: %v < %v", p.round, p.cumRegret, prev)
 		}
-		prev = p.CumRegret
+		prev = p.cumRegret
 	}
-	if last := res.Checkpoints[len(res.Checkpoints)-1]; last.Round != rounds || last.CumRegret != res.CumRegret {
+	if last := points[0][len(points[0])-1]; last.round != rounds || last.cumRegret != res.CumRegret {
 		t.Errorf("final checkpoint %+v does not match the run total (%d rounds, regret %v)",
 			last, rounds, res.CumRegret)
 	}
@@ -105,7 +105,7 @@ func TestLongHorizonSoak(t *testing.T) {
 	// GC jitter and the concurrent twin run, yet far below what a factor
 	// over every observation would hold by round 10k.
 	if heapMid == 0 {
-		t.Fatalf("mid-run heap sample never taken (sampleAt=%d, checkpoints=%v)", sampleAt, res.Checkpoints)
+		t.Fatalf("mid-run heap sample never taken (sampleAt=%d, checkpoints=%v)", sampleAt, points[0])
 	}
 	const slack = 4 << 20
 	if heapEnd > heapMid+slack {
@@ -115,24 +115,33 @@ func TestLongHorizonSoak(t *testing.T) {
 
 	// (d) Byte-identical rerun: every checkpoint, the final regret and the
 	// row count must match exactly — no tolerance.
-	if !reflect.DeepEqual(runs[0], runs[1]) {
-		t.Errorf("identical configs produced different results:\nrun 1: %+v\nrun 2: %+v", runs[0], runs[1])
+	if !reflect.DeepEqual(runs[0], runs[1]) || !reflect.DeepEqual(points[0], points[1]) {
+		t.Errorf("identical configs produced different results:\nrun 1: %+v %v\nrun 2: %+v %v", runs[0], points[0], runs[1], points[1])
 	}
+}
+
+// checkpoint is one cumulative-regret point LongHorizon reports.
+type checkpoint struct {
+	round     int
+	cumRegret float64
 }
 
 // TestLongHorizonShapes sanity-checks the run behind the EXPERIMENTS.md
 // row at a toy scale: every round is observed, the rows stay within the
 // grid, the checkpoints cover the run, and the table renders.
 func TestLongHorizonShapes(t *testing.T) {
-	r, err := LongHorizon(LongHorizonConfig{Rounds: 120, Seed: 1})
+	var points []checkpoint
+	r, err := LongHorizon(LongHorizonConfig{Rounds: 120, Seed: 1, onCheckpoint: func(round int, cumRegret float64) {
+		points = append(points, checkpoint{round, cumRegret})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Observations != 120 || r.Rows < 1 || r.Rows > 24 {
 		t.Errorf("observations %d, rows %d; want 120 and 1..24", r.Observations, r.Rows)
 	}
-	if len(r.Checkpoints) != lhCheckpoints || r.Checkpoints[lhCheckpoints-1].Round != 120 {
-		t.Errorf("checkpoints %+v do not cover the 120 rounds", r.Checkpoints)
+	if len(points) != lhCheckpoints || points[lhCheckpoints-1].round != 120 {
+		t.Errorf("checkpoints %+v do not cover the 120 rounds", points)
 	}
 	var buf strings.Builder
 	RenderLongHorizon(&buf, r)

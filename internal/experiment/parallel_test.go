@@ -108,7 +108,7 @@ func TestRepeatWorkersByteIdentical(t *testing.T) {
 // same a sequential Repeat would surface first.
 func TestRepeatWorkersErrorIsSeedOrdered(t *testing.T) {
 	sc := parallelScenario(t)
-	sc.InitialTasks = []int{1} // wrong arity: every seed fails in NewRunner
+	sc.Slots = 0 // every seed fails in NewRunner
 	_, err := repeat(sc, DragsterSaddle(), []int64{3, 7, 11}, 4)
 	if err == nil {
 		t.Fatal("want error")

@@ -22,8 +22,6 @@ type RegretResult struct {
 	PositiveFit float64
 	// AvgRegret[t] = Reg_t/(t+1); sub-linear regret ⇔ this decays.
 	AvgRegret []float64
-	// AvgFit[t] = Fit_t/(t+1).
-	AvgFit []float64
 	// SublinearityRegret compares late-vs-early average regret; values
 	// clearly below 1 demonstrate sub-linear growth.
 	SublinearityRegret float64
@@ -136,7 +134,6 @@ func RegretRun(spec *workload.Spec, method osp.Method, T, slotSeconds int, seed 
 		Fit:                acc.Fit(),
 		PositiveFit:        positive,
 		AvgRegret:          regret.AverageSeries(acc.RegretSeries()),
-		AvgFit:             regret.AverageSeries(acc.FitSeries()),
 		SublinearityRegret: subl,
 		FitBound:           fitBound,
 		RegretBound:        regret.RegretBound(p, math.Max(fitBound, positive)),

@@ -54,11 +54,8 @@ type RepeatResult struct {
 	// the seeds that converged; Unconverged counts the rest.
 	ConvergenceMinutes Aggregate
 	Unconverged        int
-	// ProcessedTuples, CostPerBillion and MeanLatencySec aggregate the
-	// whole-run totals.
-	ProcessedTuples Aggregate
-	CostPerBillion  Aggregate
-	MeanLatencySec  Aggregate
+	// CostPerBillion aggregates the whole-run cost per 10⁹ tuples.
+	CostPerBillion Aggregate
 }
 
 // Repeat runs the scenario under the policy once per seed — in parallel,
@@ -105,7 +102,7 @@ func repeat(sc Scenario, factory PolicyFactory, seeds []int64, workers int) (*Re
 // headline aggregates.
 func aggregateRuns(runs []*Result) (*RepeatResult, error) {
 	out := &RepeatResult{Runs: runs}
-	var convs, processed, costs, lats []float64
+	var convs, costs []float64
 	for _, res := range runs {
 		conv, err := ConvergenceMinutes(res)
 		if err != nil {
@@ -116,14 +113,10 @@ func aggregateRuns(runs []*Result) (*RepeatResult, error) {
 		} else {
 			convs = append(convs, conv)
 		}
-		processed = append(processed, TotalProcessed(res))
 		costs = append(costs, CostPerBillion(res))
-		lats = append(lats, MeanLatency(res))
 	}
 	out.ConvergenceMinutes = aggregate(convs)
-	out.ProcessedTuples = aggregate(processed)
 	out.CostPerBillion = aggregate(costs)
-	out.MeanLatencySec = aggregate(lats)
 	return out, nil
 }
 

@@ -32,21 +32,22 @@ func TestRepeatAggregates(t *testing.T) {
 	if rr.ConvergenceMinutes.N == 0 {
 		t.Fatal("no seed converged")
 	}
-	if rr.ProcessedTuples.Mean <= 0 || rr.CostPerBillion.Mean <= 0 {
+	cost := rr.CostPerBillion
+	if cost.Mean <= 0 {
 		t.Errorf("aggregates: %+v", rr)
 	}
-	if rr.ProcessedTuples.Min > rr.ProcessedTuples.Max {
+	if cost.Min > cost.Max {
 		t.Error("min above max")
 	}
-	if rr.ProcessedTuples.Std < 0 || math.IsNaN(rr.ProcessedTuples.Std) {
-		t.Errorf("std = %v", rr.ProcessedTuples.Std)
+	if cost.Std < 0 || math.IsNaN(cost.Std) {
+		t.Errorf("std = %v", cost.Std)
 	}
 	// Seeds must actually vary the runs (cloud noise differs).
-	if rr.ProcessedTuples.Min == rr.ProcessedTuples.Max {
-		t.Error("all seeds produced identical totals — noise not applied?")
+	if cost.Min == cost.Max {
+		t.Error("all seeds produced identical costs — noise not applied?")
 	}
-	if !strings.Contains(rr.ProcessedTuples.String(), "±") {
-		t.Errorf("Aggregate.String = %q", rr.ProcessedTuples.String())
+	if !strings.Contains(cost.String(), "±") {
+		t.Errorf("Aggregate.String = %q", cost.String())
 	}
 }
 

@@ -35,8 +35,6 @@ type Scenario struct {
 	// PricePerCoreHour sets the cost meter (0 keeps the cluster's
 	// default price).
 	PricePerCoreHour float64
-	// InitialTasks is the slot-0 configuration (default all 1).
-	InitialTasks []int
 	// ControllerGraph, when set, is handed to Dragster controllers instead
 	// of the spec's exact graph — the Theorem 2 setting where the
 	// controller works from predicted/learned throughput functions while
@@ -87,9 +85,6 @@ func (sc *Scenario) setDefaults() error {
 	}
 	if sc.PricePerCoreHour < 0 {
 		return errors.New("experiment: negative price")
-	}
-	if m := sc.Spec.Graph.NumOperators(); sc.InitialTasks != nil && len(sc.InitialTasks) != m {
-		return fmt.Errorf("experiment: got %d initial tasks, want %d", len(sc.InitialTasks), m)
 	}
 	if sc.StreamEngine == "" {
 		sc.StreamEngine = "flink"
@@ -235,9 +230,6 @@ type Result struct {
 	// OptimaByPhase maps each phase-start slot to the optimal steady state
 	// under that phase's rates (and the scenario budget).
 	OptimaByPhase map[int]*Optimum
-	// SkippedRounds counts decision rounds skipped for want of a fresh
-	// metrics sample (metrics blackouts / stale windows).
-	SkippedRounds int
 	// Metrics is the run's metrics registry: fault, retry and skip
 	// counts, plus the tracer's metrics on a traced run.
 	Metrics *telemetry.Registry
@@ -283,16 +275,15 @@ func NewRunner(sc Scenario, factory PolicyFactory) (*Runner, error) {
 	sc.Tracer.SetClock(k8s.Clock)
 	k8s.SetTracer(sc.Tracer)
 	tc := tenant.Config{
-		Name:         spec.Name,
-		Workload:     spec,
-		Rates:        sc.Rates,
-		Horizon:      sc.Slots,
-		Seed:         sc.Seed,
-		InitialTasks: sc.InitialTasks,
-		Policy:       policy,
-		Vertical:     sc.VerticalScaling,
-		Metrics:      sc.metrics,
-		Tracer:       sc.Tracer,
+		Name:     spec.Name,
+		Workload: spec,
+		Rates:    sc.Rates,
+		Horizon:  sc.Slots,
+		Seed:     sc.Seed,
+		Policy:   policy,
+		Vertical: sc.VerticalScaling,
+		Metrics:  sc.metrics,
+		Tracer:   sc.Tracer,
 	}
 	opts := flink.DefaultOptions()
 	if sc.StreamEngine == "storm" {
@@ -401,7 +392,6 @@ func (r *Runner) Step() (*SlotTrace, error) {
 	if !fresh {
 		// Metrics blackout or stale repeat: the round is skipped and the
 		// current configuration kept.
-		r.res.SkippedRounds++
 		sc.metrics.Inc("runner_skipped_rounds")
 		round.Annotate(telemetry.Str("outcome", "skipped"))
 		r.res.Trace = append(r.res.Trace, tr)

@@ -125,7 +125,6 @@ func (m *Manager) admitQueued(r int) (changed bool, err error) {
 		js.status = StatusRunning
 		m.running = append(m.running, js)
 		m.emit(event.TypeAdmit, js.spec.Name, "", int64(g))
-		m.res.Admissions = append(m.res.Admissions, AdmissionEvent{Round: r, Job: js.spec.Name, Outcome: "admitted"})
 		m.tracer.Event("fleet", "admit", telemetry.Str("job", js.spec.Name), telemetry.Int("grant", g))
 		m.reg.Inc("fleet_jobs_admitted")
 		changed = true

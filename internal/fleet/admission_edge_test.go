@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dragster/internal/fleet/event"
 	"dragster/internal/workload"
 )
 
@@ -22,16 +23,29 @@ func groupJob(t *testing.T, name string, arrive int) JobSpec {
 	return JobSpec{Name: name, Workload: g, Rates: constRates(t, g.LowRates), ArriveSlot: arrive}
 }
 
-// admissionOutcomes returns the recorded admission events for one job as
-// "outcome@round" strings, in order.
-func admissionOutcomes(res *Result, job string) []string {
+// admissionOutcomes returns one job's admission-controller outcomes from
+// the event journal as "outcome@round" strings, in order: an arrival
+// queues the job, which is then admitted, or it is rejected with the
+// reason in the event's note.
+func admissionOutcomes(m *Manager, job string) []string {
+	outcome := map[event.Type]string{event.TypeArrive: "queued", event.TypeAdmit: "admitted", event.TypeReject: "rejected"}
 	var out []string
-	for _, ev := range res.Admissions {
-		if ev.Job == job {
-			out = append(out, ev.Outcome+"@"+itoa(ev.Round))
+	for _, ev := range m.Events() {
+		if o, ok := outcome[ev.Type]; ok && ev.Job == job {
+			out = append(out, o+"@"+itoa(ev.Round))
 		}
 	}
 	return out
+}
+
+// rejectReason returns the note of one job's rejection event.
+func rejectReason(m *Manager, job string) string {
+	for _, ev := range m.Events() {
+		if ev.Type == event.TypeReject && ev.Job == job {
+			return ev.Note
+		}
+	}
+	return ""
 }
 
 func jobByName(res *Result, name string) *JobResult {
@@ -55,7 +69,7 @@ func TestFleetAdmissionEdges(t *testing.T) {
 		maxQueue int
 		jobs     func(t *testing.T) []JobSpec
 		mutate   func(t *testing.T, m *Manager, r int)
-		check    func(t *testing.T, res *Result)
+		check    func(t *testing.T, m *Manager)
 	}{
 		{
 			// The front of the queue asks for more than the budget minus
@@ -71,7 +85,8 @@ func TestFleetAdmissionEdges(t *testing.T) {
 					groupJob(t, "small", 2),            // grant 1: would fit, must wait behind big
 				}
 			},
-			check: func(t *testing.T, res *Result) {
+			check: func(t *testing.T, m *Manager) {
+				res := m.Result()
 				big, small := jobByName(res, "big"), jobByName(res, "small")
 				if big.AdmitSlot != 4 {
 					t.Errorf("big admitted at %d, want 4 (incumbent's departure)", big.AdmitSlot)
@@ -79,8 +94,11 @@ func TestFleetAdmissionEdges(t *testing.T) {
 				if small.AdmitSlot != 4 {
 					t.Errorf("small admitted at %d, want 4 (released with the head)", small.AdmitSlot)
 				}
-				if big.QueuedRounds == 0 || small.QueuedRounds == 0 {
-					t.Errorf("queued rounds big=%d small=%d, want both > 0", big.QueuedRounds, small.QueuedRounds)
+				if got := strings.Join(admissionOutcomes(m, "big"), " "); got != "queued@1 admitted@4" {
+					t.Errorf("big outcomes %q, want queued@1 admitted@4", got)
+				}
+				if got := strings.Join(admissionOutcomes(m, "small"), " "); got != "queued@2 admitted@4" {
+					t.Errorf("small outcomes %q, want queued@2 admitted@4", got)
 				}
 			},
 		},
@@ -97,25 +115,24 @@ func TestFleetAdmissionEdges(t *testing.T) {
 					groupJob(t, "waiter", 2),      // floor 1: queues behind the incumbent
 				}
 			},
-			check: func(t *testing.T, res *Result) {
+			check: func(t *testing.T, m *Manager) {
+				res := m.Result()
 				toobig := jobByName(res, "toobig")
 				if toobig.Status != StatusRejected {
 					t.Errorf("toobig status %v, want rejected", toobig.Status)
 				}
-				got := admissionOutcomes(res, "toobig")
+				got := admissionOutcomes(m, "toobig")
 				if len(got) != 1 || !strings.HasPrefix(got[0], "rejected@1") {
 					t.Errorf("toobig outcomes %v, want [rejected@1]", got)
 				}
-				for _, ev := range res.Admissions {
-					if ev.Job == "toobig" && !strings.Contains(ev.Reason, "floor") {
-						t.Errorf("toobig rejection reason %q, want a floor/budget reason", ev.Reason)
-					}
+				if why := rejectReason(m, "toobig"); !strings.Contains(why, "floor") {
+					t.Errorf("toobig rejection reason %q, want a floor/budget reason", why)
 				}
 				waiter := jobByName(res, "waiter")
 				if waiter.Status != StatusQueued {
 					t.Errorf("waiter status %v, want queued (waiting, not rejected)", waiter.Status)
 				}
-				if got := admissionOutcomes(res, "waiter"); len(got) != 1 || !strings.HasPrefix(got[0], "queued@") {
+				if got := admissionOutcomes(m, "waiter"); len(got) != 1 || !strings.HasPrefix(got[0], "queued@") {
 					t.Errorf("waiter outcomes %v, want a single queued event", got)
 				}
 			},
@@ -133,19 +150,17 @@ func TestFleetAdmissionEdges(t *testing.T) {
 					groupJob(t, "overflow", 2),              // queue already full
 				}
 			},
-			check: func(t *testing.T, res *Result) {
-				if res.PeakQueueDepth != 1 {
-					t.Errorf("peak queue depth %d, want 1 (MaxQueue)", res.PeakQueueDepth)
+			check: func(t *testing.T, m *Manager) {
+				res := m.Result()
+				if d := m.QueueDepth(); d != 1 {
+					t.Errorf("queue depth %d, want 1 (MaxQueue)", d)
 				}
 				overflow := jobByName(res, "overflow")
 				if overflow.Status != StatusRejected {
 					t.Errorf("overflow status %v, want rejected (queue full)", overflow.Status)
 				}
-				for _, ev := range res.Admissions {
-					if ev.Job == "overflow" && ev.Outcome == "rejected" &&
-						!strings.Contains(ev.Reason, "queue full") {
-						t.Errorf("overflow rejection reason %q", ev.Reason)
-					}
+				if why := rejectReason(m, "overflow"); !strings.Contains(why, "queue full") {
+					t.Errorf("overflow rejection reason %q", why)
 				}
 				if first := jobByName(res, "first-in"); first.Status != StatusQueued {
 					t.Errorf("first-in status %v, want still queued", first.Status)
@@ -172,7 +187,8 @@ func TestFleetAdmissionEdges(t *testing.T) {
 					}
 				}
 			},
-			check: func(t *testing.T, res *Result) {
+			check: func(t *testing.T, m *Manager) {
+				res := m.Result()
 				doomed := jobByName(res, "doomed")
 				if doomed.Status != StatusDeparted {
 					t.Errorf("doomed status %v, want departed", doomed.Status)
@@ -213,7 +229,7 @@ func TestFleetAdmissionEdges(t *testing.T) {
 					t.Fatalf("step %d: %v", m.Round(), err)
 				}
 			}
-			tc.check(t, m.Result())
+			tc.check(t, m)
 		})
 	}
 }

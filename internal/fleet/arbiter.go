@@ -62,7 +62,7 @@ const hysteresisTasks = 2
 // Because Σ shares ≤ TotalTaskBudget by construction and controllers
 // project their decisions onto their share, the fleet-wide invariant
 // Σ_jobs Σ_ops tasks ≤ B holds at every round of a chaos-free run.
-func (m *Manager) rebalance(r int) error {
+func (m *Manager) rebalance() error {
 	if len(m.running) == 0 {
 		return nil
 	}
@@ -99,9 +99,6 @@ func (m *Manager) rebalance(r int) error {
 		m.emit(event.TypeGrant, js.spec.Name,
 			"price="+strconv.FormatFloat(price, 'g', 6, 64),
 			int64(js.budget), int64(targets[i]))
-		m.res.ArbiterDecisions = append(m.res.ArbiterDecisions, ArbiterDecision{
-			Round: r, Job: js.spec.Name, From: js.budget, To: targets[i], Price: price,
-		})
 		m.tracer.Event("fleet", "rebalance",
 			telemetry.Str("job", js.spec.Name),
 			telemetry.Int("from", js.budget), telemetry.Int("to", targets[i]),

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"dragster/internal/fleet/event"
@@ -124,8 +126,13 @@ func TestFleetPlannedAdmission(t *testing.T) {
 		if jr.Planned != planned {
 			t.Errorf("job %s: Planned = %v", jr.Name, jr.Planned)
 		}
-		if planned && (jr.PlanProbes == 0 || jr.PlanDigest == "") {
-			t.Errorf("job %s: planned result missing probe count/digest", jr.Name)
+		if !planned {
+			continue
+		}
+		probes := len(m.PlanFor(jr.Name).Probes)
+		want := fmt.Sprintf("digest=%s probes=%d ", jr.PlanDigest, probes)
+		if jr.PlanDigest == "" || probes == 0 || !strings.HasPrefix(plans[jr.Name].Note, want) {
+			t.Errorf("job %s: digest %q and %d probes, plan event note %q", jr.Name, jr.PlanDigest, probes, plans[jr.Name].Note)
 		}
 	}
 }

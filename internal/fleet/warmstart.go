@@ -23,10 +23,11 @@ import (
 // the control plane can check.
 //
 // Every controller owns a private store.DB (seeded at admission), so the
-// per-round parallel decide fan-out never shares a history database;
-// harvesting copies fresh records into the archive sequentially, in
-// admission order, which keeps GP replay — an order-dependent
-// computation — deterministic.
+// per-round parallel decide fan-out never shares a history database.
+// Nothing reads that DB after core.New has replayed it, so every round
+// harvesting drains it and moves the fresh records into the archive
+// sequentially, in admission order, which keeps GP replay — an
+// order-dependent computation — deterministic.
 
 // minHarvestUtil drops low-utilization capacity observations from the
 // archive: below it the Eq. 8 sample says more about the offered load
@@ -47,7 +48,7 @@ func fingerprint(spec *workload.Spec) string {
 }
 
 // warmStartMaxPerOperator caps how many history records per operator are
-// replayed into a joining job's GPs (replay is O(n²)).
+// replayed into a joining job's GPs: the most recent ones.
 const warmStartMaxPerOperator = 48
 
 // warmArchive keeps, per workload kind and operator, the most recent
@@ -105,30 +106,25 @@ func (a *warmArchive) seed(spec *workload.Spec, disabled bool) (*store.DB, int) 
 	return db, n
 }
 
-// harvest copies each running job's fresh history records into its kind
-// archive. Jobs are visited in admission order and each job's records in
-// append order, so archive contents — and therefore future warm-start
-// replays — are deterministic.
+// harvest drains each running job's history DB, so a DB never holds
+// more than one round of records, and with warm-start on adds the
+// harvestable ones to the job's kind archive. Jobs are visited in
+// admission order and each job's records in append order, so archive
+// contents — and therefore future warm-start replays — are
+// deterministic.
 func (m *Manager) harvest() {
-	if m.cfg.DisableWarmStart {
-		return
-	}
 	for _, js := range m.running {
-		if js.db == nil {
+		recs := js.db.Drain()
+		if m.cfg.DisableWarmStart {
 			continue
 		}
 		kind := fingerprint(js.spec.Workload)
-		for i := 0; i < js.spec.Workload.Graph.NumOperators(); i++ {
-			name := js.spec.Workload.Graph.OperatorName(i)
-			fresh := js.db.HistoryFrom(name, js.harvested[name])
-			for _, r := range fresh {
-				if !harvestable(r) {
-					continue
-				}
-				m.archive.add(kind, r)
-				m.reg.Inc("fleet_warmstart_harvested")
+		for _, r := range recs {
+			if !harvestable(r) {
+				continue
 			}
-			js.harvested[name] += len(fresh)
+			m.archive.add(kind, r)
+			m.reg.Inc("fleet_warmstart_harvested")
 		}
 	}
 }

@@ -37,16 +37,10 @@ type OperatorMetrics struct {
 
 // Snapshot is the cross-operator view of one slot.
 type Snapshot struct {
-	Slot            int
-	Throughput      float64 // mean application (sink) tuples/s
-	ProcessedTuples float64
-	DroppedTuples   float64
-	PausedSeconds   int
-	Cost            float64   // cumulative dollars
-	SourceRates     []float64 // mean offered tuples/s per source
-	AvgLatencySec   float64   // Little's-law end-to-end latency, slot mean
-	MaxLatencySec   float64
-	Operators       []OperatorMetrics
+	Slot        int
+	Throughput  float64   // mean application (sink) tuples/s
+	SourceRates []float64 // mean offered tuples/s per source
+	Operators   []OperatorMetrics
 }
 
 // Source supplies raw slot reports. flink.Job satisfies the direct case
@@ -214,16 +208,10 @@ func (m *Monitor) Collect() (*Snapshot, error) {
 		snap.Operators = make([]OperatorMetrics, len(rep.Vertices))
 	}
 	*snap = Snapshot{
-		Slot:            rep.Slot,
-		Throughput:      rep.Throughput,
-		ProcessedTuples: rep.ProcessedTuples,
-		DroppedTuples:   rep.DroppedTuples,
-		PausedSeconds:   rep.PausedSeconds,
-		Cost:            rep.CostSoFar,
-		SourceRates:     snap.SourceRates[:len(rep.SourceRates)],
-		AvgLatencySec:   rep.AvgLatencySec,
-		MaxLatencySec:   rep.MaxLatencySec,
-		Operators:       snap.Operators[:len(rep.Vertices)],
+		Slot:        rep.Slot,
+		Throughput:  rep.Throughput,
+		SourceRates: snap.SourceRates[:len(rep.SourceRates)],
+		Operators:   snap.Operators[:len(rep.Vertices)],
 	}
 	copy(snap.SourceRates, rep.SourceRates)
 	for i, v := range rep.Vertices {

@@ -30,6 +30,9 @@ func TestRegretMonotoneUnderConstantReward(t *testing.T) {
 				if err := a.Record(tc.optimal, tc.achieved, tc.violations); err != nil {
 					t.Fatal(err)
 				}
+				if want := float64(s+1) * tc.wantFit; math.Abs(a.Fit()-want) > 1e-9 {
+					t.Fatalf("fit after slot %d = %g, want %g", s, a.Fit(), want)
+				}
 			}
 			if len(a.regretSer) != tc.slots {
 				t.Fatalf("T() = %d, want %d", len(a.regretSer), tc.slots)
@@ -48,13 +51,6 @@ func TestRegretMonotoneUnderConstantReward(t *testing.T) {
 			for s, avg := range AverageSeries(ser) {
 				if math.Abs(avg-tc.wantSlope) > 1e-9 {
 					t.Fatalf("average regret at slot %d = %g, want %g", s, avg, tc.wantSlope)
-				}
-			}
-			fitSer := a.FitSeries()
-			for s := 1; s < len(fitSer); s++ {
-				inc := fitSer[s] - fitSer[s-1]
-				if math.Abs(inc-tc.wantFit) > 1e-9 {
-					t.Fatalf("slot %d fit increment %g, want %g", s, inc, tc.wantFit)
 				}
 			}
 			if math.Abs(a.Regret()-float64(tc.slots)*tc.wantSlope) > 1e-9 {
@@ -88,6 +84,7 @@ func TestSublinearityRatioConstantReward(t *testing.T) {
 func TestFitMonotoneUnderNonnegativeViolations(t *testing.T) {
 	a := NewAccountant()
 	viols := [][]float64{{0, 0}, {3, 1}, {0, 0.5}, {7, 0}, {0, 0}}
+	prev := 0.0
 	for s, v := range viols {
 		// Alternate over/under-achieving to decouple fit from regret.
 		achieved := 100.0
@@ -97,12 +94,10 @@ func TestFitMonotoneUnderNonnegativeViolations(t *testing.T) {
 		if err := a.Record(100, achieved, v); err != nil {
 			t.Fatal(err)
 		}
-	}
-	ser := a.FitSeries()
-	for s := 1; s < len(ser); s++ {
-		if ser[s] < ser[s-1]-1e-12 {
-			t.Fatalf("cumulative fit decreased at slot %d: %g → %g", s, ser[s-1], ser[s])
+		if a.Fit() < prev-1e-12 {
+			t.Fatalf("cumulative fit decreased at slot %d: %g → %g", s, prev, a.Fit())
 		}
+		prev = a.Fit()
 	}
 	if want := 11.5; math.Abs(a.Fit()-want) > 1e-9 {
 		t.Errorf("Fit() = %g, want %g", a.Fit(), want)

@@ -15,8 +15,7 @@ import (
 // Accountant accumulates regret and fit over an experiment.
 type Accountant struct {
 	regret, fit float64
-	regretSer   []float64 // cumulative after each slot
-	fitSer      []float64
+	regretSer   []float64 // cumulative regret after each slot
 }
 
 // NewAccountant returns an empty accountant.
@@ -37,7 +36,6 @@ func (a *Accountant) Record(optimal, achieved float64, violations []float64) err
 		a.fit += l
 	}
 	a.regretSer = append(a.regretSer, a.regret)
-	a.fitSer = append(a.fitSer, a.fit)
 	return nil
 }
 
@@ -50,11 +48,6 @@ func (a *Accountant) Fit() float64 { return a.fit }
 // RegretSeries returns the cumulative regret after each slot.
 func (a *Accountant) RegretSeries() []float64 {
 	return append([]float64(nil), a.regretSer...)
-}
-
-// FitSeries returns the cumulative fit after each slot.
-func (a *Accountant) FitSeries() []float64 {
-	return append([]float64(nil), a.fitSer...)
 }
 
 // AverageSeries converts a cumulative series into per-slot averages

@@ -29,10 +29,6 @@ func TestAccountantBasics(t *testing.T) {
 	if rs[0] != 20 || rs[1] != 25 {
 		t.Errorf("RegretSeries = %v", rs)
 	}
-	fs := a.FitSeries()
-	if fs[0] != 3 || fs[1] != 4 {
-		t.Errorf("FitSeries = %v", fs)
-	}
 	// Series are copies.
 	rs[0] = 999
 	if a.RegretSeries()[0] == 999 {

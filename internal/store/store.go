@@ -24,13 +24,11 @@ type Record struct {
 	Util        float64   `json:"util"`
 }
 
-// DB is the in-memory database. It is safe for concurrent use.
+// DB is the in-memory database: an append-and-drain log. It is safe for
+// concurrent use.
 type DB struct {
 	mu      sync.RWMutex
 	records []Record
-	// byOp indexes records by operator: byOp[op] lists the positions of
-	// op's records in records, in insertion order.
-	byOp map[string][]int
 }
 
 // New returns an empty database.
@@ -55,40 +53,33 @@ func (d *DB) Append(r Record) error {
 	r.Config = append([]float64(nil), r.Config...)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.index(len(d.records), r.Operator)
 	d.records = append(d.records, r)
 	return nil
 }
 
-// index records that position i holds a record of operator op.
-func (d *DB) index(i int, op string) {
-	if d.byOp == nil {
-		d.byOp = make(map[string][]int)
-	}
-	d.byOp[op] = append(d.byOp[op], i)
-}
-
 // History returns copies of all records for one operator in insertion
-// order.
-func (d *DB) History(operator string) []Record { return d.HistoryFrom(operator, 0) }
-
-// HistoryFrom returns copies of one operator's records from its from-th
-// record on, in insertion order: History(operator)[from:] without
-// copying the records before from. A from at or past the operator's
-// record count returns nil. Incremental readers keep from as a cursor.
-func (d *DB) HistoryFrom(operator string, from int) []Record {
+// order. It scans every record, so it suits the one replay a controller
+// runs at construction.
+func (d *DB) History(operator string) []Record {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	idx := d.byOp[operator]
-	if from >= len(idx) {
-		return nil
+	var out []Record
+	for _, rc := range d.records {
+		if rc.Operator == operator {
+			rc.Config = append([]float64(nil), rc.Config...)
+			out = append(out, rc)
+		}
 	}
-	out := make([]Record, 0, len(idx)-from)
-	for _, i := range idx[from:] {
-		rc := d.records[i]
-		rc.Config = append([]float64(nil), rc.Config...)
-		out = append(out, rc)
-	}
+	return out
+}
+
+// Drain returns every record in append order and empties the database.
+// The caller owns the returned records.
+func (d *DB) Drain() []Record {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := d.records
+	d.records = nil
 	return out
 }
 
@@ -130,10 +121,6 @@ func (d *DB) Restore(r io.Reader) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.records = s.Records
-	d.byOp = nil
-	for i, r := range d.records {
-		d.index(i, r.Operator)
-	}
 	return nil
 }
 

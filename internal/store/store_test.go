@@ -62,10 +62,9 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHistoryIndexSurvivesRestore: the per-operator index is rebuilt by
-// Restore, so History after a Snapshot/Restore round trip equals History
-// before it for every operator — also when the restoring DB held other
-// records — and HistoryFrom is History's suffix.
+// TestHistoryIndexSurvivesRestore: History after a Snapshot/Restore
+// round trip equals History before it for every operator, also when the
+// restoring DB held other records.
 func TestHistoryIndexSurvivesRestore(t *testing.T) {
 	ops := []string{"map", "shuffle", "sink"}
 	d := New()
@@ -92,23 +91,50 @@ func TestHistoryIndexSurvivesRestore(t *testing.T) {
 		if !reflect.DeepEqual(before, after) {
 			t.Fatalf("History(%s) after restore = %+v, want %+v", op, after, before)
 		}
-		for from := 0; from <= len(before)+1; from++ {
-			got := d2.HistoryFrom(op, from)
-			var want []Record
-			if from < len(before) {
-				want = before[from:]
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("HistoryFrom(%s, %d) = %+v, want %+v", op, from, got, want)
-			}
-		}
 	}
-	// Appends after a restore extend the rebuilt index.
+	// Appends after a restore extend the restored records.
 	if err := d2.Append(Record{Slot: 99, Operator: "sink", Config: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if h := d2.History("sink"); len(h) != len(d.History("sink"))+1 || h[len(h)-1].Slot != 99 {
 		t.Errorf("History(sink) after append = %+v", h)
+	}
+}
+
+// TestDrainEmptiesInAppendOrder: Drain hands back every record in
+// append order and leaves the database empty, and later appends start a
+// fresh log that does not alias the drained records.
+func TestDrainEmptiesInAppendOrder(t *testing.T) {
+	d := New()
+	if got := d.Drain(); len(got) != 0 {
+		t.Fatalf("Drain of an empty DB = %+v", got)
+	}
+	ops := []string{"map", "sink", "map"}
+	for i, op := range ops {
+		if err := d.Append(Record{Slot: i, Operator: op, Config: []float64{float64(i + 1)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := d.Drain()
+	if len(got) != len(ops) {
+		t.Fatalf("Drain returned %d records, want %d", len(got), len(ops))
+	}
+	for i, r := range got {
+		if r.Slot != i || r.Operator != ops[i] || r.Config[0] != float64(i+1) {
+			t.Errorf("record %d = %+v", i, r)
+		}
+	}
+	if d.Len() != 0 || len(d.History("map")) != 0 {
+		t.Fatalf("DB not empty after Drain: len=%d", d.Len())
+	}
+	if err := d.Append(Record{Slot: 9, Operator: "map", Config: []float64{9}}); err != nil {
+		t.Fatal(err)
+	}
+	if got[0].Slot != 0 || got[0].Config[0] != 1 {
+		t.Errorf("an append after Drain changed a drained record: %+v", got[0])
+	}
+	if h := d.History("map"); len(h) != 1 || h[0].Slot != 9 {
+		t.Errorf("History after Drain and Append = %+v", h)
 	}
 }
 

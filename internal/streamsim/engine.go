@@ -76,13 +76,12 @@ type Engine struct {
 	cpu   []int     // per-pod CPU millicores per operator (default 1000)
 	caps  []float64 // capacityOf per operator, refreshed when tasks or cpu change
 
-	slotNoise []float64    // capacity factor per operator, redrawn per slot
-	order     []dag.NodeID // cached topological order (operators+sinks)
-	pause     int          // remaining pause ticks
+	slotNoise []float64 // capacity factor per operator, redrawn per slot
+	pause     int       // remaining pause ticks
 
 	// Flattened dataflow plan, precomputed at New from the graph's dense
 	// edge index so the per-tick loops do no map lookups and no
-	// Preds/Succs copies. Edge IDs are the graph's (dag.Graph.EdgeByID);
+	// adjacency copies. Edge IDs are the graph's (dag.Graph.EdgeByID);
 	// all adjacency slices below are read-only views into the graph or
 	// engine-owned arrays built once.
 	edgeBuf   []float64            // backlog per edge ID
@@ -90,7 +89,7 @@ type Engine struct {
 	edgeH     []dag.ThroughputFunc // h per edge ID (nil for source edges)
 	edgeToOp  []int32              // dense operator index of the edge head, -1 otherwise
 	srcEdges  [][]int32            // outgoing edge IDs per dense source index
-	steps     []tickStep           // order's nodes with their adjacency, in order
+	steps     []tickStep           // operators and sinks with their adjacency, in topological order
 	opPreds   [][]int32            // incoming edge IDs per dense operator index
 
 	// Per-tick scratch buffers: Tick runs once per simulated second, so
@@ -150,7 +149,6 @@ func New(cfg Config) (*Engine, error) {
 	for i := range e.slotNoise {
 		e.slotNoise[i] = 1
 	}
-	e.order = topoOperatorsAndSinks(cfg.Graph)
 	e.buildPlan()
 	return e, nil
 }
@@ -175,14 +173,18 @@ func (e *Engine) buildPlan() {
 	for si, src := range g.Sources() {
 		e.srcEdges[si] = g.SuccEdgeIDs(src)
 	}
-	e.steps = make([]tickStep, len(e.order))
-	for i, id := range e.order {
-		e.steps[i] = tickStep{
+	// Sources are pushed separately, so the tick walks the graph's
+	// topological order without them.
+	for _, id := range g.TopoOrder() {
+		if g.KindOf(id) == dag.Source {
+			continue
+		}
+		e.steps = append(e.steps, tickStep{
 			kind:  g.KindOf(id),
 			op:    int32(g.OperatorIndex(id)),
 			preds: g.PredEdgeIDs(id),
 			succs: g.SuccEdgeIDs(id),
-		}
+		})
 	}
 	e.opPreds = make([][]int32, g.NumOperators())
 	for _, id := range g.Operators() {
@@ -487,49 +489,4 @@ func (e *Engine) opBacklog(oi int) float64 {
 		s += e.edgeBuf[ei]
 	}
 	return s
-}
-
-// topoOperatorsAndSinks returns the graph's topological order restricted
-// to operators and sinks (sources are handled separately).
-func topoOperatorsAndSinks(g *dag.Graph) []dag.NodeID {
-	var out []dag.NodeID
-	for _, id := range topoOrder(g) {
-		if g.KindOf(id) != dag.Source {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// topoOrder re-derives a topological order from the public Graph API.
-// (The Graph keeps its order private; recomputing here keeps the packages
-// decoupled and the cost is negligible at graph sizes of ≤ 10 nodes.)
-func topoOrder(g *dag.Graph) []dag.NodeID {
-	var all []dag.NodeID
-	all = append(all, g.Sources()...)
-	all = append(all, g.Operators()...)
-	all = append(all, g.Sinks()...)
-
-	indeg := make(map[dag.NodeID]int, len(all))
-	for _, id := range all {
-		indeg[id] = len(g.Preds(id))
-	}
-	var queue, order []dag.NodeID
-	for _, id := range all {
-		if indeg[id] == 0 {
-			queue = append(queue, id)
-		}
-	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, s := range g.Succs(id) {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	return order
 }
