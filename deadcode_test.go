@@ -57,7 +57,6 @@ var deadExportKeep = map[string]string{
 	"dragster/internal/chaos.Engine.Metrics":               "test seam onto the engine's fault counters, read by the external chaos tests",
 	"dragster/internal/dag.Graph.Name":                     "node names for sources and sinks, which the external sweep tests rebuild graphs from",
 	"dragster/internal/dag.LearnedLinear.PredictionGap":    "the Theorem-2 convergence measure the learned-throughput tests check",
-	"dragster/internal/fleet/event.MessageSet.Add":         "the at-least-once re-add path whose dedupe and gap rules the event tests and fuzz target pin",
 	"dragster/internal/linalg.Cholesky.At":                 "test oracle: the bit-identity tests and fuzz targets compare factors entry by entry",
 	"dragster/internal/linalg.Matrix.AddScaledIdentity":    "test oracle beside T and Mul: the ridge that makes the tests' random BᵀB inputs SPD",
 	"dragster/internal/linalg.Matrix.T":                    "test oracle beside Mul: builds SPD inputs BᵀB and checks L·Lᵀ = A",

@@ -1,6 +1,12 @@
+// Package daemon runs the Dragster fleet control plane as a long-lived
+// process with the operational surface a Kubernetes operator is expected
+// to have: a health endpoint, JSON fleet and per-job status, job
+// submission and kill, checkpoints for failover, and Prometheus metrics.
+// A single job is a one-tenant fleet. cmd/dragsterd is the thin main.
 package daemon
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -61,22 +67,37 @@ func NewFleet(cfg FleetConfig) (*FleetDaemon, error) {
 const submitsSection = "daemon_submits"
 
 // WriteCheckpoint snapshots the fleet plus the daemon's dynamic
-// submission record into one envelope (GET /fleet/checkpoint).
+// submission record into one envelope (GET /fleet/checkpoint). The
+// envelope is built under the lock and written after releasing it, so a
+// slow reader never stalls the round loop or the other endpoints.
 func (d *FleetDaemon) WriteCheckpoint(w io.Writer) error {
+	b, err := d.checkpoint()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+func (d *FleetDaemon) checkpoint() ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	ck, err := d.m.BuildCheckpoint()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	submits := d.submits
 	if submits == nil {
 		submits = []SubmitRequest{}
 	}
 	if err := ck.Put(submitsSection, submits); err != nil {
-		return err
+		return nil, err
 	}
-	return ck.Snapshot(w)
+	var buf bytes.Buffer
+	if err := ck.Snapshot(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // ResumeFleet builds a replica daemon from a checkpoint written by
@@ -113,7 +134,8 @@ func ResumeFleet(cfg FleetConfig, r io.Reader) (*FleetDaemon, error) {
 }
 
 // Run executes fleet rounds until the schedule finishes or ctx is
-// cancelled. It returns nil on normal completion.
+// cancelled, waiting SlotWallInterval between rounds but not after the
+// last. It returns nil on normal completion.
 func (d *FleetDaemon) Run(ctx context.Context) error {
 	var ticker *time.Ticker
 	if d.cfg.SlotWallInterval > 0 {
@@ -121,24 +143,13 @@ func (d *FleetDaemon) Run(ctx context.Context) error {
 		defer ticker.Stop()
 	}
 	for {
-		d.mu.Lock()
-		done := d.m.Done()
-		d.mu.Unlock()
-		if done {
-			return nil
-		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		default:
 		}
-		d.mu.Lock()
-		err := d.m.Step()
-		if err != nil {
-			d.lastErr = err
-		}
-		d.mu.Unlock()
-		if err != nil {
+		done, err := d.step()
+		if err != nil || done {
 			return err
 		}
 		if ticker != nil {
@@ -156,21 +167,26 @@ func (d *FleetDaemon) Run(ctx context.Context) error {
 // error when the schedule finishes.
 func (d *FleetDaemon) StepN(n int) error {
 	for i := 0; i < n; i++ {
-		d.mu.Lock()
-		if d.m.Done() {
-			d.mu.Unlock()
-			return nil
-		}
-		err := d.m.Step()
-		if err != nil {
-			d.lastErr = err
-		}
-		d.mu.Unlock()
-		if err != nil {
+		if done, err := d.step(); err != nil || done {
 			return err
 		}
 	}
 	return nil
+}
+
+// step runs one round unless the schedule has finished and reports
+// whether it has finished afterwards.
+func (d *FleetDaemon) step() (done bool, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.m.Done() {
+		return true, nil
+	}
+	if err := d.m.Step(); err != nil {
+		d.lastErr = err
+		return false, err
+	}
+	return d.m.Done(), nil
 }
 
 // Result exposes the accumulated fleet result.

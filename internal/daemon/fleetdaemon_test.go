@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -59,6 +60,182 @@ func TestNewFleetValidation(t *testing.T) {
 	cfg.Fleet.TotalTaskBudget = 0
 	if _, err := NewFleet(cfg); err == nil {
 		t.Error("zero budget accepted")
+	}
+	if _, err := NewFleet(testFleetConfig(t, 0)); err == nil {
+		t.Error("zero slots accepted")
+	}
+}
+
+// oneTenantConfig is the single-job daemon: one WordCount tenant at its
+// high load, granted the whole budget.
+func oneTenantConfig(t testing.TB, slots int) FleetConfig {
+	t.Helper()
+	req := SubmitRequest{Name: "wordcount", Workload: "wordcount", Profile: "high"}
+	spec, err := req.ToSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return FleetConfig{
+		Fleet: fleet.Config{
+			Jobs:            []fleet.JobSpec{spec},
+			Slots:           slots,
+			SlotSeconds:     30,
+			Seed:            2,
+			TotalTaskBudget: 20,
+			Arbitration:     fleet.EqualSplit,
+		},
+	}
+}
+
+// TestRunToCompletionAndEndpoints runs the single-job daemon to the end
+// and reads the job's state from /fleet/jobs/{name} and /metrics.
+func TestRunToCompletionAndEndpoints(t *testing.T) {
+	d, err := NewFleet(oneTenantConfig(t, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	var st FleetState
+	getJSON(t, srv.URL+"/fleet/status", &st)
+	if !st.Done || st.Round != 5 || st.RunningJobs != 1 {
+		t.Errorf("fleet status: %+v", st)
+	}
+	var j FleetJobState
+	getJSON(t, srv.URL+"/fleet/jobs/wordcount", &j)
+	if j.Workload != "wordcount" || j.Status != "running" || j.Rounds != 5 {
+		t.Errorf("job state: %+v", j)
+	}
+	if j.Budget != 20 || len(j.Tasks) != 2 || j.Steady <= 0 || j.CostDollars <= 0 {
+		t.Errorf("the lone tenant's grant and accounting: %+v", j)
+	}
+	text := getText(t, srv.URL+"/metrics")
+	for _, want := range []string{
+		"fleet_rounds 5",
+		`fleet_budget_share{job="wordcount"} 20`,
+		"# TYPE fleet_running_jobs gauge",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q in:\n%s", want, text)
+		}
+	}
+	if got := d.Result().Jobs[0].Rounds; len(got) != 5 {
+		t.Errorf("result holds %d rounds, want 5", len(got))
+	}
+}
+
+// TestRoutesAcceptOnlyGET: the read-only routes answer any other method
+// with 405 Method Not Allowed.
+func TestRoutesAcceptOnlyGET(t *testing.T) {
+	d, err := NewFleet(oneTenantConfig(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	for _, path := range []string{"/healthz", "/fleet/status", "/fleet/trace", "/fleet/checkpoint", "/metrics"} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("POST %s = %d, want 405", path, resp.StatusCode)
+		}
+		getText(t, srv.URL+path)
+	}
+}
+
+func TestWallPacing(t *testing.T) {
+	cfg := oneTenantConfig(t, 3)
+	cfg.SlotWallInterval = 30 * time.Millisecond
+	d, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// 3 rounds with 2 inter-round waits ≥ 60 ms.
+	if elapsed := time.Since(start); elapsed < 55*time.Millisecond {
+		t.Errorf("pacing ignored: run took %v", elapsed)
+	}
+}
+
+// TestRunSkipsWaitAfterLastRound: Run returns as soon as the final round
+// commits instead of sleeping one more interval.
+func TestRunSkipsWaitAfterLastRound(t *testing.T) {
+	cfg := oneTenantConfig(t, 1)
+	cfg.SlotWallInterval = time.Minute
+	d, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- d.Run(context.Background()) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run waited out the wall interval after its last round")
+	}
+}
+
+// blockingWriter is a ResponseWriter whose first Write signals entered
+// and then blocks until release is closed.
+type blockingWriter struct {
+	header  http.Header
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (w *blockingWriter) Header() http.Header { return w.header }
+func (w *blockingWriter) WriteHeader(int)     {}
+func (w *blockingWriter) Write(b []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return len(b), nil
+}
+
+// TestCheckpointReaderDoesNotStallRounds: a client stuck reading
+// GET /fleet/checkpoint must not hold the lock the round loop needs.
+func TestCheckpointReaderDoesNotStallRounds(t *testing.T) {
+	d, err := NewFleet(oneTenantConfig(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &blockingWriter{header: http.Header{}, entered: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		d.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/fleet/checkpoint", nil))
+		close(served)
+	}()
+	defer func() {
+		close(w.release)
+		<-served
+	}()
+	select {
+	case <-w.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("checkpoint handler never wrote")
+	}
+	stepped := make(chan error, 1)
+	go func() { stepped <- d.StepN(1) }()
+	select {
+	case err := <-stepped:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("StepN(1) blocked behind a stalled checkpoint reader")
 	}
 }
 

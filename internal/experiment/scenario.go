@@ -236,9 +236,9 @@ type Result struct {
 }
 
 // Runner executes a scenario one decision slot at a time. Use it when a
-// caller (e.g. the dragsterd daemon) needs to observe or pace individual
-// slots; Run wraps it for batch execution. It drives one tenant on a
-// private cluster.
+// caller (e.g. perfbench's paper-yahoo workload) needs to observe or time
+// individual slots; Run wraps it for batch execution. It drives one
+// tenant on a private cluster.
 type Runner struct {
 	sc    Scenario
 	t     *tenant.Tenant
@@ -335,9 +335,6 @@ func (r *Runner) ChaosTrace() []chaos.TraceEntry {
 	}
 	return r.chaos.Trace()
 }
-
-// PolicyName returns the running policy's name.
-func (r *Runner) PolicyName() string { return r.res.Policy }
 
 // Result returns the result accumulated so far (shared, not a copy).
 func (r *Runner) Result() *Result { return r.res }

@@ -84,7 +84,7 @@ func (m *Manager) BuildCheckpoint() (*store.Checkpoint, error) {
 	core := coreCheckpoint{
 		TraceLen:     m.log.Len(),
 		TraceHash:    m.log.Hash(),
-		InboxNextSeq: m.inbox.NextSeq(),
+		InboxNextSeq: m.inboxNextSeq(),
 	}
 	if err := ck.Put("core", core); err != nil {
 		return nil, err
@@ -194,7 +194,7 @@ func Resume(cfg Config, ck *store.Checkpoint, specs map[string]JobSpec) (*Manage
 		return nil, fmt.Errorf("fleet: replay diverged: trace len %d hash %#x, checkpoint len %d hash %#x",
 			m.log.Len(), m.log.Hash(), core.TraceLen, core.TraceHash)
 	}
-	if got := m.inbox.NextSeq(); got != core.InboxNextSeq {
+	if got := m.inboxNextSeq(); got != core.InboxNextSeq {
 		return nil, fmt.Errorf("fleet: replay inbox cursor %d, checkpoint %d", got, core.InboxNextSeq)
 	}
 	if len(jobs) != len(m.jobs) {

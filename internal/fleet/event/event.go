@@ -1,7 +1,9 @@
 // Package event is the fleet control plane's message core: typed
 // control events with deterministic sequence numbers, a canonical binary
-// codec, an append-only Log (the replayable event trace), and a
-// dedup-and-order MessageSet for externally injected messages.
+// codec and an append-only Log (the replayable event trace). Externally
+// injected messages (submissions, kills) are stamped and queued by the
+// fleet manager itself: it is their only producer and runs under one
+// lock, so a plain ordered queue delivers them.
 //
 // The design follows the deterministic message-driven cores of BFT-style
 // consensus engines (a core handler consumes an ordered message set and
@@ -139,23 +141,6 @@ func (e Event) String() string {
 		b.WriteString(strconv.Quote(e.Note))
 	}
 	return b.String()
-}
-
-// equalPayload reports whether two events carry the same content
-// (everything but Seq).
-func equalPayload(a, b Event) bool {
-	if a.Round != b.Round || a.Type != b.Type || a.Job != b.Job || a.Note != b.Note {
-		return false
-	}
-	if len(a.Args) != len(b.Args) {
-		return false
-	}
-	for i := range a.Args {
-		if a.Args[i] != b.Args[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Log is the append-only, sequence-stamped event history — the fleet's

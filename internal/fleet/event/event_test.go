@@ -114,67 +114,6 @@ func TestLogSequencesAndHash(t *testing.T) {
 	}
 }
 
-func TestMessageSetOrderAndDedup(t *testing.T) {
-	s := NewMessageSet()
-	a, err := s.Post(Event{Type: TypeSubmit, Job: "a"})
-	if err != nil {
-		t.Fatalf("post: %v", err)
-	}
-	if a.Seq != 1 {
-		t.Fatalf("first post stamped %d, want 1", a.Seq)
-	}
-	b, err := s.Post(Event{Type: TypeKill, Job: "a"})
-	if err != nil {
-		t.Fatalf("post: %v", err)
-	}
-	// Retry of a pending message: deduped, not an error.
-	if fresh, err := s.Add(a); fresh || err != nil {
-		t.Fatalf("retry add: fresh=%v err=%v, want deduped", fresh, err)
-	}
-	// Same key pending again: deduped.
-	if fresh, err := s.Add(Event{Seq: 9, Type: TypeSubmit, Job: "a"}); fresh || err != nil {
-		t.Fatalf("key dup: fresh=%v err=%v, want deduped", fresh, err)
-	}
-	// Same seq, different payload: diverging producer, must error.
-	if _, err := s.Add(Event{Seq: b.Seq, Type: TypeKill, Job: "zzz"}); err == nil {
-		t.Fatal("conflicting payload at one seq accepted")
-	}
-	got := s.Ready()
-	if len(got) != 2 || got[0].Seq != 1 || got[1].Seq != 2 {
-		t.Fatalf("ready = %v, want seqs [1 2]", got)
-	}
-	// Replay of an already-delivered seq: deduped.
-	if fresh, err := s.Add(a); fresh || err != nil {
-		t.Fatalf("stale add: fresh=%v err=%v, want deduped", fresh, err)
-	}
-	if s.Deduped() != 3 {
-		t.Fatalf("deduped = %d, want 3", s.Deduped())
-	}
-}
-
-func TestMessageSetGapBlocksDelivery(t *testing.T) {
-	s := NewMessageSet()
-	if fresh, err := s.Add(Event{Seq: 2, Type: TypeSubmit, Job: "b"}); !fresh || err != nil {
-		t.Fatalf("add seq 2: fresh=%v err=%v", fresh, err)
-	}
-	if got := s.Ready(); got != nil {
-		t.Fatalf("delivery across a gap: %v", got)
-	}
-	if s.NextSeq() != 1 {
-		t.Fatalf("NextSeq = %d across the gap, want 1", s.NextSeq())
-	}
-	if fresh, err := s.Add(Event{Seq: 1, Type: TypeSubmit, Job: "a"}); !fresh || err != nil {
-		t.Fatalf("add seq 1: fresh=%v err=%v", fresh, err)
-	}
-	got := s.Ready()
-	if len(got) != 2 || got[0].Job != "a" || got[1].Job != "b" {
-		t.Fatalf("ready = %v, want a then b", got)
-	}
-	if s.Pending() != 0 || s.NextSeq() != 3 {
-		t.Fatalf("pending = %d, NextSeq = %d after drain; want 0, 3", s.Pending(), s.NextSeq())
-	}
-}
-
 func TestTypeStrings(t *testing.T) {
 	for typ := TypeSubmit; typ <= TypePlan; typ++ {
 		if strings.HasPrefix(typ.String(), "Type(") {
@@ -184,4 +123,21 @@ func TestTypeStrings(t *testing.T) {
 	if !strings.HasPrefix(Type(99).String(), "Type(") {
 		t.Error("unknown type should render as Type(n)")
 	}
+}
+
+// equalPayload reports whether two events carry the same content
+// (everything but Seq).
+func equalPayload(a, b Event) bool {
+	if a.Round != b.Round || a.Type != b.Type || a.Job != b.Job || a.Note != b.Note {
+		return false
+	}
+	if len(a.Args) != len(b.Args) {
+		return false
+	}
+	for i := range a.Args {
+		if a.Args[i] != b.Args[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -166,7 +166,7 @@ func TestFleetResumeRejectsDivergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ck.Put("core", coreCheckpoint{TraceLen: m.log.Len(), TraceHash: 12345, InboxNextSeq: m.inbox.NextSeq()}); err != nil {
+		if err := ck.Put("core", coreCheckpoint{TraceLen: m.log.Len(), TraceHash: 12345, InboxNextSeq: m.inboxNextSeq()}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Resume(threeJobConfig(t), ck, nil); err == nil {

@@ -380,9 +380,11 @@ type Manager struct {
 	res     *Result
 	kills   map[string]bool // names marked for departure next round
 
-	log    *event.Log        // committed control-plane history (the trace)
-	inbox  *event.MessageSet // external inputs awaiting their round
-	inputs []InputRecord     // external inputs in stamp order, for replay
+	log      *event.Log    // committed control-plane history (the trace)
+	inbox    []event.Event // external inputs awaiting their round, stamp order
+	inboxSeq uint64        // last stamped input sequence number
+	deduped  int           // duplicate pending kills dropped
+	inputs   []InputRecord // external inputs in stamp order, for replay
 }
 
 // InputRecord is one external input (dynamic submission or kill) in the
@@ -411,7 +413,6 @@ func New(cfg Config) (*Manager, error) {
 		archive: newWarmArchive(),
 		kills:   make(map[string]bool),
 		log:     event.NewLog(),
-		inbox:   event.NewMessageSet(),
 	}
 	// Size for the budget plus the JobManager, at ~4 task slots per node,
 	// with one spare so single-node failures degrade rather than wedge the
@@ -522,13 +523,8 @@ func (m *Manager) submitInput(spec JobSpec) (uint64, error) {
 		spec.Priority = 1
 	}
 	spec.ArriveSlot = m.round
-	stamped, err := m.inbox.Post(event.Event{Type: event.TypeSubmit, Job: spec.Name})
-	if err != nil {
-		return 0, fmt.Errorf("fleet: submit %s: %w", spec.Name, err)
-	}
 	m.addJob(spec, false)
-	m.inputs = append(m.inputs, InputRecord{Seq: stamped.Seq, Round: m.round, Kind: "submit", Job: spec.Name})
-	return stamped.Seq, nil
+	return m.post(event.TypeSubmit, spec.Name), nil
 }
 
 // Kill marks a job for departure at the start of the next round (the
@@ -547,16 +543,28 @@ func (m *Manager) killInput(name string) (uint64, error) {
 	if js.status == StatusDeparted || js.status == StatusRejected {
 		return 0, nil
 	}
-	stamped, err := m.inbox.Post(event.Event{Type: event.TypeKill, Job: name})
-	if errors.Is(err, event.ErrDuplicate) {
-		return 0, nil // a kill for this job is already pending; idempotent
+	for _, e := range m.inbox {
+		if e.Type == event.TypeKill && e.Job == name {
+			m.deduped++
+			return 0, nil // a kill for this job is already pending; idempotent
+		}
 	}
-	if err != nil {
-		return 0, fmt.Errorf("fleet: kill %s: %w", name, err)
-	}
-	m.inputs = append(m.inputs, InputRecord{Seq: stamped.Seq, Round: m.round, Kind: "kill", Job: name})
-	return stamped.Seq, nil
+	return m.post(event.TypeKill, name), nil
 }
+
+// post stamps an external input with the next input sequence number,
+// queues it for the next round's drain and journals it for replay.
+// Every input comes through Submit or Kill, which the caller serializes,
+// so stamps are dense and the queue is already in delivery order.
+func (m *Manager) post(typ event.Type, job string) uint64 {
+	m.inboxSeq++
+	m.inbox = append(m.inbox, event.Event{Seq: m.inboxSeq, Type: typ, Job: job})
+	m.inputs = append(m.inputs, InputRecord{Seq: m.inboxSeq, Round: m.round, Kind: typ.String(), Job: job})
+	return m.inboxSeq
+}
+
+// inboxNextSeq is the stamp of the next input to deliver.
+func (m *Manager) inboxNextSeq() uint64 { return m.inboxSeq + 1 - uint64(len(m.inbox)) }
 
 // Events returns the committed control-plane event trace so far.
 func (m *Manager) Events() []event.Event { return m.log.Events() }
@@ -584,7 +592,7 @@ func (m *Manager) emit(typ event.Type, job, note string, args ...int64) {
 // event trace. Dynamic submissions become visible to admission; kills
 // are marked for the departure pass that follows.
 func (m *Manager) drainInbox() {
-	for _, msg := range m.inbox.Ready() {
+	for _, msg := range m.inbox {
 		switch msg.Type {
 		case event.TypeSubmit:
 			if js, ok := m.byName[msg.Job]; ok {
@@ -596,6 +604,7 @@ func (m *Manager) drainInbox() {
 			m.emit(event.TypeKill, msg.Job, "")
 		}
 	}
+	m.inbox = m.inbox[:0]
 }
 
 // Jobs returns a snapshot of every tenant's result (submission order).
@@ -922,8 +931,8 @@ func (m *Manager) gauges() {
 	}
 	reg.SetGauge("fleet_budget_allocated", float64(allocated))
 	reg.SetGauge("fleet_budget_total", float64(m.cfg.TotalTaskBudget))
-	reg.SetGauge("fleet_inbox_pending", float64(m.inbox.Pending()))
-	reg.SetGauge("fleet_inbox_deduped", float64(m.inbox.Deduped()))
+	reg.SetGauge("fleet_inbox_pending", float64(len(m.inbox)))
+	reg.SetGauge("fleet_inbox_deduped", float64(m.deduped))
 	reg.SetGauge("fleet_events_committed", float64(m.log.Len()))
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dragster/internal/chaos"
+	"dragster/internal/fleet/event"
 	"dragster/internal/telemetry"
 	"dragster/internal/workload"
 )
@@ -530,6 +531,94 @@ func TestFleetDynamicSubmitAndKill(t *testing.T) {
 	}
 	if res.Slots != 8 || !m.Done() {
 		t.Fatal("manager did not finish its schedule")
+	}
+}
+
+// TestFleetInboxOrderAndDedup pins the inbox contract: external inputs
+// get dense sequence stamps in call order, are delivered in that order
+// at the next round's drain, and a second kill for a job whose kill is
+// still pending is an idempotent no-op counted in fleet_inbox_deduped.
+func TestFleetInboxOrderAndDedup(t *testing.T) {
+	wc := mustSpec(t, workload.WordCount)
+	gr := mustSpec(t, workload.Group)
+	m, err := New(Config{
+		Jobs:            []JobSpec{{Name: "base", Workload: wc, Rates: constRates(t, wc.LowRates)}},
+		Slots:           4,
+		SlotSeconds:     60,
+		TotalTaskBudget: 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Step(); err != nil {
+		t.Fatal(err)
+	}
+	submit := func(name string) uint64 {
+		t.Helper()
+		seq, err := m.submitInput(JobSpec{Name: name, Workload: gr, Rates: constRates(t, gr.LowRates)})
+		if err != nil {
+			t.Fatalf("submit %s: %v", name, err)
+		}
+		return seq
+	}
+	kill := func(name string) uint64 {
+		t.Helper()
+		seq, err := m.killInput(name)
+		if err != nil {
+			t.Fatalf("kill %s: %v", name, err)
+		}
+		return seq
+	}
+	gotSeqs := []uint64{submit("a"), submit("b"), kill("a"), kill("a"), kill("base")}
+	if want := []uint64{1, 2, 3, 0, 4}; !reflect.DeepEqual(gotSeqs, want) {
+		t.Fatalf("stamps %v, want %v (the duplicate kill is not stamped)", gotSeqs, want)
+	}
+	if got := m.inboxNextSeq(); got != 1 || len(m.inbox) != 4 {
+		t.Fatalf("before the drain: next seq %d, %d pending; want 1, 4", got, len(m.inbox))
+	}
+	if err := m.Step(); err != nil {
+		t.Fatal(err)
+	}
+	var delivered []string
+	for _, e := range m.Events() {
+		if e.Type == event.TypeSubmit || e.Type == event.TypeKill {
+			if e.Round != 1 {
+				t.Fatalf("%s delivered in round %d, want 1", e, e.Round)
+			}
+			delivered = append(delivered, e.Type.String()+" "+e.Job)
+		}
+	}
+	if want := []string{"submit a", "submit b", "kill a", "kill base"}; !reflect.DeepEqual(delivered, want) {
+		t.Fatalf("delivered %q, want %q", delivered, want)
+	}
+	if got := m.inboxNextSeq(); got != 5 || len(m.inbox) != 0 {
+		t.Fatalf("after the drain: next seq %d, %d pending; want 5, 0", got, len(m.inbox))
+	}
+	// A departed job's kill is a no-op; a fresh window stamps again and
+	// dedups again.
+	if seq := kill("a"); seq != 0 {
+		t.Fatalf("kill of departed job stamped %d", seq)
+	}
+	if got := []uint64{kill("b"), kill("b")}; !reflect.DeepEqual(got, []uint64{5, 0}) {
+		t.Fatalf("second window stamps %v, want [5 0]", got)
+	}
+	if err := m.Step(); err != nil {
+		t.Fatal(err)
+	}
+	reg := m.Metrics()
+	if v, ok := reg.GaugeValue("fleet_inbox_deduped"); !ok || v != 2 {
+		t.Fatalf("fleet_inbox_deduped = %v,%v, want 2", v, ok)
+	}
+	if v, ok := reg.GaugeValue("fleet_inbox_pending"); !ok || v != 0 {
+		t.Fatalf("fleet_inbox_pending = %v,%v, want 0", v, ok)
+	}
+	var recs []string
+	for _, r := range m.inputs {
+		recs = append(recs, fmt.Sprintf("%d@%d %s %s", r.Seq, r.Round, r.Kind, r.Job))
+	}
+	want := []string{"1@1 submit a", "2@1 submit b", "3@1 kill a", "4@1 kill base", "5@2 kill b"}
+	if !reflect.DeepEqual(recs, want) {
+		t.Fatalf("input journal %q, want %q", recs, want)
 	}
 }
 
