@@ -87,6 +87,24 @@ func oneTenantConfig(t testing.TB, slots int) FleetConfig {
 	}
 }
 
+// TestNewValidation: the single-job daemon refuses a lone job without a
+// rate function, a negative wall interval and a zero-slot schedule.
+func TestNewValidation(t *testing.T) {
+	cfg := oneTenantConfig(t, 3)
+	cfg.Fleet.Jobs[0].Rates = nil
+	if _, err := NewFleet(cfg); err == nil {
+		t.Error("job without a rate function accepted")
+	}
+	cfg = oneTenantConfig(t, 3)
+	cfg.SlotWallInterval = -time.Second
+	if _, err := NewFleet(cfg); err == nil {
+		t.Error("negative interval accepted")
+	}
+	if _, err := NewFleet(oneTenantConfig(t, 0)); err == nil {
+		t.Error("zero slots accepted")
+	}
+}
+
 // TestRunToCompletionAndEndpoints runs the single-job daemon to the end
 // and reads the job's state from /fleet/jobs/{name} and /metrics.
 func TestRunToCompletionAndEndpoints(t *testing.T) {
@@ -561,6 +579,49 @@ func TestFleetDaemonHonoursContextCancel(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not stop on cancel")
+	}
+}
+
+// TestRunHonoursContextCancel: cancelling the single-job daemon after a
+// round has completed stops Run with an error and leaves the schedule
+// unfinished.
+func TestRunHonoursContextCancel(t *testing.T) {
+	cfg := oneTenantConfig(t, 1000)
+	cfg.SlotWallInterval = time.Millisecond
+	d, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() FleetState {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.state()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- d.Run(ctx) }()
+	// Let at least one round complete, then cancel.
+	deadline := time.After(5 * time.Second)
+	for snapshot().Round == 0 {
+		select {
+		case <-deadline:
+			cancel()
+			t.Fatal("no round completed in time")
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Error("cancelled Run returned nil")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not stop on cancel")
+	}
+	if snapshot().Done {
+		t.Error("cancelled run reported Done")
 	}
 }
 
