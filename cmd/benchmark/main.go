@@ -7,11 +7,11 @@
 //	benchmark -exp fig4 -slotsec 60    # one experiment, 1-minute slots
 //
 // Experiments: fig4, fig4budget, fig5, fig6, table2, fig7, table3,
-// regret, theorem2, robustness, ablation, fleet, fleetscale, longhorizon,
-// all. At the paper's 10-minute
-// slots (default -slotsec 600) the full suite simulates tens of hours of
-// cluster time and takes a few minutes of wall clock; -slotsec 60 gives a
-// quick pass with the same qualitative shapes.
+// regret, theorem2, ds2, robustness, ablation, capacity, fleet,
+// fleetscale, longhorizon, all. At the paper's 10-minute slots (default
+// -slotsec 600) the full suite simulates tens of hours of cluster time
+// and takes a few minutes of wall clock; -slotsec 60 gives a quick pass
+// with the same qualitative shapes.
 package main
 
 import (

@@ -17,10 +17,11 @@
 //
 // A single job is a one-tenant fleet. With -arbiter equal the lone
 // tenant is granted the whole -fleet-budget, and its rounds match
-// cmd/dragster's saddle-point run under -budget at the tenant's seed
+// `dragster run`'s saddle-point run under -budget at the tenant's seed
 // (-seed plus 100003). A budget of at least Σ MaxTasks stands in for an
-// unbounded one. The ogd, dhalion and ds2 policies and the cycle and
-// step load profiles are available through cmd/dragster.
+// unbounded one. A job's profile is any of cmd/dragster run's four (high,
+// low, cycle, step) at run's default period of 20 slots; the ogd,
+// dhalion and ds2 policies are available through cmd/dragster.
 //
 // The daemon drives the simulated Flink-on-Kubernetes stack; in a real
 // deployment the same loop would sit behind the Flink REST API and the

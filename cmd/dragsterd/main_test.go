@@ -21,6 +21,14 @@ func TestParseJobs(t *testing.T) {
 	if len(jobs) != 2 || jobs[1].Name != "light" || jobs[1].Workload.Name != "group" {
 		t.Fatalf("two-job list parsed to %+v", jobs)
 	}
+	jobs, err = parseJobs("up=wordcount:step")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := jobs[0].Workload
+	if before, after := jobs[0].Rates(19, 0), jobs[0].Rates(20, 0); before[0] != spec.LowRates[0] || after[0] != spec.HighRates[0] {
+		t.Fatalf("step job offers %v at slot 19 and %v at slot 20, want low then high", before, after)
+	}
 	for list, want := range map[string]string{
 		"wordcount":             "want name=workload:profile",
 		"a=nosuch:high":         "nosuch",

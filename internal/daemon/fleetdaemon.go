@@ -7,6 +7,7 @@ package daemon
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -233,9 +234,9 @@ type FleetJobState struct {
 type SubmitRequest struct {
 	Name     string `json:"name"`
 	Workload string `json:"workload"`
-	// Profile selects the offered load: "high" or "low" (constant rates
-	// from the workload spec). Rates overrides it with explicit
-	// per-source tuples/s when non-empty.
+	// Profile selects the offered load, one of workload.Profile's names
+	// at workload.DefaultPeriod ("" = "low"). Rates overrides it with
+	// explicit per-source tuples/s when non-empty.
 	Profile  string    `json:"profile,omitempty"`
 	Rates    []float64 `json:"rates,omitempty"`
 	Priority float64   `json:"priority,omitempty"`
@@ -258,28 +259,22 @@ func (r *SubmitRequest) ToSpec() (fleet.JobSpec, error) {
 	if err != nil {
 		return fleet.JobSpec{}, err
 	}
-	rateVec := r.Rates
-	if len(rateVec) == 0 {
-		switch r.Profile {
-		case "", "low":
-			rateVec = spec.LowRates
-		case "high":
-			rateVec = spec.HighRates
-		default:
-			return fleet.JobSpec{}, fmt.Errorf("unknown profile %q", r.Profile)
+	var rates workload.RateFunc
+	if len(r.Rates) == 0 {
+		rates, err = workload.Profile(spec, cmp.Or(r.Profile, "low"), workload.DefaultPeriod)
+	} else {
+		// Explicit rates must fit the workload's sources like JobSpec's
+		// TargetRates; a bad vector would otherwise fail every later round.
+		if n := spec.Graph.NumSources(); len(r.Rates) != n {
+			return fleet.JobSpec{}, fmt.Errorf("got %d rates, want %d (one per source)", len(r.Rates), n)
 		}
-	}
-	// Explicit rates must fit the workload's sources like JobSpec's
-	// TargetRates; a bad vector would otherwise fail every later round.
-	if n := spec.Graph.NumSources(); len(rateVec) != n {
-		return fleet.JobSpec{}, fmt.Errorf("got %d rates, want %d (one per source)", len(rateVec), n)
-	}
-	for i, r := range rateVec {
-		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-			return fleet.JobSpec{}, fmt.Errorf("rate %d = %v invalid", i, r)
+		for i, v := range r.Rates {
+			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				return fleet.JobSpec{}, fmt.Errorf("rate %d = %v invalid", i, v)
+			}
 		}
+		rates, err = workload.Constant(r.Rates)
 	}
-	rates, err := workload.Constant(rateVec)
 	if err != nil {
 		return fleet.JobSpec{}, err
 	}

@@ -36,8 +36,9 @@ func listJobNames(t testing.TB, h http.Handler) []string {
 }
 
 // TestFleetSubmitStrictBody pins the POST /fleet/jobs body contract: one
-// JSON object, no unknown fields, at most maxSubmitBodyBytes. A rejected
-// body leaves the job list untouched.
+// JSON object, no unknown fields, at most maxSubmitBodyBytes, and a load
+// profile workload.Profile knows. A rejected body leaves the job list
+// untouched.
 func TestFleetSubmitStrictBody(t *testing.T) {
 	valid := `{"name":"gamma","workload":"wordcount","rates":[5000]}`
 	for _, tc := range []struct {
@@ -53,6 +54,8 @@ func TestFleetSubmitStrictBody(t *testing.T) {
 		{"oversized", `{"name":"gamma","workload":"wordcount"}` + strings.Repeat(" ", 8<<20), http.StatusRequestEntityTooLarge},
 		{"oversized-field", `{"name":"` + strings.Repeat("x", maxSubmitBodyBytes) + `","workload":"wordcount"}`, http.StatusRequestEntityTooLarge},
 		{"not-json", "name=gamma", http.StatusBadRequest},
+		{"step-profile", `{"name":"gamma","workload":"wordcount","profile":"step"}`, http.StatusAccepted},
+		{"unknown-profile", `{"name":"gamma","workload":"wordcount","profile":"sometimes"}`, http.StatusBadRequest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, err := NewFleet(testFleetConfig(t, 4))
@@ -82,6 +85,7 @@ func TestFleetSubmitStrictBody(t *testing.T) {
 func FuzzSubmitJob(f *testing.F) {
 	for _, seed := range []string{
 		`{"name":"gamma","workload":"wordcount","profile":"high"}`,
+		`{"name":"gamma","workload":"group","profile":"cycle"}`,
 		`{"name":"gamma","workload":"group","rates":[100],"priority":2,"depart_slot":3}`,
 		`{"name":"gamma","workload":"yahoo","plan_on_admit":true,"target_rates":[1000]}`,
 		`{"name":"alpha","workload":"wordcount"}`,

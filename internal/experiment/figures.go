@@ -67,17 +67,8 @@ func Fig4(budget int, slots int, slotSeconds int, seed int64) (*Fig4Result, erro
 	}
 	// Heatmap over the full 10×10 grid (ignoring the budget, as the paper
 	// plots the whole landscape and draws paths on top).
-	out.Heatmap = make([][]float64, spec.MaxTasks)
-	for mTask := 1; mTask <= spec.MaxTasks; mTask++ {
-		row := make([]float64, spec.MaxTasks)
-		for sTask := 1; sTask <= spec.MaxTasks; sTask++ {
-			th, err := SteadyThroughput(spec, spec.HighRates, []int{mTask, sTask})
-			if err != nil {
-				return nil, err
-			}
-			row[sTask-1] = th
-		}
-		out.Heatmap[mTask-1] = row
+	if out.Heatmap, err = ThroughputGrid(spec, spec.HighRates); err != nil {
+		return nil, err
 	}
 
 	policies := PolicySet()

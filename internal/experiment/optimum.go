@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"dragster/internal/mathx"
+	"dragster/internal/par"
 	"dragster/internal/workload"
 )
 
@@ -33,6 +34,33 @@ func SteadyThroughput(spec *workload.Spec, rates []float64, tasks []int) (float6
 		caps[i] = spec.Models[i].Capacity(n)
 	}
 	return spec.Graph.Throughput(rates, caps)
+}
+
+// ThroughputGrid evaluates SteadyThroughput over the whole MaxTasks ×
+// MaxTasks task grid of a two-operator workload: grid[a-1][b-1] is the
+// throughput at (a, b) tasks, the Fig. 4 heatmap. The cells are
+// independent, so par.For fills them by index and the result is the same
+// at any GOMAXPROCS.
+func ThroughputGrid(spec *workload.Spec, rates []float64) ([][]float64, error) {
+	if m := spec.Graph.NumOperators(); m != 2 {
+		return nil, fmt.Errorf("experiment: throughput grid needs 2 operators, got %d", m)
+	}
+	n := spec.MaxTasks
+	grid := make([][]float64, n)
+	for a := range grid {
+		grid[a] = make([]float64, n)
+	}
+	errs := make([]error, n*n)
+	par.For(n*n, 0, func(i int) {
+		a, b := i/n, i%n
+		grid[a][b], errs[i] = SteadyThroughput(spec, rates, []int{a + 1, b + 1})
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return grid, nil
 }
 
 // OptimalConfig finds the task vector (1..spec.MaxTasks per operator,

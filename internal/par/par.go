@@ -1,6 +1,6 @@
 // Package par is the module's one fan-out. Every parallel loop in the
 // repository — the fleet's per-tenant decide pass, Repeat's per-seed
-// runs, the GP's LML grid search and gridsweep's throughput grid — is a
+// runs, the GP's LML grid search and experiment's throughput grid — is a
 // set of independent index-addressed computations, and For is the only
 // place that spreads them over goroutines.
 //

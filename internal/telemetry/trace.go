@@ -247,7 +247,7 @@ type PhaseDuration struct {
 }
 
 // TimeInPhase aggregates spans by (cat, name), summing durations, sorted
-// by descending total then name — the summarize table of dragstertrace.
+// by descending total then name — the table of dragster trace summarize.
 func TimeInPhase(spans []SpanRecord) []PhaseDuration {
 	type key struct{ cat, name string }
 	agg := make(map[key]*PhaseDuration)

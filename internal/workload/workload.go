@@ -364,6 +364,28 @@ func StepAt(changeSlot int, before, after []float64) (RateFunc, error) {
 	}, nil
 }
 
+// DefaultPeriod is the cycle phase length and step change slot, in
+// slots, of a profile named without an explicit period.
+const DefaultPeriod = 20
+
+// Profile resolves a named offered-load profile over spec's two rate
+// levels: "high" and "low" are constant, "cycle" alternates high and low
+// every period slots, and "step" switches from low to high at slot
+// period (the Fig. 6 and Fig. 7 patterns).
+func Profile(spec *Spec, name string, period int) (RateFunc, error) {
+	switch name {
+	case "high":
+		return Constant(spec.HighRates)
+	case "low":
+		return Constant(spec.LowRates)
+	case "cycle":
+		return Cycle(period, spec.HighRates, spec.LowRates)
+	case "step":
+		return StepAt(period, spec.LowRates, spec.HighRates)
+	}
+	return nil, fmt.Errorf("workload: unknown profile %q", name)
+}
+
 // PhaseBoundaries returns the slots (within [0, slots)) at which a profile
 // changes its rate vector, always including slot 0 — the phase starts the
 // convergence analysis uses.

@@ -186,6 +186,36 @@ func TestStepAtProfile(t *testing.T) {
 	}
 }
 
+// TestProfile: the named profiles over a spec's two rate levels, and the
+// rejection of an unknown name.
+func TestProfile(t *testing.T) {
+	spec, err := WordCount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi, lo := spec.HighRates[0], spec.LowRates[0]
+	for name, want := range map[string][4]float64{
+		// offered rate at slots 0, 2, 3 and 6 with a period of 3
+		"high":  {hi, hi, hi, hi},
+		"low":   {lo, lo, lo, lo},
+		"cycle": {hi, hi, lo, hi},
+		"step":  {lo, lo, hi, hi},
+	} {
+		f, err := Profile(spec, name, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, slot := range []int{0, 2, 3, 6} {
+			if got := f(slot, 0)[0]; got != want[i] {
+				t.Errorf("%s at slot %d = %v, want %v", name, slot, got, want[i])
+			}
+		}
+	}
+	if _, err := Profile(spec, "", 3); err == nil || err.Error() != `workload: unknown profile ""` {
+		t.Errorf("empty profile name: %v", err)
+	}
+}
+
 func TestPhaseBoundaries(t *testing.T) {
 	f, err := Cycle(5, []float64{1}, []float64{2})
 	if err != nil {
