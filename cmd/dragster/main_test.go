@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -112,6 +113,71 @@ func TestTraceDiff(t *testing.T) {
 	if strings.Join(starred, ",") != "6,7,8" {
 		t.Errorf("starred slots %v, want 6,7,8", starred)
 	}
+}
+
+// TestTraceTablesAlign: in every summarize and diff table, each row's
+// columns start where the header's do, however wide a float attribute or
+// a phase key gets.
+func TestTraceTablesAlign(t *testing.T) {
+	summary := string(cli(t, "trace", "summarize", "testdata/blackout.jsonl"))
+	diff := string(cli(t, "trace", "diff", "testdata/faultfree.jsonl", "testdata/blackout.jsonl"))
+	for _, tc := range []struct {
+		out    string
+		header []string // the header's leading cells
+	}{
+		{summary, []string{"cat", "name"}},
+		{summary, []string{"slot", "steady"}},
+		{diff, []string{"phase", "countA"}},
+		{diff, []string{"slot", "regretA"}},
+	} {
+		header, rows := table(t, tc.out, tc.header)
+		starts := columnStarts(header)
+		for _, row := range rows {
+			r := []rune(row)
+			for _, p := range starts {
+				if p >= len(r) || r[p] == ' ' || (p > 0 && r[p-1] != ' ') {
+					t.Errorf("row %q has no column starting at offset %d of header %q", row, p, header)
+					break
+				}
+			}
+		}
+	}
+}
+
+// table returns the first line of out whose leading cells are header,
+// with the rows that follow it up to the next blank line.
+func table(t *testing.T, out string, header []string) (string, []string) {
+	t.Helper()
+	lines := strings.Split(out, "\n")
+	for i, line := range lines {
+		if f := strings.Fields(line); len(f) >= len(header) && slices.Equal(f[:len(header)], header) {
+			rows := lines[i+1:]
+			for j, row := range rows {
+				if row == "" {
+					rows = rows[:j]
+					break
+				}
+			}
+			if len(rows) == 0 {
+				t.Fatalf("table %v has no rows", header)
+			}
+			return line, rows
+		}
+	}
+	t.Fatalf("no table with header %v in:\n%s", header, out)
+	return "", nil
+}
+
+// columnStarts returns the rune offsets at which header's cells begin.
+func columnStarts(header string) []int {
+	var starts []int
+	r := []rune(header)
+	for i, c := range r {
+		if c != ' ' && (i == 0 || r[i-1] == ' ') {
+			starts = append(starts, i)
+		}
+	}
+	return starts
 }
 
 func TestTraceChrome(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"text/tabwriter"
 
 	"dragster/internal/chaos"
 	"dragster/internal/experiment"
@@ -86,17 +87,24 @@ func cmdSummarize(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "trace: %d spans, %d metrics\n\n", len(tf.Spans), len(tf.Metrics))
 
 	fmt.Fprintln(w, "time in phase (sim seconds):")
-	fmt.Fprintf(w, "  %-12s %-16s %8s %10s\n", "cat", "name", "count", "seconds")
+	tw := newTable(w)
+	fmt.Fprintln(tw, "\tcat\tname\tcount\tseconds")
 	for _, row := range telemetry.TimeInPhase(tf.Spans) {
-		fmt.Fprintf(w, "  %-12s %-16s %8d %10d\n", row.Cat, row.Name, row.Count, row.Seconds)
+		fmt.Fprintf(tw, "\t%s\t%s\t%d\t%d\n", row.Cat, row.Name, row.Count, row.Seconds)
+	}
+	if err := tw.Flush(); err != nil {
+		return err
 	}
 
 	rounds := roundTimeline(tf.Spans)
 	if len(rounds) > 0 {
 		fmt.Fprintln(w, "\nper-round regret timeline:")
-		fmt.Fprintf(w, "  %4s %12s %12s %12s  %-8s %s\n", "slot", "steady", "optimal", "regret", "outcome", "tasks")
+		fmt.Fprintln(tw, "\tslot\tsteady\toptimal\tregret\toutcome\ttasks")
 		for _, r := range rounds {
-			fmt.Fprintf(w, "  %4d %12s %12s %12s  %-8s %s\n", r.slot, r.steady, r.optimal, r.regret, orDash(r.outcome), r.tasks)
+			fmt.Fprintf(tw, "\t%d\t%s\t%s\t%s\t%s\t%s\n", r.slot, r.steady, r.optimal, r.regret, orDash(r.outcome), r.tasks)
+		}
+		if err := tw.Flush(); err != nil {
+			return err
 		}
 	}
 
@@ -105,14 +113,23 @@ func cmdSummarize(args []string, w io.Writer) error {
 		for _, m := range tf.Metrics {
 			switch m.Kind {
 			case "histogram":
-				fmt.Fprintf(w, "  %-32s count=%d sum=%g buckets=%v bounds=%v\n",
+				fmt.Fprintf(tw, "\t%s\tcount=%d sum=%g buckets=%v bounds=%v\n",
 					m.Name, m.Count, m.Sum, m.Buckets, m.Bounds)
 			default:
-				fmt.Fprintf(w, "  %-32s %g\n", m.Name, m.Value)
+				fmt.Fprintf(tw, "\t%s\t%g\n", m.Name, m.Value)
 			}
 		}
 	}
-	return nil
+	return tw.Flush()
+}
+
+// newTable returns a writer that lays tab-separated cells out in
+// left-aligned columns two spaces apart, so a wide cell (a shortest
+// round-trip float, a long phase key) widens its column instead of
+// shifting the rest of its row. A row that starts with an empty cell is
+// indented by the two-space gap. Flush ends the table.
+func newTable(w io.Writer) *tabwriter.Writer {
+	return tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
 }
 
 // roundRow is one "experiment/round" span flattened for display. outcome
@@ -158,10 +175,13 @@ func cmdDiff(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "A: %s (%d spans)\nB: %s (%d spans)\n\n",
 		fs.Arg(0), len(a.Spans), fs.Arg(1), len(b.Spans))
 
-	diffPhases(w, a.Spans, b.Spans)
-	diffRounds(w, a.Spans, b.Spans)
-	diffMetrics(w, a.Metrics, b.Metrics)
-	return nil
+	if err := diffPhases(w, a.Spans, b.Spans); err != nil {
+		return err
+	}
+	if err := diffRounds(w, a.Spans, b.Spans); err != nil {
+		return err
+	}
+	return diffMetrics(w, a.Metrics, b.Metrics)
 }
 
 // pairUp pairs a's and b's entries by key: a's keys in order, then the
@@ -191,9 +211,12 @@ func either[T any](pair [2]*T) *T {
 	return pair[1]
 }
 
-func diffPhases(w io.Writer, a, b []telemetry.SpanRecord) {
+// diffPhases, diffRounds and diffMetrics each write one table whose rows
+// start with a marker cell, "*" when A and B differ.
+func diffPhases(w io.Writer, a, b []telemetry.SpanRecord) error {
 	key := func(p telemetry.PhaseDuration) [2]string { return [2]string{p.Cat, p.Name} }
-	fmt.Fprintln(w, "phase           countA countB  secondsA secondsB    Δsec")
+	tw := newTable(w)
+	fmt.Fprintln(tw, "\tphase\tcountA\tcountB\tsecondsA\tsecondsB\tΔsec")
 	for _, pair := range pairUp(telemetry.TimeInPhase(a), telemetry.TimeInPhase(b), key) {
 		var row [2]telemetry.PhaseDuration
 		for i, p := range pair {
@@ -207,20 +230,22 @@ func diffPhases(w io.Writer, a, b []telemetry.SpanRecord) {
 			marker = "*"
 		}
 		named := either(pair)
-		fmt.Fprintf(w, "%s %-12s %6d %6d  %8d %8d %+7d\n",
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%+d\n",
 			marker, named.Cat+"/"+named.Name, row[0].Count, row[1].Count,
 			row[0].Seconds, row[1].Seconds, dSec)
 	}
+	return tw.Flush()
 }
 
-func diffRounds(w io.Writer, a, b []telemetry.SpanRecord) {
+func diffRounds(w io.Writer, a, b []telemetry.SpanRecord) error {
 	ra, rb := roundTimeline(a), roundTimeline(b)
 	n := max(len(ra), len(rb))
 	if n == 0 {
-		return
+		return nil
 	}
 	fmt.Fprintln(w, "\nper-round regret (A vs B):")
-	fmt.Fprintf(w, "  %4s %12s %12s  %-12s %-12s %-8s %s\n", "slot", "regretA", "regretB", "tasksA", "tasksB", "outcomeA", "outcomeB")
+	tw := newTable(w)
+	fmt.Fprintln(tw, "\tslot\tregretA\tregretB\ttasksA\ttasksB\toutcomeA\toutcomeB")
 	for i := 0; i < n; i++ {
 		var av, bv roundRow
 		if i < len(ra) {
@@ -237,19 +262,21 @@ func diffRounds(w io.Writer, a, b []telemetry.SpanRecord) {
 		if i >= len(ra) {
 			slot = bv.slot
 		}
-		fmt.Fprintf(w, "%s %4d %12s %12s  %-12s %-12s %-8s %s\n",
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\t%s\t%s\t%s\n",
 			marker, slot, orDash(av.regret), orDash(bv.regret), orDash(av.tasks), orDash(bv.tasks),
 			orDash(av.outcome), orDash(bv.outcome))
 	}
+	return tw.Flush()
 }
 
-func diffMetrics(w io.Writer, a, b []telemetry.MetricRecord) {
+func diffMetrics(w io.Writer, a, b []telemetry.MetricRecord) error {
 	key := func(m telemetry.MetricRecord) [2]string { return [2]string{m.Kind, m.Name} }
 	pairs := pairUp(a, b, key)
 	if len(pairs) == 0 {
-		return
+		return nil
 	}
 	fmt.Fprintln(w, "\nmetrics (A vs B):")
+	tw := newTable(w)
 	for _, pair := range pairs {
 		var val [2]string
 		for i, m := range pair {
@@ -259,8 +286,9 @@ func diffMetrics(w io.Writer, a, b []telemetry.MetricRecord) {
 		if val[0] == val[1] {
 			marker = " "
 		}
-		fmt.Fprintf(w, "%s %-32s %-16s %-16s\n", marker, either(pair).Name, val[0], val[1])
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n", marker, either(pair).Name, val[0], val[1])
 	}
+	return tw.Flush()
 }
 
 // metricValue renders a metric for diff, "-" when the trace lacks it.

@@ -23,9 +23,11 @@
 // low, cycle, step) at run's default period of 20 slots; the ogd,
 // dhalion and ds2 policies are available through cmd/dragster.
 //
-// The daemon drives the simulated Flink-on-Kubernetes stack; in a real
-// deployment the same loop would sit behind the Flink REST API and the
-// Kubernetes metrics server (see internal/monitor.HTTPSource).
+// The daemon drives the simulated Flink-on-Kubernetes stack. Each
+// tenant's Job Monitor reads its job's slot report in-process: every
+// operator's rates and CPU utilization, the inputs of the Eq. 8 capacity
+// estimate. A real deployment would fill that report from the Flink
+// monitoring REST API.
 package main
 
 import (

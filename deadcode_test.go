@@ -51,7 +51,6 @@ var deadExportKeep = map[string]string{
 	"dragster/internal/chaos.Spec.MaxSlot":                 "sizes a run to a built Spec's schedule",
 	"dragster/internal/cluster.Cluster.Deployments":        "test seam onto the deployment list",
 	"dragster/internal/cluster.Cluster.PendingPods":        "test seam onto unscheduled pods",
-	"dragster/internal/cluster.Cluster.PodMetrics":         "the metrics-server read side of SetDeploymentUtil, which the substrate feeds once per slot",
 	"dragster/internal/stats.RNG.Uniform":                  "the RNG's uniform draw, kept beside Normal and LogNormal",
 	"dragster/internal/stats.RNG.Float64":                  "the unit uniform draw dagtest's random graphs are built from",
 	"dragster/internal/chaos.Engine.Metrics":               "test seam onto the engine's fault counters, read by the external chaos tests",
@@ -68,21 +67,13 @@ var deadExportKeep = map[string]string{
 	"dragster/internal/experiment.Result.Metrics": "a Run caller's only handle on the run's registry",
 	"dragster/internal/fleet.Result.Metrics":      "a fleet Run caller's handle on the run's registry, beside experiment.Result.Metrics; the fleet tests fingerprint counters through it",
 
-	// The metrics-server seam: PodMetrics' rows.
-	"dragster/internal/cluster.PodMetric.Pod":        "the metrics-server seam: a PodMetrics row",
-	"dragster/internal/cluster.PodMetric.Deployment": "the metrics-server seam: a PodMetrics row",
-	"dragster/internal/cluster.PodMetric.CPUMilli":   "the metrics-server seam: a PodMetrics row",
-	"dragster/internal/cluster.PodMetric.CPULimit":   "the metrics-server seam: a PodMetrics row",
-
 	// Decision provenance (the ROADMAP's observability item).
 	"dragster/internal/core.LastTargets.Beta":        "decision provenance: the UCB weight of the last decision",
 	"dragster/internal/core.LastTargets.Bottlenecks": "decision provenance: the operators the last decision reconfigured",
 
 	// Features with no caller yet.
-	"dragster/internal/flink.NewRESTHandler": "constructs the Flink REST seam",
-	"dragster/internal/monitor.HTTPSource":   "the monitor's side of the Flink REST seam",
-	"dragster/internal/daemon.ResumeFleet":   "consumes GET /fleet/checkpoint for failover",
-	"dragster/internal/fleet.ResumeReader":   "reads a GET /fleet/checkpoint stream for failover",
+	"dragster/internal/daemon.ResumeFleet": "consumes GET /fleet/checkpoint for failover",
+	"dragster/internal/fleet.ResumeReader": "reads a GET /fleet/checkpoint stream for failover",
 }
 
 // callerOnly names the directories whose code counts as a caller but

@@ -134,7 +134,7 @@ var (
 // ---- Substrate: Kubernetes, Flink, dataflow simulator ----
 
 // KubeCluster simulates the Kubernetes control plane (nodes, pods,
-// deployments, scheduler, metrics server, cost meter).
+// deployments, scheduler, cost meter).
 type KubeCluster = cluster.Cluster
 
 // ResourceSpec is a pod resource request.
@@ -197,11 +197,8 @@ type Monitor = monitor.Monitor
 // Snapshot is the per-slot metrics view consumed by Autoscalers.
 type Snapshot = monitor.Snapshot
 
-// NewMonitor wraps a metrics source.
+// NewMonitor reads the slot reports of a FlinkJob.
 var NewMonitor = monitor.New
-
-// DirectSource reads metrics straight off a FlinkJob.
-type DirectSource = monitor.DirectSource
 
 // HistoryDB is the candidate-configuration and observation database.
 type HistoryDB = store.DB

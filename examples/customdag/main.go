@@ -86,7 +86,7 @@ func main() {
 	}
 
 	// ---- 3. Monitor + controller with a persistent history database ----
-	mon, err := dragster.NewMonitor(dragster.DirectSource{Job: job})
+	mon, err := dragster.NewMonitor(job)
 	if err != nil {
 		log.Fatal(err)
 	}

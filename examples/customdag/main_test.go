@@ -68,7 +68,7 @@ func TestCustomDAGSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mon, err := dragster.NewMonitor(dragster.DirectSource{Job: job})
+	mon, err := dragster.NewMonitor(job)
 	if err != nil {
 		t.Fatal(err)
 	}

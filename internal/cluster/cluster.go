@@ -1,9 +1,9 @@
 // Package cluster simulates the Kubernetes substrate Dragster runs on: a
 // set of nodes with allocatable CPU/memory, deployments of pods, a best-fit
-// scheduler, a metrics server, and a cost meter. It models exactly the
-// surface the paper's implementation touches — replica scaling (HPA),
-// resource resizing (VPA), pod CPU metrics, and dollar cost — without
-// pretending to be a full orchestrator.
+// scheduler, and a cost meter. It models exactly the surface the paper's
+// implementation touches — replica scaling (HPA), resource resizing (VPA)
+// and dollar cost — without pretending to be a full orchestrator. Pod CPU
+// utilization reaches the Job Monitor in the substrate's slot report.
 package cluster
 
 import (
@@ -63,8 +63,6 @@ type Pod struct {
 	Spec       ResourceSpec
 	Phase      PodPhase
 	NodeName   string // empty while pending
-
-	cpuUsageMilli int // reported by the workload, read by the metrics server
 }
 
 // Deployment manages a replica set of identical pods.
@@ -131,10 +129,6 @@ type Cluster struct {
 	cost        float64 // accrued dollars
 	injector    Injector
 	tracer      *telemetry.Tracer
-
-	// metricsBuf backs PodMetrics: the response rows are reused instead
-	// of allocated per scrape.
-	metricsBuf []PodMetric
 }
 
 // SetInjector installs (or, with nil, removes) the fault-injection hook.
@@ -224,7 +218,6 @@ func (c *Cluster) RemoveNode(name string) error {
 		c.pending++
 		p.Phase = PodPending
 		p.NodeName = ""
-		p.cpuUsageMilli = 0
 	}
 	c.schedule()
 	return nil
@@ -403,7 +396,6 @@ func (c *Cluster) terminatePod(p *Pod) {
 		c.pending--
 	}
 	p.Phase = PodTerminated
-	p.cpuUsageMilli = 0
 	delete(c.pods, p.Name)
 	c.dead++
 }
@@ -470,23 +462,6 @@ func (c *Cluster) Pods() []Pod {
 	return out
 }
 
-// SetDeploymentUtil reports a deployment's current CPU utilization
-// (usage/limit) for each of its running pods, clamped to [0, limit]; the
-// metrics server exposes it via PodMetrics. The stream substrates call it
-// once per operator per slot, with the utilization of the slot's last
-// tick. An unknown deployment is ignored, as RunningPods reports 0 for it.
-func (c *Cluster) SetDeploymentUtil(deployment string, util float64) {
-	d, ok := c.deployments[deployment]
-	if !ok {
-		return
-	}
-	for _, p := range d.pods {
-		if p.Phase == PodRunning {
-			p.cpuUsageMilli = min(max(int(util*float64(p.Spec.CPUMilli)), 0), p.Spec.CPUMilli)
-		}
-	}
-}
-
 // DeploymentSpec returns a deployment's current pod template.
 func (c *Cluster) DeploymentSpec(name string) (ResourceSpec, bool) {
 	d, ok := c.deployments[name]
@@ -535,32 +510,3 @@ func (c *Cluster) PricePerCoreHour() float64 { return c.pricePerCPU }
 
 // ErrUnknownPod is returned by operations on missing pods.
 var ErrUnknownPod = errors.New("cluster: unknown pod")
-
-// PodMetric is one row of the metrics-server response.
-type PodMetric struct {
-	Pod        string
-	Deployment string
-	CPUMilli   int // usage
-	CPULimit   int // spec
-}
-
-// PodMetrics returns usage for every running pod (the Kubernetes
-// Metrics Server surface the Job Monitor scrapes). The returned slice
-// aliases a reused scratch buffer and is only valid until the next
-// PodMetrics call; copy it to retain rows.
-func (c *Cluster) PodMetrics() []PodMetric {
-	out := c.metricsBuf[:0]
-	for _, p := range c.livePods() {
-		if p.Phase != PodRunning {
-			continue
-		}
-		out = append(out, PodMetric{
-			Pod:        p.Name,
-			Deployment: p.Deployment,
-			CPUMilli:   p.cpuUsageMilli,
-			CPULimit:   p.Spec.CPUMilli,
-		})
-	}
-	c.metricsBuf = out
-	return out
-}

@@ -177,23 +177,6 @@ func TestTickNegativePanics(t *testing.T) {
 	New().Tick(-1)
 }
 
-func TestMetricsServer(t *testing.T) {
-	c := newTestCluster(t, 1)
-	if err := c.CreateDeployment("tm", ResourceSpec{CPUMilli: 1000, MemoryMB: 512}, 2); err != nil {
-		t.Fatal(err)
-	}
-	c.SetDeploymentUtil("tm", 0.6)
-	ms := c.PodMetrics()
-	if len(ms) != 2 {
-		t.Fatalf("metrics rows = %+v, want 2", ms)
-	}
-	for _, m := range ms {
-		if m.Deployment != "tm" || m.CPUMilli != 600 || m.CPULimit != 1000 {
-			t.Errorf("row = %+v, want tm at 600m of 1000m", m)
-		}
-	}
-}
-
 func TestPodPhaseString(t *testing.T) {
 	if PodPending.String() != "Pending" || PodRunning.String() != "Running" || PodTerminated.String() != "Terminated" {
 		t.Error("phase strings wrong")

@@ -235,37 +235,4 @@ func TestSteadyStateClusterCallsDoNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { c.Tick(1) }); n != 0 {
 		t.Errorf("Tick(1) with nothing pending allocates %v times", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { c.SetDeploymentUtil("tm", 0.5) }); n != 0 {
-		t.Errorf("SetDeploymentUtil allocates %v times", n)
-	}
-}
-
-func TestSetDeploymentUtil(t *testing.T) {
-	c := newTestCluster(t, 1)
-	spec := ResourceSpec{CPUMilli: 1000, MemoryMB: 2048}
-	if err := c.CreateDeployment("tm", spec, 6); err != nil { // 4 fit, 2 stay pending
-		t.Fatal(err)
-	}
-	c.SetDeploymentUtil("tm", 0.42)
-	c.SetDeploymentUtil("missing", 0.9) // ignored
-	for _, p := range c.Pods() {
-		want := 0
-		if p.Phase == PodRunning {
-			want = 420
-		}
-		if p.cpuUsageMilli != want {
-			t.Errorf("%s (%v) usage = %dm, want %dm", p.Name, p.Phase, p.cpuUsageMilli, want)
-		}
-	}
-	for _, tc := range []struct {
-		util float64
-		want int
-	}{{1.7, 1000}, {-0.3, 0}} {
-		c.SetDeploymentUtil("tm", tc.util)
-		for _, m := range c.PodMetrics() {
-			if m.CPUMilli != tc.want {
-				t.Errorf("util %v: %s usage = %dm, want %dm (clamped)", tc.util, m.Pod, m.CPUMilli, tc.want)
-			}
-		}
-	}
 }

@@ -60,11 +60,6 @@ type Config struct {
 	NoiseVar float64
 	// Acquisition selects extended (default) or conventional GP-UCB.
 	Acquisition ucb.Acquisition
-	// HyperoptEvery re-fits each operator's GP kernel hyperparameters by
-	// log-marginal-likelihood grid search every HyperoptEvery observations
-	// (0 disables; the defaults are well-calibrated for the built-in
-	// workloads, so this mainly serves custom capacity scales).
-	HyperoptEvery int
 	// DB, when set, receives one record per operator per slot, and its
 	// history is replayed into the GPs at construction (warm start).
 	DB *store.DB
@@ -84,6 +79,15 @@ const bottleneckTol = 0.1
 // Eq. 8 estimate badly underestimates capacity.
 const minObserveUtil = 0.15
 
+// multiDimRefitEvery is how many observations an operator with ≥2-D
+// candidates (tasks × CPU) takes between re-fits of its GP kernel
+// hyperparameters. Its candidate set is several times larger than the
+// task grid and the prior variance is sized for the largest
+// configurations, so without re-fits the exploration bonus dominates the
+// tracking term for most of a run. The 1-D defaults are well calibrated
+// for the built-in workloads and are never re-fit.
+const multiDimRefitEvery = 6
+
 // explorationScale shrinks the GP-UCB exploration bonus (see
 // ucb.Config.ExplorationScale; 1 is the raw theoretical schedule). The
 // paper's sklearn implementation normalizes targets, which has the same
@@ -99,6 +103,9 @@ type Controller struct {
 	lastTasks []int
 	lastCPU   []int // last observed per-pod CPU (0 = unknown/1-D configs)
 	slot      int
+	// cpuAxis is set when some operator's candidates carry a CPU
+	// dimension; only then does DecideDetailed return CPU allocations.
+	cpuAxis bool
 	// Stale-metric guard: a snapshot whose slot does not advance past the
 	// last decided one is a repeat (metrics staleness) and is skipped
 	// wholesale rather than re-fed into the GPs and dual updates.
@@ -112,7 +119,7 @@ type Controller struct {
 
 // SetTracer installs (or, with nil, removes) the observability tracer,
 // propagating it to every per-operator searcher (labelled by operator
-// name). Each DecideConfigs pass becomes one "decide" span with child
+// name). Each decide pass becomes one "decide" span with child
 // spans for the level-1 step and the budget projection; GP observe/refit
 // and UCB select events nest inside it automatically.
 func (c *Controller) SetTracer(tr *telemetry.Tracer) {
@@ -134,9 +141,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	if cfg.NoiseVar <= 0 {
 		return nil, errors.New("core: NoiseVar must be positive")
-	}
-	if cfg.HyperoptEvery < 0 {
-		return nil, errors.New("core: negative HyperoptEvery")
 	}
 	if cfg.Candidates == nil {
 		grid, err := store.TaskGrid(1, 10)
@@ -173,13 +177,18 @@ func New(cfg Config) (*Controller, error) {
 	}
 	capScale := cfg.YMax // kernel variance in capacity units²
 	for i := 0; i < m; i++ {
+		refitEvery := 0
+		if len(cfg.Candidates[i][0]) > 1 {
+			c.cpuAxis = true
+			refitEvery = multiDimRefitEvery
+		}
 		s, err := ucb.NewSearcher(ucb.Config{
 			NoiseVar:         cfg.NoiseVar,
 			Candidates:       cfg.Candidates[i],
 			Acquisition:      cfg.Acquisition,
 			Kernel:           capacityKernel(cfg.Candidates[i], capScale),
 			ExplorationScale: explorationScale,
-			RefitEvery:       cfg.HyperoptEvery,
+			RefitEvery:       refitEvery,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: operator %d searcher: %w", i, err)
@@ -299,33 +308,23 @@ var errNoSnapshot = errors.New("core: nil snapshot")
 
 // Decide implements Autoscaler: one pass of Algorithm 2.
 func (c *Controller) Decide(snap *monitor.Snapshot) ([]int, error) {
-	tasks, _, err := c.DecideDetailed(snap)
+	tasks, _, _, err := c.DecideDetailed(snap)
 	return tasks, err
 }
 
-// DecideDetailed is Decide plus diagnostics (targets, bottleneck set).
-func (c *Controller) DecideDetailed(snap *monitor.Snapshot) ([]int, *LastTargets, error) {
-	cfgs, diag, err := c.DecideConfigs(snap)
-	if err != nil {
-		return nil, nil, err
-	}
-	tasks := make([]int, len(cfgs))
-	for i, v := range cfgs {
-		tasks[i] = int(math.Round(v[0]))
-	}
-	return tasks, diag, nil
-}
-
-// DecideResources is DecideDetailed for two-dimensional candidate spaces:
-// it additionally returns the per-pod CPU millicores of the selected
-// configurations (0 for operators with 1-D candidates).
-func (c *Controller) DecideResources(snap *monitor.Snapshot) (tasks []int, cpuMilli []int, diag *LastTargets, err error) {
-	cfgs, diag, err := c.DecideConfigs(snap)
+// DecideDetailed is Decide plus the per-pod CPU millicores of the
+// selected configurations and diagnostics (targets, bottleneck set).
+// cpuMilli is nil unless some operator's candidates carry a CPU axis;
+// then it holds 0 for the operators whose candidates do not.
+func (c *Controller) DecideDetailed(snap *monitor.Snapshot) (tasks, cpuMilli []int, diag *LastTargets, err error) {
+	cfgs, diag, err := c.decideConfigs(snap)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	tasks = make([]int, len(cfgs))
-	cpuMilli = make([]int, len(cfgs))
+	if c.cpuAxis {
+		cpuMilli = make([]int, len(cfgs))
+	}
 	for i, v := range cfgs {
 		tasks[i] = int(math.Round(v[0]))
 		if len(v) > 1 {
@@ -335,10 +334,10 @@ func (c *Controller) DecideResources(snap *monitor.Snapshot) (tasks []int, cpuMi
 	return tasks, cpuMilli, diag, nil
 }
 
-// DecideConfigs runs one Algorithm 2 pass and returns the full selected
+// decideConfigs runs one Algorithm 2 pass and returns the full selected
 // configuration vector per operator (first component = task count; extra
 // components, e.g. CPU millicores, preserved from the candidate space).
-func (c *Controller) DecideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTargets, error) {
+func (c *Controller) decideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTargets, error) {
 	if snap == nil {
 		return nil, nil, errNoSnapshot
 	}

@@ -207,7 +207,7 @@ func TestDecideDetailedDiagnostics(t *testing.T) {
 	c := newController(t)
 	rng := stats.NewRNG(5)
 	snap := snapshotAt(0, 100, []int{1, 1}, rng)
-	_, diag, err := c.DecideDetailed(snap)
+	_, _, diag, err := c.DecideDetailed(snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestDecideResources2DConverges(t *testing.T) {
 	// (5, 1000)=425, (3, 2000)=465...
 	for slot := 0; slot < 30; slot++ {
 		snap := snapshot2D(slot, 200, tasks, cpu, rng)
-		nextTasks, nextCPU, diag, err := c.DecideResources(snap)
+		nextTasks, nextCPU, diag, err := c.DecideDetailed(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,18 +76,79 @@ func TestDecideResources2DConverges(t *testing.T) {
 	}
 }
 
-func TestDecideResourcesOneDimensionalGivesZeroCPU(t *testing.T) {
-	c := newController(t) // default 1-D task grid
-	rng := stats.NewRNG(13)
-	snap := snapshotAt(0, 100, []int{1, 1}, rng)
-	_, cpu, _, err := c.DecideResources(snap)
+// TestDecideDetailedCPUAxis: DecideDetailed returns nil CPU on a 1-D task
+// grid, a CPU allocation per operator on the 2-D grid, and 0 for the
+// operators without a CPU axis when only some have one.
+func TestDecideDetailedCPUAxis(t *testing.T) {
+	grid2D, err := store.Grid2D(1, 8, 500, 2000, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range cpu {
-		if v != 0 {
-			t.Errorf("1-D candidates yielded CPU %d for op %d", v, i)
+	grid1D, err := store.TaskGrid(1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		cands   [][][]float64
+		wantCPU []bool // nil: no CPU slice at all
+	}{
+		{"1-D", [][][]float64{grid1D, grid1D}, nil},
+		{"2-D", [][][]float64{grid2D, grid2D}, []bool{true, true}},
+		{"mixed", [][][]float64{grid2D, grid1D}, []bool{true, false}},
+	} {
+		c := newController(t, func(cfg *Config) { cfg.Candidates = tc.cands })
+		snap := snapshot2D(0, 100, []int{1, 1}, []int{1000, 1000}, stats.NewRNG(13))
+		tasks, cpu, _, err := c.DecideDetailed(snap)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(tasks) != 2 {
+			t.Fatalf("%s: tasks = %v", tc.name, tasks)
+		}
+		if tc.wantCPU == nil {
+			if cpu != nil {
+				t.Errorf("%s: CPU = %v, want nil", tc.name, cpu)
+			}
+			continue
+		}
+		if len(cpu) != len(tc.wantCPU) {
+			t.Fatalf("%s: CPU = %v, want one entry per operator", tc.name, cpu)
+		}
+		for i, want := range tc.wantCPU {
+			if got := cpu[i] > 0; got != want {
+				t.Errorf("%s: op %d CPU = %dm, want CPU axis %v", tc.name, i, cpu[i], want)
+			}
+		}
+	}
+}
+
+// TestRefitOnlyWithCPUAxis: an operator whose candidates carry a CPU axis
+// re-fits its GP kernel after multiDimRefitEvery observations; one on the
+// 1-D task grid keeps its prior kernel.
+func TestRefitOnlyWithCPUAxis(t *testing.T) {
+	grid2D, err := store.Grid2D(1, 8, 500, 2000, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid1D, err := store.TaskGrid(1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newController(t, func(cfg *Config) { cfg.Candidates = [][][]float64{grid2D, grid1D} })
+	for n := 1; n <= multiDimRefitEvery; n++ {
+		if err := c.Searcher(0).Observe([]float64{float64(n), 1000}, capCurve2D(n, 1000)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Searcher(1).Observe([]float64{float64(n)}, capCurve2D(n, 1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Searcher(0).Regressor().KernelEpoch() == 0 {
+		t.Error("2-D operator kept its prior kernel")
+	}
+	if got := c.Searcher(1).Regressor().KernelEpoch(); got != 0 {
+		t.Errorf("1-D operator re-fit its kernel (epoch %d)", got)
 	}
 }
 

@@ -22,11 +22,11 @@ func TestTracedDecideAnnotatesSpans(t *testing.T) {
 	var wantY, wantTasks []string
 	for slot := 0; slot < 6; slot++ {
 		snap := snapshotAt(slot, 500, tasks, rng)
-		next, diag, err := traced.DecideDetailed(snap)
+		next, _, diag, err := traced.DecideDetailed(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin, _, err := plain.DecideDetailed(snap)
+		twin, _, _, err := plain.DecideDetailed(snap)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func TestWarmStartSurvivesStoreRoundTrip(t *testing.T) {
 	var targets []float64
 	for _, seedDB := range []*store.DB{db, restored} {
 		c := newController(t, func(cfg *Config) { cfg.DB = seedDB })
-		next, diag, err := c.DecideDetailed(probe)
+		next, _, diag, err := c.DecideDetailed(probe)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -589,6 +589,38 @@ func (g *Graph) Throughput(rates, y []float64) (float64, error) {
 	return rep.Throughput, nil
 }
 
+// CoverDemand is the greedy demand-cover pass: every operator gets the
+// smallest task count n in 1..maxTasks whose capacity capAt(op, n) covers
+// its demand at the source rates, or maxTasks when none does (truncating
+// downstream flow). Demands start from maxTasks everywhere and operators
+// settle in index order, which is topological; flows depend only on
+// upstream capacities, so one pass is exact. It returns the task vector
+// and the capacities at it.
+func (g *Graph) CoverDemand(rates []float64, maxTasks int, capAt func(op, n int) float64) (tasks []int, caps []float64, err error) {
+	m := len(g.operators)
+	tasks = make([]int, m)
+	caps = make([]float64, m)
+	for i := range tasks {
+		tasks[i] = maxTasks
+		caps[i] = capAt(i, maxTasks)
+	}
+	var rep FlowReport
+	for i := range tasks {
+		if err := g.EvaluateInto(&rep, rates, caps); err != nil {
+			return nil, nil, err
+		}
+		chosen := maxTasks
+		for n := 1; n <= maxTasks; n++ {
+			if capAt(i, n) >= rep.Demand[i] {
+				chosen = n
+				break
+			}
+		}
+		tasks[i], caps[i] = chosen, capAt(i, chosen)
+	}
+	return tasks, caps, nil
+}
+
 // Workspace is the reusable scratch of LagrangianGradient and its two
 // halves: the forward sweep's flows and demands plus the per-edge flow
 // adjoints, the gradient and one operator's input-adjoint vector, grown

@@ -509,6 +509,34 @@ func TestSelectivityPanicsOnNegative(t *testing.T) {
 	Selectivity(-1)
 }
 
+// TestCoverDemand: on source → map (×2) → shuffle (×1) → sink at 150
+// tuples/s with 100 tuples/s per task, map and shuffle each need 300, so
+// three tasks; capped at two tasks, map saturates at 200 and shuffle,
+// fed only that, needs two as well.
+func TestCoverDemand(t *testing.T) {
+	g := buildChain(t, 2, 1)
+	linear := func(op, n int) float64 { return 100 * float64(n) }
+	for _, tc := range []struct {
+		maxTasks  int
+		wantTasks []int
+		wantCaps  []float64
+	}{
+		{10, []int{3, 3}, []float64{300, 300}},
+		{2, []int{2, 2}, []float64{200, 200}},
+	} {
+		tasks, caps, err := g.CoverDemand([]float64{150}, tc.maxTasks, linear)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(tasks) != fmt.Sprint(tc.wantTasks) || fmt.Sprint(caps) != fmt.Sprint(tc.wantCaps) {
+			t.Errorf("maxTasks %d: tasks %v caps %v, want %v %v", tc.maxTasks, tasks, caps, tc.wantTasks, tc.wantCaps)
+		}
+	}
+	if _, _, err := g.CoverDemand([]float64{1, 2}, 10, linear); err == nil {
+		t.Error("wrong rate count accepted")
+	}
+}
+
 func TestGraphAccessorsCopy(t *testing.T) {
 	g := buildChain(t, 1, 1)
 	ops := g.Operators()

@@ -94,36 +94,13 @@ func OptimalConfig(spec *workload.Spec, rates []float64, budget int) (*Optimum, 
 	return coordinateAscentOptimum(spec, rates, budget)
 }
 
-// greedyOptimum walks the DAG in topological order giving every operator
-// the smallest parallelism whose capacity covers its demand (or MaxTasks
-// when unreachable, truncating downstream flow).
+// greedyOptimum gives every operator the smallest parallelism whose
+// ground-truth capacity covers its demand (dag.Graph.CoverDemand).
 func greedyOptimum(spec *workload.Spec, rates []float64) (*Optimum, error) {
-	m := spec.Graph.NumOperators()
-	tasks := make([]int, m)
-	caps := make([]float64, m)
-	for i := 0; i < m; i++ {
-		tasks[i] = spec.MaxTasks
-		caps[i] = spec.Models[i].Capacity(spec.MaxTasks)
-	}
-	// Demand with maximal capacity everywhere gives each operator's
-	// requirement; then shrink operators one topological level at a time.
-	// Because flows only depend on upstream capacities, a single pass in
-	// operator (topological) order is exact.
-	for i := 0; i < m; i++ {
-		rep, err := spec.Graph.Evaluate(rates, caps)
-		if err != nil {
-			return nil, err
-		}
-		need := rep.Demand[i]
-		chosen := spec.MaxTasks
-		for n := 1; n <= spec.MaxTasks; n++ {
-			if spec.Models[i].Capacity(n) >= need {
-				chosen = n
-				break
-			}
-		}
-		tasks[i] = chosen
-		caps[i] = spec.Models[i].Capacity(chosen)
+	tasks, caps, err := spec.Graph.CoverDemand(rates, spec.MaxTasks,
+		func(op, n int) float64 { return spec.Models[op].Capacity(n) })
+	if err != nil {
+		return nil, err
 	}
 	th, err := spec.Graph.Throughput(rates, caps)
 	if err != nil {

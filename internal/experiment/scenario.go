@@ -41,8 +41,9 @@ type Scenario struct {
 	// the simulator runs the ground truth.
 	ControllerGraph *dag.Graph
 	// VerticalScaling switches Dragster controllers to the 2-D
-	// configuration space (tasks × per-pod CPU ∈ {500, 1000, 1500, 2000}m)
-	// and makes the runner apply both dimensions via RescaleResources.
+	// configuration space (tasks × per-pod CPU ∈ {500, 1000, 1500, 2000}m);
+	// the candidates' CPU axis alone makes the tenant apply both
+	// dimensions via RescaleResources.
 	// Requires a spec with ResourceAware capacity models (e.g.
 	// workload.WordCount2D); non-Dragster policies ignore the CPU axis.
 	VerticalScaling bool
@@ -133,11 +134,6 @@ func dragsterFactory(method osp.Method, acq ucb.Acquisition) PolicyFactory {
 			if cfg.Candidates, err = resourceCandidates(sc.Spec); err != nil {
 				return nil, err
 			}
-			// The 2-D candidate set is 4× larger and the prior variance is
-			// sized for the largest configurations, so let the GP re-fit
-			// its kernel as data arrives — otherwise the exploration bonus
-			// dominates the tracking term for most of the run.
-			cfg.HyperoptEvery = 6
 		}
 		cfg.Method = method
 		cfg.TaskBudget = sc.TaskBudget
@@ -281,7 +277,6 @@ func NewRunner(sc Scenario, factory PolicyFactory) (*Runner, error) {
 		Horizon:  sc.Slots,
 		Seed:     sc.Seed,
 		Policy:   policy,
-		Vertical: sc.VerticalScaling,
 		Metrics:  sc.metrics,
 		Tracer:   sc.Tracer,
 	}

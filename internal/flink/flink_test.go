@@ -1,17 +1,13 @@
 package flink
 
 import (
-	"encoding/json"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"dragster/internal/cluster"
 	"dragster/internal/dag"
 	"dragster/internal/streamsim"
-	"dragster/internal/telemetry"
 )
 
 func chainGraph(t testing.TB) *dag.Graph {
@@ -105,8 +101,8 @@ func TestSubmitJobCreatesDeployments(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second job rejected: %v", err)
 	}
-	if got := len(s.Jobs()); got != 2 {
-		t.Fatalf("Jobs() = %d jobs, want 2", got)
+	if got := len(s.jobs); got != 2 {
+		t.Fatalf("session hosts %d jobs, want 2", got)
 	}
 	if _, ok := s.jobs["tenant2"]; !ok {
 		t.Error("Job(tenant2) not found")
@@ -290,165 +286,5 @@ func TestRunSlotValidation(t *testing.T) {
 	}
 	if _, err := j.RunSlot(5, func(int) []float64 { return []float64{1, 2} }); err == nil {
 		t.Error("bad rate vector accepted")
-	}
-}
-
-func TestMetricsServerSeesPodUsage(t *testing.T) {
-	s, j := newSessionWithJob(t, 8, []int{2, 2})
-	if _, err := j.RunSlot(30, func(int) []float64 { return []float64{100} }); err != nil {
-		t.Fatal(err)
-	}
-	rows := 0
-	for _, m := range s.k8s.PodMetrics() {
-		if m.Deployment != "tm-wordcount-map" {
-			continue
-		}
-		rows++
-		if m.CPUMilli <= 0 || m.CPUMilli > m.CPULimit {
-			t.Errorf("map pod %s usage = %dm of %dm", m.Pod, m.CPUMilli, m.CPULimit)
-		}
-	}
-	if rows == 0 {
-		t.Fatal("no metrics for map deployment")
-	}
-}
-
-// TestMetricsServerSeesLastTickUsage: a slot whose load drops mid-slot
-// leaves every running pod's PodMetrics row at the utilization of the
-// slot's last tick, replayed here on a twin engine with the same
-// parallelism and CPU.
-func TestMetricsServerSeesLastTickUsage(t *testing.T) {
-	s, j := newSessionWithJob(t, 8, []int{2, 2})
-	const seconds = 30
-	rateAt := func(sec int) []float64 {
-		if sec < 20 {
-			return []float64{120} // the map emits 240 of its 300 tuples/s
-		}
-		return []float64{30}
-	}
-	if _, err := j.RunSlot(seconds, rateAt); err != nil {
-		t.Fatal(err)
-	}
-	twin := newEngine(t, chainGraph(t), 150)
-	if err := twin.SetTasks(j.engine.TasksView()); err != nil {
-		t.Fatal(err)
-	}
-	if err := twin.SetCPU(j.engine.CPUView()); err != nil {
-		t.Fatal(err)
-	}
-	twin.BeginSlot()
-	var first, last []float64
-	for sec := 0; sec < seconds; sec++ {
-		st, err := twin.Tick(rateAt(sec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = last[:0]
-		for _, op := range st.Ops {
-			last = append(last, op.Util)
-		}
-		if sec == 0 {
-			first = append([]float64(nil), last...)
-		}
-	}
-	if first[0] == last[0] || first[1] == last[1] {
-		t.Fatalf("utilization %v did not change over the slot (last tick %v)", first, last)
-	}
-	want := map[string]float64{"tm-wordcount-map": last[0], "tm-wordcount-shuffle": last[1]}
-	rows := 0
-	for _, m := range s.k8s.PodMetrics() {
-		util, ok := want[m.Deployment]
-		if !ok {
-			continue
-		}
-		rows++
-		if usage := min(max(int(util*float64(m.CPULimit)), 0), m.CPULimit); m.CPUMilli != usage {
-			t.Errorf("%s usage = %dm, want the last tick's %dm (util %v)", m.Pod, m.CPUMilli, usage, util)
-		}
-	}
-	if rows != 4 {
-		t.Fatalf("PodMetrics has %d operator pod rows, want 4", rows)
-	}
-}
-
-func TestRESTHandler(t *testing.T) {
-	s, j := newSessionWithJob(t, 8, []int{2, 3})
-	h := NewRESTHandler(s)
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	// Before any slot: 503 on the job endpoint, job listed.
-	resp, err := http.Get(srv.URL + "/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jobs map[string][]string
-	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(jobs["jobs"]) != 1 || jobs["jobs"][0] != "wordcount" {
-		t.Errorf("jobs = %v", jobs)
-	}
-	resp, err = http.Get(srv.URL + "/jobs/wordcount")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("pre-slot status = %d, want 503", resp.StatusCode)
-	}
-
-	if _, err := j.RunSlot(30, func(int) []float64 { return []float64{100} }); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err = http.Get(srv.URL + "/jobs/wordcount")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep SlotReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if rep.Job != "wordcount" || len(rep.Vertices) != 2 {
-		t.Errorf("report = %+v", rep)
-	}
-
-	resp, err = http.Get(srv.URL + "/jobs/wordcount/vertices")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var verts []telemetry.VertexStats
-	if err := json.NewDecoder(resp.Body).Decode(&verts); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(verts) != 2 || verts[0].Name != "map" {
-		t.Errorf("vertices = %+v", verts)
-	}
-
-	// Unknown paths and methods.
-	resp, _ = http.Get(srv.URL + "/jobs/nope")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job status = %d", resp.StatusCode)
-	}
-	resp, _ = http.Get(srv.URL + "/other")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown path status = %d", resp.StatusCode)
-	}
-	resp, _ = http.Get(srv.URL + "/jobs/wordcount/vertices/extra")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("deep path status = %d", resp.StatusCode)
-	}
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/jobs", nil)
-	resp, _ = http.DefaultClient.Do(req)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST status = %d", resp.StatusCode)
 	}
 }

@@ -1,7 +1,8 @@
 // Package flink models the Apache Flink 1.10 session cluster the paper
 // deploys on Kubernetes: a JobManager pod, one TaskManager deployment per
 // operator (each running pod provides one task slot), savepoint-based
-// rescaling with a stop-and-resume pause, and a monitoring REST API.
+// rescaling with a stop-and-resume pause, and a per-slot report of every
+// operator's rates and CPU utilization for the Job Monitor.
 //
 // The actual dataflow dynamics are delegated to a streamsim.Engine; this
 // package owns the orchestration surface Dragster interacts with.
@@ -64,10 +65,9 @@ func StormOptions() Options {
 // plane (internal/fleet) submits several against one shared cluster and
 // cancels them as tenants come and go.
 type SessionCluster struct {
-	k8s      *cluster.Cluster
-	opts     Options
-	jobs     map[string]*Job
-	jobOrder []string // submission order, for deterministic listings
+	k8s  *cluster.Cluster
+	opts Options
+	jobs map[string]*Job
 }
 
 // NewSession creates the session cluster and its JobManager deployment.
@@ -167,19 +167,7 @@ func (s *SessionCluster) SubmitJob(name string, g *dag.Graph, engine *streamsim.
 		return nil, err
 	}
 	s.jobs[name] = j
-	s.jobOrder = append(s.jobOrder, name)
 	return j, nil
-}
-
-// Jobs returns the hosted jobs in submission order.
-func (s *SessionCluster) Jobs() []*Job {
-	out := make([]*Job, 0, len(s.jobOrder))
-	for _, name := range s.jobOrder {
-		if j, ok := s.jobs[name]; ok {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // CancelJob stops a job and deletes its TaskManager deployments, freeing
@@ -196,12 +184,6 @@ func (s *SessionCluster) CancelJob(name string) error {
 		}
 	}
 	delete(s.jobs, name)
-	for i, n := range s.jobOrder {
-		if n == name {
-			s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-			break
-		}
-	}
 	j.tracer.Event("flink", "cancel_job", telemetry.Str("job", name))
 	j.tracer.Metrics().Inc("flink_jobs_cancelled")
 	return nil
@@ -344,9 +326,7 @@ type SlotReport = telemetry.SlotReport
 
 // RunSlot advances the job by `seconds` ticks at the offered rates
 // returned by rateAt (called with the second offset within the slot) and
-// returns the slot report. It also feeds per-pod CPU usage to the
-// Kubernetes metrics server so its PodMetrics rows carry the usage of the
-// slot's last tick.
+// returns the slot report.
 func (j *Job) RunSlot(seconds int, rateAt func(sec int) []float64) (*SlotReport, error) {
 	return j.runSlot(seconds, rateAt, true)
 }
@@ -373,15 +353,14 @@ func (j *Job) runSlot(seconds int, rateAt func(sec int) []float64, tickCluster b
 		telemetry.Int("seconds", seconds))
 	defer sp.End()
 	j.engine.BeginSlot()
-	acc, err := telemetry.NewSlotAccumulator(j.name, j.slot, j.graph.NumOperators(), j.graph.NumSources(), seconds)
+	acc, err := telemetry.NewSlotAccumulator(j.slot, j.graph.NumOperators(), j.graph.NumSources(), seconds)
 	if err != nil {
 		return nil, fmt.Errorf("flink: %w", err)
 	}
 	droppedBefore := j.engine.DroppedTotal()
-	var st streamsim.TickStats
 	for sec := 0; sec < seconds; sec++ {
 		rates := rateAt(sec)
-		st, err = j.engine.Tick(rates)
+		st, err := j.engine.Tick(rates)
 		if err != nil {
 			return nil, err
 		}
@@ -392,14 +371,7 @@ func (j *Job) runSlot(seconds int, rateAt func(sec int) []float64, tickCluster b
 			j.session.k8s.Tick(1)
 		}
 	}
-	// Spread each operator's last-tick utilization uniformly over its
-	// running pods. The metrics server is read between slots, so one write
-	// per slot shows what a write every tick would. st is set: the slot
-	// accumulator rejects slots shorter than one tick.
-	for i, dep := range j.deployments {
-		j.session.k8s.SetDeploymentUtil(dep, st.Ops[i].Util)
-	}
-	rep, err := acc.Finish(j.opNames, j.desired, j.EffectiveParallelism(), j.EffectiveCPUMilli(),
+	rep, err := acc.Finish(j.opNames, j.EffectiveParallelism(), j.EffectiveCPUMilli(),
 		j.engine.DroppedTotal()-droppedBefore, j.session.k8s.Cost())
 	if err != nil {
 		return nil, err

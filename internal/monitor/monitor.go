@@ -1,7 +1,7 @@
 // Package monitor implements the Job Monitor component of Dragster: it
-// collects per-slot metrics from the Flink JobManager (directly or via the
-// monitoring REST API) and the Kubernetes metrics server, and derives the
-// observed service capacity of every operator per Eq. 8 of the paper:
+// reads each slot's report off the substrate job — every operator's
+// rates and mean CPU utilization — and derives the observed service
+// capacity of every operator per Eq. 8 of the paper:
 //
 //	c_i(t) = Σ_{j∈S_i} e_j^i / cpu_i(x_i(t))
 //
@@ -9,10 +9,8 @@
 package monitor
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 
 	"dragster/internal/telemetry"
 )
@@ -43,62 +41,10 @@ type Snapshot struct {
 	Operators   []OperatorMetrics
 }
 
-// Source supplies raw slot reports. flink.Job satisfies the direct case
-// via DirectSource; HTTPSource scrapes the REST API.
-type Source interface {
-	Fetch() (*telemetry.SlotReport, error)
-}
-
-// ReportingJob is any stream-engine runtime exposing its latest slot
-// report (flink.Job).
-type ReportingJob interface {
+// Job is the substrate job the monitor reads: its most recent slot
+// report, or nil before the first slot completes. flink.Job satisfies it.
+type Job interface {
 	LastReport() *telemetry.SlotReport
-}
-
-// DirectSource reads the latest report straight off the job (in-process
-// deployment, the common case in experiments).
-type DirectSource struct {
-	Job ReportingJob
-}
-
-// Fetch implements Source.
-func (d DirectSource) Fetch() (*telemetry.SlotReport, error) {
-	if d.Job == nil {
-		return nil, errors.New("monitor: nil job")
-	}
-	rep := d.Job.LastReport()
-	if rep == nil {
-		return nil, errors.New("monitor: no slot report yet")
-	}
-	return rep, nil
-}
-
-// HTTPSource scrapes the Flink monitoring REST API.
-type HTTPSource struct {
-	BaseURL string // e.g. http://jobmanager:8081
-	JobName string
-	Client  *http.Client // nil → http.DefaultClient
-}
-
-// Fetch implements Source.
-func (h HTTPSource) Fetch() (*telemetry.SlotReport, error) {
-	c := h.Client
-	if c == nil {
-		c = http.DefaultClient
-	}
-	resp, err := c.Get(h.BaseURL + "/jobs/" + h.JobName)
-	if err != nil {
-		return nil, fmt.Errorf("monitor: fetching job report: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("monitor: job report status %d", resp.StatusCode)
-	}
-	var rep telemetry.SlotReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("monitor: decoding job report: %w", err)
-	}
-	return &rep, nil
 }
 
 // Backpressure detection and the Eq. 8 division.
@@ -115,25 +61,25 @@ const (
 )
 
 // ErrNoSample reports that the metrics pipeline has no fresh sample for
-// the current slot — the metrics server is blacked out, or the fetched
+// the current slot — the metrics pipeline is blacked out, or the job's
 // report is a stale repeat of one already collected. Callers must treat
 // it as "no observation this slot" (skip the optimizer round), never as a
 // zero or repeated measurement.
 var ErrNoSample = errors.New("monitor: no fresh sample")
 
-// Interceptor sits between the Source and the Monitor. A chaos engine
-// installs one via SetInterceptor to model metrics-server dropouts
+// Interceptor sits between the job and the Monitor. A chaos engine
+// installs one via SetInterceptor to model metrics dropouts
 // (return an error wrapping ErrNoSample) or staleness (return a previous
-// report); with none installed the fetch path is unchanged.
+// report); with none installed the read path is unchanged.
 type Interceptor interface {
-	// InterceptReport receives the freshly fetched report and returns the
+	// InterceptReport receives the job's latest report and returns the
 	// report the Monitor should see, or an error.
 	InterceptReport(rep *telemetry.SlotReport) (*telemetry.SlotReport, error)
 }
 
 // Monitor converts raw slot reports into snapshots.
 type Monitor struct {
-	src Source
+	job Job
 
 	interceptor Interceptor
 	tracer      *telemetry.Tracer
@@ -145,23 +91,23 @@ type Monitor struct {
 	snapBuf Snapshot
 }
 
-// New returns a Monitor over the given source.
-func New(src Source) (*Monitor, error) {
-	if src == nil {
-		return nil, errors.New("monitor: nil source")
+// New returns a Monitor over the given job.
+func New(job Job) (*Monitor, error) {
+	if job == nil {
+		return nil, errors.New("monitor: nil job")
 	}
-	return &Monitor{src: src}, nil
+	return &Monitor{job: job}, nil
 }
 
-// SetInterceptor installs (or, with nil, removes) the fetch interceptor.
+// SetInterceptor installs (or, with nil, removes) the report interceptor.
 func (m *Monitor) SetInterceptor(ic Interceptor) { m.interceptor = ic }
 
 // SetTracer installs (or, with nil, removes) the observability tracer.
 // Each Collect emits one "collect" event recording its outcome: "fresh",
-// "stale", or "error" (fetch or interceptor failure).
+// "stale", or "error" (no report yet, or an interceptor failure).
 func (m *Monitor) SetTracer(tr *telemetry.Tracer) { m.tracer = tr }
 
-// Collect fetches the latest slot report and derives operator metrics.
+// Collect reads the job's latest slot report and derives operator metrics.
 // A report whose slot does not advance past the last collected one is a
 // stale repeat — the job produced no new data since the previous Collect —
 // and yields an error wrapping ErrNoSample instead of silently re-serving
@@ -169,15 +115,16 @@ func (m *Monitor) SetTracer(tr *telemetry.Tracer) { m.tracer = tr }
 //
 // The returned snapshot aliases monitor-owned storage that is overwritten
 // by the next successful Collect — the same read-only borrowing contract
-// as streamsim's TickStats.Ops and cluster's PodMetrics. Callers that
-// keep it past the next Collect must copy it first.
+// as streamsim's TickStats.Ops. Callers that keep it past the next
+// Collect must copy it first.
 func (m *Monitor) Collect() (*Snapshot, error) {
-	rep, err := m.src.Fetch()
-	if err != nil {
+	rep := m.job.LastReport()
+	if rep == nil {
 		m.tracer.Event("monitor", "collect", telemetry.Str("outcome", "error"))
 		m.tracer.Metrics().Inc("monitor_collect_errors")
-		return nil, err
+		return nil, errors.New("monitor: no slot report yet")
 	}
+	var err error
 	if m.interceptor != nil {
 		rep, err = m.interceptor.InterceptReport(rep)
 		if err != nil {

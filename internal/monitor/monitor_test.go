@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"math"
-	"net/http/httptest"
 	"testing"
 
 	"dragster/internal/cluster"
@@ -50,17 +49,24 @@ func buildJob(t testing.TB, perTask float64, initial []int) (*flink.SessionClust
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil); err == nil {
-		t.Error("nil source accepted")
+		t.Error("nil job accepted")
 	}
 }
 
-func TestDirectSourceErrors(t *testing.T) {
-	if _, err := (DirectSource{}).Fetch(); err == nil {
-		t.Error("nil job accepted")
-	}
+func TestCollectBeforeFirstSlotFails(t *testing.T) {
 	_, j := buildJob(t, 150, []int{1, 1})
-	if _, err := (DirectSource{Job: j}).Fetch(); err == nil {
-		t.Error("pre-slot fetch succeeded")
+	m, err := New(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Collect(); err == nil {
+		t.Error("pre-slot collect succeeded")
+	}
+	if _, err := j.RunSlot(30, func(int) []float64 { return []float64{100} }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Collect(); err != nil {
+		t.Errorf("collect after the first slot: %v", err)
 	}
 }
 
@@ -69,7 +75,7 @@ func TestCollectCapacityEstimate(t *testing.T) {
 	if _, err := j.RunSlot(60, func(int) []float64 { return []float64{100} }); err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(DirectSource{Job: j})
+	m, err := New(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +110,7 @@ func TestCollectBackpressureSignal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := New(DirectSource{Job: j})
+	m, err := New(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +130,7 @@ func TestMinUtilFloorsCapacityEstimate(t *testing.T) {
 	if _, err := j.RunSlot(30, func(int) []float64 { return []float64{1} }); err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(DirectSource{Job: j})
+	m, err := New(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,43 +145,5 @@ func TestMinUtilFloorsCapacityEstimate(t *testing.T) {
 	}
 	if want := op.OutRate / minUtil; op.CapacityObs != want || want > 45 {
 		t.Errorf("capacity estimate %v not floored at OutRate/minUtil = %v", op.CapacityObs, want)
-	}
-}
-
-func TestHTTPSource(t *testing.T) {
-	s, j := buildJob(t, 150, []int{2, 2})
-	if _, err := j.RunSlot(30, func(int) []float64 { return []float64{100} }); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(flink.NewRESTHandler(s))
-	defer srv.Close()
-
-	m, err := New(HTTPSource{BaseURL: srv.URL, JobName: "wc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := m.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Operators) != 2 || snap.Operators[1].Name != "shuffle" {
-		t.Errorf("HTTP snapshot operators = %+v", snap.Operators)
-	}
-
-	// Unknown job → error surfaced.
-	bad, err := New(HTTPSource{BaseURL: srv.URL, JobName: "missing"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bad.Collect(); err == nil {
-		t.Error("missing job fetch succeeded")
-	}
-	// Unreachable server → transport error surfaced.
-	gone, err := New(HTTPSource{BaseURL: "http://127.0.0.1:1", JobName: "wc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gone.Collect(); err == nil {
-		t.Error("unreachable server fetch succeeded")
 	}
 }

@@ -7,15 +7,10 @@ import (
 	"dragster/internal/telemetry"
 )
 
-// fakeSource serves whatever report it currently holds.
-type fakeSource struct{ rep *telemetry.SlotReport }
+// fakeJob serves whatever report it currently holds.
+type fakeJob struct{ rep *telemetry.SlotReport }
 
-func (f *fakeSource) Fetch() (*telemetry.SlotReport, error) {
-	if f.rep == nil {
-		return nil, errors.New("fake: no report")
-	}
-	return f.rep, nil
-}
+func (f *fakeJob) LastReport() *telemetry.SlotReport { return f.rep }
 
 func report(slot int) *telemetry.SlotReport {
 	return &telemetry.SlotReport{
@@ -29,11 +24,11 @@ func report(slot int) *telemetry.SlotReport {
 }
 
 // TestCollectRejectsStaleRepeat is the regression test for the silent
-// re-serve bug: a source that keeps returning the slot-N report must not
+// re-serve bug: a job that keeps returning the slot-N report must not
 // yield a second snapshot for slot N.
 func TestCollectRejectsStaleRepeat(t *testing.T) {
-	src := &fakeSource{rep: report(0)}
-	m, err := New(src)
+	job := &fakeJob{rep: report(0)}
+	m, err := New(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +39,7 @@ func TestCollectRejectsStaleRepeat(t *testing.T) {
 		t.Fatalf("stale repeat yielded err = %v, want ErrNoSample", err)
 	}
 	// A fresh slot unblocks collection.
-	src.rep = report(1)
+	job.rep = report(1)
 	snap, err := m.Collect()
 	if err != nil {
 		t.Fatalf("fresh report rejected: %v", err)
@@ -53,7 +48,7 @@ func TestCollectRejectsStaleRepeat(t *testing.T) {
 		t.Errorf("snapshot slot = %d, want 1", snap.Slot)
 	}
 	// An older slot than the last collected one is also stale.
-	src.rep = report(0)
+	job.rep = report(0)
 	if _, err := m.Collect(); !errors.Is(err, ErrNoSample) {
 		t.Errorf("regressed slot accepted: %v", err)
 	}
@@ -67,7 +62,7 @@ func (f funcInterceptor) InterceptReport(rep *telemetry.SlotReport) (*telemetry.
 }
 
 func TestInterceptorErrorPropagates(t *testing.T) {
-	m, err := New(&fakeSource{rep: report(0)})
+	m, err := New(&fakeJob{rep: report(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +76,7 @@ func TestInterceptorErrorPropagates(t *testing.T) {
 }
 
 func TestInterceptorNilReportBecomesNoSample(t *testing.T) {
-	m, err := New(&fakeSource{rep: report(0)})
+	m, err := New(&fakeJob{rep: report(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +89,7 @@ func TestInterceptorNilReportBecomesNoSample(t *testing.T) {
 }
 
 func TestInterceptorCanSubstituteReport(t *testing.T) {
-	m, err := New(&fakeSource{rep: report(3)})
+	m, err := New(&fakeJob{rep: report(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +107,8 @@ func TestInterceptorCanSubstituteReport(t *testing.T) {
 }
 
 func TestSetInterceptorNilRestoresCleanPath(t *testing.T) {
-	src := &fakeSource{rep: report(0)}
-	m, err := New(src)
+	job := &fakeJob{rep: report(0)}
+	m, err := New(job)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@
 // Per-operator capacity curves are fitted with the existing GP engine
 // (internal/gp, one-dimensional task-count inputs, LML-optimized SE
 // kernel), and the plan is synthesized by the same greedy topological
-// pass the ground-truth optimum uses (experiment.OptimalConfig) — except
+// pass the ground-truth optimum uses (dag.Graph.CoverDemand) — except
 // demands are covered by the GP lower confidence bound rather than the
 // hidden truth, so the plan is conservative exactly where the data is
 // thin.
@@ -156,7 +156,10 @@ func Build(cfg Config) (*Plan, error) {
 		}
 	}
 
-	tasks, caps, err := synthesize(&cfg, lcb)
+	// The greedy demand cover of the ground-truth optimum search, with
+	// the fitted lower confidence bound in place of the hidden curve.
+	tasks, caps, err := spec.Graph.CoverDemand(cfg.TargetRates, spec.MaxTasks,
+		func(op, n int) float64 { return lcb[op][n-1] })
 	if err != nil {
 		return nil, err
 	}
@@ -243,36 +246,4 @@ func fitCurves(cfg *Config, probes []Probe) ([]*gp.Regressor, error) {
 		}
 	}
 	return regs, nil
-}
-
-// synthesize mirrors the greedy topological pass of the ground-truth
-// optimum search, covering each operator's demand with the fitted lower
-// confidence bound instead of the hidden capacity curve. Flows depend
-// only on upstream capacities, so one pass in operator order is exact.
-func synthesize(cfg *Config, lcb [][]float64) (tasks []int, caps []float64, err error) {
-	spec := cfg.Spec
-	m := spec.Graph.NumOperators()
-	tasks = make([]int, m)
-	caps = make([]float64, m)
-	for i := 0; i < m; i++ {
-		tasks[i] = spec.MaxTasks
-		caps[i] = lcb[i][spec.MaxTasks-1]
-	}
-	for i := 0; i < m; i++ {
-		rep, err := spec.Graph.Evaluate(cfg.TargetRates, caps)
-		if err != nil {
-			return nil, nil, err
-		}
-		need := rep.Demand[i]
-		chosen := spec.MaxTasks
-		for n := 1; n <= spec.MaxTasks; n++ {
-			if lcb[i][n-1] >= need {
-				chosen = n
-				break
-			}
-		}
-		tasks[i] = chosen
-		caps[i] = lcb[i][chosen-1]
-	}
-	return tasks, caps, nil
 }

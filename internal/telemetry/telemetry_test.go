@@ -12,16 +12,16 @@ func tick(sink float64, paused bool, ops ...streamsim.OpTick) streamsim.TickStat
 }
 
 func TestNewSlotAccumulatorValidation(t *testing.T) {
-	if _, err := NewSlotAccumulator("j", 0, 1, 1, 0); err == nil {
+	if _, err := NewSlotAccumulator(0, 1, 1, 0); err == nil {
 		t.Error("zero seconds accepted")
 	}
-	if _, err := NewSlotAccumulator("j", 0, -1, 1, 5); err == nil {
+	if _, err := NewSlotAccumulator(0, -1, 1, 5); err == nil {
 		t.Error("negative ops accepted")
 	}
 }
 
 func TestAccumulatorAverages(t *testing.T) {
-	acc, err := NewSlotAccumulator("job", 3, 1, 1, 4)
+	acc, err := NewSlotAccumulator(3, 1, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +38,11 @@ func TestAccumulatorAverages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := acc.Finish([]string{"op"}, []int{3}, []int{3}, []int{1000}, 7, 1.5)
+	rep, err := acc.Finish([]string{"op"}, []int{3}, []int{1000}, 7, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Job != "job" || rep.Slot != 3 || rep.Seconds != 4 {
+	if rep.Slot != 3 {
 		t.Errorf("header: %+v", rep)
 	}
 	if rep.PausedSeconds != 1 {
@@ -73,16 +73,16 @@ func TestAccumulatorAverages(t *testing.T) {
 	if v.Backlog != 5 { // last tick
 		t.Errorf("Backlog = %v", v.Backlog)
 	}
-	if rep.AvgLatencySec != 0.5 || rep.MaxLatencySec != 2 {
-		t.Errorf("latency: avg %v max %v", rep.AvgLatencySec, rep.MaxLatencySec)
+	if rep.AvgLatencySec != 0.5 {
+		t.Errorf("AvgLatencySec = %v", rep.AvgLatencySec)
 	}
-	if v.DesiredTasks != 3 || v.RunningTasks != 3 || v.CPUMilli != 1000 {
+	if v.RunningTasks != 3 || v.CPUMilli != 1000 {
 		t.Errorf("metadata: %+v", v)
 	}
 }
 
 func TestAccumulatorErrors(t *testing.T) {
-	acc, err := NewSlotAccumulator("j", 0, 1, 1, 2)
+	acc, err := NewSlotAccumulator(0, 1, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,16 +96,16 @@ func TestAccumulatorErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Finishing before all ticks ran is rejected.
-	if _, err := acc.Finish([]string{"op"}, []int{1}, []int{1}, []int{1000}, 0, 0); err == nil {
+	if _, err := acc.Finish([]string{"op"}, []int{1}, []int{1000}, 0, 0); err == nil {
 		t.Error("early finish accepted")
 	}
 	if err := acc.Tick([]float64{1}, tick(0, false, streamsim.OpTick{})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := acc.Finish([]string{"op", "extra"}, []int{1}, []int{1}, []int{1000}, 0, 0); err == nil {
+	if _, err := acc.Finish([]string{"op", "extra"}, []int{1}, []int{1000}, 0, 0); err == nil {
 		t.Error("metadata mismatch accepted")
 	}
-	if _, err := acc.Finish([]string{"op"}, []int{1}, []int{1}, []int{1000}, 0, 0); err != nil {
+	if _, err := acc.Finish([]string{"op"}, []int{1}, []int{1000}, 0, 0); err != nil {
 		t.Errorf("valid finish rejected: %v", err)
 	}
 }

@@ -48,11 +48,9 @@ type Config struct {
 	// Session is the substrate the job is submitted to (a Flink session,
 	// or a Storm cluster built from flink.StormOptions).
 	Session *flink.SessionCluster
-	// Policy decides each slot's configuration.
+	// Policy decides each slot's configuration. A Dragster controller
+	// whose candidates carry a CPU axis picks per-pod CPU as well.
 	Policy core.Autoscaler
-	// Vertical makes a Dragster controller pick per-pod CPU as well as
-	// task counts (core.Controller.DecideResources).
-	Vertical bool
 	// Metrics receives the rescale retrier's counters.
 	Metrics *telemetry.Registry
 	// Tracer, when set, is installed on the job, monitor and controller.
@@ -69,14 +67,13 @@ type Usage struct {
 
 // Tenant is one job with its policy; see the package comment.
 type Tenant struct {
-	spec     *workload.Spec
-	rateFn   workload.RateFunc
-	job      *flink.Job
-	mon      *monitor.Monitor
-	policy   core.Autoscaler
-	ctrl     *core.Controller // nil for baseline policies
-	retrier  *core.RescaleRetrier
-	vertical bool
+	spec    *workload.Spec
+	rateFn  workload.RateFunc
+	job     *flink.Job
+	mon     *monitor.Monitor
+	policy  core.Autoscaler
+	ctrl    *core.Controller // nil for baseline policies
+	retrier *core.RescaleRetrier
 
 	slot   int
 	rateAt func(sec int) []float64 // reads slot; built once
@@ -117,12 +114,12 @@ func New(cfg Config) (*Tenant, error) {
 			initial[i] = 1
 		}
 	}
-	t := &Tenant{spec: spec, rateFn: cfg.Rates, policy: cfg.Policy, vertical: cfg.Vertical}
+	t := &Tenant{spec: spec, rateFn: cfg.Rates, policy: cfg.Policy}
 	if t.job, err = cfg.Session.SubmitJob(cfg.Name, spec.Graph, engine, initial); err != nil {
 		return nil, err
 	}
 	t.job.SetTracer(cfg.Tracer)
-	if t.mon, err = monitor.New(monitor.DirectSource{Job: t.job}); err != nil {
+	if t.mon, err = monitor.New(t.job); err != nil {
 		return nil, err
 	}
 	t.mon.SetTracer(cfg.Tracer)
@@ -265,9 +262,9 @@ func (t *Tenant) Collect() (bool, error) {
 // Snapshot returns the last collected snapshot, or nil on a skipped round.
 func (t *Tenant) Snapshot() *monitor.Snapshot { return t.snap }
 
-// Decide runs the policy on the collected snapshot: DecideResources for a
-// vertically scaling Dragster controller, DecideDetailed for any other,
-// Decide for baseline policies. It does nothing on a skipped round.
+// Decide runs the policy on the collected snapshot: DecideDetailed for a
+// Dragster controller, Decide for baseline policies. It does nothing on a
+// skipped round.
 func (t *Tenant) Decide() error {
 	if t.snap == nil {
 		return nil
@@ -275,12 +272,9 @@ func (t *Tenant) Decide() error {
 	var diag *core.LastTargets
 	var err error
 	t.desiredCPU, t.targetY = nil, nil
-	switch {
-	case t.ctrl != nil && t.vertical:
-		t.desired, t.desiredCPU, diag, err = t.ctrl.DecideResources(t.snap)
-	case t.ctrl != nil:
-		t.desired, diag, err = t.ctrl.DecideDetailed(t.snap)
-	default:
+	if t.ctrl != nil {
+		t.desired, t.desiredCPU, diag, err = t.ctrl.DecideDetailed(t.snap)
+	} else {
 		t.desired, err = t.policy.Decide(t.snap)
 	}
 	if err != nil {

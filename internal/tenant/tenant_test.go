@@ -26,7 +26,7 @@ type rig struct {
 	chaos *chaos.Engine
 }
 
-func newRig(t *testing.T, spec *workload.Spec, policy core.Autoscaler, vertical bool, faults *chaos.Spec) *rig {
+func newRig(t *testing.T, spec *workload.Spec, policy core.Autoscaler, faults *chaos.Spec) *rig {
 	t.Helper()
 	k8s := cluster.New()
 	if err := k8s.AddNodes("node", 8, cluster.ResourceSpec{CPUMilli: 4000, MemoryMB: 8192}); err != nil {
@@ -49,7 +49,6 @@ func newRig(t *testing.T, spec *workload.Spec, policy core.Autoscaler, vertical 
 		Seed:     3,
 		Session:  session,
 		Policy:   policy,
-		Vertical: vertical,
 		Metrics:  reg,
 	})
 	if err != nil {
@@ -138,7 +137,7 @@ func TestNewValidates(t *testing.T) {
 func TestBaselineDecidePath(t *testing.T) {
 	spec := mustSpec(t, workload.WordCount)
 	policy := &scripted{plan: [][]int{{3, 2}}}
-	r := newRig(t, spec, policy, false, nil)
+	r := newRig(t, spec, policy, nil)
 	if !r.round(t) {
 		t.Fatal("first round skipped")
 	}
@@ -162,7 +161,7 @@ func TestBaselineDecidePath(t *testing.T) {
 func TestSkippedRoundKeepsConfiguration(t *testing.T) {
 	spec := mustSpec(t, workload.WordCount)
 	policy := &scripted{plan: [][]int{{2, 2}, {4, 4}}}
-	r := newRig(t, spec, policy, false, chaos.NewSpec("dark").BlackoutMetrics(1, 1))
+	r := newRig(t, spec, policy, chaos.NewSpec("dark").BlackoutMetrics(1, 1))
 	if !r.round(t) {
 		t.Fatal("round 0 skipped")
 	}
@@ -200,7 +199,7 @@ func TestVerticalDecidePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newRig(t, spec, ctrl, true, nil)
+	r := newRig(t, spec, ctrl, nil)
 	if !r.round(t) {
 		t.Fatal("first round skipped")
 	}
@@ -218,13 +217,39 @@ func TestVerticalDecidePath(t *testing.T) {
 	}
 }
 
+// TestOneDimensionalDecidePath is TestVerticalDecidePath's 1-D twin: a
+// Dragster controller over the task grid hands the retrier nil CPU, so
+// Apply rescales tasks and leaves every pod at its 1-CPU template.
+func TestOneDimensionalDecidePath(t *testing.T) {
+	spec := mustSpec(t, workload.WordCount)
+	ctrl, err := core.New(ControllerConfig(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRig(t, spec, ctrl, nil)
+	if !r.round(t) {
+		t.Fatal("first round skipped")
+	}
+	if r.t.desiredCPU != nil {
+		t.Fatalf("1-D decision carries CPU %v, want nil", r.t.desiredCPU)
+	}
+	if got := r.t.Flink().Parallelism(); !reflect.DeepEqual(got, r.t.Desired()) {
+		t.Errorf("parallelism after apply = %v, want %v", got, r.t.Desired())
+	}
+	for i, cpu := range r.t.Flink().EffectiveCPUMilli() {
+		if want := flink.TaskManagerSpec().CPUMilli; cpu != want {
+			t.Errorf("op %d per-pod CPU = %dm, want the %dm template", i, cpu, want)
+		}
+	}
+}
+
 // TestRetrierAbsorbsInjectedFaults fails the first savepoint: Apply
 // absorbs the injected error and counts it, while a non-injected rescale
 // error still surfaces.
 func TestRetrierAbsorbsInjectedFaults(t *testing.T) {
 	spec := mustSpec(t, workload.WordCount)
 	policy := &scripted{plan: [][]int{{3, 3}}}
-	r := newRig(t, spec, policy, false, chaos.NewSpec("sp").FailSavepoints(0, 1))
+	r := newRig(t, spec, policy, chaos.NewSpec("sp").FailSavepoints(0, 1))
 	r.round(t)
 	if got := r.reg.CounterValue("rescale_failures"); got != 1 {
 		t.Errorf("rescale_failures = %d, want 1", got)
@@ -241,7 +266,7 @@ func TestRetrierAbsorbsInjectedFaults(t *testing.T) {
 		t.Errorf("retried rescale left %v, want [3 3]", got)
 	}
 
-	bad := newRig(t, spec, &scripted{plan: [][]int{{1, 1, 1}}}, false, nil)
+	bad := newRig(t, spec, &scripted{plan: [][]int{{1, 1, 1}}}, nil)
 	if _, err := bad.t.RunSlot(slotSeconds, true); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +286,7 @@ func TestRetrierAbsorbsInjectedFaults(t *testing.T) {
 // nothing beyond the allocation vectors the substrate hands back.
 func TestAccountMatchesThroughput(t *testing.T) {
 	spec := mustSpec(t, workload.WordCount)
-	r := newRig(t, spec, &scripted{plan: [][]int{{4, 3}}}, false, nil)
+	r := newRig(t, spec, &scripted{plan: [][]int{{4, 3}}}, nil)
 	for i := 0; i < 3; i++ {
 		r.round(t)
 		use, err := r.t.Account()
