@@ -61,6 +61,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzFleetEvent -fuzztime 3s ./internal/fleet/event
 	$(GO) test -run NONE -fuzz FuzzLoadTraceCSV -fuzztime 3s ./internal/workload
 	$(GO) test -run NONE -fuzz FuzzSubmitJob -fuzztime 3s ./internal/daemon
+	$(GO) test -run NONE -fuzz FuzzResumeCheckpoint -fuzztime 3s ./internal/daemon
 	$(GO) test -run NONE -fuzz FuzzReadJSONL -fuzztime 3s ./internal/telemetry
 
 # Everything: the GP-stack micro-benchmarks, the end-to-end harness

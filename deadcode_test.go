@@ -73,7 +73,6 @@ var deadExportKeep = map[string]string{
 
 	// Features with no caller yet.
 	"dragster/internal/daemon.ResumeFleet": "consumes GET /fleet/checkpoint for failover",
-	"dragster/internal/fleet.ResumeReader": "reads a GET /fleet/checkpoint stream for failover",
 }
 
 // callerOnly names the directories whose code counts as a caller but

@@ -155,6 +155,20 @@ func New(cfg Config) (*Controller, error) {
 	if len(cfg.Candidates) != m {
 		return nil, fmt.Errorf("core: got candidate lists for %d operators, want %d", len(cfg.Candidates), m)
 	}
+	for i, cands := range cfg.Candidates {
+		name := cfg.Graph.OperatorName(i)
+		if len(cands) == 0 {
+			return nil, fmt.Errorf("core: operator %s has no candidates", name)
+		}
+		for _, c := range cands {
+			if len(c) == 0 {
+				return nil, fmt.Errorf("core: operator %s has an empty candidate", name)
+			}
+			if len(c) != len(cands[0]) {
+				return nil, fmt.Errorf("core: operator %s mixes %d- and %d-dimensional candidates", name, len(cands[0]), len(c))
+			}
+		}
+	}
 	if cfg.TaskBudget < 0 {
 		return nil, errors.New("core: negative TaskBudget")
 	}

@@ -84,6 +84,9 @@ func TestNewValidation(t *testing.T) {
 		{"inf ymax", func(c *Config) { c.YMax = math.Inf(1) }},
 		{"zero noise", func(c *Config) { c.NoiseVar = 0 }},
 		{"wrong candidates", func(c *Config) { c.Candidates = [][][]float64{{{1}}} }},
+		{"empty candidate lists", func(c *Config) { c.Candidates = [][][]float64{{}, {}} }},
+		{"empty candidate", func(c *Config) { c.Candidates = [][][]float64{{{1}}, {{}}} }},
+		{"mixed dimensions", func(c *Config) { c.Candidates = [][][]float64{{{1}, {2, 500}}, {{1}}} }},
 		{"negative budget", func(c *Config) { c.TaskBudget = -1 }},
 		{"tiny budget", func(c *Config) { c.TaskBudget = 1 }},
 	}

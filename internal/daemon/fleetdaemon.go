@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"dragster/internal/fleet"
-	"dragster/internal/store"
 	"dragster/internal/telemetry"
 	"dragster/internal/workload"
 )
@@ -64,13 +63,21 @@ func NewFleet(cfg FleetConfig) (*FleetDaemon, error) {
 	return &FleetDaemon{cfg: cfg, m: m}, nil
 }
 
-// submitsSection names the daemon's extra checkpoint section.
-const submitsSection = "daemon_submits"
+// checkpointFile is the GET /fleet/checkpoint document: the fleet
+// checkpoint with the daemon's submission record beside its sections.
+type checkpointFile struct {
+	Kind     string `json:"kind"`
+	Version  int    `json:"version"`
+	Sections struct {
+		fleet.Sections
+		Submits []SubmitRequest `json:"daemon_submits"`
+	} `json:"sections"`
+}
 
 // WriteCheckpoint snapshots the fleet plus the daemon's dynamic
-// submission record into one envelope (GET /fleet/checkpoint). The
-// envelope is built under the lock and written after releasing it, so a
-// slow reader never stalls the round loop or the other endpoints.
+// submission record into one document (GET /fleet/checkpoint). The
+// document is encoded under the lock and written after releasing it, so
+// a slow reader never stalls the round loop or the other endpoints.
 func (d *FleetDaemon) WriteCheckpoint(w io.Writer) error {
 	b, err := d.checkpoint()
 	if err != nil {
@@ -83,19 +90,14 @@ func (d *FleetDaemon) WriteCheckpoint(w io.Writer) error {
 func (d *FleetDaemon) checkpoint() ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ck, err := d.m.BuildCheckpoint()
-	if err != nil {
-		return nil, err
-	}
-	submits := d.submits
-	if submits == nil {
-		submits = []SubmitRequest{}
-	}
-	if err := ck.Put(submitsSection, submits); err != nil {
-		return nil, err
-	}
+	ck := d.m.BuildCheckpoint()
+	f := checkpointFile{Kind: ck.Kind, Version: ck.Version}
+	f.Sections.Sections = ck.Sections
+	f.Sections.Submits = d.submits
 	var buf bytes.Buffer
-	if err := ck.Snapshot(&buf); err != nil {
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(f); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -109,16 +111,11 @@ func ResumeFleet(cfg FleetConfig, r io.Reader) (*FleetDaemon, error) {
 	if cfg.SlotWallInterval < 0 {
 		return nil, errors.New("daemon: negative wall interval")
 	}
-	ck, err := store.RestoreCheckpoint(r, fleet.CheckpointKind)
-	if err != nil {
-		return nil, err
+	var f checkpointFile
+	if err := json.NewDecoder(r).Decode(&f); err != nil {
+		return nil, fmt.Errorf("daemon: reading checkpoint: %w", err)
 	}
-	var submits []SubmitRequest
-	if ck.Has(submitsSection) {
-		if err := ck.Get(submitsSection, &submits); err != nil {
-			return nil, err
-		}
-	}
+	submits := f.Sections.Submits
 	specs := make(map[string]fleet.JobSpec, len(submits))
 	for i := range submits {
 		spec, err := submits[i].ToSpec()
@@ -127,7 +124,7 @@ func ResumeFleet(cfg FleetConfig, r io.Reader) (*FleetDaemon, error) {
 		}
 		specs[spec.Name] = spec
 	}
-	m, err := fleet.Resume(cfg.Fleet, ck, specs)
+	m, err := fleet.Resume(cfg.Fleet, &fleet.Checkpoint{Kind: f.Kind, Version: f.Version, Sections: f.Sections.Sections}, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -79,10 +79,6 @@ func FleetScale(cfg FleetScaleConfig) (*FleetScaleResult, error) {
 		Seed:            cfg.Seed,
 		TotalTaskBudget: 4 * cfg.Jobs,
 		MaxQueue:        cfg.Jobs,
-		// All tenants share one workload kind; cross-job warm start would
-		// be O(jobs × history) archive replay at admission and is not what
-		// this scenario measures.
-		DisableWarmStart: true,
 	})
 	if err != nil {
 		return nil, err

@@ -71,8 +71,9 @@ func ThroughputGrid(spec *workload.Spec, rates []float64) ([][]float64, error) {
 // Without a budget the search is a greedy topological pass (exact for the
 // monotone tree-shaped workloads in the suite: each operator takes the
 // smallest parallelism covering its demand). With a budget it is an
-// exhaustive grid search up to 3 operators and coordinate ascent from the
-// greedy point beyond that.
+// exhaustive grid search, refused when the grid has more than
+// maxBudgetedGrid cells (every built-in workload fits: Yahoo's six
+// operators at 10 tasks each make exactly 10⁶).
 func OptimalConfig(spec *workload.Spec, rates []float64, budget int) (*Optimum, error) {
 	m := spec.Graph.NumOperators()
 	if len(rates) != spec.Graph.NumSources() {
@@ -88,11 +89,15 @@ func OptimalConfig(spec *workload.Spec, rates []float64, budget int) (*Optimum, 
 	if budget == 0 {
 		return greedyOptimum(spec, rates)
 	}
-	if math.Pow(float64(spec.MaxTasks), float64(m)) <= 1e6 {
-		return exhaustiveOptimum(spec, rates, budget)
+	if cells := math.Pow(float64(spec.MaxTasks), float64(m)); cells > maxBudgetedGrid {
+		return nil, fmt.Errorf("experiment: budgeted search over %d operators × %d tasks is %.3g cells, over the %g limit",
+			m, spec.MaxTasks, cells, float64(maxBudgetedGrid))
 	}
-	return coordinateAscentOptimum(spec, rates, budget)
+	return exhaustiveOptimum(spec, rates, budget)
 }
+
+// maxBudgetedGrid bounds the grid a budgeted OptimalConfig enumerates.
+const maxBudgetedGrid = 1e6
 
 // greedyOptimum gives every operator the smallest parallelism whose
 // ground-truth capacity covers its demand (dag.Graph.CoverDemand).
@@ -149,73 +154,4 @@ func exhaustiveOptimum(spec *workload.Spec, rates []float64, budget int) (*Optim
 		return nil, errors.New("experiment: no feasible configuration")
 	}
 	return best, nil
-}
-
-// coordinateAscentOptimum starts from the budget-projected greedy solution
-// and locally moves single tasks between operators while throughput
-// improves. Heuristic, used only for >3-operator budgeted searches (not
-// needed by any paper experiment, which budget only WordCount).
-func coordinateAscentOptimum(spec *workload.Spec, rates []float64, budget int) (*Optimum, error) {
-	g, err := greedyOptimum(spec, rates)
-	if err != nil {
-		return nil, err
-	}
-	m := len(g.Tasks)
-	tasks := append([]int(nil), g.Tasks...)
-	// Project onto the budget by trimming the largest allocations first.
-	for mathx.SumInts(tasks) > budget {
-		maxI := 0
-		for i := 1; i < m; i++ {
-			if tasks[i] > tasks[maxI] {
-				maxI = i
-			}
-		}
-		if tasks[maxI] == 1 {
-			return nil, errors.New("experiment: budget infeasible")
-		}
-		tasks[maxI]--
-	}
-	cur, err := SteadyThroughput(spec, rates, tasks)
-	if err != nil {
-		return nil, err
-	}
-	improved := true
-	for improved {
-		improved = false
-		for from := 0; from < m; from++ {
-			for to := 0; to < m; to++ {
-				if from == to || tasks[from] <= 1 || tasks[to] >= spec.MaxTasks {
-					continue
-				}
-				tasks[from]--
-				tasks[to]++
-				th, err := SteadyThroughput(spec, rates, tasks)
-				if err != nil {
-					return nil, err
-				}
-				if th > cur+1e-9 {
-					cur = th
-					improved = true
-				} else {
-					tasks[from]++
-					tasks[to]--
-				}
-			}
-		}
-		// Also try freeing unused tasks (economy tie-break).
-		for i := 0; i < m; i++ {
-			for tasks[i] > 1 {
-				tasks[i]--
-				th, err := SteadyThroughput(spec, rates, tasks)
-				if err != nil {
-					return nil, err
-				}
-				if th < cur-1e-9 {
-					tasks[i]++
-					break
-				}
-			}
-		}
-	}
-	return &Optimum{Tasks: tasks, Throughput: cur, TotalTasks: mathx.SumInts(tasks)}, nil
 }

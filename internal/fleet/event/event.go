@@ -1,9 +1,9 @@
 // Package event is the fleet control plane's message core: typed
 // control events with deterministic sequence numbers, a canonical binary
 // codec and an append-only Log (the replayable event trace). Externally
-// injected messages (submissions, kills) are stamped and queued by the
-// fleet manager itself: it is their only producer and runs under one
-// lock, so a plain ordered queue delivers them.
+// injected messages (submissions, kills) are queued by the fleet manager
+// itself: it is their only producer and runs under one lock, so a plain
+// ordered queue delivers them, and the Log is their durable record.
 //
 // The design follows the deterministic message-driven cores of BFT-style
 // consensus engines (a core handler consumes an ordered message set and
@@ -101,8 +101,7 @@ func (t Type) String() string {
 func validType(t Type) bool { return t >= TypeSubmit && t <= TypePlan }
 
 // Event is one fleet control-plane transition. Seq is assigned by the
-// Log (or an Inbox) at commit time and is globally unique and dense
-// within its stream. Events deliberately carry no worker or goroutine
+// Log at commit time and is globally unique and dense. Events deliberately carry no worker or goroutine
 // identity: the trace must be byte-identical at every worker count, so
 // anything scheduling-dependent belongs in telemetry, not here.
 type Event struct {

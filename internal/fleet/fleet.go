@@ -201,8 +201,6 @@ type Config struct {
 	// MaxQueue bounds the admission queue; submissions beyond it are
 	// rejected (default 8).
 	MaxQueue int
-	// DisableWarmStart turns off cross-job GP seeding (used by ablations).
-	DisableWarmStart bool
 	// Chaos, when set, replays a fault schedule through a seeded engine
 	// installed on the shared cluster (node crashes, scheduler delays —
 	// the cluster-level faults every tenant feels).
@@ -284,15 +282,19 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// JobRound is one fleet round of one running job.
+// JobRound is one fleet round of one running job. The row is recorded
+// after the round's decision is applied, so Tasks, Steady and the
+// round's CostCum increment describe the allocation the job carries into
+// the next round, not the one that ran this round (experiment.SlotTrace
+// accounts the allocation that ran its slot).
 type JobRound struct {
 	Round     int       // fleet round index
 	Rates     []float64 // offered load that round
-	Tasks     []int     // effective parallelism during the round
+	Tasks     []int     // effective parallelism after the round's decision
 	Budget    int       // the job's Σ-tasks budget share during the round
-	Steady    float64   // noise-free steady throughput of Tasks
-	Measured  float64   // what the sink actually saw
-	CostCum   float64   // job-attributed dollars up to round end
+	Steady    float64   // noise-free steady throughput of Tasks at Rates
+	Measured  float64   // what the sink actually saw during the round
+	CostCum   float64   // job-attributed dollars, each round charged at its Tasks
 	DualPrice float64   // mean positive dual after the round's decision
 }
 
@@ -380,23 +382,14 @@ type Manager struct {
 	res     *Result
 	kills   map[string]bool // names marked for departure next round
 
-	log      *event.Log    // committed control-plane history (the trace)
-	inbox    []event.Event // external inputs awaiting their round, stamp order
-	inboxSeq uint64        // last stamped input sequence number
-	deduped  int           // duplicate pending kills dropped
-	inputs   []InputRecord // external inputs in stamp order, for replay
-}
-
-// InputRecord is one external input (dynamic submission or kill) in the
-// order the inbox stamped it. The record — not the full spec — is what a
-// checkpoint carries; a replica replays the same inputs at the same
-// rounds (specs re-supplied by the caller) and must reproduce the same
-// stamps, or the resume is rejected as diverged.
-type InputRecord struct {
-	Seq   uint64 `json:"seq"`
-	Round int    `json:"round"`
-	Kind  string `json:"kind"` // "submit" | "kill"
-	Job   string `json:"job"`
+	log *event.Log // committed control-plane history (the trace)
+	// inbox holds the external inputs awaiting the next round's drain.
+	// Every input comes through Submit or Kill, which the caller
+	// serializes, so the queue is in delivery order. The drain journals
+	// each input, so the trace plus the inbox is the whole input record a
+	// checkpoint replays.
+	inbox   []event.Event
+	deduped int // duplicate pending kills dropped
 }
 
 // New validates cfg and builds the shared substrate (cluster, Flink
@@ -504,67 +497,45 @@ func jobCost(js *jobState) float64 {
 }
 
 // Submit adds a dynamic tenant (the daemon's POST /fleet/jobs surface):
-// the submission is stamped into the fleet inbox and committed to the
-// event trace at the start of the next round, when the job arrives.
-// Returns an error when the name is taken or the spec is invalid.
+// the submission waits in the fleet inbox and is committed to the event
+// trace at the start of the next round, when the job arrives. Returns an
+// error when the name is taken or the spec is invalid.
 func (m *Manager) Submit(spec JobSpec) error {
-	_, err := m.submitInput(spec)
-	return err
-}
-
-func (m *Manager) submitInput(spec JobSpec) (uint64, error) {
 	if err := spec.validate(); err != nil {
-		return 0, err
+		return err
 	}
 	if _, ok := m.byName[spec.Name]; ok {
-		return 0, fmt.Errorf("fleet: job %q already exists", spec.Name)
+		return fmt.Errorf("fleet: job %q already exists", spec.Name)
 	}
 	if spec.Priority == 0 {
 		spec.Priority = 1
 	}
 	spec.ArriveSlot = m.round
 	m.addJob(spec, false)
-	return m.post(event.TypeSubmit, spec.Name), nil
+	m.inbox = append(m.inbox, event.Event{Type: event.TypeSubmit, Job: spec.Name})
+	return nil
 }
 
 // Kill marks a job for departure at the start of the next round (the
 // daemon's kill surface). Unknown names error; already-departed jobs and
 // duplicate kills are a no-op.
 func (m *Manager) Kill(name string) error {
-	_, err := m.killInput(name)
-	return err
-}
-
-func (m *Manager) killInput(name string) (uint64, error) {
 	js, ok := m.byName[name]
 	if !ok {
-		return 0, fmt.Errorf("fleet: unknown job %q", name)
+		return fmt.Errorf("fleet: unknown job %q", name)
 	}
 	if js.status == StatusDeparted || js.status == StatusRejected {
-		return 0, nil
+		return nil
 	}
 	for _, e := range m.inbox {
 		if e.Type == event.TypeKill && e.Job == name {
 			m.deduped++
-			return 0, nil // a kill for this job is already pending; idempotent
+			return nil // a kill for this job is already pending; idempotent
 		}
 	}
-	return m.post(event.TypeKill, name), nil
+	m.inbox = append(m.inbox, event.Event{Type: event.TypeKill, Job: name})
+	return nil
 }
-
-// post stamps an external input with the next input sequence number,
-// queues it for the next round's drain and journals it for replay.
-// Every input comes through Submit or Kill, which the caller serializes,
-// so stamps are dense and the queue is already in delivery order.
-func (m *Manager) post(typ event.Type, job string) uint64 {
-	m.inboxSeq++
-	m.inbox = append(m.inbox, event.Event{Seq: m.inboxSeq, Type: typ, Job: job})
-	m.inputs = append(m.inputs, InputRecord{Seq: m.inboxSeq, Round: m.round, Kind: typ.String(), Job: job})
-	return m.inboxSeq
-}
-
-// inboxNextSeq is the stamp of the next input to deliver.
-func (m *Manager) inboxNextSeq() uint64 { return m.inboxSeq + 1 - uint64(len(m.inbox)) }
 
 // Events returns the committed control-plane event trace so far.
 func (m *Manager) Events() []event.Event { return m.log.Events() }
@@ -588,8 +559,8 @@ func (m *Manager) emit(typ event.Type, job, note string, args ...int64) {
 }
 
 // drainInbox delivers the round's external inputs: messages posted since
-// the previous round arrive in stamped order and become part of the
-// event trace. Dynamic submissions become visible to admission; kills
+// the previous round arrive in post order and become part of the event
+// trace. Dynamic submissions become visible to admission; kills
 // are marked for the departure pass that follows.
 func (m *Manager) drainInbox() {
 	for _, msg := range m.inbox {
@@ -986,12 +957,12 @@ func (m *Manager) buildStack(js *jobState, r int) error {
 	if js.plan != nil {
 		initial = append([]int(nil), js.plan.Tasks...)
 	}
-	db, nRecords := m.archive.seed(spec, m.cfg.DisableWarmStart)
+	db, nRecords := m.archive.seed(spec)
 	if js.plan != nil {
 		// The plan's probe observations are the tenant's own evidence, so
-		// they seed its GPs even when cross-job warm-start is disabled.
-		// They must land before core.New, whose warm-start pass replays
-		// the whole history into the per-operator regressors.
+		// they seed its GPs beside the archive's. They must land before
+		// core.New, whose warm-start pass replays the whole history into
+		// the per-operator regressors.
 		for _, rec := range js.plan.Records() {
 			if err := db.Append(rec); err != nil {
 				return err

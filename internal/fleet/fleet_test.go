@@ -285,65 +285,60 @@ func TestFleetArchiveHoldsNoReharvestedCopies(t *testing.T) {
 // round, so between Steps the DB is empty and during a round it holds
 // at most that round's records; a departed tenant, by schedule or by
 // kill, keeps no engine, controller or DB; a tenant that never ran never
-// built one. The DB drains with warm-start off too.
+// built one.
 func TestFleetRetentionUnderChurn(t *testing.T) {
 	wc := mustSpec(t, workload.WordCount)
 	gr := mustSpec(t, workload.Group)
-	for _, disable := range []bool{false, true} {
-		m, err := New(Config{
-			Jobs: []JobSpec{
-				{Name: "stay", Workload: wc, Rates: constRates(t, wc.HighRates)},
-				{Name: "brief", Workload: wc, Rates: constRates(t, wc.HighRates), DepartSlot: 3},
-				{Name: "late", Workload: gr, Rates: constRates(t, gr.HighRates), ArriveSlot: 2, DepartSlot: 6},
-				{Name: "killed", Workload: wc, Rates: constRates(t, wc.LowRates), ArriveSlot: 1},
-			},
-			Slots:            8,
-			SlotSeconds:      60,
-			Seed:             2,
-			TotalTaskBudget:  24,
-			DisableWarmStart: disable,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for !m.Done() {
-			switch m.Round() {
-			case 3:
-				if err := m.Submit(JobSpec{Name: "dyn", Workload: gr, Rates: constRates(t, gr.LowRates)}); err != nil {
-					t.Fatal(err)
-				}
-			case 4:
-				if err := m.Kill("killed"); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := m.Step(); err != nil {
+	m, err := New(Config{
+		Jobs: []JobSpec{
+			{Name: "stay", Workload: wc, Rates: constRates(t, wc.HighRates)},
+			{Name: "brief", Workload: wc, Rates: constRates(t, wc.HighRates), DepartSlot: 3},
+			{Name: "late", Workload: gr, Rates: constRates(t, gr.HighRates), ArriveSlot: 2, DepartSlot: 6},
+			{Name: "killed", Workload: wc, Rates: constRates(t, wc.LowRates), ArriveSlot: 1},
+		},
+		Slots:           8,
+		SlotSeconds:     60,
+		Seed:            2,
+		TotalTaskBudget: 24,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !m.Done() {
+		switch m.Round() {
+		case 3:
+			if err := m.Submit(JobSpec{Name: "dyn", Workload: gr, Rates: constRates(t, gr.LowRates)}); err != nil {
 				t.Fatal(err)
 			}
-			for _, js := range m.jobs {
-				if js.status != StatusRunning {
-					if js.t != nil || js.db != nil {
-						t.Errorf("warm-start off=%v round %d: %s job %s still holds its stack",
-							disable, m.Round()-1, js.status, js.spec.Name)
-					}
-					continue
-				}
-				if n := js.db.Len(); n != 0 {
-					t.Errorf("warm-start off=%v round %d: running job %s holds %d undrained records",
-						disable, m.Round()-1, js.spec.Name, n)
-				}
+		case 4:
+			if err := m.Kill("killed"); err != nil {
+				t.Fatal(err)
 			}
 		}
-		res := m.Result()
-		for name, want := range map[string]JobStatus{"stay": StatusRunning, "brief": StatusDeparted,
-			"late": StatusDeparted, "killed": StatusDeparted, "dyn": StatusRunning} {
-			if got := jobByName(res, name).Status; got != want {
-				t.Errorf("warm-start off=%v: %s ended %v, want %v", disable, name, got, want)
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+		for _, js := range m.jobs {
+			if js.status != StatusRunning {
+				if js.t != nil || js.db != nil {
+					t.Errorf("round %d: %s job %s still holds its stack", m.Round()-1, js.status, js.spec.Name)
+				}
+				continue
+			}
+			if n := js.db.Len(); n != 0 {
+				t.Errorf("round %d: running job %s holds %d undrained records", m.Round()-1, js.spec.Name, n)
 			}
 		}
-		if harvested := res.Metrics.CounterValue("fleet_warmstart_harvested"); (harvested == 0) != disable {
-			t.Errorf("warm-start off=%v: harvested %d records", disable, harvested)
+	}
+	res := m.Result()
+	for name, want := range map[string]JobStatus{"stay": StatusRunning, "brief": StatusDeparted,
+		"late": StatusDeparted, "killed": StatusDeparted, "dyn": StatusRunning} {
+		if got := jobByName(res, name).Status; got != want {
+			t.Errorf("%s ended %v, want %v", name, got, want)
 		}
+	}
+	if res.Metrics.CounterValue("fleet_warmstart_harvested") == 0 {
+		t.Error("no records harvested into the warm-start archive")
 	}
 }
 
@@ -366,15 +361,6 @@ func TestFleetWarmStart(t *testing.T) {
 	}
 	if beta.WarmStartRecords != 0 {
 		t.Fatal("beta has a different workload fingerprint and must not warm-start")
-	}
-
-	cfg := threeJobConfig(t)
-	cfg.DisableWarmStart = true
-	res = runFleet(t, cfg)
-	for _, jr := range res.Jobs {
-		if jr.WarmStartRecords != 0 {
-			t.Fatalf("job %s warm-started with warm-start disabled", jr.Name)
-		}
 	}
 }
 
@@ -535,9 +521,10 @@ func TestFleetDynamicSubmitAndKill(t *testing.T) {
 }
 
 // TestFleetInboxOrderAndDedup pins the inbox contract: external inputs
-// get dense sequence stamps in call order, are delivered in that order
-// at the next round's drain, and a second kill for a job whose kill is
-// still pending is an idempotent no-op counted in fleet_inbox_deduped.
+// are delivered in call order at the next round's drain, a second kill
+// for a job whose kill is still pending is an idempotent no-op counted
+// in fleet_inbox_deduped, and the journal plus the inbox is exactly the
+// input record a checkpoint carries.
 func TestFleetInboxOrderAndDedup(t *testing.T) {
 	wc := mustSpec(t, workload.WordCount)
 	gr := mustSpec(t, workload.Group)
@@ -553,28 +540,36 @@ func TestFleetInboxOrderAndDedup(t *testing.T) {
 	if err := m.Step(); err != nil {
 		t.Fatal(err)
 	}
-	submit := func(name string) uint64 {
+	submit := func(name string) {
 		t.Helper()
-		seq, err := m.submitInput(JobSpec{Name: name, Workload: gr, Rates: constRates(t, gr.LowRates)})
-		if err != nil {
+		if err := m.Submit(JobSpec{Name: name, Workload: gr, Rates: constRates(t, gr.LowRates)}); err != nil {
 			t.Fatalf("submit %s: %v", name, err)
 		}
-		return seq
 	}
-	kill := func(name string) uint64 {
+	kill := func(name string) {
 		t.Helper()
-		seq, err := m.killInput(name)
-		if err != nil {
+		if err := m.Kill(name); err != nil {
 			t.Fatalf("kill %s: %v", name, err)
 		}
-		return seq
 	}
-	gotSeqs := []uint64{submit("a"), submit("b"), kill("a"), kill("a"), kill("base")}
-	if want := []uint64{1, 2, 3, 0, 4}; !reflect.DeepEqual(gotSeqs, want) {
-		t.Fatalf("stamps %v, want %v (the duplicate kill is not stamped)", gotSeqs, want)
+	inputs := func() []string {
+		var out []string
+		for _, in := range m.BuildCheckpoint().Sections.Inputs {
+			out = append(out, fmt.Sprintf("%d %s %s", in.Round, in.Kind, in.Job))
+		}
+		return out
 	}
-	if got := m.inboxNextSeq(); got != 1 || len(m.inbox) != 4 {
-		t.Fatalf("before the drain: next seq %d, %d pending; want 1, 4", got, len(m.inbox))
+	submit("a")
+	submit("b")
+	kill("a")
+	kill("a")
+	kill("base")
+	if len(m.inbox) != 4 {
+		t.Fatalf("before the drain: %d pending, want 4 (the duplicate kill is dropped)", len(m.inbox))
+	}
+	want := []string{"1 submit a", "1 submit b", "1 kill a", "1 kill base"}
+	if got := inputs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pending input record %q, want %q", got, want)
 	}
 	if err := m.Step(); err != nil {
 		t.Fatal(err)
@@ -591,16 +586,16 @@ func TestFleetInboxOrderAndDedup(t *testing.T) {
 	if want := []string{"submit a", "submit b", "kill a", "kill base"}; !reflect.DeepEqual(delivered, want) {
 		t.Fatalf("delivered %q, want %q", delivered, want)
 	}
-	if got := m.inboxNextSeq(); got != 5 || len(m.inbox) != 0 {
-		t.Fatalf("after the drain: next seq %d, %d pending; want 5, 0", got, len(m.inbox))
+	if len(m.inbox) != 0 {
+		t.Fatalf("after the drain: %d pending, want 0", len(m.inbox))
 	}
-	// A departed job's kill is a no-op; a fresh window stamps again and
+	// A departed job's kill is a no-op; a fresh window posts again and
 	// dedups again.
-	if seq := kill("a"); seq != 0 {
-		t.Fatalf("kill of departed job stamped %d", seq)
-	}
-	if got := []uint64{kill("b"), kill("b")}; !reflect.DeepEqual(got, []uint64{5, 0}) {
-		t.Fatalf("second window stamps %v, want [5 0]", got)
+	kill("a")
+	kill("b")
+	kill("b")
+	if len(m.inbox) != 1 {
+		t.Fatalf("second window: %d pending, want 1", len(m.inbox))
 	}
 	if err := m.Step(); err != nil {
 		t.Fatal(err)
@@ -612,13 +607,9 @@ func TestFleetInboxOrderAndDedup(t *testing.T) {
 	if v, ok := reg.GaugeValue("fleet_inbox_pending"); !ok || v != 0 {
 		t.Fatalf("fleet_inbox_pending = %v,%v, want 0", v, ok)
 	}
-	var recs []string
-	for _, r := range m.inputs {
-		recs = append(recs, fmt.Sprintf("%d@%d %s %s", r.Seq, r.Round, r.Kind, r.Job))
-	}
-	want := []string{"1@1 submit a", "2@1 submit b", "3@1 kill a", "4@1 kill base", "5@2 kill b"}
-	if !reflect.DeepEqual(recs, want) {
-		t.Fatalf("input journal %q, want %q", recs, want)
+	want = append(want, "2 kill b")
+	if got := inputs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("journaled input record %q, want %q", got, want)
 	}
 }
 

@@ -181,18 +181,11 @@ func TestFleetPlannedFailover(t *testing.T) {
 			t.Fatalf("primary step %d: %v", primary.Round(), err)
 		}
 	}
-	var buf bytes.Buffer
-	ck, err := primary.BuildCheckpoint()
-	if err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	if err := ck.Snapshot(&buf); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
+	ck := decodeCheckpoint(t, encodeCheckpoint(t, primary.BuildCheckpoint()))
 
 	defer withProcs(7)()
 	specs := map[string]JobSpec{"dyn": plannedDynamicSpec(t)}
-	rep, err := ResumeReader(plannedConfig(t), bytes.NewReader(buf.Bytes()), specs)
+	rep, err := Resume(plannedConfig(t), ck, specs)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
