@@ -658,7 +658,7 @@ func (g *Graph) Gradient(rates, y []float64) (float64, []float64, error) {
 // terms taped last and min ties routed to the capacity branch), so the
 // result is bit-for-bit the taped gradient.
 func (g *Graph) LagrangianGradient(w *Workspace, rates, y, lambda []float64) (float64, []float64, error) {
-	val, _, _, err := g.LagrangianForward(w, rates, y, lambda)
+	val, _, err := g.LagrangianForward(w, rates, y, lambda)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -670,21 +670,18 @@ func (g *Graph) LagrangianGradient(w *Workspace, rates, y, lambda []float64) (fl
 // L(y, λ), bit for bit, without the gradient. pattern has one bit per
 // operator out-edge (at most 64 are numbered), set exactly when the edge
 // carries its capacity share, flow == α·y: the only test through which
-// the reverse sweep reads y. pure reports that every operator out-edge
-// is a Linear and that there are at most 64 of them. On a pure graph the
-// gradient is therefore a function of (pattern, λ) alone: a caller that
-// holds λ fixed may reuse one LagrangianReverse result for every y with
-// the same pattern.
-func (g *Graph) LagrangianForward(w *Workspace, rates, y, lambda []float64) (val float64, pattern uint64, pure bool, err error) {
+// the reverse sweep reads y. On a Pure graph the gradient is therefore a
+// function of (pattern, λ) alone, and L is linear on each pattern's cell.
+func (g *Graph) LagrangianForward(w *Workspace, rates, y, lambda []float64) (val float64, pattern uint64, err error) {
 	if err := g.checkEvalArgs(rates, y); err != nil {
-		return 0, 0, false, err
+		return 0, 0, err
 	}
 	if len(lambda) != len(g.operators) {
-		return 0, 0, false, fmt.Errorf("dag: got %d multipliers, want %d", len(lambda), len(g.operators))
+		return 0, 0, fmt.Errorf("dag: got %d multipliers, want %d", len(lambda), len(g.operators))
 	}
 	for i, l := range lambda {
 		if !nonNegFinite(l) {
-			return 0, 0, false, fmt.Errorf("dag: multiplier λ[%d] = %v invalid", i, l)
+			return 0, 0, fmt.Errorf("dag: multiplier λ[%d] = %v invalid", i, l)
 		}
 	}
 	val, pattern = g.forward(&w.rep, rates, y)
@@ -693,8 +690,14 @@ func (g *Graph) LagrangianForward(w *Workspace, rates, y, lambda []float64) (val
 			val -= l * (w.rep.Demand[i] - y[i])
 		}
 	}
-	return val, pattern, g.pure, nil
+	return val, pattern, nil
 }
+
+// Pure reports that every operator out-edge is a Linear and that there
+// are at most 64 of them: then every flow is min(α·y, k·e) of a linear
+// input, and L(y, λ) is piecewise linear in y with one piece per branch
+// pattern.
+func (g *Graph) Pure() bool { return g.pure }
 
 // LagrangianReverse is the reverse half of LagrangianGradient: ∂L/∂y over
 // the flows the last LagrangianForward on w left, which must have run on

@@ -60,10 +60,11 @@ func TestLagrangianForwardMatchesGradientL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotL, _, gotPure, err := g.LagrangianForward(new(dag.Workspace), rates, y, lambda)
+		gotL, _, err := g.LagrangianForward(new(dag.Workspace), rates, y, lambda)
 		if err != nil {
 			t.Fatal(err)
 		}
+		gotPure := g.Pure()
 		if math.Float64bits(gotL) != math.Float64bits(wantL) {
 			t.Fatalf("trial %d: forward L = %v, LagrangianGradient %v", trial, gotL, wantL)
 		}
@@ -99,7 +100,7 @@ func TestBranchPatternIsTheCapacityTest(t *testing.T) {
 			g = mixedGraph(t, rng)
 		}
 		rates, y, lambda := dyadicPoint(g, rng)
-		_, pattern, _, err := g.LagrangianForward(ws, rates, y, lambda)
+		_, pattern, err := g.LagrangianForward(ws, rates, y, lambda)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,9 +123,10 @@ func TestBranchPatternIsTheCapacityTest(t *testing.T) {
 	}
 }
 
-// TestPatternDeterminesPureGradient is the fact the OSP's per-step memo
-// rests on: on a pure graph, two capacity vectors with the same branch
-// pattern have bit-identical gradients at the same λ.
+// TestPatternDeterminesPureGradient: on a pure graph, two capacity
+// vectors with the same branch pattern have bit-identical gradients at the
+// same λ — L is linear on each pattern's cell, the fact the OSP's exact
+// level-1 solve rests on.
 func TestPatternDeterminesPureGradient(t *testing.T) {
 	rng := stats.NewRNG(53)
 	ws := new(dag.Workspace)
@@ -138,11 +140,11 @@ func TestPatternDeterminesPureGradient(t *testing.T) {
 			for i := range y {
 				y[i] = rng.Uniform(1, 2000)
 			}
-			_, pattern, pure, err := g.LagrangianForward(ws, rates, y, lambda)
+			_, pattern, err := g.LagrangianForward(ws, rates, y, lambda)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !pure {
+			if !g.Pure() {
 				t.Fatalf("trial %d: a Linear-only graph is not pure", trial)
 			}
 			grad := g.LagrangianReverse(ws, y, lambda)
@@ -197,11 +199,10 @@ func TestPurityNeedsAtMost64Edges(t *testing.T) {
 		for i := range y {
 			y[i] = 10
 		}
-		_, _, pure, err := g.LagrangianForward(new(dag.Workspace), []float64{5}, y, make([]float64, c.ops))
-		if err != nil {
+		if _, _, err := g.LagrangianForward(new(dag.Workspace), []float64{5}, y, make([]float64, c.ops)); err != nil {
 			t.Fatal(err)
 		}
-		if pure != c.pure {
+		if pure := g.Pure(); pure != c.pure {
 			t.Errorf("%d-operator chain: pure = %v, want %v", c.ops, pure, c.pure)
 		}
 	}
@@ -290,16 +291,8 @@ func TestInlineLinearMatchesInterface(t *testing.T) {
 				y[i] = rng.Uniform(1, 2000)
 			}
 		}
-		_, _, inlinePure, err := inline.LagrangianForward(new(dag.Workspace), rates, y, lambda)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, ifacePure, err := iface.LagrangianForward(new(dag.Workspace), rates, y, lambda)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !inlinePure || ifacePure {
-			t.Fatalf("trial %d: pure = %v inline, %v behind the interface", trial, inlinePure, ifacePure)
+		if !inline.Pure() || iface.Pure() {
+			t.Fatalf("trial %d: pure = %v inline, %v behind the interface", trial, inline.Pure(), iface.Pure())
 		}
 		wantL, wantGrad, err := iface.LagrangianGradient(new(dag.Workspace), rates, y, lambda)
 		if err != nil {

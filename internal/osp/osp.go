@@ -18,10 +18,11 @@ import (
 // Method selects the level-1 update rule.
 type Method int
 
-// Methods. SaddlePoint solves y_t = argmax_y L_{t−1}(y, λ_{t−1}) to
-// (approximate) optimality each slot; GradientDescent takes a single
-// η-step from the previous target, trading convergence speed for
-// smoothness (the paper evaluates both).
+// Methods. SaddlePoint solves y_t = argmax_y L_{t−1}(y, λ_{t−1}) each
+// slot — exactly on a pure graph (dag.Graph.Pure), by bounded projected
+// ascent otherwise; GradientDescent takes a single η-step from the
+// previous target, trading convergence speed for smoothness (the paper
+// evaluates both).
 const (
 	SaddlePoint Method = iota
 	GradientDescent
@@ -62,7 +63,8 @@ const gammaScale = 0.3
 // Clipped subgradients keep the Eq. 15 dynamics valid.
 const violationClamp = 0.1
 
-// innerIters bounds the projected-gradient inner solve of Eq. 14.
+// innerIters is the iteration count of the projected-gradient solve of
+// Eq. 14 on a graph that is not pure.
 const innerIters = 200
 
 // headroomFactor multiplies demand-driven saddle-point targets to keep
@@ -88,46 +90,13 @@ type Optimizer struct {
 	yPrev  []float64 // previous target (OGD state / warm start)
 	t      int       // slot counter (starts at 1 on first Step)
 
+	exact *exactSolver // the Eq. 14 solve on a pure graph, nil otherwise
+
 	// Scratch reused by every Step.
 	ws   dag.Workspace
 	rep  dag.FlowReport // the headroom floor's evaluation
-	y    []float64      // the inner solve's iterate
-	grad []float64      // the regularized gradient on a memo miss
-	memo gradMemo
-}
-
-// gradMemo maps a branch pattern (see dag.Graph.LagrangianForward) to the
-// economy-regularized gradient and its norm. On a pure graph that
-// gradient is a function of the pattern and λ alone, and λ cannot change
-// inside one Step, so Step resets the memo and nothing else invalidates
-// it. One Step adds at most innerIters entries; on the workload graphs a
-// step visits a few to a few tens of patterns, so lookup is a linear
-// scan, newest first.
-type gradMemo struct {
-	patterns []uint64
-	norms    []float64
-	grads    []float64 // entry j is grads[j·m : (j+1)·m]
-}
-
-func (c *gradMemo) reset() {
-	c.patterns, c.norms, c.grads = c.patterns[:0], c.norms[:0], c.grads[:0]
-}
-
-// find returns the gradient and norm stored for pattern.
-func (c *gradMemo) find(pattern uint64, m int) ([]float64, float64, bool) {
-	for j := len(c.patterns) - 1; j >= 0; j-- {
-		if c.patterns[j] == pattern {
-			return c.grads[j*m : (j+1)*m], c.norms[j], true
-		}
-	}
-	return nil, 0, false
-}
-
-// add stores a copy of grad and its norm for pattern.
-func (c *gradMemo) add(pattern uint64, grad []float64, norm float64) {
-	c.patterns = append(c.patterns, pattern)
-	c.norms = append(c.norms, norm)
-	c.grads = append(c.grads, grad...)
+	y    []float64      // the iterative solve's iterate
+	grad []float64      // the regularized gradient
 }
 
 // New returns an Optimizer for the application graph.
@@ -150,6 +119,9 @@ func New(g *dag.Graph, cfg Config) (*Optimizer, error) {
 	for i := range o.yPrev {
 		o.yPrev[i] = cfg.YMax / 4 // neutral warm start
 	}
+	if g.Pure() {
+		o.exact = newExactSolver(g)
+	}
 	return o, nil
 }
 
@@ -158,20 +130,24 @@ func (o *Optimizer) Duals() []float64 { return append([]float64(nil), o.lambda..
 
 // Step consumes last slot's observed source rates (which define
 // f_{t−1}) and returns the target capacity vector y_t. For SaddlePoint it
-// maximizes the Lagrangian by projected gradient ascent (f is concave, so
-// this converges); for GradientDescent it takes one η-step (Eq. 16).
+// maximizes the Lagrangian: exactly on a pure graph (see exactSolver);
+// otherwise by projected gradient ascent, which returns the best of its
+// innerIters iterates — L is not concave in y, since −λ·demand(y) is
+// convex, so that is a local answer. For GradientDescent it takes one
+// η-step (Eq. 16).
 func (o *Optimizer) Step(rates []float64) ([]float64, error) {
 	if len(rates) != o.g.NumSources() {
 		return nil, fmt.Errorf("osp: got %d rates, want %d", len(rates), o.g.NumSources())
 	}
 	o.t++
-	o.memo.reset() // λ may have moved since the last Step
 	var y []float64
 	var err error
-	switch o.cfg.Method {
-	case SaddlePoint:
+	switch {
+	case o.cfg.Method == SaddlePoint && o.exact != nil:
+		y, err = o.exact.solve(o, rates)
+	case o.cfg.Method == SaddlePoint:
 		y, err = o.maximizeLagrangian(rates)
-	case GradientDescent:
+	case o.cfg.Method == GradientDescent:
 		y, err = o.ogdStep(rates)
 	default:
 		return nil, fmt.Errorf("osp: unknown method %d", o.cfg.Method)
@@ -200,8 +176,9 @@ func (o *Optimizer) Step(rates []float64) ([]float64, error) {
 	return y, nil
 }
 
-// maximizeLagrangian solves Eq. 14 by projected gradient ascent over the
-// box [0, YMax]^M with diminishing steps.
+// maximizeLagrangian approximates Eq. 14 on a graph that is not pure by
+// projected normalized-gradient ascent over the box [0, YMax]^M with
+// diminishing steps, returning the best iterate.
 func (o *Optimizer) maximizeLagrangian(rates []float64) ([]float64, error) {
 	y := o.y
 	copy(y, o.yPrev)
@@ -226,49 +203,36 @@ func (o *Optimizer) maximizeLagrangian(rates []float64) ([]float64, error) {
 		}
 	}
 	// Evaluate the final iterate too.
-	if l, _, _, err := o.regularizedLagrangian(rates, y); err == nil && l > bestL {
+	if l, err := o.regularizedLagrangian(rates, y); err == nil && l > bestL {
 		copy(best, y)
 	}
 	return best, nil
 }
 
 // regularizedLagrangian returns L(y, λ) − w·Σy, the economy-regularized
-// inner objective (see economyWeight), with the forward sweep's branch
-// pattern and purity.
-func (o *Optimizer) regularizedLagrangian(rates, y []float64) (l float64, pattern uint64, pure bool, err error) {
-	l, pattern, pure, err = o.g.LagrangianForward(&o.ws, rates, y, o.lambda)
+// inner objective (see economyWeight).
+func (o *Optimizer) regularizedLagrangian(rates, y []float64) (float64, error) {
+	l, _, err := o.g.LagrangianForward(&o.ws, rates, y, o.lambda)
 	if err != nil {
-		return 0, 0, false, err
+		return 0, err
 	}
 	for i := range y {
 		l -= economyWeight * y[i]
 	}
-	return l, pattern, pure, nil
+	return l, nil
 }
 
 // objective returns the regularized objective at y, its gradient and the
-// gradient's norm. On a pure graph the gradient and norm come from the
-// step's memo when y's branch pattern has been seen. The gradient is
-// valid until the next call.
+// gradient's norm. The gradient is valid until the next call.
 func (o *Optimizer) objective(rates, y []float64) (l float64, grad []float64, gn float64, err error) {
-	l, pattern, pure, err := o.regularizedLagrangian(rates, y)
-	if err != nil {
+	if l, err = o.regularizedLagrangian(rates, y); err != nil {
 		return 0, nil, 0, err
-	}
-	if pure {
-		if grad, gn, ok := o.memo.find(pattern, len(y)); ok {
-			return l, grad, gn, nil
-		}
 	}
 	grad = o.grad
 	for i, d := range o.g.LagrangianReverse(&o.ws, y, o.lambda) {
 		grad[i] = d - economyWeight
 	}
-	gn = mathx.Norm2(grad)
-	if pure {
-		o.memo.add(pattern, grad, gn)
-	}
-	return l, grad, gn, nil
+	return l, grad, mathx.Norm2(grad), nil
 }
 
 // ogdStep is Eq. 16: one normalized gradient step on L_{t−1} from the

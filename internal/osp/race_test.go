@@ -1,0 +1,7 @@
+//go:build race
+
+package osp
+
+// raceEnabled reports a -race build, which slows the brute-force vertex
+// oracle about 25×.
+const raceEnabled = true
