@@ -80,13 +80,14 @@ bench-e2e:
 	$(GO) test -run NONE -bench 'RunRoundsPerSec|Repeat8Seeds|FleetRound' -benchmem \
 		./internal/experiment ./internal/fleet | $(GO) run ./cmd/benchsnapshot -out BENCH_e2e.json -label "make bench-e2e"
 
-# dag and OSP layer benchmarks — one evaluation and one gradient of a
-# two-operator chain, one saddle-point step at λ = 0, and one on the
-# Yahoo graph with the dual update moving λ before every step —
+# Layer benchmarks — one evaluation and one gradient of a two-operator
+# chain, one saddle-point step at λ = 0, one per built-in workload with
+# the dual update moving λ before every step (and the Yahoo one alone),
+# one stream-simulator tick of a chain and one full controller decision —
 # snapshotted into BENCH_layers.json. Recorded, not gated.
 bench-layers:
-	$(GO) test -run NONE -bench 'EvaluateChain|GradientChain|SaddlePointStep' -benchmem \
-		./internal/dag ./internal/osp | $(GO) run ./cmd/benchsnapshot -out BENCH_layers.json -label "make bench-layers"
+	$(GO) test -run NONE -bench 'EvaluateChain|GradientChain|SaddlePointStep|TickChain|ControllerDecide' -benchmem \
+		. ./internal/dag ./internal/osp ./internal/streamsim | $(GO) run ./cmd/benchsnapshot -out BENCH_layers.json -label "make bench-layers"
 
 # Re-run the e2e benchmarks three times and fail if any median ns/op
 # regressed more than 20% against the committed snapshot (CI runs the
@@ -114,7 +115,7 @@ bench-flat:
 		-pair BenchmarkObserveGrid1k=BenchmarkObserveGrid10k \
 		-pair BenchmarkSelectGrid1k=BenchmarkSelectGrid10k
 	$(GO) run ./cmd/benchsnapshot -flat BENCH_e2e.json \
-		-pair BenchmarkFleetRoundWarmEarly100Jobs=BenchmarkFleetRoundWarmLate100Jobs
+		-pair BenchmarkFleetRound100Jobs=BenchmarkFleetRoundWarmLate100Jobs
 
 # Regenerate every paper table and figure at the paper's 10-minute slots.
 repro:

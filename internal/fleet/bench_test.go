@@ -76,11 +76,9 @@ func BenchmarkFleetRound10Jobs(b *testing.B)   { benchmarkFleetRound(b, 10, 1) }
 func BenchmarkFleetRound100Jobs(b *testing.B)  { benchmarkFleetRound(b, 100, 1) }
 func BenchmarkFleetRound1000Jobs(b *testing.B) { benchmarkFleetRound(b, 1000, 1) }
 
-// BenchmarkFleetRoundWarmEarly100Jobs and BenchmarkFleetRoundWarmLate100Jobs
-// time rounds 1–16 and 241–256 of the same 100-tenant fleet (the early
-// one is FleetRound100Jobs under the name the pair is checked by).
-// Every tenant GP holds one row per distinct task count, so a late round
-// must cost what an early one does: `make bench-flat` holds the pair
-// within 1.2× in BENCH_e2e.json.
-func BenchmarkFleetRoundWarmEarly100Jobs(b *testing.B) { benchmarkFleetRound(b, 100, 1) }
-func BenchmarkFleetRoundWarmLate100Jobs(b *testing.B)  { benchmarkFleetRound(b, 100, 241) }
+// BenchmarkFleetRoundWarmLate100Jobs times rounds 241–256 of the fleet
+// BenchmarkFleetRound100Jobs times rounds 1–16 of. Every tenant GP holds
+// one row per distinct task count, so a late round must cost what an
+// early one does: `make bench-flat` holds the pair within 1.2× in
+// BENCH_e2e.json.
+func BenchmarkFleetRoundWarmLate100Jobs(b *testing.B) { benchmarkFleetRound(b, 100, 241) }
