@@ -198,6 +198,11 @@ func TestStepValidation(t *testing.T) {
 	if _, err := o.Step([]float64{1, 2}); err == nil {
 		t.Error("wrong rate count accepted")
 	}
+	for _, r := range []float64{math.NaN(), -1, math.Inf(1)} {
+		if _, err := o.Step([]float64{r}); err == nil {
+			t.Errorf("rate %v accepted", r)
+		}
+	}
 	bad := &Optimizer{g: g, cfg: Config{Method: Method(99), YMax: 100}}
 	bad.lambda = make([]float64, 2)
 	bad.yPrev = make([]float64, 2)
