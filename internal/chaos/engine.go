@@ -75,7 +75,7 @@ type Engine struct {
 
 	crashes  []crashRecord // un-healed crashes, FIFO
 	healSeq  int
-	lastGood *telemetry.SlotReport // last pre-window report, for stale replays
+	lastGood *monitor.Snapshot // last pre-window report, for stale replays
 
 	trace  []TraceEntry
 	tracer *telemetry.Tracer
@@ -346,7 +346,7 @@ func (e *Engine) ExtraRestoreSeconds(job string, slot int) int {
 // the last pre-window report; the monitor's freshness guard then rejects
 // it, so the control loop sees "no sample" either way and must skip the
 // optimizer round rather than learn from a repeated measurement.
-func (e *Engine) InterceptReport(rep *telemetry.SlotReport) (*telemetry.SlotReport, error) {
+func (e *Engine) InterceptReport(rep *monitor.Snapshot) (*monitor.Snapshot, error) {
 	switch {
 	case e.blackout[e.currentSlot]:
 		e.counters.Inc("chaos_metrics_blackouts")

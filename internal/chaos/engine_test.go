@@ -194,15 +194,15 @@ func TestEngineExtraRestoreSecondsConsumedOnce(t *testing.T) {
 
 func TestEngineInterceptReportBlackoutAndStale(t *testing.T) {
 	e := newEngine(t, chaos.NewSpec("win").BlackoutMetrics(1, 1).StaleMetrics(3, 1), nil)
-	repA := &telemetry.SlotReport{Slot: 0}
-	repB := &telemetry.SlotReport{Slot: 2}
+	repA := &monitor.Snapshot{Slot: 0}
+	repB := &monitor.Snapshot{Slot: 2}
 
 	e.BeginSlot(0)
 	if got, err := e.InterceptReport(repA); err != nil || got != repA {
 		t.Fatalf("clean slot intercepted: %v %v", got, err)
 	}
 	e.BeginSlot(1)
-	if _, err := e.InterceptReport(&telemetry.SlotReport{Slot: 1}); !errors.Is(err, monitor.ErrNoSample) || !errors.Is(err, chaos.ErrInjected) {
+	if _, err := e.InterceptReport(&monitor.Snapshot{Slot: 1}); !errors.Is(err, monitor.ErrNoSample) || !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("blackout error = %v, want ErrNoSample and ErrInjected", err)
 	}
 	e.BeginSlot(2)
@@ -210,7 +210,7 @@ func TestEngineInterceptReportBlackoutAndStale(t *testing.T) {
 		t.Fatalf("post-blackout slot intercepted: %v %v", got, err)
 	}
 	e.BeginSlot(3)
-	got, err := e.InterceptReport(&telemetry.SlotReport{Slot: 3})
+	got, err := e.InterceptReport(&monitor.Snapshot{Slot: 3})
 	if err != nil || got != repB {
 		t.Fatalf("stale window served %v (%v), want the slot-2 report", got, err)
 	}
@@ -223,7 +223,7 @@ func TestEngineInterceptReportBlackoutAndStale(t *testing.T) {
 func TestEngineStaleWindowBeforeAnySampleIsBlackout(t *testing.T) {
 	e := newEngine(t, chaos.NewSpec("coldstale").StaleMetrics(0, 1), nil)
 	e.BeginSlot(0)
-	if _, err := e.InterceptReport(&telemetry.SlotReport{Slot: 0}); !errors.Is(err, monitor.ErrNoSample) {
+	if _, err := e.InterceptReport(&monitor.Snapshot{Slot: 0}); !errors.Is(err, monitor.ErrNoSample) {
 		t.Fatalf("cold stale window err = %v, want ErrNoSample", err)
 	}
 }

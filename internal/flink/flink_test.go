@@ -160,14 +160,14 @@ func TestRunSlotSteadyState(t *testing.T) {
 	if rep.PausedSeconds != 0 {
 		t.Errorf("PausedSeconds = %d", rep.PausedSeconds)
 	}
-	if rep.Vertices[0].Name != "map" || rep.Vertices[0].RunningTasks != 2 {
-		t.Errorf("vertex 0 = %+v", rep.Vertices[0])
+	if rep.Operators[0].Name != "map" || rep.Operators[0].Tasks != 2 {
+		t.Errorf("vertex 0 = %+v", rep.Operators[0])
 	}
-	if rep.Vertices[0].InRate < 99 || rep.Vertices[0].OutRate < 199 {
-		t.Errorf("map rates = %+v", rep.Vertices[0])
+	if rep.Operators[0].InRate < 99 || rep.Operators[0].OutRate < 199 {
+		t.Errorf("map rates = %+v", rep.Operators[0])
 	}
 	// Eq. 8 estimate: OutRate/Util ≈ true capacity 300.
-	est := rep.Vertices[0].OutRate / rep.Vertices[0].Util
+	est := rep.Operators[0].OutRate / rep.Operators[0].Util
 	if math.Abs(est-300) > 10 {
 		t.Errorf("capacity estimate = %v, want ≈300", est)
 	}
@@ -274,8 +274,8 @@ func TestBudgetLimitsEffectiveParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Vertices[0].RunningTasks+rep.Vertices[1].RunningTasks != 7 {
-		t.Errorf("vertex running tasks = %+v", rep.Vertices)
+	if rep.Operators[0].Tasks+rep.Operators[1].Tasks != 7 {
+		t.Errorf("vertex running tasks = %+v", rep.Operators)
 	}
 }
 

@@ -65,8 +65,8 @@ func TestRescaleResourcesAppliesCPU(t *testing.T) {
 	if got := j.EffectiveCPUMilli(); got[0] != 1000 {
 		t.Fatalf("baseline CPU = %v", got)
 	}
-	if rep.Vertices[0].CPUMilli != 1000 {
-		t.Errorf("vertex CPU = %d", rep.Vertices[0].CPUMilli)
+	if rep.Operators[0].CPUMilli != 1000 {
+		t.Errorf("vertex CPU = %d", rep.Operators[0].CPUMilli)
 	}
 
 	// Vertical scale: 3 tasks at 2000m → 600 capacity ≥ 500.

@@ -17,6 +17,7 @@ import (
 
 	"dragster/internal/cluster"
 	"dragster/internal/dag"
+	"dragster/internal/monitor"
 	"dragster/internal/streamsim"
 	"dragster/internal/telemetry"
 )
@@ -114,7 +115,7 @@ type Job struct {
 	opNames     []string // operator name per operator index
 
 	slot       int
-	lastReport *SlotReport
+	lastReport *monitor.Snapshot
 	hooks      ChaosHooks
 	tracer     *telemetry.Tracer
 }
@@ -320,14 +321,10 @@ func (j *Job) syncEngineTasks() error {
 	return j.engine.SetCPU(j.EffectiveCPUMilli())
 }
 
-// SlotReport summarizes one decision slot of job execution. Alias of the
-// shared telemetry type.
-type SlotReport = telemetry.SlotReport
-
 // RunSlot advances the job by `seconds` ticks at the offered rates
 // returned by rateAt (called with the second offset within the slot) and
 // returns the slot report.
-func (j *Job) RunSlot(seconds int, rateAt func(sec int) []float64) (*SlotReport, error) {
+func (j *Job) RunSlot(seconds int, rateAt func(sec int) []float64) (*monitor.Snapshot, error) {
 	return j.runSlot(seconds, rateAt, true)
 }
 
@@ -336,11 +333,11 @@ func (j *Job) RunSlot(seconds int, rateAt func(sec int) []float64) (*SlotReport,
 // (internal/fleet), exactly one participant may tick the cluster — every
 // tick accrues cost for *all* running pods — so the fleet manager
 // designates one clock owner per round and runs the rest detached.
-func (j *Job) RunSlotDetached(seconds int, rateAt func(sec int) []float64) (*SlotReport, error) {
+func (j *Job) RunSlotDetached(seconds int, rateAt func(sec int) []float64) (*monitor.Snapshot, error) {
 	return j.runSlot(seconds, rateAt, false)
 }
 
-func (j *Job) runSlot(seconds int, rateAt func(sec int) []float64, tickCluster bool) (*SlotReport, error) {
+func (j *Job) runSlot(seconds int, rateAt func(sec int) []float64, tickCluster bool) (*monitor.Snapshot, error) {
 	// Re-sync the dataflow with the pods that are actually Running: node
 	// failures or freed capacity between slots change the effective
 	// parallelism without a Rescale call.
@@ -353,7 +350,7 @@ func (j *Job) runSlot(seconds int, rateAt func(sec int) []float64, tickCluster b
 		telemetry.Int("seconds", seconds))
 	defer sp.End()
 	j.engine.BeginSlot()
-	acc, err := telemetry.NewSlotAccumulator(j.slot, j.graph.NumOperators(), j.graph.NumSources(), seconds)
+	acc, err := monitor.NewSlotAccumulator(j.slot, j.graph.NumOperators(), j.graph.NumSources(), seconds)
 	if err != nil {
 		return nil, fmt.Errorf("flink: %w", err)
 	}
@@ -388,4 +385,4 @@ func (j *Job) runSlot(seconds int, rateAt func(sec int) []float64, tickCluster b
 
 // LastReport returns the most recent slot report, or nil before the first
 // slot completes.
-func (j *Job) LastReport() *SlotReport { return j.lastReport }
+func (j *Job) LastReport() *monitor.Snapshot { return j.lastReport }

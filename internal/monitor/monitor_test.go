@@ -1,4 +1,4 @@
-package monitor
+package monitor_test
 
 import (
 	"math"
@@ -7,6 +7,7 @@ import (
 	"dragster/internal/cluster"
 	"dragster/internal/dag"
 	"dragster/internal/flink"
+	"dragster/internal/monitor"
 	"dragster/internal/streamsim"
 )
 
@@ -48,14 +49,14 @@ func buildJob(t testing.TB, perTask float64, initial []int) (*flink.SessionClust
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil); err == nil {
+	if _, err := monitor.New(nil); err == nil {
 		t.Error("nil job accepted")
 	}
 }
 
 func TestCollectBeforeFirstSlotFails(t *testing.T) {
 	_, j := buildJob(t, 150, []int{1, 1})
-	m, err := New(j)
+	m, err := monitor.New(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +71,37 @@ func TestCollectBeforeFirstSlotFails(t *testing.T) {
 	}
 }
 
+// TestCollectReturnsTheJobReport: the monitor gates the slot report the
+// substrate finished and hands that very report on, without a copy.
+func TestCollectReturnsTheJobReport(t *testing.T) {
+	_, j := buildJob(t, 150, []int{2, 3})
+	m, err := monitor.New(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot := 0; slot < 2; slot++ {
+		if _, err := j.RunSlot(30, func(int) []float64 { return []float64{100} }); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := m.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap != j.LastReport() {
+			t.Fatalf("slot %d: Collect returned a copy, not the job's report", slot)
+		}
+		if snap.Slot != slot {
+			t.Errorf("snapshot slot = %d, want %d", snap.Slot, slot)
+		}
+	}
+}
+
 func TestCollectCapacityEstimate(t *testing.T) {
 	_, j := buildJob(t, 150, []int{2, 3})
 	if _, err := j.RunSlot(60, func(int) []float64 { return []float64{100} }); err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(j)
+	m, err := monitor.New(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +136,7 @@ func TestCollectBackpressureSignal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := New(j)
+	m, err := monitor.New(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +151,12 @@ func TestCollectBackpressureSignal(t *testing.T) {
 
 func TestMinUtilFloorsCapacityEstimate(t *testing.T) {
 	// Nearly idle operator: tiny offered load with huge capacity would
-	// produce a wild estimate if util were used raw; minUtil caps it.
+	// produce a wild estimate if util were used raw; monitor.MinUtil caps it.
 	_, j := buildJob(t, 100000, []int{1, 1})
 	if _, err := j.RunSlot(30, func(int) []float64 { return []float64{1} }); err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(j)
+	m, err := monitor.New(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +164,12 @@ func TestMinUtilFloorsCapacityEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// OutRate ≈ 2/s, estimate capped at 2/minUtil = 40.
+	// OutRate ≈ 2/s, estimate capped at 2/monitor.MinUtil = 40.
 	op := snap.Operators[0]
-	if op.Util >= minUtil {
-		t.Fatalf("util %v not below the floor %v; the scenario is not idle", op.Util, minUtil)
+	if op.Util >= monitor.MinUtil {
+		t.Fatalf("util %v not below the floor %v; the scenario is not idle", op.Util, monitor.MinUtil)
 	}
-	if want := op.OutRate / minUtil; op.CapacityObs != want || want > 45 {
-		t.Errorf("capacity estimate %v not floored at OutRate/minUtil = %v", op.CapacityObs, want)
+	if want := op.OutRate / monitor.MinUtil; op.CapacityObs != want || want > 45 {
+		t.Errorf("capacity estimate %v not floored at OutRate/monitor.MinUtil = %v", op.CapacityObs, want)
 	}
 }

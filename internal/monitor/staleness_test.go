@@ -3,22 +3,20 @@ package monitor
 import (
 	"errors"
 	"testing"
-
-	"dragster/internal/telemetry"
 )
 
 // fakeJob serves whatever report it currently holds.
-type fakeJob struct{ rep *telemetry.SlotReport }
+type fakeJob struct{ rep *Snapshot }
 
-func (f *fakeJob) LastReport() *telemetry.SlotReport { return f.rep }
+func (f *fakeJob) LastReport() *Snapshot { return f.rep }
 
-func report(slot int) *telemetry.SlotReport {
-	return &telemetry.SlotReport{
+func report(slot int) *Snapshot {
+	return &Snapshot{
 		Slot:        slot,
 		Throughput:  100,
 		SourceRates: []float64{100},
-		Vertices: []telemetry.VertexStats{
-			{Name: "map", RunningTasks: 1, InRate: 100, OutRate: 100, Util: 0.5},
+		Operators: []OperatorMetrics{
+			{Name: "map", Tasks: 1, InRate: 100, OutRate: 100, Util: 0.5},
 		},
 	}
 }
@@ -55,9 +53,9 @@ func TestCollectRejectsStaleRepeat(t *testing.T) {
 }
 
 // funcInterceptor adapts a function to the Interceptor interface.
-type funcInterceptor func(*telemetry.SlotReport) (*telemetry.SlotReport, error)
+type funcInterceptor func(*Snapshot) (*Snapshot, error)
 
-func (f funcInterceptor) InterceptReport(rep *telemetry.SlotReport) (*telemetry.SlotReport, error) {
+func (f funcInterceptor) InterceptReport(rep *Snapshot) (*Snapshot, error) {
 	return f(rep)
 }
 
@@ -67,7 +65,7 @@ func TestInterceptorErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("blackout")
-	m.SetInterceptor(funcInterceptor(func(*telemetry.SlotReport) (*telemetry.SlotReport, error) {
+	m.SetInterceptor(funcInterceptor(func(*Snapshot) (*Snapshot, error) {
 		return nil, boom
 	}))
 	if _, err := m.Collect(); !errors.Is(err, boom) {
@@ -80,7 +78,7 @@ func TestInterceptorNilReportBecomesNoSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetInterceptor(funcInterceptor(func(*telemetry.SlotReport) (*telemetry.SlotReport, error) {
+	m.SetInterceptor(funcInterceptor(func(*Snapshot) (*Snapshot, error) {
 		return nil, nil
 	}))
 	if _, err := m.Collect(); !errors.Is(err, ErrNoSample) {
@@ -94,7 +92,7 @@ func TestInterceptorCanSubstituteReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	swapped := report(7)
-	m.SetInterceptor(funcInterceptor(func(*telemetry.SlotReport) (*telemetry.SlotReport, error) {
+	m.SetInterceptor(funcInterceptor(func(*Snapshot) (*Snapshot, error) {
 		return swapped, nil
 	}))
 	snap, err := m.Collect()
@@ -112,7 +110,7 @@ func TestSetInterceptorNilRestoresCleanPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetInterceptor(funcInterceptor(func(*telemetry.SlotReport) (*telemetry.SlotReport, error) {
+	m.SetInterceptor(funcInterceptor(func(*Snapshot) (*Snapshot, error) {
 		return nil, errors.New("should not run")
 	}))
 	m.SetInterceptor(nil)

@@ -138,8 +138,8 @@ func TestRunSlotSteadyState(t *testing.T) {
 	if math.Abs(rep.Throughput-200) > 5 {
 		t.Errorf("Throughput = %v, want ≈200", rep.Throughput)
 	}
-	if rep.Vertices[0].Name != "split" || rep.Vertices[0].RunningTasks != 2 {
-		t.Errorf("vertex 0 = %+v", rep.Vertices[0])
+	if rep.Operators[0].Name != "split" || rep.Operators[0].Tasks != 2 {
+		t.Errorf("vertex 0 = %+v", rep.Operators[0])
 	}
 	if topo.LastReport() != rep {
 		t.Error("report bookkeeping wrong")

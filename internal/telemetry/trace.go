@@ -1,3 +1,6 @@
+// Package telemetry is Dragster's observability layer: the sim-time
+// tracer, the one metrics Registry a run counts in, and the JSONL,
+// Chrome-trace and Prometheus exporters.
 package telemetry
 
 import (

@@ -189,10 +189,10 @@ func (t *Tenant) Rates() []float64 { return t.rates }
 // tickClock false the slot runs without advancing the shared cluster
 // clock (see flink.Job.RunSlotDetached), for tenants that share a
 // cluster whose clock another tenant owns.
-func (t *Tenant) RunSlot(seconds int, tickClock bool) (*telemetry.SlotReport, error) {
+func (t *Tenant) RunSlot(seconds int, tickClock bool) (*monitor.Snapshot, error) {
 	t.rates = append(t.rates[:0], t.rateFn(t.slot, 0)...)
 	t.snap = nil
-	var rep *telemetry.SlotReport
+	var rep *monitor.Snapshot
 	var err error
 	if tickClock {
 		rep, err = t.job.RunSlot(seconds, t.rateAt)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dragster/internal/baseline"
 	"dragster/internal/chaos"
 	"dragster/internal/cluster"
 	"dragster/internal/core"
@@ -152,6 +153,48 @@ func TestBaselineDecidePath(t *testing.T) {
 	}
 	if r.t.Controller() != nil {
 		t.Error("baseline policy reported as a controller")
+	}
+}
+
+// TestDecideLeavesSnapshotUnchanged: the snapshot a policy reads is the
+// substrate's own slot report, so neither a Dragster controller nor a
+// Dhalion Decide may write to it.
+func TestDecideLeavesSnapshotUnchanged(t *testing.T) {
+	spec := mustSpec(t, workload.WordCount)
+	ctrl, err := core.New(ControllerConfig(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dhalion, err := baseline.NewDhalion(spec.MaxTasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []core.Autoscaler{ctrl, dhalion} {
+		r := newRig(t, spec, policy, nil)
+		for slot := 0; slot < 4; slot++ {
+			if _, err := r.t.RunSlot(slotSeconds, true); err != nil {
+				t.Fatal(err)
+			}
+			if fresh, err := r.t.Collect(); err != nil || !fresh {
+				t.Fatalf("%s slot %d: collect fresh=%v err=%v", policy.Name(), slot, fresh, err)
+			}
+			snap := r.t.Snapshot()
+			if snap != r.t.Flink().LastReport() {
+				t.Fatalf("%s slot %d: the collected snapshot is not the job's report", policy.Name(), slot)
+			}
+			before := *snap
+			before.SourceRates = append([]float64(nil), snap.SourceRates...)
+			before.Operators = append([]monitor.OperatorMetrics(nil), snap.Operators...)
+			if err := r.t.Decide(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(*snap, before) {
+				t.Fatalf("%s slot %d: Decide changed the snapshot\nbefore %+v\nafter  %+v", policy.Name(), slot, before, *snap)
+			}
+			if err := r.t.Apply(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
