@@ -19,6 +19,7 @@ package event
 
 import (
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"strconv"
 	"strings"
@@ -150,10 +151,15 @@ type Log struct {
 	mu  sync.Mutex
 	seq uint64
 	evs []Event
+	// hash is the running FNV-1a digest of the canonical encoding of evs;
+	// FNV-1a streams, so feeding each event's bytes at Emit gives the
+	// digest of the whole history.
+	hash hash.Hash64
+	enc  []byte // Emit's encoding scratch
 }
 
 // NewLog returns an empty log whose first event will carry Seq 1.
-func NewLog() *Log { return &Log{} }
+func NewLog() *Log { return &Log{hash: fnv.New64a()} }
 
 // Emit stamps e with the next sequence number and appends it.
 func (l *Log) Emit(e Event) Event {
@@ -162,6 +168,8 @@ func (l *Log) Emit(e Event) Event {
 	l.seq++
 	e.Seq = l.seq
 	l.evs = append(l.evs, e)
+	l.enc = Append(l.enc[:0], e)
+	l.hash.Write(l.enc)
 	return e
 }
 
@@ -207,11 +215,11 @@ func (l *Log) Text() string {
 	return b.String()
 }
 
-// Hash returns the FNV-1a digest of the canonical encoding; checkpoints
-// store it so a replica can prove its replayed prefix matches the
-// primary's trace without shipping the whole log.
+// Hash returns the FNV-1a digest of the canonical encoding, kept up to
+// date by Emit; checkpoints store it so a replica can prove its replayed
+// prefix matches the primary's trace without shipping the whole log.
 func (l *Log) Hash() uint64 {
-	h := fnv.New64a()
-	h.Write(l.Bytes())
-	return h.Sum64()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.hash.Sum64()
 }

@@ -3,6 +3,7 @@ package event
 import (
 	"bytes"
 	"hash/fnv"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -111,6 +112,34 @@ func TestLogSequencesAndHash(t *testing.T) {
 	}
 	if !strings.Contains(l.Text(), "admit job=alpha") {
 		t.Fatalf("text rendering missing admit line:\n%s", l.Text())
+	}
+}
+
+// TestRunningHashMatchesBytes: after every Emit of a random event
+// sequence, the running Hash equals the FNV-1a digest of Bytes().
+func TestRunningHashMatchesBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	l := NewLog()
+	check := func(step int) {
+		h := fnv.New64a()
+		h.Write(l.Bytes())
+		if got, want := l.Hash(), h.Sum64(); got != want {
+			t.Fatalf("after %d events: Hash = %016x, FNV-1a of Bytes = %016x", step, got, want)
+		}
+	}
+	check(0)
+	for step := 1; step <= 500; step++ {
+		e := Event{
+			Round: rng.Intn(1000) - 10,
+			Type:  Type(1 + rng.Intn(int(TypePlan))),
+			Job:   strings.Repeat("j", rng.Intn(6)),
+			Note:  strings.Repeat("n", rng.Intn(40)),
+		}
+		for k := rng.Intn(5); k > 0; k-- {
+			e.Args = append(e.Args, rng.Int63n(1<<40)-1<<39)
+		}
+		l.Emit(e)
+		check(step)
 	}
 }
 
