@@ -60,7 +60,7 @@ func TestLagrangianForwardMatchesGradientL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotL, _, err := g.LagrangianForward(new(dag.Workspace), rates, y, lambda)
+		gotL, err := g.LagrangianForward(new(dag.Workspace), rates, y, lambda)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,8 +85,9 @@ func TestLagrangianForwardMatchesGradientL(t *testing.T) {
 	}
 }
 
-// TestBranchPatternIsTheCapacityTest: bit b of the pattern is set exactly
-// when the b-th operator out-edge passes the reverse sweep's capacity
+// TestBranchPatternIsTheCapacityTest: the branch of min(α·y, h(e)) the
+// forward sweep takes on each operator out-edge (the pattern, recomputed
+// from the edge's input flows) is exactly the reverse sweep's capacity
 // test, flow == α·y, over the flows the sweep leaves behind.
 func TestBranchPatternIsTheCapacityTest(t *testing.T) {
 	rng := stats.NewRNG(52)
@@ -100,10 +101,10 @@ func TestBranchPatternIsTheCapacityTest(t *testing.T) {
 			g = mixedGraph(t, rng)
 		}
 		rates, y, lambda := dyadicPoint(g, rng)
-		_, pattern, err := g.LagrangianForward(ws, rates, y, lambda)
-		if err != nil {
+		if _, err := g.LagrangianForward(ws, rates, y, lambda); err != nil {
 			t.Fatal(err)
 		}
+		pattern := dag.BranchPattern(g, ws, y)
 		flows := dag.SweptFlows(ws)
 		edges, ops := dag.PatternEdges(g)
 		for b, ei := range edges {
@@ -140,10 +141,10 @@ func TestPatternDeterminesPureGradient(t *testing.T) {
 			for i := range y {
 				y[i] = rng.Uniform(1, 2000)
 			}
-			_, pattern, err := g.LagrangianForward(ws, rates, y, lambda)
-			if err != nil {
+			if _, err := g.LagrangianForward(ws, rates, y, lambda); err != nil {
 				t.Fatal(err)
 			}
+			pattern := dag.BranchPattern(g, ws, y)
 			if !g.Pure() {
 				t.Fatalf("trial %d: a Linear-only graph is not pure", trial)
 			}
@@ -199,7 +200,7 @@ func TestPurityNeedsAtMost64Edges(t *testing.T) {
 		for i := range y {
 			y[i] = 10
 		}
-		if _, _, err := g.LagrangianForward(new(dag.Workspace), []float64{5}, y, make([]float64, c.ops)); err != nil {
+		if _, err := g.LagrangianForward(new(dag.Workspace), []float64{5}, y, make([]float64, c.ops)); err != nil {
 			t.Fatal(err)
 		}
 		if pure := g.Pure(); pure != c.pure {

@@ -105,7 +105,7 @@ func vertexMax(t *testing.T, g *dag.Graph, rates, lambda []float64, yMax float64
 					y[i] = math.Min(math.Max(v, 0), yMax)
 				}
 				if in {
-					l, _, err := g.LagrangianForward(&ws, rates, y, lambda)
+					l, err := g.LagrangianForward(&ws, rates, y, lambda)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -212,7 +212,7 @@ func (o *Optimizer) maximizeLagrangian(rates []float64) ([]float64, error) {
 // regularizedLagrangian returns L(y, λ) − w·Σy, the economy-regularized
 // inner objective (see economyWeight).
 func (o *Optimizer) regularizedLagrangian(rates, y []float64) (float64, error) {
-	l, _, err := o.g.LagrangianForward(&o.ws, rates, y, o.lambda)
+	l, err := o.g.LagrangianForward(&o.ws, rates, y, o.lambda)
 	if err != nil {
 		return 0, err
 	}
