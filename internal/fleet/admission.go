@@ -6,15 +6,14 @@ import (
 	"dragster/internal/cluster"
 	"dragster/internal/fleet/event"
 	"dragster/internal/flink"
-	"dragster/internal/mathx"
 	"dragster/internal/planner"
 	"dragster/internal/telemetry"
 )
 
 // Admission control: a submitted job waits in a FIFO queue until the
-// fleet can grant it its admission allocation — max(one task per
-// operator, its requested initial configuration). Admissibility needs
-// two things to hold simultaneously:
+// fleet can grant it its admission allocation: one task per operator, or
+// its capacity plan's total under PlanOnAdmit. Admissibility needs two
+// things to hold simultaneously:
 //
 //  1. budget feasibility: the floors of every running job plus the
 //     newcomer's grant fit inside the global Σ-tasks budget (running
@@ -27,22 +26,10 @@ import (
 // nothing behind it is considered this round — later (smaller) jobs must
 // not starve an earlier tenant indefinitely.
 
-// grant is the Σ-tasks allocation a cold-floor job receives at
-// admission.
-func grant(spec *JobSpec) int {
-	g := spec.floor()
-	if spec.InitialTasks != nil {
-		if s := mathx.SumInts(spec.InitialTasks); s > g {
-			g = s
-		}
-	}
-	return g
-}
-
 // grantFor is the Σ-tasks allocation a job receives at admission: the
 // capacity plan's total when one was built, the cold floor otherwise.
 func (m *Manager) grantFor(js *jobState) int {
-	g := grant(&js.spec)
+	g := js.spec.floor()
 	if js.plan != nil {
 		if t := js.plan.TotalTasks; t > g {
 			g = t

@@ -8,13 +8,19 @@ import (
 	"dragster/internal/workload"
 )
 
-func wcJob(t *testing.T, name string, arrive, depart int, initial []int) JobSpec {
+func wcJob(t *testing.T, name string, arrive, depart int) JobSpec {
 	t.Helper()
 	wc := mustSpec(t, workload.WordCount)
 	return JobSpec{
 		Name: name, Workload: wc, Rates: constRates(t, wc.LowRates),
-		ArriveSlot: arrive, DepartSlot: depart, InitialTasks: initial,
+		ArriveSlot: arrive, DepartSlot: depart,
 	}
+}
+
+func yahooJob(t *testing.T, name string, arrive int) JobSpec {
+	t.Helper()
+	y := mustSpec(t, workload.Yahoo)
+	return JobSpec{Name: name, Workload: y, Rates: constRates(t, y.LowRates), ArriveSlot: arrive}
 }
 
 func groupJob(t *testing.T, name string, arrive int) JobSpec {
@@ -60,8 +66,8 @@ func jobByName(res *Result, name string) *JobResult {
 // TestFleetAdmissionEdges drives the admission controller through its
 // edge cases as one table. Admissibility is floor-based (running jobs
 // above their floor are shrunk by the rebalance that follows), so each
-// case engineers blockage through admission grants — max(floor,
-// ΣInitialTasks) — against a tight budget.
+// case engineers blockage through admission grants — each workload's
+// floor of one task per operator — against a tight budget.
 func TestFleetAdmissionEdges(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -77,12 +83,12 @@ func TestFleetAdmissionEdges(t *testing.T) {
 			// must not jump the queue. When the incumbent departs, both are
 			// admitted in FIFO order in the same round.
 			name:   "head of line blocking",
-			budget: 4,
+			budget: 7,
 			jobs: func(t *testing.T) []JobSpec {
 				return []JobSpec{
-					wcJob(t, "incumbent", 0, 4, nil),   // floor 2, departs round 4
-					wcJob(t, "big", 1, 0, []int{2, 2}), // grant 4: blocked while incumbent runs
-					groupJob(t, "small", 2),            // grant 1: would fit, must wait behind big
+					wcJob(t, "incumbent", 0, 4), // floor 2, departs round 4
+					yahooJob(t, "big", 1),       // grant 6: blocked while incumbent runs
+					groupJob(t, "small", 2),     // grant 1: would fit, must wait behind big
 				}
 			},
 			check: func(t *testing.T, m *Manager) {
@@ -110,9 +116,9 @@ func TestFleetAdmissionEdges(t *testing.T) {
 			budget: 1,
 			jobs: func(t *testing.T) []JobSpec {
 				return []JobSpec{
-					groupJob(t, "incumbent", 0),   // floor 1: fills the budget
-					wcJob(t, "toobig", 1, 0, nil), // floor 2 > budget 1: reject
-					groupJob(t, "waiter", 2),      // floor 1: queues behind the incumbent
+					groupJob(t, "incumbent", 0), // floor 1: fills the budget
+					wcJob(t, "toobig", 1, 0),    // floor 2 > budget 1: reject
+					groupJob(t, "waiter", 2),    // floor 1: queues behind the incumbent
 				}
 			},
 			check: func(t *testing.T, m *Manager) {
@@ -141,13 +147,13 @@ func TestFleetAdmissionEdges(t *testing.T) {
 			// Queue overflow rejects the newcomer, never evicts the tenant
 			// already waiting.
 			name:     "queue overflow rejects newcomer",
-			budget:   4,
+			budget:   7,
 			maxQueue: 1,
 			jobs: func(t *testing.T) []JobSpec {
 				return []JobSpec{
-					wcJob(t, "incumbent", 0, 0, nil),        // floor 2, never departs
-					wcJob(t, "first-in", 1, 0, []int{2, 2}), // grant 4: blocked forever
-					groupJob(t, "overflow", 2),              // queue already full
+					wcJob(t, "incumbent", 0, 0), // floor 2, never departs
+					yahooJob(t, "first-in", 1),  // grant 6: blocked forever
+					groupJob(t, "overflow", 2),  // queue already full
 				}
 			},
 			check: func(t *testing.T, m *Manager) {
@@ -172,12 +178,12 @@ func TestFleetAdmissionEdges(t *testing.T) {
 			// without ever building a stack, and unblocks the queue behind
 			// it the same round.
 			name:   "cancel while queued",
-			budget: 4,
+			budget: 7,
 			jobs: func(t *testing.T) []JobSpec {
 				return []JobSpec{
-					wcJob(t, "incumbent", 0, 0, nil),      // floor 2, never departs
-					wcJob(t, "doomed", 1, 0, []int{2, 2}), // grant 4: blocked at the head
-					groupJob(t, "heir", 2),                // grant 1: fits once doomed is gone
+					wcJob(t, "incumbent", 0, 0), // floor 2, never departs
+					yahooJob(t, "doomed", 1),    // grant 6: blocked at the head
+					groupJob(t, "heir", 2),      // grant 1: fits once doomed is gone
 				}
 			},
 			mutate: func(t *testing.T, m *Manager, r int) {
@@ -239,7 +245,7 @@ func TestFleetAdmissionEdges(t *testing.T) {
 // checkpoints, and per-job metrics all key on.
 func TestFleetDuplicateNames(t *testing.T) {
 	jobs := []JobSpec{
-		wcJob(t, "same", 0, 0, nil),
+		wcJob(t, "same", 0, 0),
 		groupJob(t, "same", 2),
 	}
 	cfg := Config{Jobs: jobs, Slots: 4, SlotSeconds: 60, Seed: 5, TotalTaskBudget: 8}
@@ -247,7 +253,7 @@ func TestFleetDuplicateNames(t *testing.T) {
 		t.Fatalf("duplicate config names: err=%v, want duplicate error", err)
 	}
 
-	cfg.Jobs = []JobSpec{wcJob(t, "solo", 0, 0, nil)}
+	cfg.Jobs = []JobSpec{wcJob(t, "solo", 0, 0)}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

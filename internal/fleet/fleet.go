@@ -109,13 +109,10 @@ type JobSpec struct {
 	// Priority weights the job in the budget arbiter (default 1; higher
 	// values attract proportionally more surplus budget).
 	Priority float64
-	// InitialTasks is the configuration at admission (default all 1 — the
-	// admission floor).
-	InitialTasks []int
 	// PlanOnAdmit runs the capacity planner when the job reaches the head
 	// of the admission queue: the admission grant and initial
 	// configuration come from the fitted plan instead of the cold floor
-	// (overriding InitialTasks), the plan's probe observations seed the
+	// (one task per operator), the plan's probe observations seed the
 	// tenant's GP warm-start store, and the plan is journaled as a
 	// TypePlan event so replay and failover stay byte-identical.
 	PlanOnAdmit bool
@@ -143,10 +140,6 @@ func (j *JobSpec) validate() error {
 	}
 	if j.Priority < 0 || math.IsNaN(j.Priority) || math.IsInf(j.Priority, 0) {
 		return fmt.Errorf("fleet: job %s: priority %v is negative or not finite", j.Name, j.Priority)
-	}
-	m := j.Workload.Graph.NumOperators()
-	if j.InitialTasks != nil && len(j.InitialTasks) != m {
-		return fmt.Errorf("fleet: job %s: got %d initial tasks, want %d", j.Name, len(j.InitialTasks), m)
 	}
 	if j.TargetRates != nil {
 		if len(j.TargetRates) != j.Workload.Graph.NumSources() {
@@ -953,7 +946,7 @@ func estimateNeed(snap *monitor.Snapshot, maxTasks int) int {
 // then its engine, Flink job, monitor and retrier.
 func (m *Manager) buildStack(js *jobState, r int) error {
 	spec := js.spec.Workload
-	initial := js.spec.InitialTasks
+	var initial []int // nil: the cold floor, one task per operator
 	if js.plan != nil {
 		initial = append([]int(nil), js.plan.Tasks...)
 	}
