@@ -16,9 +16,21 @@ import (
 // multi-input linear forms with rates in [0.3, 2.0] — increasing and
 // concave, per the paper's assumptions.
 func RandomLayeredGraph(rng *stats.RNG) (*dag.Graph, error) {
+	return randomLayered(rng, 1+rng.Intn(2), false)
+}
+
+// RandomJoinGraph builds a random layered DAG as RandomLayeredGraph does,
+// from 2–3 sources, where each out-edge of an operator with two or three
+// inputs is a join with probability 2/3: a MinRate (Eq. 2b) with weights
+// in [0.3, 2.0]. A join in the first layer is fed by sources, one further
+// down by operators.
+func RandomJoinGraph(rng *stats.RNG) (*dag.Graph, error) {
+	return randomLayered(rng, 2+rng.Intn(2), true)
+}
+
+func randomLayered(rng *stats.RNG, nSources int, joins bool) (*dag.Graph, error) {
 	b := dag.NewBuilder()
 
-	nSources := 1 + rng.Intn(2)
 	nLayers := 1 + rng.Intn(3)
 
 	kinds := map[dag.NodeID]dag.Kind{}
@@ -80,11 +92,15 @@ func RandomLayeredGraph(rng *stats.RNG) (*dag.Graph, error) {
 			for i := range ks {
 				ks[i] = 0.3 + 1.7*rng.Float64()
 			}
-			lin, err := dag.NewLinear(ks...)
+			var err error
+			if joins && len(ks) >= 2 && rng.Float64() < 2.0/3 {
+				h, err = dag.NewMinRate(ks...)
+			} else {
+				h, err = dag.NewLinear(ks...)
+			}
 			if err != nil {
 				return nil, err
 			}
-			h = lin
 		}
 		b.Edge(e.from, e.to, h, alpha)
 	}

@@ -69,7 +69,7 @@ type Graph struct {
 	opPlan    []opStep    // operators in topological order
 	sinkEdges []int32     // edges into sinks: sinks in topological order, preds order
 	linK      [][]float64 // edge ID -> Linear rate vector (nil unless h is a Linear)
-	pure      bool        // every operator out-edge is a Linear, and there are ≤ 64
+	piecewise bool        // every operator out-edge is piecewise linear, and there are ≤ 64
 }
 
 // opStep is one operator's entry in the evaluation plan.
@@ -282,20 +282,24 @@ func (g *Graph) buildPlan() {
 	}
 	g.opPlan = make([]opStep, 0, len(g.operators))
 	opEdges := 0
-	g.pure = true
+	g.piecewise = true
 	for _, id := range g.topo {
 		switch g.kinds[id] {
 		case Operator:
 			g.opPlan = append(g.opPlan, opStep{index: g.opIdx[id], preds: g.predEdges[id], succs: g.succEdges[id]})
 			for _, ei := range g.succEdges[id] {
-				g.pure = g.pure && g.linK[ei] != nil
+				switch g.hByID[ei].(type) {
+				case Linear, *LearnedLinear, MinRate:
+				default:
+					g.piecewise = false
+				}
 			}
 			opEdges += len(g.succEdges[id])
 		case Sink:
 			g.sinkEdges = append(g.sinkEdges, g.predEdges[id]...)
 		}
 	}
-	g.pure = g.pure && opEdges <= 64
+	g.piecewise = g.piecewise && opEdges <= 64
 }
 
 // topoSort runs Kahn's algorithm, returning an order or a cycle error.
@@ -660,9 +664,9 @@ func (g *Graph) LagrangianGradient(w *Workspace, rates, y, lambda []float64) (fl
 // validates the arguments as LagrangianGradient does and returns the same
 // L(y, λ), bit for bit, without the gradient. The reverse sweep reads y
 // only through each operator out-edge's capacity test, flow == α·y, so
-// on a Pure graph the gradient is a function of λ and the branch pattern
-// (which edges pass that test) alone, and L is linear on each pattern's
-// cell.
+// where every operator out-edge is a Linear the gradient is a function
+// of λ and the branch pattern (which edges pass that test) alone, and L
+// is linear on each pattern's cell.
 func (g *Graph) LagrangianForward(w *Workspace, rates, y, lambda []float64) (val float64, err error) {
 	if err := g.checkEvalArgs(rates, y); err != nil {
 		return 0, err
@@ -684,12 +688,14 @@ func (g *Graph) LagrangianForward(w *Workspace, rates, y, lambda []float64) (val
 	return val, nil
 }
 
-// Pure reports that every operator out-edge is a Linear and that there
-// are at most 64 of them. Then every flow is min(α·y, k·e) of a linear
-// input, and L(y, λ) is piecewise linear in y with one piece per branch
-// pattern. The edge limit bounds the size of the exact level-1 solve,
-// whose LP and branch-and-bound tree grow with the edge count.
-func (g *Graph) Pure() bool { return g.pure }
+// PiecewiseLinear reports that every operator out-edge is a Linear, a
+// LearnedLinear or a MinRate, and that there are at most 64 of them. Then,
+// with each LearnedLinear read at its current k, every flow is the
+// smallest of α·y and linear terms of the operator's inputs, and L(y, λ)
+// is piecewise linear in y. The edge limit bounds the size of the exact
+// level-1 solve, whose LP and branch-and-bound tree grow with the edge
+// count.
+func (g *Graph) PiecewiseLinear() bool { return g.piecewise }
 
 // LagrangianReverse is the reverse half of LagrangianGradient: ∂L/∂y over
 // the flows the last LagrangianForward on w left, which must have run on

@@ -27,13 +27,16 @@ func dyadicPoint(g *dag.Graph, rng *stats.RNG) (rates, y, lambda []float64) {
 	return rates, y, lambda
 }
 
-// wantPure is the purity rule restated: every operator out-edge is a
-// Linear, and there are at most 64 of them.
-func wantPure(g *dag.Graph) bool {
+// wantPiecewise is the piecewise-linear rule restated: every operator
+// out-edge is a Linear, a LearnedLinear or a MinRate, and there are at
+// most 64 of them.
+func wantPiecewise(g *dag.Graph) bool {
 	n := 0
 	for _, id := range g.Operators() {
 		for _, ei := range g.SuccEdgeIDs(id) {
-			if _, ok := g.HByID(ei).(dag.Linear); !ok {
+			switch g.HByID(ei).(type) {
+			case dag.Linear, *dag.LearnedLinear, dag.MinRate:
+			default:
 				return false
 			}
 			n++
@@ -44,10 +47,11 @@ func wantPure(g *dag.Graph) bool {
 
 // TestLagrangianForwardMatchesGradientL: the forward sweep alone, on a
 // fresh workspace, returns LagrangianGradient's (and the tape's) L bit for
-// bit and reports purity exactly when every operator out-edge is a Linear.
+// bit, and the graph reports itself piecewise linear exactly when every
+// operator out-edge is a Linear, a LearnedLinear or a MinRate.
 func TestLagrangianForwardMatchesGradientL(t *testing.T) {
 	rng := stats.NewRNG(51)
-	var pure, mixed int
+	var piecewise, other int
 	for trial := 0; trial < 200; trial++ {
 		var g *dag.Graph
 		if trial%2 == 0 {
@@ -64,24 +68,24 @@ func TestLagrangianForwardMatchesGradientL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotPure := g.Pure()
+		gotPiecewise := g.PiecewiseLinear()
 		if math.Float64bits(gotL) != math.Float64bits(wantL) {
 			t.Fatalf("trial %d: forward L = %v, LagrangianGradient %v", trial, gotL, wantL)
 		}
 		if tapeL, _, _, _ := tapeLagrangian(g, rates, y, lambda); math.Float64bits(gotL) != math.Float64bits(tapeL) {
 			t.Fatalf("trial %d: forward L = %v, tape %v", trial, gotL, tapeL)
 		}
-		if gotPure != wantPure(g) {
-			t.Fatalf("trial %d: pure = %v, want %v", trial, gotPure, !gotPure)
+		if gotPiecewise != wantPiecewise(g) {
+			t.Fatalf("trial %d: piecewise linear = %v, want %v", trial, gotPiecewise, !gotPiecewise)
 		}
-		if gotPure {
-			pure++
+		if gotPiecewise {
+			piecewise++
 		} else {
-			mixed++
+			other++
 		}
 	}
-	if pure == 0 || mixed == 0 {
-		t.Fatalf("generators gave %d pure and %d non-pure graphs", pure, mixed)
+	if piecewise == 0 || other == 0 {
+		t.Fatalf("generators gave %d piecewise-linear graphs and %d others", piecewise, other)
 	}
 }
 
@@ -124,7 +128,7 @@ func TestBranchPatternIsTheCapacityTest(t *testing.T) {
 	}
 }
 
-// TestPatternDeterminesPureGradient: on a pure graph, two capacity
+// TestPatternDeterminesPureGradient: on a Linear-only graph, two capacity
 // vectors with the same branch pattern have bit-identical gradients at the
 // same λ — L is linear on each pattern's cell, the fact the OSP's exact
 // level-1 solve rests on.
@@ -145,8 +149,8 @@ func TestPatternDeterminesPureGradient(t *testing.T) {
 				t.Fatal(err)
 			}
 			pattern := dag.BranchPattern(g, ws, y)
-			if !g.Pure() {
-				t.Fatalf("trial %d: a Linear-only graph is not pure", trial)
+			if !g.PiecewiseLinear() {
+				t.Fatalf("trial %d: a Linear-only graph is not piecewise linear", trial)
 			}
 			grad := g.LagrangianReverse(ws, y, lambda)
 			want, ok := seen[pattern]
@@ -188,8 +192,8 @@ func chainGraph(t *testing.T, n int) *dag.Graph {
 	return g
 }
 
-// TestPurityNeedsAtMost64Edges: a pattern has 64 bits, so a Linear graph
-// with 65 operator out-edges is not pure.
+// TestPurityNeedsAtMost64Edges: the exact level-1 solve is bounded to 64
+// operator out-edges, so a Linear graph with 65 is not piecewise linear.
 func TestPurityNeedsAtMost64Edges(t *testing.T) {
 	for _, c := range []struct {
 		ops  int
@@ -203,8 +207,8 @@ func TestPurityNeedsAtMost64Edges(t *testing.T) {
 		if _, err := g.LagrangianForward(new(dag.Workspace), []float64{5}, y, make([]float64, c.ops)); err != nil {
 			t.Fatal(err)
 		}
-		if pure := g.Pure(); pure != c.pure {
-			t.Errorf("%d-operator chain: pure = %v, want %v", c.ops, pure, c.pure)
+		if got := g.PiecewiseLinear(); got != c.pure {
+			t.Errorf("%d-operator chain: piecewise linear = %v, want %v", c.ops, got, c.pure)
 		}
 	}
 }
@@ -292,8 +296,8 @@ func TestInlineLinearMatchesInterface(t *testing.T) {
 				y[i] = rng.Uniform(1, 2000)
 			}
 		}
-		if !inline.Pure() || iface.Pure() {
-			t.Fatalf("trial %d: pure = %v inline, %v behind the interface", trial, inline.Pure(), iface.Pure())
+		if !inline.PiecewiseLinear() || iface.PiecewiseLinear() {
+			t.Fatalf("trial %d: piecewise linear = %v inline, %v behind the interface", trial, inline.PiecewiseLinear(), iface.PiecewiseLinear())
 		}
 		wantL, wantGrad, err := iface.LagrangianGradient(new(dag.Workspace), rates, y, lambda)
 		if err != nil {

@@ -44,23 +44,7 @@ func Theorem2Run(priorScale float64, slots, slotSeconds int, seed int64) (*Theor
 
 	// Controller-side graph with learned selectivities starting from
 	// distorted priors; the simulator keeps the exact spec graph.
-	mapLearner, err := dag.NewLearnedLinear(trueMapK * priorScale)
-	if err != nil {
-		return nil, err
-	}
-	shuffleLearner, err := dag.NewLearnedLinear(1 * priorScale)
-	if err != nil {
-		return nil, err
-	}
-	b := dag.NewBuilder()
-	src := b.Source("source")
-	mp := b.Operator("map")
-	sh := b.Operator("shuffle")
-	snk := b.Sink("sink")
-	b.Edge(src, mp, nil, 1)
-	b.Edge(mp, sh, mapLearner, 1)
-	b.Edge(sh, snk, shuffleLearner, 1)
-	learnedGraph, err := b.Build()
+	learnedGraph, mapLearner, err := workload.LearnedWordCount(priorScale)
 	if err != nil {
 		return nil, err
 	}

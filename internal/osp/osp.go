@@ -19,8 +19,8 @@ import (
 type Method int
 
 // Methods. SaddlePoint solves y_t = argmax_y L_{t−1}(y, λ_{t−1}) each
-// slot — exactly on a pure graph (dag.Graph.Pure), by bounded projected
-// ascent otherwise; GradientDescent takes a single η-step from the
+// slot — exactly on a piecewise-linear graph (dag.Graph.PiecewiseLinear),
+// by bounded projected ascent otherwise (a Tanh edge); GradientDescent takes a single η-step from the
 // previous target, trading convergence speed for smoothness (the paper
 // evaluates both).
 const (
@@ -64,7 +64,7 @@ const gammaScale = 0.3
 const violationClamp = 0.1
 
 // innerIters is the iteration count of the projected-gradient solve of
-// Eq. 14 on a graph that is not pure.
+// Eq. 14 on a graph that is not piecewise linear (a Tanh edge).
 const innerIters = 200
 
 // headroomFactor multiplies demand-driven saddle-point targets to keep
@@ -90,7 +90,7 @@ type Optimizer struct {
 	yPrev  []float64 // previous target (OGD state / warm start)
 	t      int       // slot counter (starts at 1 on first Step)
 
-	exact *exactSolver // the Eq. 14 solve on a pure graph, nil otherwise
+	exact *exactSolver // the Eq. 14 solve on a piecewise-linear graph, nil otherwise
 
 	// Scratch reused by every Step.
 	ws   dag.Workspace
@@ -119,7 +119,7 @@ func New(g *dag.Graph, cfg Config) (*Optimizer, error) {
 	for i := range o.yPrev {
 		o.yPrev[i] = cfg.YMax / 4 // neutral warm start
 	}
-	if g.Pure() {
+	if g.PiecewiseLinear() {
 		o.exact = newExactSolver(g)
 	}
 	return o, nil
@@ -130,9 +130,9 @@ func (o *Optimizer) Duals() []float64 { return append([]float64(nil), o.lambda..
 
 // Step consumes last slot's observed source rates (which define
 // f_{t−1}) and returns the target capacity vector y_t. For SaddlePoint it
-// maximizes the Lagrangian: exactly on a pure graph (see exactSolver);
-// otherwise by projected gradient ascent, which returns the best of its
-// innerIters iterates — L is not concave in y, since −λ·demand(y) is
+// maximizes the Lagrangian: exactly on a piecewise-linear graph (see
+// exactSolver); otherwise by projected gradient ascent, which returns the
+// best of its innerIters iterates — L is not concave in y, since −λ·demand(y) is
 // convex, so that is a local answer. For GradientDescent it takes one
 // η-step (Eq. 16).
 func (o *Optimizer) Step(rates []float64) ([]float64, error) {
@@ -176,9 +176,9 @@ func (o *Optimizer) Step(rates []float64) ([]float64, error) {
 	return y, nil
 }
 
-// maximizeLagrangian approximates Eq. 14 on a graph that is not pure by
-// projected normalized-gradient ascent over the box [0, YMax]^M with
-// diminishing steps, returning the best iterate.
+// maximizeLagrangian approximates Eq. 14 on a graph that is not piecewise
+// linear by projected normalized-gradient ascent over the box [0, YMax]^M
+// with diminishing steps, returning the best iterate.
 func (o *Optimizer) maximizeLagrangian(rates []float64) ([]float64, error) {
 	y := o.y
 	copy(y, o.yPrev)
