@@ -528,9 +528,7 @@ func (c *Controller) decideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 		for i, n := range desired {
 			chosen[i] = c.nearestWithTasks(i, n, chosen[i])
 		}
-		if c.tracer != nil {
-			projSpan.Annotate(telemetry.Str("tasks", fmt.Sprint(desired)))
-		}
+		projSpan.Annotate(telemetry.Ints("tasks", desired))
 		projSpan.End()
 	}
 	c.tracer.Metrics().Inc("core_decides")

@@ -417,7 +417,7 @@ func (r *Runner) annotateRound(round *telemetry.Span, tr *SlotTrace) {
 		}
 	}
 	round.Annotate(
-		telemetry.Str("tasks", fmt.Sprint(tr.Tasks)),
+		telemetry.Ints("tasks", tr.Tasks),
 		telemetry.Float("steady", tr.SteadyThroughput),
 		telemetry.Float("measured", tr.MeasuredThroughput),
 		telemetry.Float("optimal", opt),

@@ -252,10 +252,10 @@ func (j *Job) RescaleResources(parallelism []int, cpuMilli []int) error {
 	sp := j.tracer.Begin("flink", "rescale",
 		telemetry.Str("job", j.name),
 		telemetry.Int("slot", j.slot),
-		telemetry.Str("tasks", fmt.Sprint(parallelism)))
+		telemetry.Ints("tasks", parallelism))
 	defer sp.End()
 	if cpuMilli != nil {
-		sp.Annotate(telemetry.Str("cpu_milli", fmt.Sprint(cpuMilli)))
+		sp.Annotate(telemetry.Ints("cpu_milli", cpuMilli))
 	}
 	if j.hooks != nil {
 		if err := j.hooks.InterceptRescale(j.name, j.slot); err != nil {

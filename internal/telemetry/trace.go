@@ -9,24 +9,79 @@ import (
 	"sync"
 )
 
-// Attr is one key-value pair attached to a span or event. Values are
-// pre-rendered to strings by the typed constructors so a span's byte
-// representation is independent of encoder float heuristics.
+// Attr is one key-value pair attached to a span or event. The typed
+// constructors keep a number unformatted; the tracer renders it to its
+// string Value when the span is read (Spans, which every exporter reads
+// through), so a call site with no tracer installed formats nothing. The
+// rendering is fixed per type, so a span's byte representation is
+// independent of encoder float heuristics.
 type Attr struct {
 	Key   string `json:"k"`
-	Value string `json:"v"`
+	Value string `json:"v"` // rendered; empty until then for a typed value
+	kind  attrKind
+	f     float64
+	i     int
+	ints  []int
 }
+
+// attrKind says which typed field holds an Attr's value before rendering.
+type attrKind uint8
+
+const (
+	attrRendered attrKind = iota // Value holds the value
+	attrFloat
+	attrInt
+	attrInts
+)
 
 // Str builds a string attribute.
 func Str(k, v string) Attr { return Attr{Key: k, Value: v} }
 
 // Int builds an integer attribute.
-func Int(k string, v int) Attr { return Attr{Key: k, Value: strconv.Itoa(v)} }
+func Int(k string, v int) Attr { return Attr{Key: k, kind: attrInt, i: v} }
 
 // Float builds a float attribute rendered with the shortest round-trip
 // representation ('g', -1), which is deterministic for a given value.
-func Float(k string, v float64) Attr {
-	return Attr{Key: k, Value: strconv.FormatFloat(v, 'g', -1, 64)}
+func Float(k string, v float64) Attr { return Attr{Key: k, kind: attrFloat, f: v} }
+
+// Ints builds an integer-slice attribute rendered as fmt.Sprint renders
+// it, "[1 2 3]". A tracer copies v when it records the attribute.
+func Ints(k string, v []int) Attr { return Attr{Key: k, kind: attrInts, ints: v} }
+
+// render replaces a typed value by its string.
+func (a *Attr) render() {
+	var b []byte
+	switch a.kind {
+	case attrRendered:
+		return
+	case attrFloat:
+		b = strconv.AppendFloat(b, a.f, 'g', -1, 64)
+	case attrInt:
+		b = strconv.AppendInt(b, int64(a.i), 10)
+	case attrInts:
+		b = append(b, '[')
+		for j, v := range a.ints {
+			if j > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+		b = append(b, ']')
+	}
+	*a = Attr{Key: a.Key, Value: string(b)}
+}
+
+// recordAttrs appends attrs to dst, copying every Ints slice, since its
+// caller may reuse the slice before the span is read.
+func recordAttrs(dst, attrs []Attr) []Attr {
+	n := len(dst)
+	dst = append(dst, attrs...)
+	for j := n; j < len(dst); j++ {
+		if dst[j].kind == attrInts {
+			dst[j].ints = append([]int(nil), dst[j].ints...)
+		}
+	}
+	return dst
 }
 
 // SpanRecord is one closed span of the sim-time trace. Start and End are
@@ -141,7 +196,7 @@ func (t *Tracer) Begin(cat, name string, attrs ...Attr) *Span {
 		Name:   name,
 		Start:  t.now(),
 		End:    -1,
-		Attrs:  append([]Attr(nil), attrs...),
+		Attrs:  recordAttrs(nil, attrs),
 	})
 	t.stack = append(t.stack, idx)
 	return &Span{t: t, idx: idx}
@@ -168,7 +223,7 @@ func (t *Tracer) Event(cat, name string, attrs ...Attr) {
 		Name:   name,
 		Start:  now,
 		End:    now,
-		Attrs:  append([]Attr(nil), attrs...),
+		Attrs:  recordAttrs(nil, attrs),
 	})
 }
 
@@ -181,7 +236,7 @@ func (s *Span) Annotate(attrs ...Attr) {
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
 	rec := &s.t.spans[s.idx]
-	rec.Attrs = append(rec.Attrs, attrs...)
+	rec.Attrs = recordAttrs(rec.Attrs, attrs)
 }
 
 // End closes the span at the current sim clock. Any child spans left open
@@ -210,8 +265,9 @@ func (s *Span) End() {
 	}
 }
 
-// Spans returns a copy of all spans recorded so far, in ID (start) order.
-// Open spans are reported with End == current clock.
+// Spans returns a copy of all spans recorded so far, in ID (start) order,
+// with every attribute rendered. Open spans are reported with End ==
+// current clock.
 func (t *Tracer) Spans() []SpanRecord {
 	if t == nil {
 		return nil
@@ -223,6 +279,9 @@ func (t *Tracer) Spans() []SpanRecord {
 	for i, sp := range t.spans {
 		if sp.End < 0 {
 			sp.End = now
+		}
+		for j := range sp.Attrs {
+			sp.Attrs[j].render() // in place, so a value renders once
 		}
 		sp.Attrs = append([]Attr(nil), sp.Attrs...)
 		out[i] = sp

@@ -2,6 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 )
 
@@ -118,6 +121,9 @@ func TestTimeInPhase(t *testing.T) {
 	}
 }
 
+// TestAttrConstructors: each typed attribute renders as its fmt.Sprint
+// form (the shortest round-trip one for a float), and only a string
+// attribute carries its Value before rendering.
 func TestAttrConstructors(t *testing.T) {
 	cases := []struct {
 		attr Attr
@@ -127,10 +133,50 @@ func TestAttrConstructors(t *testing.T) {
 		{Int("a", -3), "-3"},
 		{Float("a", 0.1), "0.1"},
 		{Float("a", 12345.678), "12345.678"},
+		{Float("a", math.Inf(-1)), "-Inf"},
+		{Ints("a", []int{4, -1, 10}), "[4 -1 10]"},
+		{Ints("a", []int{7}), "[7]"},
+		{Ints("a", nil), "[]"},
 	}
 	for _, c := range cases {
-		if c.attr.Value != c.want {
-			t.Errorf("attr value %q, want %q", c.attr.Value, c.want)
+		if c.attr.kind != attrRendered && c.attr.Value != "" {
+			t.Errorf("typed attr carries %q before rendering", c.attr.Value)
+		}
+		a := c.attr
+		a.render()
+		if a.Value != c.want {
+			t.Errorf("attr value %q, want %q", a.Value, c.want)
+		}
+		if !reflect.DeepEqual(a, Attr{Key: "a", Value: c.want}) {
+			t.Errorf("rendered attr %+v keeps its typed value", a)
+		}
+		if c.attr.kind == attrInts && fmt.Sprint(c.attr.ints) != c.want {
+			t.Errorf("fmt.Sprint gives %q, want %q", fmt.Sprint(c.attr.ints), c.want)
+		}
+	}
+}
+
+// TestSpansRenderRecordedAttrs: spans read back carry rendered values, and
+// an Ints attribute shows the slice as it was when recorded.
+func TestSpansRenderRecordedAttrs(t *testing.T) {
+	tr := NewTracer()
+	tasks := []int{1, 2}
+	sp := tr.Begin("core", "decide", Ints("tasks", tasks), Float("y", 2.5))
+	tasks[0] = 9
+	sp.Annotate(Int("n", 3), Ints("tasks", tasks))
+	tasks[1] = 9
+	tr.Event("ucb", "select", Ints("tasks", tasks))
+	sp.End()
+	for range 2 { // a second read sees the same values
+		spans := tr.Spans()
+		want := [][]Attr{
+			{{Key: "tasks", Value: "[1 2]"}, {Key: "y", Value: "2.5"}, {Key: "n", Value: "3"}, {Key: "tasks", Value: "[9 2]"}},
+			{{Key: "tasks", Value: "[9 9]"}},
+		}
+		for i, sp := range spans {
+			if !reflect.DeepEqual(sp.Attrs, want[i]) {
+				t.Errorf("span %d attrs %+v, want %+v", i, sp.Attrs, want[i])
+			}
 		}
 	}
 }

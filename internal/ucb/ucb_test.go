@@ -78,6 +78,32 @@ func TestSelectBeforeDataReturnsErrNoData(t *testing.T) {
 // concave in the task count, 100·n^0.9.
 func capCurve(n float64) float64 { return 100 * math.Pow(n, 0.9) }
 
+// TestSelectWithoutTracerAllocatesOnlyItsResult: with no tracer installed,
+// a warm Select allocates only the configuration it returns. Its select
+// event's float attributes stay unformatted, since nothing records them.
+func TestSelectWithoutTracerAllocatesOnlyItsResult(t *testing.T) {
+	for _, acq := range []Acquisition{Extended, Conventional} {
+		s := newSearcher(t, acq)
+		rng := stats.NewRNG(5)
+		for i := 0; i < 20; i++ {
+			n := 1 + float64(rng.Intn(10))
+			if err := s.Observe([]float64{n}, capCurve(n)+rng.Normal(0, 5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, _, err := s.Select(500); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			if _, _, _, err := s.Select(500); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("%v: warm untraced Select allocates %v times, want 1", acq, n)
+		}
+	}
+}
+
 func TestExtendedTracksTarget(t *testing.T) {
 	s := newSearcher(t, Extended)
 	rng := stats.NewRNG(1)
