@@ -36,7 +36,7 @@ type SlotAccumulator struct {
 	utilSum []float64
 	rateSum []float64
 	latSum  float64
-	lastOps []streamsim.OpTick
+	lastOps []streamsim.OpTick // the last tick's stats, aliased (see Tick)
 }
 
 // NewSlotAccumulator sizes an accumulator for a slot of `seconds` ticks.
@@ -86,9 +86,11 @@ func (a *SlotAccumulator) Tick(rates []float64, st streamsim.TickStats) error {
 		a.outSum[i] += st.Ops[i].Emitted
 		a.consSum[i] += st.Ops[i].Consumed
 	}
-	// st.Ops aliases the engine's per-tick scratch buffer; copy it, since
-	// Finish reads lastOps after further ticks have overwritten it.
-	a.lastOps = append(a.lastOps[:0], st.Ops...)
+	// st.Ops aliases the engine's per-tick scratch buffer, which the next
+	// tick overwrites. Finish reads only the last tick's Buffered from it,
+	// and the substrate calls Finish before the engine ticks again, so the
+	// alias still holds that tick then: no copy per tick.
+	a.lastOps = st.Ops
 	return nil
 }
 

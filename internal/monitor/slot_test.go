@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"dragster/internal/dag"
 	"dragster/internal/streamsim"
 )
 
@@ -110,5 +111,71 @@ func TestAccumulatorErrors(t *testing.T) {
 	}
 	if _, err := acc.Finish([]string{"op"}, []int{1}, []int{1000}, 0, 0); err != nil {
 		t.Errorf("valid finish rejected: %v", err)
+	}
+}
+
+// TestAccumulatorBacklogAfterPausedLastTick: on a real engine whose last
+// two ticks of the slot are paused, Finish reports each operator's backlog
+// as the last tick left it, though the accumulator keeps only the engine's
+// scratch buffer and every earlier tick wrote a different backlog there.
+func TestAccumulatorBacklogAfterPausedLastTick(t *testing.T) {
+	b := dag.NewBuilder()
+	src := b.Source("source")
+	mp := b.Operator("map")
+	sh := b.Operator("shuffle")
+	snk := b.Sink("sink")
+	if err := b.Chain([]dag.NodeID{src, mp, sh, snk}, []dag.ThroughputFunc{nil, dag.Selectivity(2), dag.Selectivity(1)}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin, err := streamsim.NewLinearCurve(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := streamsim.New(streamsim.Config{Graph: g, Models: []streamsim.CapacityModel{lin, lin}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seconds = 6
+	acc, err := NewSlotAccumulator(0, 2, 1, seconds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := []float64{150} // above the map's 100/s, so its backlog grows
+	var last []streamsim.OpTick
+	var paused bool
+	for sec := 0; sec < seconds; sec++ {
+		if sec == seconds-2 {
+			eng.Pause(2)
+		}
+		st, err := eng.Tick(rates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := acc.Tick(rates, st); err != nil {
+			t.Fatal(err)
+		}
+		last, paused = append(last[:0], st.Ops...), st.Paused
+	}
+	if !paused {
+		t.Fatal("the slot's last tick ran")
+	}
+	rep, err := acc.Finish([]string{"map", "shuffle"}, []int{1, 1}, []int{1000, 1000}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, om := range rep.Operators {
+		if om.Backlog != last[i].Buffered {
+			t.Errorf("%s: Backlog = %v, the last tick left %v", om.Name, om.Backlog, last[i].Buffered)
+		}
+	}
+	if rep.Operators[0].Backlog <= 50*(seconds-2) {
+		t.Errorf("map backlog %v did not grow through the paused ticks", rep.Operators[0].Backlog)
+	}
+	if rep.PausedSeconds != 2 {
+		t.Errorf("PausedSeconds = %d, want 2", rep.PausedSeconds)
 	}
 }
