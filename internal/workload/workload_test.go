@@ -118,6 +118,57 @@ func TestYahooFilterSelectivity(t *testing.T) {
 	}
 }
 
+// TestLearnedWordCountMatchesWordCount: at priorScale 1 the learned graph
+// has WordCount's nodes and flows, every edge out of an operator is a
+// LearnedLinear, the map learner starts at the map selectivity times the
+// scale, and a non-positive scale is rejected.
+func TestLearnedWordCountMatchesWordCount(t *testing.T) {
+	wc, err := WordCount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, mapK, err := LearnedWordCount(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumOperators() != 2 || g.OperatorName(0) != "map" || g.OperatorName(1) != "shuffle" {
+		t.Fatalf("operators %d: %s, %s", g.NumOperators(), g.OperatorName(0), g.OperatorName(1))
+	}
+	for _, id := range g.Operators() {
+		for _, ei := range g.SuccEdgeIDs(id) {
+			if _, ok := g.HByID(ei).(*dag.LearnedLinear); !ok {
+				t.Errorf("edge out of %s is %T", g.Name(id), g.HByID(ei))
+			}
+		}
+	}
+	for _, y := range [][]float64{{1e5, 1e5}, {3e4, 1e5}, {1e5, 2e4}} {
+		want, err := wc.Graph.Evaluate(wc.HighRates, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := g.Evaluate(wc.HighRates, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Throughput != want.Throughput || got.Demand[0] != want.Demand[0] || got.Demand[1] != want.Demand[1] {
+			t.Errorf("y = %v: learned graph gives %v (demand %v), WordCount %v (demand %v)", y, got.Throughput, got.Demand, want.Throughput, want.Demand)
+		}
+	}
+	if mapK.K() != 2 {
+		t.Errorf("priorScale 1: map prior %v, want 2", mapK.K())
+	}
+	_, half, err := LearnedWordCount(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if half.K() != 1 {
+		t.Errorf("priorScale 0.5: map prior %v, want 1", half.K())
+	}
+	if _, _, err := LearnedWordCount(0); err == nil {
+		t.Error("priorScale 0 accepted")
+	}
+}
+
 func TestJoinLimitedBySlowSource(t *testing.T) {
 	s, err := Join()
 	if err != nil {
