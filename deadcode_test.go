@@ -53,6 +53,7 @@ var deadExportKeep = map[string]string{
 	"dragster/internal/cluster.Cluster.PendingPods":        "test seam onto unscheduled pods",
 	"dragster/internal/stats.RNG.Uniform":                  "the RNG's uniform draw, kept beside Normal and LogNormal",
 	"dragster/internal/stats.RNG.Float64":                  "the unit uniform draw dagtest's random graphs are built from",
+	"dragster/internal/stats.source.Int63":                 "rand.Source's draw; math/rand calls it only through that interface",
 	"dragster/internal/chaos.Engine.Metrics":               "test seam onto the engine's fault counters, read by the external chaos tests",
 	"dragster/internal/dag.Graph.Name":                     "node names for sources and sinks, which the external sweep tests rebuild graphs from",
 	"dragster/internal/dag.LearnedLinear.PredictionGap":    "the Theorem-2 convergence measure the learned-throughput tests check",

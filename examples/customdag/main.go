@@ -139,7 +139,7 @@ func main() {
 		Method:   dragster.SaddlePoint,
 		YMax:     80000,
 		NoiseVar: 4e6,
-		DB:       db2,
+		History:  db2.Drain(),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -125,7 +125,7 @@ func TestCustomDAGSmoke(t *testing.T) {
 		Method:   dragster.SaddlePoint,
 		YMax:     80000,
 		NoiseVar: 4e6,
-		DB:       db2,
+		History:  db2.Drain(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -60,8 +60,11 @@ type Config struct {
 	NoiseVar float64
 	// Acquisition selects extended (default) or conventional GP-UCB.
 	Acquisition ucb.Acquisition
-	// DB, when set, receives one record per operator per slot, and its
-	// history is replayed into the GPs at construction (warm start).
+	// History is replayed into the GPs at construction (warm start), in
+	// slice order, each record into its operator's searcher. Records of
+	// operators the graph lacks, or with CapacityObs ≤ 0, are skipped.
+	History []store.Record
+	// DB, when set, receives one record per operator per slot.
 	DB *store.DB
 	// Counters, when set, receives fault-handling telemetry
 	// (core_stale_snapshot_skips, core_rejected_capacity_obs,
@@ -129,8 +132,8 @@ func (c *Controller) SetTracer(tr *telemetry.Tracer) {
 	}
 }
 
-// New validates cfg and builds the controller, warm-starting from the
-// history database when one is supplied.
+// New validates cfg and builds the controller, warm-starting its GPs
+// from cfg.History.
 func New(cfg Config) (*Controller, error) {
 	if cfg.Graph == nil {
 		return nil, errors.New("core: nil graph")
@@ -210,11 +213,10 @@ func New(cfg Config) (*Controller, error) {
 		c.searchers[i] = s
 		c.lastTasks[i] = int(math.Round(cfg.Candidates[i][0][0]))
 	}
-	if cfg.DB != nil {
-		if err := c.warmStart(); err != nil {
-			return nil, err
-		}
+	if err := c.warmStart(); err != nil {
+		return nil, err
 	}
+	c.cfg.History = nil // replayed; the controller holds no caller records
 	return c, nil
 }
 
@@ -254,20 +256,34 @@ func capacityKernel(cands [][]float64, capScale float64) gp.Kernel {
 	return k
 }
 
-// warmStart replays DB history into the per-operator GPs.
+// warmStart replays cfg.History into the per-operator GPs in one pass.
+// Each searcher sees its operator's records in slice order, so the
+// replay does not depend on how records of different operators
+// interleave.
 func (c *Controller) warmStart() error {
-	for i := 0; i < c.g.NumOperators(); i++ {
-		name := c.g.OperatorName(i)
-		for _, r := range c.cfg.DB.History(name) {
-			if r.CapacityObs <= 0 {
-				continue
-			}
-			if err := c.searchers[i].Observe(r.Config, r.CapacityObs); err != nil {
-				return fmt.Errorf("core: warm start operator %s: %w", name, err)
-			}
+	for k, r := range c.cfg.History {
+		if r.CapacityObs <= 0 {
+			continue
+		}
+		i := c.operatorIndex(r.Operator)
+		if i < 0 {
+			continue
+		}
+		if err := c.searchers[i].Observe(r.Config, r.CapacityObs); err != nil {
+			return fmt.Errorf("core: warm start record %d (operator %s): %w", k, r.Operator, err)
 		}
 	}
 	return nil
+}
+
+// operatorIndex returns the dense index of the named operator, or -1.
+func (c *Controller) operatorIndex(name string) int {
+	for i := 0; i < c.g.NumOperators(); i++ {
+		if c.g.OperatorName(i) == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Name implements Autoscaler.

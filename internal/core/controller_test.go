@@ -244,7 +244,7 @@ func TestDBRecordsAndWarmStart(t *testing.T) {
 	}
 	// A fresh controller warm-started from the same DB should already hold
 	// the observations.
-	warm := newController(t, func(cfg *Config) { cfg.DB = db })
+	warm := newController(t, func(cfg *Config) { cfg.History = db.Drain() })
 	if warm.Searcher(0).Observations() == 0 {
 		t.Error("warm start loaded no observations")
 	}

@@ -13,8 +13,9 @@ import (
 // the history database: a controller rebuilt from a store that was
 // serialized with Snapshot and read back with Restore must reproduce the
 // same next decision as one rebuilt from the original store. The GPs are
-// replayed from history on construction, so byte-faithful persistence is
-// exactly what makes a restart transparent to the optimizer.
+// replayed from the drained records (Config.History) on construction, so
+// byte-faithful persistence is exactly what makes a restart transparent
+// to the optimizer.
 func TestWarmStartSurvivesStoreRoundTrip(t *testing.T) {
 	// Populate a history DB with a live closed-loop run.
 	db := store.New()
@@ -50,7 +51,8 @@ func TestWarmStartSurvivesStoreRoundTrip(t *testing.T) {
 	var decisions [][]int
 	var targets []float64
 	for _, seedDB := range []*store.DB{db, restored} {
-		c := newController(t, func(cfg *Config) { cfg.DB = seedDB })
+		history := seedDB.Drain()
+		c := newController(t, func(cfg *Config) { cfg.History = history })
 		next, _, diag, err := c.DecideDetailed(probe)
 		if err != nil {
 			t.Fatal(err)

@@ -175,9 +175,14 @@ func (b *Builder) Build() (*Graph, error) {
 		if e.alpha < 0 || math.IsNaN(e.alpha) || math.IsInf(e.alpha, 0) {
 			return nil, fmt.Errorf("dag: edge %s→%s has invalid splitting weight %v", g.names[e.from], g.names[e.to], e.alpha)
 		}
-		if l, ok := e.h.(Linear); ok {
-			// The Graph is immutable: it must not share the caller's K.
-			e.h = Linear{K: append([]float64(nil), l.K...)}
+		// The Graph is immutable: it must not share the caller's K.
+		switch h := e.h.(type) {
+		case Linear:
+			e.h = Linear{K: append([]float64(nil), h.K...)}
+		case MinRate:
+			e.h = MinRate{K: append([]float64(nil), h.K...)}
+		case Tanh:
+			e.h = Tanh{K1: h.K1, K: append([]float64(nil), h.K...)}
 		}
 		preds[e.to] = append(preds[e.to], e.from)
 		succs[e.from] = append(succs[e.from], e.to)

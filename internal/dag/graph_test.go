@@ -537,6 +537,52 @@ func TestCoverDemand(t *testing.T) {
 	}
 }
 
+// TestBuildCopiesRateVectors: Build copies the K of every Linear, MinRate
+// and Tanh edge, so a caller that edits its slices after Build does not
+// move the graph's flows.
+func TestBuildCopiesRateVectors(t *testing.T) {
+	b := NewBuilder()
+	s1 := b.Source("s1")
+	s2 := b.Source("s2")
+	j := b.Operator("join")
+	l := b.Operator("linear")
+	th := b.Operator("tanh")
+	snk := b.Sink("k")
+	b.Edge(s1, j, nil, 1)
+	b.Edge(s2, j, nil, 1)
+	mr := mustMinRate(t, 1, 2)
+	lin, err := NewLinear(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tanh := mustTanh(t, 500, 0.01)
+	b.Edge(j, l, mr, 1)
+	b.Edge(l, th, lin, 1)
+	b.Edge(th, snk, tanh, 1)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates, y := []float64{300, 100}, []float64{1e9, 1e9, 1e9}
+	before, err := g.Evaluate(rates, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr.K[0], mr.K[1] = 7, 7
+	lin.K[0] = 9
+	tanh.K[0] = 3
+	after, err := g.Evaluate(rates, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows := func(r *FlowReport) string {
+		return fmt.Sprint(r.Throughput, r.Inflow, r.Demand, r.Output)
+	}
+	if flows(after) != flows(before) {
+		t.Errorf("editing the caller's K after Build moved the graph: %s → %s", flows(before), flows(after))
+	}
+}
+
 func TestGraphAccessorsCopy(t *testing.T) {
 	g := buildChain(t, 1, 1)
 	ops := g.Operators()

@@ -24,7 +24,26 @@ const fleetBenchWindow = 16
 // harvest, which keeps warmStartMaxPerOperator records per operator.
 func benchmarkFleetRound(b *testing.B, jobs, from int) {
 	b.Helper()
-	specs := make([]JobSpec, jobs)
+	specs := benchSpecs(b, jobs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var m *Manager
+	for i := 0; i < b.N; i++ {
+		if i%fleetBenchWindow == 0 {
+			b.StopTimer()
+			m = benchFleet(b, specs, from, from+fleetBenchWindow)
+			b.StartTimer()
+		}
+		if err := m.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchSpecs returns n WordCount tenants at constant low rates.
+func benchSpecs(b *testing.B, n int) []JobSpec {
+	b.Helper()
+	specs := make([]JobSpec, n)
 	for i := range specs {
 		spec, err := workload.WordCount()
 		if err != nil {
@@ -36,40 +55,32 @@ func benchmarkFleetRound(b *testing.B, jobs, from int) {
 		}
 		specs[i] = JobSpec{Name: fmt.Sprintf("job-%04d", i), Workload: spec, Rates: rates}
 	}
-	admitted := func() *Manager {
-		m, err := New(Config{
-			Jobs:            specs,
-			Slots:           from + fleetBenchWindow,
-			SlotSeconds:     30,
-			Seed:            3,
-			TotalTaskBudget: 4 * jobs,
-			MaxQueue:        jobs,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Admission round: every tenant arrives, is admitted, and builds
-		// its controller stack; then the untimed lead-in rounds.
-		for r := 0; r < from; r++ {
-			if err := m.Step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return m
+	return specs
+}
+
+// benchFleet builds the benchmarks' fleet over specs with the given slot
+// horizon and runs its first `rounds` rounds. Round 0 is the admission
+// round: every tenant arrives, is admitted, and builds its controller
+// stack.
+func benchFleet(b *testing.B, specs []JobSpec, rounds, slots int) *Manager {
+	b.Helper()
+	m, err := New(Config{
+		Jobs:            specs,
+		Slots:           slots,
+		SlotSeconds:     30,
+		Seed:            3,
+		TotalTaskBudget: 4 * len(specs),
+		MaxQueue:        len(specs),
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var m *Manager
-	for i := 0; i < b.N; i++ {
-		if i%fleetBenchWindow == 0 {
-			b.StopTimer()
-			m = admitted()
-			b.StartTimer()
-		}
+	for r := 0; r < rounds; r++ {
 		if err := m.Step(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return m
 }
 
 func BenchmarkFleetRound10Jobs(b *testing.B)   { benchmarkFleetRound(b, 10, 1) }
@@ -82,3 +93,15 @@ func BenchmarkFleetRound1000Jobs(b *testing.B) { benchmarkFleetRound(b, 1000, 1)
 // early one does: `make bench-flat` holds the pair within 1.2× in
 // BENCH_e2e.json.
 func BenchmarkFleetRoundWarmLate100Jobs(b *testing.B) { benchmarkFleetRound(b, 100, 241) }
+
+// BenchmarkFleetAdmit100Jobs times what BenchmarkFleetRound100Jobs sets
+// up untimed: fleet.New and the admission round, in which all 100
+// tenants arrive, are admitted and build their controller stacks.
+func BenchmarkFleetAdmit100Jobs(b *testing.B) {
+	specs := benchSpecs(b, 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchFleet(b, specs, 1, 1+fleetBenchWindow)
+	}
+}

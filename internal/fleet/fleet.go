@@ -950,33 +950,28 @@ func (m *Manager) buildStack(js *jobState, r int) error {
 	if js.plan != nil {
 		initial = append([]int(nil), js.plan.Tasks...)
 	}
-	db, nRecords := m.archive.seed(spec)
+	history := m.archive.seed(spec)
+	nRecords := len(history)
+	db := store.New()
 	if js.plan != nil {
-		// The plan's probe observations are the tenant's own evidence, so
-		// they seed its GPs beside the archive's. They must land before
-		// core.New, whose warm-start pass replays the whole history into
-		// the per-operator regressors.
+		// The plan's probe observations are the tenant's own evidence:
+		// they seed its GPs after the archive's records, and they go into
+		// its DB so the first harvest archives them.
 		for _, rec := range js.plan.Records() {
 			if err := db.Append(rec); err != nil {
 				return err
 			}
+			history = append(history, rec)
 		}
 	}
 	cc := tenant.ControllerConfig(spec)
 	cc.TaskBudget = js.budget
 	cc.Counters = m.reg
 	cc.DB = db
+	cc.History = history
 	ctrl, err := core.New(cc)
 	if err != nil {
 		return err
-	}
-	// core.New has replayed the seeded history. The archive copies must
-	// not flow back into the archive at the first harvest; the plan's
-	// probes are the tenant's own evidence, so they stay to be harvested.
-	for _, rec := range db.Drain()[nRecords:] {
-		if err := db.Append(rec); err != nil {
-			return err
-		}
 	}
 	t, err := tenant.New(tenant.Config{
 		Name:         js.spec.Name,

@@ -22,10 +22,13 @@ import (
 // so the fingerprint is the strongest safe notion of "the same physics"
 // the control plane can check.
 //
-// Every controller owns a private store.DB (seeded at admission), so the
-// per-round parallel decide fan-out never shares a history database.
-// Nothing reads that DB after core.New has replayed it, so every round
-// harvesting drains it and moves the fresh records into the archive
+// The archive's records reach a joining controller through
+// core.Config.History only; they never enter its store.DB, so they
+// cannot be harvested back into the archive. Every controller owns a
+// private DB that holds its own evidence (the plan's probes, then one
+// record per operator per slot), so the per-round parallel decide
+// fan-out never shares a history database. Every round harvesting
+// drains each DB and moves the fresh records into the archive
 // sequentially, in admission order, which keeps GP replay — an
 // order-dependent computation — deterministic.
 
@@ -79,28 +82,17 @@ func (a *warmArchive) add(kind string, r store.Record) {
 	ops[r.Operator] = recs
 }
 
-// seed builds a joining job's private history DB. When the archive holds
-// compatible history, its records for each operator are copied in;
-// core.New replays them into the job's GPs. Returns the DB and how many
-// records were seeded.
-func (a *warmArchive) seed(spec *workload.Spec) (*store.DB, int) {
-	db := store.New()
-	ops, ok := a.byKind[fingerprint(spec)]
-	if !ok {
-		return db, 0
-	}
-	n := 0
+// seed returns the compatible history a joining job's GPs replay: the
+// archive's records for each operator, in operator order, in a fresh
+// slice. The records themselves are shared with the archive; core.New
+// only reads them, and the GPs copy each configuration they keep.
+func (a *warmArchive) seed(spec *workload.Spec) []store.Record {
+	ops := a.byKind[fingerprint(spec)]
+	var recs []store.Record
 	for i := 0; i < spec.Graph.NumOperators(); i++ {
-		for _, r := range ops[spec.Graph.OperatorName(i)] {
-			if err := db.Append(r); err != nil {
-				// Records were validated on the way into the tenant's
-				// DB; an append failure here would be a programming error.
-				continue
-			}
-			n++
-		}
+		recs = append(recs, ops[spec.Graph.OperatorName(i)]...)
 	}
-	return db, n
+	return recs
 }
 
 // harvest drains each running job's history DB, so a DB never holds

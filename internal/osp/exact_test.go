@@ -672,3 +672,77 @@ func BenchmarkSaddlePointStepChain64(b *testing.B) {
 	b.Run("exact", func(b *testing.B) { benchStepMovingDuals(b, g, rates, 40000, false) })
 	b.Run("ascent", func(b *testing.B) { benchStepMovingDuals(b, g, rates, 40000, true) })
 }
+
+// TestJoinGraphIgnoresCallerEdits: the join workload's graph built by
+// hand, with the caller keeping its MinRate, evaluates and steps exactly
+// as workload.Join's graph after the caller overwrites the MinRate's K:
+// Build copied it, so neither the flows nor the exact solver's LP rows
+// alias the caller's slice.
+func TestJoinGraphIgnoresCallerEdits(t *testing.T) {
+	spec, err := workload.Join()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := dag.NewBuilder()
+	bids := b.Source("bids")
+	auctions := b.Source("auctions")
+	jn := b.Operator("join")
+	snk := b.Sink("sink")
+	b.Edge(bids, jn, nil, 1)
+	b.Edge(auctions, jn, nil, 1)
+	mr, err := dag.NewMinRate(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Edge(jn, snk, mr, 1)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr.K[0], mr.K[1] = 0.25, 4
+
+	ref, err := New(spec.Graph, Config{YMax: spec.YMax})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := New(g, Config{YMax: spec.YMax})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := spec.HighRates
+	for step := 0; step < 4; step++ {
+		want, err := ref.Step(rates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := got.Step(rates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(y) != fmt.Sprint(want) {
+			t.Fatalf("step %d: Step = %v, want %v", step, y, want)
+		}
+		wantRep, err := spec.Graph.Evaluate(rates, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := g.Evaluate(rates, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Throughput != wantRep.Throughput || fmt.Sprint(rep.Demand) != fmt.Sprint(wantRep.Demand) {
+			t.Fatalf("step %d: Evaluate = %v %v, want %v %v", step, rep.Throughput, rep.Demand, wantRep.Throughput, wantRep.Demand)
+		}
+		// Realize 60% of the target so the duals move before the next step.
+		viol := make([]float64, len(y))
+		for i := range viol {
+			viol[i] = rep.Demand[i] - 0.6*y[i]
+		}
+		if err := ref.ObserveViolations(viol); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.ObserveViolations(viol); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -15,9 +15,13 @@ type RNG struct {
 	r *rand.Rand
 }
 
-// NewRNG returns a deterministic generator for the given seed.
+// NewRNG returns a deterministic generator for the given seed. Its
+// stream is rand.New(rand.NewSource(seed))'s, draw for draw.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	s := new(source)
+	s.Seed(seed)
+	//lint:allow detrand s is a source seeded from seed on the line above, bit-identical to rand.NewSource(seed)
+	return &RNG{r: rand.New(s)}
 }
 
 // Float64 returns a uniform sample from [0, 1).

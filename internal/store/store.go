@@ -57,22 +57,6 @@ func (d *DB) Append(r Record) error {
 	return nil
 }
 
-// History returns copies of all records for one operator in insertion
-// order. It scans every record, so it suits the one replay a controller
-// runs at construction.
-func (d *DB) History(operator string) []Record {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var out []Record
-	for _, rc := range d.records {
-		if rc.Operator == operator {
-			rc.Config = append([]float64(nil), rc.Config...)
-			out = append(out, rc)
-		}
-	}
-	return out
-}
-
 // Drain returns every record in append order and empties the database.
 // The caller owns the returned records.
 func (d *DB) Drain() []Record {

@@ -2,11 +2,29 @@ package store
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// opRecords returns d's records of one operator in append order and
+// leaves d holding what it held: it drains d and appends every record
+// back.
+func opRecords(t *testing.T, d *DB, op string) []Record {
+	t.Helper()
+	var out []Record
+	for _, r := range d.Drain() {
+		if err := d.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Operator == op {
+			out = append(out, r)
+		}
+	}
+	return out
+}
 
 func TestAppendHistory(t *testing.T) {
 	d := New()
@@ -27,15 +45,11 @@ func TestAppendHistory(t *testing.T) {
 	if d.Len() != 2 {
 		t.Fatalf("Len = %d", d.Len())
 	}
-	h := d.History("map")
+	h := opRecords(t, d, "map")
 	if len(h) != 1 || h[0].Config[0] != 3 || h[0].CapacityObs != 100 {
-		t.Errorf("History(map) = %+v", h)
+		t.Errorf("records of map = %+v", h)
 	}
-	h[0].Config[0] = 77
-	if d.History("map")[0].Config[0] != 3 {
-		t.Error("History leaked internal storage")
-	}
-	if len(d.History("nobody")) != 0 {
+	if len(opRecords(t, d, "nobody")) != 0 {
 		t.Error("unknown operator has history")
 	}
 }
@@ -56,14 +70,14 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if d2.Len() != 1 {
 		t.Fatalf("restored Len = %d", d2.Len())
 	}
-	h := d2.History("map")
+	h := opRecords(t, d2, "map")
 	if h[0].Throughput != 123 || h[0].Util != 0.7 || h[0].Slot != 4 {
 		t.Errorf("restored record = %+v", h[0])
 	}
 }
 
-// TestHistoryIndexSurvivesRestore: History after a Snapshot/Restore
-// round trip equals History before it for every operator, also when the
+// TestHistoryIndexSurvivesRestore: each operator's records after a
+// Snapshot/Restore round trip equal its records before it, also when the
 // restoring DB held other records.
 func TestHistoryIndexSurvivesRestore(t *testing.T) {
 	ops := []string{"map", "shuffle", "sink"}
@@ -87,17 +101,17 @@ func TestHistoryIndexSurvivesRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range append(ops, "nobody") {
-		before, after := d.History(op), d2.History(op)
+		before, after := opRecords(t, d, op), opRecords(t, d2, op)
 		if !reflect.DeepEqual(before, after) {
-			t.Fatalf("History(%s) after restore = %+v, want %+v", op, after, before)
+			t.Fatalf("records of %s after restore = %+v, want %+v", op, after, before)
 		}
 	}
 	// Appends after a restore extend the restored records.
 	if err := d2.Append(Record{Slot: 99, Operator: "sink", Config: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if h := d2.History("sink"); len(h) != len(d.History("sink"))+1 || h[len(h)-1].Slot != 99 {
-		t.Errorf("History(sink) after append = %+v", h)
+	if h := opRecords(t, d2, "sink"); len(h) != len(opRecords(t, d, "sink"))+1 || h[len(h)-1].Slot != 99 {
+		t.Errorf("records of sink after append = %+v", h)
 	}
 }
 
@@ -124,7 +138,7 @@ func TestDrainEmptiesInAppendOrder(t *testing.T) {
 			t.Errorf("record %d = %+v", i, r)
 		}
 	}
-	if d.Len() != 0 || len(d.History("map")) != 0 {
+	if d.Len() != 0 || len(opRecords(t, d, "map")) != 0 {
 		t.Fatalf("DB not empty after Drain: len=%d", d.Len())
 	}
 	if err := d.Append(Record{Slot: 9, Operator: "map", Config: []float64{9}}); err != nil {
@@ -133,8 +147,8 @@ func TestDrainEmptiesInAppendOrder(t *testing.T) {
 	if got[0].Slot != 0 || got[0].Config[0] != 1 {
 		t.Errorf("an append after Drain changed a drained record: %+v", got[0])
 	}
-	if h := d.History("map"); len(h) != 1 || h[0].Slot != 9 {
-		t.Errorf("History after Drain and Append = %+v", h)
+	if h := opRecords(t, d, "map"); len(h) != 1 || h[0].Slot != 9 {
+		t.Errorf("records after Drain and Append = %+v", h)
 	}
 }
 
@@ -152,7 +166,7 @@ func TestRestoreLegacyCandidatesSnapshot(t *testing.T) {
 	if err := d.Restore(strings.NewReader(legacy)); err != nil {
 		t.Fatal(err)
 	}
-	h := d.History("map")
+	h := opRecords(t, d, "map")
 	if len(h) != 1 || h[0].Slot != 3 || h[0].Config[0] != 2 || h[0].CapacityObs != 120 {
 		t.Errorf("restored history = %+v", h)
 	}
@@ -196,7 +210,7 @@ func TestRestoreChecksRecordsLikeAppend(t *testing.T) {
 				if err == nil {
 					t.Fatal("restore accepted a record Append rejects")
 				}
-				if d.Len() != 1 || len(d.History("keep")) != 1 || len(d.History("op0")) != 0 {
+				if d.Len() != 1 || len(opRecords(t, d, "keep")) != 1 || len(opRecords(t, d, "op0")) != 0 {
 					t.Fatalf("rejected restore changed the database: len=%d", d.Len())
 				}
 				return
@@ -204,7 +218,7 @@ func TestRestoreChecksRecordsLikeAppend(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := d.History("op0")
+			h := opRecords(t, d, "op0")
 			if d.Len() != 2 || len(h) != 2 || h[1].Config[0] != 3 || h[1].CapacityObs != 7 {
 				t.Fatalf("restored history = %+v", h)
 			}
@@ -216,8 +230,8 @@ func TestRestoreChecksRecordsLikeAppend(t *testing.T) {
 			if err := again.Restore(&buf); err != nil {
 				t.Fatalf("round-trip restore: %v", err)
 			}
-			if !reflect.DeepEqual(again.History("op0"), h) {
-				t.Fatalf("round trip changed the records: %+v", again.History("op0"))
+			if !reflect.DeepEqual(opRecords(t, again, "op0"), h) {
+				t.Fatalf("round trip changed the records: %+v", opRecords(t, again, "op0"))
 			}
 		})
 	}
@@ -232,7 +246,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				_ = d.Append(Record{Slot: i, Operator: "op", Config: []float64{float64(w)}})
-				_ = d.History("op")
+				_ = d.Snapshot(io.Discard)
 				_ = d.Len()
 			}
 		}(w)

@@ -207,8 +207,13 @@ func candidateDiameter(cands [][]float64) float64 {
 }
 
 // Observe feeds one Eq. 8 capacity sample for configuration x, refitting
-// the kernel hyperparameters on the configured schedule.
+// the kernel hyperparameters on the configured schedule. An x whose
+// dimension differs from the candidates' is rejected: the kernel could
+// not compare it with them.
 func (s *Searcher) Observe(x []float64, capacityObs float64) error {
+	if len(x) != len(s.candidates[0]) {
+		return fmt.Errorf("ucb: observed configuration has dimension %d, candidates %d", len(x), len(s.candidates[0]))
+	}
 	if err := s.reg.Observe(x, capacityObs); err != nil {
 		return err
 	}
