@@ -347,7 +347,18 @@ func BenchmarkStormSubstrate(b *testing.B) {
 // rates to warm the controller's GPs and duals; each iteration then
 // decides that tenant's last snapshot again under the next slot number,
 // so the controller takes it as fresh instead of skipping it as stale.
-func BenchmarkControllerDecide(b *testing.B) {
+func BenchmarkControllerDecide(b *testing.B) { benchControllerDecide(b, 0) }
+
+// BenchmarkControllerDecideBudget is BenchmarkControllerDecide under a
+// 14-task budget, so every decision also runs the budget projection Π_X:
+// ProjectTasks' trims and rebalanceUnderBudget's trial moves, each read
+// of which lands on a grid point of some operator's GP.
+func BenchmarkControllerDecideBudget(b *testing.B) { benchControllerDecide(b, 14) }
+
+// benchControllerDecide times DecideDetailed on a Yahoo controller with
+// the given task budget (0 = none), warmed as BenchmarkControllerDecide
+// describes.
+func benchControllerDecide(b *testing.B, budget int) {
 	spec, err := workload.Yahoo()
 	if err != nil {
 		b.Fatal(err)
@@ -365,7 +376,7 @@ func BenchmarkControllerDecide(b *testing.B) {
 		b.Fatal(err)
 	}
 	const slots = 10
-	policy, err := experiment.DragsterSaddle()(&experiment.Scenario{Spec: spec, Rates: rates, Slots: slots, SlotSeconds: 30, Seed: 1})
+	policy, err := experiment.DragsterSaddle()(&experiment.Scenario{Spec: spec, Rates: rates, Slots: slots, SlotSeconds: 30, Seed: 1, TaskBudget: budget})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -103,6 +103,8 @@ type Controller struct {
 	g         *dag.Graph
 	level1    *osp.Optimizer
 	searchers []*ucb.Searcher
+	maxTasks  []int   // largest candidate task count per operator
+	byTasks   [][]int // byTasks[op][n]: op's first candidate with n tasks, or -1
 	lastTasks []int
 	lastCPU   []int // last observed per-pod CPU (0 = unknown/1-D configs)
 	slot      int
@@ -189,6 +191,8 @@ func New(cfg Config) (*Controller, error) {
 		g:         cfg.Graph,
 		level1:    level1,
 		searchers: make([]*ucb.Searcher, m),
+		maxTasks:  make([]int, m),
+		byTasks:   make([][]int, m),
 		lastTasks: make([]int, m),
 		lastCPU:   make([]int, m),
 	}
@@ -212,12 +216,35 @@ func New(cfg Config) (*Controller, error) {
 		}
 		c.searchers[i] = s
 		c.lastTasks[i] = int(math.Round(cfg.Candidates[i][0][0]))
+		c.maxTasks[i], c.byTasks[i] = taskIndex(cfg.Candidates[i])
 	}
 	if err := c.warmStart(); err != nil {
 		return nil, err
 	}
 	c.cfg.History = nil // replayed; the controller holds no caller records
 	return c, nil
+}
+
+// taskIndex returns the largest task count among cands (at least 1) and,
+// for every count n up to it, the index of the first candidate with
+// exactly n tasks, or -1.
+func taskIndex(cands [][]float64) (maxN int, first []int) {
+	maxN = 1
+	for _, cand := range cands {
+		if n := int(math.Round(cand[0])); n > maxN {
+			maxN = n
+		}
+	}
+	first = make([]int, maxN+1)
+	for n := range first {
+		first[n] = -1
+	}
+	for k := len(cands) - 1; k >= 0; k-- { // the first one wins
+		if n := math.Round(cands[k][0]); n == cands[k][0] && n >= 0 && n <= float64(maxN) {
+			first[int(n)] = k
+		}
+	}
+	return maxN, first
 }
 
 // capacityKernel builds a kernel whose per-dimension length scales span
@@ -493,7 +520,7 @@ func (c *Controller) decideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 	// current configuration and falls back to the raw observation.
 	est := make([]float64, m)
 	for i := range est {
-		mu, err := c.searchers[i].Regressor().Mean(c.configFor(i, c.lastTasks[i], c.lastCPU[i]))
+		mu, err := c.searchers[i].Mean(c.configFor(i, c.lastTasks[i], c.lastCPU[i]))
 		if err == nil {
 			est[i] = mu
 		} else {
@@ -572,57 +599,51 @@ func fmtFloats(vs []float64) string {
 // capacities so unexplored operators still attract tasks; when any
 // operator's GP is still empty the step is skipped (cold start).
 //
-// Nothing a searcher's OptimisticAt reads (its GP, its round count for β)
-// changes inside one call, so each (operator, tasks) value is computed
-// once and reused by every trial move that revisits it.
+// caps holds the optimistic capacities of the current allocation; a
+// trial move reads only the two operators it changes. The searchers'
+// posterior tables serve every read at a grid point, and nothing they
+// read changes inside one call.
 func (c *Controller) rebalanceUnderBudget(tasks []int, rates []float64) []int {
 	m := len(tasks)
-	type optimistic struct {
-		capacity float64
-		ok       bool
+	optimistic := func(op, n int) (float64, bool) {
+		opt, err := c.searchers[op].OptimisticAt(c.configFor(op, n, c.lastCPU[op]))
+		return math.Max(opt, 0), err == nil
 	}
-	type opTasks struct{ op, tasks int }
-	memo := make(map[opTasks]optimistic)
 	caps := make([]float64, m)
-	var rep dag.FlowReport
-	predicted := func(ts []int) (float64, bool) {
-		for i, n := range ts {
-			o, seen := memo[opTasks{i, n}]
-			if !seen {
-				opt, err := c.searchers[i].OptimisticAt(c.configFor(i, n, c.lastCPU[i]))
-				o = optimistic{capacity: math.Max(opt, 0), ok: err == nil}
-				memo[opTasks{i, n}] = o
-			}
-			if !o.ok {
-				return 0, false
-			}
-			caps[i] = o.capacity
+	for i, n := range tasks {
+		v, ok := optimistic(i, n)
+		if !ok {
+			return tasks
 		}
-		if err := c.g.EvaluateInto(&rep, rates, caps); err != nil {
-			return 0, false
-		}
-		return rep.Throughput, true
+		caps[i] = v
 	}
-	cur, ok := predicted(tasks)
-	if !ok {
+	var rep dag.FlowReport
+	if err := c.g.EvaluateInto(&rep, rates, caps); err != nil {
 		return tasks
 	}
+	cur := rep.Throughput
 	out := append([]int(nil), tasks...)
 	for improved := true; improved; {
 		improved = false
 		for from := 0; from < m; from++ {
 			for to := 0; to < m; to++ {
-				if from == to || out[from] <= 1 || out[to] >= c.maxTasksOf(to) {
+				if from == to || out[from] <= 1 || out[to] >= c.maxTasks[to] {
 					continue
 				}
-				out[from]--
-				out[to]++
-				if th, ok := predicted(out); ok && th > cur*(1+1e-6) {
-					cur = th
+				capFrom, okFrom := optimistic(from, out[from]-1)
+				capTo, okTo := optimistic(to, out[to]+1)
+				if !okFrom || !okTo {
+					continue
+				}
+				oldFrom, oldTo := caps[from], caps[to]
+				caps[from], caps[to] = capFrom, capTo
+				if err := c.g.EvaluateInto(&rep, rates, caps); err == nil && rep.Throughput > cur*(1+1e-6) {
+					cur = rep.Throughput
+					out[from]--
+					out[to]++
 					improved = true
 				} else {
-					out[from]++
-					out[to]--
+					caps[from], caps[to] = oldFrom, oldTo
 				}
 			}
 		}
@@ -630,23 +651,13 @@ func (c *Controller) rebalanceUnderBudget(tasks []int, rates []float64) []int {
 	return out
 }
 
-func (c *Controller) maxTasksOf(op int) int {
-	maxN := 1
-	for _, cand := range c.cfg.Candidates[op] {
-		if n := int(math.Round(cand[0])); n > maxN {
-			maxN = n
-		}
-	}
-	return maxN
-}
-
 // taskLoss estimates how much removing one task from operator op (at
 // `from` tasks) increases its shortfall against target: the projection
 // trims tasks where the GP says capacity is least needed. It reads only
 // posterior means, so it skips the variance's triangular solve.
 func (c *Controller) taskLoss(op, from int, target float64) float64 {
-	muFrom, errA := c.searchers[op].Regressor().Mean(c.configFor(op, from, c.lastCPU[op]))
-	muTo, errB := c.searchers[op].Regressor().Mean(c.configFor(op, from-1, c.lastCPU[op]))
+	muFrom, errA := c.searchers[op].Mean(c.configFor(op, from, c.lastCPU[op]))
+	muTo, errB := c.searchers[op].Mean(c.configFor(op, from-1, c.lastCPU[op]))
 	if errA != nil || errB != nil {
 		// No data yet: assume linear capacity in tasks so trimming larger
 		// allocations first is neutral.
@@ -660,9 +671,18 @@ func (c *Controller) taskLoss(op, from int, target float64) float64 {
 // configFor maps an observed (tasks, cpuMilli) allocation onto the
 // operator's candidate space: the nearest candidate by task count (and by
 // CPU for ≥2-dimensional candidates), with the first component forced to
-// the observed task count. cpuMilli 0 means unknown.
+// the observed task count. cpuMilli 0 means unknown. When nothing is
+// forced the candidate itself is returned, not a copy: callers only read
+// it.
 func (c *Controller) configFor(op, tasks, cpuMilli int) []float64 {
 	cands := c.cfg.Candidates[op]
+	if (cpuMilli <= 0 || len(cands[0]) == 1) && tasks >= 0 && tasks < len(c.byTasks[op]) {
+		// Only the task axis counts, and a candidate at distance 0 wins
+		// the scan below: the first one with this task count.
+		if i := c.byTasks[op][tasks]; i >= 0 {
+			return cands[i]
+		}
+	}
 	dist := func(cand []float64) float64 {
 		d := math.Abs(cand[0] - float64(tasks))
 		if len(cand) > 1 && cpuMilli > 0 {
@@ -677,6 +697,9 @@ func (c *Controller) configFor(op, tasks, cpuMilli int) []float64 {
 		if d := dist(cand); d < bestD {
 			best, bestD = cand, d
 		}
+	}
+	if best[0] == float64(tasks) && (len(best) == 1 || cpuMilli <= 0 || best[1] == float64(cpuMilli)) {
+		return best
 	}
 	out := append([]float64(nil), best...)
 	out[0] = float64(tasks)

@@ -160,6 +160,32 @@ func growFloats(buf []float64, n int) []float64 {
 // is only marked stale. If the posterior is dirty (kernel swap, numerical
 // failure) the next query falls back to a full refit.
 func (r *Regressor) Observe(x []float64, y float64) error {
+	if err := r.checkObservation(x, y); err != nil {
+		return err
+	}
+	return r.observe(x, y, nil, r.kernel.Eval(x, x))
+}
+
+// ObserveFromCross is Observe at a point whose cross-covariance vector
+// against the rows is already known: kx[j] = k(x_j, x) in row order
+// (Rows entries) and kxx = k(x, x), both under the current kernel. It
+// evaluates no kernel; the factor, α and information gain it leaves are
+// bit-equal to Observe's. kx is not modified.
+//
+//lint:hotpath
+func (r *Regressor) ObserveFromCross(x []float64, y float64, kx []float64, kxx float64) error {
+	if err := r.checkObservation(x, y); err != nil {
+		return err
+	}
+	if len(kx) != len(r.xs) {
+		//lint:allow hotpath cold validation guard: a length mismatch is a caller bug, never hit in steady state
+		return fmt.Errorf("gp: cross-covariance length %d, want %d", len(kx), len(r.xs))
+	}
+	return r.observe(x, y, kx, kxx)
+}
+
+// checkObservation validates a sample before it touches any state.
+func (r *Regressor) checkObservation(x []float64, y float64) error {
 	if len(x) == 0 {
 		return errors.New("gp: empty input point")
 	}
@@ -169,13 +195,19 @@ func (r *Regressor) Observe(x []float64, y float64) error {
 	if math.IsNaN(y) || math.IsInf(y, 0) {
 		return fmt.Errorf("gp: non-finite observation %v", y)
 	}
-	kxx := r.kernel.Eval(x, x)
-	var row []float64
+	return nil
+}
+
+// observe is the shared body of Observe and ObserveFromCross. kx is the
+// kernel row k(x_j, x), or nil to evaluate it here when it is needed.
+func (r *Regressor) observe(x []float64, y float64, kx []float64, kxx float64) error {
 	if r.n == 0 {
 		r.infoGain += 0.5 * math.Log(1+kxx/r.noiseVar)
 	} else if err := r.ensureFactor(); err == nil {
-		row = r.crossRow(x)
-		r.infoGain += 0.5 * math.Log(1+r.varianceFromCross(row, kxx)/r.noiseVar)
+		if kx == nil {
+			kx = r.crossRow(x)
+		}
+		r.infoGain += 0.5 * math.Log(1+r.varianceFromCross(kx, kxx)/r.noiseVar)
 	}
 	r.n++
 	r.ySum += y
@@ -202,7 +234,7 @@ func (r *Regressor) Observe(x []float64, y float64) error {
 	}
 	var err error
 	if r.counts[j] == 1 {
-		err = r.chol.Extend(row, kxx+r.noiseVar)
+		err = r.chol.Extend(kx, kxx+r.noiseVar)
 	} else {
 		err = r.chol.UpdateDiag(j, kxx+r.noiseVar/float64(r.counts[j]))
 	}
@@ -331,11 +363,24 @@ func (r *Regressor) Mean(x []float64) (float64, error) {
 	if err := r.ensureFit(); err != nil {
 		return 0, err
 	}
-	mu := r.mean
-	for i, a := range r.alpha {
-		mu += r.kernel.Eval(r.xs[i], x) * a
+	return r.meanFromCross(r.crossRow(x)), nil
+}
+
+// MeanFromCross returns the predictive mean alone at a point whose
+// cross-covariance vector kx[j] = k(x_j, x) against the rows is already
+// known: Mean bit for bit, with no kernel evaluation. kx must have been
+// computed under the current kernel; it is not modified.
+//
+//lint:hotpath
+func (r *Regressor) MeanFromCross(kx []float64) (float64, error) {
+	if err := r.ensureFit(); err != nil {
+		return 0, err
 	}
-	return mu, nil
+	if len(kx) != len(r.xs) {
+		//lint:allow hotpath cold validation guard: a length mismatch is a caller bug, never hit in steady state
+		return 0, fmt.Errorf("gp: cross-covariance length %d, want %d", len(kx), len(r.xs))
+	}
+	return r.meanFromCross(kx), nil
 }
 
 // PosteriorFromCross returns the predictive mean and variance at a point
@@ -358,11 +403,17 @@ func (r *Regressor) PosteriorFromCross(kx []float64, kxx float64) (mu, variance 
 // posteriorFromCross is the shared Eq. 17 evaluation; the fit must be
 // current and len(kx) == Rows().
 func (r *Regressor) posteriorFromCross(kx []float64, kxx float64) (mu, variance float64, err error) {
-	mu = r.mean
+	return r.meanFromCross(kx), r.varianceFromCross(kx, kxx), nil
+}
+
+// meanFromCross returns μ = mean + Σ_j kx[j]·α_j in row order; the fit
+// must be current and len(kx) == Rows().
+func (r *Regressor) meanFromCross(kx []float64) float64 {
+	mu := r.mean
 	for i, a := range r.alpha {
 		mu += kx[i] * a
 	}
-	return mu, r.varianceFromCross(kx, kxx), nil
+	return mu
 }
 
 // varianceFromCross returns σ²(x) = k(x,x) − ‖L⁻¹ k_t(x)‖², floored at 0,

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"dragster/internal/gp"
 	"dragster/internal/telemetry"
@@ -87,7 +88,18 @@ type Searcher struct {
 	crossKxx   []float64
 	crossN     int // rows covered by crossK
 	crossEpoch uint64
-	kxScratch  []float64 // per-candidate gather buffer for PosteriorFromCross
+	kxScratch  []float64 // per-candidate gather buffer for the *FromCross reads
+
+	// Per-candidate posterior table: table[ci] holds candidate ci's μ, σ²
+	// and UCB value, filled lazily from the cross-covariance cache on the
+	// first read of each candidate. It is valid while the regressor's
+	// kernel epoch and observation count still equal tabEpoch and tabLen;
+	// β_t and √β_t are computed once per table. Allocated on first read.
+	table    []posterior
+	tabEpoch uint64
+	tabLen   int
+	beta     float64
+	sqrtBeta float64
 
 	// observability hooks; nil-safe, see internal/telemetry.
 	tracer *telemetry.Tracer
@@ -187,6 +199,23 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 	return s, nil
 }
 
+// posterior is one candidate's entry in the Searcher's table.
+type posterior struct {
+	mu       float64
+	variance float64 // σ²
+	sd       float64 // σ = √σ²
+	ucb      float64 // μ + s·√β_t·σ, OptimisticAt's value
+	fill     uint8   // fillNone, fillMean (μ only) or fillFull
+}
+
+// Fill levels of a table entry: a mean-only read skips the variance's
+// triangular solve.
+const (
+	fillNone uint8 = iota
+	fillMean
+	fillFull
+)
+
 func candidateDiameter(cands [][]float64) float64 {
 	var maxD float64
 	for d := range cands[0] {
@@ -214,7 +243,15 @@ func (s *Searcher) Observe(x []float64, capacityObs float64) error {
 	if len(x) != len(s.candidates[0]) {
 		return fmt.Errorf("ucb: observed configuration has dimension %d, candidates %d", len(x), len(s.candidates[0]))
 	}
-	if err := s.reg.Observe(x, capacityObs); err != nil {
+	// At a grid point the kernel row is a column of the cross-covariance
+	// cache, when that is current: the observation evaluates no kernel.
+	var err error
+	if ci := s.candidateIndex(x); ci >= 0 && s.crossCurrent() {
+		err = s.reg.ObserveFromCross(x, capacityObs, s.crossColumn(ci), s.crossKxx[ci])
+	} else {
+		err = s.reg.Observe(x, capacityObs)
+	}
+	if err != nil {
 		return err
 	}
 	s.t++
@@ -244,6 +281,98 @@ func (s *Searcher) appendCross(x []float64) {
 		s.crossK = append(s.crossK, k.Eval(x, cand))
 	}
 	s.crossN++
+}
+
+// crossCurrent reports whether the cross-covariance cache covers every
+// row of the regressor under its current kernel.
+func (s *Searcher) crossCurrent() bool {
+	return s.crossEpoch == s.reg.KernelEpoch() && s.crossN == s.reg.Rows()
+}
+
+// crossColumn gathers candidate ci's cross-covariance vector
+// k(x_j, cand_ci) over the cached rows into the searcher's scratch and
+// returns it. The cache must be current.
+func (s *Searcher) crossColumn(ci int) []float64 {
+	n, c := s.crossN, len(s.candidates)
+	if cap(s.kxScratch) < n {
+		s.kxScratch = make([]float64, n)
+	}
+	kx := s.kxScratch[:n]
+	for j := range kx {
+		kx[j] = s.crossK[j*c+ci]
+	}
+	return kx
+}
+
+// candidateIndex returns the index of the candidate equal to x, element
+// for element, or -1 when x is off the grid.
+func (s *Searcher) candidateIndex(x []float64) int {
+	for i, c := range s.candidates {
+		if slices.Equal(c, x) {
+			return i
+		}
+	}
+	return -1
+}
+
+// syncTable makes the posterior table current: when the kernel epoch or
+// the observation count moved since it was filled, it syncs the
+// cross-covariance cache, empties every entry and recomputes β_t. It
+// returns ErrNoData on an empty GP.
+//
+//lint:hotpath
+func (s *Searcher) syncTable() error {
+	n := s.reg.Len()
+	if n == 0 {
+		return ErrNoData
+	}
+	epoch := s.reg.KernelEpoch()
+	if s.table != nil && s.tabEpoch == epoch && s.tabLen == n {
+		return nil
+	}
+	s.syncCross()
+	if s.table == nil {
+		s.table = make([]posterior, len(s.candidates))
+	} else {
+		clear(s.table)
+	}
+	s.tabEpoch, s.tabLen = epoch, n
+	s.beta = Beta(s.t, len(s.candidates), confidenceDelta)
+	s.sqrtBeta = math.Sqrt(s.beta)
+	return nil
+}
+
+// entry syncs the table and returns candidate ci's entry, filling it from
+// the cross-covariance cache up to the wanted level. Each value is the
+// float expression the regressor's own readers compute, on the same
+// operands, so a table read is bit-equal to a fresh one.
+//
+//lint:hotpath
+func (s *Searcher) entry(ci int, want uint8) (*posterior, error) {
+	if err := s.syncTable(); err != nil {
+		return nil, err
+	}
+	e := &s.table[ci]
+	if e.fill >= want {
+		return e, nil
+	}
+	kx := s.crossColumn(ci)
+	if want == fillMean {
+		mu, err := s.reg.MeanFromCross(kx)
+		if err != nil {
+			return nil, err
+		}
+		e.mu, e.fill = mu, fillMean
+		return e, nil
+	}
+	mu, variance, err := s.reg.PosteriorFromCross(kx, s.crossKxx[ci])
+	if err != nil {
+		return nil, err
+	}
+	e.mu, e.variance, e.sd = mu, variance, math.Sqrt(variance)
+	e.ucb = mu + s.explore*s.sqrtBeta*e.sd
+	e.fill = fillFull
+	return e, nil
 }
 
 // syncCross brings the cross-covariance cache up to date with the
@@ -317,26 +446,65 @@ func (s *Searcher) Observations() int { return s.t }
 func (s *Searcher) Regressor() *gp.Regressor { return s.reg }
 
 // PosteriorAt returns μ, σ² at candidate index i (ErrNoData before any
-// observation).
+// observation), read from the posterior table.
 func (s *Searcher) PosteriorAt(i int) (float64, float64, error) {
 	if i < 0 || i >= len(s.candidates) {
 		return 0, 0, fmt.Errorf("ucb: candidate index %d out of range", i)
 	}
-	return s.reg.Posterior(s.candidates[i])
+	e, err := s.entry(i, fillFull)
+	if err != nil {
+		return 0, 0, err
+	}
+	return e.mu, e.variance, nil
 }
 
-// OptimisticAt returns the upper confidence value μ(x) + s·√β_t·σ(x) at an
-// arbitrary configuration, with s the searcher's exploration scale. The
-// budget rebalancer scores candidate reallocations with this optimistic
-// capacity so unexplored operators still attract tasks (plain posterior
-// means are flat before exploration and would freeze the allocation).
-func (s *Searcher) OptimisticAt(x []float64) (float64, error) {
-	mu, variance, err := s.reg.Posterior(x)
+// Mean returns the posterior mean μ_t(x) (ErrNoData before any
+// observation): from the posterior table when x is a candidate, else
+// from the regressor.
+//
+//lint:hotpath
+func (s *Searcher) Mean(x []float64) (float64, error) {
+	ci := s.candidateIndex(x)
+	if ci < 0 {
+		if s.reg.Len() == 0 {
+			return 0, ErrNoData
+		}
+		return s.reg.Mean(x)
+	}
+	e, err := s.entry(ci, fillMean)
 	if err != nil {
 		return 0, err
 	}
-	beta := Beta(s.t, len(s.candidates), confidenceDelta)
-	return mu + s.explore*math.Sqrt(beta)*math.Sqrt(variance), nil
+	return e.mu, nil
+}
+
+// OptimisticAt returns the upper confidence value μ(x) + s·√β_t·σ(x) at an
+// arbitrary configuration, with s the searcher's exploration scale
+// (ErrNoData before any observation). A candidate's value comes from the
+// posterior table; any other x is evaluated through the regressor. The
+// budget rebalancer scores candidate reallocations with this optimistic
+// capacity so unexplored operators still attract tasks (plain posterior
+// means are flat before exploration and would freeze the allocation).
+//
+//lint:hotpath
+func (s *Searcher) OptimisticAt(x []float64) (float64, error) {
+	ci := s.candidateIndex(x)
+	if ci < 0 {
+		if s.reg.Len() == 0 {
+			return 0, ErrNoData
+		}
+		mu, variance, err := s.reg.Posterior(x)
+		if err != nil {
+			return 0, err
+		}
+		beta := Beta(s.t, len(s.candidates), confidenceDelta)
+		return mu + s.explore*math.Sqrt(beta)*math.Sqrt(variance), nil
+	}
+	e, err := s.entry(ci, fillFull)
+	if err != nil {
+		return 0, err
+	}
+	return e.ucb, nil
 }
 
 // ErrNoData is returned by Select before any observation; callers should
@@ -348,37 +516,23 @@ var ErrNoData = errors.New("ucb: no observations yet")
 // target capacity, along with its index and the β_t used. For the
 // Conventional acquisition the target is ignored.
 func (s *Searcher) Select(target float64) (x []float64, idx int, beta float64, err error) {
-	if s.reg.Len() == 0 {
-		return nil, 0, 0, ErrNoData
-	}
-	beta = Beta(s.t, len(s.candidates), confidenceDelta)
-	// Score candidates from the cross-covariance cache: only rows that
-	// appeared since the last Select (or a kernel swap) cost kernel
-	// evaluations; the per-candidate posterior is then two cached-vector
-	// triangular passes via PosteriorFromCross.
-	s.syncCross()
-	n := s.reg.Rows()
-	c := len(s.candidates)
-	if cap(s.kxScratch) < n {
-		s.kxScratch = make([]float64, n)
-	}
-	kx := s.kxScratch[:n]
+	// Score candidates from the posterior table: only rows that appeared
+	// since the last sync (or a kernel swap) cost kernel evaluations, and
+	// a candidate another reader already filled this round costs nothing.
 	bestScore := math.Inf(-1)
 	idx = -1
-	for i := 0; i < c; i++ {
-		for j := 0; j < n; j++ {
-			kx[j] = s.crossK[j*c+i]
-		}
-		mu, variance, err := s.reg.PosteriorFromCross(kx, s.crossKxx[i])
+	for i := range s.candidates {
+		e, err := s.entry(i, fillFull)
 		if err != nil {
 			return nil, 0, 0, err
 		}
+		mu := e.mu
 		// Eq. 18 of the paper literally writes β_t·σ², but the proof of
 		// Theorem 1 manipulates β^{1/2}·σ confidence widths (Eq. 22), and
 		// β·σ² is dimensionally a variance that swamps the |μ−y| tracking
 		// term at realistic tuples/s scales; the bonus is therefore the
 		// Srinivas-et-al β^{1/2}·σ form the proof supports.
-		bonus := math.Sqrt(beta) * math.Sqrt(variance) * s.explore
+		bonus := s.sqrtBeta * e.sd * s.explore
 		score := mu + bonus // Conventional
 		if s.acq == Extended {
 			score = -math.Abs(mu-target) + bonus
@@ -387,8 +541,8 @@ func (s *Searcher) Select(target float64) (x []float64, idx int, beta float64, e
 			bestScore, idx = score, i
 		}
 	}
-	s.traceSelect(target, idx, beta)
-	return append([]float64(nil), s.candidates[idx]...), idx, beta, nil
+	s.traceSelect(target, idx, s.beta)
+	return append([]float64(nil), s.candidates[idx]...), idx, s.beta, nil
 }
 
 // traceSelect emits the per-round acquisition event.

@@ -180,6 +180,9 @@ func TestPosteriorAt(t *testing.T) {
 	if _, _, err := s.PosteriorAt(99); err == nil {
 		t.Error("out-of-range index accepted")
 	}
+	if _, _, err := s.PosteriorAt(4); !errors.Is(err, ErrNoData) {
+		t.Errorf("PosteriorAt on an empty GP: err = %v, want ErrNoData", err)
+	}
 	if err := s.Observe([]float64{5}, 480); err != nil {
 		t.Fatal(err)
 	}
