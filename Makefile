@@ -84,9 +84,10 @@ bench-e2e:
 # chain, one saddle-point step at λ = 0, one per built-in workload with
 # the dual update moving λ before every step (and the Yahoo one alone),
 # one stream-simulator tick of a chain, one full controller decision, one
-# RNG seeding, one Yahoo capacity plan and one 100-tenant admission round
-# (fleet.New plus round 0) — snapshotted into BENCH_layers.json.
-# Recorded, not gated.
+# RNG seeding, one Yahoo capacity plan and one 100- and one 1000-tenant
+# admission round (fleet.New plus round 0) — snapshotted into
+# BENCH_layers.json. Recorded, not gated; CI's layer bench smoke runs the
+# same pattern over the same packages once each.
 bench-layers:
 	$(GO) test -run NONE -bench 'EvaluateChain|GradientChain|SaddlePointStep|TickChain|ControllerDecide|NewRNG|PlannerBuild|FleetAdmit' -benchmem \
 		. ./internal/dag ./internal/osp ./internal/streamsim ./internal/stats ./internal/planner ./internal/fleet | $(GO) run ./cmd/benchsnapshot -out BENCH_layers.json -label "make bench-layers"

@@ -29,6 +29,12 @@ func (r ResourceSpec) Validate() error {
 	return nil
 }
 
+// add adds sign·r to s.
+func (s *ResourceSpec) add(r ResourceSpec, sign int) {
+	s.CPUMilli += sign * r.CPUMilli
+	s.MemoryMB += sign * r.MemoryMB
+}
+
 // PodPhase is a pod lifecycle phase.
 type PodPhase int
 
@@ -123,6 +129,13 @@ type Cluster struct {
 	pending    int
 	runningCPU int
 
+	// allocatable totals the live nodes' allocatable resources and
+	// reserved the requests of the live (pending or running) pods. Node
+	// registration and removal, pod creation and termination keep both
+	// current, so Free is O(1).
+	allocatable ResourceSpec
+	reserved    ResourceSpec
+
 	clock       int64 // seconds
 	podSeq      int
 	pricePerCPU float64 // dollars per core·hour
@@ -178,6 +191,7 @@ func (c *Cluster) AddNode(name string, allocatable ResourceSpec) error {
 	}
 	c.nodes[name] = &node{name: name, allocatable: allocatable}
 	c.nodeOrder = append(c.nodeOrder, name)
+	c.allocatable.add(allocatable, 1)
 	return nil
 }
 
@@ -197,9 +211,11 @@ func (c *Cluster) AddNodes(prefix string, count int, allocatable ResourceSpec) e
 // Pending if capacity is short — exactly the degraded-parallelism signal
 // the autoscalers must cope with).
 func (c *Cluster) RemoveNode(name string) error {
-	if _, ok := c.nodes[name]; !ok {
+	n, ok := c.nodes[name]
+	if !ok {
 		return fmt.Errorf("cluster: unknown node %q", name)
 	}
+	c.allocatable.add(n.allocatable, -1)
 	delete(c.nodes, name)
 	for i, nn := range c.nodeOrder {
 		if nn == name {
@@ -333,6 +349,7 @@ func (c *Cluster) reconcile(d *Deployment) {
 		c.pods[p.Name] = p
 		c.live = append(c.live, p)
 		c.pending++
+		c.reserved.add(p.Spec, 1)
 		d.pods = append(d.pods, p)
 	}
 	c.schedule()
@@ -395,6 +412,7 @@ func (c *Cluster) terminatePod(p *Pod) {
 	case PodPending:
 		c.pending--
 	}
+	c.reserved.add(p.Spec, -1)
 	p.Phase = PodTerminated
 	delete(c.pods, p.Name)
 	c.dead++
@@ -479,6 +497,15 @@ func (c *Cluster) Deployments() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Free returns the live nodes' allocatable resources minus the requests
+// of every live (running or pending) pod: what is left to reserve.
+func (c *Cluster) Free() ResourceSpec {
+	return ResourceSpec{
+		CPUMilli: c.allocatable.CPUMilli - c.reserved.CPUMilli,
+		MemoryMB: c.allocatable.MemoryMB - c.reserved.MemoryMB,
+	}
 }
 
 // TotalRunningCPUMilli returns the CPU currently reserved by running pods.

@@ -12,10 +12,11 @@ import (
 // checkIndex verifies the incrementally maintained state against a
 // recomputation from the pods themselves: the running-CPU and pending
 // counters, every node's used resources, the per-deployment pod lists,
-// and that the live list minus its terminated entries is exactly the
-// live set in creation order. With walk set it also checks that Pods()
-// returns that set and compacts the list; otherwise terminated entries
-// are left for the next operation's own walks.
+// the live set in creation order, and Free's running totals against a
+// recount over the nodes and the live pods. With walk set it also checks
+// that Pods() returns that set and compacts the list, and recounts Free
+// from that snapshot; otherwise terminated entries are left for the next
+// operation's own walks.
 func checkIndex(t *testing.T, c *Cluster, step int, op string, walk bool) {
 	t.Helper()
 	fail := func(format string, args ...any) {
@@ -36,8 +37,10 @@ func checkIndex(t *testing.T, c *Cluster, step int, op string, walk bool) {
 		fail("live list holds %d entries, %d terminated (counter %d), for %d live pods",
 			len(c.live), dead, c.dead, len(c.pods))
 	}
+	var free ResourceSpec
 	if walk {
 		snap := c.Pods()
+		free = recountFree(c, snap)
 		if len(snap) != len(pods) {
 			fail("Pods() has %d pods, want %d", len(snap), len(pods))
 		}
@@ -49,6 +52,15 @@ func checkIndex(t *testing.T, c *Cluster, step int, op string, walk bool) {
 		if len(c.live) != len(c.pods) || c.dead != 0 {
 			fail("live list holds %d entries after a walk, %d are live", len(c.live), len(c.pods))
 		}
+	} else {
+		snap := make([]Pod, len(pods))
+		for i, p := range pods {
+			snap[i] = *p
+		}
+		free = recountFree(c, snap)
+	}
+	if got := c.Free(); got != free {
+		fail("Free = %+v, recount over nodes and live pods = %+v", got, free)
 	}
 	runningCPU, pending := 0, 0
 	usedCPU := map[string]int{}
@@ -106,6 +118,26 @@ func checkIndex(t *testing.T, c *Cluster, step int, op string, walk bool) {
 	}
 }
 
+// recountFree is Free recomputed from scratch: the allocatable of every
+// node Nodes lists, minus the request of every non-terminated pod in
+// pods.
+func recountFree(c *Cluster, pods []Pod) ResourceSpec {
+	var free ResourceSpec
+	for _, n := range c.Nodes() {
+		if spec, ok := c.NodeAllocatable(n); ok {
+			free.CPUMilli += spec.CPUMilli
+			free.MemoryMB += spec.MemoryMB
+		}
+	}
+	for _, p := range pods {
+		if p.Phase != PodTerminated {
+			free.CPUMilli -= p.Spec.CPUMilli
+			free.MemoryMB -= p.Spec.MemoryMB
+		}
+	}
+	return free
+}
+
 func podNames(ps []*Pod) []string {
 	out := make([]string, len(ps))
 	for i, p := range ps {
@@ -143,7 +175,7 @@ func TestIndexInvariantsUnderRandomOperations(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sawPending, sawDead := false, false
+		sawPending, sawDead, sawOvercommit := false, false, false
 		for step := 0; step < 2000; step++ {
 			var op string
 			var err error
@@ -183,10 +215,12 @@ func TestIndexInvariantsUnderRandomOperations(t *testing.T) {
 			}
 			sawPending = sawPending || c.pending > 0
 			sawDead = sawDead || c.dead > 0
+			sawOvercommit = sawOvercommit || c.Free().CPUMilli < 0
 			checkIndex(t, c, step, op, step%3 == 0)
 		}
-		if !sawPending || !sawDead {
-			t.Fatalf("seed %d never reached a pending pod (%v) or an uncompacted termination (%v)", seed, sawPending, sawDead)
+		if !sawPending || !sawDead || !sawOvercommit {
+			t.Fatalf("seed %d never reached a pending pod (%v), an uncompacted termination (%v) or reservations past the allocatable (%v)",
+				seed, sawPending, sawDead, sawOvercommit)
 		}
 	}
 }

@@ -129,7 +129,7 @@ func (m *Manager) admissible(js *jobState, g int) (string, bool) {
 	if committed+g > m.cfg.TotalTaskBudget {
 		return fmt.Sprintf("budget: floors %d + grant %d > total %d", committed, g, m.cfg.TotalTaskBudget), false
 	}
-	free := m.freeCapacity()
+	free := m.k8s.Free()
 	tm := flink.TaskManagerSpec()
 	need := cluster.ResourceSpec{CPUMilli: g * tm.CPUMilli, MemoryMB: g * tm.MemoryMB}
 	if need.CPUMilli > free.CPUMilli || need.MemoryMB > free.MemoryMB {
@@ -137,23 +137,4 @@ func (m *Manager) admissible(js *jobState, g int) (string, bool) {
 			need.CPUMilli, need.MemoryMB, free.CPUMilli, free.MemoryMB), false
 	}
 	return "", true
-}
-
-// freeCapacity is the cluster's total allocatable minus everything
-// reserved by live (running or pending) pods.
-func (m *Manager) freeCapacity() cluster.ResourceSpec {
-	var free cluster.ResourceSpec
-	for _, n := range m.k8s.Nodes() {
-		if spec, ok := m.k8s.NodeAllocatable(n); ok {
-			free.CPUMilli += spec.CPUMilli
-			free.MemoryMB += spec.MemoryMB
-		}
-	}
-	for _, p := range m.k8s.Pods() {
-		if p.Phase != cluster.PodTerminated {
-			free.CPUMilli -= p.Spec.CPUMilli
-			free.MemoryMB -= p.Spec.MemoryMB
-		}
-	}
-	return free
 }

@@ -94,14 +94,17 @@ func BenchmarkFleetRound1000Jobs(b *testing.B) { benchmarkFleetRound(b, 1000, 1)
 // BENCH_e2e.json.
 func BenchmarkFleetRoundWarmLate100Jobs(b *testing.B) { benchmarkFleetRound(b, 100, 241) }
 
-// BenchmarkFleetAdmit100Jobs times what BenchmarkFleetRound100Jobs sets
-// up untimed: fleet.New and the admission round, in which all 100
-// tenants arrive, are admitted and build their controller stacks.
-func BenchmarkFleetAdmit100Jobs(b *testing.B) {
-	specs := benchSpecs(b, 100)
+// benchmarkFleetAdmit times what benchmarkFleetRound sets up untimed at
+// the same tenant count: fleet.New and the admission round, in which
+// every tenant arrives, is admitted and builds its controller stack.
+func benchmarkFleetAdmit(b *testing.B, jobs int) {
+	specs := benchSpecs(b, jobs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchFleet(b, specs, 1, 1+fleetBenchWindow)
 	}
 }
+
+func BenchmarkFleetAdmit100Jobs(b *testing.B)  { benchmarkFleetAdmit(b, 100) }
+func BenchmarkFleetAdmit1000Jobs(b *testing.B) { benchmarkFleetAdmit(b, 1000) }

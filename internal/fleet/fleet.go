@@ -350,6 +350,10 @@ type jobState struct {
 	// names, encoded once at registration rather than every round.
 	shareGauge, priceGauge string
 
+	// kind is the workload fingerprint that keys the job's warm-start
+	// archive, encoded once at registration rather than every harvest.
+	kind string
+
 	budget int // current Σ-tasks share
 	usage  int // Σ desired tasks last applied
 	need   int // Σ tasks demand estimate from the last snapshot (0 = none yet)
@@ -450,6 +454,7 @@ func (m *Manager) addJob(spec JobSpec, committed bool) {
 		committed:  committed,
 		shareGauge: telemetry.Label("fleet_budget_share", "job", spec.Name),
 		priceGauge: telemetry.Label("fleet_dual_price", "job", spec.Name),
+		kind:       fingerprint(spec.Workload),
 		res: &JobResult{
 			Name:       spec.Name,
 			Workload:   spec.Workload.Name,
@@ -950,7 +955,7 @@ func (m *Manager) buildStack(js *jobState, r int) error {
 	if js.plan != nil {
 		initial = append([]int(nil), js.plan.Tasks...)
 	}
-	history := m.archive.seed(spec)
+	history := m.archive.seed(js.kind, spec)
 	nRecords := len(history)
 	db := store.New()
 	if js.plan != nil {

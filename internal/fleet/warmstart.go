@@ -83,11 +83,12 @@ func (a *warmArchive) add(kind string, r store.Record) {
 }
 
 // seed returns the compatible history a joining job's GPs replay: the
-// archive's records for each operator, in operator order, in a fresh
-// slice. The records themselves are shared with the archive; core.New
-// only reads them, and the GPs copy each configuration they keep.
-func (a *warmArchive) seed(spec *workload.Spec) []store.Record {
-	ops := a.byKind[fingerprint(spec)]
+// records archived under kind, spec's fingerprint, for each operator, in
+// operator order, in a fresh slice. The records themselves are shared
+// with the archive; core.New only reads them, and the GPs copy each
+// configuration they keep.
+func (a *warmArchive) seed(kind string, spec *workload.Spec) []store.Record {
+	ops := a.byKind[kind]
 	var recs []store.Record
 	for i := 0; i < spec.Graph.NumOperators(); i++ {
 		recs = append(recs, ops[spec.Graph.OperatorName(i)]...)
@@ -102,12 +103,11 @@ func (a *warmArchive) seed(spec *workload.Spec) []store.Record {
 // warm-start replays — are deterministic.
 func (m *Manager) harvest() {
 	for _, js := range m.running {
-		kind := fingerprint(js.spec.Workload)
 		for _, r := range js.db.Drain() {
 			if !harvestable(r) {
 				continue
 			}
-			m.archive.add(kind, r)
+			m.archive.add(js.kind, r)
 			m.reg.Inc("fleet_warmstart_harvested")
 		}
 	}

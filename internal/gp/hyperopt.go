@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"dragster/internal/linalg"
 	"dragster/internal/par"
 )
 
@@ -49,14 +50,16 @@ func DefaultHyperGrid(diameter, targetVar float64) (HyperGrid, error) {
 // grid, maximizing the log marginal likelihood of the regressor's current
 // observations. It scores the row means (LogMarginalLikelihood), which
 // differ from the raw observations' likelihood by a kernel-independent
-// term, so both pick the same grid point. Every (lengthScale, variance) grid point is evaluated on a
-// snapshot of the observations through par.For, one worker per CPU. Each
-// evaluation builds and factorizes its own Gram matrix, so the live
-// regressor — kernel, factorization, information gain — is untouched
-// until a winner is chosen; every non-success path therefore leaves the
-// pre-call kernel in place. The argmax is reduced serially in grid order
-// (length scales outer, variances inner, first strict improvement wins),
-// so the selected kernel is byte-identical regardless of worker count or
+// term, so both pick the same grid point. The grid is evaluated on a
+// snapshot of the observations through par.For, one length scale per
+// task and one worker per CPU: each task evaluates the pairwise
+// exp(−d²/(2ℓ²)) once, then builds, factorizes and scores the Gram
+// matrix of every variance from it. The live regressor — kernel,
+// factorization, information gain — is untouched until a winner is
+// chosen; every non-success path therefore leaves the pre-call kernel in
+// place. The argmax is reduced serially in grid order (length scales
+// outer, variances inner, first strict improvement wins), so the
+// selected kernel is byte-identical regardless of worker count or
 // goroutine scheduling. On success the regressor's kernel is replaced by
 // the best one and the winning (lengthScale, variance, lml) triple is
 // returned. With fewer than 3 observations it is a no-op returning
@@ -74,40 +77,20 @@ func (r *Regressor) maximizeLML(grid HyperGrid, workers int) (lengthScale, varia
 	if len(grid.LengthScales) == 0 || len(grid.Variances) == 0 {
 		return 0, 0, 0, errors.New("gp: empty hyperparameter grid")
 	}
-	type gridPoint struct{ ls, v float64 }
-	points := make([]gridPoint, 0, len(grid.LengthScales)*len(grid.Variances))
-	for _, ls := range grid.LengthScales {
-		for _, v := range grid.Variances {
-			points = append(points, gridPoint{ls, v})
-		}
-	}
 	// Validate the whole grid before the fan-out so an invalid
 	// hyperparameter pair errors deterministically with nothing mutated.
-	kernels := make([]Kernel, len(points))
-	for i, p := range points {
-		k, kerr := NewSquaredExponential(p.ls, p.v)
-		if kerr != nil {
-			return 0, 0, 0, kerr
+	for _, ls := range grid.LengthScales {
+		for _, v := range grid.Variances {
+			if _, kerr := NewSquaredExponential(ls, v); kerr != nil {
+				return 0, 0, 0, kerr
+			}
 		}
-		kernels[i] = k
 	}
-	// The rows are not mutated for the duration of the call (the
-	// Regressor is single-owner), so sharing the backing slices with the
-	// workers is a read-only snapshot.
-	lmls := make([]float64, len(points))
-	feasible := make([]bool, len(points))
-	par.For(len(points), workers, func(i int) {
-		chol, ferr := factorSystem(r.xs, r.counts, kernels[i], r.noiseVar)
-		if ferr != nil {
-			return // numerically infeasible combination; skip
-		}
-		mean, alpha := solveWeights(nil, chol, r.counts, r.sums, r.ySum, r.n)
-		lmls[i] = lmlFromFit(r.counts, r.sums, mean, alpha, chol)
-		feasible[i] = true
-	})
+	lmls, feasible := r.gridLML(grid, workers)
+	nv := len(grid.Variances)
 	best := -1
 	bestLML := math.Inf(-1)
-	for i := range points {
+	for i := range lmls {
 		if feasible[i] && lmls[i] > bestLML {
 			bestLML, best = lmls[i], i
 		}
@@ -116,10 +99,60 @@ func (r *Regressor) maximizeLML(grid HyperGrid, workers int) (lengthScale, varia
 		// Nothing evaluated cleanly; the live kernel was never swapped.
 		return 0, 0, 0, errors.New("gp: no feasible hyperparameters in grid")
 	}
-	if err := r.SetKernel(kernels[best]); err != nil {
+	ls, v := grid.LengthScales[best/nv], grid.Variances[best%nv]
+	kernel, err := NewSquaredExponential(ls, v)
+	if err != nil {
 		return 0, 0, 0, err
 	}
-	return points[best].ls, points[best].v, bestLML, nil
+	if err := r.SetKernel(kernel); err != nil {
+		return 0, 0, 0, err
+	}
+	return ls, v, bestLML, nil
+}
+
+// gridLML scores every grid point of a validated grid, in grid order
+// (length scales outer, variances inner): lmls[i] is the row-mean LML
+// under point i's SE kernel and feasible[i] reports that its system
+// factorized. Each par.For task takes one length scale ℓ, fills
+// e_ij = exp(−‖x_i−x_j‖²/(2ℓ²)) once, and builds each variance's Gram
+// as σ_f²·e_ij — the float expression SquaredExponential.Eval computes —
+// so every score is bit-equal to factorSystem, solveWeights and
+// lmlFromFit under that kernel. The rows are not mutated for the
+// duration of the call (the Regressor is single-owner), so sharing the
+// backing slices with the workers is a read-only snapshot.
+func (r *Regressor) gridLML(grid HyperGrid, workers int) (lmls []float64, feasible []bool) {
+	nv := len(grid.Variances)
+	lmls = make([]float64, len(grid.LengthScales)*nv)
+	feasible = make([]bool, len(lmls))
+	n := len(r.xs)
+	par.For(len(grid.LengthScales), workers, func(li int) {
+		ls := grid.LengthScales[li]
+		e := make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			e[i*n+i] = math.Exp(-sqDist(r.xs[i], r.xs[i]) / (2 * ls * ls))
+			for j := i + 1; j < n; j++ {
+				d := math.Exp(-sqDist(r.xs[i], r.xs[j]) / (2 * ls * ls))
+				e[i*n+j] = d
+				e[j*n+i] = d
+			}
+		}
+		k := linalg.NewMatrix(n, n)
+		var alpha []float64
+		for vi, v := range grid.Variances {
+			for idx, d := range e {
+				k.Data[idx] = v * d
+			}
+			chol, ferr := factorGram(k, r.counts, r.noiseVar)
+			if ferr != nil {
+				continue // numerically infeasible combination; skip
+			}
+			var mean float64
+			mean, alpha = solveWeights(alpha, chol, r.counts, r.sums, r.ySum, r.n)
+			lmls[li*nv+vi] = lmlFromFit(r.counts, r.sums, mean, alpha, chol)
+			feasible[li*nv+vi] = true
+		}
+	})
+	return lmls, feasible
 }
 
 // ErrTooFewPoints is returned by MaximizeLML before enough observations

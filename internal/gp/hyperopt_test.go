@@ -184,6 +184,52 @@ func TestMaximizeLMLDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestGridLMLMatchesPerPointFit: scoring the grid one length scale at a
+// time, with each variance's Gram scaled from one shared exp table,
+// gives every grid point the LML a from-scratch factorSystem,
+// solveWeights and lmlFromFit under that point's kernel gives, bit for
+// bit and at any worker count. Repeated points exercise the σ²/k_j
+// diagonal, and 2-D rows the multi-dimensional distance.
+func TestGridLMLMatchesPerPointFit(t *testing.T) {
+	rng := stats.NewRNG(21)
+	for _, dim := range []int{1, 2} {
+		r := mustRegressor(t, mustSE(t, 1, 1), 0.3)
+		for i := 0; i < 30; i++ {
+			x := make([]float64, dim)
+			for d := range x {
+				x[d] = float64(rng.Intn(9))
+			}
+			if err := r.Observe(x, 10*math.Sin(x[0]/2)+rng.Normal(0, 0.5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		grid, err := DefaultHyperGrid(8, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			lmls, feasible := r.gridLML(grid, workers)
+			for li, ls := range grid.LengthScales {
+				for vi, v := range grid.Variances {
+					i := li*len(grid.Variances) + vi
+					chol, ferr := factorSystem(r.xs, r.counts, mustSE(t, ls, v), r.noiseVar)
+					if (ferr == nil) != feasible[i] {
+						t.Fatalf("dim %d workers %d (ℓ=%v, σ²=%v): feasible %v, factorSystem err %v", dim, workers, ls, v, feasible[i], ferr)
+					}
+					if ferr != nil {
+						continue
+					}
+					mean, alpha := solveWeights(nil, chol, r.counts, r.sums, r.ySum, r.n)
+					want := lmlFromFit(r.counts, r.sums, mean, alpha, chol)
+					if math.Float64bits(lmls[i]) != math.Float64bits(want) {
+						t.Errorf("dim %d workers %d (ℓ=%v, σ²=%v): lml %v, per-point fit %v", dim, workers, ls, v, lmls[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMaximizeLMLTooFewPoints(t *testing.T) {
 	r := mustRegressor(t, mustSE(t, 1, 1), 0.1)
 	grid, err := DefaultHyperGrid(1, 1)

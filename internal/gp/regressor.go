@@ -276,12 +276,22 @@ func factorSystem(xs [][]float64, counts []int, kernel Kernel, noiseVar float64)
 	}
 	k := linalg.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
-		k.Set(i, i, kernel.Eval(xs[i], xs[i])+noiseVar/float64(counts[i]))
+		k.Set(i, i, kernel.Eval(xs[i], xs[i]))
 		for j := i + 1; j < n; j++ {
 			v := kernel.Eval(xs[i], xs[j])
 			k.Set(i, j, v)
 			k.Set(j, i, v)
 		}
+	}
+	return factorGram(k, counts, noiseVar)
+}
+
+// factorGram adds the row noise σ²/k_j to the diagonal of the Gram
+// matrix k in place and factorizes the result. The diagonal entry is
+// k(x_j, x_j) + σ²/k_j in that float order, whichever path filled k.
+func factorGram(k *linalg.Matrix, counts []int, noiseVar float64) (*linalg.Cholesky, error) {
+	for i, c := range counts {
+		k.Add(i, i, noiseVar/float64(c))
 	}
 	chol, err := linalg.NewCholesky(k)
 	if err != nil {

@@ -8,8 +8,8 @@ import (
 
 // BenchmarkPlannerBuild times one capacity plan of the Yahoo pipeline at
 // its high rates with the default probe budget: the probe simulations,
-// each on a fresh engine and RNG, plus the curve fits and the synthesis
-// an admission pays for.
+// on the plan's one engine and RNG reset and reseeded before each, plus
+// the curve fits and the synthesis an admission pays for.
 func BenchmarkPlannerBuild(b *testing.B) {
 	spec, err := workload.Yahoo()
 	if err != nil {

@@ -142,3 +142,31 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanDigestsPinned pins the plan digests of three workloads at two
+// seeds. Probes reuse one engine and one RNG, reset and reseeded before
+// each run, and the curve fits score one Gram per length scale; both
+// must reproduce the plans of a fresh engine and RNG per probe and a
+// Gram per grid point bit for bit, and these digests are those plans'.
+func TestPlanDigestsPinned(t *testing.T) {
+	want := map[string][2]string{
+		"yahoo":     {"155526bd92a95724", "2c6926601d03de18"},
+		"wordcount": {"8ece94f5d57bad40", "0702634eb1104363"},
+		"join":      {"4a78f527edd45f1a", "21611947c35e0aaa"},
+	}
+	for _, name := range []string{"yahoo", "wordcount", "join"} {
+		spec, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, seed := range []int64{1, 7} {
+			p, err := Build(Config{Spec: spec, TargetRates: spec.HighRates, Seed: seed})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			if got := p.DigestHex(); got != want[name][k] {
+				t.Errorf("%s seed %d: digest %s, want %s", name, seed, got, want[name][k])
+			}
+		}
+	}
+}

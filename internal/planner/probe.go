@@ -81,7 +81,10 @@ func probePoints(maxTasks int) []int {
 func runSchedule(cfg *Config, budget int) ([]Probe, error) {
 	spec := cfg.Spec
 	m := spec.Graph.NumOperators()
-	drive := driveRates(cfg)
+	pb, err := newProber(cfg)
+	if err != nil {
+		return nil, err
+	}
 	points := probePoints(spec.MaxTasks)
 	var probes []Probe
 	for i := 0; i < m; i++ {
@@ -89,7 +92,7 @@ func runSchedule(cfg *Config, budget int) ([]Probe, error) {
 			if len(probes) >= budget {
 				return probes, nil
 			}
-			pr, err := runProbe(cfg, i, n, drive, int64(len(probes)))
+			pr, err := pb.run(i, n, int64(len(probes)))
 			if err != nil {
 				return nil, err
 			}
@@ -114,19 +117,20 @@ func driveRates(cfg *Config) []float64 {
 	return out
 }
 
-// runProbe simulates one probe on a fresh engine. Each probe gets its
-// own deterministic RNG stream (derived from the plan seed and the probe
-// index) and its own queues, so probe order never leaks state and the
-// schedule is trivially replayable.
-func runProbe(cfg *Config, op, n int, drive []float64, probeIdx int64) (Probe, error) {
-	spec := cfg.Spec
-	m := spec.Graph.NumOperators()
-	tasks := make([]int, m)
-	for i := range tasks {
-		tasks[i] = spec.MaxTasks
-	}
-	tasks[op] = n
+// prober holds the one engine and RNG a plan's probes share, with the
+// drive rates and the task vector every probe sets.
+type prober struct {
+	cfg    *Config
+	drive  []float64
+	tasks  []int
+	rng    *stats.RNG
+	engine *streamsim.Engine
+}
 
+// newProber builds the plan's probe engine and its RNG once.
+func newProber(cfg *Config) (*prober, error) {
+	spec := cfg.Spec
+	drive := driveRates(cfg)
 	// Buffers large enough to keep growing for the whole probe: the gate
 	// watches arrival excess, which a full (dropping) buffer would mask.
 	var peak float64
@@ -135,26 +139,49 @@ func runProbe(cfg *Config, op, n int, drive []float64, probeIdx int64) (Probe, e
 			peak = r
 		}
 	}
+	rng := stats.NewRNG(cfg.Seed)
 	engine, err := streamsim.New(streamsim.Config{
 		Graph:            spec.Graph,
 		Models:           spec.Models,
 		NoiseSigma:       streamsim.CloudNoiseSigma,
 		UtilNoiseSigma:   streamsim.CloudUtilNoiseSigma,
 		MaxBufferPerEdge: 4 * float64(probeSeconds) * math.Max(peak, 1),
-		RNG:              stats.NewRNG(cfg.Seed + 7919*(probeIdx+1)),
+		RNG:              rng,
 	})
 	if err != nil {
+		return nil, err
+	}
+	return &prober{
+		cfg:    cfg,
+		drive:  drive,
+		tasks:  make([]int, spec.Graph.NumOperators()),
+		rng:    rng,
+		engine: engine,
+	}, nil
+}
+
+// run simulates one probe. The engine is Reset and the RNG reseeded
+// from the plan seed and the probe index first, so each probe sees
+// exactly the noise stream and empty queues of a fresh engine seeded
+// cfg.Seed + 7919·(probeIdx+1): probe order never leaks state and the
+// schedule is trivially replayable.
+func (pb *prober) run(op, n int, probeIdx int64) (Probe, error) {
+	spec := pb.cfg.Spec
+	for i := range pb.tasks {
+		pb.tasks[i] = spec.MaxTasks
+	}
+	pb.tasks[op] = n
+	pb.engine.Reset()
+	pb.rng.Seed(pb.cfg.Seed + 7919*(probeIdx+1))
+	if err := pb.engine.SetTasks(pb.tasks); err != nil {
 		return Probe{}, err
 	}
-	if err := engine.SetTasks(tasks); err != nil {
-		return Probe{}, err
-	}
-	engine.BeginSlot()
+	pb.engine.BeginSlot()
 
 	var arrived, consumed, emitted, util float64
 	samples := 0
 	for sec := 0; sec < probeSeconds; sec++ {
-		st, err := engine.Tick(drive)
+		st, err := pb.engine.Tick(pb.drive)
 		if err != nil {
 			return Probe{}, fmt.Errorf("planner: probe %s n=%d tick %d: %w",
 				spec.Graph.OperatorName(op), n, sec, err)

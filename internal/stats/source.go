@@ -11,9 +11,10 @@ import "math/rand"
 // states 21+3i, 22+3i and 23+3i, XOR'd with a fixed table (rngCooked).
 // Every LCG state is x₀·48271^p mod (2³¹−1), so Seed multiplies the
 // normalized seed by precomputed powers and the 607 words carry no
-// serial dependence. Fleet admission seeds a fresh RNG for every
-// capacity probe and every tenant, which makes the seeding, not the
-// draws, the generator's cost.
+// serial dependence. Fleet admission seeds a generator for every
+// capacity probe (reseeding the plan's one RNG in place) and a fresh RNG
+// for every tenant, which makes the seeding, not the draws, the
+// generator's cost.
 type source struct {
 	tap  int
 	feed int

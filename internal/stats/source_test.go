@@ -75,6 +75,43 @@ func TestNewRNGMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestSeedReproducesNewRNG: reseeding a generator in place after an
+// arbitrary mix of Float64, Intn and NormFloat64 draws leaves it drawing
+// exactly NewRNG(seed)'s stream, whatever it drew before.
+func TestSeedReproducesNewRNG(t *testing.T) {
+	g := NewRNG(20261019)
+	pick := rand.New(rand.NewSource(7))
+	for _, seed := range equalitySeeds() {
+		for k, n := 0, pick.Intn(2*rngLen); k < n; k++ {
+			switch pick.Intn(3) {
+			case 0:
+				g.Float64()
+			case 1:
+				g.Intn(1 + pick.Intn(1000))
+			case 2:
+				g.Normal(0, 1)
+			}
+		}
+		g.Seed(seed)
+		want := NewRNG(seed)
+		for k := 0; k < equalityDraws; k++ {
+			var a, b uint64
+			switch k % 3 {
+			case 0:
+				a, b = math.Float64bits(g.Float64()), math.Float64bits(want.Float64())
+			case 1:
+				n := 1 + k%97
+				a, b = uint64(g.Intn(n)), uint64(want.Intn(n))
+			case 2:
+				a, b = math.Float64bits(g.Normal(0, 1)), math.Float64bits(want.Normal(0, 1))
+			}
+			if a != b {
+				t.Fatalf("seed %d draw %d: reseeded RNG gives %#x, NewRNG %#x", seed, k, a, b)
+			}
+		}
+	}
+}
+
 // TestCookedTableIndependentOfSeed: the table recovered at init from
 // seed 1 equals one recovered from other seeds, so the recovery reads
 // math/rand's fixed table and not an artefact of the seed it used.

@@ -24,6 +24,11 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(s)}
 }
 
+// Seed returns g to the state NewRNG(seed) starts from, in place: the
+// draws that follow are NewRNG(seed)'s, draw for draw, whatever g drew
+// before. It is math/rand's Rand.Seed on the jump-ahead source.
+func (g *RNG) Seed(seed int64) { g.r.Seed(seed) }
+
 // Float64 returns a uniform sample from [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 

@@ -141,16 +141,29 @@ func New(cfg Config) (*Engine, error) {
 		caps:      make([]float64, cfg.Graph.NumOperators()),
 		slotNoise: make([]float64, cfg.Graph.NumOperators()),
 	}
+	e.buildPlan()
+	e.Reset()
+	return e, nil
+}
+
+// Reset returns the engine to the state New leaves it in: empty
+// buffers, zero drop and sink totals, no pause, every operator at one
+// task of 1000 millicores, and unit slot noise. It keeps the
+// configuration, the flattened plan and the scratch buffers, and it
+// does not touch the RNG: an engine that is Reset and whose RNG is
+// reseeded ticks exactly like a fresh engine on a fresh RNG of that
+// seed.
+func (e *Engine) Reset() {
 	for i := range e.tasks {
 		e.tasks[i] = 1
 		e.cpu[i] = 1000
-	}
-	e.refreshCapacity()
-	for i := range e.slotNoise {
 		e.slotNoise[i] = 1
 	}
-	e.buildPlan()
-	return e, nil
+	e.refreshCapacity()
+	clear(e.edgeBuf)
+	e.pause = 0
+	e.dropped = 0
+	e.processed = 0
 }
 
 // buildPlan materializes the flattened per-tick plan from the graph's

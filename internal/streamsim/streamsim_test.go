@@ -443,3 +443,92 @@ func BenchmarkTickChain(b *testing.B) {
 		}
 	}
 }
+
+// TestResetMatchesFresh: an engine that has ticked with noise under a
+// changed allocation and a pending pause, then been Reset with its RNG
+// reseeded, ticks exactly like a fresh engine on a fresh RNG of that
+// seed — every TickStats field, bit for bit, with and without buffer
+// caps. The capacity planner reuses one engine across its probes on
+// this guarantee.
+func TestResetMatchesFresh(t *testing.T) {
+	g := chainGraph(t)
+	base, err := NewPowerCurve(120, 0.9, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled, err := NewCPUScaledCurve(base, 1000, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []CapacityModel{scaled, base}
+	for _, maxBuf := range []float64{0, 300} {
+		cfg := Config{
+			Graph:            g,
+			Models:           models,
+			NoiseSigma:       CloudNoiseSigma,
+			UtilNoiseSigma:   CloudUtilNoiseSigma,
+			MaxBufferPerEdge: maxBuf,
+		}
+		cfg.RNG = stats.NewRNG(99)
+		used, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := used.SetTasks([]int{3, 2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := used.SetCPU([]int{1500, 500}); err != nil {
+			t.Fatal(err)
+		}
+		used.BeginSlot()
+		for i := 0; i < 17; i++ {
+			if _, err := used.Tick([]float64{900}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		used.Pause(4)
+		used.Reset()
+		cfg.RNG.Seed(7)
+
+		cfg.RNG = stats.NewRNG(7)
+		fresh, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []*Engine{used, fresh} {
+			if err := e.SetTasks([]int{2, 1}); err != nil {
+				t.Fatal(err)
+			}
+			e.BeginSlot()
+		}
+		for tick := 0; tick < 30; tick++ {
+			a, err := used.Tick([]float64{400})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := fresh.Tick([]float64{400})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.SinkThroughput != b.SinkThroughput || a.Paused != b.Paused || a.LatencySec != b.LatencySec {
+				t.Fatalf("cap %v tick %d: reset engine %+v, fresh %+v", maxBuf, tick, a, b)
+			}
+			for i := range b.Ops {
+				if a.Ops[i] != b.Ops[i] {
+					t.Fatalf("cap %v tick %d op %d: reset engine %+v, fresh %+v", maxBuf, tick, i, a.Ops[i], b.Ops[i])
+				}
+			}
+			if tick%10 == 9 {
+				used.BeginSlot()
+				fresh.BeginSlot()
+			}
+		}
+		if used.DroppedTotal() != fresh.DroppedTotal() || used.BufferedTotal() != fresh.BufferedTotal() || used.processed != fresh.processed {
+			t.Fatalf("cap %v: totals differ: dropped %v/%v buffered %v/%v processed %v/%v", maxBuf,
+				used.DroppedTotal(), fresh.DroppedTotal(), used.BufferedTotal(), fresh.BufferedTotal(), used.processed, fresh.processed)
+		}
+		if maxBuf > 0 && fresh.DroppedTotal() == 0 {
+			t.Fatalf("cap %v: no drops, so the cap path went unexercised", maxBuf)
+		}
+	}
+}
