@@ -8,7 +8,7 @@
 //
 // Experiments: fig4, fig4budget, fig5, fig6, table2, fig7, table3,
 // regret, theorem2, ds2, robustness, ablation, capacity, fleet,
-// fleetscale, longhorizon, all. At the paper's 10-minute slots (default
+// longhorizon, all. At the paper's 10-minute slots (default
 // -slotsec 600) the full suite simulates tens of hours of cluster time
 // and takes a few minutes of wall clock; -slotsec 60 gives a quick pass
 // with the same qualitative shapes.
@@ -20,7 +20,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"dragster/internal/experiment"
 	"dragster/internal/osp"
@@ -29,7 +28,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: fig4|fig4budget|fig5|fig6|table2|fig7|table3|regret|theorem2|ds2|robustness|ablation|capacity|fleet|fleetscale|longhorizon|all")
+		exp        = flag.String("exp", "all", "experiment: fig4|fig4budget|fig5|fig6|table2|fig7|table3|regret|theorem2|ds2|robustness|ablation|capacity|fleet|longhorizon|all")
 		slotSec    = flag.Int("slotsec", 600, "slot length in simulated seconds (paper: 600)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		budget     = flag.Int("budget", 13, "task budget for fig4budget (paper: $1.6/h ≈ 13 TaskManager pods)")
@@ -172,16 +171,6 @@ func run(exp string, slotSec int, seed int64, budget int) error {
 				return err
 			}
 			experiment.RenderFleetBench(w, r)
-		case "fleetscale":
-			// 1,000-tenant control-plane load test (not part of -exp all:
-			// it measures the fleet core, not the paper's evaluation).
-			// cmd/ may read the wall clock; the experiment package may not,
-			// so the clock is injected here.
-			r, err := experiment.FleetScale(experiment.FleetScaleConfig{Seed: seed, Now: time.Now})
-			if err != nil {
-				return err
-			}
-			experiment.RenderFleetScale(w, r)
 		case "longhorizon":
 			r, err := experiment.LongHorizon(experiment.LongHorizonConfig{Rounds: 1200, Seed: seed})
 			if err != nil {

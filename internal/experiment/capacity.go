@@ -3,7 +3,7 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"math"
+	"slices"
 
 	"dragster/internal/fleet"
 	"dragster/internal/workload"
@@ -108,21 +108,6 @@ func capacityTraffic(spec *workload.Spec, slots int) (workload.RateFunc, error) 
 	return workload.BlackFriday(diurnal, slots/2, build, build, build, peak)
 }
 
-// peakRates is the per-source maximum of the traffic over the horizon —
-// what planTargetRates inside fleet admission will compute, replicated
-// here so the result can report the surge the plan covered.
-func peakRates(rates workload.RateFunc, sources, slots int) []float64 {
-	out := make([]float64, sources)
-	for s := 0; s < slots; s++ {
-		for i, r := range rates(s, 0) {
-			if i < len(out) && r > out[i] {
-				out[i] = r
-			}
-		}
-	}
-	return out
-}
-
 // capacityFleetConfig is a single-tenant fleet running the shared
 // traffic; planned toggles PlanOnAdmit and nothing else.
 func capacityFleetConfig(spec *workload.Spec, rates workload.RateFunc, slots, slotSeconds int, seed int64, budget int, planned bool) fleet.Config {
@@ -141,56 +126,6 @@ func capacityFleetConfig(spec *workload.Spec, rates workload.RateFunc, slots, sl
 	}
 }
 
-// scoreRounds turns (rates, steady, costCum) round series into a
-// CapacityRow using a shared optimum cache.
-type capacityScorer struct {
-	spec     *workload.Spec
-	optCache map[string]*Optimum
-}
-
-func newCapacityScorer(spec *workload.Spec) *capacityScorer {
-	return &capacityScorer{spec: spec, optCache: map[string]*Optimum{}}
-}
-
-func (cs *capacityScorer) optimum(rates []float64) (*Optimum, error) {
-	k := fmt.Sprint(rates)
-	if opt, ok := cs.optCache[k]; ok {
-		return opt, nil
-	}
-	opt, err := OptimalConfig(cs.spec, rates, 0)
-	if err != nil {
-		return nil, err
-	}
-	cs.optCache[k] = opt
-	return opt, nil
-}
-
-func (cs *capacityScorer) score(mode string, rates [][]float64, steady, costCum []float64) (*CapacityRow, error) {
-	n := len(steady)
-	meets := make([]bool, n)
-	row := &CapacityRow{Mode: mode, RoundsToSLO: -1}
-	for r := 0; r < n; r++ {
-		opt, err := cs.optimum(rates[r])
-		if err != nil {
-			return nil, fmt.Errorf("experiment: capacity optimum round %d: %w", r, err)
-		}
-		meets[r] = steady[r] >= capacitySLOFraction*opt.Throughput
-		row.Regret += math.Max(0, opt.Throughput-steady[r])
-	}
-	// Sustained onset: the earliest round whose SLO suffix is unbroken.
-	for r := n - 1; r >= 0 && meets[r]; r-- {
-		row.RoundsToSLO = r
-	}
-	if n > 0 {
-		row.Cost = costCum[n-1]
-		row.CostToSLO = row.Cost
-		if row.RoundsToSLO >= 0 {
-			row.CostToSLO = costCum[row.RoundsToSLO]
-		}
-	}
-	return row, nil
-}
-
 // RunCapacity runs the three-way comparison on one workload spec.
 func RunCapacity(spec *workload.Spec, slots, slotSeconds int, seed int64) (*CapacityResult, error) {
 	rates, err := capacityTraffic(spec, slots)
@@ -207,9 +142,9 @@ func RunCapacity(spec *workload.Spec, slots, slotSeconds int, seed int64) (*Capa
 		SlotSecs:  slotSeconds,
 		Seed:      seed,
 		Budget:    budget,
-		PeakRates: peakRates(rates, spec.Graph.NumSources(), slots),
+		PeakRates: workload.PeakRates(rates, spec.Graph.NumSources(), slots),
 	}
-	cs := newCapacityScorer(spec)
+	opt := optima{}
 
 	for _, planned := range []bool{true, false} {
 		m, err := fleet.New(capacityFleetConfig(spec, rates, slots, slotSeconds, seed, budget, planned))
@@ -221,13 +156,10 @@ func RunCapacity(spec *workload.Spec, slots, slotSeconds int, seed int64) (*Capa
 			return nil, err
 		}
 		jr := res.Jobs[0]
-		rr := make([][]float64, len(jr.Rounds))
-		steady := make([]float64, len(jr.Rounds))
-		cost := make([]float64, len(jr.Rounds))
-		for i, round := range jr.Rounds {
-			rr[i], steady[i], cost[i] = round.Rates, round.Steady, round.CostCum
-		}
-		row, err := cs.score(jr.Name, rr, steady, cost)
+		row, err := opt.score(jr.Name, spec, len(jr.Rounds), func(i int) ([]float64, float64, float64) {
+			r := &jr.Rounds[i]
+			return r.Rates, r.Steady, r.CostCum
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -255,13 +187,11 @@ func RunCapacity(spec *workload.Spec, slots, slotSeconds int, seed int64) (*Capa
 	if err != nil {
 		return nil, err
 	}
-	rr := make([][]float64, len(dres.Trace))
-	steady := make([]float64, len(dres.Trace))
-	cost := make([]float64, len(dres.Trace))
-	for i, st := range dres.Trace {
-		rr[i], steady[i], cost[i] = st.Rates, st.SteadyThroughput, st.CostCum
-	}
-	if out.Daedalus, err = cs.score("daedalus", rr, steady, cost); err != nil {
+	out.Daedalus, err = opt.score("daedalus", spec, len(dres.Trace), func(i int) ([]float64, float64, float64) {
+		st := &dres.Trace[i]
+		return st.Rates, st.SteadyThroughput, st.CostCum
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -271,7 +201,7 @@ func RunCapacity(spec *workload.Spec, slots, slotSeconds int, seed int64) (*Capa
 func RenderCapacity(w io.Writer, r *CapacityResult) {
 	fmt.Fprintf(w, "Capacity planning: planned admission vs cold floor vs self-adaptive\n")
 	fmt.Fprintf(w, "(%s, %d slots × %d s, budget %d tasks, surge peak %.0f tup/s, seed %d)\n\n",
-		r.Workload, r.Slots, r.SlotSecs, r.Budget, maxRate(r.PeakRates), r.Seed)
+		r.Workload, r.Slots, r.SlotSecs, r.Budget, slices.Max(r.PeakRates), r.Seed)
 	fmt.Fprintf(w, "%-12s %12s %14s %14s %16s %8s %10s\n",
 		"mode", "SLO round", "$ to SLO", "$ total", "regret (tup/s·sl)", "probes", "probe $")
 	for _, row := range r.Rows() {
@@ -285,14 +215,4 @@ func RenderCapacity(w io.Writer, r *CapacityResult) {
 	fmt.Fprintf(w, "\nSLO = steady ≥ %.0f%% of the per-round ground-truth optimum, sustained to horizon end.\n",
 		100*capacitySLOFraction)
 	fmt.Fprintf(w, "Probes run on the scaled-down simulator (StreamBed-style), so probe $ is not in $ total.\n")
-}
-
-func maxRate(rates []float64) float64 {
-	out := 0.0
-	for _, r := range rates {
-		if r > out {
-			out = r
-		}
-	}
-	return out
 }

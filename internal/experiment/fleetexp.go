@@ -73,15 +73,8 @@ func scoreFleet(res *fleet.Result, specs map[string]*workload.Spec) (*FleetScore
 		BudgetOverruns: res.BudgetOverruns,
 		SkippedRounds:  res.SkippedRounds,
 	}
-	// Optima are pure functions of (workload, rates); cache them so a
-	// constant-rate tenant costs one grid search, not one per round.
-	type optKey struct {
-		spec  string
-		rates string
-	}
-	optCache := make(map[optKey]*Optimum)
+	opt := optima{}
 	for _, jr := range res.Jobs {
-		spec := specs[jr.Name]
 		js := FleetJobScore{
 			Name:             jr.Name,
 			Workload:         jr.Workload,
@@ -89,21 +82,16 @@ func scoreFleet(res *fleet.Result, specs map[string]*workload.Spec) (*FleetScore
 			Rounds:           len(jr.Rounds),
 			WarmStartRecords: jr.WarmStartRecords,
 		}
-		for _, round := range jr.Rounds {
-			if spec == nil {
-				break // dynamically submitted job; no spec handle to score with
+		// A dynamically submitted job has no spec handle to score with.
+		if spec := specs[jr.Name]; spec != nil {
+			row, err := opt.score(jr.Name, spec, len(jr.Rounds), func(i int) ([]float64, float64, float64) {
+				r := &jr.Rounds[i]
+				return r.Rates, r.Steady, r.CostCum
+			})
+			if err != nil {
+				return nil, err
 			}
-			k := optKey{spec: jr.Workload, rates: fmt.Sprint(round.Rates)}
-			opt, ok := optCache[k]
-			if !ok {
-				var err error
-				opt, err = OptimalConfig(spec, round.Rates, 0)
-				if err != nil {
-					return nil, fmt.Errorf("experiment: fleet optimum for %s: %w", jr.Name, err)
-				}
-				optCache[k] = opt
-			}
-			js.Regret += math.Max(0, opt.Throughput-round.Steady)
+			js.Regret = row.Regret
 		}
 		score.AggregateRegret += js.Regret
 		score.AggregateCost += js.Cost

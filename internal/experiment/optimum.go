@@ -155,3 +155,42 @@ func exhaustiveOptimum(spec *workload.Spec, rates []float64, budget int) (*Optim
 	}
 	return best, nil
 }
+
+// optima caches OptimalConfig by workload name and offered rates: an
+// optimum is a pure function of both, so a constant-rate run costs one
+// grid search, not one per round.
+type optima map[[2]string]*Optimum
+
+// score scores one run of n rounds against the unbudgeted optimum at
+// each round's offered rates; round(i) returns round i's rates, steady
+// throughput and cumulative cost. Regret is Σ max(0, optimum − steady),
+// and RoundsToSLO the first round from which every remaining round meets
+// capacitySLOFraction of its optimum.
+func (o optima) score(mode string, spec *workload.Spec, n int, round func(i int) (rates []float64, steady, costCum float64)) (*CapacityRow, error) {
+	meets := make([]bool, n)
+	row := &CapacityRow{Mode: mode, RoundsToSLO: -1}
+	for i := 0; i < n; i++ {
+		rates, steady, costCum := round(i)
+		k := [2]string{spec.Name, fmt.Sprint(rates)}
+		opt, ok := o[k]
+		if !ok {
+			var err error
+			if opt, err = OptimalConfig(spec, rates, 0); err != nil {
+				return nil, fmt.Errorf("experiment: %s optimum round %d: %w", mode, i, err)
+			}
+			o[k] = opt
+		}
+		meets[i] = steady >= capacitySLOFraction*opt.Throughput
+		row.Regret += math.Max(0, opt.Throughput-steady)
+		row.Cost = costCum
+	}
+	// Sustained onset: the earliest round whose SLO suffix is unbroken.
+	for i := n - 1; i >= 0 && meets[i]; i-- {
+		row.RoundsToSLO = i
+	}
+	row.CostToSLO = row.Cost
+	if row.RoundsToSLO >= 0 {
+		_, _, row.CostToSLO = round(row.RoundsToSLO)
+	}
+	return row, nil
+}

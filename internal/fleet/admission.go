@@ -8,6 +8,7 @@ import (
 	"dragster/internal/flink"
 	"dragster/internal/planner"
 	"dragster/internal/telemetry"
+	"dragster/internal/workload"
 )
 
 // Admission control: a submitted job waits in a FIFO queue until the
@@ -79,15 +80,7 @@ func (m *Manager) planTargetRates(js *jobState) []float64 {
 	if js.spec.TargetRates != nil {
 		return append([]float64(nil), js.spec.TargetRates...)
 	}
-	out := make([]float64, js.spec.Workload.Graph.NumSources())
-	for s := 0; s < m.cfg.Slots; s++ {
-		for i, r := range js.spec.Rates(s, 0) {
-			if i < len(out) && r > out[i] {
-				out[i] = r
-			}
-		}
-	}
-	return out
+	return workload.PeakRates(js.spec.Rates, js.spec.Workload.Graph.NumSources(), m.cfg.Slots)
 }
 
 // admitQueued admits as many queued jobs as fit, in FIFO order, and

@@ -431,6 +431,20 @@ func PhaseBoundaries(f RateFunc, slots int) []int {
 	return out
 }
 
+// PeakRates returns the per-source maximum of f over slots [0, slots),
+// read at each slot's first second; rates beyond sources are ignored.
+func PeakRates(f RateFunc, sources, slots int) []float64 {
+	out := make([]float64, sources)
+	for s := 0; s < slots; s++ {
+		for i, r := range f(s, 0) {
+			if i < len(out) && r > out[i] {
+				out[i] = r
+			}
+		}
+	}
+	return out
+}
+
 func equalRates(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"dragster/internal/dag"
@@ -288,6 +289,24 @@ func TestPhaseBoundaries(t *testing.T) {
 	}
 	if got := PhaseBoundaries(c, 10); len(got) != 1 || got[0] != 0 {
 		t.Errorf("constant boundaries = %v", got)
+	}
+}
+
+// TestPeakRates: the per-source peak is taken per source, over the
+// first slots only, and rates beyond the source count are ignored.
+func TestPeakRates(t *testing.T) {
+	f, err := Cycle(2, []float64{5, 1, 9}, []float64{2, 7, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := PeakRates(f, 2, 4); !reflect.DeepEqual(got, []float64{5, 7}) {
+		t.Errorf("PeakRates over 4 slots = %v, want [5 7]", got)
+	}
+	if got := PeakRates(f, 2, 2); !reflect.DeepEqual(got, []float64{5, 1}) {
+		t.Errorf("PeakRates over the first phase = %v, want [5 1]", got)
+	}
+	if got := PeakRates(f, 2, 0); !reflect.DeepEqual(got, []float64{0, 0}) {
+		t.Errorf("PeakRates over no slots = %v, want zeros", got)
 	}
 }
 
