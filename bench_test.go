@@ -385,7 +385,7 @@ func benchControllerDecide(b *testing.B, budget int) {
 		b.Fatal(err)
 	}
 	for slot := 0; slot < slots; slot++ {
-		if _, err := t.RunSlot(30, true); err != nil {
+		if _, _, err := t.RunSlot(30, true); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := t.Collect(); err != nil {

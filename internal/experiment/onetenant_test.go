@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"testing"
 
 	"dragster/internal/fleet"
@@ -13,8 +14,9 @@ const fleetTenantSeedStride = 100003
 
 // TestOneTenantFleetMatchesRun checks that the two drivers of
 // internal/tenant agree: a one-job fleet under EqualSplit, seeded so its
-// only tenant gets the run's seed, reproduces experiment.Run's measured
-// throughput in every round. EqualSplit grants the lone tenant the whole
+// only tenant gets the run's seed, reproduces experiment.Run's tasks,
+// steady and measured throughput in every round, so both charge each
+// slot for the allocation that ran it. EqualSplit grants the lone tenant the whole
 // fleet budget, so the run gets the same task budget and both controllers
 // solve the same budgeted problem.
 func TestOneTenantFleetMatchesRun(t *testing.T) {
@@ -65,8 +67,15 @@ func TestOneTenantFleetMatchesRun(t *testing.T) {
 				t.Fatalf("fleet ran %d rounds, Run %d slots", len(rounds), len(run.Trace))
 			}
 			for i, tr := range run.Trace {
-				if got, want := rounds[i].Measured, tr.MeasuredThroughput; got != want {
-					t.Fatalf("round %d: fleet measured %v tuples/s, Run %v", i, got, want)
+				jr := rounds[i]
+				if !reflect.DeepEqual(jr.Tasks, tr.Tasks) {
+					t.Fatalf("round %d: fleet tasks %v, Run %v", i, jr.Tasks, tr.Tasks)
+				}
+				if jr.Steady != tr.SteadyThroughput {
+					t.Fatalf("round %d: fleet steady %v tuples/s, Run %v", i, jr.Steady, tr.SteadyThroughput)
+				}
+				if jr.Measured != tr.MeasuredThroughput {
+					t.Fatalf("round %d: fleet measured %v tuples/s, Run %v", i, jr.Measured, tr.MeasuredThroughput)
 				}
 			}
 		})

@@ -352,11 +352,7 @@ func (r *Runner) Step() (*SlotTrace, error) {
 	if r.chaos != nil {
 		r.chaos.BeginSlot(slot)
 	}
-	rep, err := r.t.RunSlot(sc.SlotSeconds, true)
-	if err != nil {
-		return nil, err
-	}
-	use, err := r.t.Account()
+	rep, use, err := r.t.RunSlot(sc.SlotSeconds, true)
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +369,7 @@ func (r *Runner) Step() (*SlotTrace, error) {
 		PausedSeconds:      rep.PausedSeconds,
 		CostCum:            rep.CostSoFar,
 		AvgLatencySec:      rep.AvgLatencySec,
-		Violations:         r.t.Violations(),
+		Violations:         append([]float64(nil), use.Violations...),
 	}
 
 	r.annotateRound(round, &tr)

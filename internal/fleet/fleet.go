@@ -275,20 +275,19 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// JobRound is one fleet round of one running job. The row is recorded
-// after the round's decision is applied, so Tasks, Steady and the
-// round's CostCum increment describe the allocation the job carries into
-// the next round, not the one that ran this round (experiment.SlotTrace
-// accounts the allocation that ran its slot).
+// JobRound is one fleet round of one running job, recorded from the
+// tenant's own accounting of the slot it just ran, before the round's
+// decision: like experiment.SlotTrace, it charges the round for the
+// allocation that ran it.
 type JobRound struct {
 	Round     int       // fleet round index
 	Rates     []float64 // offered load that round
-	Tasks     []int     // effective parallelism after the round's decision
+	Tasks     []int     // effective parallelism during the round
 	Budget    int       // the job's Σ-tasks budget share during the round
 	Steady    float64   // noise-free steady throughput of Tasks at Rates
 	Measured  float64   // what the sink actually saw during the round
 	CostCum   float64   // job-attributed dollars, each round charged at its Tasks
-	DualPrice float64   // mean positive dual after the round's decision
+	DualPrice float64   // mean positive dual the round ran under
 }
 
 // JobResult is the full fleet history of one tenant.
@@ -312,7 +311,7 @@ type Result struct {
 	Slots             int
 	TotalTaskBudget   int
 	Jobs              []JobResult // Config.Jobs order, then dynamic submissions
-	TotalTasksByRound []int       // Σ effective tasks across jobs, per round
+	TotalTasksByRound []int       // Σ effective tasks across jobs after each round's decisions
 	BudgetOverruns    int         // rounds where that sum exceeded the budget
 	ClusterCost       float64
 	SkippedRounds     int
@@ -654,10 +653,7 @@ func (m *Manager) Step() error {
 		return err
 	}
 	m.harvest()
-	total, err := m.record(r)
-	if err != nil {
-		return err
-	}
+	total := m.record()
 	m.gauges()
 	m.emit(event.TypeRoundEnd, "", "", int64(total))
 	m.reg.Inc("fleet_rounds")
@@ -757,7 +753,8 @@ func (m *Manager) reject(js *jobState, why string) {
 }
 
 // runSlots co-simulates one decision slot for every running tenant, each
-// at its own slot index. The first running tenant owns the shared
+// at its own slot index, and appends each tenant's round row from the
+// slot's own accounting. The first running tenant owns the shared
 // cluster clock (see flink.Job.RunSlotDetached); with no tenants the
 // manager ticks it directly so cost and chaos schedules stay on sim time.
 func (m *Manager) runSlots(r int) error {
@@ -765,17 +762,35 @@ func (m *Manager) runSlots(r int) error {
 		m.k8s.Tick(int64(m.cfg.SlotSeconds))
 		return nil
 	}
+	secs := float64(m.cfg.SlotSeconds)
 	for i, js := range m.running {
-		if _, err := js.t.RunSlot(m.cfg.SlotSeconds, i == 0); err != nil {
+		rep, use, err := js.t.RunSlot(m.cfg.SlotSeconds, i == 0)
+		if err != nil {
 			return fmt.Errorf("fleet: job %s round %d: %w", js.spec.Name, r, err)
 		}
+		// Attributed cost: the CPU this job's pods reserved for the round.
+		var cpuMilli int
+		for k, n := range use.Tasks {
+			cpuMilli += n * use.CPUMilli[k]
+		}
+		js.res.Rounds = append(js.res.Rounds, JobRound{
+			Round:     r,
+			Rates:     append([]float64(nil), js.t.Rates()...),
+			Tasks:     use.Tasks,
+			Budget:    js.budget,
+			Steady:    use.Steady,
+			Measured:  rep.Throughput,
+			CostCum:   jobCost(js) + float64(cpuMilli)/1000*secs/3600*m.k8s.PricePerCoreHour(),
+			DualPrice: dualPrice(js.t.Controller().Duals()),
+		})
 	}
 	return nil
 }
 
 // collect fetches each running tenant's monitor snapshot sequentially
-// (the tracer and monitor are single-threaded). A tenant whose metrics
-// pipeline had no fresh sample skips its decision round.
+// (the tracer and monitor are single-threaded) and refreshes its demand
+// estimate from it. A tenant whose metrics pipeline had no fresh sample
+// skips its decision round and keeps its last estimate.
 func (m *Manager) collect() error {
 	for _, js := range m.running {
 		fresh, err := js.t.Collect()
@@ -785,7 +800,9 @@ func (m *Manager) collect() error {
 		if !fresh {
 			m.res.SkippedRounds++
 			m.reg.Inc("fleet_skipped_rounds")
+			continue
 		}
+		js.need = estimateNeed(js.t.Snapshot(), js.spec.Workload.MaxTasks)
 	}
 	return nil
 }
@@ -846,45 +863,20 @@ func (m *Manager) applyDecisions() error {
 	return nil
 }
 
-// record appends each running tenant's round trace, accounted at its
-// post-decision allocation, and enforces the global budget invariant
-// bookkeeping, returning the round's Σ effective tasks.
-func (m *Manager) record(r int) (int, error) {
+// record closes the round's budget bookkeeping: Σ effective tasks across
+// the running tenants once the round's decisions are applied, counted as
+// an overrun when it exceeds the global budget.
+func (m *Manager) record() int {
 	total := 0
-	secs := float64(m.cfg.SlotSeconds)
 	for _, js := range m.running {
-		use, err := js.t.Account()
-		if err != nil {
-			return 0, fmt.Errorf("fleet: job %s: %w", js.spec.Name, err)
-		}
-		tasks := mathx.SumInts(use.Tasks)
-		total += tasks
-		// Attributed cost: the CPU this job's pods reserved for the round.
-		var cpuMilli int
-		for k, n := range use.Tasks {
-			cpuMilli += n * use.CPUMilli[k]
-		}
-		jr := JobRound{
-			Round:     r,
-			Rates:     append([]float64(nil), js.t.Rates()...),
-			Tasks:     use.Tasks,
-			Budget:    js.budget,
-			Steady:    use.Steady,
-			CostCum:   jobCost(js) + float64(cpuMilli)/1000*secs/3600*m.k8s.PricePerCoreHour(),
-			DualPrice: dualPrice(js.t.Controller().Duals()),
-		}
-		if snap := js.t.Snapshot(); snap != nil {
-			js.need = estimateNeed(snap, js.spec.Workload.MaxTasks)
-			jr.Measured = snap.Throughput
-		}
-		js.res.Rounds = append(js.res.Rounds, jr)
+		total += mathx.SumInts(js.t.Flink().EffectiveParallelism())
 	}
 	m.res.TotalTasksByRound = append(m.res.TotalTasksByRound, total)
 	if total > m.cfg.TotalTaskBudget {
 		m.res.BudgetOverruns++
 		m.reg.Inc("fleet_budget_overruns")
 	}
-	return total, nil
+	return total
 }
 
 // gauges publishes the fleet-level metrics after each round.

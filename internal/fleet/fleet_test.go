@@ -160,6 +160,64 @@ func TestFleetBudgetInvariant(t *testing.T) {
 	}
 }
 
+// TestFleetRowsAccountTheSlotThatRan steps a fleet with planned,
+// cold-floor and late planned tenants, and kills one mid-run: after each
+// round, every row the round appended carries the per-operator
+// parallelism of its tenant's slot report — the allocation that ran the
+// slot, not the one the round's decision moved to.
+func TestFleetRowsAccountTheSlotThatRan(t *testing.T) {
+	m, err := New(plannedConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := 0
+	for !m.Done() {
+		r := m.Round()
+		if r == 4 {
+			if err := m.Kill("cold"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Step(); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		rows := 0
+		for _, js := range m.jobs {
+			n := len(js.res.Rounds)
+			if n == 0 || js.res.Rounds[n-1].Round != r {
+				continue
+			}
+			rows++
+			if js.t == nil {
+				t.Fatalf("round %d: job %s has a row but no stack", r, js.spec.Name)
+			}
+			snap := js.t.Snapshot()
+			if snap == nil {
+				t.Fatalf("round %d: job %s has no snapshot", r, js.spec.Name)
+			}
+			jr := js.res.Rounds[n-1]
+			for k, om := range snap.Operators {
+				if jr.Tasks[k] != om.Tasks {
+					t.Fatalf("round %d: job %s row tasks %v, snapshot operator %d ran %d",
+						r, js.spec.Name, jr.Tasks, k, om.Tasks)
+				}
+			}
+			if js.spec.PlanOnAdmit {
+				planned++
+			}
+		}
+		if rows != len(m.running) {
+			t.Fatalf("round %d: %d rows for %d running tenants", r, rows, len(m.running))
+		}
+	}
+	if planned == 0 {
+		t.Fatal("no planned tenant row was checked")
+	}
+	if cold := jobByName(m.Result(), "cold"); cold == nil || cold.DepartSlot != 4 || len(cold.Rounds) != 4 {
+		t.Fatalf("killed tenant: %+v", cold)
+	}
+}
+
 // TestFleetLifecycle checks arrivals, departures, and per-job histories
 // line up with the schedule.
 func TestFleetLifecycle(t *testing.T) {

@@ -201,8 +201,10 @@ func TestFleetPlannedFailover(t *testing.T) {
 	}
 }
 
-// TestFleetPlannedWarmStart: the planned tenant's controller starts from
-// the probe curve, so its first decision must not be the cold floor.
+// TestFleetPlannedWarmStart: the planned tenant is admitted at the
+// plan's allocation, and its first row accounts the slot that allocation
+// ran, so that row must already sustain near the plan's target rather
+// than the cold floor's trickle.
 func TestFleetPlannedWarmStart(t *testing.T) {
 	m := runPlannedScenario(t, 1)
 	for _, jr := range m.Result().Jobs {

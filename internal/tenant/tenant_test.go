@@ -25,6 +25,7 @@ type rig struct {
 	k8s   *cluster.Cluster
 	reg   *telemetry.Registry
 	chaos *chaos.Engine
+	use   Usage // the last round's accounting
 }
 
 func newRig(t *testing.T, spec *workload.Spec, policy core.Autoscaler, faults *chaos.Spec) *rig {
@@ -68,16 +69,15 @@ func newRig(t *testing.T, spec *workload.Spec, policy core.Autoscaler, faults *c
 }
 
 // round runs one full slot: the phases in the experiment runner's order.
-// It reports whether the round collected a fresh sample.
+// It keeps the slot's accounting in r.use and reports whether the round
+// collected a fresh sample.
 func (r *rig) round(t *testing.T) bool {
 	t.Helper()
 	if r.chaos != nil {
 		r.chaos.BeginSlot(r.t.Slot())
 	}
-	if _, err := r.t.RunSlot(slotSeconds, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.t.Account(); err != nil {
+	var err error
+	if _, r.use, err = r.t.RunSlot(slotSeconds, true); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := r.t.Collect()
@@ -172,7 +172,7 @@ func TestDecideLeavesSnapshotUnchanged(t *testing.T) {
 	for _, policy := range []core.Autoscaler{ctrl, dhalion} {
 		r := newRig(t, spec, policy, nil)
 		for slot := 0; slot < 4; slot++ {
-			if _, err := r.t.RunSlot(slotSeconds, true); err != nil {
+			if _, _, err := r.t.RunSlot(slotSeconds, true); err != nil {
 				t.Fatal(err)
 			}
 			if fresh, err := r.t.Collect(); err != nil || !fresh {
@@ -310,7 +310,7 @@ func TestRetrierAbsorbsInjectedFaults(t *testing.T) {
 	}
 
 	bad := newRig(t, spec, &scripted{plan: [][]int{{1, 1, 1}}}, nil)
-	if _, err := bad.t.RunSlot(slotSeconds, true); err != nil {
+	if _, _, err := bad.t.RunSlot(slotSeconds, true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := bad.t.Collect(); err != nil {
@@ -324,17 +324,20 @@ func TestRetrierAbsorbsInjectedFaults(t *testing.T) {
 	}
 }
 
-// TestAccountMatchesThroughput pins the accounting against a fresh
-// Graph.Throughput evaluation, bit for bit, and pins that it allocates
-// nothing beyond the allocation vectors the substrate hands back.
+// TestAccountMatchesThroughput pins the accounting RunSlot returns
+// against a fresh Graph.Throughput evaluation of the allocation that ran
+// the slot, bit for bit, its violations against Graph.Evaluate, and pins
+// that the accounting allocates nothing beyond the allocation vectors
+// the substrate hands back.
 func TestAccountMatchesThroughput(t *testing.T) {
 	spec := mustSpec(t, workload.WordCount)
 	r := newRig(t, spec, &scripted{plan: [][]int{{4, 3}}}, nil)
 	for i := 0; i < 3; i++ {
+		ran := r.t.Flink().Parallelism()
 		r.round(t)
-		use, err := r.t.Account()
-		if err != nil {
-			t.Fatal(err)
+		use := r.use
+		if !reflect.DeepEqual(use.Tasks, ran) {
+			t.Errorf("round %d: accounted tasks %v, the slot ran %v", i, use.Tasks, ran)
 		}
 		caps := make([]float64, len(use.Tasks))
 		for k, n := range use.Tasks {
@@ -347,14 +350,16 @@ func TestAccountMatchesThroughput(t *testing.T) {
 		if use.Steady != want {
 			t.Errorf("round %d: steady %v, Graph.Throughput %v", i, use.Steady, want)
 		}
-		viol := r.t.Violations()
 		rep, err := spec.Graph.Evaluate(spec.HighRates, caps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := range viol {
-			if viol[k] != rep.Demand[k]-caps[k] {
-				t.Errorf("round %d: violation[%d] = %v, want %v", i, k, viol[k], rep.Demand[k]-caps[k])
+		if len(use.Violations) != len(caps) {
+			t.Fatalf("round %d: %d violations for %d operators", i, len(use.Violations), len(caps))
+		}
+		for k, v := range use.Violations {
+			if v != rep.Demand[k]-caps[k] {
+				t.Errorf("round %d: violation[%d] = %v, want %v", i, k, v, rep.Demand[k]-caps[k])
 			}
 		}
 	}
@@ -368,11 +373,11 @@ func TestAccountMatchesThroughput(t *testing.T) {
 		r.t.job.EffectiveCPUMilli()
 	})
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := r.t.Account(); err != nil {
+		if _, err := r.t.account(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > substrate {
-		t.Errorf("Account allocates %v times per call, the substrate reads alone %v", allocs, substrate)
+		t.Errorf("accounting allocates %v times per call, the substrate reads alone %v", allocs, substrate)
 	}
 }
