@@ -83,14 +83,16 @@ bench-e2e:
 # Layer benchmarks — one evaluation and one gradient of a two-operator
 # chain, one saddle-point step at λ = 0, one per built-in workload with
 # the dual update moving λ before every step (and the Yahoo one alone),
-# one stream-simulator tick of a chain, one full controller decision, one
-# RNG seeding, one Yahoo capacity plan and one 100- and one 1000-tenant
+# one stream-simulator tick of a chain, one 600-second slot of the noisy
+# Yahoo job through flink.Job.RunSlot (engine, slot accumulator and
+# cluster clock), one full controller decision, one RNG seeding, one
+# Gaussian draw, one Yahoo capacity plan and one 100- and one 1000-tenant
 # admission round (fleet.New plus round 0) — snapshotted into
 # BENCH_layers.json. Recorded, not gated; CI's layer bench smoke runs the
 # same pattern over the same packages once each.
 bench-layers:
-	$(GO) test -run NONE -bench 'EvaluateChain|GradientChain|SaddlePointStep|TickChain|ControllerDecide|NewRNG|PlannerBuild|FleetAdmit' -benchmem \
-		. ./internal/dag ./internal/osp ./internal/streamsim ./internal/stats ./internal/planner ./internal/fleet | $(GO) run ./cmd/benchsnapshot -out BENCH_layers.json -label "make bench-layers"
+	$(GO) test -run NONE -bench 'EvaluateChain|GradientChain|SaddlePointStep|TickChain|RunSlotYahoo|ControllerDecide|NewRNG|Normal|PlannerBuild|FleetAdmit' -benchmem \
+		. ./internal/dag ./internal/osp ./internal/streamsim ./internal/flink ./internal/stats ./internal/planner ./internal/fleet | $(GO) run ./cmd/benchsnapshot -out BENCH_layers.json -label "make bench-layers"
 
 # Re-run the e2e benchmarks three times and fail if any median ns/op
 # regressed more than 20% against the committed snapshot (CI runs the

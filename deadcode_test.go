@@ -54,6 +54,8 @@ var deadExportKeep = map[string]string{
 	"dragster/internal/stats.RNG.Uniform":                  "the RNG's uniform draw, kept beside Normal and LogNormal",
 	"dragster/internal/stats.RNG.Float64":                  "the unit uniform draw dagtest's random graphs are built from",
 	"dragster/internal/stats.source.Int63":                 "rand.Source's draw; math/rand calls it only through that interface",
+	"dragster/internal/stats.probeSource.Int63":            "rand.Source's draw; the init-time ziggurat probe's NormFloat64 calls it only through that interface",
+	"dragster/internal/stats.probeSource.Seed":             "rand.Source's seeding, required of the probe's source though the probe never seeds",
 	"dragster/internal/chaos.Engine.Metrics":               "test seam onto the engine's fault counters, read by the external chaos tests",
 	"dragster/internal/dag.Graph.Name":                     "node names for sources and sinks, which the external sweep tests rebuild graphs from",
 	"dragster/internal/dag.LearnedLinear.PredictionGap":    "the Theorem-2 convergence measure the learned-throughput tests check",

@@ -140,8 +140,17 @@ type Cluster struct {
 	podSeq      int
 	pricePerCPU float64 // dollars per core·hour
 	cost        float64 // accrued dollars
-	injector    Injector
-	tracer      *telemetry.Tracer
+
+	// tickCost caches Tick's cost increment for tickCPU millicores
+	// running over tickSeconds: the reserved CPU changes only at
+	// placement, eviction and termination, while Tick runs every
+	// simulated second. tickSeconds < 0 marks the cache empty.
+	tickCPU     int
+	tickSeconds int64
+	tickCost    float64
+
+	injector Injector
+	tracer   *telemetry.Tracer
 }
 
 // SetInjector installs (or, with nil, removes) the fault-injection hook.
@@ -174,6 +183,7 @@ func New(opts ...Option) *Cluster {
 		deployments: make(map[string]*Deployment),
 		pods:        make(map[string]*Pod),
 		pricePerCPU: DefaultPricePerCoreHour,
+		tickSeconds: -1,
 	}
 	for _, o := range opts {
 		o(c)
@@ -508,9 +518,6 @@ func (c *Cluster) Free() ResourceSpec {
 	}
 }
 
-// TotalRunningCPUMilli returns the CPU currently reserved by running pods.
-func (c *Cluster) TotalRunningCPUMilli() int { return c.runningCPU }
-
 // Tick advances the cluster clock by the given seconds, accruing cost for
 // every running pod and retrying scheduling of pending pods.
 func (c *Cluster) Tick(seconds int64) {
@@ -518,8 +525,11 @@ func (c *Cluster) Tick(seconds int64) {
 		panic("cluster: negative tick")
 	}
 	c.clock += seconds
-	coreSeconds := float64(c.TotalRunningCPUMilli()) / 1000 * float64(seconds)
-	c.cost += coreSeconds / 3600 * c.pricePerCPU
+	if c.runningCPU != c.tickCPU || seconds != c.tickSeconds {
+		coreSeconds := float64(c.runningCPU) / 1000 * float64(seconds)
+		c.tickCPU, c.tickSeconds, c.tickCost = c.runningCPU, seconds, coreSeconds/3600*c.pricePerCPU
+	}
+	c.cost += c.tickCost
 	c.schedule()
 	if c.injector != nil {
 		c.injector.AfterTick(c, c.clock)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -183,5 +184,75 @@ func TestPodPhaseString(t *testing.T) {
 	}
 	if !strings.Contains(PodPhase(9).String(), "9") {
 		t.Error("unknown phase string")
+	}
+}
+
+// nodeKiller is an Injector that removes the named node after the tick
+// at the given clock and re-adds it after the next one.
+type nodeKiller struct {
+	at   int64
+	node string
+}
+
+func (k *nodeKiller) HoldScheduling(int64) bool { return false }
+
+func (k *nodeKiller) AfterTick(c *Cluster, clock int64) {
+	switch clock {
+	case k.at:
+		_ = c.RemoveNode(k.node)
+	case k.at + 1:
+		_ = c.AddNode(k.node, ResourceSpec{CPUMilli: 3000, MemoryMB: 8192})
+	}
+}
+
+// TestTickCostMatchesPerSecondFormula: Tick caches its cost increment
+// per (running CPU, seconds), and after a seeded mix of ticks of varying
+// length, scales, resizes, pod kills and injector-driven node failures
+// the accrued cost equals, bit for bit, the sum of
+// runningCPU/1000·seconds/3600·price taken at every tick.
+func TestTickCostMatchesPerSecondFormula(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 42} {
+		c := New(WithPricePerCoreHour(0.0731))
+		if err := c.AddNodes("n", 4, ResourceSpec{CPUMilli: 3000, MemoryMB: 8192}); err != nil {
+			t.Fatal(err)
+		}
+		deps := []string{"a", "b", "c"}
+		for _, d := range deps {
+			if err := c.CreateDeployment(d, ResourceSpec{CPUMilli: 1000, MemoryMB: 512}, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		killer := &nodeKiller{node: "n-1"}
+		c.SetInjector(killer)
+		r := rand.New(rand.NewSource(seed))
+		var want float64
+		for step := 0; step < 2000; step++ {
+			switch r.Intn(10) {
+			case 0:
+				_ = c.Scale(deps[r.Intn(len(deps))], 1+r.Intn(5))
+			case 1:
+				_ = c.Resize(deps[r.Intn(len(deps))], ResourceSpec{CPUMilli: 250 * (1 + r.Intn(6)), MemoryMB: 512})
+			case 2:
+				if pods := c.Pods(); len(pods) > 0 {
+					_ = c.KillPod(pods[r.Intn(len(pods))].Name)
+				}
+			case 3:
+				killer.at = c.Clock() + 1 + int64(r.Intn(3))
+			default:
+				seconds := int64(r.Intn(4)) // Tick(0) included
+				running := 0
+				for _, p := range c.Pods() {
+					if p.Phase == PodRunning {
+						running += p.Spec.CPUMilli
+					}
+				}
+				coreSeconds := float64(running) / 1000 * float64(seconds)
+				want += coreSeconds / 3600 * c.PricePerCoreHour()
+				c.Tick(seconds)
+				if got := c.Cost(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d step %d: Cost = %v, per-second formula %v", seed, step, got, want)
+				}
+			}
+		}
 	}
 }

@@ -91,8 +91,8 @@ func checkIndex(t *testing.T, c *Cluster, step int, op string, walk bool) {
 		}
 		byDep[p.Deployment] = append(byDep[p.Deployment], p.Name)
 	}
-	if got := c.TotalRunningCPUMilli(); got != runningCPU {
-		fail("TotalRunningCPUMilli = %d, running pods reserve %d", got, runningCPU)
+	if c.runningCPU != runningCPU {
+		fail("runningCPU counter = %d, running pods reserve %d", c.runningCPU, runningCPU)
 	}
 	if c.pending != pending {
 		fail("pending counter = %d, pending pods = %d", c.pending, pending)

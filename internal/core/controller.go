@@ -322,7 +322,9 @@ func (c *Controller) Name() string {
 // information-gain accounting in the regret experiments).
 func (c *Controller) Searcher(i int) *ucb.Searcher { return c.searchers[i] }
 
-// Duals returns the level-1 dual variables.
+// Duals returns the level-1 dual variables without copying, under
+// osp.Optimizer.Duals' contract: read-only, valid until the next
+// decision.
 func (c *Controller) Duals() []float64 { return c.level1.Duals() }
 
 // SetTaskBudget re-partitions this controller's share of a shared

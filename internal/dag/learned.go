@@ -3,7 +3,6 @@ package dag
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // ThroughputLearner is implemented by throughput functions whose
@@ -30,10 +29,11 @@ type ThroughputLearner interface {
 //	k̂ = (λ·k₀ + Σ inᵢ·outᵢ) / (λ + Σ inᵢ²)
 //
 // with k₀ the prior guess and λ a small ridge weight keeping early
-// estimates near the prior. It is safe for concurrent use (the graph is
-// shared between evaluation and the controller's learning hook).
+// estimates near the prior. It is not safe for concurrent use: a learned
+// graph belongs to the one controller that evaluates and trains it, on
+// that controller's goroutine (as a streamsim.Engine belongs to its
+// simulation); build one per run rather than sharing it.
 type LearnedLinear struct {
-	mu    sync.RWMutex
 	prior float64
 	ridge float64
 	sxx   float64
@@ -52,21 +52,11 @@ func NewLearnedLinear(prior float64) (*LearnedLinear, error) {
 
 // K returns the current selectivity estimate.
 func (l *LearnedLinear) K() float64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.k()
-}
-
-func (l *LearnedLinear) k() float64 {
 	return (l.ridge*l.prior + l.sxy) / (l.ridge + l.sxx)
 }
 
 // Samples returns the number of observations folded in.
-func (l *LearnedLinear) Samples() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.n
-}
+func (l *LearnedLinear) Samples() int { return l.n }
 
 // ObserveRates implements ThroughputLearner. Inputs are normalized before
 // accumulation so the ridge weight is meaningful across workload scales.
@@ -74,8 +64,6 @@ func (l *LearnedLinear) ObserveRates(in, out float64) error {
 	if in <= 0 || out < 0 || math.IsNaN(in) || math.IsNaN(out) || math.IsInf(in, 0) || math.IsInf(out, 0) {
 		return fmt.Errorf("dag: invalid rate sample (in=%v, out=%v)", in, out)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	// Normalize each sample to unit input so every slot carries equal
 	// weight regardless of absolute rate: contributes (1, out/in).
 	r := out / in
@@ -87,11 +75,7 @@ func (l *LearnedLinear) ObserveRates(in, out float64) error {
 
 // PredictionGap implements ThroughputLearner: 1/(1+n), which decays
 // faster than the o(1/√T) Theorem 2 requires.
-func (l *LearnedLinear) PredictionGap() float64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return 1 / (1 + float64(l.n))
-}
+func (l *LearnedLinear) PredictionGap() float64 { return 1 / (1 + float64(l.n)) }
 
 // Eval implements ThroughputFunc.
 func (l *LearnedLinear) Eval(in []float64) float64 {

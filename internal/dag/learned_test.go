@@ -2,7 +2,6 @@ package dag
 
 import (
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -130,29 +129,6 @@ func TestLearnedLinearInGraph(t *testing.T) {
 	}
 	if grad[0] <= 0 {
 		t.Errorf("gradient with learned h = %v", grad[0])
-	}
-}
-
-func TestLearnedLinearConcurrentSafety(t *testing.T) {
-	l, err := NewLearnedLinear(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				_ = l.ObserveRates(1, 2)
-				_ = l.K()
-				_ = l.Eval([]float64{1})
-			}
-		}()
-	}
-	wg.Wait()
-	if math.Abs(l.K()-2) > 0.01 {
-		t.Errorf("K after concurrent updates = %v", l.K())
 	}
 }
 

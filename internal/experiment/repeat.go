@@ -64,7 +64,10 @@ type RepeatResult struct {
 //
 // The per-seed runs share no mutable state: each builds its own cluster,
 // engine, RNG and policy inside Run and counts in its own registry, and
-// Spec, ControllerGraph and the capacity models are immutable. Results
+// Spec, ControllerGraph and the capacity models are immutable. That
+// rules out a ControllerGraph with LearnedLinear edges, which its
+// controller trains, and a Rates that refills a buffer per call
+// (workload.Sinusoid, workload.Scale): each would be shared. Results
 // land in per-seed slots and are aggregated in seed order after the
 // fan-out joins, so the output is byte-identical at any worker count. A
 // scenario with a Tracer runs the seeds sequentially: the tracer is

@@ -114,6 +114,13 @@ type Job struct {
 	deployments []string // TaskManager deployment per operator index
 	opNames     []string // operator name per operator index
 
+	// Per-slot scratch: the Running pods and per-pod CPU per operator,
+	// read into effTasks/effCPU at each slot's start and end, and the
+	// slot accumulator, reset every slot.
+	effTasks []int
+	effCPU   []int
+	acc      *monitor.SlotAccumulator
+
 	slot       int
 	lastReport *monitor.Snapshot
 	hooks      ChaosHooks
@@ -153,6 +160,8 @@ func (s *SessionCluster) SubmitJob(name string, g *dag.Graph, engine *streamsim.
 		deployments: make([]string, g.NumOperators()),
 		opNames:     make([]string, g.NumOperators()),
 	}
+	eff := make([]int, 2*g.NumOperators())
+	j.effTasks, j.effCPU = eff[:g.NumOperators()], eff[g.NumOperators():]
 	for i := 0; i < g.NumOperators(); i++ {
 		if initial[i] < 1 {
 			return nil, fmt.Errorf("flink: operator %d needs at least one task", i)
@@ -202,7 +211,10 @@ func (j *Job) Parallelism() []int { return append([]int(nil), j.desired...) }
 // what the dataflow actually gets, which can fall short of the desired
 // vector when the cluster is out of capacity.
 func (j *Job) EffectiveParallelism() []int {
-	out := make([]int, len(j.deployments))
+	return j.runningInto(make([]int, len(j.deployments)))
+}
+
+func (j *Job) runningInto(out []int) []int {
 	for i, dep := range j.deployments {
 		out[i] = j.session.k8s.RunningPods(dep)
 	}
@@ -305,8 +317,12 @@ func (j *Job) RescaleResources(parallelism []int, cpuMilli []int) error {
 
 // EffectiveCPUMilli returns each operator's current per-pod CPU template.
 func (j *Job) EffectiveCPUMilli() []int {
-	out := make([]int, len(j.deployments))
+	return j.cpuInto(make([]int, len(j.deployments)))
+}
+
+func (j *Job) cpuInto(out []int) []int {
 	for i, dep := range j.deployments {
+		out[i] = 0
 		if spec, ok := j.session.k8s.DeploymentSpec(dep); ok {
 			out[i] = spec.CPUMilli
 		}
@@ -314,11 +330,23 @@ func (j *Job) EffectiveCPUMilli() []int {
 	return out
 }
 
+// readEffective reads the Running pods and per-pod CPU per operator into
+// the job's scratch, effTasks and effCPU.
+func (j *Job) readEffective() {
+	j.runningInto(j.effTasks)
+	j.cpuInto(j.effCPU)
+}
+
+// syncEngineTasks hands the engine the effective allocation. The
+// engine's SetTasks copies it and rejects a vector whose length is not
+// its operator count, which is what lets the slot loop's accumulator
+// skip its per-tick shape checks.
 func (j *Job) syncEngineTasks() error {
-	if err := j.engine.SetTasks(j.EffectiveParallelism()); err != nil {
+	j.readEffective()
+	if err := j.engine.SetTasks(j.effTasks); err != nil {
 		return err
 	}
-	return j.engine.SetCPU(j.EffectiveCPUMilli())
+	return j.engine.SetCPU(j.effCPU)
 }
 
 // RunSlot advances the job by `seconds` ticks at the offered rates
@@ -350,10 +378,16 @@ func (j *Job) runSlot(seconds int, rateAt func(sec int) []float64, tickCluster b
 		telemetry.Int("seconds", seconds))
 	defer sp.End()
 	j.engine.BeginSlot()
-	acc, err := monitor.NewSlotAccumulator(j.slot, j.graph.NumOperators(), j.graph.NumSources(), seconds)
+	var err error
+	if j.acc == nil {
+		j.acc, err = monitor.NewSlotAccumulator(j.slot, j.graph.NumOperators(), j.graph.NumSources(), seconds)
+	} else {
+		err = j.acc.Reset(j.slot, seconds)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("flink: %w", err)
 	}
+	acc := j.acc
 	droppedBefore := j.engine.DroppedTotal()
 	for sec := 0; sec < seconds; sec++ {
 		rates := rateAt(sec)
@@ -361,14 +395,15 @@ func (j *Job) runSlot(seconds int, rateAt func(sec int) []float64, tickCluster b
 		if err != nil {
 			return nil, err
 		}
-		if err := acc.Tick(rates, st); err != nil {
-			return nil, err
-		}
+		acc.Tick(rates, st)
 		if tickCluster {
 			j.session.k8s.Tick(1)
 		}
 	}
-	rep, err := acc.Finish(j.opNames, j.EffectiveParallelism(), j.EffectiveCPUMilli(),
+	// The slot's end is read afresh: an injector may have killed pods
+	// during the slot, and the report carries what is Running now.
+	j.readEffective()
+	rep, err := acc.Finish(j.opNames, j.effTasks, j.effCPU,
 		j.engine.DroppedTotal()-droppedBefore, j.session.k8s.Cost())
 	if err != nil {
 		return nil, err

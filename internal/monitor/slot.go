@@ -19,8 +19,8 @@ const (
 	minUtil = 0.05
 )
 
-// SlotAccumulator folds engine ticks into a Snapshot. One accumulator
-// per slot; the substrate's slot loop drives it.
+// SlotAccumulator folds engine ticks into a Snapshot. The substrate's
+// slot loop drives it and reuses it slot after slot through Reset.
 type SlotAccumulator struct {
 	slot    int
 	seconds int
@@ -41,32 +41,49 @@ type SlotAccumulator struct {
 
 // NewSlotAccumulator sizes an accumulator for a slot of `seconds` ticks.
 func NewSlotAccumulator(slot, nOps, nSources, seconds int) (*SlotAccumulator, error) {
-	if seconds <= 0 {
-		return nil, errors.New("monitor: slot must last at least one second")
-	}
 	if nOps < 0 || nSources < 0 {
 		return nil, errors.New("monitor: negative operator or source count")
 	}
-	return &SlotAccumulator{
-		slot:    slot,
-		seconds: seconds,
+	a := &SlotAccumulator{
 		nOps:    nOps,
 		inSum:   make([]float64, nOps),
 		outSum:  make([]float64, nOps),
 		consSum: make([]float64, nOps),
 		utilSum: make([]float64, nOps),
 		rateSum: make([]float64, nSources),
-	}, nil
+	}
+	if err := a.Reset(slot, seconds); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
-// Tick folds in one engine tick at the given offered rates.
-func (a *SlotAccumulator) Tick(rates []float64, st streamsim.TickStats) error {
-	if len(st.Ops) != a.nOps {
-		return errors.New("monitor: tick operator count mismatch")
+// Reset empties the accumulator for a slot of `seconds` ticks, keeping
+// its operator and source counts and its buffers.
+func (a *SlotAccumulator) Reset(slot, seconds int) error {
+	if seconds <= 0 {
+		return errors.New("monitor: slot must last at least one second")
 	}
-	if len(rates) != len(a.rateSum) {
-		return errors.New("monitor: tick rate count mismatch")
-	}
+	a.slot, a.seconds = slot, seconds
+	a.ticks, a.active, a.paused = 0, 0, 0
+	a.sinkSum, a.latSum = 0, 0
+	clear(a.inSum)
+	clear(a.outSum)
+	clear(a.consSum)
+	clear(a.utilSum)
+	clear(a.rateSum)
+	a.lastOps = nil
+	return nil
+}
+
+// Tick folds in one engine tick at the given offered rates. It checks no
+// shapes: rates must hold the accumulator's source count and st.Ops its
+// operator count, which the substrate establishes once per slot (an
+// engine that accepted the slot's task vector reports that many
+// operators every tick, and it rejects a rate vector of another length).
+//
+//lint:hotpath
+func (a *SlotAccumulator) Tick(rates []float64, st streamsim.TickStats) {
 	a.ticks++
 	for i, r := range rates {
 		a.rateSum[i] += r
@@ -91,7 +108,6 @@ func (a *SlotAccumulator) Tick(rates []float64, st streamsim.TickStats) error {
 	// and the substrate calls Finish before the engine ticks again, so the
 	// alias still holds that tick then: no copy per tick.
 	a.lastOps = st.Ops
-	return nil
 }
 
 // Finish assembles the slot's snapshot, with every operator's Eq. 8

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"dragster/internal/dag"
@@ -35,9 +36,7 @@ func TestAccumulatorAverages(t *testing.T) {
 	}
 	ticks[2].LatencySec = 2
 	for _, st := range ticks {
-		if err := acc.Tick([]float64{60}, st); err != nil {
-			t.Fatal(err)
-		}
+		acc.Tick([]float64{60}, st)
 	}
 	rep, err := acc.Finish([]string{"op"}, []int{3}, []int{1000}, 7, 1.5)
 	if err != nil {
@@ -90,27 +89,53 @@ func TestAccumulatorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := acc.Tick([]float64{1}, tick(0, false)); err == nil {
-		t.Error("op count mismatch accepted")
-	}
-	if err := acc.Tick([]float64{1, 2}, tick(0, false, streamsim.OpTick{})); err == nil {
-		t.Error("rate count mismatch accepted")
-	}
-	if err := acc.Tick([]float64{1}, tick(0, false, streamsim.OpTick{})); err != nil {
-		t.Fatal(err)
-	}
+	acc.Tick([]float64{1}, tick(0, false, streamsim.OpTick{}))
 	// Finishing before all ticks ran is rejected.
 	if _, err := acc.Finish([]string{"op"}, []int{1}, []int{1000}, 0, 0); err == nil {
 		t.Error("early finish accepted")
 	}
-	if err := acc.Tick([]float64{1}, tick(0, false, streamsim.OpTick{})); err != nil {
-		t.Fatal(err)
-	}
+	acc.Tick([]float64{1}, tick(0, false, streamsim.OpTick{}))
 	if _, err := acc.Finish([]string{"op", "extra"}, []int{1}, []int{1000}, 0, 0); err == nil {
 		t.Error("metadata mismatch accepted")
 	}
 	if _, err := acc.Finish([]string{"op"}, []int{1}, []int{1000}, 0, 0); err != nil {
 		t.Errorf("valid finish rejected: %v", err)
+	}
+	if err := acc.Reset(1, 0); err == nil {
+		t.Error("Reset to a zero-second slot accepted")
+	}
+}
+
+// TestAccumulatorResetMatchesFresh: an accumulator Reset after a slot
+// reports the next slot exactly as a fresh one does.
+func TestAccumulatorResetMatchesFresh(t *testing.T) {
+	used, err := NewSlotAccumulator(0, 1, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		used.Tick([]float64{70}, tick(90, i == 1, streamsim.OpTick{Arrived: 9, Emitted: 8, Consumed: 7, Util: 0.6, Buffered: 3}))
+	}
+	if _, err := used.Finish([]string{"op"}, []int{2}, []int{1000}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewSlotAccumulator(4, 1, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := used.Reset(4, 2); err != nil {
+		t.Fatal(err)
+	}
+	var reps [2]*Snapshot
+	for k, acc := range []*SlotAccumulator{used, fresh} {
+		acc.Tick([]float64{50}, tick(40, false, streamsim.OpTick{Arrived: 5, Emitted: 4, Consumed: 3, Util: 0.4, Buffered: 1}))
+		acc.Tick([]float64{30}, tick(20, true, streamsim.OpTick{Buffered: 6}))
+		if reps[k], err = acc.Finish([]string{"op"}, []int{3}, []int{500}, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(reps[0], reps[1]) {
+		t.Errorf("after Reset: %+v\nfresh:       %+v", reps[0], reps[1])
 	}
 }
 
@@ -155,9 +180,7 @@ func TestAccumulatorBacklogAfterPausedLastTick(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := acc.Tick(rates, st); err != nil {
-			t.Fatal(err)
-		}
+		acc.Tick(rates, st)
 		last, paused = append(last[:0], st.Ops...), st.Paused
 	}
 	if !paused {

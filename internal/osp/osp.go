@@ -125,8 +125,11 @@ func New(g *dag.Graph, cfg Config) (*Optimizer, error) {
 	return o, nil
 }
 
-// Duals returns a copy of the current multipliers.
-func (o *Optimizer) Duals() []float64 { return append([]float64(nil), o.lambda...) }
+// Duals returns the current multipliers without copying. The slice
+// aliases the optimizer's state: it is read-only and valid until the
+// next ObserveViolations or Step; a caller that keeps the values must
+// copy them.
+func (o *Optimizer) Duals() []float64 { return o.lambda }
 
 // Step consumes last slot's observed source rates (which define
 // f_{t−1}) and returns the target capacity vector y_t. For SaddlePoint it

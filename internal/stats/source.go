@@ -97,6 +97,30 @@ func (s *source) Int63() int64 {
 	return int64(s.Uint64() & rngMask)
 }
 
+// next returns the word the next Uint64 call takes (before the Int63
+// mask) and the ring positions it is taken at, leaving the state
+// unchanged; take commits it.
+//
+//lint:hotpath
+func (s *source) next() (x int64, tap, feed int) {
+	tap, feed = s.tap-1, s.feed-1
+	if tap < 0 {
+		tap += rngLen
+	}
+	if feed < 0 {
+		feed += rngLen
+	}
+	return s.vec[feed] + s.vec[tap], tap, feed
+}
+
+// take commits a word next returned: the state is then the one Uint64
+// would have left.
+//
+//lint:hotpath
+func (s *source) take(x int64, tap, feed int) {
+	s.tap, s.feed, s.vec[feed] = tap, feed, x
+}
+
 // Uint64 returns a pseudo-random 64-bit integer: math/rand's step, with
 // the tap 273 words behind the feed.
 func (s *source) Uint64() uint64 {

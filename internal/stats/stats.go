@@ -12,7 +12,8 @@ import (
 // RNG wraps math/rand.Rand with the distributions the simulator needs.
 // It is NOT safe for concurrent use; give each goroutine its own.
 type RNG struct {
-	r *rand.Rand
+	r   *rand.Rand
+	src *source // r's source, which Normal's fast path draws from directly
 }
 
 // NewRNG returns a deterministic generator for the given seed. Its
@@ -21,7 +22,7 @@ func NewRNG(seed int64) *RNG {
 	s := new(source)
 	s.Seed(seed)
 	//lint:allow detrand s is a source seeded from seed on the line above, bit-identical to rand.NewSource(seed)
-	return &RNG{r: rand.New(s)}
+	return &RNG{r: rand.New(s), src: s}
 }
 
 // Seed returns g to the state NewRNG(seed) starts from, in place: the
@@ -41,7 +42,7 @@ func (g *RNG) Normal(mean, sigma float64) float64 {
 	if sigma < 0 {
 		panic("stats: Normal with negative sigma")
 	}
-	return mean + sigma*g.r.NormFloat64()
+	return mean + sigma*g.normFloat64()
 }
 
 // LogNormal returns exp(Normal(mu, sigma)); handy for multiplicative cloud

@@ -84,13 +84,11 @@ type Engine struct {
 	// adjacency copies. Edge IDs are the graph's (dag.Graph.EdgeByID);
 	// all adjacency slices below are read-only views into the graph or
 	// engine-owned arrays built once.
-	edgeBuf   []float64            // backlog per edge ID
-	edgeAlpha []float64            // α per edge ID
-	edgeH     []dag.ThroughputFunc // h per edge ID (nil for source edges)
-	edgeToOp  []int32              // dense operator index of the edge head, -1 otherwise
-	srcEdges  [][]int32            // outgoing edge IDs per dense source index
-	steps     []tickStep           // operators and sinks with their adjacency, in topological order
-	opPreds   [][]int32            // incoming edge IDs per dense operator index
+	edgeBuf  []float64  // backlog per edge ID
+	edges    []edgePlan // constants per edge ID
+	srcEdges [][]int32  // outgoing edge IDs per dense source index
+	steps    []tickStep // operators and sinks with their adjacency, in topological order
+	opPreds  [][]int32  // incoming edge IDs per dense operator index
 
 	// Per-tick scratch buffers: Tick runs once per simulated second, so
 	// its working slices are grown once and reused instead of allocated
@@ -111,6 +109,25 @@ type tickStep struct {
 	op    int32   // dense operator index when kind == dag.Operator
 	preds []int32 // incoming edge IDs, predecessor order
 	succs []int32 // outgoing edge IDs, successor order
+	// y is the operator's effective capacity caps·slotNoise, which
+	// changes only when caps or slotNoise do (see refreshY).
+	y float64
+}
+
+// edgePlan holds one edge's per-tick constants.
+type edgePlan struct {
+	alpha float64 // splitting weight α
+	// alphaY is α·y of the edge's tail operator (operator out-edges
+	// only), refreshed with tickStep.y.
+	alphaY float64
+	h      dag.ThroughputFunc // nil for source edges
+	k      float64            // the Linear's rate when linear
+	toOp   int32              // dense operator index of the edge head, -1 otherwise
+	// linear marks a one-input Linear h, which tickOperator evaluates
+	// inline as k·q[0] (mathx.Dot's sum over one term) instead of
+	// through the interface. dag.Build checks every Linear's arity, so
+	// its operator has exactly one input.
+	linear bool
 }
 
 // New validates cfg and returns an Engine with all parallelism at 1 and
@@ -173,14 +190,16 @@ func (e *Engine) buildPlan() {
 	g := e.g
 	nEdges := g.NumEdges()
 	e.edgeBuf = make([]float64, nEdges)
-	e.edgeAlpha = make([]float64, nEdges)
-	e.edgeH = make([]dag.ThroughputFunc, nEdges)
-	e.edgeToOp = make([]int32, nEdges)
-	for ei := 0; ei < nEdges; ei++ {
+	e.edges = make([]edgePlan, nEdges)
+	for ei := range e.edges {
 		id := int32(ei)
-		e.edgeAlpha[ei] = g.AlphaByID(id)
-		e.edgeH[ei] = g.HByID(id)
-		e.edgeToOp[ei] = int32(g.OperatorIndex(g.EdgeByID(id).To))
+		ep := &e.edges[ei]
+		ep.alpha = g.AlphaByID(id)
+		ep.h = g.HByID(id)
+		ep.toOp = int32(g.OperatorIndex(g.EdgeByID(id).To))
+		if lin, ok := ep.h.(dag.Linear); ok && len(lin.K) == 1 {
+			ep.linear, ep.k = true, lin.K[0]
+		}
 	}
 	e.srcEdges = make([][]int32, g.NumSources())
 	for si, src := range g.Sources() {
@@ -258,6 +277,25 @@ func (e *Engine) refreshCapacity() {
 	for i := range e.caps {
 		e.caps[i] = e.capacityOf(i)
 	}
+	e.refreshY()
+}
+
+// refreshY recomputes every operator's y = caps·slotNoise and its
+// out-edges' α·y, the products tickOperator would otherwise form every
+// second. Each is the same float expression tickOperator used, so the
+// cached values are bit-identical; callers run it whenever caps or
+// slotNoise change.
+func (e *Engine) refreshY() {
+	for i := range e.steps {
+		step := &e.steps[i]
+		if step.kind != dag.Operator {
+			continue
+		}
+		step.y = e.caps[step.op] * e.slotNoise[step.op]
+		for _, ei := range step.succs {
+			e.edges[ei].alphaY = e.edges[ei].alpha * step.y
+		}
+	}
 }
 
 // capacityOf evaluates operator i's ground-truth capacity under the
@@ -290,6 +328,7 @@ func (e *Engine) BeginSlot() {
 		// mean-1 log-normal: E[exp(N(−σ²/2, σ))] = 1
 		e.slotNoise[i] = e.cfg.RNG.LogNormal(-s*s/2, s)
 	}
+	e.refreshY()
 }
 
 // TrueCapacity returns the noise-free capacity of operator i at its
@@ -341,7 +380,7 @@ func (e *Engine) Tick(rates []float64) (TickStats, error) {
 			return TickStats{}, fmt.Errorf("streamsim: invalid rate %v for source %d", rate, si)
 		}
 		for _, ei := range e.srcEdges[si] {
-			e.addToEdge(ei, e.edgeAlpha[ei]*rate, &st)
+			e.addToEdge(ei, e.edges[ei].alpha*rate, &st)
 		}
 	}
 
@@ -405,7 +444,7 @@ func (e *Engine) tickOperator(step *tickStep, st *TickStats) {
 		backlog += q[k]
 	}
 
-	y := e.caps[oi] * e.slotNoise[oi]
+	y := step.y
 	op := &st.Ops[oi]
 	op.Capacity = y
 
@@ -422,11 +461,17 @@ func (e *Engine) tickOperator(step *tickStep, st *TickStats) {
 	phi := 1.0
 	anyDemand := false
 	for j, ei := range succs {
-		d := e.edgeH[ei].Eval(q)
+		ep := &e.edges[ei]
+		var d float64
+		if ep.linear {
+			d += ep.k * q[0]
+		} else {
+			d = ep.h.Eval(q)
+		}
 		demands[j] = d
 		if d > 0 {
 			anyDemand = true
-			r := e.edgeAlpha[ei] * y / d
+			r := ep.alphaY / d
 			if r < phi {
 				phi = r
 			}
@@ -482,7 +527,7 @@ func (e *Engine) addToEdge(ei int32, amount float64, st *TickStats) {
 	if amount <= 0 {
 		return
 	}
-	if oi := e.edgeToOp[ei]; oi >= 0 {
+	if oi := e.edges[ei].toOp; oi >= 0 {
 		st.Ops[oi].Arrived += amount
 	}
 	next := e.edgeBuf[ei] + amount

@@ -448,8 +448,9 @@ func BenchmarkTickChain(b *testing.B) {
 // changed allocation and a pending pause, then been Reset with its RNG
 // reseeded, ticks exactly like a fresh engine on a fresh RNG of that
 // seed — every TickStats field, bit for bit, with and without buffer
-// caps. The capacity planner reuses one engine across its probes on
-// this guarantee.
+// caps — and Reset leaves the cached per-operator y and per-edge α·y
+// that New computes. The capacity planner reuses one engine across its
+// probes on this guarantee.
 func TestResetMatchesFresh(t *testing.T) {
 	g := chainGraph(t)
 	base, err := NewPowerCurve(120, 0.9, 0.05)
@@ -494,6 +495,18 @@ func TestResetMatchesFresh(t *testing.T) {
 		fresh, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// Reset restores the per-slot constants New computes.
+		checkPlanConstants(t, used, "after Reset")
+		for i := range fresh.steps {
+			if math.Float64bits(used.steps[i].y) != math.Float64bits(fresh.steps[i].y) {
+				t.Fatalf("cap %v: step %d y %v after Reset, %v fresh", maxBuf, i, used.steps[i].y, fresh.steps[i].y)
+			}
+		}
+		for i := range fresh.edges {
+			if math.Float64bits(used.edges[i].alphaY) != math.Float64bits(fresh.edges[i].alphaY) {
+				t.Fatalf("cap %v: edge %d α·y %v after Reset, %v fresh", maxBuf, i, used.edges[i].alphaY, fresh.edges[i].alphaY)
+			}
 		}
 		for _, e := range []*Engine{used, fresh} {
 			if err := e.SetTasks([]int{2, 1}); err != nil {

@@ -39,10 +39,10 @@ func Sinusoid(base, amplitude []float64, periodSlots int) (RateFunc, error) {
 	}
 	b := append([]float64(nil), base...)
 	a := append([]float64(nil), amplitude...)
+	out := make([]float64, len(b))
 	return func(slot, sec int) []float64 {
 		// Continuous phase across the slot so drift is truly gradual.
 		phase := 2 * math.Pi * (float64(slot) + float64(sec)/86400) / float64(periodSlots)
-		out := make([]float64, len(b))
 		for i := range out {
 			out[i] = b[i] + a[i]*math.Sin(phase)
 		}
@@ -127,10 +127,14 @@ func Scale(base RateFunc, mult func(slot, sec int) float64) (RateFunc, error) {
 	if base == nil || mult == nil {
 		return nil, errors.New("workload: Scale needs a base profile and a multiplier")
 	}
+	var out []float64
 	return func(slot, sec int) []float64 {
 		rates := base(slot, sec)
 		m := mult(slot, sec)
-		out := make([]float64, len(rates))
+		if cap(out) < len(rates) {
+			out = make([]float64, len(rates))
+		}
+		out = out[:len(rates)]
 		for i, r := range rates {
 			out[i] = r * m
 		}

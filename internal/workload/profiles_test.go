@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -238,5 +239,32 @@ func TestPhaseBoundariesEdges(t *testing.T) {
 	got = PhaseBoundaries(f, 4)
 	if len(got) != 2 || got[0] != 0 || got[1] != 3 {
 		t.Fatalf("truncated boundaries = %v, want [0 3]", got)
+	}
+}
+
+// TestBufferedRateFuncs: Sinusoid and Scale refill one buffer per call
+// instead of allocating a rate vector per simulated second, and
+// PhaseBoundaries, which compares each slot's rates with the previous
+// slot's, still sees every slot of a drifting profile as a new phase.
+func TestBufferedRateFuncs(t *testing.T) {
+	sin, err := Sinusoid([]float64{100, 40}, []float64{50, 10}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled, err := Scale(sin, func(slot, _ int) float64 { return float64(1 + slot%3) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]RateFunc{"Sinusoid": sin, "Scale": scaled} {
+		if n := testing.AllocsPerRun(100, func() { f(3, 7) }); n != 0 {
+			t.Errorf("%s allocates %v per call", name, n)
+		}
+		if got := PhaseBoundaries(f, 4); !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
+			t.Errorf("%s: PhaseBoundaries = %v, want every slot", name, got)
+		}
+	}
+	want := []float64{2 * (100 + 50*math.Sin(2*math.Pi/8)), 2 * (40 + 10*math.Sin(2*math.Pi/8))}
+	if got := scaled(1, 0); got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("Scale(Sinusoid)(1, 0) = %v, want %v", got, want)
 	}
 }

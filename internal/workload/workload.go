@@ -348,6 +348,12 @@ func ByName(name string) (*Spec, error) {
 }
 
 // RateFunc returns the offered source rates at a (slot, second) position.
+// The slice is read-only and valid only until the next call: a RateFunc
+// may return its own storage (Constant, Cycle, StepAt and Trace return
+// their fixed vectors; Sinusoid and Scale refill one buffer per call,
+// which the simulator asks for every second), so a caller that keeps
+// the rates must copy them. For the same reason a Sinusoid or Scale
+// RateFunc must not be called from two goroutines at once.
 type RateFunc func(slot, sec int) []float64
 
 // Constant returns a profile with fixed rates.
@@ -426,7 +432,7 @@ func PhaseBoundaries(f RateFunc, slots int) []int {
 		if prev == nil || !equalRates(prev, cur) {
 			out = append(out, s)
 		}
-		prev = cur
+		prev = append(prev[:0], cur...) // cur is valid only until the next call
 	}
 	return out
 }
