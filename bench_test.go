@@ -142,8 +142,8 @@ func BenchmarkFig7Yahoo(b *testing.B) {
 		}
 	}
 	scale := 600.0 / benchSlotSeconds
-	dh := r.Phases["dhalion"][1].ConvergenceMinutes2()
-	sd := r.Phases["dragster-saddle"][1].ConvergenceMinutes2()
+	dh := r.Phases["dhalion"][1].ConvergenceMinutes
+	sd := r.Phases["dragster-saddle"][1].ConvergenceMinutes
 	b.ReportMetric(dh*scale, "dhalion-restep-min")
 	b.ReportMetric(sd*scale, "saddle-restep-min")
 	if dh > 0 && sd > 0 {

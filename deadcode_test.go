@@ -26,6 +26,8 @@ var deadExportKeep = map[string]string{
 	"dragster/internal/gp.Regressor.PosteriorBatch":        "batch oracle the single-point posterior is tested against",
 	"dragster/internal/gp.Regressor.LogMarginalLikelihood": "LML oracle for the hyperparameter search tests",
 	"dragster/internal/gp.Regressor.InformationGain":       "Γ_T, the information gain the Theorem-1 regret bound is stated in",
+	"dragster/internal/gp.Regressor.Kernel":                "kernel seam the refit tests compare and the kernel-counting tests wrap",
+	"dragster/internal/gp.Regressor.Observations":          "the rows and their mean targets, which the warm-start and row-merge tests fingerprint",
 	"dragster/internal/linalg.Identity":                    "test oracle for the factorization round trips",
 	"dragster/internal/linalg.Matrix.Mul":                  "test oracle: builds SPD inputs and checks L·Lᵀ = A",
 	"dragster/internal/linalg.Matrix.MulVec":               "test oracle for the solves",

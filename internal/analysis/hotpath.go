@@ -10,19 +10,20 @@ import (
 
 // hotpathSeeds are the functions on the simulator's per-tick and
 // per-round critical paths, diagnosed even without an annotation: the
-// streamsim tick loop and backlog total, the GP posterior query, UCB
-// candidate selection, and the cluster tick. Keys are fully qualified
-// names as produced by funcFullName ("pkg.(*Type).Method" or "pkg.Func").
+// streamsim tick loop and backlog total, the GP posterior query and
+// candidate reads, UCB candidate selection, and the cluster tick. Keys
+// are fully qualified names as produced by funcFullName
+// ("pkg.(*Type).Method" or "pkg.Func").
 var hotpathSeeds = map[string]bool{
-	ModulePath + "/internal/streamsim.(*Engine).Tick":           true,
-	ModulePath + "/internal/streamsim.(*Engine).tickOperator":   true,
-	ModulePath + "/internal/streamsim.(*Engine).addToEdge":      true,
-	ModulePath + "/internal/streamsim.(*Engine).BufferedTotal":  true,
-	ModulePath + "/internal/gp.(*Regressor).Posterior":          true,
-	ModulePath + "/internal/gp.(*Regressor).PosteriorFromCross": true,
-	ModulePath + "/internal/gp.(*Regressor).posteriorFromCross": true,
-	ModulePath + "/internal/ucb.(*Searcher).Select":             true,
-	ModulePath + "/internal/cluster.(*Cluster).Tick":            true,
+	ModulePath + "/internal/streamsim.(*Engine).Tick":          true,
+	ModulePath + "/internal/streamsim.(*Engine).tickOperator":  true,
+	ModulePath + "/internal/streamsim.(*Engine).addToEdge":     true,
+	ModulePath + "/internal/streamsim.(*Engine).BufferedTotal": true,
+	ModulePath + "/internal/gp.(*Regressor).Posterior":         true,
+	ModulePath + "/internal/gp.(*Regressor).MeanAt":            true,
+	ModulePath + "/internal/gp.(*Regressor).PosteriorAt":       true,
+	ModulePath + "/internal/ucb.(*Searcher).Select":            true,
+	ModulePath + "/internal/cluster.(*Cluster).Tick":           true,
 }
 
 // sprintfFamily are the fmt functions that build a string (or error) per

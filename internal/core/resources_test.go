@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"dragster/internal/monitor"
@@ -136,6 +137,7 @@ func TestRefitOnlyWithCPUAxis(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newController(t, func(cfg *Config) { cfg.Candidates = [][][]float64{grid2D, grid1D} })
+	prior2D, prior1D := c.Searcher(0).Regressor().Kernel(), c.Searcher(1).Regressor().Kernel()
 	for n := 1; n <= multiDimRefitEvery; n++ {
 		if err := c.Searcher(0).Observe([]float64{float64(n), 1000}, capCurve2D(n, 1000)); err != nil {
 			t.Fatal(err)
@@ -144,11 +146,11 @@ func TestRefitOnlyWithCPUAxis(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Searcher(0).Regressor().KernelEpoch() == 0 {
+	if reflect.DeepEqual(c.Searcher(0).Regressor().Kernel(), prior2D) {
 		t.Error("2-D operator kept its prior kernel")
 	}
-	if got := c.Searcher(1).Regressor().KernelEpoch(); got != 0 {
-		t.Errorf("1-D operator re-fit its kernel (epoch %d)", got)
+	if got := c.Searcher(1).Regressor().Kernel(); !reflect.DeepEqual(got, prior1D) {
+		t.Errorf("1-D operator re-fit its kernel to %v, prior %v", got, prior1D)
 	}
 }
 

@@ -28,7 +28,8 @@ type PhaseStats struct {
 	// Later exploration excursions — which the GP-UCB schedule keeps
 	// making by design — do not reset the clock.
 	ConvergenceSlots int
-	// ConvergenceMinutes = ConvergenceSlots × slot length.
+	// ConvergenceMinutes = ConvergenceSlots × slot length; -1 when the
+	// phase never converges.
 	ConvergenceMinutes float64
 	// Processed is the tuples absorbed during the phase.
 	Processed float64
@@ -59,10 +60,11 @@ func Phases(res *Result) ([]PhaseStats, error) {
 			return nil, fmt.Errorf("experiment: missing optimum for phase at slot %d", start)
 		}
 		ps := PhaseStats{
-			StartSlot:         start,
-			EndSlot:           end,
-			OptimalThroughput: opt.Throughput,
-			ConvergenceSlots:  -1,
+			StartSlot:          start,
+			EndSlot:            end,
+			OptimalThroughput:  opt.Throughput,
+			ConvergenceSlots:   -1,
+			ConvergenceMinutes: -1,
 		}
 		var costStart float64
 		if start > 0 {
@@ -105,9 +107,6 @@ func ConvergenceMinutes(res *Result) (float64, error) {
 	ph, err := Phases(res)
 	if err != nil {
 		return 0, err
-	}
-	if ph[0].ConvergenceSlots < 0 {
-		return -1, nil
 	}
 	return ph[0].ConvergenceMinutes, nil
 }

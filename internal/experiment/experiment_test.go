@@ -209,6 +209,34 @@ func TestPhasesAccounting(t *testing.T) {
 	}
 }
 
+// TestPhasesConvergenceMinutes checks the convergence time Phases reports
+// on a hand-built two-phase result with 10-minute slots: the first phase
+// becomes near-optimal on its third slot (30 minutes), the second never
+// does and reports -1, as ConvergenceMinutes does for the first phase of
+// a run that never converges.
+func TestPhasesConvergenceMinutes(t *testing.T) {
+	opt := &Optimum{Throughput: 100, TotalTasks: 4}
+	res := &Result{Slots: 6, SlotSecs: 600, PhaseStarts: []int{0, 3},
+		OptimaByPhase: map[int]*Optimum{0: opt, 3: opt}}
+	for s, steady := range []float64{10, 50, 95, 10, 20, 30} {
+		res.Trace = append(res.Trace, SlotTrace{Slot: s, SteadyThroughput: steady, TotalTasks: 4})
+	}
+	ph, err := Phases(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ph[0].ConvergenceSlots != 3 || ph[0].ConvergenceMinutes != 30 {
+		t.Errorf("converged phase: %d slots, %v min; want 3 slots, 30 min", ph[0].ConvergenceSlots, ph[0].ConvergenceMinutes)
+	}
+	if ph[1].ConvergenceSlots != -1 || ph[1].ConvergenceMinutes != -1 {
+		t.Errorf("unconverged phase: %d slots, %v min; want -1, -1", ph[1].ConvergenceSlots, ph[1].ConvergenceMinutes)
+	}
+	res.OptimaByPhase[0] = &Optimum{Throughput: 1000, TotalTasks: 4}
+	if conv, err := ConvergenceMinutes(res); err != nil || conv != -1 {
+		t.Errorf("ConvergenceMinutes of an unconverged run = %v, %v; want -1", conv, err)
+	}
+}
+
 func TestStaticPolicy(t *testing.T) {
 	spec := wordcount(t)
 	rates, err := workload.Constant(spec.HighRates)

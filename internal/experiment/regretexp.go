@@ -67,26 +67,12 @@ func RegretRun(spec *workload.Spec, method osp.Method, T, slotSeconds int, seed 
 
 	acc := regret.NewAccountant()
 	var positive float64
-	// Per-slot optimum: phase optima cover every slot.
-	optAt := func(slot int) (*Optimum, error) {
-		best := -1
-		for _, ps := range res.PhaseStarts {
-			if ps <= slot && ps > best {
-				best = ps
-			}
-		}
-		opt, ok := res.OptimaByPhase[best]
-		if !ok {
-			return nil, fmt.Errorf("experiment: no optimum for slot %d", slot)
-		}
-		return opt, nil
-	}
 	var vStar float64
 	var prevOpt *Optimum
 	for _, tr := range res.Trace {
-		opt, err := optAt(tr.Slot)
-		if err != nil {
-			return nil, err
+		opt := res.optimumAt(tr.Slot)
+		if opt == nil {
+			return nil, fmt.Errorf("experiment: no optimum for slot %d", tr.Slot)
 		}
 		if prevOpt != nil {
 			vStar += math.Abs(opt.Throughput - prevOpt.Throughput)

@@ -106,7 +106,7 @@ func RenderTable2(w io.Writer, r *Fig6Result) {
 		fmt.Fprintln(w, line)
 	}
 	for _, policy := range PolicyOrder {
-		row("conv. time (min)", func(p PhaseStats) string { return minutesOrNever(p.ConvergenceMinutes2()) }, policy)
+		row("conv. time (min)", func(p PhaseStats) string { return minutesOrNever(p.ConvergenceMinutes) }, policy)
 	}
 	for _, policy := range PolicyOrder {
 		row("processed tuples (1e9)", func(p PhaseStats) string { return fmt.Sprintf("%.2f", p.Processed/1e9) }, policy)
@@ -114,15 +114,6 @@ func RenderTable2(w io.Writer, r *Fig6Result) {
 	for _, policy := range PolicyOrder {
 		row("cost per 1e9 tuples ($)", func(p PhaseStats) string { return fmt.Sprintf("%.2f", p.CostPerBillion) }, policy)
 	}
-}
-
-// ConvergenceMinutes2 returns ConvergenceMinutes, or -1 when unconverged
-// (helper keeping the render row signatures uniform).
-func (p PhaseStats) ConvergenceMinutes2() float64 {
-	if p.ConvergenceSlots < 0 {
-		return -1
-	}
-	return p.ConvergenceMinutes
 }
 
 // RenderFig7 writes the Yahoo throughput series of Fig. 7.
@@ -144,7 +135,7 @@ func RenderTable3(w io.Writer, r *Fig7Result) {
 			f("dhalion"), f("dragster-saddle"), f("dragster-ogd"))
 	}
 	line("convergence time (min)", func(p string) string {
-		return minutesOrNever(r.Phases[p][0].ConvergenceMinutes2())
+		return minutesOrNever(r.Phases[p][0].ConvergenceMinutes)
 	})
 	line("proc. rate (1e5 tuples/s)", func(p string) string {
 		return fmt.Sprintf("%.2f", r.Phases[p][0].MeanThroughput/1e5)

@@ -51,17 +51,6 @@ func TestRenderSparklineEdgeCases(t *testing.T) {
 	}
 }
 
-func TestPhaseStatsConvergenceMinutes2(t *testing.T) {
-	p := PhaseStats{ConvergenceSlots: -1}
-	if p.ConvergenceMinutes2() != -1 {
-		t.Error("unconverged phase should report -1")
-	}
-	p = PhaseStats{ConvergenceSlots: 3, ConvergenceMinutes: 30}
-	if p.ConvergenceMinutes2() != 30 {
-		t.Error("converged phase should report minutes")
-	}
-}
-
 func TestRenderFig5RendersUnconverged(t *testing.T) {
 	rows := []Fig5Row{{
 		Workload:         "toy",

@@ -231,6 +231,18 @@ type Result struct {
 	Metrics *telemetry.Registry
 }
 
+// optimumAt returns the optimum of the phase holding slot, the one keyed
+// by the last phase start at or before it; nil when there is none.
+func (res *Result) optimumAt(slot int) *Optimum {
+	best := -1
+	for _, ps := range res.PhaseStarts {
+		if ps <= slot && ps > best {
+			best = ps
+		}
+	}
+	return res.OptimaByPhase[best]
+}
+
 // Runner executes a scenario one decision slot at a time. Use it when a
 // caller (e.g. perfbench's paper-yahoo workload) needs to observe or time
 // individual slots; Run wraps it for batch execution. It drives one
@@ -404,13 +416,8 @@ func (r *Runner) Step() (*SlotTrace, error) {
 // the round span.
 func (r *Runner) annotateRound(round *telemetry.Span, tr *SlotTrace) {
 	var opt float64
-	for _, ps := range r.res.PhaseStarts {
-		if ps > tr.Slot {
-			break
-		}
-		if o := r.res.OptimaByPhase[ps]; o != nil {
-			opt = o.Throughput
-		}
+	if o := r.res.optimumAt(tr.Slot); o != nil {
+		opt = o.Throughput
 	}
 	round.Annotate(
 		telemetry.Ints("tasks", tr.Tasks),

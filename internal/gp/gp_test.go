@@ -19,7 +19,7 @@ func mustSE(t testing.TB, l, v float64) SquaredExponential {
 
 func mustRegressor(t testing.TB, k Kernel, noise float64) *Regressor {
 	t.Helper()
-	r, err := NewRegressor(k, noise)
+	r, err := NewRegressor(k, noise, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +69,10 @@ func TestKernelDimMismatchPanics(t *testing.T) {
 }
 
 func TestRegressorValidation(t *testing.T) {
-	if _, err := NewRegressor(nil, 1); err == nil {
+	if _, err := NewRegressor(nil, 1, nil); err == nil {
 		t.Error("nil kernel accepted")
 	}
-	if _, err := NewRegressor(mustSE(t, 1, 1), 0); err == nil {
+	if _, err := NewRegressor(mustSE(t, 1, 1), 0, nil); err == nil {
 		t.Error("zero noise accepted")
 	}
 	r := mustRegressor(t, mustSE(t, 1, 1), 0.1)

@@ -11,15 +11,15 @@ import (
 
 // SetKernel swaps the regressor's kernel, keeping all observations; the
 // posterior is refitted lazily from scratch (the incremental factor is
-// kernel-specific) and the kernel epoch advances so cross-covariance
-// caches invalidate. Used by hyperparameter optimization.
+// kernel-specific), and the candidate cache is rebuilt under the new
+// kernel. Used by hyperparameter optimization.
 func (r *Regressor) SetKernel(k Kernel) error {
 	if k == nil {
 		return errors.New("gp: nil kernel")
 	}
 	r.kernel = k
-	r.kernelEpoch++
 	r.dirty = true
+	r.resetCandidates()
 	return nil
 }
 

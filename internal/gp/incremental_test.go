@@ -229,96 +229,3 @@ func BenchmarkObserveReplay48(b *testing.B) {
 		}
 	}
 }
-
-// TestObserveFromCrossMatchesObserve feeds two regressors the same
-// sequence of new and repeated points, one through Observe and one
-// through ObserveFromCross with the kernel row computed outside, and
-// requires the factor, α and information gain to be bit-equal after
-// every step. A kx of the wrong length is rejected and changes nothing.
-func TestObserveFromCrossMatchesObserve(t *testing.T) {
-	bitsEqual := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	for seed := int64(1); seed <= 6; seed++ {
-		rng := stats.NewRNG(seed)
-		kern := mustSE(t, 1.5, 4)
-		plain := mustRegressor(t, kern, 0.2)
-		cross := mustRegressor(t, kern, 0.2)
-		for step := 0; step < 60; step++ {
-			x := []float64{rng.Uniform(-5, 5), rng.Uniform(-5, 5)}
-			if plain.Rows() > 0 && rng.Float64() < 0.5 {
-				xs, _ := plain.Observations()
-				x = xs[rng.Intn(len(xs))]
-			}
-			y := rng.Normal(10, 3)
-			kx := make([]float64, cross.Rows())
-			for j, xj := range cross.xs {
-				kx[j] = kern.Eval(xj, x)
-			}
-			if err := plain.Observe(x, y); err != nil {
-				t.Fatal(err)
-			}
-			if err := cross.ObserveFromCross(x, y, kx, kern.Eval(x, x)); err != nil {
-				t.Fatal(err)
-			}
-			if err := plain.ensureFit(); err != nil {
-				t.Fatal(err)
-			}
-			if err := cross.ensureFit(); err != nil {
-				t.Fatal(err)
-			}
-			if !bitsEqual(plain.InformationGain(), cross.InformationGain()) || !bitsEqual(plain.mean, cross.mean) {
-				t.Fatalf("seed %d step %d: gain %v/%v, mean %v/%v", seed, step,
-					plain.InformationGain(), cross.InformationGain(), plain.mean, cross.mean)
-			}
-			n := plain.Rows()
-			for i := 0; i < n; i++ {
-				if !bitsEqual(plain.alpha[i], cross.alpha[i]) {
-					t.Fatalf("seed %d step %d: α[%d] %v vs %v", seed, step, i, plain.alpha[i], cross.alpha[i])
-				}
-				for j := 0; j <= i; j++ {
-					if !bitsEqual(plain.chol.At(i, j), cross.chol.At(i, j)) {
-						t.Fatalf("seed %d step %d: L[%d][%d] %v vs %v", seed, step, i, j, plain.chol.At(i, j), cross.chol.At(i, j))
-					}
-				}
-			}
-		}
-		n, rows := cross.Len(), cross.Rows()
-		if err := cross.ObserveFromCross([]float64{0, 0}, 1, make([]float64, rows+1), 4); err == nil {
-			t.Fatal("ObserveFromCross accepted a kx of the wrong length")
-		}
-		if cross.Len() != n || cross.Rows() != rows {
-			t.Fatalf("rejected ObserveFromCross changed the regressor: %d obs %d rows, want %d %d", cross.Len(), cross.Rows(), n, rows)
-		}
-	}
-}
-
-// TestMeanFromCrossMatchesMean pins MeanFromCross to Mean bit for bit and
-// its rejection of a kx of the wrong length.
-func TestMeanFromCrossMatchesMean(t *testing.T) {
-	rng := stats.NewRNG(3)
-	kern := mustSE(t, 1.5, 4)
-	r := mustRegressor(t, kern, 0.2)
-	for step := 0; step < 30; step++ {
-		if err := r.Observe([]float64{rng.Uniform(-5, 5)}, rng.Normal(10, 3)); err != nil {
-			t.Fatal(err)
-		}
-		x := []float64{rng.Uniform(-6, 6)}
-		kx := make([]float64, r.Rows())
-		for j, xj := range r.xs {
-			kx[j] = kern.Eval(xj, x)
-		}
-		got, err := r.MeanFromCross(kx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := r.Mean(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("step %d: MeanFromCross %v, Mean %v", step, got, want)
-		}
-	}
-	if _, err := r.MeanFromCross(make([]float64, r.Rows()-1)); err == nil {
-		t.Error("MeanFromCross accepted a kx of the wrong length")
-	}
-}

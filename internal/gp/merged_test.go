@@ -209,9 +209,6 @@ func TestRowsMergeRepeatedConfigurations(t *testing.T) {
 	if len(xs) != 2 || xs[0][0] != 2 || xs[1][0] != 5 || means[0] != 3 || means[1] != 5 {
 		t.Fatalf("Observations = %v, %v; want points [2] [5] with means 3 and 5", xs, means)
 	}
-	if _, _, err := r.PosteriorFromCross([]float64{1, 1, 1}, 1); err == nil {
-		t.Fatal("a cross-covariance vector per observation accepted; want one per row")
-	}
 }
 
 // TestRepeatedObserveAllocatesNothing pins the bounded-memory promise:

@@ -68,10 +68,18 @@ type Regressor struct {
 	chol       *linalg.Cholesky
 	alpha      []float64 // (K+σ²·diag(1/k))⁻¹ (s/k − mean), one entry per row
 
-	// kernelEpoch increments on every SetKernel; callers that cache
-	// kernel-derived quantities (the UCB cross-covariance cache) compare
-	// epochs to detect swaps.
-	kernelEpoch uint64
+	// The candidate cache, empty without candidates. cands is the finite
+	// candidate set X (kept, not copied), candKxx[i] = k(c_i, c_i) and
+	// crossK[j·C+i] = k(x_j, c_i) over the rows, row-major so a new row
+	// appends one block of C entries; column appends the blocks of rows
+	// observed since the last candidate read. table[i] is candidate i's
+	// posterior, filled lazily and allocated on the first read. Observe
+	// empties the table; SetKernel also refills candKxx and empties
+	// crossK.
+	cands   [][]float64
+	candKxx []float64
+	crossK  []float64
+	table   []candidatePosterior
 
 	// scratch buffers reused across queries (never returned to callers).
 	kxBuf []float64
@@ -87,16 +95,50 @@ type Regressor struct {
 	label  string
 }
 
+// candidatePosterior is one candidate's entry in the regressor's table.
+type candidatePosterior struct {
+	mu       float64
+	variance float64 // σ²
+	sd       float64 // σ = √σ²
+	fill     uint8   // fillNone, fillMean (μ only) or fillFull
+}
+
+// Fill levels of a table entry: a mean-only read skips the variance's
+// triangular solve.
+const (
+	fillNone uint8 = iota
+	fillMean
+	fillFull
+)
+
 // NewRegressor returns a Regressor with the given kernel and observation
-// noise variance σ² > 0.
-func NewRegressor(kernel Kernel, noiseVar float64) (*Regressor, error) {
+// noise variance σ² > 0 over a finite candidate set of points of one
+// dimension, which may be nil. The candidates are kept, not copied.
+// Reads at a candidate (MeanAt, PosteriorAt) and observations there
+// take their kernel rows from a cache that costs C kernel evaluations
+// per distinct observed point.
+func NewRegressor(kernel Kernel, noiseVar float64, candidates [][]float64) (*Regressor, error) {
 	if kernel == nil {
 		return nil, errors.New("gp: nil kernel")
 	}
 	if noiseVar <= 0 {
 		return nil, fmt.Errorf("gp: noise variance must be positive, got %v", noiseVar)
 	}
-	return &Regressor{kernel: kernel, noiseVar: noiseVar, dirty: true}, nil
+	r := &Regressor{kernel: kernel, noiseVar: noiseVar, dirty: true,
+		cands: candidates, candKxx: make([]float64, len(candidates))}
+	r.resetCandidates()
+	return r, nil
+}
+
+// resetCandidates evaluates every candidate's self-covariance under the
+// current kernel and drops the cross-covariances and table entries
+// computed under the previous one.
+func (r *Regressor) resetCandidates() {
+	for i, c := range r.cands {
+		r.candKxx[i] = r.kernel.Eval(c, c)
+	}
+	r.crossK = r.crossK[:0]
+	clear(r.table)
 }
 
 // SetTracer installs (or, with nil, removes) the observability tracer.
@@ -114,16 +156,11 @@ func (r *Regressor) SetTracer(tr *telemetry.Tracer, label string) {
 // Kernel returns the kernel in use.
 func (r *Regressor) Kernel() Kernel { return r.kernel }
 
-// KernelEpoch returns a counter that increments on every SetKernel call.
-// Caches of kernel-derived values are valid only while the epoch they were
-// filled under still matches.
-func (r *Regressor) KernelEpoch() uint64 { return r.kernelEpoch }
-
 // Len returns the number of observations made.
 func (r *Regressor) Len() int { return r.n }
 
 // Rows returns the number of distinct configurations observed: the order
-// of the factored system and the length of every cross-covariance vector.
+// of the factored system.
 func (r *Regressor) Rows() int { return len(r.xs) }
 
 // Observations returns copies of the distinct observed points and, for
@@ -156,36 +193,11 @@ func growFloats(buf []float64, n int) []float64 {
 // its count and target sum grow and its diagonal entry σ²/k shrinks. Any
 // other point is copied into a new row, and the kernel row k(x_j, x) the
 // variance needed is also the border row of the bordered Gram matrix, so
-// it is evaluated once. Either way the factor is updated in place and α
+// it is evaluated once — or not at all at a candidate, whose row and
+// k(x, x) are cached. Either way the factor is updated in place and α
 // is only marked stale. If the posterior is dirty (kernel swap, numerical
 // failure) the next query falls back to a full refit.
 func (r *Regressor) Observe(x []float64, y float64) error {
-	if err := r.checkObservation(x, y); err != nil {
-		return err
-	}
-	return r.observe(x, y, nil, r.kernel.Eval(x, x))
-}
-
-// ObserveFromCross is Observe at a point whose cross-covariance vector
-// against the rows is already known: kx[j] = k(x_j, x) in row order
-// (Rows entries) and kxx = k(x, x), both under the current kernel. It
-// evaluates no kernel; the factor, α and information gain it leaves are
-// bit-equal to Observe's. kx is not modified.
-//
-//lint:hotpath
-func (r *Regressor) ObserveFromCross(x []float64, y float64, kx []float64, kxx float64) error {
-	if err := r.checkObservation(x, y); err != nil {
-		return err
-	}
-	if len(kx) != len(r.xs) {
-		//lint:allow hotpath cold validation guard: a length mismatch is a caller bug, never hit in steady state
-		return fmt.Errorf("gp: cross-covariance length %d, want %d", len(kx), len(r.xs))
-	}
-	return r.observe(x, y, kx, kxx)
-}
-
-// checkObservation validates a sample before it touches any state.
-func (r *Regressor) checkObservation(x []float64, y float64) error {
 	if len(x) == 0 {
 		return errors.New("gp: empty input point")
 	}
@@ -195,16 +207,20 @@ func (r *Regressor) checkObservation(x []float64, y float64) error {
 	if math.IsNaN(y) || math.IsInf(y, 0) {
 		return fmt.Errorf("gp: non-finite observation %v", y)
 	}
-	return nil
-}
-
-// observe is the shared body of Observe and ObserveFromCross. kx is the
-// kernel row k(x_j, x), or nil to evaluate it here when it is needed.
-func (r *Regressor) observe(x []float64, y float64, kx []float64, kxx float64) error {
+	ci := r.CandidateIndex(x)
+	var kxx float64
+	if ci >= 0 {
+		kxx = r.candKxx[ci]
+	} else {
+		kxx = r.kernel.Eval(x, x)
+	}
+	var kx []float64
 	if r.n == 0 {
 		r.infoGain += 0.5 * math.Log(1+kxx/r.noiseVar)
 	} else if err := r.ensureFactor(); err == nil {
-		if kx == nil {
+		if ci >= 0 {
+			kx = r.column(ci)
+		} else {
 			kx = r.crossRow(x)
 		}
 		r.infoGain += 0.5 * math.Log(1+r.varianceFromCross(kx, kxx)/r.noiseVar)
@@ -227,6 +243,7 @@ func (r *Regressor) observe(x []float64, y float64, kx []float64, kxx float64) e
 	}
 	r.counts[j]++
 	r.sums[j] += y
+	clear(r.table)
 	if r.dirty {
 		// No current factor to update (first point, kernel swap pending,
 		// or an earlier fit failed); refit lazily on the next query.
@@ -246,6 +263,12 @@ func (r *Regressor) observe(x []float64, y float64, kx []float64, kxx float64) e
 	// factor on the next read of μ.
 	r.alphaStale = true
 	return nil
+}
+
+// CandidateIndex returns the index of the candidate equal to x, element
+// for element, or -1 when x is not a candidate.
+func (r *Regressor) CandidateIndex(x []float64) int {
+	return slices.IndexFunc(r.cands, func(c []float64) bool { return slices.Equal(c, x) })
 }
 
 // crossRow evaluates kx[i] = k(x_i, x) over the observations into the
@@ -363,7 +386,8 @@ func (r *Regressor) Posterior(x []float64) (mu, variance float64, err error) {
 	if err := r.ensureFit(); err != nil {
 		return 0, 0, err
 	}
-	return r.posteriorFromCross(r.crossRow(x), r.kernel.Eval(x, x))
+	kx := r.crossRow(x)
+	return r.meanFromCross(kx), r.varianceFromCross(kx, r.kernel.Eval(x, x)), nil
 }
 
 // Mean returns the predictive mean μ_t(x) alone: the μ of Posterior bit
@@ -376,44 +400,81 @@ func (r *Regressor) Mean(x []float64) (float64, error) {
 	return r.meanFromCross(r.crossRow(x)), nil
 }
 
-// MeanFromCross returns the predictive mean alone at a point whose
-// cross-covariance vector kx[j] = k(x_j, x) against the rows is already
-// known: Mean bit for bit, with no kernel evaluation. kx must have been
-// computed under the current kernel; it is not modified.
+// MeanAt returns the predictive mean at candidate i, Mean's value bit
+// for bit, from the candidate table. i must index a candidate. With no
+// observations it returns ErrEmpty.
 //
 //lint:hotpath
-func (r *Regressor) MeanFromCross(kx []float64) (float64, error) {
-	if err := r.ensureFit(); err != nil {
+func (r *Regressor) MeanAt(i int) (float64, error) {
+	e, err := r.candidate(i, fillMean)
+	if err != nil {
 		return 0, err
 	}
-	if len(kx) != len(r.xs) {
-		//lint:allow hotpath cold validation guard: a length mismatch is a caller bug, never hit in steady state
-		return 0, fmt.Errorf("gp: cross-covariance length %d, want %d", len(kx), len(r.xs))
-	}
-	return r.meanFromCross(kx), nil
+	return e.mu, nil
 }
 
-// PosteriorFromCross returns the predictive mean and variance at a point
-// whose cross-covariance vector against the rows is already known:
-// kx[j] = k(x_j, x) in row order (Rows entries), and kxx = k(x, x). The UCB layer
-// maintains kx incrementally per candidate, so Select skips the O(n)
-// kernel evaluations per candidate per round. kx must have been computed
-// under the current kernel (compare KernelEpoch); it is not modified.
-func (r *Regressor) PosteriorFromCross(kx []float64, kxx float64) (mu, variance float64, err error) {
+// PosteriorAt returns the predictive mean, variance and standard
+// deviation at candidate i from the candidate table: Posterior's μ and
+// σ² bit for bit, and σ = √σ². i must index a candidate. With no
+// observations it returns ErrEmpty.
+//
+//lint:hotpath
+func (r *Regressor) PosteriorAt(i int) (mu, variance, sd float64, err error) {
+	e, err := r.candidate(i, fillFull)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return e.mu, e.variance, e.sd, nil
+}
+
+// candidate returns candidate i's table entry filled to at least the
+// wanted level, computing what is missing from the cached column with the
+// float expressions Mean and Posterior use. An empty regressor returns
+// ErrEmpty before anything is fitted.
+//
+//lint:hotpath
+func (r *Regressor) candidate(i int, want uint8) (*candidatePosterior, error) {
+	if r.n == 0 {
+		return nil, ErrEmpty
+	}
+	if r.table == nil {
+		r.table = make([]candidatePosterior, len(r.cands))
+	}
+	e := &r.table[i]
+	if e.fill >= want {
+		return e, nil
+	}
 	if err := r.ensureFit(); err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	if len(kx) != len(r.xs) {
-		//lint:allow hotpath cold validation guard: a length mismatch is a caller bug, never hit in steady state
-		return 0, 0, fmt.Errorf("gp: cross-covariance length %d, want %d", len(kx), len(r.xs))
+	kx := r.column(i)
+	e.mu = r.meanFromCross(kx)
+	if want == fillFull {
+		e.variance = r.varianceFromCross(kx, r.candKxx[i])
+		e.sd = math.Sqrt(e.variance)
 	}
-	return r.posteriorFromCross(kx, kxx)
+	e.fill = want
+	return e, nil
 }
 
-// posteriorFromCross is the shared Eq. 17 evaluation; the fit must be
-// current and len(kx) == Rows().
-func (r *Regressor) posteriorFromCross(kx []float64, kxx float64) (mu, variance float64, err error) {
-	return r.meanFromCross(kx), r.varianceFromCross(kx, kxx), nil
+// column returns candidate i's cross-covariances k(x_j, c_i) over every
+// row, gathered into the query scratch, after appending the cache block
+// of each row observed since the last call.
+//
+//lint:hotpath
+func (r *Regressor) column(i int) []float64 {
+	c := len(r.cands)
+	for j := len(r.crossK) / c; j < len(r.xs); j++ {
+		for _, cand := range r.cands {
+			r.crossK = append(r.crossK, r.kernel.Eval(r.xs[j], cand))
+		}
+	}
+	kx := growFloats(r.kxBuf, len(r.xs))
+	r.kxBuf = kx
+	for j := range kx {
+		kx[j] = r.crossK[j*c+i]
+	}
+	return kx
 }
 
 // meanFromCross returns μ = mean + Σ_j kx[j]·α_j in row order; the fit

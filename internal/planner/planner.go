@@ -220,7 +220,7 @@ func fitCurves(cfg *Config, probes []Probe) ([]*gp.Regressor, error) {
 		if err != nil {
 			return nil, err
 		}
-		regs[i], err = gp.NewRegressor(kernel, noiseSD*noiseSD)
+		regs[i], err = gp.NewRegressor(kernel, noiseSD*noiseSD, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -15,8 +15,11 @@ import (
 // can be compared across runs counter-for-counter. It follows the
 // nil-default hook pattern: every method is a no-op on a nil receiver, so instrumented
 // code needs no conditionals and runs unchanged when no registry is
-// installed. Safe for concurrent use — the parallel LML search and any
-// future worker pools may update metrics from multiple goroutines.
+// installed. Safe for concurrent use: the fleet decides its tenants in
+// parallel (fleet.decideAll's par.For), and their controllers count
+// core_stale_snapshot_skips, core_rejected_capacity_obs and
+// core_rejected_throughput_obs through core.Config.Counters into one
+// shared registry from those worker goroutines.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]int64

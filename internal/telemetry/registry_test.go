@@ -176,7 +176,8 @@ func TestRegistryPanicsOnMisuse(t *testing.T) {
 }
 
 // The registry is the one observability surface shared with worker
-// goroutines (the parallel LML search); this test exists to put that
+// goroutines (the controllers of fleet.decideAll's parallel decide pass
+// count through core.Config.Counters); this test exists to put that
 // contract under the race detector.
 func TestRegistryConcurrentUse(t *testing.T) {
 	r := NewRegistry()

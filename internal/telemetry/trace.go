@@ -107,8 +107,9 @@ type SpanRecord struct {
 //
 // A Tracer is owned by the single-threaded control loop of one run; Begin,
 // End and Event must not be called concurrently. The attached metrics
-// Registry, by contrast, is safe for concurrent use (the parallel LML
-// search updates counters from worker goroutines).
+// Registry, by contrast, is safe for concurrent use (the controllers of
+// the fleet's parallel decide pass update counters from worker
+// goroutines).
 type Tracer struct {
 	mu    sync.Mutex
 	clock func() int64

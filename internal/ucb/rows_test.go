@@ -31,13 +31,13 @@ func gridSearcher(t testing.TB, refitEvery int) *Searcher {
 }
 
 // uncachedSelect re-scores the Extended acquisition from a fresh
-// regressor fed every raw observation (xs[i], ys[i]) under the searcher's
-// current kernel, reading plain Posterior calls: no cross-covariance
-// cache and no incremental factor. It is the oracle Select must agree
+// regressor without candidates fed every raw observation (xs[i], ys[i])
+// under the searcher's current kernel, reading plain Posterior calls: no
+// candidate cache and no incremental factor. It is the oracle Select must agree
 // with.
 func uncachedSelect(t *testing.T, s *Searcher, xs [][]float64, ys []float64, target, beta float64) int {
 	t.Helper()
-	ref, err := gp.NewRegressor(s.Regressor().Kernel(), rowsNoise)
+	ref, err := gp.NewRegressor(s.Regressor().Kernel(), rowsNoise, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func uncachedSelect(t *testing.T, s *Searcher, xs [][]float64, ys []float64, tar
 // loop that mostly revisits candidates — each repeat adds no row and no
 // cache block — with and without hyperparameter refits swapping kernels
 // mid-run, and checks every Select against uncachedSelect. This pins the
-// chain row merge → appendCross → PosteriorFromCross.
+// chain row merge → candidate cache → candidate table.
 func TestSelectMatchesRawOracleUnderRepeats(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -103,42 +103,10 @@ func TestSelectMatchesRawOracleUnderRepeats(t *testing.T) {
 	}
 }
 
-// TestCrossCacheAlignedWithRows white-box checks the cache after a run of
-// repeats: it covers exactly the regressor's rows, and every entry equals
-// a fresh kernel evaluation against the row it claims to cover.
-func TestCrossCacheAlignedWithRows(t *testing.T) {
-	s := gridSearcher(t, 0)
-	rng := stats.NewRNG(31)
-	for round := 0; round < 40; round++ {
-		x := s.candidates[rng.Intn(6)]
-		if err := s.Observe(x, capCurve(x[0])+rng.Normal(0, 5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, _, err := s.Select(500); err != nil { // force a sync
-		t.Fatal(err)
-	}
-	xs, _ := s.Regressor().Observations()
-	if s.crossN != len(xs) || len(xs) > 6 {
-		t.Fatalf("crossN = %d, rows = %d (at most 6 distinct points observed)", s.crossN, len(xs))
-	}
-	k := s.Regressor().Kernel()
-	c := len(s.candidates)
-	if len(s.crossK) != len(xs)*c {
-		t.Fatalf("cache holds %d entries, want %d", len(s.crossK), len(xs)*c)
-	}
-	for j, x := range xs {
-		for ci, cand := range s.candidates {
-			if got, want := s.crossK[j*c+ci], k.Eval(x, cand); got != want {
-				t.Fatalf("crossK[%d][%d] = %v, fresh eval = %v: cache misaligned with the rows", j, ci, got, want)
-			}
-		}
-	}
-}
-
 // TestSelectAfterRepeatAddsNoRow covers the corner where the observation
-// just fed repeats a cached row: appendCross must add nothing, and the
-// next Select must still match the uncached oracle.
+// just fed repeats a cached row: the next Select must still match the
+// uncached oracle. (gp's TestCrossCacheAlignedWithRows checks that the
+// repeat adds no cache block.)
 func TestSelectAfterRepeatAddsNoRow(t *testing.T) {
 	s := gridSearcher(t, 0)
 	var xs [][]float64
@@ -152,9 +120,6 @@ func TestSelectAfterRepeatAddsNoRow(t *testing.T) {
 		if _, _, _, err := s.Select(500); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if s.crossN != 3 || len(s.crossK) != 3*len(s.candidates) {
-		t.Fatalf("cache covers %d rows (%d entries) after a repeat, want 3", s.crossN, len(s.crossK))
 	}
 	_, idx, beta, err := s.Select(500)
 	if err != nil {

@@ -68,9 +68,6 @@ func checkTableSequence(t *testing.T, seed int64, cands [][]float64, refitEvery 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.table != nil {
-		t.Fatal("NewSearcher allocated the posterior table")
-	}
 	rng := stats.NewRNG(seed)
 	for step := 0; step < 80; step++ {
 		switch op := rng.Float64(); {
@@ -196,10 +193,11 @@ func TestReadersOnEmptyGP(t *testing.T) {
 	}
 }
 
-// TestObserveAtGridPointEvaluatesNoKernelRow counts kernel evaluations:
-// once the cross-covariance cache and the factor are current, an
-// observation repeating a candidate evaluates no kernel at all, and one opening a new candidate
-// row evaluates only the cache's C new entries.
+// TestObserveAtGridPointEvaluatesNoKernelRow counts kernel evaluations
+// over observations and the read after them. Once the candidate cache
+// and the factor are current, observations repeating a candidate
+// evaluate no kernel at all, and one opening a new candidate row
+// evaluates only the cache's C new entries, which the next read appends.
 func TestObserveAtGridPointEvaluatesNoKernelRow(t *testing.T) {
 	k := &countingKernel{inner: gp.SquaredExponential{LengthScale: 2, Variance: 1e4}}
 	s, err := NewSearcher(Config{NoiseVar: 25, Candidates: taskCandidates(t), Kernel: k})
@@ -207,31 +205,27 @@ func TestObserveAtGridPointEvaluatesNoKernelRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := len(s.candidates)
-	k.n = 0
-	if err := s.Observe([]float64{3}, 300); err != nil {
-		t.Fatal(err)
-	}
-	if k.n != c {
-		t.Errorf("first observation evaluated %d kernels, want the %d cache entries", k.n, c)
-	}
-	if _, err := s.Mean([]float64{3}); err != nil { // the first factorization
-		t.Fatal(err)
-	}
-	k.n = 0
-	for i := 0; i < 5; i++ {
-		if err := s.Observe([]float64{3}, 310); err != nil {
+	observeThenRead := func(x float64, repeats int) int {
+		t.Helper()
+		k.n = 0
+		for i := 0; i < repeats; i++ {
+			if err := s.Observe([]float64{x}, 100*x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Mean([]float64{x}); err != nil {
 			t.Fatal(err)
 		}
+		return k.n
 	}
-	if k.n != 0 {
-		t.Errorf("repeated grid observations evaluated %d kernels, want 0", k.n)
+	if n := observeThenRead(3, 1); n != c+1 {
+		t.Errorf("first observation evaluated %d kernels, want %d: the %d cache entries and the first factorization's diagonal", n, c+1, c)
 	}
-	k.n = 0
-	if err := s.Observe([]float64{7}, 650); err != nil {
-		t.Fatal(err)
+	if n := observeThenRead(3, 5); n != 0 {
+		t.Errorf("repeated grid observations evaluated %d kernels, want 0", n)
 	}
-	if k.n != c {
-		t.Errorf("new grid row evaluated %d kernels, want the %d cache entries", k.n, c)
+	if n := observeThenRead(7, 1); n != c {
+		t.Errorf("new grid row evaluated %d kernels, want the %d cache entries", n, c)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"dragster/internal/gp"
 	"dragster/internal/telemetry"
@@ -79,27 +78,8 @@ type Searcher struct {
 	// rescanning reg.Observations() per refit, without the O(n) copy).
 	meanY, m2Y float64
 
-	// Cross-covariance cache for Select: crossK[j*C+ci] = k(x_j, cand_ci)
-	// over the regressor's rows (row-major so a new row appends one
-	// contiguous block of C entries), crossKxx[ci] = k(cand_ci, cand_ci).
-	// Valid only while crossEpoch matches the regressor's kernel epoch; a
-	// kernel swap (hyperparameter refit) forces a full recompute.
-	crossK     []float64
-	crossKxx   []float64
-	crossN     int // rows covered by crossK
-	crossEpoch uint64
-	kxScratch  []float64 // per-candidate gather buffer for the *FromCross reads
-
-	// Per-candidate posterior table: table[ci] holds candidate ci's μ, σ²
-	// and UCB value, filled lazily from the cross-covariance cache on the
-	// first read of each candidate. It is valid while the regressor's
-	// kernel epoch and observation count still equal tabEpoch and tabLen;
-	// β_t and √β_t are computed once per table. Allocated on first read.
-	table    []posterior
-	tabEpoch uint64
-	tabLen   int
-	beta     float64
-	sqrtBeta float64
+	// β_t and √β_t at the current t, recomputed by each Observe.
+	beta, sqrtBeta float64
 
 	// observability hooks; nil-safe, see internal/telemetry.
 	tracer *telemetry.Tracer
@@ -179,42 +159,19 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 		}
 		cfg.Kernel = k
 	}
-	reg, err := gp.NewRegressor(cfg.Kernel, cfg.NoiseVar)
+	reg, err := gp.NewRegressor(cfg.Kernel, cfg.NoiseVar, cands)
 	if err != nil {
 		return nil, err
 	}
-	s := &Searcher{
+	return &Searcher{
 		reg:        reg,
 		candidates: cands,
 		acq:        cfg.Acquisition,
 		explore:    cfg.ExplorationScale,
 		refitEvery: cfg.RefitEvery,
 		diam:       diam,
-		crossKxx:   make([]float64, len(cands)),
-		crossEpoch: reg.KernelEpoch(),
-	}
-	for ci, cand := range s.candidates {
-		s.crossKxx[ci] = reg.Kernel().Eval(cand, cand)
-	}
-	return s, nil
+	}, nil
 }
-
-// posterior is one candidate's entry in the Searcher's table.
-type posterior struct {
-	mu       float64
-	variance float64 // σ²
-	sd       float64 // σ = √σ²
-	ucb      float64 // μ + s·√β_t·σ, OptimisticAt's value
-	fill     uint8   // fillNone, fillMean (μ only) or fillFull
-}
-
-// Fill levels of a table entry: a mean-only read skips the variance's
-// triangular solve.
-const (
-	fillNone uint8 = iota
-	fillMean
-	fillFull
-)
 
 func candidateDiameter(cands [][]float64) float64 {
 	var maxD float64
@@ -243,167 +200,21 @@ func (s *Searcher) Observe(x []float64, capacityObs float64) error {
 	if len(x) != len(s.candidates[0]) {
 		return fmt.Errorf("ucb: observed configuration has dimension %d, candidates %d", len(x), len(s.candidates[0]))
 	}
-	// At a grid point the kernel row is a column of the cross-covariance
-	// cache, when that is current: the observation evaluates no kernel.
-	var err error
-	if ci := s.candidateIndex(x); ci >= 0 && s.crossCurrent() {
-		err = s.reg.ObserveFromCross(x, capacityObs, s.crossColumn(ci), s.crossKxx[ci])
-	} else {
-		err = s.reg.Observe(x, capacityObs)
-	}
-	if err != nil {
+	if err := s.reg.Observe(x, capacityObs); err != nil {
 		return err
 	}
 	s.t++
+	s.beta = Beta(s.t, len(s.candidates), confidenceDelta)
+	s.sqrtBeta = math.Sqrt(s.beta)
 	d := capacityObs - s.meanY
 	s.meanY += d / float64(s.t)
 	s.m2Y += d * (capacityObs - s.meanY)
-	s.appendCross(x)
 	if s.refitEvery > 0 && s.t >= 5 && s.t%s.refitEvery == 0 {
 		if err := s.refitHyperparams(); err != nil && !errors.Is(err, gp.ErrTooFewPoints) {
 			return err
 		}
 	}
 	return nil
-}
-
-// appendCross extends the cross-covariance cache when the observation
-// just fed opened a new row — O(C) kernel evaluations instead of the
-// O(C·n) a full rebuild costs. A repeated configuration adds no row and
-// leaves the cache as it is. If the cache is stale (kernel swapped since
-// the last sync) the append is skipped and Select's syncCross rebuilds it.
-func (s *Searcher) appendCross(x []float64) {
-	if s.crossEpoch != s.reg.KernelEpoch() || s.crossN != s.reg.Rows()-1 {
-		return
-	}
-	k := s.reg.Kernel()
-	for _, cand := range s.candidates {
-		s.crossK = append(s.crossK, k.Eval(x, cand))
-	}
-	s.crossN++
-}
-
-// crossCurrent reports whether the cross-covariance cache covers every
-// row of the regressor under its current kernel.
-func (s *Searcher) crossCurrent() bool {
-	return s.crossEpoch == s.reg.KernelEpoch() && s.crossN == s.reg.Rows()
-}
-
-// crossColumn gathers candidate ci's cross-covariance vector
-// k(x_j, cand_ci) over the cached rows into the searcher's scratch and
-// returns it. The cache must be current.
-func (s *Searcher) crossColumn(ci int) []float64 {
-	n, c := s.crossN, len(s.candidates)
-	if cap(s.kxScratch) < n {
-		s.kxScratch = make([]float64, n)
-	}
-	kx := s.kxScratch[:n]
-	for j := range kx {
-		kx[j] = s.crossK[j*c+ci]
-	}
-	return kx
-}
-
-// candidateIndex returns the index of the candidate equal to x, element
-// for element, or -1 when x is off the grid.
-func (s *Searcher) candidateIndex(x []float64) int {
-	for i, c := range s.candidates {
-		if slices.Equal(c, x) {
-			return i
-		}
-	}
-	return -1
-}
-
-// syncTable makes the posterior table current: when the kernel epoch or
-// the observation count moved since it was filled, it syncs the
-// cross-covariance cache, empties every entry and recomputes β_t. It
-// returns ErrNoData on an empty GP.
-//
-//lint:hotpath
-func (s *Searcher) syncTable() error {
-	n := s.reg.Len()
-	if n == 0 {
-		return ErrNoData
-	}
-	epoch := s.reg.KernelEpoch()
-	if s.table != nil && s.tabEpoch == epoch && s.tabLen == n {
-		return nil
-	}
-	s.syncCross()
-	if s.table == nil {
-		s.table = make([]posterior, len(s.candidates))
-	} else {
-		clear(s.table)
-	}
-	s.tabEpoch, s.tabLen = epoch, n
-	s.beta = Beta(s.t, len(s.candidates), confidenceDelta)
-	s.sqrtBeta = math.Sqrt(s.beta)
-	return nil
-}
-
-// entry syncs the table and returns candidate ci's entry, filling it from
-// the cross-covariance cache up to the wanted level. Each value is the
-// float expression the regressor's own readers compute, on the same
-// operands, so a table read is bit-equal to a fresh one.
-//
-//lint:hotpath
-func (s *Searcher) entry(ci int, want uint8) (*posterior, error) {
-	if err := s.syncTable(); err != nil {
-		return nil, err
-	}
-	e := &s.table[ci]
-	if e.fill >= want {
-		return e, nil
-	}
-	kx := s.crossColumn(ci)
-	if want == fillMean {
-		mu, err := s.reg.MeanFromCross(kx)
-		if err != nil {
-			return nil, err
-		}
-		e.mu, e.fill = mu, fillMean
-		return e, nil
-	}
-	mu, variance, err := s.reg.PosteriorFromCross(kx, s.crossKxx[ci])
-	if err != nil {
-		return nil, err
-	}
-	e.mu, e.variance, e.sd = mu, variance, math.Sqrt(variance)
-	e.ucb = mu + s.explore*s.sqrtBeta*e.sd
-	e.fill = fillFull
-	return e, nil
-}
-
-// syncCross brings the cross-covariance cache up to date with the
-// regressor: a no-op in steady state (appendCross keeps it current), a
-// catch-up append if rows arrived out of band, and a full O(C·n)
-// recompute after a kernel swap — kernel swaps invalidate every cached
-// covariance, including the candidate self-covariances.
-func (s *Searcher) syncCross() {
-	epoch := s.reg.KernelEpoch()
-	n := s.reg.Rows()
-	if s.crossEpoch == epoch && s.crossN == n {
-		return
-	}
-	k := s.reg.Kernel()
-	if s.crossEpoch != epoch {
-		s.crossK = s.crossK[:0]
-		s.crossN = 0
-		s.crossEpoch = epoch
-		for ci, cand := range s.candidates {
-			s.crossKxx[ci] = k.Eval(cand, cand)
-		}
-	}
-	if s.crossN < n {
-		xs, _ := s.reg.Observations()
-		for i := s.crossN; i < n; i++ {
-			for _, cand := range s.candidates {
-				s.crossK = append(s.crossK, k.Eval(xs[i], cand))
-			}
-		}
-		s.crossN = n
-	}
 }
 
 // refitHyperparams runs the parallel LML grid search over scales derived
@@ -446,65 +257,58 @@ func (s *Searcher) Observations() int { return s.t }
 func (s *Searcher) Regressor() *gp.Regressor { return s.reg }
 
 // PosteriorAt returns μ, σ² at candidate index i (ErrNoData before any
-// observation), read from the posterior table.
+// observation), read from the regressor's candidate table.
 func (s *Searcher) PosteriorAt(i int) (float64, float64, error) {
 	if i < 0 || i >= len(s.candidates) {
 		return 0, 0, fmt.Errorf("ucb: candidate index %d out of range", i)
 	}
-	e, err := s.entry(i, fillFull)
-	if err != nil {
-		return 0, 0, err
+	if s.t == 0 {
+		return 0, 0, ErrNoData
 	}
-	return e.mu, e.variance, nil
+	mu, variance, _, err := s.reg.PosteriorAt(i)
+	return mu, variance, err
 }
 
 // Mean returns the posterior mean μ_t(x) (ErrNoData before any
-// observation): from the posterior table when x is a candidate, else
-// from the regressor.
+// observation): from the regressor's candidate table when x is a
+// candidate, else evaluated at x.
 //
 //lint:hotpath
 func (s *Searcher) Mean(x []float64) (float64, error) {
-	ci := s.candidateIndex(x)
-	if ci < 0 {
-		if s.reg.Len() == 0 {
-			return 0, ErrNoData
-		}
-		return s.reg.Mean(x)
+	if s.t == 0 {
+		return 0, ErrNoData
 	}
-	e, err := s.entry(ci, fillMean)
-	if err != nil {
-		return 0, err
+	if i := s.reg.CandidateIndex(x); i >= 0 {
+		return s.reg.MeanAt(i)
 	}
-	return e.mu, nil
+	return s.reg.Mean(x)
 }
 
 // OptimisticAt returns the upper confidence value μ(x) + s·√β_t·σ(x) at an
 // arbitrary configuration, with s the searcher's exploration scale
-// (ErrNoData before any observation). A candidate's value comes from the
-// posterior table; any other x is evaluated through the regressor. The
-// budget rebalancer scores candidate reallocations with this optimistic
+// (ErrNoData before any observation). A candidate's μ and σ come from the
+// regressor's candidate table; any other x is evaluated. The budget
+// rebalancer scores candidate reallocations with this optimistic
 // capacity so unexplored operators still attract tasks (plain posterior
 // means are flat before exploration and would freeze the allocation).
 //
 //lint:hotpath
 func (s *Searcher) OptimisticAt(x []float64) (float64, error) {
-	ci := s.candidateIndex(x)
-	if ci < 0 {
-		if s.reg.Len() == 0 {
-			return 0, ErrNoData
-		}
-		mu, variance, err := s.reg.Posterior(x)
-		if err != nil {
-			return 0, err
-		}
-		beta := Beta(s.t, len(s.candidates), confidenceDelta)
-		return mu + s.explore*math.Sqrt(beta)*math.Sqrt(variance), nil
+	if s.t == 0 {
+		return 0, ErrNoData
 	}
-	e, err := s.entry(ci, fillFull)
+	var mu, variance, sd float64
+	var err error
+	if i := s.reg.CandidateIndex(x); i >= 0 {
+		mu, _, sd, err = s.reg.PosteriorAt(i)
+	} else {
+		mu, variance, err = s.reg.Posterior(x)
+		sd = math.Sqrt(variance)
+	}
 	if err != nil {
 		return 0, err
 	}
-	return e.ucb, nil
+	return mu + s.explore*s.sqrtBeta*sd, nil
 }
 
 // ErrNoData is returned by Select before any observation; callers should
@@ -516,23 +320,24 @@ var ErrNoData = errors.New("ucb: no observations yet")
 // target capacity, along with its index and the β_t used. For the
 // Conventional acquisition the target is ignored.
 func (s *Searcher) Select(target float64) (x []float64, idx int, beta float64, err error) {
-	// Score candidates from the posterior table: only rows that appeared
-	// since the last sync (or a kernel swap) cost kernel evaluations, and
-	// a candidate another reader already filled this round costs nothing.
+	if s.t == 0 {
+		return nil, 0, 0, ErrNoData
+	}
+	// Score candidates from the regressor's candidate table: a candidate
+	// another reader already filled this round costs nothing.
 	bestScore := math.Inf(-1)
 	idx = -1
 	for i := range s.candidates {
-		e, err := s.entry(i, fillFull)
+		mu, _, sd, err := s.reg.PosteriorAt(i)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		mu := e.mu
 		// Eq. 18 of the paper literally writes β_t·σ², but the proof of
 		// Theorem 1 manipulates β^{1/2}·σ confidence widths (Eq. 22), and
 		// β·σ² is dimensionally a variance that swamps the |μ−y| tracking
 		// term at realistic tuples/s scales; the bonus is therefore the
 		// Srinivas-et-al β^{1/2}·σ form the proof supports.
-		bonus := s.sqrtBeta * e.sd * s.explore
+		bonus := s.sqrtBeta * sd * s.explore
 		score := mu + bonus // Conventional
 		if s.acq == Extended {
 			score = -math.Abs(mu-target) + bonus

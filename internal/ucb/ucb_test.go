@@ -74,6 +74,28 @@ func TestSelectBeforeDataReturnsErrNoData(t *testing.T) {
 	}
 }
 
+// TestObserveRejectsBadSamples: a configuration of the wrong dimension
+// and a non-finite capacity are rejected without counting as an
+// observation, so every reader still reports ErrNoData.
+func TestObserveRejectsBadSamples(t *testing.T) {
+	s := newSearcher(t, Extended)
+	if err := s.Observe([]float64{3, 1000}, 300); err == nil {
+		t.Error("a 2-D configuration accepted by a 1-D searcher")
+	}
+	if err := s.Observe([]float64{3}, math.NaN()); err == nil {
+		t.Error("a NaN capacity sample accepted")
+	}
+	if s.Observations() != 0 {
+		t.Fatalf("rejected samples counted: %d observations", s.Observations())
+	}
+	if _, _, err := s.PosteriorAt(0); !errors.Is(err, ErrNoData) {
+		t.Errorf("PosteriorAt after rejected samples: err = %v, want ErrNoData", err)
+	}
+	if _, _, _, err := s.Select(100); !errors.Is(err, ErrNoData) {
+		t.Errorf("Select after rejected samples: err = %v, want ErrNoData", err)
+	}
+}
+
 // capCurve is the hidden capacity function the searcher must learn:
 // concave in the task count, 100·n^0.9.
 func capCurve(n float64) float64 { return 100 * math.Pow(n, 0.9) }
