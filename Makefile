@@ -94,11 +94,12 @@ bench-layers:
 	$(GO) test -run NONE -bench 'EvaluateChain|GradientChain|SaddlePointStep|TickChain|RunSlotYahoo|ControllerDecide|NewRNG|Normal|PlannerBuild|FleetAdmit' -benchmem \
 		. ./internal/dag ./internal/osp ./internal/streamsim ./internal/flink ./internal/stats ./internal/planner ./internal/fleet | $(GO) run ./cmd/benchsnapshot -out BENCH_layers.json -label "make bench-layers"
 
-# Re-run the e2e benchmarks three times and fail if any median ns/op
+# Re-run the e2e benchmarks five times and fail if any median ns/op
 # regressed more than 20% against the committed snapshot (CI runs the
-# same gate). The median keeps one noisy run from tripping the gate.
+# same gate). The median of five keeps up to two noisy runs from
+# tripping the gate.
 bench-e2e-gate:
-	$(GO) test -run NONE -bench 'RunRoundsPerSec|Repeat8Seeds|FleetRound' -benchmem -count 3 \
+	$(GO) test -run NONE -bench 'RunRoundsPerSec|Repeat8Seeds|FleetRound' -benchmem -count 5 \
 		./internal/experiment ./internal/fleet | $(GO) run ./cmd/benchsnapshot -gate BENCH_e2e.json
 
 # Snapshot the GP-stack micro-benchmarks (posterior, incremental refit,

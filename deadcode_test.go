@@ -16,10 +16,11 @@ import (
 	"testing"
 )
 
-// deadExportKeep lists the exported functions, methods, types and struct
-// fields that no production file uses (for a field: reads), each with the
-// reason it stays. Keys are "<import path>.<Name>",
-// "<import path>.<Receiver>.<Method>" or "<import path>.<Type>.<Field>".
+// deadExportKeep lists the exported functions, methods and types and the
+// struct fields, exported or not, that no production file uses (for a
+// field: reads), each with the reason it stays. Keys are
+// "<import path>.<Name>", "<import path>.<Receiver>.<Method>" or
+// "<import path>.<Type>.<Field>".
 var deadExportKeep = map[string]string{
 	// Test seams and oracles.
 	"dragster/internal/dag.Graph.Gradient":                 "the throughput gradient example_test.go documents",
@@ -34,6 +35,7 @@ var deadExportKeep = map[string]string{
 	"dragster/internal/linalg.Cholesky.SolveVec":           "allocating form of SolveVecInto, the solve tests' oracle",
 	"dragster/internal/linalg.Cholesky.SolveLowerVec":      "test oracle for the in-place triangular solves",
 	"dragster/internal/streamsim.Engine.CPUView":           "test seam onto the engine's per-operator CPU",
+	"dragster/internal/flink.Job.EffectiveCPUMilli":        "test seam onto each operator's per-pod CPU template; the slot report carries it in production",
 	"dragster/internal/streamsim.Engine.TasksView":         "test seam onto the engine's per-operator tasks",
 	"dragster/internal/streamsim.Engine.TrueCapacity":      "noise-free capacity oracle the tests check against",
 	"dragster/internal/streamsim.Engine.BufferedTotal":     "backlog oracle for the buffer-cap and draining tests",
@@ -41,7 +43,6 @@ var deadExportKeep = map[string]string{
 	"dragster/internal/telemetry.Registry.CounterValue":    "test seam onto one counter",
 	"dragster/internal/telemetry.Registry.GaugeValue":      "test seam onto one gauge",
 	"dragster/internal/core.Controller.StaleSkips":         "test seam onto the stale-round count",
-	"dragster/internal/core.RescaleRetrier.LastErr":        "test seam onto the retrier's last error",
 	"dragster/internal/daemon.FleetDaemon.StepN":           "test helper that steps several fleet rounds at once",
 	"dragster/internal/experiment.Runner.ChaosTrace":       "test seam onto the injected fault trace",
 	"dragster/internal/fleet.Manager.TraceBytes":           "test seam onto the encoded event trace",
@@ -89,9 +90,10 @@ func callerOnly(dir string) bool {
 }
 
 // TestNoDeadExports fails on any exported function, method or type that
-// no production file uses, on any exported struct field that no
-// production file reads, and on any keep-list entry that is stale because
-// its symbol is gone or production code uses it after all.
+// no production file uses, on any field of a package-level struct type,
+// exported or not, that no production file reads, and on any keep-list
+// entry that is stale because its symbol is gone or production code uses
+// it after all.
 func TestNoDeadExports(t *testing.T) {
 	dead, declared, err := deadExports(".", "dragster", callerOnly)
 	if err != nil {
@@ -125,13 +127,15 @@ func TestNoDeadExports(t *testing.T) {
 // pass the first; a match by object must flag it and pass the second.
 // The fixture's struct fields pin what counts as a read: a field only
 // set in literals and assignments, only incremented, or only appended to
-// itself is dead; a read field and a JSON-tagged one are not.
+// itself is dead, exported or not and in an exported type or not; a read
+// field, a JSON-tagged one and every field of a struct used as a map key
+// or compared with == are not.
 func TestDeadExportsMatchByObject(t *testing.T) {
 	dead, _, err := deadExports(filepath.Join("testdata", "deadexport"), "fixture", func(string) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"fixture.Dead.Close", "fixture.Tally.Bumped", "fixture.Tally.Log", "fixture.Tally.Set"}
+	want := []string{"fixture.Dead.Close", "fixture.Tally.Bumped", "fixture.Tally.Log", "fixture.Tally.Set", "fixture.Tally.note", "fixture.tally.hits"}
 	if !reflect.DeepEqual(dead, want) {
 		t.Errorf("dead = %v, want %v", dead, want)
 	}
@@ -140,12 +144,13 @@ func TestDeadExportsMatchByObject(t *testing.T) {
 // deadExports type-checks every non-test package under root (import
 // path mod plus the directory) and returns, sorted, the exported
 // functions, methods and types whose object no production file uses
-// outside its own declaration, and the exported fields of exported struct
+// outside its own declaration, and the fields of package-level struct
 // types that no production file reads, together with every checked
 // declaration. Keys have the deadExportKeep form. A method also counts as
 // used when it satisfies an interface one of whose methods production
 // code calls, or one of stdCallbacks. A field with a json tag counts as
-// read, because the encoder reads it; fieldWrites lists the uses that
+// read, because the encoder reads it, and so does every field of a struct
+// used as a map key or compared with ==; fieldWrites lists the uses that
 // only write. Directories named testdata or dagtest (test support) are
 // skipped.
 func deadExports(root, mod string, callerOnly func(dir string) bool) (dead []string, declared map[string]bool, err error) {
@@ -224,22 +229,21 @@ func deadExports(root, mod string, callerOnly func(dir string) bool) (dead []str
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
 						ts, ok := s.(*ast.TypeSpec)
-						if !ok || !ts.Name.IsExported() {
+						if !ok {
 							continue
 						}
-						obj := p.info.Defs[ts.Name]
 						key := p.pkg.Path() + "." + ts.Name.Name
-						keyOf[obj], declared[key] = key, true
-						own[obj] = append(own[obj], span{ts.Pos(), ts.End()})
+						if ts.Name.IsExported() {
+							obj := p.info.Defs[ts.Name]
+							keyOf[obj], declared[key] = key, true
+							own[obj] = append(own[obj], span{ts.Pos(), ts.End()})
+						}
 						st, ok := ts.Type.(*ast.StructType)
 						if !ok {
 							continue
 						}
 						for _, f := range st.Fields.List {
 							for _, name := range f.Names {
-								if !name.IsExported() {
-									continue
-								}
 								fobj := p.info.Defs[name]
 								keyOf[fobj], declared[key+"."+name.Name] = key+"."+name.Name, true
 								used[fobj] = jsonTagged(f.Tag)
@@ -254,6 +258,7 @@ func deadExports(root, mod string, callerOnly func(dir string) bool) (dead []str
 	// Uses, and the interface methods production code calls.
 	ifaceCalls := map[*types.Func]bool{} // interface methods called
 	for _, p := range all {
+		readCompared(p, used)
 		writes := fieldWrites(p)
 		for id, obj := range p.info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
@@ -369,6 +374,34 @@ func fieldWrites(p *loadedPkg) map[*ast.Ident]bool {
 	return w
 }
 
+// readCompared marks as read every field of the types p's files compare
+// as a whole: the key types of its maps and the operands of its == and
+// != expressions. Such a comparison reads every field of a struct.
+func readCompared(p *loadedPkg, used map[types.Object]bool) {
+	for e, tv := range p.info.Types {
+		if m, ok := tv.Type.Underlying().(*types.Map); ok {
+			readFields(m.Key(), used)
+		}
+		if b, ok := e.(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.NEQ) && p.info.Types[b.X].Type != nil {
+			readFields(p.info.Types[b.X].Type, used)
+		}
+	}
+}
+
+// readFields marks every field of t as read, and the fields of the
+// structs and arrays it holds by value, as comparing a t does.
+func readFields(t types.Type, used map[types.Object]bool) {
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			used[u.Field(i).Origin()] = true
+			readFields(u.Field(i).Type(), used)
+		}
+	case *types.Array:
+		readFields(u.Elem(), used)
+	}
+}
+
 // jsonTagged reports whether a struct field's tag names it for
 // encoding/json.
 func jsonTagged(tag *ast.BasicLit) bool {
@@ -464,8 +497,9 @@ func (l *typesLoader) load(path string) (*loadedPkg, error) {
 		return nil, err
 	}
 	p := &loadedPkg{info: &types.Info{
-		Defs: map[*ast.Ident]types.Object{},
-		Uses: map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)

@@ -268,7 +268,6 @@ type (
 	FleetJobSpec     = fleet.JobSpec
 	FleetResult      = fleet.Result
 	FleetArbitration = fleet.Arbitration
-	FleetScenario    = experiment.FleetScenario
 	FleetScore       = experiment.FleetScore
 )
 

@@ -59,20 +59,18 @@ func runFleet(arb dragster.FleetArbitration, slots, slotSeconds int) (*dragster.
 	if err != nil {
 		return nil, err
 	}
-	return dragster.RunFleetScenario(dragster.FleetScenario{
-		Config: dragster.FleetConfig{
-			Jobs: []dragster.FleetJobSpec{
-				{Name: "hot", Workload: wc, Rates: hot},
-				{Name: "light-a", Workload: g1, Rates: lightA},
-				{Name: "light-b", Workload: g2, Rates: lightB},
-			},
-			Slots:           slots,
-			SlotSeconds:     slotSeconds,
-			Seed:            1,
-			TotalTaskBudget: 20,
-			Arbitration:     arb,
-			RebalanceEvery:  2,
-			MaxGrowTasks:    6,
+	return dragster.RunFleetScenario(dragster.FleetConfig{
+		Jobs: []dragster.FleetJobSpec{
+			{Name: "hot", Workload: wc, Rates: hot},
+			{Name: "light-a", Workload: g1, Rates: lightA},
+			{Name: "light-b", Workload: g2, Rates: lightB},
 		},
+		Slots:           slots,
+		SlotSeconds:     slotSeconds,
+		Seed:            1,
+		TotalTaskBudget: 20,
+		Arbitration:     arb,
+		RebalanceEvery:  2,
+		MaxGrowTasks:    6,
 	})
 }

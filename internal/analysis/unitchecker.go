@@ -31,22 +31,17 @@ import (
 //      file at VetxOutput, prints diagnostics to stderr, and exits
 //      non-zero if there were any.
 
-// vetConfig is the JSON schema cmd/go writes for each package. Field names
-// match cmd/go/internal/work's vetConfig struct; unknown fields are
-// ignored for forward compatibility.
+// vetConfig is the part of the JSON schema cmd/go writes for each package
+// that the checker reads. Field names match cmd/go/internal/work's
+// vetConfig struct; encoding/json skips the fields not declared here.
 type vetConfig struct {
 	ID                        string
 	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool

@@ -11,26 +11,23 @@ func snap(ops ...monitor.OperatorMetrics) *monitor.Snapshot {
 }
 
 func TestNewDhalionValidation(t *testing.T) {
-	if _, err := NewDhalion(0); err == nil {
+	if _, err := NewDhalion(0, 0); err == nil {
 		t.Error("MaxTasks 0 accepted")
 	}
-	if _, err := NewDhalion(10, func(d *Dhalion) { d.MinTasks = 0 }); err == nil {
-		t.Error("MinTasks 0 accepted")
-	}
-	if _, err := NewDhalion(10, WithBudget(-1)); err == nil {
+	if _, err := NewDhalion(10, -1); err == nil {
 		t.Error("negative budget accepted")
 	}
-	d, err := NewDhalion(10, WithBudget(5))
+	d, err := NewDhalion(10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.TaskBudget != 5 || d.Name() != "dhalion" {
-		t.Errorf("options not applied: %+v", d)
+	if d.maxTasks != 10 || d.budget != 5 || d.Name() != "dhalion" {
+		t.Errorf("bounds not applied: %+v", d)
 	}
 }
 
 func TestDhalionScalesUpWorstBackpressure(t *testing.T) {
-	d, err := NewDhalion(10)
+	d, err := NewDhalion(10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +45,7 @@ func TestDhalionScalesUpWorstBackpressure(t *testing.T) {
 }
 
 func TestDhalionRespectsMaxTasksAndBudget(t *testing.T) {
-	d, err := NewDhalion(4, WithBudget(6))
+	d, err := NewDhalion(4, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +74,7 @@ func TestDhalionRespectsMaxTasksAndBudget(t *testing.T) {
 }
 
 func TestDhalionRemovesIdleTasksEverywhere(t *testing.T) {
-	d, err := NewDhalion(10) // idle threshold 0.7
+	d, err := NewDhalion(10, 0) // idle threshold 0.7
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +89,7 @@ func TestDhalionRemovesIdleTasksEverywhere(t *testing.T) {
 	if got[0] != 4 || got[1] != 3 || got[2] != 2 {
 		t.Errorf("Decide = %v, want [4 3 2]", got)
 	}
-	// MinTasks floor.
+	// minTasks floor.
 	got, err = d.Decide(snap(
 		monitor.OperatorMetrics{Name: "a", Tasks: 1, Util: 0.1},
 	))
@@ -100,12 +97,12 @@ func TestDhalionRemovesIdleTasksEverywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got[0] != 1 {
-		t.Errorf("went below MinTasks: %v", got)
+		t.Errorf("went below minTasks: %v", got)
 	}
 }
 
 func TestDhalionBackpressureBeatsIdle(t *testing.T) {
-	d, err := NewDhalion(10)
+	d, err := NewDhalion(10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +121,7 @@ func TestDhalionBackpressureBeatsIdle(t *testing.T) {
 }
 
 func TestDhalionNilSnapshot(t *testing.T) {
-	d, err := NewDhalion(10)
+	d, err := NewDhalion(10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +141,6 @@ func TestNewDS2Validation(t *testing.T) {
 	if d.Name() != "ds2" {
 		t.Errorf("Name = %q", d.Name())
 	}
-	d.Headroom = 0.5
-	if _, err := d.Decide(snap(monitor.OperatorMetrics{Tasks: 1})); err == nil {
-		t.Error("bad headroom accepted at decide time")
-	}
 }
 
 func TestDS2ProportionalScaling(t *testing.T) {
@@ -155,7 +148,6 @@ func TestDS2ProportionalScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.DrainSeconds = 0 // isolate the proportional term
 	// 2 tasks at full utilization process 100/s out of a required 300/s
 	// (selectivity 1): per-task true rate 50 → need ceil(300·1.1/50) = 7.
 	got, err := d.Decide(snap(monitor.OperatorMetrics{

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 
@@ -22,46 +21,28 @@ import (
 // self-adaptive comparator the capacity experiment measures plans
 // against.
 type Daedalus struct {
-	// MaxTasks caps per-operator parallelism; MinTasks floors it
-	// (default 1).
-	MaxTasks int
-	MinTasks int
-	// MaxStep bounds the per-operator parallelism change in one slot
-	// (default 2).
-	MaxStep int
-	// TaskBudget bounds Σ tasks when positive; scale-ups beyond it are
+	// maxTasks caps per-operator parallelism.
+	maxTasks int
+	// budget bounds Σ tasks when positive; scale-ups beyond it are
 	// granted in descending backlog order.
-	TaskBudget int
+	budget int
 }
 
-// targetUtil is the utilization Daedalus steers every operator to:
-// headroom below saturation, above idle waste.
-const targetUtil = 0.75
+const (
+	// targetUtil is the utilization Daedalus steers every operator to:
+	// headroom below saturation, above idle waste.
+	targetUtil = 0.75
+	// maxStep bounds the per-operator parallelism change in one slot.
+	maxStep = 2
+)
 
-// NewDaedalus validates and returns the policy.
-func NewDaedalus(maxTasks int, opts ...func(*Daedalus)) (*Daedalus, error) {
-	if maxTasks < 1 {
-		return nil, errors.New("baseline: MaxTasks must be ≥ 1")
+// NewDaedalus validates and returns the policy; a budget of 0 leaves
+// Σ tasks unbounded.
+func NewDaedalus(maxTasks, budget int) (*Daedalus, error) {
+	if err := checkBounds(maxTasks, budget); err != nil {
+		return nil, err
 	}
-	d := &Daedalus{MaxTasks: maxTasks, MinTasks: 1, MaxStep: 2}
-	for _, o := range opts {
-		o(d)
-	}
-	if d.MinTasks < 1 || d.MinTasks > d.MaxTasks {
-		return nil, fmt.Errorf("baseline: MinTasks %d outside [1, %d]", d.MinTasks, d.MaxTasks)
-	}
-	if d.MaxStep < 1 {
-		return nil, errors.New("baseline: MaxStep must be ≥ 1")
-	}
-	if d.TaskBudget < 0 {
-		return nil, errors.New("baseline: negative TaskBudget")
-	}
-	return d, nil
-}
-
-// WithDaedalusBudget sets the task budget.
-func WithDaedalusBudget(b int) func(*Daedalus) {
-	return func(d *Daedalus) { d.TaskBudget = b }
+	return &Daedalus{maxTasks: maxTasks, budget: budget}, nil
 }
 
 // Name implements the Autoscaler surface.
@@ -76,10 +57,7 @@ func (d *Daedalus) Decide(snap *monitor.Snapshot) ([]int, error) {
 	tasks := make([]int, n)
 	total := 0
 	for i, om := range snap.Operators {
-		cur := om.Tasks
-		if cur < d.MinTasks {
-			cur = d.MinTasks
-		}
+		cur := max(om.Tasks, minTasks)
 		// Utilization model: the work currently done by cur tasks at om.Util
 		// needs cur·util/target tasks at the setpoint.
 		want := cur
@@ -92,23 +70,13 @@ func (d *Daedalus) Decide(snap *monitor.Snapshot) ([]int, error) {
 			want = om.Tasks + 1
 		}
 		// Bounded actuation: real rescales pause the job, so Daedalus moves
-		// at most MaxStep tasks per slot.
-		if want > om.Tasks+d.MaxStep {
-			want = om.Tasks + d.MaxStep
-		}
-		if want < om.Tasks-d.MaxStep {
-			want = om.Tasks - d.MaxStep
-		}
-		if want < d.MinTasks {
-			want = d.MinTasks
-		}
-		if want > d.MaxTasks {
-			want = d.MaxTasks
-		}
+		// at most maxStep tasks per slot.
+		want = min(max(want, om.Tasks-maxStep), om.Tasks+maxStep)
+		want = min(max(want, minTasks), d.maxTasks)
 		tasks[i] = want
 		total += want
 	}
-	if d.TaskBudget > 0 && total > d.TaskBudget {
+	if d.budget > 0 && total > d.budget {
 		d.trimToBudget(snap, tasks, total)
 	}
 	return tasks, nil
@@ -130,14 +98,14 @@ func (d *Daedalus) trimToBudget(snap *monitor.Snapshot, tasks []int, total int) 
 		}
 		return order[a] > order[b]
 	})
-	for total > d.TaskBudget {
+	for total > d.budget {
 		trimmed := false
 		for _, i := range order {
-			if tasks[i] > snap.Operators[i].Tasks && tasks[i] > d.MinTasks {
+			if tasks[i] > snap.Operators[i].Tasks && tasks[i] > minTasks {
 				tasks[i]--
 				total--
 				trimmed = true
-				if total <= d.TaskBudget {
+				if total <= d.budget {
 					return
 				}
 			}

@@ -7,29 +7,23 @@ import (
 )
 
 func TestNewDaedalusValidation(t *testing.T) {
-	if _, err := NewDaedalus(0); err == nil {
+	if _, err := NewDaedalus(0, 0); err == nil {
 		t.Error("MaxTasks 0 accepted")
 	}
-	if _, err := NewDaedalus(10, func(d *Daedalus) { d.MinTasks = 20 }); err == nil {
-		t.Error("MinTasks above MaxTasks accepted")
-	}
-	if _, err := NewDaedalus(10, func(d *Daedalus) { d.MaxStep = 0 }); err == nil {
-		t.Error("MaxStep 0 accepted")
-	}
-	if _, err := NewDaedalus(10, WithDaedalusBudget(-1)); err == nil {
+	if _, err := NewDaedalus(10, -1); err == nil {
 		t.Error("negative budget accepted")
 	}
-	d, err := NewDaedalus(10, WithDaedalusBudget(12))
+	d, err := NewDaedalus(10, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.TaskBudget != 12 || d.Name() != "daedalus" {
-		t.Errorf("options not applied: %+v", d)
+	if d.maxTasks != 10 || d.budget != 12 || d.Name() != "daedalus" {
+		t.Errorf("bounds not applied: %+v", d)
 	}
 }
 
 func TestDaedalusScalesAllOperators(t *testing.T) {
-	d, err := NewDaedalus(10)
+	d, err := NewDaedalus(10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +45,7 @@ func TestDaedalusScalesAllOperators(t *testing.T) {
 }
 
 func TestDaedalusEscalatesBackpressure(t *testing.T) {
-	d, err := NewDaedalus(10)
+	d, err := NewDaedalus(10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +63,7 @@ func TestDaedalusEscalatesBackpressure(t *testing.T) {
 }
 
 func TestDaedalusBoundedStep(t *testing.T) {
-	d, err := NewDaedalus(10)
+	d, err := NewDaedalus(10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +83,7 @@ func TestDaedalusBoundedStep(t *testing.T) {
 }
 
 func TestDaedalusRespectsBudget(t *testing.T) {
-	d, err := NewDaedalus(10, WithDaedalusBudget(9))
+	d, err := NewDaedalus(10, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +105,7 @@ func TestDaedalusRespectsBudget(t *testing.T) {
 	}
 	// A budget already exceeded by the *current* allocation never forces
 	// scale-downs below it.
-	tight, err := NewDaedalus(10, WithDaedalusBudget(4))
+	tight, err := NewDaedalus(10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,13 @@
 // Package baseline implements the comparison policies of the paper's
 // evaluation: Dhalion (the rule-based self-regulating scaler of Twitter
-// Heron, §6.1) and a DS2-style proportional controller (related work,
-// included as an extra baseline). Both implement the same Autoscaler
-// surface as the Dragster controller.
+// Heron, §6.1), plus a DS2-style proportional controller and a
+// Daedalus-style utilization scaler (related work, included as extra
+// baselines). All three implement the same Autoscaler surface as the
+// Dragster controller.
 package baseline
 
 import (
 	"errors"
-	"fmt"
 
 	"dragster/internal/monitor"
 )
@@ -20,42 +20,40 @@ import (
 // configuration"). It is purely rule-based — it keeps no history, which
 // is why it repeats the same search after every recurring load change.
 type Dhalion struct {
-	// MaxTasks caps scale-up per operator (the paper's grid tops at 10).
-	MaxTasks int
-	// MinTasks floors scale-down (default 1).
-	MinTasks int
-	// TaskBudget bounds Σ tasks when positive. Dhalion respects the budget
-	// by refusing scale-ups that would exceed it (it does not rebalance
+	// maxTasks caps scale-up per operator (the paper's grid tops at 10).
+	maxTasks int
+	// budget bounds Σ tasks when positive. Dhalion respects the budget by
+	// refusing scale-ups that would exceed it (it does not rebalance
 	// across operators — the behaviour behind Fig. 4(d)).
-	TaskBudget int
+	budget int
 }
+
+// minTasks floors every baseline's per-operator parallelism.
+const minTasks = 1
 
 // idleUtil is the CPU threshold below which Dhalion removes a task. It
 // parks the scale-down at roughly 1.4× the minimal configuration — the
 // over-provisioning gap behind the paper's Table 2 cost comparison.
 const idleUtil = 0.7
 
-// NewDhalion validates and returns the policy.
-func NewDhalion(maxTasks int, opts ...func(*Dhalion)) (*Dhalion, error) {
-	if maxTasks < 1 {
-		return nil, errors.New("baseline: MaxTasks must be ≥ 1")
+// NewDhalion validates and returns the policy; a budget of 0 leaves
+// Σ tasks unbounded.
+func NewDhalion(maxTasks, budget int) (*Dhalion, error) {
+	if err := checkBounds(maxTasks, budget); err != nil {
+		return nil, err
 	}
-	d := &Dhalion{MaxTasks: maxTasks, MinTasks: 1}
-	for _, o := range opts {
-		o(d)
-	}
-	if d.MinTasks < 1 || d.MinTasks > d.MaxTasks {
-		return nil, fmt.Errorf("baseline: MinTasks %d outside [1, %d]", d.MinTasks, d.MaxTasks)
-	}
-	if d.TaskBudget < 0 {
-		return nil, errors.New("baseline: negative TaskBudget")
-	}
-	return d, nil
+	return &Dhalion{maxTasks: maxTasks, budget: budget}, nil
 }
 
-// WithBudget sets the task budget.
-func WithBudget(b int) func(*Dhalion) {
-	return func(d *Dhalion) { d.TaskBudget = b }
+// checkBounds validates a baseline's per-operator cap and task budget.
+func checkBounds(maxTasks, budget int) error {
+	if maxTasks < minTasks {
+		return errors.New("baseline: MaxTasks must be ≥ 1")
+	}
+	if budget < 0 {
+		return errors.New("baseline: negative TaskBudget")
+	}
+	return nil
 }
 
 // Name implements the Autoscaler surface.
@@ -78,14 +76,14 @@ func (d *Dhalion) Decide(snap *monitor.Snapshot) ([]int, error) {
 	// backlog among the backpressured ones.
 	worst, worstBacklog := -1, -1.0
 	for i, om := range snap.Operators {
-		if om.Backpressured && om.Tasks < d.MaxTasks {
+		if om.Backpressured && om.Tasks < d.maxTasks {
 			if om.Backlog > worstBacklog {
 				worst, worstBacklog = i, om.Backlog
 			}
 		}
 	}
 	if worst >= 0 {
-		if d.TaskBudget == 0 || total+1 <= d.TaskBudget {
+		if d.budget == 0 || total+1 <= d.budget {
 			tasks[worst]++
 		}
 		return tasks, nil
@@ -96,7 +94,7 @@ func (d *Dhalion) Decide(snap *monitor.Snapshot) ([]int, error) {
 	// cluster-wide in one resolution — this is what gives it the fast
 	// down-phase convergence of Table 2).
 	for i, om := range snap.Operators {
-		if om.Tasks > d.MinTasks && om.Util < idleUtil {
+		if om.Tasks > minTasks && om.Util < idleUtil {
 			tasks[i]--
 		}
 	}

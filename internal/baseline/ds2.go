@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"dragster/internal/monitor"
@@ -18,23 +17,23 @@ import (
 // so it systematically misses the diminishing-returns knee of the real
 // capacity curves. Included as the related-work comparator.
 type DS2 struct {
-	// MaxTasks caps per-operator parallelism.
-	MaxTasks int
-	// MinTasks floors it (default 1).
-	MinTasks int
-	// Headroom multiplies the required rate to absorb noise (default 1.1).
-	Headroom float64
-	// DrainSeconds sizes the extra rate budgeted to drain standing backlog
-	// (default 60: clear the queue within a minute).
-	DrainSeconds float64
+	maxTasks int // caps per-operator parallelism
 }
+
+const (
+	// ds2Headroom multiplies the required rate to absorb noise.
+	ds2Headroom = 1.1
+	// ds2DrainSeconds sizes the extra rate budgeted to drain standing
+	// backlog: clear the queue within a minute.
+	ds2DrainSeconds = 60
+)
 
 // NewDS2 validates and returns the policy.
 func NewDS2(maxTasks int) (*DS2, error) {
-	if maxTasks < 1 {
-		return nil, errors.New("baseline: MaxTasks must be ≥ 1")
+	if err := checkBounds(maxTasks, 0); err != nil {
+		return nil, err
 	}
-	return &DS2{MaxTasks: maxTasks, MinTasks: 1, Headroom: 1.1, DrainSeconds: 60}, nil
+	return &DS2{maxTasks: maxTasks}, nil
 }
 
 // Name implements the Autoscaler surface.
@@ -45,14 +44,11 @@ func (d *DS2) Decide(snap *monitor.Snapshot) ([]int, error) {
 	if snap == nil {
 		return nil, errors.New("baseline: nil snapshot")
 	}
-	if d.Headroom < 1 || d.DrainSeconds < 0 || d.MinTasks < 1 || d.MinTasks > d.MaxTasks {
-		return nil, fmt.Errorf("baseline: invalid DS2 parameters %+v", *d)
-	}
 	tasks := make([]int, len(snap.Operators))
 	for i, om := range snap.Operators {
 		tasks[i] = om.Tasks
 		if om.Tasks <= 0 {
-			tasks[i] = d.MinTasks
+			tasks[i] = minTasks
 			continue
 		}
 		// Observed per-task true processing rate (output units), from the
@@ -68,17 +64,9 @@ func (d *DS2) Decide(snap *monitor.Snapshot) ([]int, error) {
 		if om.ConsumedRate > 0 {
 			sel = om.OutRate / om.ConsumedRate
 		}
-		required := om.InRate * sel
-		if d.DrainSeconds > 0 {
-			required += om.Backlog * sel / d.DrainSeconds
-		}
-		want := int(math.Ceil(required * d.Headroom / perTask))
-		if want < d.MinTasks {
-			want = d.MinTasks
-		}
-		if want > d.MaxTasks {
-			want = d.MaxTasks
-		}
+		required := om.InRate*sel + om.Backlog*sel/ds2DrainSeconds
+		want := int(math.Ceil(required * ds2Headroom / perTask))
+		want = min(max(want, minTasks), d.maxTasks)
 		tasks[i] = want
 	}
 	return tasks, nil

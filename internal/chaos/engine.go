@@ -56,7 +56,6 @@ var defaultHealSpec = cluster.ResourceSpec{CPUMilli: 4000, MemoryMB: 8192}
 // against the same seeded simulation yields an identical fault trace and
 // identical counters on every replay.
 type Engine struct {
-	spec     *Spec
 	bySlot   map[int][]Event
 	blackout map[int]bool // slots inside a MetricsBlackout window
 	stale    map[int]bool // slots inside a MetricsStale window
@@ -102,7 +101,6 @@ func NewEngine(spec *Spec, seed int64, counters *telemetry.Registry) (*Engine, e
 		counters = telemetry.NewRegistry()
 	}
 	e := &Engine{
-		spec:     spec,
 		bySlot:   eventsBySlot(spec),
 		blackout: make(map[int]bool),
 		stale:    make(map[int]bool),

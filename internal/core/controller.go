@@ -107,7 +107,6 @@ type Controller struct {
 	byTasks   [][]int // byTasks[op][n]: op's first candidate with n tasks, or -1
 	lastTasks []int
 	lastCPU   []int // last observed per-pod CPU (0 = unknown/1-D configs)
-	slot      int
 	// cpuAxis is set when some operator's candidates carry a CPU
 	// dimension; only then does DecideDetailed return CPU allocations.
 	cpuAxis bool
@@ -423,7 +422,6 @@ func (c *Controller) decideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 		return chosen, &LastTargets{}, nil
 	}
 	c.seenSnap, c.lastSnapSlot = true, snap.Slot
-	c.slot++
 
 	// (1) Feed Eq. 8 capacity samples into the GPs and the history DB.
 	for i, om := range snap.Operators {

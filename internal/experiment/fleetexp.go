@@ -16,12 +16,6 @@ import (
 // job's per-round regret post hoc against OptimalConfig, exactly like
 // the Fig. 4–7 harnesses.
 
-// FleetScenario wraps a fleet configuration for the experiment harness.
-type FleetScenario struct {
-	// Config is the fleet to run (jobs, schedule, budget, arbitration).
-	Config fleet.Config
-}
-
 // FleetJobScore is one tenant's experiment-level outcome.
 type FleetJobScore struct {
 	Name     string
@@ -50,13 +44,14 @@ type FleetScore struct {
 	Jobs            []FleetJobScore
 }
 
-// RunFleetScenario runs the fleet and scores every tenant.
-func RunFleetScenario(fs FleetScenario) (*FleetScore, error) {
-	specs := make(map[string]*workload.Spec, len(fs.Config.Jobs))
-	for i := range fs.Config.Jobs {
-		specs[fs.Config.Jobs[i].Name] = fs.Config.Jobs[i].Workload
+// RunFleetScenario runs the fleet cfg describes (jobs, schedule, budget,
+// arbitration) and scores every tenant.
+func RunFleetScenario(cfg fleet.Config) (*FleetScore, error) {
+	specs := make(map[string]*workload.Spec, len(cfg.Jobs))
+	for i := range cfg.Jobs {
+		specs[cfg.Jobs[i].Name] = cfg.Jobs[i].Workload
 	}
-	m, err := fleet.New(fs.Config)
+	m, err := fleet.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +176,7 @@ func FleetBench(slots, slotSeconds int, seed int64) (*FleetBenchResult, error) {
 			return nil, err
 		}
 		out.Budget = cfg.TotalTaskBudget
-		score, err := RunFleetScenario(FleetScenario{Config: cfg})
+		score, err := RunFleetScenario(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -76,7 +76,7 @@ func TestRunFleetScenarioScoresDynamicJobs(t *testing.T) {
 		Seed:            5,
 		TotalTaskBudget: 6,
 	}
-	score, err := RunFleetScenario(FleetScenario{Config: cfg})
+	score, err := RunFleetScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func resourceCandidates(spec *workload.Spec) ([][][]float64, error) {
 // DhalionPolicy builds the rule-based baseline.
 func DhalionPolicy() PolicyFactory {
 	return func(sc *Scenario) (core.Autoscaler, error) {
-		return baseline.NewDhalion(sc.Spec.MaxTasks, baseline.WithBudget(sc.TaskBudget))
+		return baseline.NewDhalion(sc.Spec.MaxTasks, sc.TaskBudget)
 	}
 }
 
@@ -167,7 +167,7 @@ func DhalionPolicy() PolicyFactory {
 // experiment's self-adaptive comparator).
 func DaedalusPolicy() PolicyFactory {
 	return func(sc *Scenario) (core.Autoscaler, error) {
-		return baseline.NewDaedalus(sc.Spec.MaxTasks, baseline.WithDaedalusBudget(sc.TaskBudget))
+		return baseline.NewDaedalus(sc.Spec.MaxTasks, sc.TaskBudget)
 	}
 }
 

@@ -102,7 +102,7 @@ func (m *Manager) admitQueued(r int) (changed bool, err error) {
 		if err := m.buildStack(js, r); err != nil {
 			return changed, fmt.Errorf("fleet: admitting job %s: %w", js.spec.Name, err)
 		}
-		js.status = StatusRunning
+		js.res.Status = StatusRunning
 		m.running = append(m.running, js)
 		m.emit(event.TypeAdmit, js.spec.Name, "", int64(g))
 		m.tracer.Event("fleet", "admit", telemetry.Str("job", js.spec.Name), telemetry.Int("grant", g))

@@ -111,7 +111,7 @@ func (m *Manager) BuildCheckpoint() *Checkpoint {
 	for _, js := range m.jobs {
 		jobs = append(jobs, jobCheckpoint{
 			Name:       js.spec.Name,
-			Status:     int(js.status),
+			Status:     int(js.res.Status),
 			Budget:     js.budget,
 			Usage:      js.usage,
 			Need:       js.need,
@@ -228,11 +228,11 @@ func Resume(cfg Config, ck *Checkpoint, specs map[string]JobSpec) (*Manager, err
 		if js.spec.Name != jc.Name {
 			return nil, fmt.Errorf("fleet: tenant %d is %q after replay, checkpoint %q", i, js.spec.Name, jc.Name)
 		}
-		if int(js.status) != jc.Status || js.usage != jc.Usage || js.need != jc.Need ||
+		if int(js.res.Status) != jc.Status || js.usage != jc.Usage || js.need != jc.Need ||
 			js.res.ArriveSlot != jc.ArriveSlot || js.res.AdmitSlot != jc.AdmitSlot ||
 			js.res.DepartSlot != jc.DepartSlot || len(js.res.Rounds) != jc.Rounds {
 			return nil, fmt.Errorf("fleet: job %s diverged from checkpoint (status %v/%d, usage %d/%d, need %d/%d, rounds %d/%d)",
-				jc.Name, js.status, jc.Status, js.usage, jc.Usage, js.need, jc.Need, len(js.res.Rounds), jc.Rounds)
+				jc.Name, js.res.Status, jc.Status, js.usage, jc.Usage, js.need, jc.Need, len(js.res.Rounds), jc.Rounds)
 		}
 		if js.budget != jc.Budget {
 			return nil, fmt.Errorf("fleet: job %s budget %d after replay, checkpoint %d", jc.Name, js.budget, jc.Budget)

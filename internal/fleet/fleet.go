@@ -320,9 +320,8 @@ type Result struct {
 
 // jobState is the Manager's per-tenant bookkeeping.
 type jobState struct {
-	idx    int
-	spec   JobSpec
-	status JobStatus
+	idx  int
+	spec JobSpec
 	// committed reports that the tenant's submission has been delivered
 	// through the inbox and appears in the event trace; only committed
 	// tenants are visible to admission. Config-declared tenants are
@@ -449,7 +448,6 @@ func (m *Manager) addJob(spec JobSpec, committed bool) {
 	js := &jobState{
 		idx:        len(m.jobs),
 		spec:       spec,
-		status:     StatusPending,
 		committed:  committed,
 		shareGauge: telemetry.Label("fleet_budget_share", "job", spec.Name),
 		priceGauge: telemetry.Label("fleet_dual_price", "job", spec.Name),
@@ -521,7 +519,7 @@ func (m *Manager) Kill(name string) error {
 	if !ok {
 		return fmt.Errorf("fleet: unknown job %q", name)
 	}
-	if js.status == StatusDeparted || js.status == StatusRejected {
+	if js.res.Status == StatusDeparted || js.res.Status == StatusRejected {
 		return nil
 	}
 	for _, e := range m.inbox {
@@ -580,7 +578,6 @@ func (m *Manager) Jobs() []JobResult {
 	out := make([]JobResult, 0, len(m.jobs))
 	for _, js := range m.jobs {
 		jr := *js.res
-		jr.Status = js.status
 		jr.Cost = jobCost(js)
 		out = append(out, jr)
 	}
@@ -683,7 +680,7 @@ func (m *Manager) processDepartures(r int) (departed bool) {
 			qkeep = append(qkeep, js)
 			continue
 		}
-		js.status = StatusDeparted
+		js.res.Status = StatusDeparted
 		js.res.DepartSlot = r
 		m.emit(event.TypeDepart, js.spec.Name, "queued")
 	}
@@ -691,8 +688,8 @@ func (m *Manager) processDepartures(r int) (departed bool) {
 	// A kill can land before the job ever arrives (still pending); mark
 	// it departed now or the kill would be lost when the map is cleared.
 	for _, js := range m.jobs {
-		if js.status == StatusPending && m.kills[js.spec.Name] {
-			js.status = StatusDeparted
+		if js.res.Status == StatusPending && m.kills[js.spec.Name] {
+			js.res.Status = StatusDeparted
 			js.res.DepartSlot = r
 			m.emit(event.TypeDepart, js.spec.Name, "pending")
 		}
@@ -709,7 +706,7 @@ func (m *Manager) departJob(js *jobState, r int) {
 		// surface via counters rather than silently diverging.
 		m.reg.Inc("fleet_cancel_errors")
 	}
-	js.status = StatusDeparted
+	js.res.Status = StatusDeparted
 	js.res.DepartSlot = r
 	js.budget = 0
 	// Only m.running reaches a tenant's stack, so a departed one keeps
@@ -728,7 +725,7 @@ func (m *Manager) departJob(js *jobState, r int) {
 // the ones that can never fit or that overflow the queue.
 func (m *Manager) processArrivals(r int) {
 	for _, js := range m.jobs {
-		if js.status != StatusPending || !js.committed || r < js.spec.ArriveSlot {
+		if js.res.Status != StatusPending || !js.committed || r < js.spec.ArriveSlot {
 			continue
 		}
 		if js.spec.floor() > m.cfg.TotalTaskBudget {
@@ -739,14 +736,14 @@ func (m *Manager) processArrivals(r int) {
 			m.reject(js, fmt.Sprintf("admission queue full (%d)", m.cfg.MaxQueue))
 			continue
 		}
-		js.status = StatusQueued
+		js.res.Status = StatusQueued
 		m.queue = append(m.queue, js)
 		m.emit(event.TypeArrive, js.spec.Name, "")
 	}
 }
 
 func (m *Manager) reject(js *jobState, why string) {
-	js.status = StatusRejected
+	js.res.Status = StatusRejected
 	m.emit(event.TypeReject, js.spec.Name, why)
 	m.tracer.Event("fleet", "reject", telemetry.Str("job", js.spec.Name), telemetry.Str("reason", why))
 	m.reg.Inc("fleet_jobs_rejected")
@@ -869,7 +866,7 @@ func (m *Manager) applyDecisions() error {
 func (m *Manager) record() int {
 	total := 0
 	for _, js := range m.running {
-		total += mathx.SumInts(js.t.Flink().EffectiveParallelism())
+		total += js.t.Flink().RunningTasks()
 	}
 	m.res.TotalTasksByRound = append(m.res.TotalTasksByRound, total)
 	if total > m.cfg.TotalTaskBudget {

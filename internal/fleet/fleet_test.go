@@ -377,9 +377,9 @@ func TestFleetRetentionUnderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, js := range m.jobs {
-			if js.status != StatusRunning {
+			if js.res.Status != StatusRunning {
 				if js.t != nil || js.db != nil {
-					t.Errorf("round %d: %s job %s still holds its stack", m.Round()-1, js.status, js.spec.Name)
+					t.Errorf("round %d: %s job %s still holds its stack", m.Round()-1, js.res.Status, js.spec.Name)
 				}
 				continue
 			}

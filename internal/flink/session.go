@@ -214,6 +214,16 @@ func (j *Job) EffectiveParallelism() []int {
 	return j.runningInto(make([]int, len(j.deployments)))
 }
 
+// RunningTasks returns the Running TaskManager pods summed over the
+// job's operators: Σ EffectiveParallelism without building the vector.
+func (j *Job) RunningTasks() int {
+	total := 0
+	for _, dep := range j.deployments {
+		total += j.session.k8s.RunningPods(dep)
+	}
+	return total
+}
+
 func (j *Job) runningInto(out []int) []int {
 	for i, dep := range j.deployments {
 		out[i] = j.session.k8s.RunningPods(dep)

@@ -98,8 +98,7 @@ type Engine struct {
 	qBuf   []float64
 	demBuf []float64
 
-	dropped   float64
-	processed float64 // cumulative sink throughput
+	dropped float64
 }
 
 // tickStep is one node of the per-tick topological walk: an operator that
@@ -180,7 +179,6 @@ func (e *Engine) Reset() {
 	clear(e.edgeBuf)
 	e.pause = 0
 	e.dropped = 0
-	e.processed = 0
 }
 
 // buildPlan materializes the flattened per-tick plan from the graph's
@@ -411,7 +409,6 @@ func (e *Engine) Tick(rates []float64) (TickStats, error) {
 			}
 		}
 	}
-	e.processed += st.SinkThroughput
 	for i := range st.Ops {
 		op := &st.Ops[i]
 		switch {

@@ -1,13 +1,16 @@
-package core
+package tenant
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"dragster/internal/chaos"
 	"dragster/internal/telemetry"
 )
 
-var errTransient = errors.New("transient rescale fault")
+// errTransient is an injected fault, the only kind the retrier absorbs.
+var errTransient = fmt.Errorf("transient rescale fault: %w", chaos.ErrInjected)
 
 // scriptedRescaler consumes one scripted error per call (nil = success)
 // and records the applied targets.
@@ -28,47 +31,45 @@ func (s *scriptedRescaler) RescaleResources(tasks, cpuMilli []int) error {
 	return e
 }
 
-func transientOnly(err error) bool { return errors.Is(err, errTransient) }
-
 func TestRetrierSuccessPassthrough(t *testing.T) {
-	r := NewRescaleRetrier(RetryConfig{Retryable: transientOnly})
+	r := &retrier{}
 	job := &scriptedRescaler{}
-	if err := r.Apply(job, []int{2, 3}, nil, 0); err != nil {
+	if err := r.apply(job, []int{2, 3}, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if job.calls != 1 || job.last[0] != 2 || job.last[1] != 3 {
 		t.Errorf("apply did not pass the target through: calls=%d last=%v", job.calls, job.last)
 	}
-	if r.pendTasks != nil || r.LastErr() != nil {
-		t.Errorf("clean success left retry state: pending=%v lastErr=%v", r.pendTasks != nil, r.LastErr())
+	if r.pendTasks != nil {
+		t.Error("clean success left a pending target")
 	}
 }
 
 func TestRetrierRecoversAfterBackoff(t *testing.T) {
 	cs := telemetry.NewRegistry()
-	r := NewRescaleRetrier(RetryConfig{Retryable: transientOnly, Counters: cs})
+	r := &retrier{counters: cs}
 	job := &scriptedRescaler{errs: []error{errTransient}}
 	target := []int{4, 4}
 
-	if err := r.Apply(job, target, nil, 0); err != nil {
+	if err := r.apply(job, target, nil, 0); err != nil {
 		t.Fatalf("transient failure escaped: %v", err)
 	}
-	if r.pendTasks == nil || !errors.Is(r.LastErr(), errTransient) {
-		t.Fatalf("failure not absorbed: pending=%v lastErr=%v", r.pendTasks != nil, r.LastErr())
+	if r.pendTasks == nil {
+		t.Fatal("failure not absorbed: no pending target")
 	}
 	// Same slot: still backing off, no new attempt.
-	if err := r.Apply(job, target, nil, 0); err != nil {
+	if err := r.apply(job, target, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if job.calls != 1 {
 		t.Fatalf("retried during backoff: %d calls", job.calls)
 	}
 	// Next slot: retry succeeds.
-	if err := r.Apply(job, target, nil, 1); err != nil {
+	if err := r.apply(job, target, nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if job.calls != 2 || r.pendTasks != nil || r.LastErr() != nil {
-		t.Errorf("recovery incomplete: calls=%d pending=%v lastErr=%v", job.calls, r.pendTasks != nil, r.LastErr())
+	if job.calls != 2 || r.pendTasks != nil {
+		t.Errorf("recovery incomplete: calls=%d pending=%v", job.calls, r.pendTasks != nil)
 	}
 	for name, want := range map[string]int64{
 		"rescale_failures":      1,
@@ -84,15 +85,15 @@ func TestRetrierRecoversAfterBackoff(t *testing.T) {
 }
 
 func TestRetrierNewTargetSupersedesPending(t *testing.T) {
-	r := NewRescaleRetrier(RetryConfig{Retryable: transientOnly})
+	r := &retrier{}
 	job := &scriptedRescaler{errs: []error{errTransient}}
-	if err := r.Apply(job, []int{2, 2}, nil, 0); err != nil {
+	if err := r.apply(job, []int{2, 2}, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A different target in the same slot must not wait out the old
 	// target's one-slot backoff: it supersedes the pending one and
 	// applies immediately.
-	if err := r.Apply(job, []int{3, 3}, nil, 0); err != nil {
+	if err := r.apply(job, []int{3, 3}, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if job.calls != 2 || job.last[0] != 3 {
@@ -105,7 +106,7 @@ func TestRetrierNewTargetSupersedesPending(t *testing.T) {
 
 func TestRetrierAbandonsAfterMaxAttempts(t *testing.T) {
 	cs := telemetry.NewRegistry()
-	r := NewRescaleRetrier(RetryConfig{Retryable: transientOnly, Counters: cs})
+	r := &retrier{counters: cs}
 	job := &scriptedRescaler{}
 	for i := 0; i < maxRescaleAttempts; i++ {
 		job.errs = append(job.errs, errTransient)
@@ -113,14 +114,14 @@ func TestRetrierAbandonsAfterMaxAttempts(t *testing.T) {
 	target := []int{5, 5}
 	// Attempt k fails at slot 2^(k−1)−1, once the previous backoff ends.
 	for k := 1; k < maxRescaleAttempts; k++ {
-		if err := r.Apply(job, target, nil, 1<<(k-1)-1); err != nil {
+		if err := r.apply(job, target, nil, 1<<(k-1)-1); err != nil {
 			t.Fatal(err)
 		}
 		if r.pendTasks == nil {
 			t.Fatalf("target abandoned after %d of %d attempts", k, maxRescaleAttempts)
 		}
 	}
-	if err := r.Apply(job, target, nil, 1<<(maxRescaleAttempts-1)-1); err != nil {
+	if err := r.apply(job, target, nil, 1<<(maxRescaleAttempts-1)-1); err != nil {
 		t.Fatalf("abandonment must absorb the final error: %v", err)
 	}
 	if job.calls != maxRescaleAttempts {
@@ -129,14 +130,11 @@ func TestRetrierAbandonsAfterMaxAttempts(t *testing.T) {
 	if r.pendTasks != nil {
 		t.Error("abandoned target still pending")
 	}
-	if !errors.Is(r.LastErr(), errTransient) {
-		t.Errorf("abandonment lost the last error: %v", r.LastErr())
-	}
 	if got := cs.CounterValue("rescale_abandoned"); got != 1 {
 		t.Errorf("rescale_abandoned = %d, want 1", got)
 	}
 	// The next (fresh) target starts with a clean attempt budget.
-	if err := r.Apply(job, []int{6, 6}, nil, 1<<(maxRescaleAttempts-1)); err != nil {
+	if err := r.apply(job, []int{6, 6}, nil, 1<<(maxRescaleAttempts-1)); err != nil {
 		t.Fatal(err)
 	}
 	if job.last[0] != 6 {
@@ -151,29 +149,29 @@ func TestRetrierBackoffGrowsAndCaps(t *testing.T) {
 	if maxRescaleAttempts != 4 {
 		t.Fatalf("maxRescaleAttempts = %d; the schedule below assumes 4", maxRescaleAttempts)
 	}
-	r := NewRescaleRetrier(RetryConfig{Retryable: transientOnly})
+	r := &retrier{}
 	job := &scriptedRescaler{errs: []error{errTransient, errTransient, errTransient, errTransient}}
 	target := []int{7, 7}
 	// Failure 1 at slot 0 → backoff 1 → eligible at slot 1.
-	if err := r.Apply(job, target, nil, 0); err != nil {
+	if err := r.apply(job, target, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Failure 2 at slot 1 → backoff 2 → eligible at slot 3.
-	if err := r.Apply(job, target, nil, 1); err != nil {
+	if err := r.apply(job, target, nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Apply(job, target, nil, 2); err != nil {
+	if err := r.apply(job, target, nil, 2); err != nil {
 		t.Fatal(err)
 	}
 	if job.calls != 2 {
 		t.Fatalf("attempted during grown backoff: %d calls", job.calls)
 	}
 	// Failure 3 at slot 3 → backoff 4 → eligible at slot 7.
-	if err := r.Apply(job, target, nil, 3); err != nil {
+	if err := r.apply(job, target, nil, 3); err != nil {
 		t.Fatal(err)
 	}
 	for slot := 4; slot < 7; slot++ {
-		if err := r.Apply(job, target, nil, slot); err != nil {
+		if err := r.apply(job, target, nil, slot); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,7 +179,7 @@ func TestRetrierBackoffGrowsAndCaps(t *testing.T) {
 		t.Fatalf("attempted during grown backoff: %d calls", job.calls)
 	}
 	// Failure 4 at slot 7 exhausts the attempts: no further backoff.
-	if err := r.Apply(job, target, nil, 7); err != nil {
+	if err := r.apply(job, target, nil, 7); err != nil {
 		t.Fatal(err)
 	}
 	if job.calls != 4 || r.pendTasks != nil {
@@ -190,10 +188,10 @@ func TestRetrierBackoffGrowsAndCaps(t *testing.T) {
 }
 
 func TestRetrierNonRetryablePropagates(t *testing.T) {
-	r := NewRescaleRetrier(RetryConfig{Retryable: transientOnly})
+	r := &retrier{}
 	fatal := errors.New("bad parallelism")
 	job := &scriptedRescaler{errs: []error{fatal}}
-	err := r.Apply(job, []int{1, 1}, nil, 0)
+	err := r.apply(job, []int{1, 1}, nil, 0)
 	if !errors.Is(err, fatal) {
 		t.Fatalf("fatal error absorbed: %v", err)
 	}
@@ -202,31 +200,14 @@ func TestRetrierNonRetryablePropagates(t *testing.T) {
 	}
 }
 
-func TestRetrierNilRetryableTreatsAllAsTransient(t *testing.T) {
-	r := NewRescaleRetrier(RetryConfig{})
-	job := &scriptedRescaler{errs: []error{errors.New("anything")}}
-	if err := r.Apply(job, []int{1, 1}, nil, 0); err != nil {
-		t.Fatalf("nil Retryable did not absorb: %v", err)
-	}
-	if r.pendTasks == nil {
-		t.Error("absorbed failure not pending")
-	}
-}
-
-func TestRetrierValidation(t *testing.T) {
-	if err := (&RescaleRetrier{}).Apply(nil, []int{1}, nil, 0); err == nil {
-		t.Error("nil rescaler accepted")
-	}
-}
-
 func TestRetrierCPUDimensionTracked(t *testing.T) {
-	r := NewRescaleRetrier(RetryConfig{Retryable: transientOnly})
+	r := &retrier{}
 	job := &scriptedRescaler{errs: []error{errTransient}}
-	if err := r.Apply(job, []int{2, 2}, []int{500, 500}, 0); err != nil {
+	if err := r.apply(job, []int{2, 2}, []int{500, 500}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Same tasks, different CPU = a different target → applied immediately.
-	if err := r.Apply(job, []int{2, 2}, []int{1000, 1000}, 0); err != nil {
+	if err := r.apply(job, []int{2, 2}, []int{1000, 1000}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if job.calls != 2 {

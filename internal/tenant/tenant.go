@@ -15,7 +15,6 @@ import (
 	"math"
 	"slices"
 
-	"dragster/internal/chaos"
 	"dragster/internal/core"
 	"dragster/internal/dag"
 	"dragster/internal/flink"
@@ -78,7 +77,7 @@ type Tenant struct {
 	mon     *monitor.Monitor
 	policy  core.Autoscaler
 	ctrl    *core.Controller // nil for baseline policies
-	retrier *core.RescaleRetrier
+	retrier retrier
 
 	slot   int
 	rateAt func(sec int) []float64 // reads slot; built once
@@ -119,7 +118,7 @@ func New(cfg Config) (*Tenant, error) {
 			initial[i] = 1
 		}
 	}
-	t := &Tenant{spec: spec, rateFn: cfg.Rates, policy: cfg.Policy}
+	t := &Tenant{spec: spec, rateFn: cfg.Rates, policy: cfg.Policy, retrier: retrier{counters: cfg.Metrics}}
 	if t.job, err = cfg.Session.SubmitJob(cfg.Name, spec.Graph, engine, initial); err != nil {
 		return nil, err
 	}
@@ -131,12 +130,6 @@ func New(cfg Config) (*Tenant, error) {
 	if t.ctrl, _ = cfg.Policy.(*core.Controller); t.ctrl != nil {
 		t.ctrl.SetTracer(cfg.Tracer)
 	}
-	t.retrier = core.NewRescaleRetrier(core.RetryConfig{
-		// Injected savepoint failures and rescale timeouts are transient;
-		// any other rescale error is fatal.
-		Retryable: func(err error) bool { return errors.Is(err, chaos.ErrInjected) },
-		Counters:  cfg.Metrics,
-	})
 	t.rateAt = func(sec int) []float64 { return t.rateFn(t.slot, sec) }
 	return t, nil
 }
@@ -198,33 +191,36 @@ func (t *Tenant) RunSlot(seconds int, tickClock bool) (*monitor.Snapshot, Usage,
 		return nil, Usage{}, err
 	}
 	t.slot++
-	use, err := t.account()
+	use, err := t.account(rep)
 	if err != nil {
 		return nil, Usage{}, err
 	}
 	return rep, use, nil
 }
 
-// account evaluates the ground-truth steady throughput of the job's
-// effective allocation (CPU-aware where the capacity models are) at the
-// slot's offered rates, with the per-operator violations the same
-// evaluation leaves behind.
+// account evaluates the ground-truth steady throughput of the effective
+// allocation the slot report ends with (CPU-aware where the capacity
+// models are) at the slot's offered rates, with the per-operator
+// violations the same evaluation leaves behind.
 //
 //lint:hotpath
-func (t *Tenant) account() (Usage, error) {
-	tasks := t.job.EffectiveParallelism()
-	cpu := t.job.EffectiveCPUMilli()
-	if cap(t.caps) < len(tasks) {
-		t.caps = make([]float64, len(tasks))
-		t.viol = make([]float64, len(tasks))
+func (t *Tenant) account(rep *monitor.Snapshot) (Usage, error) {
+	n := len(rep.Operators)
+	//lint:allow hotpath the Usage rows retain the tasks and CPU vectors, so each slot needs its own
+	alloc := make([]int, 2*n)
+	tasks, cpu := alloc[:n:n], alloc[n:]
+	if cap(t.caps) < n {
+		t.caps = make([]float64, n)
+		t.viol = make([]float64, n)
 	}
-	caps, viol := t.caps[:len(tasks)], t.viol[:len(tasks)]
+	caps, viol := t.caps[:n], t.viol[:n]
 	models := t.spec.Models
-	for i, n := range tasks {
-		if ra, ok := models[i].(streamsim.ResourceAware); ok && cpu[i] > 0 {
-			caps[i] = ra.CapacityWithCPU(n, cpu[i])
+	for i, om := range rep.Operators {
+		tasks[i], cpu[i] = om.Tasks, om.CPUMilli
+		if ra, ok := models[i].(streamsim.ResourceAware); ok && om.CPUMilli > 0 {
+			caps[i] = ra.CapacityWithCPU(om.Tasks, om.CPUMilli)
 		} else {
-			caps[i] = models[i].Capacity(n)
+			caps[i] = models[i].Capacity(om.Tasks)
 		}
 	}
 	if err := t.spec.Graph.EvaluateInto(&t.frep, t.rates, caps); err != nil {
@@ -294,5 +290,5 @@ func (t *Tenant) Apply() error {
 	if t.snap == nil {
 		return nil
 	}
-	return t.retrier.Apply(t.job, t.desired, t.desiredCPU, t.slot-1)
+	return t.retrier.apply(t.job, t.desired, t.desiredCPU, t.slot-1)
 }

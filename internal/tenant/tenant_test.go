@@ -165,7 +165,7 @@ func TestDecideLeavesSnapshotUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dhalion, err := baseline.NewDhalion(spec.MaxTasks)
+	dhalion, err := baseline.NewDhalion(spec.MaxTasks, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +327,8 @@ func TestRetrierAbsorbsInjectedFaults(t *testing.T) {
 // TestAccountMatchesThroughput pins the accounting RunSlot returns
 // against a fresh Graph.Throughput evaluation of the allocation that ran
 // the slot, bit for bit, its violations against Graph.Evaluate, and pins
-// that the accounting allocates nothing beyond the allocation vectors
-// the substrate hands back.
+// that the accounting allocates one block per slot: the tasks and CPU
+// vectors the Usage rows retain.
 func TestAccountMatchesThroughput(t *testing.T) {
 	spec := mustSpec(t, workload.WordCount)
 	r := newRig(t, spec, &scripted{plan: [][]int{{4, 3}}}, nil)
@@ -366,18 +366,22 @@ func TestAccountMatchesThroughput(t *testing.T) {
 	if _, ok := spec.Models[0].(streamsim.ResourceAware); ok {
 		t.Fatal("WordCount models are CPU-aware; the reference above assumes not")
 	}
-	// The substrate builds the returned tasks and CPU vectors; the
-	// accounting itself must add nothing.
-	substrate := testing.AllocsPerRun(20, func() {
-		r.t.job.EffectiveParallelism()
-		r.t.job.EffectiveCPUMilli()
-	})
+	rep := r.t.Flink().LastReport()
+	use, err := r.t.account(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, om := range rep.Operators {
+		if use.Tasks[k] != om.Tasks || use.CPUMilli[k] != om.CPUMilli {
+			t.Errorf("op %d: accounted %d tasks at %dm, the report ends with %d at %dm", k, use.Tasks[k], use.CPUMilli[k], om.Tasks, om.CPUMilli)
+		}
+	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := r.t.account(); err != nil {
+		if _, err := r.t.account(rep); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > substrate {
-		t.Errorf("accounting allocates %v times per call, the substrate reads alone %v", allocs, substrate)
+	if allocs != 1 {
+		t.Errorf("accounting allocates %v times per call, want the one block the rows keep", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 // Package fixture is the dead-export guard's self-test: Dead.Close shares
 // its name with the live Live.Close, Square.Area is reached only through
-// the Shape interface, and Tally's fields pin which uses read a field.
+// the Shape interface, and the fields of Tally, tally, key and pair pin
+// which uses read a field.
 package fixture
 
 // Live is used, and so is its Close method.
@@ -34,13 +35,34 @@ func total(shapes []Shape) float64 {
 
 // Tally's Read is read and Wire is JSON-encoded, so both are live. Set is
 // only set (in a literal and an assignment), Bumped only incremented and
-// op-assigned, and Log only appended to itself, so all three are dead.
+// op-assigned, Log only appended to itself and the unexported note only
+// assigned, so all four are dead.
 type Tally struct {
 	Read   int
 	Set    int
 	Bumped int
 	Log    []string
 	Wire   int `json:"wire"`
+	note   string
+}
+
+// tally is unexported, and its fields are checked all the same: seen is
+// read, hits only incremented.
+type tally struct {
+	seen int
+	hits int
+}
+
+// key's fields are read only as a map key, and pair's only through ==:
+// comparing a struct reads every field, so all four are live.
+type key struct{ a, b int }
+
+type pair struct{ x, y int }
+
+func compare(t *tally, m map[key]int, p, q pair) bool {
+	t.hits++
+	m[key{a: 1, b: 2}] = t.seen
+	return p == q
 }
 
 func count(t *Tally) int {
@@ -49,11 +71,13 @@ func count(t *Tally) int {
 	t.Bumped += 2
 	t.Log = append(t.Log, "seen")
 	t.Wire = t.Read
+	t.note = "counted"
 	return t.Read
 }
 
 func use() (float64, error) {
 	_ = Dead{}
 	_ = count(&Tally{Set: 1})
+	_ = compare(&tally{}, map[key]int{}, pair{}, pair{x: 1})
 	return total([]Shape{Square{Side: 2}}), Live{}.Close()
 }
