@@ -84,7 +84,7 @@ bench-e2e:
 # chain, one saddle-point step at λ = 0, one per built-in workload with
 # the dual update moving λ before every step (and the Yahoo one alone),
 # one stream-simulator tick of a chain, one 600-second slot of the noisy
-# Yahoo job through flink.Job.RunSlot (engine, slot accumulator and
+# Yahoo job through flink.Job.RunSlot (engine with its slot totals and
 # cluster clock), one full controller decision, one RNG seeding, one
 # Gaussian draw, one Yahoo capacity plan and one 100- and one 1000-tenant
 # admission round (fleet.New plus round 0) — snapshotted into

@@ -65,7 +65,6 @@ var deadExportKeep = map[string]string{
 	"dragster/internal/linalg.Cholesky.At":                 "test oracle: the bit-identity tests and fuzz targets compare factors entry by entry",
 	"dragster/internal/linalg.Matrix.AddScaledIdentity":    "test oracle beside T and Mul: the ridge that makes the tests' random BᵀB inputs SPD",
 	"dragster/internal/linalg.Matrix.T":                    "test oracle beside Mul: builds SPD inputs BᵀB and checks L·Lᵀ = A",
-	"dragster/internal/streamsim.OpTick.Capacity":          "test seam: the per-tick effective capacity the CPU-scaling tests check bit for bit",
 	"dragster/internal/experiment.MeanLatency":             "the Little's-law latency summary beside TotalProcessed and CostPerBillion; the trace and Theorem-2 tests compare policies by it",
 	"dragster/internal/experiment.RepeatResult.Runs":       "the per-seed results behind the aggregates, which the worker-count determinism test compares byte for byte",
 

@@ -10,13 +10,16 @@ import (
 
 // hotpathSeeds are the functions on the simulator's per-tick and
 // per-round critical paths, diagnosed even without an annotation: the
-// streamsim tick loop and backlog total, the GP posterior query and
+// streamsim tick loop, its operator steps and backlog total, the GP posterior query and
 // candidate reads, UCB candidate selection, and the cluster tick. Keys
 // are fully qualified names as produced by funcFullName
 // ("pkg.(*Type).Method" or "pkg.Func").
 var hotpathSeeds = map[string]bool{
 	ModulePath + "/internal/streamsim.(*Engine).Tick":          true,
 	ModulePath + "/internal/streamsim.(*Engine).tickOperator":  true,
+	ModulePath + "/internal/streamsim.(*Engine).tickLinear":    true,
+	ModulePath + "/internal/streamsim.(*Engine).stall":         true,
+	ModulePath + "/internal/streamsim.(*Engine).drained":       true,
 	ModulePath + "/internal/streamsim.(*Engine).addToEdge":     true,
 	ModulePath + "/internal/streamsim.(*Engine).BufferedTotal": true,
 	ModulePath + "/internal/gp.(*Regressor).Posterior":         true,
@@ -105,7 +108,11 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 // the stripped package path so test-variant compilations resolve to the
 // same names.
 func funcFullName(pass *Pass, fd *ast.FuncDecl) string {
-	path := pass.Path()
+	return declName(pass.Path(), fd)
+}
+
+// declName is funcFullName for a declaration in the package at path.
+func declName(path string, fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return path + "." + fd.Name.Name
 	}

@@ -2,6 +2,11 @@ package analysis
 
 import (
 	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -21,15 +26,56 @@ func TestHotpathSeededName(t *testing.T) {
 
 // TestHotpathSeedsResolve pins the real seeded names to the functions
 // they must match: a renamed Tick loop or posterior query must not
-// silently drop out of the hot set.
+// silently drop out of the hot set. Each seed's package directory is
+// parsed (syntax only, non-test files) and must declare a function whose
+// name, formed as the analyzer forms it, is the seed.
 func TestHotpathSeedsResolve(t *testing.T) {
-	// The seeds live in packages outside this one; resolving them against
-	// the build would drag the whole module into this test. Instead pin
-	// the naming convention: every seed must parse as pkg.(recv).method
-	// or pkg.func under the module path.
+	root := filepath.Join("..", "..")
+	declared := map[string]bool{}
+	parsed := map[string]bool{}
 	for seed := range hotpathSeeds {
-		if len(seed) <= len(ModulePath) || seed[:len(ModulePath)] != ModulePath {
+		if !strings.HasPrefix(seed, ModulePath+"/") {
 			t.Errorf("seed %q is not under the module path", seed)
+			continue
+		}
+		// The package path ends at the first dot after its last slash.
+		slash := strings.LastIndex(seed, "/")
+		dot := strings.Index(seed[slash:], ".")
+		if dot < 0 {
+			t.Errorf("seed %q names no function", seed)
+			continue
+		}
+		pkg := seed[:slash+dot]
+		if parsed[pkg] {
+			continue
+		}
+		parsed[pkg] = true
+		dir := filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(pkg, ModulePath+"/")))
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Errorf("seed %q: %v", seed, err)
+			continue
+		}
+		fset := token.NewFileSet()
+		for _, ent := range entries {
+			name := ent.Name()
+			if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					declared[declName(pkg, fd)] = true
+				}
+			}
+		}
+	}
+	for seed := range hotpathSeeds {
+		if !declared[seed] {
+			t.Errorf("seed %q matches no declaration in its package", seed)
 		}
 	}
 	if len(hotpathSeeds) < 8 {

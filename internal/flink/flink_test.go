@@ -94,10 +94,11 @@ func TestSubmitJobCreatesDeployments(t *testing.T) {
 		t.Errorf("missing deployments: %v", want)
 	}
 	// A duplicate job name is rejected; a distinct name is hosted alongside.
-	if _, err := s.SubmitJob("wordcount", j.graph, newEngine(t, j.graph, 10), []int{1, 1}); err == nil {
+	g := chainGraph(t)
+	if _, err := s.SubmitJob("wordcount", g, newEngine(t, g, 10), []int{1, 1}); err == nil {
 		t.Error("duplicate job name accepted")
 	}
-	j2, err := s.SubmitJob("tenant2", j.graph, newEngine(t, j.graph, 10), []int{1, 1})
+	j2, err := s.SubmitJob("tenant2", g, newEngine(t, g, 10), []int{1, 1})
 	if err != nil {
 		t.Fatalf("second job rejected: %v", err)
 	}

@@ -107,7 +107,6 @@ type ChaosHooks interface {
 type Job struct {
 	name    string
 	session *SessionCluster
-	graph   *dag.Graph
 	engine  *streamsim.Engine
 
 	desired     []int    // desired parallelism per operator index
@@ -115,11 +114,9 @@ type Job struct {
 	opNames     []string // operator name per operator index
 
 	// Per-slot scratch: the Running pods and per-pod CPU per operator,
-	// read into effTasks/effCPU at each slot's start and end, and the
-	// slot accumulator, reset every slot.
+	// read into effTasks/effCPU at each slot's start and end.
 	effTasks []int
 	effCPU   []int
-	acc      *monitor.SlotAccumulator
 
 	slot       int
 	lastReport *monitor.Snapshot
@@ -154,7 +151,6 @@ func (s *SessionCluster) SubmitJob(name string, g *dag.Graph, engine *streamsim.
 	j := &Job{
 		name:        name,
 		session:     s,
-		graph:       g,
 		engine:      engine,
 		desired:     append([]int(nil), initial...),
 		deployments: make([]string, g.NumOperators()),
@@ -349,8 +345,7 @@ func (j *Job) readEffective() {
 
 // syncEngineTasks hands the engine the effective allocation. The
 // engine's SetTasks copies it and rejects a vector whose length is not
-// its operator count, which is what lets the slot loop's accumulator
-// skip its per-tick shape checks.
+// its operator count.
 func (j *Job) syncEngineTasks() error {
 	j.readEffective()
 	if err := j.engine.SetTasks(j.effTasks); err != nil {
@@ -387,25 +382,14 @@ func (j *Job) runSlot(seconds int, rateAt func(sec int) []float64, tickCluster b
 		telemetry.Int("slot", j.slot),
 		telemetry.Int("seconds", seconds))
 	defer sp.End()
+	// BeginSlot empties the engine's totals, which its ticks then fill:
+	// the report is read off them at the slot's end.
 	j.engine.BeginSlot()
-	var err error
-	if j.acc == nil {
-		j.acc, err = monitor.NewSlotAccumulator(j.slot, j.graph.NumOperators(), j.graph.NumSources(), seconds)
-	} else {
-		err = j.acc.Reset(j.slot, seconds)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("flink: %w", err)
-	}
-	acc := j.acc
 	droppedBefore := j.engine.DroppedTotal()
 	for sec := 0; sec < seconds; sec++ {
-		rates := rateAt(sec)
-		st, err := j.engine.Tick(rates)
-		if err != nil {
+		if err := j.engine.Tick(rateAt(sec)); err != nil {
 			return nil, err
 		}
-		acc.Tick(rates, st)
 		if tickCluster {
 			j.session.k8s.Tick(1)
 		}
@@ -413,10 +397,10 @@ func (j *Job) runSlot(seconds int, rateAt func(sec int) []float64, tickCluster b
 	// The slot's end is read afresh: an injector may have killed pods
 	// during the slot, and the report carries what is Running now.
 	j.readEffective()
-	rep, err := acc.Finish(j.opNames, j.effTasks, j.effCPU,
+	rep, err := monitor.SlotReport(j.slot, seconds, j.engine.Totals(), j.opNames, j.effTasks, j.effCPU,
 		j.engine.DroppedTotal()-droppedBefore, j.session.k8s.Cost())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("flink: %w", err)
 	}
 	sp.Annotate(
 		telemetry.Float("throughput", rep.Throughput),

@@ -78,7 +78,7 @@ func TestRunSlotAllocatesOnlyItsReport(t *testing.T) {
 
 // BenchmarkRunSlotYahoo times one 600-second slot of the noisy Yahoo
 // job through Job.RunSlot: 600 engine ticks with their CPU-noise draws,
-// the slot accumulator and the cluster clock.
+// the slot report built from the engine's totals and the cluster clock.
 func BenchmarkRunSlotYahoo(b *testing.B) {
 	j, rateAt := yahooJob(b)
 	if _, err := j.RunSlot(600, rateAt); err != nil {

@@ -1,7 +1,8 @@
 // Package monitor implements the Job Monitor component of Dragster. The
-// substrate job folds each slot's engine ticks into one Snapshot — every
-// operator's rates and mean CPU utilization, with the observed service
-// capacity of every operator per Eq. 8 of the paper:
+// substrate job builds each slot's one Snapshot from the engine's slot
+// totals (SlotReport): every operator's rates and mean CPU utilization,
+// with the observed service capacity of every operator per Eq. 8 of the
+// paper:
 //
 //	c_i(t) = Σ_{j∈S_i} e_j^i / cpu_i(x_i(t))
 //
@@ -37,7 +38,7 @@ type OperatorMetrics struct {
 
 // Snapshot is the report of one decision slot: the substrate finishes
 // it, the Monitor gates it and every policy reads it. Each slot's
-// snapshot is freshly allocated and never written after Finish.
+// snapshot is freshly allocated and never written after SlotReport.
 type Snapshot struct {
 	Slot            int
 	PausedSeconds   int

@@ -9,36 +9,32 @@ import (
 	"dragster/internal/streamsim"
 )
 
-func tick(sink float64, paused bool, ops ...streamsim.OpTick) streamsim.TickStats {
-	return streamsim.TickStats{SinkThroughput: sink, Paused: paused, Ops: ops}
+// oneOp returns the totals of a one-operator, one-source slot.
+func oneOp(active, paused int, sink, lat, rate, arrived, emitted, consumed, util, backlog float64) *streamsim.Totals {
+	return &streamsim.Totals{
+		Active: active, Paused: paused, Sink: sink, Latency: lat,
+		Rates: []float64{rate}, Arrived: []float64{arrived}, Emitted: []float64{emitted},
+		Consumed: []float64{consumed}, Util: []float64{util}, Backlog: []float64{backlog},
+	}
 }
 
 func TestNewSlotAccumulatorValidation(t *testing.T) {
-	if _, err := NewSlotAccumulator(0, 1, 1, 0); err == nil {
+	// Empty totals cover a zero-second slot, which must still be refused
+	// rather than divided by.
+	if _, err := SlotReport(0, 0, oneOp(0, 0, 0, 0, 0, 0, 0, 0, 0, 0), []string{"op"}, []int{1}, []int{1000}, 0, 0); err == nil {
 		t.Error("zero seconds accepted")
 	}
-	if _, err := NewSlotAccumulator(0, -1, 1, 5); err == nil {
-		t.Error("negative ops accepted")
+	if _, err := SlotReport(0, -1, oneOp(0, 0, 0, 0, 0, 0, 0, 0, 0, 0), []string{"op"}, []int{1}, []int{1000}, 0, 0); err == nil {
+		t.Error("negative seconds accepted")
 	}
 }
 
 func TestAccumulatorAverages(t *testing.T) {
-	acc, err := NewSlotAccumulator(3, 1, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 ticks: one paused, three active.
-	ticks := []streamsim.TickStats{
-		tick(100, false, streamsim.OpTick{Arrived: 50, Emitted: 100, Consumed: 50, Util: 0.5, Buffered: 0}),
-		tick(0, true, streamsim.OpTick{Buffered: 30}),
-		tick(200, false, streamsim.OpTick{Arrived: 50, Emitted: 200, Consumed: 100, Util: 0.9, Buffered: 10}),
-		tick(100, false, streamsim.OpTick{Arrived: 50, Emitted: 100, Consumed: 50, Util: 0.7, Buffered: 5}),
-	}
-	ticks[2].LatencySec = 2
-	for _, st := range ticks {
-		acc.Tick([]float64{60}, st)
-	}
-	rep, err := acc.Finish([]string{"op"}, []int{3}, []int{1000}, 7, 1.5)
+	// 4 ticks, one paused and three active, of sink 100, 0, 200 and 100
+	// at rate 60; the active ticks report util 0.5, 0.9 and 0.7, and the
+	// last leaves a backlog of 5.
+	tot := oneOp(3, 1, 400, 2, 240, 150, 400, 200, 0.5+0.9+0.7, 5)
+	rep, err := SlotReport(3, 4, tot, []string{"op"}, []int{3}, []int{1000}, 7, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,68 +78,37 @@ func TestAccumulatorAverages(t *testing.T) {
 	if v.CapacityObs != v.OutRate/v.Util || v.Backpressured {
 		t.Errorf("derived fields: CapacityObs = %v, Backpressured = %v", v.CapacityObs, v.Backpressured)
 	}
+	// A slot that never ran reports zero utilization, not a 0/0.
+	rep, err = SlotReport(0, 2, oneOp(0, 2, 0, 0, 0, 0, 0, 0, 0, 9), []string{"op"}, []int{1}, []int{1000}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := rep.Operators[0]; v.Util != 0 || v.CapacityObs != 0 || v.Backlog != 9 {
+		t.Errorf("all-paused slot: %+v", v)
+	}
 }
 
 func TestAccumulatorErrors(t *testing.T) {
-	acc, err := NewSlotAccumulator(0, 1, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc.Tick([]float64{1}, tick(0, false, streamsim.OpTick{}))
-	// Finishing before all ticks ran is rejected.
-	if _, err := acc.Finish([]string{"op"}, []int{1}, []int{1000}, 0, 0); err == nil {
+	// Totals over fewer ticks than the slot has are rejected.
+	if _, err := SlotReport(0, 2, oneOp(1, 0, 0, 0, 1, 0, 0, 0, 0, 0), []string{"op"}, []int{1}, []int{1000}, 0, 0); err == nil {
 		t.Error("early finish accepted")
 	}
-	acc.Tick([]float64{1}, tick(0, false, streamsim.OpTick{}))
-	if _, err := acc.Finish([]string{"op", "extra"}, []int{1}, []int{1000}, 0, 0); err == nil {
+	tot := oneOp(1, 1, 0, 0, 2, 0, 0, 0, 0, 0)
+	if _, err := SlotReport(0, 2, tot, []string{"op", "extra"}, []int{1}, []int{1000}, 0, 0); err == nil {
 		t.Error("metadata mismatch accepted")
 	}
-	if _, err := acc.Finish([]string{"op"}, []int{1}, []int{1000}, 0, 0); err != nil {
+	if _, err := SlotReport(0, 2, tot, []string{"op"}, []int{1}, []int{1000, 1000}, 0, 0); err == nil {
+		t.Error("CPU length mismatch accepted")
+	}
+	if _, err := SlotReport(0, 2, tot, []string{"op"}, []int{1}, []int{1000}, 0, 0); err != nil {
 		t.Errorf("valid finish rejected: %v", err)
 	}
-	if err := acc.Reset(1, 0); err == nil {
-		t.Error("Reset to a zero-second slot accepted")
-	}
 }
 
-// TestAccumulatorResetMatchesFresh: an accumulator Reset after a slot
-// reports the next slot exactly as a fresh one does.
-func TestAccumulatorResetMatchesFresh(t *testing.T) {
-	used, err := NewSlotAccumulator(0, 1, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		used.Tick([]float64{70}, tick(90, i == 1, streamsim.OpTick{Arrived: 9, Emitted: 8, Consumed: 7, Util: 0.6, Buffered: 3}))
-	}
-	if _, err := used.Finish([]string{"op"}, []int{2}, []int{1000}, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewSlotAccumulator(4, 1, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := used.Reset(4, 2); err != nil {
-		t.Fatal(err)
-	}
-	var reps [2]*Snapshot
-	for k, acc := range []*SlotAccumulator{used, fresh} {
-		acc.Tick([]float64{50}, tick(40, false, streamsim.OpTick{Arrived: 5, Emitted: 4, Consumed: 3, Util: 0.4, Buffered: 1}))
-		acc.Tick([]float64{30}, tick(20, true, streamsim.OpTick{Buffered: 6}))
-		if reps[k], err = acc.Finish([]string{"op"}, []int{3}, []int{500}, 1, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(reps[0], reps[1]) {
-		t.Errorf("after Reset: %+v\nfresh:       %+v", reps[0], reps[1])
-	}
-}
-
-// TestAccumulatorBacklogAfterPausedLastTick: on a real engine whose last
-// two ticks of the slot are paused, Finish reports each operator's backlog
-// as the last tick left it, though the accumulator keeps only the engine's
-// scratch buffer and every earlier tick wrote a different backlog there.
-func TestAccumulatorBacklogAfterPausedLastTick(t *testing.T) {
+// chainEngine builds source → map(sel 2) → shuffle(sel 1) → sink with
+// both operators at 100 tuples/s per task and no noise.
+func chainEngine(t *testing.T) *streamsim.Engine {
+	t.Helper()
 	b := dag.NewBuilder()
 	src := b.Source("source")
 	mp := b.Operator("map")
@@ -164,36 +129,86 @@ func TestAccumulatorBacklogAfterPausedLastTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const seconds = 6
-	acc, err := NewSlotAccumulator(0, 2, 1, seconds)
-	if err != nil {
+	return eng
+}
+
+// TestAccumulatorResetMatchesFresh: an engine whose totals BeginSlot
+// emptied after a slot reports the next slot exactly as a fresh engine
+// does. The first slot's pause leaves a backlog that its last tick
+// drains at ample capacity, so both engines start the second slot with
+// empty queues.
+func TestAccumulatorResetMatchesFresh(t *testing.T) {
+	used, fresh := chainEngine(t), chainEngine(t)
+	for _, e := range []*streamsim.Engine{used, fresh} {
+		if err := e.SetTasks([]int{20, 40}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	used.BeginSlot()
+	for i := 0; i < 3; i++ {
+		if i == 1 {
+			used.Pause(1)
+		}
+		if err := used.Tick([]float64{70}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := SlotReport(0, 3, used.Totals(), []string{"map", "shuffle"}, []int{20, 40}, []int{1000, 1000}, 0, 0); err != nil {
 		t.Fatal(err)
 	}
+	if used.BufferedTotal() != 0 {
+		t.Fatalf("first slot left a backlog of %v", used.BufferedTotal())
+	}
+	var reps [2]*Snapshot
+	for k, e := range []*streamsim.Engine{used, fresh} {
+		e.BeginSlot()
+		if err := e.Tick([]float64{50}); err != nil {
+			t.Fatal(err)
+		}
+		e.Pause(1)
+		if err := e.Tick([]float64{30}); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if reps[k], err = SlotReport(4, 2, e.Totals(), []string{"map", "shuffle"}, []int{3, 3}, []int{500, 500}, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(reps[0], reps[1]) {
+		t.Errorf("after BeginSlot: %+v\nfresh:            %+v", reps[0], reps[1])
+	}
+}
+
+// TestAccumulatorBacklogAfterPausedLastTick: on a real engine whose last
+// two ticks of the slot are paused, the report gives each operator's
+// backlog as the last tick left it, which grew through the pause.
+func TestAccumulatorBacklogAfterPausedLastTick(t *testing.T) {
+	eng := chainEngine(t)
+	const seconds = 6
 	rates := []float64{150} // above the map's 100/s, so its backlog grows
-	var last []streamsim.OpTick
-	var paused bool
+	eng.BeginSlot()
+	var before float64
 	for sec := 0; sec < seconds; sec++ {
 		if sec == seconds-2 {
 			eng.Pause(2)
 		}
-		st, err := eng.Tick(rates)
-		if err != nil {
+		before = eng.BufferedTotal()
+		if err := eng.Tick(rates); err != nil {
 			t.Fatal(err)
 		}
-		acc.Tick(rates, st)
-		last, paused = append(last[:0], st.Ops...), st.Paused
 	}
-	if !paused {
-		t.Fatal("the slot's last tick ran")
-	}
-	rep, err := acc.Finish([]string{"map", "shuffle"}, []int{1, 1}, []int{1000, 1000}, 0, 0)
+	rep, err := SlotReport(0, seconds, eng.Totals(), []string{"map", "shuffle"}, []int{1, 1}, []int{1000, 1000}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, om := range rep.Operators {
-		if om.Backlog != last[i].Buffered {
-			t.Errorf("%s: Backlog = %v, the last tick left %v", om.Name, om.Backlog, last[i].Buffered)
-		}
+	// In a chain each operator has one input edge and the sink's is empty
+	// after the last active tick, so the backlogs add up, in edge order, to
+	// what the engine holds now.
+	if got, want := rep.Operators[0].Backlog+rep.Operators[1].Backlog, eng.BufferedTotal(); got != want {
+		t.Errorf("backlogs add to %v, the last tick left %v", got, want)
+	}
+	if rep.Operators[0].Backlog != before+150 {
+		t.Errorf("map backlog %v, want the last paused tick's %v", rep.Operators[0].Backlog, before+150)
 	}
 	if rep.Operators[0].Backlog <= 50*(seconds-2) {
 		t.Errorf("map backlog %v did not grow through the paused ticks", rep.Operators[0].Backlog)

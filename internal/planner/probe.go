@@ -178,27 +178,21 @@ func (pb *prober) run(op, n int, probeIdx int64) (Probe, error) {
 	}
 	pb.engine.BeginSlot()
 
-	var arrived, consumed, emitted, util float64
-	samples := 0
 	for sec := 0; sec < probeSeconds; sec++ {
-		st, err := pb.engine.Tick(pb.drive)
-		if err != nil {
+		if sec == probeWarmupSec {
+			// The measured window starts here: a probe never pauses, so
+			// the totals then sum exactly its remaining ticks.
+			pb.engine.ClearTotals()
+		}
+		if err := pb.engine.Tick(pb.drive); err != nil {
 			return Probe{}, fmt.Errorf("planner: probe %s n=%d tick %d: %w",
 				spec.Graph.OperatorName(op), n, sec, err)
 		}
-		if sec < probeWarmupSec {
-			continue
-		}
-		ot := st.Ops[op]
-		arrived += ot.Arrived
-		consumed += ot.Consumed
-		emitted += ot.Emitted
-		util += ot.Util
-		samples++
 	}
-	s := float64(samples)
-	meanEmitted, meanUtil := emitted/s, util/s
-	saturated := arrived > consumed*probeMinArrivalExcess && meanUtil >= probeMinUtil
+	t := pb.engine.Totals()
+	s := float64(t.Active)
+	meanEmitted, meanUtil := t.Emitted[op]/s, t.Util[op]/s
+	saturated := t.Arrived[op] > t.Consumed[op]*probeMinArrivalExcess && meanUtil >= probeMinUtil
 	pr := Probe{
 		Operator:  spec.Graph.OperatorName(op),
 		OpIndex:   op,

@@ -32,16 +32,12 @@ func latencyEngine(t testing.TB, perTask float64) *Engine {
 
 func TestLatencyZeroWhenKeepingUp(t *testing.T) {
 	e := latencyEngine(t, 1000)
-	var st TickStats
-	var err error
+	var st *Totals
 	for i := 0; i < 5; i++ {
-		st, err = e.Tick([]float64{100})
-		if err != nil {
-			t.Fatal(err)
-		}
+		st = tickOnce(t, e, 100)
 	}
-	if st.LatencySec != 0 {
-		t.Errorf("latency with ample capacity = %v, want 0", st.LatencySec)
+	if st.Latency != 0 {
+		t.Errorf("latency with ample capacity = %v, want 0", st.Latency)
 	}
 }
 
@@ -49,14 +45,11 @@ func TestLatencyGrowsUnderOverload(t *testing.T) {
 	e := latencyEngine(t, 50) // capacity 50 vs offered 100
 	var prev float64
 	for i := 0; i < 10; i++ {
-		st, err := e.Tick([]float64{100})
-		if err != nil {
-			t.Fatal(err)
+		lat := tickOnce(t, e, 100).Latency
+		if i > 0 && lat <= prev {
+			t.Fatalf("tick %d: latency %v did not grow from %v", i, lat, prev)
 		}
-		if i > 0 && st.LatencySec <= prev {
-			t.Fatalf("tick %d: latency %v did not grow from %v", i, st.LatencySec, prev)
-		}
-		prev = st.LatencySec
+		prev = lat
 	}
 	// Little's law check: after 10 ticks the backlog is 10·50 = 500
 	// tuples draining at 50/s → ≈10 s.
@@ -67,16 +60,10 @@ func TestLatencyGrowsUnderOverload(t *testing.T) {
 
 func TestLatencySaturatesDuringPause(t *testing.T) {
 	e := latencyEngine(t, 1000)
-	if _, err := e.Tick([]float64{100}); err != nil {
-		t.Fatal(err)
-	}
+	tickOnce(t, e, 100)
 	e.Pause(2)
-	st, err := e.Tick([]float64{100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.LatencySec != MaxLatencySec {
-		t.Errorf("paused latency = %v, want MaxLatencySec", st.LatencySec)
+	if lat := tickOnce(t, e, 100).Latency; lat != MaxLatencySec {
+		t.Errorf("paused latency = %v, want MaxLatencySec", lat)
 	}
 }
 
@@ -86,15 +73,11 @@ func TestLatencyCapped(t *testing.T) {
 	if err := e.SetTasks([]int{0}); err != nil {
 		t.Fatal(err)
 	}
-	var st TickStats
-	var err error
+	var st *Totals
 	for i := 0; i < 3; i++ {
-		st, err = e.Tick([]float64{100})
-		if err != nil {
-			t.Fatal(err)
-		}
+		st = tickOnce(t, e, 100)
 	}
-	if st.LatencySec != MaxLatencySec {
-		t.Errorf("latency with dead operator = %v, want MaxLatencySec", st.LatencySec)
+	if st.Latency != MaxLatencySec {
+		t.Errorf("latency with dead operator = %v, want MaxLatencySec", st.Latency)
 	}
 }

@@ -9,6 +9,19 @@ import (
 	"dragster/internal/streamsim"
 )
 
+// lastSink runs ticks ticks at constant rates and returns the sink
+// throughput of the last, a one-tick window of the engine's totals.
+func lastSink(t *testing.T, e *streamsim.Engine, rates []float64, ticks int) float64 {
+	t.Helper()
+	for tick := 0; tick < ticks; tick++ {
+		e.ClearTotals()
+		if err := e.Tick(rates); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e.Totals().Sink
+}
+
 // TestRandomGraphsSteadyStateMatchesModel cross-validates the two
 // throughput models: for random DAGs with ample capacity, the tick-level
 // engine must converge to the steady state dag.Evaluate predicts — the
@@ -45,16 +58,10 @@ func TestRandomGraphsSteadyStateMatchesModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st streamsim.TickStats
 		// Enough ticks for the flow to traverse the deepest pipeline.
-		for tick := 0; tick < 12; tick++ {
-			st, err = e.Tick(rates)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if math.Abs(st.SinkThroughput-want) > 1e-6*(1+want) {
-			t.Fatalf("trial %d: engine steady state %v ≠ model %v", trial, st.SinkThroughput, want)
+		sink := lastSink(t, e, rates, 12)
+		if math.Abs(sink-want) > 1e-6*(1+want) {
+			t.Fatalf("trial %d: engine steady state %v ≠ model %v", trial, sink, want)
 		}
 		if e.BufferedTotal() > 1e-6 {
 			t.Fatalf("trial %d: residual backlog %v with ample capacity", trial, e.BufferedTotal())
@@ -97,18 +104,11 @@ func TestRandomGraphsBottleneckedThroughputBelowModelCap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st streamsim.TickStats
-		for tick := 0; tick < 40; tick++ {
-			st, err = e.Tick(rates)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
 		// The dynamic engine may briefly exceed the steady state while
 		// draining transients, but after 40 ticks of constant load it must
 		// sit at (or below, for join-like shapes) the model's value.
-		if st.SinkThroughput > rep.Throughput*1.02+1e-6 {
-			t.Fatalf("trial %d: engine %v above model steady state %v", trial, st.SinkThroughput, rep.Throughput)
+		if sink := lastSink(t, e, rates, 40); sink > rep.Throughput*1.02+1e-6 {
+			t.Fatalf("trial %d: engine %v above model steady state %v", trial, sink, rep.Throughput)
 		}
 		overloaded := false
 		for i := range caps {

@@ -82,15 +82,12 @@ func TestEngineSetCPUChangesCapacity(t *testing.T) {
 		t.Errorf("capacity at 2000m = %v, want 200", got)
 	}
 	// Throughput follows: offered 150/s is processable only at 2000m.
-	var st TickStats
+	var st *Totals
 	for i := 0; i < 5; i++ {
-		st, err = e.Tick([]float64{150})
-		if err != nil {
-			t.Fatal(err)
-		}
+		st = tickOnce(t, e, 150)
 	}
-	if math.Abs(st.SinkThroughput-150) > 1e-9 {
-		t.Errorf("throughput at 2000m = %v", st.SinkThroughput)
+	if math.Abs(st.Sink-150) > 1e-9 {
+		t.Errorf("throughput at 2000m = %v", st.Sink)
 	}
 	// Validation.
 	if err := e.SetCPU([]int{1, 2}); err == nil {
@@ -148,10 +145,7 @@ func TestCachedCapacityTracksModel(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		tasks, cpu := e.TasksView(), e.CPUView()
-		st, err := e.Tick([]float64{50})
-		if err != nil {
-			t.Fatal(err)
-		}
+		tickOnce(t, e, 50)
 		for i, m := range models {
 			want := m.Capacity(tasks[i])
 			if ra, ok := m.(ResourceAware); ok {
@@ -160,8 +154,10 @@ func TestCachedCapacityTracksModel(t *testing.T) {
 			if got := e.TrueCapacity(i); math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("%s: cached capacity of op %d = %v, model gives %v", when, i, got, want)
 			}
-			if got := st.Ops[i].Capacity; math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s: tick capacity of op %d = %v, model gives %v", when, i, got, want)
+			for _, step := range e.steps {
+				if step.kind == dag.Operator && int(step.op) == i && math.Float64bits(step.y) != math.Float64bits(want) {
+					t.Errorf("%s: tick capacity of op %d = %v, model gives %v", when, i, step.y, want)
+				}
 			}
 		}
 	}

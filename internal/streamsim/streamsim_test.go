@@ -41,6 +41,17 @@ func chainEngine(t testing.TB, perTask float64) *Engine {
 	return e
 }
 
+// tickOnce runs one tick at the given source rates and returns it as a
+// one-tick window of the engine's totals, valid until the next tick.
+func tickOnce(t testing.TB, e *Engine, rates ...float64) *Totals {
+	t.Helper()
+	e.ClearTotals()
+	if err := e.Tick(rates); err != nil {
+		t.Fatal(err)
+	}
+	return e.Totals()
+}
+
 func TestPowerCurveValidation(t *testing.T) {
 	if _, err := NewPowerCurve(0, 0.9, 0); err == nil {
 		t.Error("zero PerTask accepted")
@@ -135,16 +146,12 @@ func TestSteadyStateMatchesDAGModel(t *testing.T) {
 	if err := e.SetTasks([]int{1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	var last TickStats
+	var last *Totals
 	for i := 0; i < 10; i++ {
-		var err error
-		last, err = e.Tick([]float64{100})
-		if err != nil {
-			t.Fatal(err)
-		}
+		last = tickOnce(t, e, 100)
 	}
-	if math.Abs(last.SinkThroughput-200) > 1e-9 {
-		t.Errorf("steady sink throughput = %v, want 200", last.SinkThroughput)
+	if math.Abs(last.Sink-200) > 1e-9 {
+		t.Errorf("steady sink throughput = %v, want 200", last.Sink)
 	}
 }
 
@@ -154,19 +161,15 @@ func TestCapacityBottleneckAndBacklog(t *testing.T) {
 	if err := e.SetTasks([]int{1, 10}); err != nil {
 		t.Fatal(err)
 	}
-	var st TickStats
+	var st *Totals
 	for i := 0; i < 20; i++ {
-		var err error
-		st, err = e.Tick([]float64{100})
-		if err != nil {
-			t.Fatal(err)
-		}
+		st = tickOnce(t, e, 100)
 	}
 	mapIdx := 0
-	if st.Ops[mapIdx].Emitted > 150+1e-9 {
-		t.Errorf("map emitted %v beyond capacity 150", st.Ops[mapIdx].Emitted)
+	if st.Emitted[mapIdx] > 150+1e-9 {
+		t.Errorf("map emitted %v beyond capacity 150", st.Emitted[mapIdx])
 	}
-	if st.Ops[mapIdx].Buffered <= 0 {
+	if st.Backlog[mapIdx] <= 0 {
 		t.Error("expected backlog at bottleneck map operator")
 	}
 	// Backlog must grow monotonically while overloaded: input 100/s → demand
@@ -174,8 +177,8 @@ func TestCapacityBottleneckAndBacklog(t *testing.T) {
 	if e.BufferedTotal() < 100 {
 		t.Errorf("total backlog = %v, want ≥ 100 after 20 overloaded ticks", e.BufferedTotal())
 	}
-	if st.SinkThroughput > 150+1e-9 {
-		t.Errorf("sink throughput %v beyond bottleneck capacity", st.SinkThroughput)
+	if st.Sink > 150+1e-9 {
+		t.Errorf("sink throughput %v beyond bottleneck capacity", st.Sink)
 	}
 }
 
@@ -185,7 +188,7 @@ func TestBacklogDrainsAfterScaleUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		if _, err := e.Tick([]float64{100}); err != nil {
+		if err := e.Tick([]float64{100}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,7 +201,7 @@ func TestBacklogDrainsAfterScaleUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 60; i++ {
-		if _, err := e.Tick([]float64{100}); err != nil {
+		if err := e.Tick([]float64{100}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,24 +212,18 @@ func TestBacklogDrainsAfterScaleUp(t *testing.T) {
 
 func TestPauseAccumulatesAndRecovers(t *testing.T) {
 	e := chainEngine(t, 1000)
-	st, err := e.Tick([]float64{100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tickOnce(t, e, 100)
 	e.Pause(3)
 	if e.pause <= 0 {
 		t.Error("Paused() false after Pause")
 	}
 	var pausedThroughput float64
 	for i := 0; i < 3; i++ {
-		st, err = e.Tick([]float64{100})
-		if err != nil {
-			t.Fatal(err)
+		st := tickOnce(t, e, 100)
+		if st.Paused != 1 || st.Active != 0 {
+			t.Fatalf("tick %d not counted paused: %+v", i, st)
 		}
-		if !st.Paused {
-			t.Fatalf("tick %d not flagged paused", i)
-		}
-		pausedThroughput += st.SinkThroughput
+		pausedThroughput += st.Sink
 	}
 	if pausedThroughput != 0 {
 		t.Errorf("sink throughput during pause = %v", pausedThroughput)
@@ -235,12 +232,8 @@ func TestPauseAccumulatesAndRecovers(t *testing.T) {
 		t.Error("still paused after 3 ticks")
 	}
 	// First tick after resume processes the backlog burst.
-	st, err = e.Tick([]float64{100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SinkThroughput <= 200 {
-		t.Errorf("post-pause catch-up throughput = %v, want > steady 200", st.SinkThroughput)
+	if sink := tickOnce(t, e, 100).Sink; sink <= 200 {
+		t.Errorf("post-pause catch-up throughput = %v, want > steady 200", sink)
 	}
 }
 
@@ -259,12 +252,8 @@ func TestZeroTasksProcessNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		st, err := e.Tick([]float64{50})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.SinkThroughput != 0 {
-			t.Fatalf("throughput with zero-task operator = %v", st.SinkThroughput)
+		if sink := tickOnce(t, e, 50).Sink; sink != 0 {
+			t.Fatalf("throughput with zero-task operator = %v", sink)
 		}
 	}
 	if e.BufferedTotal() != 250 {
@@ -280,7 +269,7 @@ func TestBufferCapDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if _, err := e.Tick([]float64{100}); err != nil {
+		if err := e.Tick([]float64{100}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,19 +283,15 @@ func TestBufferCapDrops(t *testing.T) {
 
 func TestUtilizationReflectsLoad(t *testing.T) {
 	e := chainEngine(t, 400) // capacity 400 vs demand 200 → util ~0.5
-	var st TickStats
-	var err error
+	var st *Totals
 	for i := 0; i < 5; i++ {
-		st, err = e.Tick([]float64{100})
-		if err != nil {
-			t.Fatal(err)
-		}
+		st = tickOnce(t, e, 100)
 	}
-	if math.Abs(st.Ops[0].Util-0.5) > 1e-6 {
-		t.Errorf("map util = %v, want 0.5", st.Ops[0].Util)
+	if math.Abs(st.Util[0]-0.5) > 1e-6 {
+		t.Errorf("map util = %v, want 0.5", st.Util[0])
 	}
 	// Observed capacity per Eq. 8: emitted/util = true capacity.
-	got := st.Ops[0].Emitted / st.Ops[0].Util
+	got := st.Emitted[0] / st.Util[0]
 	if math.Abs(got-400) > 1e-6 {
 		t.Errorf("Eq.8 capacity estimate = %v, want 400", got)
 	}
@@ -347,14 +332,17 @@ func TestSetTasksValidation(t *testing.T) {
 
 func TestTickValidation(t *testing.T) {
 	e := chainEngine(t, 10)
-	if _, err := e.Tick([]float64{1, 2}); err == nil {
+	if err := e.Tick([]float64{1, 2}); err == nil {
 		t.Error("wrong rate count accepted")
 	}
-	if _, err := e.Tick([]float64{-1}); err == nil {
+	if err := e.Tick([]float64{-1}); err == nil {
 		t.Error("negative rate accepted")
 	}
-	if _, err := e.Tick([]float64{math.NaN()}); err == nil {
+	if err := e.Tick([]float64{math.NaN()}); err == nil {
 		t.Error("NaN rate accepted")
+	}
+	if st := e.Totals(); st.Active != 0 || st.Paused != 0 || st.Rates[0] != 0 || e.BufferedTotal() != 0 {
+		t.Errorf("rejected ticks changed the engine: totals %+v, backlog %v", st, e.BufferedTotal())
 	}
 }
 
@@ -372,11 +360,7 @@ func TestMassConservationProperty(t *testing.T) {
 		}
 		var sink float64
 		for i := 0; i < ticks; i++ {
-			st, err := e.Tick([]float64{rate})
-			if err != nil {
-				return false
-			}
-			sink += st.SinkThroughput
+			sink += tickOnce(t, e, rate).Sink
 		}
 		emitted := rate * float64(ticks)
 		// Backlogs by operator (input units): map backlog ×2 converts to
@@ -414,15 +398,12 @@ func TestJoinTopologyMinRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st TickStats
+	var st *Totals
 	for i := 0; i < 10; i++ {
-		st, err = e.Tick([]float64{100, 40})
-		if err != nil {
-			t.Fatal(err)
-		}
+		st = tickOnce(t, e, 100, 40)
 	}
-	if math.Abs(st.SinkThroughput-40) > 1e-9 {
-		t.Errorf("join throughput = %v, want 40 (slow side)", st.SinkThroughput)
+	if math.Abs(st.Sink-40) > 1e-9 {
+		t.Errorf("join throughput = %v, want 40 (slow side)", st.Sink)
 	}
 }
 
@@ -435,7 +416,7 @@ func BenchmarkTickChain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Tick(rates); err != nil {
+		if err := e.Tick(rates); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -444,8 +425,8 @@ func BenchmarkTickChain(b *testing.B) {
 // TestResetMatchesFresh: an engine that has ticked with noise under a
 // changed allocation and a pending pause, then been Reset with its RNG
 // reseeded, ticks exactly like a fresh engine on a fresh RNG of that
-// seed — every TickStats field, bit for bit, with and without buffer
-// caps — and Reset leaves the cached per-operator y and per-edge α·y
+// seed — its totals, emptied by Reset and BeginSlot, agree bit for bit
+// after every tick, with and without buffer caps — and Reset leaves the cached per-operator y and per-edge α·y
 // that New computes. The capacity planner reuses one engine across its
 // probes on this guarantee.
 func TestResetMatchesFresh(t *testing.T) {
@@ -480,7 +461,7 @@ func TestResetMatchesFresh(t *testing.T) {
 		}
 		used.BeginSlot()
 		for i := 0; i < 17; i++ {
-			if _, err := used.Tick([]float64{900}); err != nil {
+			if err := used.Tick([]float64{900}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -493,8 +474,12 @@ func TestResetMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Reset restores the per-slot constants New computes.
+		// Reset restores the per-slot constants New computes and empties
+		// the totals.
 		checkPlanConstants(t, used, "after Reset")
+		if !sameTotals(used.Totals(), fresh.Totals()) {
+			t.Fatalf("cap %v: totals %+v after Reset, %+v fresh", maxBuf, used.Totals(), fresh.Totals())
+		}
 		for i := range fresh.steps {
 			if math.Float64bits(used.steps[i].y) != math.Float64bits(fresh.steps[i].y) {
 				t.Fatalf("cap %v: step %d y %v after Reset, %v fresh", maxBuf, i, used.steps[i].y, fresh.steps[i].y)
@@ -512,21 +497,13 @@ func TestResetMatchesFresh(t *testing.T) {
 			e.BeginSlot()
 		}
 		for tick := 0; tick < 30; tick++ {
-			a, err := used.Tick([]float64{400})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := fresh.Tick([]float64{400})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.SinkThroughput != b.SinkThroughput || a.Paused != b.Paused || a.LatencySec != b.LatencySec {
-				t.Fatalf("cap %v tick %d: reset engine %+v, fresh %+v", maxBuf, tick, a, b)
-			}
-			for i := range b.Ops {
-				if a.Ops[i] != b.Ops[i] {
-					t.Fatalf("cap %v tick %d op %d: reset engine %+v, fresh %+v", maxBuf, tick, i, a.Ops[i], b.Ops[i])
+			for _, e := range []*Engine{used, fresh} {
+				if err := e.Tick([]float64{400}); err != nil {
+					t.Fatal(err)
 				}
+			}
+			if a, b := used.Totals(), fresh.Totals(); !sameTotals(a, b) {
+				t.Fatalf("cap %v tick %d: reset engine %+v, fresh %+v", maxBuf, tick, a, b)
 			}
 			if tick%10 == 9 {
 				used.BeginSlot()

@@ -33,6 +33,8 @@ type retrier struct {
 	// rescale_recovered / rescale_abandoned / rescale_backoff_waits.
 	counters *telemetry.Registry
 
+	// pendTasks and pendCPU hold the pending target; both are empty when
+	// nothing is pending.
 	pendTasks []int
 	pendCPU   []int
 	attempts  int
@@ -47,9 +49,12 @@ type retrier struct {
 // attempt budget. Only fatal errors are returned.
 func (r *retrier) apply(job rescaler, tasks, cpuMilli []int, slot int) error {
 	if !slices.Equal(tasks, r.pendTasks) || !slices.Equal(cpuMilli, r.pendCPU) {
-		// New target from the controller: supersede the pending one.
-		r.pendTasks = append([]int(nil), tasks...)
-		r.pendCPU = append([]int(nil), cpuMilli...)
+		// New target from the controller: supersede the pending one. The
+		// copy reuses the pending target's storage, so a warmed retrier
+		// allocates nothing. A nil cpuMilli copies to an empty one, which
+		// slices.Equal takes as equal and the rescaler is handed as nil.
+		r.pendTasks = append(r.pendTasks[:0], tasks...)
+		r.pendCPU = append(r.pendCPU[:0], cpuMilli...)
 		r.attempts, r.nextSlot = 0, 0
 	}
 	if slot < r.nextSlot {
@@ -59,7 +64,11 @@ func (r *retrier) apply(job rescaler, tasks, cpuMilli []int, slot int) error {
 	if r.attempts > 0 {
 		r.counters.Inc("rescale_retries")
 	}
-	err := job.RescaleResources(r.pendTasks, r.pendCPU)
+	cpu := r.pendCPU
+	if len(cpu) == 0 {
+		cpu = nil // no CPU target: the rescaler keeps each pod's CPU
+	}
+	err := job.RescaleResources(r.pendTasks, cpu)
 	if err == nil {
 		if r.attempts > 0 {
 			r.counters.Inc("rescale_recovered")
@@ -82,7 +91,8 @@ func (r *retrier) apply(job rescaler, tasks, cpuMilli []int, slot int) error {
 	return nil
 }
 
+// reset drops the pending target, keeping its storage for the next one.
 func (r *retrier) reset() {
-	r.pendTasks, r.pendCPU = nil, nil
+	r.pendTasks, r.pendCPU = r.pendTasks[:0], r.pendCPU[:0]
 	r.attempts, r.nextSlot = 0, 0
 }

@@ -40,7 +40,7 @@ func TestRetrierSuccessPassthrough(t *testing.T) {
 	if job.calls != 1 || job.last[0] != 2 || job.last[1] != 3 {
 		t.Errorf("apply did not pass the target through: calls=%d last=%v", job.calls, job.last)
 	}
-	if r.pendTasks != nil {
+	if len(r.pendTasks) != 0 {
 		t.Error("clean success left a pending target")
 	}
 }
@@ -54,7 +54,7 @@ func TestRetrierRecoversAfterBackoff(t *testing.T) {
 	if err := r.apply(job, target, nil, 0); err != nil {
 		t.Fatalf("transient failure escaped: %v", err)
 	}
-	if r.pendTasks == nil {
+	if len(r.pendTasks) == 0 {
 		t.Fatal("failure not absorbed: no pending target")
 	}
 	// Same slot: still backing off, no new attempt.
@@ -68,8 +68,8 @@ func TestRetrierRecoversAfterBackoff(t *testing.T) {
 	if err := r.apply(job, target, nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if job.calls != 2 || r.pendTasks != nil {
-		t.Errorf("recovery incomplete: calls=%d pending=%v", job.calls, r.pendTasks != nil)
+	if job.calls != 2 || len(r.pendTasks) != 0 {
+		t.Errorf("recovery incomplete: calls=%d pending=%v", job.calls, len(r.pendTasks) != 0)
 	}
 	for name, want := range map[string]int64{
 		"rescale_failures":      1,
@@ -99,7 +99,7 @@ func TestRetrierNewTargetSupersedesPending(t *testing.T) {
 	if job.calls != 2 || job.last[0] != 3 {
 		t.Errorf("superseding target not applied: calls=%d last=%v", job.calls, job.last)
 	}
-	if r.pendTasks != nil {
+	if len(r.pendTasks) != 0 {
 		t.Error("retry state survived a successful supersede")
 	}
 }
@@ -117,7 +117,7 @@ func TestRetrierAbandonsAfterMaxAttempts(t *testing.T) {
 		if err := r.apply(job, target, nil, 1<<(k-1)-1); err != nil {
 			t.Fatal(err)
 		}
-		if r.pendTasks == nil {
+		if len(r.pendTasks) == 0 {
 			t.Fatalf("target abandoned after %d of %d attempts", k, maxRescaleAttempts)
 		}
 	}
@@ -127,7 +127,7 @@ func TestRetrierAbandonsAfterMaxAttempts(t *testing.T) {
 	if job.calls != maxRescaleAttempts {
 		t.Fatalf("%d attempts, want %d", job.calls, maxRescaleAttempts)
 	}
-	if r.pendTasks != nil {
+	if len(r.pendTasks) != 0 {
 		t.Error("abandoned target still pending")
 	}
 	if got := cs.CounterValue("rescale_abandoned"); got != 1 {
@@ -182,8 +182,8 @@ func TestRetrierBackoffGrowsAndCaps(t *testing.T) {
 	if err := r.apply(job, target, nil, 7); err != nil {
 		t.Fatal(err)
 	}
-	if job.calls != 4 || r.pendTasks != nil {
-		t.Errorf("fourth failure did not end the retry: calls=%d pending=%v", job.calls, r.pendTasks != nil)
+	if job.calls != 4 || len(r.pendTasks) != 0 {
+		t.Errorf("fourth failure did not end the retry: calls=%d pending=%v", job.calls, len(r.pendTasks) != 0)
 	}
 }
 
@@ -195,7 +195,7 @@ func TestRetrierNonRetryablePropagates(t *testing.T) {
 	if !errors.Is(err, fatal) {
 		t.Fatalf("fatal error absorbed: %v", err)
 	}
-	if r.pendTasks != nil {
+	if len(r.pendTasks) != 0 {
 		t.Error("fatal error left a pending target")
 	}
 }
@@ -212,5 +212,56 @@ func TestRetrierCPUDimensionTracked(t *testing.T) {
 	}
 	if job.calls != 2 {
 		t.Errorf("CPU-only change did not supersede: %d calls", job.calls)
+	}
+}
+
+// quietRescaler fails while fail is set and records whether its last call
+// carried a CPU vector; it allocates nothing.
+type quietRescaler struct {
+	fail   bool
+	calls  int
+	cpuNil bool
+}
+
+func (q *quietRescaler) RescaleResources(tasks, cpuMilli []int) error {
+	q.calls++
+	q.cpuNil = cpuMilli == nil
+	if q.fail {
+		return errTransient
+	}
+	return nil
+}
+
+// TestRetrierWarmAllocatesNothing: once its target storage has grown, a
+// retrier allocates nothing for a new target, a repeated one or a
+// success, and a target without a CPU vector after one with it still
+// reaches the rescaler as nil.
+func TestRetrierWarmAllocatesNothing(t *testing.T) {
+	r := &retrier{counters: telemetry.NewRegistry()}
+	job := &quietRescaler{}
+	target, next, cpu := []int{2, 3, 4}, []int{3, 3, 4}, []int{500, 500, 1000}
+	slot := 0
+	apply := func(tasks, cpuMilli []int, slot int) {
+		if err := r.apply(job, tasks, cpuMilli, slot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round := func() {
+		// A new target fails, waits out its backoff as a repeated target
+		// and then succeeds; a new target without CPU succeeds at once.
+		job.fail = true
+		apply(target, cpu, slot)
+		apply(target, cpu, slot)
+		job.fail = false
+		apply(target, cpu, slot+1)
+		apply(next, nil, slot+1)
+		slot += 2
+	}
+	round()
+	if job.calls != 3 || !job.cpuNil || len(r.pendTasks) != 0 {
+		t.Fatalf("calls=%d cpuNil=%v pending=%v, want 3 calls, a nil CPU vector and nothing pending", job.calls, job.cpuNil, r.pendTasks)
+	}
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Errorf("a warmed retrier allocates %v per round of new, repeated and successful targets, want 0", allocs)
 	}
 }
