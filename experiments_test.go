@@ -40,39 +40,37 @@ func threeFigures(v float64) int64 {
 	return int64(math.Round(v/scale) * scale)
 }
 
-// TestExperimentsHarnessTableMatchesBench renders the "Harness
-// throughput" table from the committed BENCH_e2e.json (ns/op, and
-// rounds/sec to three significant figures) and fails on any row of
-// EXPERIMENTS.md that differs, so the quoted numbers cannot drift from
-// the snapshot they cite.
-func TestExperimentsHarnessTableMatchesBench(t *testing.T) {
+// benchRow is one benchmark of a committed BENCH_*.json snapshot.
+type benchRow struct {
+	Name        string  `json:"name"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+}
+
+// e2eSnapshot reads the committed BENCH_e2e.json, keyed by benchmark.
+func e2eSnapshot(t *testing.T) map[string]benchRow {
+	t.Helper()
 	raw, err := os.ReadFile("BENCH_e2e.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var snap struct {
-		Benchmarks []struct {
-			Name    string  `json:"name"`
-			NsPerOp float64 `json:"ns_per_op"`
-		} `json:"benchmarks"`
+		Benchmarks []benchRow `json:"benchmarks"`
 	}
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatal(err)
 	}
-	ns := map[string]float64{}
+	rows := map[string]benchRow{}
 	for _, b := range snap.Benchmarks {
-		ns[b.Name] = b.NsPerOp
+		rows[b.Name] = b
 	}
-	var want []string
-	for _, r := range harnessRows {
-		v, ok := ns[r.name]
-		if !ok {
-			t.Fatalf("BENCH_e2e.json has no %s", r.name)
-		}
-		want = append(want, fmt.Sprintf("| `%s` | %s | %s | ≈ %s%s |",
-			r.name, r.scale, commas(int64(math.Round(v))), commas(threeFigures(r.rounds*1e9/v)), r.unit))
-	}
+	return rows
+}
 
+// harnessSection returns EXPERIMENTS.md's "Harness throughput" section.
+func harnessSection(t *testing.T) string {
+	t.Helper()
 	doc, err := os.ReadFile("EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +79,29 @@ func TestExperimentsHarnessTableMatchesBench(t *testing.T) {
 	if !ok {
 		t.Fatal(`EXPERIMENTS.md has no "Harness throughput" section`)
 	}
-	_, table, ok := strings.Cut(section, "| benchmark | scale | ns/op | rounds/sec |\n|---|---|---|---|\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	return section
+}
+
+// TestExperimentsHarnessTableMatchesBench renders the "Harness
+// throughput" table from the committed BENCH_e2e.json (ns/op, and
+// rounds/sec to three significant figures) and fails on any row of
+// EXPERIMENTS.md that differs, so the quoted numbers cannot drift from
+// the snapshot they cite.
+func TestExperimentsHarnessTableMatchesBench(t *testing.T) {
+	rows := e2eSnapshot(t)
+	var want []string
+	for _, r := range harnessRows {
+		b, ok := rows[r.name]
+		if !ok {
+			t.Fatalf("BENCH_e2e.json has no %s", r.name)
+		}
+		v := b.NsPerOp
+		want = append(want, fmt.Sprintf("| `%s` | %s | %s | ≈ %s%s |",
+			r.name, r.scale, commas(int64(math.Round(v))), commas(threeFigures(r.rounds*1e9/v)), r.unit))
+	}
+
+	_, table, ok := strings.Cut(harnessSection(t), "| benchmark | scale | ns/op | rounds/sec |\n|---|---|---|---|\n")
 	if !ok {
 		t.Fatal("the Harness throughput section has no benchmark table")
 	}
@@ -93,6 +113,35 @@ func TestExperimentsHarnessTableMatchesBench(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("row %d reads\n%s\nBENCH_e2e.json renders\n%s", i+1, got[i], want[i])
+		}
+	}
+}
+
+// TestExperimentsHarnessProseMatchesBench renders the figures the prose
+// beside the "Harness throughput" table quotes from BENCH_e2e.json — the
+// `workers=4` time as a multiple of `workers=1`, a 6-slot run's
+// allocations and kilobytes, and a 1,000-tenant round in milliseconds —
+// and fails unless the section states each, line breaks read as spaces.
+func TestExperimentsHarnessProseMatchesBench(t *testing.T) {
+	rows := e2eSnapshot(t)
+	row := func(name string) benchRow {
+		b, ok := rows[name]
+		if !ok {
+			t.Fatalf("BENCH_e2e.json has no %s", name)
+		}
+		return b
+	}
+	run := row("BenchmarkRunRoundsPerSec")
+	want := []string{
+		fmt.Sprintf("it runs at %.2f× of `workers=1`",
+			row("BenchmarkRepeat8Seeds/workers=4").NsPerOp/row("BenchmarkRepeat8Seeds/workers=1").NsPerOp),
+		fmt.Sprintf("a full 6-slot run costs %.0f allocations (%.0f KB)", run.AllocsPerOp, run.BytesPerOp/1000),
+		fmt.Sprintf("admission-order reduction; %.1f ms per round", row("BenchmarkFleetRound1000Jobs").NsPerOp/1e6),
+	}
+	prose := strings.Join(strings.Fields(harnessSection(t)), " ")
+	for _, w := range want {
+		if !strings.Contains(prose, w) {
+			t.Errorf("the Harness throughput section does not state %q, which BENCH_e2e.json renders", w)
 		}
 	}
 }

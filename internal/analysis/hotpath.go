@@ -10,16 +10,15 @@ import (
 
 // hotpathSeeds are the functions on the simulator's per-tick and
 // per-round critical paths, diagnosed even without an annotation: the
-// streamsim tick loop, its operator steps and backlog total, the GP posterior query and
-// candidate reads, UCB candidate selection, and the cluster tick. Keys
+// streamsim tick, its operator walk, general step and backlog total, the
+// GP posterior query and candidate reads, UCB candidate selection, and
+// the cluster tick. Keys
 // are fully qualified names as produced by funcFullName
 // ("pkg.(*Type).Method" or "pkg.Func").
 var hotpathSeeds = map[string]bool{
 	ModulePath + "/internal/streamsim.(*Engine).Tick":          true,
+	ModulePath + "/internal/streamsim.(*Engine).walk":          true,
 	ModulePath + "/internal/streamsim.(*Engine).tickOperator":  true,
-	ModulePath + "/internal/streamsim.(*Engine).tickLinear":    true,
-	ModulePath + "/internal/streamsim.(*Engine).stall":         true,
-	ModulePath + "/internal/streamsim.(*Engine).drained":       true,
 	ModulePath + "/internal/streamsim.(*Engine).addToEdge":     true,
 	ModulePath + "/internal/streamsim.(*Engine).BufferedTotal": true,
 	ModulePath + "/internal/gp.(*Regressor).Posterior":         true,

@@ -79,3 +79,52 @@ func TestRenderCapacity(t *testing.T) {
 		}
 	}
 }
+
+// TestCapacityClaimAcrossCells pins the fraction EXPERIMENTS.md states
+// for the capacity headline over its 12 cells (cmd/benchmark's 24 slots
+// at slot lengths 60, 120, 300 and 600 s × seeds 1–3): planned admission
+// sustains the SLO strictly earlier than the cold floor in exactly 8
+// cells, failing in the four the document names, and accrues strictly
+// less regret in all 12.
+func TestCapacityClaimAcrossCells(t *testing.T) {
+	spec, err := workload.WordCount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cell struct {
+		slotSecs int
+		seed     int64
+	}
+	later := map[cell]bool{{60, 2}: true, {300, 2}: true, {600, 1}: true, {600, 3}: true}
+	earlier := 0
+	for _, slotSecs := range []int{60, 120, 300, 600} {
+		for seed := int64(1); seed <= 3; seed++ {
+			r, err := RunCapacity(spec, 24, slotSecs, seed)
+			if err != nil {
+				t.Fatalf("%d s seed %d: %v", slotSecs, seed, err)
+			}
+			p, c := r.Planned, r.ColdFloor
+			// "never" counts as the full horizon, as in the envelope test.
+			planSLO, coldSLO := p.RoundsToSLO, c.RoundsToSLO
+			if planSLO < 0 {
+				planSLO = r.Slots
+			}
+			if coldSLO < 0 {
+				coldSLO = r.Slots
+			}
+			if planSLO < coldSLO {
+				earlier++
+			}
+			if want := !later[cell{slotSecs, seed}]; (planSLO < coldSLO) != want {
+				t.Errorf("%d s seed %d: planned SLO round %d, cold floor %d; earlier = %v, want %v",
+					slotSecs, seed, p.RoundsToSLO, c.RoundsToSLO, !want, want)
+			}
+			if p.Regret >= c.Regret {
+				t.Errorf("%d s seed %d: planned regret %.0f ≥ cold-floor regret %.0f", slotSecs, seed, p.Regret, c.Regret)
+			}
+		}
+	}
+	if earlier != 8 {
+		t.Errorf("planned sustained the SLO earlier in %d of 12 cells, EXPERIMENTS.md states 8", earlier)
+	}
+}

@@ -31,7 +31,7 @@ func SlotReport(slot, seconds int, t *streamsim.Totals, names []string, running,
 	if t.Active+t.Paused != seconds {
 		return nil, errors.New("monitor: totals do not cover the slot's ticks")
 	}
-	nOps := len(t.Arrived)
+	nOps := len(t.Ops)
 	if len(names) != nOps || len(running) != nOps || len(cpuMilli) != nOps {
 		return nil, errors.New("monitor: report metadata length mismatch")
 	}
@@ -55,13 +55,14 @@ func SlotReport(slot, seconds int, t *streamsim.Totals, names []string, running,
 		om.Name = names[i]
 		om.Tasks = running[i]
 		om.CPUMilli = cpuMilli[i]
-		om.InRate = t.Arrived[i] / secs
-		om.OutRate = t.Emitted[i] / secs
-		om.ConsumedRate = t.Consumed[i] / secs
+		o := &t.Ops[i]
+		om.InRate = o.Arrived / secs
+		om.OutRate = o.Emitted / secs
+		om.ConsumedRate = o.Consumed / secs
 		if t.Active > 0 {
-			om.Util = t.Util[i] / float64(t.Active)
+			om.Util = o.Util / float64(t.Active)
 		}
-		om.Backlog = t.Backlog[i]
+		om.Backlog = o.Backlog
 		om.CapacityObs = om.OutRate / max(om.Util, minUtil)
 		om.Backpressured = om.Util >= utilSaturation ||
 			(om.InRate > 0 && om.Backlog > backlogSeconds*om.InRate)

@@ -13,8 +13,10 @@ import (
 func oneOp(active, paused int, sink, lat, rate, arrived, emitted, consumed, util, backlog float64) *streamsim.Totals {
 	return &streamsim.Totals{
 		Active: active, Paused: paused, Sink: sink, Latency: lat,
-		Rates: []float64{rate}, Arrived: []float64{arrived}, Emitted: []float64{emitted},
-		Consumed: []float64{consumed}, Util: []float64{util}, Backlog: []float64{backlog},
+		Rates: []float64{rate},
+		Ops: []streamsim.OpTotals{{
+			Arrived: arrived, Emitted: emitted, Consumed: consumed, Util: util, Backlog: backlog,
+		}},
 	}
 }
 

@@ -190,9 +190,9 @@ func (pb *prober) run(op, n int, probeIdx int64) (Probe, error) {
 		}
 	}
 	t := pb.engine.Totals()
-	s := float64(t.Active)
-	meanEmitted, meanUtil := t.Emitted[op]/s, t.Util[op]/s
-	saturated := t.Arrived[op] > t.Consumed[op]*probeMinArrivalExcess && meanUtil >= probeMinUtil
+	s, o := float64(t.Active), &t.Ops[op]
+	meanEmitted, meanUtil := o.Emitted/s, o.Util/s
+	saturated := o.Arrived > o.Consumed*probeMinArrivalExcess && meanUtil >= probeMinUtil
 	pr := Probe{
 		Operator:  spec.Graph.OperatorName(op),
 		OpIndex:   op,

@@ -46,8 +46,7 @@ const MaxLatencySec = 3600
 // Totals are the running sums of the ticks since the last BeginSlot,
 // ClearTotals or Reset. Tick adds each value where it produces it, so a
 // slot's report is read off them with no second walk over the ticks.
-// Per-operator slices are by dense operator index, Rates by dense source
-// index.
+// Ops is by dense operator index, Rates by dense source index.
 type Totals struct {
 	Active, Paused int     // ticks that ran, and ticks spent in a reconfiguration pause
 	Sink           float64 // tuples absorbed by sinks
@@ -56,11 +55,21 @@ type Totals struct {
 	// saturated while paused with any backlog. The paper's dynamic-fit
 	// bound translates into a bound on exactly this quantity.
 	Latency float64
-	Rates   []float64 // offered source rates
-	// Per operator: the tuples arriving on its input edges, drained from
-	// them and produced; its reported (noisy) CPU utilization in (0, 1]
-	// over the active ticks; and its input backlog after the last tick.
-	Arrived, Consumed, Emitted, Util, Backlog []float64
+	Rates   []float64  // offered source rates
+	Ops     []OpTotals // one record per operator
+}
+
+// OpTotals is one operator's record: its sums over the ticks and the
+// tick's scratch, side by side so a tick's step touches one entry.
+type OpTotals struct {
+	// The tuples arriving on its input edges, drained from them and
+	// produced; its reported (noisy) CPU utilization in (0, 1] over the
+	// active ticks; and its input backlog after the last tick.
+	Arrived, Consumed, Emitted, Util, Backlog float64
+	// arrived sums the operator's arrivals within the tick (one with
+	// several input edges adds them up before Arrived does), and
+	// consumed holds its drain for the tick's latency estimate.
+	arrived, consumed float64
 }
 
 // Engine simulates the dataflow. Not safe for concurrent use.
@@ -79,40 +88,39 @@ type Engine struct {
 	// adjacency copies. Edge IDs are the graph's (dag.Graph.EdgeByID);
 	// all adjacency slices below are read-only views into the graph or
 	// engine-owned arrays built once.
-	edgeBuf  []float64  // backlog per edge ID
-	edges    []edgePlan // constants per edge ID
-	srcEdges [][]int32  // outgoing edge IDs per dense source index
-	steps    []tickStep // operators and sinks with their adjacency, in topological order
-	opPreds  [][]int32  // incoming edge IDs per dense operator index
+	edgeBuf   []float64  // backlog per edge ID
+	edges     []edgePlan // constants per edge ID
+	srcEdges  [][]int32  // outgoing edge IDs per dense source index
+	steps     []tickStep // operators with their adjacency, in topological order
+	sinkEdges []int32    // sink in-edge IDs, sinks in topological order
+	opPreds   [][]int32  // incoming edge IDs per dense operator index
 
-	// Per-tick scratch: Tick runs once per simulated second, so its
-	// working slices are sized once and reused. arrived sums each
-	// operator's arrivals within the tick (an operator with several input
-	// edges adds them up before the total does), consumed holds each
-	// operator's drain for the latency estimate, and qBuf/demBuf are
-	// tickOperator's per-edge working vectors.
-	arrived  []float64
-	consumed []float64
-	qBuf     []float64
-	demBuf   []float64
+	// qBuf and demBuf are tickOperator's per-edge working vectors, sized
+	// once and reused.
+	qBuf   []float64
+	demBuf []float64
 
 	tot     Totals
 	dropped float64
 }
 
-// tickStep is one node of the per-tick topological walk: an operator that
-// drains its input edges or a sink that absorbs them.
+// tickStep is one operator of the per-tick topological walk.
 type tickStep struct {
-	kind  dag.Kind
-	op    int32   // dense operator index when kind == dag.Operator
+	op    int32   // dense operator index
 	preds []int32 // incoming edge IDs, predecessor order
 	succs []int32 // outgoing edge IDs, successor order
 	// y is the operator's effective capacity caps·slotNoise, which
 	// changes only when caps or slotNoise do (see refreshY).
 	y float64
 	// linear marks an operator whose only out-edge is linear (see
-	// edgePlan.linear): it steps through tickLinear.
-	linear bool
+	// edgePlan.linear). The walk steps it straight-line from the
+	// constants below: its one in-edge and its out-edge, the out-edge's
+	// head operator (-1 for a sink), its rate k and its α·y, refreshed
+	// with y.
+	linear    bool
+	in, out   int32
+	head      int32
+	k, alphaY float64
 }
 
 // edgePlan holds one edge's per-tick constants.
@@ -159,13 +167,10 @@ func New(cfg Config) (*Engine, error) {
 		cpu:       make([]int, m),
 		caps:      make([]float64, m),
 		slotNoise: make([]float64, m),
-		tot:       Totals{Rates: make([]float64, cfg.Graph.NumSources())},
-	}
-	t := &e.tot
-	perOp := []*[]float64{&e.arrived, &e.consumed, &t.Arrived, &t.Consumed, &t.Emitted, &t.Util, &t.Backlog}
-	block := make([]float64, len(perOp)*m) // the per-operator scratch and totals share one block
-	for i, v := range perOp {
-		*v = block[i*m : (i+1)*m : (i+1)*m]
+		tot: Totals{
+			Rates: make([]float64, cfg.Graph.NumSources()),
+			Ops:   make([]OpTotals, m),
+		},
 	}
 	e.buildPlan()
 	e.Reset()
@@ -197,9 +202,8 @@ func (e *Engine) Reset() {
 func (e *Engine) ClearTotals() {
 	t := &e.tot
 	t.Active, t.Paused, t.Sink, t.Latency = 0, 0, 0, 0
-	for _, v := range [][]float64{t.Rates, t.Arrived, t.Consumed, t.Emitted, t.Util, t.Backlog} {
-		clear(v)
-	}
+	clear(t.Rates)
+	clear(t.Ops)
 }
 
 // Totals returns the running totals. They are engine state, read-only
@@ -228,20 +232,25 @@ func (e *Engine) buildPlan() {
 	for si, src := range g.Sources() {
 		e.srcEdges[si] = g.SuccEdgeIDs(src)
 	}
-	// Sources are pushed separately, so the tick walks the graph's
-	// topological order without them.
+	// Sources are pushed separately and sinks absorb after the operators,
+	// so the tick walks the graph's topological order over operators only.
 	for _, id := range g.TopoOrder() {
-		if g.KindOf(id) == dag.Source {
-			continue
+		switch g.KindOf(id) {
+		case dag.Operator:
+			step := tickStep{
+				op:    int32(g.OperatorIndex(id)),
+				preds: g.PredEdgeIDs(id),
+				succs: g.SuccEdgeIDs(id),
+			}
+			if len(step.succs) == 1 && e.edges[step.succs[0]].linear {
+				out := &e.edges[step.succs[0]]
+				step.linear, step.in, step.out = true, step.preds[0], step.succs[0]
+				step.head, step.k = out.toOp, out.k
+			}
+			e.steps = append(e.steps, step)
+		case dag.Sink:
+			e.sinkEdges = append(e.sinkEdges, g.PredEdgeIDs(id)...)
 		}
-		succs := g.SuccEdgeIDs(id)
-		e.steps = append(e.steps, tickStep{
-			kind:   g.KindOf(id),
-			op:     int32(g.OperatorIndex(id)),
-			preds:  g.PredEdgeIDs(id),
-			succs:  succs,
-			linear: len(succs) == 1 && e.edges[succs[0]].linear,
-		})
 	}
 	e.opPreds = make([][]int32, g.NumOperators())
 	for _, id := range g.Operators() {
@@ -306,19 +315,19 @@ func (e *Engine) refreshCapacity() {
 }
 
 // refreshY recomputes every operator's y = caps·slotNoise and its
-// out-edges' α·y, the products tickOperator would otherwise form every
-// second. Each is the same float expression tickOperator used, so the
+// out-edges' α·y, the products the operator steps would otherwise form
+// every second. Each is the same float expression the steps used, so the
 // cached values are bit-identical; callers run it whenever caps or
 // slotNoise change.
 func (e *Engine) refreshY() {
 	for i := range e.steps {
 		step := &e.steps[i]
-		if step.kind != dag.Operator {
-			continue
-		}
 		step.y = e.caps[step.op] * e.slotNoise[step.op]
 		for _, ei := range step.succs {
 			e.edges[ei].alphaY = e.edges[ei].alpha * step.y
+		}
+		if step.linear {
+			step.alphaY = e.edges[step.out].alphaY
 		}
 	}
 }
@@ -368,16 +377,18 @@ func (e *Engine) TrueCapacity(i int) float64 {
 // DroppedTotal returns cumulative tuples dropped to buffer caps.
 func (e *Engine) DroppedTotal() float64 { return e.dropped }
 
-// BufferedTotal returns the backlog summed over all edges. Edges are
-// visited in topological order so the float sum is identical across runs
-// (an order-free reduction would make the rounding, and thus rendered
-// figures, depend on iteration order).
+// BufferedTotal returns the backlog summed over all edges: operator
+// in-edges with the operators in topological order, then sink in-edges,
+// a fixed order so the float sum is identical across runs.
 func (e *Engine) BufferedTotal() float64 {
 	var s float64
 	for i := range e.steps {
 		for _, ei := range e.steps[i].preds {
 			s += e.edgeBuf[ei]
 		}
+	}
+	for _, ei := range e.sinkEdges {
+		s += e.edgeBuf[ei]
 	}
 	return s
 }
@@ -404,59 +415,22 @@ func (e *Engine) Tick(rates []float64) error {
 			e.addToEdge(ei, e.edges[ei].alpha*rate)
 		}
 	}
-
-	var lat float64
-	if e.pause > 0 {
-		e.pause--
-		t.Paused++
-		// Arrivals still count; nothing drains, so the latency estimate
-		// saturates.
-		for i := range t.Backlog {
-			t.Arrived[i] += e.arrived[i]
-			e.arrived[i] = 0
-			t.Backlog[i] = e.opBacklog(i)
-			if t.Backlog[i] > 0 {
-				lat = MaxLatencySec
-			}
-		}
-		t.Latency += lat
+	if e.pause == 0 {
+		e.walk()
 		return nil
 	}
 
-	// Operators in topological order, each after all its arrivals. Sinks
-	// absorb flows as they appear.
-	t.Active++
-	var sink float64
-	for i := range e.steps {
-		step := &e.steps[i]
-		switch step.kind {
-		case dag.Operator:
-			oi := step.op
-			t.Arrived[oi] += e.arrived[oi]
-			e.arrived[oi] = 0
-			if step.linear {
-				e.tickLinear(step)
-			} else {
-				e.tickOperator(step)
-			}
-		case dag.Sink:
-			for _, ei := range step.preds {
-				sink += e.edgeBuf[ei]
-				e.edgeBuf[ei] = 0
-			}
-		}
-	}
-	t.Sink += sink
-	for i, b := range t.Backlog {
-		switch {
-		case b <= 0:
-			// no queueing delay at this operator
-		case e.consumed[i] > 0:
-			lat += b / e.consumed[i]
-		default:
-			lat = MaxLatencySec
-		}
-		if lat > MaxLatencySec {
+	e.pause--
+	t.Paused++
+	// Arrivals still count; nothing drains, so the latency estimate
+	// saturates.
+	var lat float64
+	for i := range t.Ops {
+		o := &t.Ops[i]
+		o.Arrived += o.arrived
+		o.arrived = 0
+		o.Backlog = e.opBacklog(i)
+		if o.Backlog > 0 {
 			lat = MaxLatencySec
 		}
 	}
@@ -464,11 +438,99 @@ func (e *Engine) Tick(rates []float64) error {
 	return nil
 }
 
+// walk runs an active tick after the sources have emitted: every
+// operator in topological order, each after all its arrivals, then the
+// sinks, then the latency estimate. A sink's in-edges are written only
+// by their tail, which comes before the sink in topological order, so
+// absorbing every sink after the walk reads the values the sink would
+// have read in its place.
+//
+// A linear step is tickOperator for one input edge and one one-input
+// Linear output edge (every operator of the Yahoo chain), with the same
+// float expressions and no scratch slices or loops. Its edge backlogs
+// are never −0, so q and take are bit for bit the general loop's
+// one-term backlog and consumed sums from zero, and it skips the
+// division α·y/d exactly: when α·y ≥ d the quotient rounds to at least 1
+// and cannot lower φ.
+func (e *Engine) walk() {
+	t := &e.tot
+	t.Active++
+	ops, buf := t.Ops, e.edgeBuf
+	maxBuf := e.cfg.MaxBufferPerEdge
+	rng, sigma := e.cfg.RNG, e.cfg.UtilNoiseSigma
+	for i := range e.steps {
+		s := &e.steps[i]
+		o := &ops[s.op]
+		o.Arrived += o.arrived
+		o.arrived = 0
+		if !s.linear {
+			e.tickOperator(s, o)
+			continue
+		}
+		q := buf[s.in]
+		d := s.k * q // a −0 demand stalls exactly like the general loop's +0
+		if s.y <= 0 || !(d > 0) {
+			o.Backlog, o.consumed = q, 0
+			continue
+		}
+		phi := 1.0
+		if s.alphaY < d {
+			phi = s.alphaY / d
+		}
+		var emitted float64
+		if out := phi * d; out > 0 {
+			emitted = out
+			if s.head >= 0 {
+				ops[s.head].arrived += out
+			}
+			next := buf[s.out] + out
+			if maxBuf > 0 && next > maxBuf {
+				e.dropped += next - maxBuf
+				next = maxBuf
+			}
+			buf[s.out] = next
+		}
+		take := phi * q
+		buf[s.in] = q - take
+		o.Backlog, o.consumed = q-take, take
+		o.Consumed += take
+		o.Emitted += emitted
+		var noise float64
+		if sigma > 0 {
+			noise = rng.Normal(0, sigma)
+		}
+		o.Util += cpuReading(emitted, s.y, noise)
+	}
+
+	var sink float64
+	for _, ei := range e.sinkEdges {
+		sink += buf[ei]
+		buf[ei] = 0
+	}
+	t.Sink += sink
+	var lat float64
+	for i := range ops {
+		o := &ops[i]
+		switch {
+		case o.Backlog <= 0:
+			// no queueing delay at this operator
+		case o.consumed > 0:
+			lat += o.Backlog / o.consumed
+		default:
+			lat = MaxLatencySec
+		}
+		lat = min(lat, MaxLatencySec)
+	}
+	t.Latency += lat
+}
+
 // tickOperator drains one operator's input edges by the feasible
 // uniform fraction φ of its demands, for any arity and throughput
-// functions.
-func (e *Engine) tickOperator(step *tickStep) {
-	oi := step.op
+// functions, and records the drain in o. An operator with no capacity or
+// no demand drains nothing: its zero consumption, emission and
+// utilization are not added, which is exact because those sums start at
+// +0 and only grow.
+func (e *Engine) tickOperator(step *tickStep, o *OpTotals) {
 	preds := step.preds
 	succs := step.succs
 
@@ -483,8 +545,8 @@ func (e *Engine) tickOperator(step *tickStep) {
 	}
 
 	y := step.y
+	o.Backlog, o.consumed = backlog, 0
 	if y <= 0 {
-		e.stall(oi, backlog)
 		return
 	}
 
@@ -513,7 +575,6 @@ func (e *Engine) tickOperator(step *tickStep) {
 		}
 	}
 	if !anyDemand {
-		e.stall(oi, backlog)
 		return
 	}
 	if phi > 1 {
@@ -535,76 +596,28 @@ func (e *Engine) tickOperator(step *tickStep) {
 		e.edgeBuf[ei] = q[k] - take
 		consumed += take
 	}
-	e.drained(oi, backlog, consumed, emitted, y)
+	o.Backlog, o.consumed = backlog-consumed, consumed
+	o.Consumed += consumed
+	o.Emitted += emitted
+	var noise float64
+	if e.cfg.UtilNoiseSigma > 0 {
+		noise = e.cfg.RNG.Normal(0, e.cfg.UtilNoiseSigma)
+	}
+	o.Util += cpuReading(emitted, y, noise)
 }
 
-// tickLinear is tickOperator for an operator with one input edge and one
-// one-input Linear output edge (every operator of the Yahoo chain), with
-// the same float expressions and no scratch slices or loops. It skips two
-// divisions exactly: when α·y ≥ d the quotient rounds to at least 1 and
-// cannot lower φ, and drained skips emitted/y when that clamps to 1.
-func (e *Engine) tickLinear(step *tickStep) {
-	oi := step.op
-	pe, se := step.preds[0], step.succs[0]
-	// Edge backlogs are never −0, so q and take are bit for bit the
-	// general loop's one-term backlog and consumed sums from zero.
-	q := e.edgeBuf[pe]
-	backlog := q
-	y := step.y
-	ep := &e.edges[se]
-	var d float64
-	d += ep.k * q
-	if y <= 0 || !(d > 0) {
-		e.stall(oi, backlog)
-		return
-	}
-	phi := 1.0
-	if ep.alphaY < d {
-		phi = ep.alphaY / d
-	}
-
-	var emitted float64
-	if out := phi * d; out > 0 {
-		emitted += out
-		e.addToEdge(se, out)
-	}
-	take := phi * q
-	e.edgeBuf[pe] = q - take
-	e.drained(oi, backlog, take, emitted, y)
-}
-
-// stall records a tick in which operator oi drained nothing: no capacity
-// or no demand. Its zero consumption, emission and utilization are not
-// added, which is exact because those sums start at +0 and only grow.
-func (e *Engine) stall(oi int32, backlog float64) {
-	e.tot.Backlog[oi] = backlog
-	e.consumed[oi] = 0
-}
-
-// drained records operator oi's drain for the tick: its backlog, its
-// consumption and emission, and its CPU reading, the emitted share of the
-// effective capacity y clamped to (0, 1] after the utilization noise.
-func (e *Engine) drained(oi int32, backlog, consumed, emitted, y float64) {
-	t := &e.tot
-	t.Backlog[oi] = backlog - consumed
-	e.consumed[oi] = consumed
-	t.Consumed[oi] += consumed
-	t.Emitted[oi] += emitted
-
+// cpuReading is an operator's CPU reading for a tick in which it
+// emitted emitted tuples at effective capacity y > 0: the emitted share
+// of y, plus the reading noise, clamped to (0, 1] (a running JVM never
+// reports exactly zero CPU). The division is skipped exactly when the
+// share would clamp to 1, and min/max give what two ifs would, NaN
+// included.
+func cpuReading(emitted, y, noise float64) float64 {
 	util := 1.0
 	if emitted < y {
 		util = emitted / y
 	}
-	if e.cfg.UtilNoiseSigma > 0 {
-		util += e.cfg.RNG.Normal(0, e.cfg.UtilNoiseSigma)
-	}
-	if util < 1e-4 {
-		util = 1e-4 // a running JVM never reports exactly zero CPU
-	}
-	if util > 1 {
-		util = 1
-	}
-	t.Util[oi] += util
+	return min(max(util+noise, 1e-4), 1)
 }
 
 // addToEdge appends flow to an edge buffer, enforcing the cap and counting
@@ -614,7 +627,7 @@ func (e *Engine) addToEdge(ei int32, amount float64) {
 		return
 	}
 	if oi := e.edges[ei].toOp; oi >= 0 {
-		e.arrived[oi] += amount
+		e.tot.Ops[oi].arrived += amount
 	}
 	next := e.edgeBuf[ei] + amount
 	if e.cfg.MaxBufferPerEdge > 0 && next > e.cfg.MaxBufferPerEdge {

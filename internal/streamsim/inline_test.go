@@ -45,21 +45,24 @@ func sameTotals(a, b *Totals) bool {
 		}
 		return true
 	}
+	ops := func(t *Totals) []float64 {
+		var v []float64
+		for _, o := range t.Ops {
+			v = append(v, o.Arrived, o.Consumed, o.Emitted, o.Util, o.Backlog)
+		}
+		return v
+	}
 	return a.Active == b.Active && a.Paused == b.Paused &&
 		same([]float64{a.Sink, a.Latency}, []float64{b.Sink, b.Latency}) &&
-		same(a.Rates, b.Rates) && same(a.Arrived, b.Arrived) && same(a.Consumed, b.Consumed) &&
-		same(a.Emitted, b.Emitted) && same(a.Util, b.Util) && same(a.Backlog, b.Backlog)
+		same(a.Rates, b.Rates) && same(ops(a), ops(b))
 }
 
 // checkPlanConstants fails unless every operator's cached y and every
-// out-edge's cached α·y equal the products tickOperator used to form
-// each tick, bit for bit.
+// out-edge's cached α·y, on the edge and on a linear step, equal the
+// products tickOperator used to form each tick, bit for bit.
 func checkPlanConstants(t *testing.T, e *Engine, when string) {
 	t.Helper()
 	for _, step := range e.steps {
-		if step.kind != dag.Operator {
-			continue
-		}
 		y := e.caps[step.op] * e.slotNoise[step.op]
 		if math.Float64bits(step.y) != math.Float64bits(y) {
 			t.Fatalf("%s: operator %d caches y %v, caps·noise is %v", when, step.op, step.y, y)
@@ -68,6 +71,9 @@ func checkPlanConstants(t *testing.T, e *Engine, when string) {
 			if ep := e.edges[ei]; math.Float64bits(ep.alphaY) != math.Float64bits(ep.alpha*y) {
 				t.Fatalf("%s: edge %d caches α·y %v, α·y is %v", when, ei, ep.alphaY, ep.alpha*y)
 			}
+		}
+		if step.linear && math.Float64bits(step.alphaY) != math.Float64bits(e.edges[step.out].alpha*y) {
+			t.Fatalf("%s: linear operator %d caches α·y %v, α·y is %v", when, step.op, step.alphaY, e.edges[step.out].alpha*y)
 		}
 	}
 }

@@ -62,11 +62,13 @@ func (a *refAccumulator) tick(rates []float64, st streamsim.RefTick) {
 func (a *refAccumulator) totals() *streamsim.Totals {
 	t := &streamsim.Totals{
 		Active: a.active, Paused: a.paused, Sink: a.sinkSum, Latency: a.latSum,
-		Rates: a.rateSum, Arrived: a.inSum, Consumed: a.consSum, Emitted: a.outSum, Util: a.utilSum,
-		Backlog: make([]float64, len(a.inSum)),
+		Rates: a.rateSum, Ops: make([]streamsim.OpTotals, len(a.inSum)),
 	}
-	for i, op := range a.lastOps {
-		t.Backlog[i] = op.Buffered
+	for i := range t.Ops {
+		t.Ops[i] = streamsim.OpTotals{Arrived: a.inSum[i], Consumed: a.consSum[i], Emitted: a.outSum[i], Util: a.utilSum[i]}
+		if a.lastOps != nil {
+			t.Ops[i].Backlog = a.lastOps[i].Buffered
+		}
 	}
 	return t
 }
@@ -123,10 +125,16 @@ func bitsEqual(a, b []float64) bool {
 }
 
 func sameTotals(a, b *streamsim.Totals) bool {
+	ops := func(t *streamsim.Totals) []float64 {
+		var v []float64
+		for _, o := range t.Ops {
+			v = append(v, o.Arrived, o.Consumed, o.Emitted, o.Util, o.Backlog)
+		}
+		return v
+	}
 	return a.Active == b.Active && a.Paused == b.Paused &&
 		bitsEqual([]float64{a.Sink, a.Latency}, []float64{b.Sink, b.Latency}) &&
-		bitsEqual(a.Rates, b.Rates) && bitsEqual(a.Arrived, b.Arrived) && bitsEqual(a.Consumed, b.Consumed) &&
-		bitsEqual(a.Emitted, b.Emitted) && bitsEqual(a.Util, b.Util) && bitsEqual(a.Backlog, b.Backlog)
+		bitsEqual(a.Rates, b.Rates) && bitsEqual(ops(a), ops(b))
 }
 
 // yahooLikeChain is a five-operator chain of one-input Linear edges, every

@@ -28,7 +28,9 @@ type RefTick struct {
 // it was when it returned a per-tick record for a separate accumulator
 // to sum, instead of adding to its own totals. It runs on the engine's
 // plan, buffers, pause and RNG, steps every operator through the
-// general loop (never tickLinear), and leaves the totals alone.
+// general loop (never the walk's linear step), absorbs each sink in its
+// place in the topological order (not after the operators), and leaves
+// the totals alone.
 func (e *Engine) RefStep(rates []float64) (RefTick, error) {
 	if len(rates) != e.g.NumSources() {
 		return RefTick{}, fmt.Errorf("streamsim: got %d rates, want %d sources", len(rates), e.g.NumSources())
@@ -54,13 +56,16 @@ func (e *Engine) RefStep(rates []float64) (RefTick, error) {
 		}
 		return st, nil
 	}
+	steps := make(map[int]*tickStep, len(e.steps))
 	for i := range e.steps {
-		step := &e.steps[i]
-		switch step.kind {
+		steps[int(e.steps[i].op)] = &e.steps[i]
+	}
+	for _, id := range e.g.TopoOrder() {
+		switch e.g.KindOf(id) {
 		case dag.Operator:
-			e.refTickOperator(step, &st)
+			e.refTickOperator(steps[e.g.OperatorIndex(id)], &st)
 		case dag.Sink:
-			for _, ei := range step.preds {
+			for _, ei := range e.g.PredEdgeIDs(id) {
 				st.SinkThroughput += e.edgeBuf[ei]
 				e.edgeBuf[ei] = 0
 			}

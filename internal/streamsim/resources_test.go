@@ -155,7 +155,7 @@ func TestCachedCapacityTracksModel(t *testing.T) {
 				t.Errorf("%s: cached capacity of op %d = %v, model gives %v", when, i, got, want)
 			}
 			for _, step := range e.steps {
-				if step.kind == dag.Operator && int(step.op) == i && math.Float64bits(step.y) != math.Float64bits(want) {
+				if int(step.op) == i && math.Float64bits(step.y) != math.Float64bits(want) {
 					t.Errorf("%s: tick capacity of op %d = %v, model gives %v", when, i, step.y, want)
 				}
 			}

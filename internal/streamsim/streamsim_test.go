@@ -166,10 +166,10 @@ func TestCapacityBottleneckAndBacklog(t *testing.T) {
 		st = tickOnce(t, e, 100)
 	}
 	mapIdx := 0
-	if st.Emitted[mapIdx] > 150+1e-9 {
-		t.Errorf("map emitted %v beyond capacity 150", st.Emitted[mapIdx])
+	if st.Ops[mapIdx].Emitted > 150+1e-9 {
+		t.Errorf("map emitted %v beyond capacity 150", st.Ops[mapIdx].Emitted)
 	}
-	if st.Backlog[mapIdx] <= 0 {
+	if st.Ops[mapIdx].Backlog <= 0 {
 		t.Error("expected backlog at bottleneck map operator")
 	}
 	// Backlog must grow monotonically while overloaded: input 100/s → demand
@@ -287,11 +287,11 @@ func TestUtilizationReflectsLoad(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		st = tickOnce(t, e, 100)
 	}
-	if math.Abs(st.Util[0]-0.5) > 1e-6 {
-		t.Errorf("map util = %v, want 0.5", st.Util[0])
+	if math.Abs(st.Ops[0].Util-0.5) > 1e-6 {
+		t.Errorf("map util = %v, want 0.5", st.Ops[0].Util)
 	}
 	// Observed capacity per Eq. 8: emitted/util = true capacity.
-	got := st.Emitted[0] / st.Util[0]
+	got := st.Ops[0].Emitted / st.Ops[0].Util
 	if math.Abs(got-400) > 1e-6 {
 		t.Errorf("Eq.8 capacity estimate = %v, want 400", got)
 	}
