@@ -11,21 +11,28 @@ import (
 // hotpathSeeds are the functions on the simulator's per-tick and
 // per-round critical paths, diagnosed even without an annotation: the
 // streamsim tick, its operator walk, general step and backlog total, the
-// GP posterior query and candidate reads, UCB candidate selection, and
-// the cluster tick. Keys
+// GP posterior query and candidate reads, UCB candidate selection, the
+// cluster tick, and the controller's decide path (the Algorithm 2 pass,
+// its budget rebalancer and projection, the bottleneck set and the exact
+// level-1 solve). Keys
 // are fully qualified names as produced by funcFullName
 // ("pkg.(*Type).Method" or "pkg.Func").
 var hotpathSeeds = map[string]bool{
-	ModulePath + "/internal/streamsim.(*Engine).Tick":          true,
-	ModulePath + "/internal/streamsim.(*Engine).walk":          true,
-	ModulePath + "/internal/streamsim.(*Engine).tickOperator":  true,
-	ModulePath + "/internal/streamsim.(*Engine).addToEdge":     true,
-	ModulePath + "/internal/streamsim.(*Engine).BufferedTotal": true,
-	ModulePath + "/internal/gp.(*Regressor).Posterior":         true,
-	ModulePath + "/internal/gp.(*Regressor).MeanAt":            true,
-	ModulePath + "/internal/gp.(*Regressor).PosteriorAt":       true,
-	ModulePath + "/internal/ucb.(*Searcher).Select":            true,
-	ModulePath + "/internal/cluster.(*Cluster).Tick":           true,
+	ModulePath + "/internal/streamsim.(*Engine).Tick":                true,
+	ModulePath + "/internal/streamsim.(*Engine).walk":                true,
+	ModulePath + "/internal/streamsim.(*Engine).tickOperator":        true,
+	ModulePath + "/internal/streamsim.(*Engine).addToEdge":           true,
+	ModulePath + "/internal/streamsim.(*Engine).BufferedTotal":       true,
+	ModulePath + "/internal/gp.(*Regressor).Posterior":               true,
+	ModulePath + "/internal/gp.(*Regressor).MeanAt":                  true,
+	ModulePath + "/internal/gp.(*Regressor).PosteriorAt":             true,
+	ModulePath + "/internal/ucb.(*Searcher).Select":                  true,
+	ModulePath + "/internal/cluster.(*Cluster).Tick":                 true,
+	ModulePath + "/internal/core.(*Controller).decideConfigs":        true,
+	ModulePath + "/internal/core.(*Controller).rebalanceUnderBudget": true,
+	ModulePath + "/internal/ucb.ProjectTasks":                        true,
+	ModulePath + "/internal/osp.Bottlenecks":                         true,
+	ModulePath + "/internal/osp.(*exactSolver).solve":                true,
 }
 
 // sprintfFamily are the fmt functions that build a string (or error) per

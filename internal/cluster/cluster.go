@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 
 	"dragster/internal/telemetry"
 )
@@ -112,7 +113,7 @@ type Injector interface {
 // single-threaded controller.
 type Cluster struct {
 	nodes       map[string]*node
-	nodeOrder   []string
+	nodeOrder   []*node // the live nodes in registration order
 	deployments map[string]*Deployment
 	pods        map[string]*Pod // live pods by name
 
@@ -199,8 +200,9 @@ func (c *Cluster) AddNode(name string, allocatable ResourceSpec) error {
 	if _, ok := c.nodes[name]; ok {
 		return fmt.Errorf("cluster: node %q already exists", name)
 	}
-	c.nodes[name] = &node{name: name, allocatable: allocatable}
-	c.nodeOrder = append(c.nodeOrder, name)
+	n := &node{name: name, allocatable: allocatable}
+	c.nodes[name] = n
+	c.nodeOrder = append(c.nodeOrder, n)
 	c.allocatable.add(allocatable, 1)
 	return nil
 }
@@ -227,12 +229,7 @@ func (c *Cluster) RemoveNode(name string) error {
 	}
 	c.allocatable.add(n.allocatable, -1)
 	delete(c.nodes, name)
-	for i, nn := range c.nodeOrder {
-		if nn == name {
-			c.nodeOrder = append(c.nodeOrder[:i], c.nodeOrder[i+1:]...)
-			break
-		}
-	}
+	c.nodeOrder = slices.DeleteFunc(c.nodeOrder, func(nn *node) bool { return nn == n })
 	// Evict: mark the victims pending and clear their placement. The
 	// deployment's desired count is unchanged, so reconcile/schedule will
 	// try to place them elsewhere.
@@ -267,7 +264,11 @@ func (c *Cluster) KillPod(name string) error {
 
 // Nodes returns the live node names in registration order.
 func (c *Cluster) Nodes() []string {
-	return append([]string(nil), c.nodeOrder...)
+	out := make([]string, len(c.nodeOrder))
+	for i, n := range c.nodeOrder {
+		out[i] = n.name
+	}
+	return out
 }
 
 // NodeAllocatable returns a node's allocatable resources.
@@ -351,7 +352,7 @@ func (c *Cluster) reconcile(d *Deployment) {
 	for len(d.pods) < d.Replicas {
 		c.podSeq++
 		p := &Pod{
-			Name:       fmt.Sprintf("%s-%d", d.Name, c.podSeq),
+			Name:       d.Name + "-" + strconv.Itoa(c.podSeq),
 			Deployment: d.Name,
 			Spec:       d.Spec,
 			Phase:      PodPending,
@@ -381,8 +382,7 @@ func (c *Cluster) schedule() {
 		}
 		var best *node
 		bestLeft := -1
-		for _, nn := range c.nodeOrder {
-			n := c.nodes[nn]
+		for _, n := range c.nodeOrder {
 			leftCPU := n.allocatable.CPUMilli - n.usedCPU - p.Spec.CPUMilli
 			leftMem := n.allocatable.MemoryMB - n.usedMem - p.Spec.MemoryMB
 			if leftCPU < 0 || leftMem < 0 {

@@ -117,6 +117,19 @@ type Controller struct {
 	lastSnapSlot int
 	staleSkips   int
 
+	// Decide-path scratch, grown by the first decide and reused by every
+	// later one, so a warm decide allocates only the task and CPU slices
+	// DecideDetailed hands its caller. chosen and diag are what
+	// decideConfigs returns; they, diag's slices and the candidates in
+	// chosen are read-only and valid until the next decide.
+	capObs, viol, est []float64
+	caps, losses      []float64 // rebalanceUnderBudget's capacities, ProjectTasks' losses
+	desired           []int
+	bottlenecks       []int
+	chosen            [][]float64
+	rep, flow         dag.FlowReport // the dual update's and the rebalancer's evaluations
+	diag              LastTargets
+
 	// tracer is the nil-safe observability hook; see internal/telemetry.
 	tracer *telemetry.Tracer
 }
@@ -374,6 +387,10 @@ func (c *Controller) Decide(snap *monitor.Snapshot) ([]int, error) {
 // selected configurations and diagnostics (targets, bottleneck set).
 // cpuMilli is nil unless some operator's candidates carry a CPU axis;
 // then it holds 0 for the operators whose candidates do not.
+//
+// tasks and cpuMilli are fresh slices the caller keeps. diag is the
+// controller's own: it and its slices are read-only and valid until the
+// next decide; a caller that keeps them must copy them.
 func (c *Controller) DecideDetailed(snap *monitor.Snapshot) (tasks, cpuMilli []int, diag *LastTargets, err error) {
 	cfgs, diag, err := c.decideConfigs(snap)
 	if err != nil {
@@ -392,22 +409,38 @@ func (c *Controller) DecideDetailed(snap *monitor.Snapshot) (tasks, cpuMilli []i
 	return tasks, cpuMilli, diag, nil
 }
 
+// grow sizes the decide-path scratch for m operators on the first decide.
+func (c *Controller) grow(m int) {
+	if c.chosen != nil {
+		return
+	}
+	block := make([]float64, 5*m)
+	c.capObs, c.viol, c.est, c.caps, c.losses = block[:m:m], block[m:2*m:2*m], block[2*m:3*m:3*m], block[3*m:4*m:4*m], block[4*m:]
+	c.desired = make([]int, m)
+	c.chosen = make([][]float64, m)
+}
+
 // decideConfigs runs one Algorithm 2 pass and returns the full selected
 // configuration vector per operator (first component = task count; extra
 // components, e.g. CPU millicores, preserved from the candidate space).
+// The vectors and diag are views into the controller; see DecideDetailed.
 func (c *Controller) decideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTargets, error) {
 	if snap == nil {
 		return nil, nil, errNoSnapshot
 	}
 	m := c.g.NumOperators()
 	if len(snap.Operators) != m {
+		//lint:allow hotpath validation guard: the monitor reports one row per operator of the graph
 		return nil, nil, fmt.Errorf("core: snapshot has %d operators, want %d", len(snap.Operators), m)
 	}
 	if len(snap.SourceRates) != c.g.NumSources() {
+		//lint:allow hotpath validation guard: the monitor reports one rate per source of the graph
 		return nil, nil, fmt.Errorf("core: snapshot has %d source rates, want %d", len(snap.SourceRates), c.g.NumSources())
 	}
+	c.grow(m)
 	sp := c.tracer.Begin("core", "decide", telemetry.Int("snap_slot", snap.Slot))
 	defer sp.End()
+	chosen := c.chosen
 	if c.seenSnap && snap.Slot <= c.lastSnapSlot {
 		// Stale metrics: this slot was already decided. Skip the round —
 		// observing the same noisy samples twice would bias the GPs and
@@ -415,17 +448,17 @@ func (c *Controller) decideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 		c.staleSkips++
 		sp.Annotate(telemetry.Str("outcome", "stale_skip"))
 		c.cfg.Counters.Inc("core_stale_snapshot_skips")
-		chosen := make([][]float64, m)
 		for i := range chosen {
-			chosen[i] = c.configFor(i, c.lastTasks[i], c.lastCPU[i])
+			_, chosen[i] = c.configFor(i, c.lastTasks[i], c.lastCPU[i])
 		}
-		return chosen, &LastTargets{}, nil
+		c.diag = LastTargets{}
+		return chosen, &c.diag, nil
 	}
 	c.seenSnap, c.lastSnapSlot = true, snap.Slot
 
 	// (1) Feed Eq. 8 capacity samples into the GPs and the history DB.
 	for i, om := range snap.Operators {
-		cfgVec := c.configFor(i, om.Tasks, om.CPUMilli)
+		_, cfgVec := c.configFor(i, om.Tasks, om.CPUMilli)
 		if !isFiniteObservation(om.CapacityObs, om.Util) {
 			// Garbage from a misbehaving metrics path (NaN/Inf capacity or
 			// utilization) must never reach the GP or the store.
@@ -460,12 +493,11 @@ func (c *Controller) decideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 	// output is h(consumed) regardless of capacity truncation or backlog
 	// draining, so every slot is an unbiased sample (exactly for linear h,
 	// approximately for concave forms).
-	ops := c.g.Operators()
 	for i, om := range snap.Operators {
 		if om.ConsumedRate <= 0 {
 			continue
 		}
-		for _, ei := range c.g.SuccEdgeIDs(ops[i]) {
+		for _, ei := range c.g.SuccEdgeIDs(c.g.OperatorID(i)) {
 			if learner, ok := c.g.HByID(ei).(dag.ThroughputLearner); ok {
 				// Per-edge output approximated by the α split of the
 				// aggregate; the learner rejects invalid samples, which we
@@ -481,20 +513,19 @@ func (c *Controller) decideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 	// (2) Dual update from realized violations l_i = demand_i − c_i, with
 	// demand computed by pushing the observed offered load through the
 	// (known/predicted) throughput functions at the observed capacities.
-	capObs := make([]float64, m)
+	capObs := c.capObs
 	for i, om := range snap.Operators {
-		if math.IsNaN(om.CapacityObs) || math.IsInf(om.CapacityObs, 0) {
-			continue // rejected above; treat as zero observed capacity
+		capObs[i] = 0 // rejected above: NaN or Inf counts as zero observed capacity
+		if !math.IsNaN(om.CapacityObs) && !math.IsInf(om.CapacityObs, 0) {
+			capObs[i] = math.Max(om.CapacityObs, 0)
 		}
-		capObs[i] = math.Max(om.CapacityObs, 0)
 	}
-	rep, err := c.g.Evaluate(snap.SourceRates, capObs)
-	if err != nil {
+	if err := c.g.EvaluateInto(&c.rep, snap.SourceRates, capObs); err != nil {
 		return nil, nil, err
 	}
-	viol := make([]float64, m)
+	viol := c.viol
 	for i := range viol {
-		viol[i] = rep.Demand[i] - capObs[i]
+		viol[i] = c.rep.Demand[i] - capObs[i]
 	}
 	ospSpan := c.tracer.Begin("osp", "step", telemetry.Str("method", c.cfg.Method.String()))
 	if err := c.level1.ObserveViolations(viol); err != nil {
@@ -518,27 +549,27 @@ func (c *Controller) decideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 	// (4) Bottlenecks: operators whose current estimated capacity deviates
 	// from the target. The estimate prefers the GP posterior mean at the
 	// current configuration and falls back to the raw observation.
-	est := make([]float64, m)
+	est := c.est
 	for i := range est {
-		mu, err := c.searchers[i].Mean(c.configFor(i, c.lastTasks[i], c.lastCPU[i]))
+		mu, err := c.meanAt(i, c.lastTasks[i], c.lastCPU[i])
 		if err == nil {
 			est[i] = mu
 		} else {
 			est[i] = capObs[i]
 		}
 	}
-	bottlenecks, err := osp.Bottlenecks(y, est, bottleneckTol)
+	bottlenecks, err := osp.Bottlenecks(c.bottlenecks, y, est, bottleneckTol)
 	if err != nil {
 		return nil, nil, err
 	}
+	c.bottlenecks = bottlenecks
 	c.tracer.Event("core", "bottlenecks", telemetry.Int("count", len(bottlenecks)))
 
 	// (5) Level 2: extended GP-UCB per bottleneck operator.
-	chosen := make([][]float64, m)
 	for i := range chosen {
-		chosen[i] = c.configFor(i, c.lastTasks[i], c.lastCPU[i])
+		_, chosen[i] = c.configFor(i, c.lastTasks[i], c.lastCPU[i])
 	}
-	diag := &LastTargets{Y: y, Bottlenecks: bottlenecks}
+	c.diag = LastTargets{Y: y, Bottlenecks: bottlenecks}
 	for _, i := range bottlenecks {
 		x, _, beta, err := c.searchers[i].Select(y[i])
 		if errors.Is(err, ucb.ErrNoData) {
@@ -548,7 +579,7 @@ func (c *Controller) decideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 			return nil, nil, err
 		}
 		chosen[i] = x
-		diag.Beta = beta
+		c.diag.Beta = beta
 	}
 
 	// (6) Budget projection Π_X (Eq. 9d): first trim to feasibility, then
@@ -557,17 +588,16 @@ func (c *Controller) decideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 	// among Map and Shuffle" behaviour of §6.2 that Dhalion lacks.
 	if c.cfg.TaskBudget > 0 {
 		projSpan := c.tracer.Begin("core", "project", telemetry.Int("budget", c.cfg.TaskBudget))
-		desired := make([]int, m)
+		desired := c.desired
 		for i, v := range chosen {
 			desired[i] = int(math.Round(v[0]))
 		}
 		loss := func(op, from int) float64 { return c.taskLoss(op, from, y[op]) }
-		desired, err = ucb.ProjectTasks(desired, c.cfg.TaskBudget, 1, loss)
-		if err != nil {
+		if err := ucb.ProjectTasks(desired, c.losses, c.cfg.TaskBudget, 1, loss); err != nil {
 			projSpan.End()
 			return nil, nil, err
 		}
-		desired = c.rebalanceUnderBudget(desired, snap.SourceRates)
+		c.rebalanceUnderBudget(desired, snap.SourceRates)
 		for i, n := range desired {
 			chosen[i] = c.nearestWithTasks(i, n, chosen[i])
 		}
@@ -575,7 +605,7 @@ func (c *Controller) decideConfigs(snap *monitor.Snapshot) ([][]float64, *LastTa
 		projSpan.End()
 	}
 	c.tracer.Metrics().Inc("core_decides")
-	return chosen, diag, nil
+	return chosen, &c.diag, nil
 }
 
 // fmtFloats renders a float slice with the canonical shortest formatting
@@ -595,52 +625,47 @@ func fmtFloats(vs []float64) string {
 
 // rebalanceUnderBudget hill-climbs single-task moves between operators
 // while the DAG model predicts a throughput improvement, holding the
-// total at or below the budget. Prediction uses optimistic (UCB)
-// capacities so unexplored operators still attract tasks; when any
-// operator's GP is still empty the step is skipped (cold start).
+// total at or below the budget, and leaves the result in tasks.
+// Prediction uses optimistic (UCB) capacities so unexplored operators
+// still attract tasks; when any operator's GP is still empty the step is
+// skipped (cold start).
 //
-// caps holds the optimistic capacities of the current allocation; a
+// c.caps holds the optimistic capacities of the current allocation; a
 // trial move reads only the two operators it changes. The searchers'
 // posterior tables serve every read at a grid point, and nothing they
 // read changes inside one call.
-func (c *Controller) rebalanceUnderBudget(tasks []int, rates []float64) []int {
+func (c *Controller) rebalanceUnderBudget(tasks []int, rates []float64) {
 	m := len(tasks)
-	optimistic := func(op, n int) (float64, bool) {
-		opt, err := c.searchers[op].OptimisticAt(c.configFor(op, n, c.lastCPU[op]))
-		return math.Max(opt, 0), err == nil
-	}
-	caps := make([]float64, m)
+	caps := c.caps[:m]
 	for i, n := range tasks {
-		v, ok := optimistic(i, n)
-		if !ok {
-			return tasks
+		v, err := c.optimisticAt(i, n)
+		if err != nil {
+			return
 		}
-		caps[i] = v
+		caps[i] = math.Max(v, 0)
 	}
-	var rep dag.FlowReport
-	if err := c.g.EvaluateInto(&rep, rates, caps); err != nil {
-		return tasks
+	if err := c.g.EvaluateInto(&c.flow, rates, caps); err != nil {
+		return
 	}
-	cur := rep.Throughput
-	out := append([]int(nil), tasks...)
+	cur := c.flow.Throughput
 	for improved := true; improved; {
 		improved = false
 		for from := 0; from < m; from++ {
 			for to := 0; to < m; to++ {
-				if from == to || out[from] <= 1 || out[to] >= c.maxTasks[to] {
+				if from == to || tasks[from] <= 1 || tasks[to] >= c.maxTasks[to] {
 					continue
 				}
-				capFrom, okFrom := optimistic(from, out[from]-1)
-				capTo, okTo := optimistic(to, out[to]+1)
-				if !okFrom || !okTo {
+				capFrom, errFrom := c.optimisticAt(from, tasks[from]-1)
+				capTo, errTo := c.optimisticAt(to, tasks[to]+1)
+				if errFrom != nil || errTo != nil {
 					continue
 				}
 				oldFrom, oldTo := caps[from], caps[to]
-				caps[from], caps[to] = capFrom, capTo
-				if err := c.g.EvaluateInto(&rep, rates, caps); err == nil && rep.Throughput > cur*(1+1e-6) {
-					cur = rep.Throughput
-					out[from]--
-					out[to]++
+				caps[from], caps[to] = math.Max(capFrom, 0), math.Max(capTo, 0)
+				if err := c.g.EvaluateInto(&c.flow, rates, caps); err == nil && c.flow.Throughput > cur*(1+1e-6) {
+					cur = c.flow.Throughput
+					tasks[from]--
+					tasks[to]++
 					improved = true
 				} else {
 					caps[from], caps[to] = oldFrom, oldTo
@@ -648,7 +673,6 @@ func (c *Controller) rebalanceUnderBudget(tasks []int, rates []float64) []int {
 			}
 		}
 	}
-	return out
 }
 
 // taskLoss estimates how much removing one task from operator op (at
@@ -656,8 +680,8 @@ func (c *Controller) rebalanceUnderBudget(tasks []int, rates []float64) []int {
 // trims tasks where the GP says capacity is least needed. It reads only
 // posterior means, so it skips the variance's triangular solve.
 func (c *Controller) taskLoss(op, from int, target float64) float64 {
-	muFrom, errA := c.searchers[op].Mean(c.configFor(op, from, c.lastCPU[op]))
-	muTo, errB := c.searchers[op].Mean(c.configFor(op, from-1, c.lastCPU[op]))
+	muFrom, errA := c.meanAt(op, from, c.lastCPU[op])
+	muTo, errB := c.meanAt(op, from-1, c.lastCPU[op])
 	if errA != nil || errB != nil {
 		// No data yet: assume linear capacity in tasks so trimming larger
 		// allocations first is neutral.
@@ -668,19 +692,41 @@ func (c *Controller) taskLoss(op, from int, target float64) float64 {
 	return (shortfall(muTo)-shortfall(muFrom))*1000 + math.Max(0, muFrom-muTo)
 }
 
+// meanAt is op's GP posterior mean at the (tasks, cpuMilli) allocation,
+// read by candidate index where configFor lands on a candidate.
+func (c *Controller) meanAt(op, tasks, cpuMilli int) (float64, error) {
+	k, x := c.configFor(op, tasks, cpuMilli)
+	if k >= 0 {
+		return c.searchers[op].CandidateMean(k)
+	}
+	return c.searchers[op].Mean(x)
+}
+
+// optimisticAt is op's upper confidence value at tasks and its last
+// observed CPU, read by candidate index where configFor lands on a
+// candidate.
+func (c *Controller) optimisticAt(op, tasks int) (float64, error) {
+	k, x := c.configFor(op, tasks, c.lastCPU[op])
+	if k >= 0 {
+		return c.searchers[op].CandidateOptimistic(k)
+	}
+	return c.searchers[op].OptimisticAt(x)
+}
+
 // configFor maps an observed (tasks, cpuMilli) allocation onto the
 // operator's candidate space: the nearest candidate by task count (and by
 // CPU for ≥2-dimensional candidates), with the first component forced to
 // the observed task count. cpuMilli 0 means unknown. When nothing is
-// forced the candidate itself is returned, not a copy: callers only read
-// it.
-func (c *Controller) configFor(op, tasks, cpuMilli int) []float64 {
+// forced the candidate itself is returned with its index k, not a copy:
+// callers only read it. A forced (off-grid) configuration is a fresh
+// slice with k = −1.
+func (c *Controller) configFor(op, tasks, cpuMilli int) (k int, x []float64) {
 	cands := c.cfg.Candidates[op]
 	if (cpuMilli <= 0 || len(cands[0]) == 1) && tasks >= 0 && tasks < len(c.byTasks[op]) {
 		// Only the task axis counts, and a candidate at distance 0 wins
 		// the scan below: the first one with this task count.
 		if i := c.byTasks[op][tasks]; i >= 0 {
-			return cands[i]
+			return i, cands[i]
 		}
 	}
 	dist := func(cand []float64) float64 {
@@ -691,27 +737,29 @@ func (c *Controller) configFor(op, tasks, cpuMilli int) []float64 {
 		}
 		return d
 	}
-	best := cands[0]
+	bestK := 0
 	bestD := dist(cands[0])
-	for _, cand := range cands[1:] {
+	for j, cand := range cands[1:] {
 		if d := dist(cand); d < bestD {
-			best, bestD = cand, d
+			bestK, bestD = j+1, d
 		}
 	}
+	best := cands[bestK]
 	if best[0] == float64(tasks) && (len(best) == 1 || cpuMilli <= 0 || best[1] == float64(cpuMilli)) {
-		return best
+		return bestK, best
 	}
 	out := append([]float64(nil), best...)
 	out[0] = float64(tasks)
 	if len(out) > 1 && cpuMilli > 0 {
 		out[1] = float64(cpuMilli)
 	}
-	return out
+	return -1, out
 }
 
 // nearestWithTasks returns the candidate whose task count equals tasks and
 // whose remaining dimensions are closest to `like`; when no candidate has
-// that exact task count the nearest-by-task candidate wins.
+// that exact task count the nearest-by-task candidate wins. The candidate
+// itself is returned, not a copy: callers only read it.
 func (c *Controller) nearestWithTasks(op, tasks int, like []float64) []float64 {
 	cands := c.cfg.Candidates[op]
 	best := cands[0]
@@ -725,5 +773,5 @@ func (c *Controller) nearestWithTasks(op, tasks int, like []float64) []float64 {
 			best, bestScore = cand, score
 		}
 	}
-	return append([]float64(nil), best...)
+	return best
 }

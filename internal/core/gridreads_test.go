@@ -50,8 +50,8 @@ func TestGridReadsEvaluateNoKernel(t *testing.T) {
 	}
 
 	evals = 0
-	for i, s := range c.searchers {
-		if _, err := s.Mean(c.configFor(i, c.lastTasks[i], c.lastCPU[i])); err != nil {
+	for i := range c.searchers {
+		if _, err := c.meanAt(i, c.lastTasks[i], c.lastCPU[i]); err != nil {
 			t.Fatal(err)
 		}
 		for from := 2; from <= c.maxTasks[i]; from++ {
@@ -80,7 +80,9 @@ func TestGridReadsEvaluateNoKernel(t *testing.T) {
 
 // TestConfigForIndexMatchesScan checks configFor's task-count index
 // against the nearest-candidate scan it short-cuts, on unsorted 1-D and
-// 2-D candidate lists with repeated task counts and a gap.
+// 2-D candidate lists with repeated task counts and a gap. The candidate
+// index it returns is the one an x-based read looks up: the first equal
+// candidate, or −1 exactly when no candidate equals the configuration.
 func TestConfigForIndexMatchesScan(t *testing.T) {
 	oneD := [][]float64{{3}, {1}, {2}, {3}, {6}, {5}}
 	twoD := [][]float64{{2, 1000}, {1, 500}, {2, 500}, {4, 1500}, {1, 2000}, {4, 500}}
@@ -88,13 +90,16 @@ func TestConfigForIndexMatchesScan(t *testing.T) {
 	for op := range c.byTasks {
 		for tasks := -1; tasks <= c.maxTasks[op]+2; tasks++ {
 			for _, cpu := range []int{0, 700, 1500} {
-				got := c.configFor(op, tasks, cpu)
+				gotK, got := c.configFor(op, tasks, cpu)
 				index := c.byTasks[op]
 				c.byTasks[op] = nil
-				want := c.configFor(op, tasks, cpu)
+				wantK, want := c.configFor(op, tasks, cpu)
 				c.byTasks[op] = index
-				if !slices.Equal(got, want) {
-					t.Errorf("op %d configFor(%d, %d) = %v, scan gives %v", op, tasks, cpu, got, want)
+				if gotK != wantK || !slices.Equal(got, want) {
+					t.Errorf("op %d configFor(%d, %d) = %d, %v; scan gives %d, %v", op, tasks, cpu, gotK, got, wantK, want)
+				}
+				if lookup := c.searchers[op].Regressor().CandidateIndex(got); gotK != lookup {
+					t.Errorf("op %d configFor(%d, %d) = %v at index %d, lookup gives %d", op, tasks, cpu, got, gotK, lookup)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dragster/internal/monitor"
@@ -162,12 +163,12 @@ func TestConfigForCPUMatching(t *testing.T) {
 	c := newController(t, func(cfg *Config) {
 		cfg.Candidates = [][][]float64{grid, grid}
 	})
-	v := c.configFor(0, 3, 1500)
-	if v[0] != 3 || v[1] != 1500 {
-		t.Errorf("configFor(3, 1500) = %v", v)
+	k, v := c.configFor(0, 3, 1500)
+	if v[0] != 3 || v[1] != 1500 || k < 0 || !slices.Equal(grid[k], v) {
+		t.Errorf("configFor(3, 1500) = %d, %v", k, v)
 	}
 	// Unknown CPU: nearest candidate's CPU is preserved.
-	v = c.configFor(0, 2, 0)
+	_, v = c.configFor(0, 2, 0)
 	if v[0] != 2 || v[1] < 500 || v[1] > 2000 {
 		t.Errorf("configFor(2, unknown) = %v", v)
 	}

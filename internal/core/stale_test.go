@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dragster/internal/stats"
@@ -88,5 +89,32 @@ func TestNonFiniteObservationRejected(t *testing.T) {
 	}
 	if cv := cs.CounterValue("core_rejected_capacity_obs"); cv != 2 {
 		t.Errorf("core_rejected_capacity_obs = %d, want 2", cv)
+	}
+}
+
+// TestRejectedCapacityEntersDualsAsZero: a rejected (NaN) capacity
+// observation enters the dual update as zero observed capacity, also
+// when the slot before observed a finite one. A twin controller that
+// sees 0 in its place — also never observed, since it is not positive —
+// must reach the same duals and decision.
+func TestRejectedCapacityEntersDualsAsZero(t *testing.T) {
+	rejected, zero := newController(t), newController(t)
+	for slot := 0; slot < 3; slot++ {
+		var decided [2][]int
+		for k, c := range []*Controller{rejected, zero} {
+			snap := snapshotAt(slot, 20, []int{2, 2}, stats.NewRNG(int64(slot)))
+			if slot == 2 {
+				snap.Operators[0].CapacityObs = []float64{math.NaN(), 0}[k]
+			}
+			next, err := c.Decide(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decided[k] = next
+		}
+		if !slices.Equal(rejected.Duals(), zero.Duals()) || !slices.Equal(decided[0], decided[1]) {
+			t.Fatalf("slot %d: NaN capacity gives duals %v and decision %v, zero capacity %v and %v",
+				slot, rejected.Duals(), decided[0], zero.Duals(), decided[1])
+		}
 	}
 }

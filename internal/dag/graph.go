@@ -410,6 +410,9 @@ func (g *Graph) OperatorIndex(id NodeID) int {
 	return g.opIdx[id]
 }
 
+// OperatorID returns the node ID of the operator with dense index i.
+func (g *Graph) OperatorID(i int) NodeID { return g.operators[i] }
+
 // OperatorName returns the name of the operator with dense index i.
 func (g *Graph) OperatorName(i int) string { return g.names[g.operators[i]] }
 

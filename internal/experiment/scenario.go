@@ -400,7 +400,7 @@ func (r *Runner) Step() (*SlotTrace, error) {
 	if err := r.t.Decide(); err != nil {
 		return nil, err
 	}
-	tr.TargetY = r.t.TargetY()
+	tr.TargetY = append([]float64(nil), r.t.TargetY()...) // nil for a baseline policy
 	r.res.Trace = append(r.res.Trace, tr)
 	if !r.Done() {
 		if err := r.t.Apply(); err != nil {

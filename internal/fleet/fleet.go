@@ -373,6 +373,8 @@ type Manager struct {
 	queue   []*jobState // admission queue, FIFO
 	running []*jobState // admission order
 	archive *warmArchive
+	drained []store.Record // harvest's scratch, reused every round
+	errs    []error        // decideAll's per-tenant errors, reused every round
 	round   int
 	res     *Result
 	kills   map[string]bool // names marked for departure next round
@@ -814,7 +816,11 @@ func (m *Manager) collect() error {
 // (span emission is single-threaded by contract), visiting tenants in
 // admission order.
 func (m *Manager) decideAll() error {
-	errs := make([]error, len(m.running))
+	if cap(m.errs) < len(m.running) {
+		m.errs = make([]error, len(m.running))
+	}
+	errs := m.errs[:len(m.running)]
+	clear(errs)
 	decideOne := func(i int) {
 		js := m.running[i]
 		if err := js.t.Decide(); err != nil {
@@ -839,8 +845,16 @@ func (m *Manager) decideAll() error {
 
 // applyDecisions rescales each tenant to its decision, in admission
 // order. Injected savepoint/rescale faults are absorbed by the tenant's
-// retrier.
+// retrier. The round's decide events, which the log keeps, carve their
+// arguments from one block.
 func (m *Manager) applyDecisions() error {
+	n := 0
+	for _, js := range m.running {
+		if js.t.Snapshot() != nil {
+			n += len(js.t.Desired())
+		}
+	}
+	block := make([]int64, 0, n)
 	for _, js := range m.running {
 		if js.t.Snapshot() == nil {
 			m.emit(event.TypeSkip, js.spec.Name, "")
@@ -851,11 +865,11 @@ func (m *Manager) applyDecisions() error {
 		}
 		desired := js.t.Desired()
 		js.usage = mathx.SumInts(desired)
-		args := make([]int64, len(desired))
-		for k, n := range desired {
-			args[k] = int64(n)
+		start := len(block)
+		for _, v := range desired {
+			block = append(block, int64(v))
 		}
-		m.emit(event.TypeDecide, js.spec.Name, "", args...)
+		m.emit(event.TypeDecide, js.spec.Name, "", block[start:len(block):len(block)]...)
 	}
 	return nil
 }

@@ -103,7 +103,8 @@ func (a *warmArchive) seed(kind string, spec *workload.Spec) []store.Record {
 // warm-start replays — are deterministic.
 func (m *Manager) harvest() {
 	for _, js := range m.running {
-		for _, r := range js.db.Drain() {
+		m.drained = js.db.DrainInto(m.drained[:0])
+		for _, r := range m.drained {
 			if !harvestable(r) {
 				continue
 			}

@@ -204,7 +204,8 @@ func (s *exactSolver) linearDemand(i, p int) float64 {
 	return d
 }
 
-// solve returns argmax_y L(y, λ) − w·Σy over [0, YMax]^M in a new slice.
+// solve returns argmax_y L(y, λ) − w·Σy over [0, YMax]^M. The slice is
+// the solver's incumbent: read-only and valid until the next solve.
 func (s *exactSolver) solve(o *Optimizer, rates []float64) ([]float64, error) {
 	moved := false
 	for j := range s.edges {
@@ -222,7 +223,7 @@ func (s *exactSolver) solve(o *Optimizer, rates []float64) ([]float64, error) {
 	if err := s.node(o, rates); err != nil {
 		return nil, err
 	}
-	return append([]float64(nil), s.best...), nil
+	return s.best, nil
 }
 
 // node solves the LP of the current branches and recurses on the first

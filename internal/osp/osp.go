@@ -93,10 +93,11 @@ type Optimizer struct {
 	exact *exactSolver // the Eq. 14 solve on a piecewise-linear graph, nil otherwise
 
 	// Scratch reused by every Step.
-	ws   dag.Workspace
-	rep  dag.FlowReport // the headroom floor's evaluation
-	y    []float64      // the iterative solve's iterate
-	grad []float64      // the regularized gradient
+	ws     dag.Workspace
+	rep    dag.FlowReport // the headroom floor's evaluation
+	y      []float64      // the iterative solve's iterate
+	grad   []float64      // the regularized gradient
+	target []float64      // the y_t Step returns
 }
 
 // New returns an Optimizer for the application graph.
@@ -115,6 +116,7 @@ func New(g *dag.Graph, cfg Config) (*Optimizer, error) {
 		yPrev:  make([]float64, m),
 		y:      make([]float64, m),
 		grad:   make([]float64, m),
+		target: make([]float64, m),
 	}
 	for i := range o.yPrev {
 		o.yPrev[i] = cfg.YMax / 4 // neutral warm start
@@ -138,6 +140,10 @@ func (o *Optimizer) Duals() []float64 { return o.lambda }
 // best of its innerIters iterates — L is not concave in y, since −λ·demand(y) is
 // convex, so that is a local answer. For GradientDescent it takes one
 // η-step (Eq. 16).
+//
+// The returned y aliases the optimizer's state, as Duals does: it is
+// read-only and valid until the next Step; a caller that keeps the
+// targets must copy them.
 func (o *Optimizer) Step(rates []float64) ([]float64, error) {
 	if len(rates) != o.g.NumSources() {
 		return nil, fmt.Errorf("osp: got %d rates, want %d", len(rates), o.g.NumSources())
@@ -147,7 +153,9 @@ func (o *Optimizer) Step(rates []float64) ([]float64, error) {
 	var err error
 	switch {
 	case o.cfg.Method == SaddlePoint && o.exact != nil:
-		y, err = o.exact.solve(o, rates)
+		if y, err = o.exact.solve(o, rates); err == nil {
+			y = append(o.target[:0], y...)
+		}
 	case o.cfg.Method == SaddlePoint:
 		y, err = o.maximizeLagrangian(rates)
 	case o.cfg.Method == GradientDescent:
@@ -181,11 +189,12 @@ func (o *Optimizer) Step(rates []float64) ([]float64, error) {
 
 // maximizeLagrangian approximates Eq. 14 on a graph that is not piecewise
 // linear by projected normalized-gradient ascent over the box [0, YMax]^M
-// with diminishing steps, returning the best iterate.
+// with diminishing steps, returning the best iterate in Step's target.
 func (o *Optimizer) maximizeLagrangian(rates []float64) ([]float64, error) {
 	y := o.y
 	copy(y, o.yPrev)
-	best := append([]float64(nil), y...)
+	best := o.target
+	copy(best, y)
 	bestL := math.Inf(-1)
 	step0 := o.cfg.YMax / 8
 	for k := 1; k <= innerIters; k++ {
@@ -239,16 +248,16 @@ func (o *Optimizer) objective(rates, y []float64) (l float64, grad []float64, gn
 }
 
 // ogdStep is Eq. 16: one normalized gradient step on L_{t−1} from the
-// previous target, with step size η = YMax/10. Normalization makes the
-// step length η regardless of the local slope, so the tracker moves at
-// the same speed scaling down (where only the small economy slope points
-// the way) as scaling up.
+// previous target, with step size η = YMax/10, into Step's target.
+// Normalization makes the step length η regardless of the local slope,
+// so the tracker moves at the same speed scaling down (where only the
+// small economy slope points the way) as scaling up.
 func (o *Optimizer) ogdStep(rates []float64) ([]float64, error) {
 	_, grad, gn, err := o.objective(rates, o.yPrev)
 	if err != nil {
 		return nil, err
 	}
-	y := make([]float64, len(o.yPrev))
+	y := o.target
 	if gn < 1e-12 {
 		copy(y, o.yPrev)
 		return y, nil
@@ -289,20 +298,22 @@ func (o *Optimizer) ObserveViolations(l []float64) error {
 	return nil
 }
 
-// Bottlenecks returns the operator indices whose target capacity deviates
-// from the currently realized capacity estimate by more than tol
-// (relative): the operators Algorithm 1 line 4 selects for
+// Bottlenecks appends to dst[:0] the operator indices whose target
+// capacity deviates from the currently realized capacity estimate by more
+// than tol (relative): the operators Algorithm 1 line 4 selects for
 // reconfiguration. Both under-provisioned (target above realized) and
 // over-provisioned (target below realized) operators qualify — the second
 // kind is what lets Dragster scale down into cheaper configurations.
-func Bottlenecks(target, realized []float64, tol float64) ([]int, error) {
+// Passing last round's result as dst reuses its storage.
+func Bottlenecks(dst []int, target, realized []float64, tol float64) ([]int, error) {
 	if len(target) != len(realized) {
+		//lint:allow hotpath validation guard: the controller passes two vectors of its own operator count
 		return nil, fmt.Errorf("osp: target/realized length mismatch %d vs %d", len(target), len(realized))
 	}
 	if tol < 0 {
 		return nil, errors.New("osp: negative tolerance")
 	}
-	var out []int
+	out := dst[:0]
 	for i := range target {
 		scale := math.Max(math.Abs(realized[i]), 1e-9)
 		if math.Abs(target[i]-realized[i])/scale > tol {

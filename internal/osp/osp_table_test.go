@@ -2,6 +2,7 @@ package osp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dragster/internal/dag"
@@ -113,7 +114,7 @@ func TestOGDStepSizeEdgeCases(t *testing.T) {
 						t.Fatalf("slot %d: op %d moved %g, step bound %g", slot, i, move, maxMove)
 					}
 				}
-				prev = y
+				prev = slices.Clone(y) // the next Step reuses the targets' storage
 			}
 		})
 	}
@@ -363,7 +364,7 @@ func TestBottlenecksTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := Bottlenecks(tc.target, tc.realized, tc.tol)
+			got, err := Bottlenecks(nil, tc.target, tc.realized, tc.tol)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatal("invalid input accepted")

@@ -2,6 +2,7 @@ package osp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dragster/internal/dag"
@@ -74,6 +75,7 @@ func TestSaddlePointScalesDownWhenLoadDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	yHigh = slices.Clone(yHigh) // the next Step reuses the targets' storage
 	yLow, err := o.Step([]float64{50})
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +104,7 @@ func TestOGDMovesSmoothly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prev = slices.Clone(prev) // the next Step reuses the targets' storage
 	for i := 0; i < 5; i++ {
 		y, err := o.Step([]float64{100})
 		if err != nil {
@@ -115,7 +118,7 @@ func TestOGDMovesSmoothly(t *testing.T) {
 		if y[0] < 200-eta-1e-9 {
 			t.Errorf("step %d: map target %v more than one step below demand 200", i, y[0])
 		}
-		prev = y
+		prev = slices.Clone(y)
 	}
 	// The economy regularizer must pull an over-provisioned start downward.
 	if prev[0] >= 250 {
@@ -221,21 +224,21 @@ func TestMethodString(t *testing.T) {
 }
 
 func TestBottlenecks(t *testing.T) {
-	bn, err := Bottlenecks([]float64{100, 100, 100}, []float64{100, 80, 130}, 0.1)
+	bn, err := Bottlenecks(nil, []float64{100, 100, 100}, []float64{100, 80, 130}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bn) != 2 || bn[0] != 1 || bn[1] != 2 {
 		t.Errorf("bottlenecks = %v, want [1 2]", bn)
 	}
-	if _, err := Bottlenecks([]float64{1}, []float64{1, 2}, 0.1); err == nil {
+	if _, err := Bottlenecks(nil, []float64{1}, []float64{1, 2}, 0.1); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := Bottlenecks([]float64{1}, []float64{1}, -1); err == nil {
+	if _, err := Bottlenecks(nil, []float64{1}, []float64{1}, -1); err == nil {
 		t.Error("negative tolerance accepted")
 	}
 	// Zero realized capacity should not divide by zero.
-	bn, err = Bottlenecks([]float64{5}, []float64{0}, 0.1)
+	bn, err = Bottlenecks(nil, []float64{5}, []float64{0}, 0.1)
 	if err != nil || len(bn) != 1 {
 		t.Errorf("zero-capacity bottleneck = %v err=%v", bn, err)
 	}

@@ -29,7 +29,13 @@ type Record struct {
 type DB struct {
 	mu      sync.RWMutex
 	records []Record
+	// configs is the block Append copies configurations into, carved one
+	// record at a time; a full block is left to the records that hold it.
+	configs []float64
 }
+
+// configBlock is how many configuration values one carved block holds.
+const configBlock = 64
 
 // New returns an empty database.
 func New() *DB { return &DB{} }
@@ -45,16 +51,34 @@ func (r Record) check() error {
 	return nil
 }
 
-// Append stores a record. The config slice is copied.
+// Append stores a record. The config slice is copied, into a block the
+// database shares between records, so most records allocate nothing.
 func (d *DB) Append(r Record) error {
 	if err := r.check(); err != nil {
 		return err
 	}
-	r.Config = append([]float64(nil), r.Config...)
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if cap(d.configs)-len(d.configs) < len(r.Config) {
+		d.configs = make([]float64, 0, max(configBlock, len(r.Config)))
+	}
+	n := len(d.configs)
+	d.configs = append(d.configs, r.Config...)
+	r.Config = d.configs[n:len(d.configs):len(d.configs)]
 	d.records = append(d.records, r)
 	return nil
+}
+
+// DrainInto appends every record to dst in append order, empties the
+// database and returns the extended dst. Unlike Drain it keeps the
+// database's record storage for the records that follow.
+func (d *DB) DrainInto(dst []Record) []Record {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	dst = append(dst, d.records...)
+	clear(d.records)
+	d.records = d.records[:0]
+	return dst
 }
 
 // Drain returns every record in append order and empties the database.

@@ -279,7 +279,8 @@ func (t *Tenant) Decide() error {
 func (t *Tenant) Desired() []int { return t.desired }
 
 // TargetY returns the level-1 targets of the last decision (nil for
-// baseline policies).
+// baseline policies). The slice is the controller's own: read-only and
+// valid until the next Decide; copy it to retain it.
 func (t *Tenant) TargetY() []float64 { return t.targetY }
 
 // Apply drives the substrate to the last decision through the rescale

@@ -385,3 +385,39 @@ func TestAccountMatchesThroughput(t *testing.T) {
 		t.Errorf("accounting allocates %v times per call, want the one block the rows keep", allocs)
 	}
 }
+
+// TestWarmRoundAllocatesOnlyWhatItKeeps: a fleet tenant's round — slot,
+// collect, decide, apply, and the harvest that drains its history DB —
+// allocates, once warm, only what outlives the round: the slot report
+// (the snapshot, its operator rows and its source rates), the Usage
+// vectors a round row keeps, and the decision's task slice. A budget of
+// one task per operator holds the configuration, so no round rescales.
+func TestWarmRoundAllocatesOnlyWhatItKeeps(t *testing.T) {
+	spec := mustSpec(t, workload.WordCount)
+	cfg := ControllerConfig(spec)
+	cfg.TaskBudget = spec.Graph.NumOperators()
+	db := store.New()
+	cfg.DB = db
+	ctrl, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRig(t, spec, ctrl, nil)
+	var drained []store.Record
+	round := func() {
+		if !r.round(t) {
+			t.Fatal("round collected no fresh sample")
+		}
+		drained = db.DrainInto(drained[:0])
+	}
+	for i := 0; i < 8; i++ {
+		round()
+	}
+	const kept = 3 + 1 + 1 // report, Usage vectors, task slice
+	if n := testing.AllocsPerRun(20, round); n != kept {
+		t.Errorf("a warm tenant round allocates %v times, want %d", n, kept)
+	}
+	if got := r.t.Desired(); !reflect.DeepEqual(got, []int{1, 1}) {
+		t.Errorf("decision under a one-task-per-operator budget = %v", got)
+	}
+}

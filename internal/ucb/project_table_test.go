@@ -81,7 +81,7 @@ func TestProjectTasksEdgeTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := ProjectTasks(tc.desired, tc.budget, tc.minTasks, flat)
+			got, err := projectCopy(tc.desired, tc.budget, tc.minTasks, flat)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatalf("infeasible projection accepted: %v", got)
@@ -168,7 +168,7 @@ func TestProjectTasksCachedLossesMatchRecomputing(t *testing.T) {
 			calls++
 			return table[op][from]
 		}
-		got, err := ProjectTasks(desired, budget, minTasks, loss)
+		got, err := projectCopy(desired, budget, minTasks, loss)
 		want := projectTasksRecomputing(desired, budget, minTasks, func(op, from int) float64 { return table[op][from] })
 		if (err != nil) != (want == nil) || !slices.Equal(got, want) {
 			t.Fatalf("trial %d: ProjectTasks(%v, %d, %d) = %v, %v; recomputing gives %v",
@@ -178,4 +178,14 @@ func TestProjectTasksCachedLossesMatchRecomputing(t *testing.T) {
 			t.Fatalf("trial %d: %d loss calls for %d operators and excess %d", trial, calls, m, excess)
 		}
 	}
+}
+
+// projectCopy runs ProjectTasks on a copy of desired, leaving desired
+// as it was, and returns the projection (nil on error).
+func projectCopy(desired []int, budget, minTasks int, loss func(op, fromTasks int) float64) ([]int, error) {
+	out := slices.Clone(desired)
+	if err := ProjectTasks(out, make([]float64, len(out)), budget, minTasks, loss); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -113,7 +113,8 @@ func checkTableSequence(t *testing.T, seed int64, cands [][]float64, refitEvery 
 }
 
 // checkTableRead compares Mean, OptimisticAt and (for a candidate index
-// i) PosteriorAt with their regressor recomputations.
+// i) PosteriorAt, CandidateMean and CandidateOptimistic with their
+// regressor recomputations.
 func checkTableRead(t *testing.T, s *Searcher, i int, x []float64, oracleFirst bool) {
 	t.Helper()
 	reg := s.Regressor()
@@ -154,6 +155,14 @@ func checkTableRead(t *testing.T, s *Searcher, i int, x []float64, oracleFirst b
 	if !sameBits(mu, wantMu) || !sameBits(variance, wantVar) {
 		t.Fatalf("PosteriorAt(%d) = (%v, %v), regressor (%v, %v)", i, mu, variance, wantMu, wantVar)
 	}
+	mean, errs[0] = s.CandidateMean(i)
+	opt, errs[1] = s.CandidateOptimistic(i)
+	if errs[0] != nil || errs[1] != nil {
+		t.Fatal(errs[0], errs[1])
+	}
+	if !sameBits(mean, wantMean) || !sameBits(opt, wantOpt) {
+		t.Fatalf("CandidateMean(%d) %v CandidateOptimistic(%d) %v, regressor %v %v", i, mean, i, opt, wantMean, wantOpt)
+	}
 }
 
 // oracleSelect scores every candidate through the regressor's Posterior
@@ -190,6 +199,12 @@ func TestReadersOnEmptyGP(t *testing.T) {
 		if _, err := s.OptimisticAt(x); !errors.Is(err, ErrNoData) {
 			t.Errorf("OptimisticAt(%v) on an empty GP: err = %v, want ErrNoData", x, err)
 		}
+	}
+	if _, err := s.CandidateMean(0); !errors.Is(err, ErrNoData) {
+		t.Errorf("CandidateMean(0) on an empty GP: err = %v, want ErrNoData", err)
+	}
+	if _, err := s.CandidateOptimistic(0); !errors.Is(err, ErrNoData) {
+		t.Errorf("CandidateOptimistic(0) on an empty GP: err = %v, want ErrNoData", err)
 	}
 }
 

@@ -78,8 +78,10 @@ type Searcher struct {
 	// rescanning reg.Observations() per refit, without the O(n) copy).
 	meanY, m2Y float64
 
-	// β_t and √β_t at the current t, recomputed by each Observe.
+	// β_t and √β_t at t = betaT: weights computes them on the first read
+	// after an observation, so a warm-start replay pays for none.
 	beta, sqrtBeta float64
+	betaT          int
 
 	// observability hooks; nil-safe, see internal/telemetry.
 	tracer *telemetry.Tracer
@@ -204,8 +206,6 @@ func (s *Searcher) Observe(x []float64, capacityObs float64) error {
 		return err
 	}
 	s.t++
-	s.beta = Beta(s.t, len(s.candidates), confidenceDelta)
-	s.sqrtBeta = math.Sqrt(s.beta)
 	d := capacityObs - s.meanY
 	s.meanY += d / float64(s.t)
 	s.m2Y += d * (capacityObs - s.meanY)
@@ -215,6 +215,17 @@ func (s *Searcher) Observe(x []float64, capacityObs float64) error {
 		}
 	}
 	return nil
+}
+
+// weights returns β_t and √β_t at the current t, computing them on the
+// first read after t moved.
+func (s *Searcher) weights() (beta, sqrtBeta float64) {
+	if s.betaT != s.t {
+		s.beta = Beta(s.t, len(s.candidates), confidenceDelta)
+		s.sqrtBeta = math.Sqrt(s.beta)
+		s.betaT = s.t
+	}
+	return s.beta, s.sqrtBeta
 }
 
 // refitHyperparams runs the parallel LML grid search over scales derived
@@ -271,7 +282,8 @@ func (s *Searcher) PosteriorAt(i int) (float64, float64, error) {
 
 // Mean returns the posterior mean μ_t(x) (ErrNoData before any
 // observation): from the regressor's candidate table when x is a
-// candidate, else evaluated at x.
+// candidate, else evaluated at x. A caller that knows x's candidate
+// index reads CandidateMean instead, which skips the lookup.
 //
 //lint:hotpath
 func (s *Searcher) Mean(x []float64) (float64, error) {
@@ -284,6 +296,17 @@ func (s *Searcher) Mean(x []float64) (float64, error) {
 	return s.reg.Mean(x)
 }
 
+// CandidateMean is Mean at candidate i, read from the regressor's
+// candidate table. i must index a candidate.
+//
+//lint:hotpath
+func (s *Searcher) CandidateMean(i int) (float64, error) {
+	if s.t == 0 {
+		return 0, ErrNoData
+	}
+	return s.reg.MeanAt(i)
+}
+
 // OptimisticAt returns the upper confidence value μ(x) + s·√β_t·σ(x) at an
 // arbitrary configuration, with s the searcher's exploration scale
 // (ErrNoData before any observation). A candidate's μ and σ come from the
@@ -291,24 +314,42 @@ func (s *Searcher) Mean(x []float64) (float64, error) {
 // rebalancer scores candidate reallocations with this optimistic
 // capacity so unexplored operators still attract tasks (plain posterior
 // means are flat before exploration and would freeze the allocation).
+// A caller that knows x's candidate index reads CandidateOptimistic.
 //
 //lint:hotpath
 func (s *Searcher) OptimisticAt(x []float64) (float64, error) {
 	if s.t == 0 {
 		return 0, ErrNoData
 	}
-	var mu, variance, sd float64
-	var err error
 	if i := s.reg.CandidateIndex(x); i >= 0 {
-		mu, _, sd, err = s.reg.PosteriorAt(i)
-	} else {
-		mu, variance, err = s.reg.Posterior(x)
-		sd = math.Sqrt(variance)
+		return s.CandidateOptimistic(i)
 	}
+	mu, variance, err := s.reg.Posterior(x)
 	if err != nil {
 		return 0, err
 	}
-	return mu + s.explore*s.sqrtBeta*sd, nil
+	return s.optimistic(mu, math.Sqrt(variance)), nil
+}
+
+// CandidateOptimistic is OptimisticAt at candidate i, read from the
+// regressor's candidate table. i must index a candidate.
+//
+//lint:hotpath
+func (s *Searcher) CandidateOptimistic(i int) (float64, error) {
+	if s.t == 0 {
+		return 0, ErrNoData
+	}
+	mu, _, sd, err := s.reg.PosteriorAt(i)
+	if err != nil {
+		return 0, err
+	}
+	return s.optimistic(mu, sd), nil
+}
+
+// optimistic is μ + s·√β_t·σ.
+func (s *Searcher) optimistic(mu, sd float64) float64 {
+	_, sqrtBeta := s.weights()
+	return mu + s.explore*sqrtBeta*sd
 }
 
 // ErrNoData is returned by Select before any observation; callers should
@@ -318,13 +359,16 @@ var ErrNoData = errors.New("ucb: no observations yet")
 
 // Select returns the candidate maximizing the acquisition for the given
 // target capacity, along with its index and the β_t used. For the
-// Conventional acquisition the target is ignored.
+// Conventional acquisition the target is ignored. x is the searcher's own
+// copy of the candidate, not a fresh one: it is read-only and stays valid
+// for the searcher's lifetime.
 func (s *Searcher) Select(target float64) (x []float64, idx int, beta float64, err error) {
 	if s.t == 0 {
 		return nil, 0, 0, ErrNoData
 	}
 	// Score candidates from the regressor's candidate table: a candidate
 	// another reader already filled this round costs nothing.
+	beta, sqrtBeta := s.weights()
 	bestScore := math.Inf(-1)
 	idx = -1
 	for i := range s.candidates {
@@ -337,7 +381,7 @@ func (s *Searcher) Select(target float64) (x []float64, idx int, beta float64, e
 		// β·σ² is dimensionally a variance that swamps the |μ−y| tracking
 		// term at realistic tuples/s scales; the bonus is therefore the
 		// Srinivas-et-al β^{1/2}·σ form the proof supports.
-		bonus := s.sqrtBeta * sd * s.explore
+		bonus := sqrtBeta * sd * s.explore
 		score := mu + bonus // Conventional
 		if s.acq == Extended {
 			score = -math.Abs(mu-target) + bonus
@@ -346,8 +390,8 @@ func (s *Searcher) Select(target float64) (x []float64, idx int, beta float64, e
 			bestScore, idx = score, i
 		}
 	}
-	s.traceSelect(target, idx, s.beta)
-	return append([]float64(nil), s.candidates[idx]...), idx, s.beta, nil
+	s.traceSelect(target, idx, beta)
+	return s.candidates[idx], idx, beta, nil
 }
 
 // traceSelect emits the per-round acquisition event.
@@ -361,41 +405,44 @@ func (s *Searcher) traceSelect(target float64, idx int, beta float64) {
 	s.tracer.Metrics().Inc("ucb_selects")
 }
 
-// ProjectTasks is Π_X: it projects desired per-operator task counts onto
-// the budget {Σ_i tasks_i ≤ B} by repeatedly decrementing the operator
-// whose last task is believed to contribute the least capacity relative
-// to its target shortfall. loss(op, fromTasks) must return the estimated
-// penalty of going from fromTasks to fromTasks−1 for that operator
-// (larger = more valuable to keep). minTasks floors every operator
-// (usually 1). Ties go to the lowest operator index.
+// ProjectTasks is Π_X: it projects per-operator task counts onto the
+// budget {Σ_i tasks_i ≤ B} in place, by repeatedly decrementing the
+// operator whose last task is believed to contribute the least capacity
+// relative to its target shortfall. loss(op, fromTasks) must return the
+// estimated penalty of going from fromTasks to fromTasks−1 for that
+// operator (larger = more valuable to keep). minTasks floors every
+// operator (usually 1). Ties go to the lowest operator index. losses is
+// the caller's scratch for the cached losses, at least len(tasks) long;
+// its contents on entry do not matter. On error tasks may be left partly
+// trimmed.
 //
 // loss must be a pure function of its arguments for the duration of one
 // call: each operator's loss is computed once and cached, and a trim
 // recomputes only the trimmed operator's entry, so the projection makes
-// at most len(desired) + excess loss calls instead of one per operator
+// at most len(tasks) + excess loss calls instead of one per operator
 // per trimmed task.
-func ProjectTasks(desired []int, budget, minTasks int, loss func(op, fromTasks int) float64) ([]int, error) {
-	if budget < minTasks*len(desired) {
-		return nil, fmt.Errorf("ucb: budget %d cannot host %d operators at min %d tasks", budget, len(desired), minTasks)
+func ProjectTasks(tasks []int, losses []float64, budget, minTasks int, loss func(op, fromTasks int) float64) error {
+	if budget < minTasks*len(tasks) {
+		//lint:allow hotpath validation guard: the controller checks its budget against the operator count when it is set
+		return fmt.Errorf("ucb: budget %d cannot host %d operators at min %d tasks", budget, len(tasks), minTasks)
 	}
 	if minTasks < 1 {
-		return nil, errors.New("ucb: minTasks must be ≥ 1")
+		return errors.New("ucb: minTasks must be ≥ 1")
 	}
-	out := append([]int(nil), desired...)
 	total := 0
-	for i, v := range out {
+	for i, v := range tasks {
 		if v < minTasks {
-			out[i] = minTasks
+			tasks[i] = minTasks
 			v = minTasks
 		}
 		total += v
 	}
 	if total <= budget {
-		return out, nil
+		return nil
 	}
-	// losses[i] caches loss(i, out[i]) for every operator above the floor.
-	losses := make([]float64, len(out))
-	for i, v := range out {
+	// losses[i] caches loss(i, tasks[i]) for every operator above the floor.
+	losses = losses[:len(tasks)]
+	for i, v := range tasks {
 		if v > minTasks {
 			losses[i] = loss(i, v)
 		}
@@ -403,7 +450,7 @@ func ProjectTasks(desired []int, budget, minTasks int, loss func(op, fromTasks i
 	for total > budget {
 		best := -1
 		bestLoss := math.Inf(1)
-		for i, v := range out {
+		for i, v := range tasks {
 			if v > minTasks && losses[i] < bestLoss {
 				bestLoss, best = losses[i], i
 			}
@@ -411,13 +458,13 @@ func ProjectTasks(desired []int, budget, minTasks int, loss func(op, fromTasks i
 		if best == -1 {
 			// Cannot shrink further (all at minTasks) — guarded above, but
 			// loss() returning +Inf everywhere also lands here.
-			return nil, errors.New("ucb: projection stuck above budget")
+			return errors.New("ucb: projection stuck above budget")
 		}
-		out[best]--
+		tasks[best]--
 		total--
-		if out[best] > minTasks && total > budget {
-			losses[best] = loss(best, out[best])
+		if tasks[best] > minTasks && total > budget {
+			losses[best] = loss(best, tasks[best])
 		}
 	}
-	return out, nil
+	return nil
 }
