@@ -86,13 +86,14 @@ bench-e2e:
 # one stream-simulator tick of a chain, one 600-second slot of the noisy
 # Yahoo job through flink.Job.RunSlot (engine with its slot totals and
 # cluster clock), one full controller decision, one RNG seeding, one
-# Gaussian draw, one Yahoo capacity plan and one 100- and one 1000-tenant
-# admission round (fleet.New plus round 0) — snapshotted into
+# Gaussian draw, one Yahoo capacity plan, one 100- and one 1000-tenant
+# admission round (fleet.New plus round 0) and one spec of each built-in
+# workload kind, by constructor and by name — snapshotted into
 # BENCH_layers.json. Recorded, not gated; CI's layer bench smoke runs the
 # same pattern over the same packages once each.
 bench-layers:
-	$(GO) test -run NONE -bench 'EvaluateChain|GradientChain|SaddlePointStep|TickChain|RunSlotYahoo|ControllerDecide|NewRNG|Normal|PlannerBuild|FleetAdmit' -benchmem \
-		. ./internal/dag ./internal/osp ./internal/streamsim ./internal/flink ./internal/stats ./internal/planner ./internal/fleet | $(GO) run ./cmd/benchsnapshot -out BENCH_layers.json -label "make bench-layers"
+	$(GO) test -run NONE -bench 'EvaluateChain|GradientChain|SaddlePointStep|TickChain|RunSlotYahoo|ControllerDecide|NewRNG|Normal|PlannerBuild|FleetAdmit|WorkloadSpecs' -benchmem \
+		. ./internal/dag ./internal/osp ./internal/streamsim ./internal/flink ./internal/stats ./internal/planner ./internal/fleet ./internal/workload | $(GO) run ./cmd/benchsnapshot -out BENCH_layers.json -label "make bench-layers"
 
 # Re-run the e2e benchmarks five times and fail if any median ns/op
 # regressed more than 20% against the committed snapshot (CI runs the

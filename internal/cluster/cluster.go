@@ -70,6 +70,8 @@ type Pod struct {
 	Spec       ResourceSpec
 	Phase      PodPhase
 	NodeName   string // empty while pending
+
+	owner *Deployment // the deployment whose pod list holds it
 }
 
 // Deployment manages a replica set of identical pods.
@@ -78,7 +80,8 @@ type Deployment struct {
 	Spec     ResourceSpec
 	Replicas int // desired
 
-	pods []*Pod // live pods, in creation order
+	pods    []*Pod // live pods, in creation order
+	running int    // of pods, how many are Running
 }
 
 // node is a worker machine.
@@ -124,9 +127,10 @@ type Cluster struct {
 	live []*Pod
 	dead int
 
-	// pending and runningCPU are maintained at placement, eviction and
-	// termination, so Tick reads the reserved CPU in O(1) and skips the
-	// scheduling pass when no pod waits.
+	// pending and runningCPU, like each deployment's running count, are
+	// maintained at placement, eviction and termination, so Tick reads
+	// the reserved CPU in O(1) and skips the scheduling pass when no pod
+	// waits.
 	pending    int
 	runningCPU int
 
@@ -210,7 +214,7 @@ func (c *Cluster) AddNode(name string, allocatable ResourceSpec) error {
 // AddNodes registers count identical nodes named prefix-0..count-1.
 func (c *Cluster) AddNodes(prefix string, count int, allocatable ResourceSpec) error {
 	for i := 0; i < count; i++ {
-		if err := c.AddNode(fmt.Sprintf("%s-%d", prefix, i), allocatable); err != nil {
+		if err := c.AddNode(prefix+"-"+strconv.Itoa(i), allocatable); err != nil {
 			return err
 		}
 	}
@@ -238,6 +242,7 @@ func (c *Cluster) RemoveNode(name string) error {
 			continue
 		}
 		c.runningCPU -= p.Spec.CPUMilli
+		p.owner.running--
 		c.pending++
 		p.Phase = PodPending
 		p.NodeName = ""
@@ -356,6 +361,7 @@ func (c *Cluster) reconcile(d *Deployment) {
 			Deployment: d.Name,
 			Spec:       d.Spec,
 			Phase:      PodPending,
+			owner:      d,
 		}
 		c.pods[p.Name] = p
 		c.live = append(c.live, p)
@@ -398,6 +404,7 @@ func (c *Cluster) schedule() {
 		best.usedCPU += p.Spec.CPUMilli
 		best.usedMem += p.Spec.MemoryMB
 		c.runningCPU += p.Spec.CPUMilli
+		p.owner.running++
 		c.pending--
 		p.NodeName = best.name
 		p.Phase = PodRunning
@@ -419,6 +426,7 @@ func (c *Cluster) terminatePod(p *Pod) {
 		n.usedCPU -= p.Spec.CPUMilli
 		n.usedMem -= p.Spec.MemoryMB
 		c.runningCPU -= p.Spec.CPUMilli
+		p.owner.running--
 	case PodPending:
 		c.pending--
 	}
@@ -453,31 +461,29 @@ func (c *Cluster) livePods() []*Pod {
 	return c.live
 }
 
-// countPods returns how many of a deployment's pods are in the phase
-// (0 for an unknown deployment).
-func (c *Cluster) countPods(deployment string, phase PodPhase) int {
+// RunningPods returns the number of Running pods in a deployment (0 for
+// an unknown one) — the effective parallelism the Flink layer sees.
+func (c *Cluster) RunningPods(deployment string) int {
+	if d, ok := c.deployments[deployment]; ok {
+		return d.running
+	}
+	return 0
+}
+
+// PendingPods returns the number of unschedulable pods in a deployment
+// (0 for an unknown one).
+func (c *Cluster) PendingPods(deployment string) int {
 	d, ok := c.deployments[deployment]
 	if !ok {
 		return 0
 	}
 	n := 0
 	for _, p := range d.pods {
-		if p.Phase == phase {
+		if p.Phase == PodPending {
 			n++
 		}
 	}
 	return n
-}
-
-// RunningPods returns the number of Running pods in a deployment — the
-// effective parallelism the Flink layer sees.
-func (c *Cluster) RunningPods(deployment string) int {
-	return c.countPods(deployment, PodRunning)
-}
-
-// PendingPods returns the number of unschedulable pods in a deployment.
-func (c *Cluster) PendingPods(deployment string) int {
-	return c.countPods(deployment, PodPending)
 }
 
 // Pods returns a snapshot (copies) of all live pods, ordered by creation.

@@ -11,9 +11,10 @@ import (
 
 // checkIndex verifies the incrementally maintained state against a
 // recomputation from the pods themselves: the running-CPU and pending
-// counters, every node's used resources, the per-deployment pod lists,
-// the live set in creation order, and Free's running totals against a
-// recount over the nodes and the live pods. With walk set it also checks
+// counters, every node's used resources, the per-deployment pod lists
+// and Running counts (RunningPods included), the live set in creation
+// order, and Free's running totals against a recount over the nodes and
+// the live pods. With walk set it also checks
 // that Pods() returns that set and compacts the list, and recounts Free
 // from that snapshot; otherwise terminated entries are left for the next
 // operation's own walks.
@@ -66,6 +67,7 @@ func checkIndex(t *testing.T, c *Cluster, step int, op string, walk bool) {
 	usedCPU := map[string]int{}
 	usedMem := map[string]int{}
 	byDep := map[string][]string{}
+	runningByDep := map[string]int{}
 	lastSeq := -1
 	for _, p := range pods {
 		if c.pods[p.Name] == nil {
@@ -82,6 +84,7 @@ func checkIndex(t *testing.T, c *Cluster, step int, op string, walk bool) {
 		switch p.Phase {
 		case PodRunning:
 			runningCPU += p.Spec.CPUMilli
+			runningByDep[p.Deployment]++
 			usedCPU[p.NodeName] += p.Spec.CPUMilli
 			usedMem[p.NodeName] += p.Spec.MemoryMB
 		case PodPending:
@@ -114,6 +117,9 @@ func checkIndex(t *testing.T, c *Cluster, step int, op string, walk bool) {
 		}
 		if len(byDep[name]) != len(d.pods) {
 			fail("deployment %s pod list %v disagrees with Pods() %v", name, podNames(d.pods), byDep[name])
+		}
+		if got, want := c.RunningPods(name), runningByDep[name]; d.running != want || got != want {
+			fail("deployment %s running count = %d (RunningPods %d), its Running pods = %d", name, d.running, got, want)
 		}
 	}
 }

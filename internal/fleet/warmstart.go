@@ -1,9 +1,8 @@
 package fleet
 
 import (
-	"fmt"
 	"math"
-	"strings"
+	"strconv"
 
 	"dragster/internal/store"
 	"dragster/internal/workload"
@@ -39,15 +38,17 @@ const minHarvestUtil = 0.15
 
 // fingerprint is the archive key for a workload spec.
 func fingerprint(spec *workload.Spec) string {
-	var b strings.Builder
-	b.WriteString(spec.Name)
-	b.WriteByte('|')
+	b := append(make([]byte, 0, 64), spec.Name...)
+	b = append(b, '|')
 	for i := 0; i < spec.Graph.NumOperators(); i++ {
-		b.WriteString(spec.Graph.OperatorName(i))
-		b.WriteByte(',')
+		b = append(b, spec.Graph.OperatorName(i)...)
+		b = append(b, ',')
 	}
-	fmt.Fprintf(&b, "|%d|%g", spec.MaxTasks, spec.YMax)
-	return b.String()
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(spec.MaxTasks), 10)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, spec.YMax, 'g', -1, 64) // fmt's %g
+	return string(b)
 }
 
 // warmStartMaxPerOperator caps how many history records per operator are

@@ -197,7 +197,7 @@ func (s *SessionCluster) CancelJob(name string) error {
 
 func deploymentName(job, op string) string {
 	san := strings.ToLower(strings.ReplaceAll(op, " ", "-"))
-	return fmt.Sprintf("tm-%s-%s", strings.ToLower(job), san)
+	return "tm-" + strings.ToLower(job) + "-" + san
 }
 
 // Parallelism returns the desired parallelism vector.
@@ -344,14 +344,12 @@ func (j *Job) readEffective() {
 }
 
 // syncEngineTasks hands the engine the effective allocation. The
-// engine's SetTasks copies it and rejects a vector whose length is not
-// its operator count.
+// engine's SetAllocation copies it, re-evaluates only the operators whose
+// tasks or CPU changed, and rejects a vector whose length is not its
+// operator count.
 func (j *Job) syncEngineTasks() error {
 	j.readEffective()
-	if err := j.engine.SetTasks(j.effTasks); err != nil {
-		return err
-	}
-	return j.engine.SetCPU(j.effCPU)
+	return j.engine.SetAllocation(j.effTasks, j.effCPU)
 }
 
 // RunSlot advances the job by `seconds` ticks at the offered rates

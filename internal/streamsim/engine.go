@@ -258,55 +258,64 @@ func (e *Engine) buildPlan() {
 	}
 }
 
-// SetTasks applies a new parallelism vector (dense operator index order).
-// It does not pause the engine; the Flink layer calls Pause separately to
-// model the savepoint stop-and-resume.
-func (e *Engine) SetTasks(tasks []int) error {
+// SetTasks applies a new parallelism vector (dense operator index order),
+// keeping the per-pod CPU allocations. It does not pause the engine; the
+// Flink layer calls Pause separately to model the savepoint
+// stop-and-resume.
+func (e *Engine) SetTasks(tasks []int) error { return e.SetAllocation(tasks, e.cpu) }
+
+// SetAllocation applies a parallelism vector and per-pod CPU allocations
+// (millicores), both in dense operator index order. Only models
+// implementing ResourceAware react to the CPU; others keep their
+// task-count capacity. It re-evaluates only the operators whose task
+// count or CPU changed: models are pure (see CapacityModel), so the
+// other operators' cached capacities stay exact.
+func (e *Engine) SetAllocation(tasks, cpuMilli []int) error {
 	if len(tasks) != len(e.tasks) {
 		return fmt.Errorf("streamsim: got %d task counts, want %d", len(tasks), len(e.tasks))
+	}
+	if len(cpuMilli) != len(e.cpu) {
+		return fmt.Errorf("streamsim: got %d CPU allocations, want %d", len(cpuMilli), len(e.cpu))
 	}
 	for i, n := range tasks {
 		if n < 0 {
 			return fmt.Errorf("streamsim: negative task count %d for operator %d", n, i)
 		}
+		if c := cpuMilli[i]; c < 0 {
+			return fmt.Errorf("streamsim: negative CPU %d for operator %d", c, i)
+		}
 	}
-	copy(e.tasks, tasks)
-	e.refreshCapacity()
+	changed := false
+	for i, n := range tasks {
+		if n == e.tasks[i] && cpuMilli[i] == e.cpu[i] {
+			continue
+		}
+		e.tasks[i], e.cpu[i] = n, cpuMilli[i]
+		e.caps[i] = e.capacityOf(i)
+		changed = true
+	}
+	if changed {
+		e.refreshY()
+	}
 	return nil
 }
 
 // TasksView returns the current parallelism vector without copying. The
 // slice aliases Engine state: it is read-only and only valid until the
-// next SetTasks, the same aliasing contract as Totals. Callers on
+// next SetTasks or SetAllocation, the same aliasing contract as Totals. Callers on
 // the controller loop use it to avoid a per-round allocation; anything
 // that retains the values must copy them (or call Tasks).
 func (e *Engine) TasksView() []int { return e.tasks }
 
-// SetCPU applies per-pod CPU allocations (millicores, dense operator
-// index order). Only models implementing ResourceAware react; others keep
-// their task-count capacity.
-func (e *Engine) SetCPU(cpuMilli []int) error {
-	if len(cpuMilli) != len(e.cpu) {
-		return fmt.Errorf("streamsim: got %d CPU allocations, want %d", len(cpuMilli), len(e.cpu))
-	}
-	for i, c := range cpuMilli {
-		if c < 0 {
-			return fmt.Errorf("streamsim: negative CPU %d for operator %d", c, i)
-		}
-	}
-	copy(e.cpu, cpuMilli)
-	e.refreshCapacity()
-	return nil
-}
-
 // CPUView returns the per-pod CPU vector without copying, under the same
-// read-only aliasing contract as TasksView (valid until the next SetCPU).
+// read-only aliasing contract as TasksView (valid until the next
+// SetAllocation).
 func (e *Engine) CPUView() []int { return e.cpu }
 
 // refreshCapacity re-evaluates every operator's capacity into caps. The
 // allocation changes at most once per slot while Tick reads the capacity
 // every second, and models are pure (see CapacityModel), so the cache is
-// exact.
+// exact; SetAllocation keeps it so operator by operator.
 func (e *Engine) refreshCapacity() {
 	for i := range e.caps {
 		e.caps[i] = e.capacityOf(i)

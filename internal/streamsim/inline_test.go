@@ -86,8 +86,8 @@ func checkPlanConstants(t *testing.T, e *Engine, when string) {
 // compared as a one-tick window of the totals, and before every tick
 // the cached products must equal a fresh computation. The run
 // covers random layered and join graphs and the chain, with capacity
-// and CPU noise, a buffer cap, reconfiguration pauses, and SetTasks,
-// SetCPU and BeginSlot between ticks.
+// and CPU noise, a buffer cap, reconfiguration pauses, and SetAllocation
+// and BeginSlot between ticks.
 func TestInlineLinearMatchesInterface(t *testing.T) {
 	rng := stats.NewRNG(2026)
 	graphs := []*dag.Graph{chainGraph(t)}
@@ -147,10 +147,7 @@ func TestInlineLinearMatchesInterface(t *testing.T) {
 					tasks[i], cpu[i] = 1+rng.Intn(6), 250*(1+rng.Intn(8))
 				}
 				for _, e := range engines {
-					if err := e.SetTasks(tasks); err != nil {
-						t.Fatal(err)
-					}
-					if err := e.SetCPU(cpu); err != nil {
+					if err := e.SetAllocation(tasks, cpu); err != nil {
 						t.Fatal(err)
 					}
 					e.BeginSlot()

@@ -162,7 +162,7 @@ func yahooLikeChain(t *testing.T) *dag.Graph {
 // TestTotalsMatchReference: over random layered and join graphs (joins,
 // several out-edges, sinks with several in-edges) and a chain of
 // straight-line operators, with capacity and CPU noise, a buffer cap that
-// drops, reconfiguration pauses, SetTasks and SetCPU in mid-slot, and
+// drops, reconfiguration pauses, SetAllocation in mid-slot, and
 // slots that end in a paused tick, the engine's totals equal the
 // reference accumulator's sums after every tick, and the report
 // monitor.SlotReport builds from them equals the reference report, bit
@@ -237,10 +237,7 @@ func TestTotalsMatchReference(t *testing.T) {
 						tasks[i], cpu[i] = rng.Intn(6), 250*(1+rng.Intn(8))
 					}
 					for _, e := range engines {
-						if err := e.SetTasks(tasks); err != nil {
-							t.Fatal(err)
-						}
-						if err := e.SetCPU(cpu); err != nil {
+						if err := e.SetAllocation(tasks, cpu); err != nil {
 							t.Fatal(err)
 						}
 					}

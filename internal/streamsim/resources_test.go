@@ -75,7 +75,7 @@ func TestEngineSetCPUChangesCapacity(t *testing.T) {
 	if got := e.TrueCapacity(0); got != 100 { // 1 task × default 1000m
 		t.Fatalf("default capacity = %v", got)
 	}
-	if err := e.SetCPU([]int{2000}); err != nil {
+	if err := e.SetAllocation([]int{1}, []int{2000}); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.TrueCapacity(0); got != 200 {
@@ -90,10 +90,13 @@ func TestEngineSetCPUChangesCapacity(t *testing.T) {
 		t.Errorf("throughput at 2000m = %v", st.Sink)
 	}
 	// Validation.
-	if err := e.SetCPU([]int{1, 2}); err == nil {
-		t.Error("wrong length accepted")
+	if err := e.SetAllocation([]int{1}, []int{1, 2}); err == nil {
+		t.Error("wrong CPU length accepted")
 	}
-	if err := e.SetCPU([]int{-5}); err == nil {
+	if err := e.SetAllocation([]int{1, 1}, []int{1000}); err == nil {
+		t.Error("wrong task length accepted")
+	}
+	if err := e.SetAllocation([]int{1}, []int{-5}); err == nil {
 		t.Error("negative CPU accepted")
 	}
 	// Non-resource-aware models ignore CPU.
@@ -101,7 +104,7 @@ func TestEngineSetCPUChangesCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.SetCPU([]int{4000}); err != nil {
+	if err := e2.SetAllocation([]int{1}, []int{4000}); err != nil {
 		t.Fatal(err)
 	}
 	if got := e2.TrueCapacity(0); got != 100 {
@@ -166,14 +169,18 @@ func TestCachedCapacityTracksModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("SetTasks")
-	if err := e.SetCPU([]int{500, 2500, 1500}); err != nil {
+	if err := e.SetAllocation([]int{3, 5, 7}, []int{500, 2500, 1500}); err != nil {
 		t.Fatal(err)
 	}
-	check("SetCPU")
+	check("SetAllocation")
+	if err := e.SetAllocation([]int{3, 6, 7}, []int{500, 2500, 2000}); err != nil {
+		t.Fatal(err)
+	}
+	check("SetAllocation of two operators")
 	if err := e.SetTasks([]int{1, -1, 2}); err == nil {
 		t.Fatal("negative task count accepted")
 	}
-	if err := e.SetCPU([]int{1000, 1000}); err == nil {
+	if err := e.SetAllocation([]int{1, 1, 1}, []int{1000, 1000}); err == nil {
 		t.Fatal("short CPU vector accepted")
 	}
 	check("rejected updates")

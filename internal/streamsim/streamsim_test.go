@@ -453,10 +453,7 @@ func TestResetMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := used.SetTasks([]int{3, 2}); err != nil {
-			t.Fatal(err)
-		}
-		if err := used.SetCPU([]int{1500, 500}); err != nil {
+		if err := used.SetAllocation([]int{3, 2}, []int{1500, 500}); err != nil {
 			t.Fatal(err)
 		}
 		used.BeginSlot()

@@ -8,12 +8,19 @@
 // Rates are calibrated so the optimal configuration is interior to the
 // 1..10 task grid at the high rate — the property that makes the search
 // problem non-trivial in Fig. 4.
+//
+// Each kind is built and validated once per process. Every constructor
+// call returns a Spec of its own whose slices the caller may change,
+// while the *dag.Graph and the capacity model values, which are
+// immutable, are shared by every Spec of that kind.
 package workload
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"dragster/internal/dag"
 	"dragster/internal/streamsim"
@@ -63,11 +70,27 @@ func mustPower(perTask, gamma, ripple float64) streamsim.PowerCurve {
 	return c
 }
 
+// clone returns a Spec of its own over a kind's cached spec: fresh
+// Models, HighRates and LowRates slices, sharing the immutable Graph and
+// the validated model values with every other Spec of the kind.
+func clone(s *Spec, err error) (*Spec, error) {
+	if err != nil {
+		return nil, err
+	}
+	c := *s
+	c.Models = slices.Clone(s.Models)
+	c.HighRates = slices.Clone(s.HighRates)
+	c.LowRates = slices.Clone(s.LowRates)
+	return &c, nil
+}
+
 // WordCount is the two-operator pipeline of Fig. 4:
 // source → map (flatMap, selectivity 2) → shuffle (count) → sink.
 // At the high rate (50 k tuples/s) the unbudgeted optimum sits near
 // (map=9, shuffle=7) on the 10×10 grid.
-func WordCount() (*Spec, error) {
+func WordCount() (*Spec, error) { return clone(wordCount()) }
+
+var wordCount = sync.OnceValues(func() (*Spec, error) {
 	b := dag.NewBuilder()
 	src := b.Source("source")
 	mp := b.Operator("map")
@@ -93,7 +116,7 @@ func WordCount() (*Spec, error) {
 		YMax:      150000,
 	}
 	return s, s.Validate()
-}
+})
 
 // LearnedWordCount is the WordCount graph as a controller that does not
 // know its selectivities sees it (the Theorem 2 setting): each edge is a
@@ -129,7 +152,9 @@ func LearnedWordCount(priorScale float64) (*dag.Graph, *dag.LearnedLinear, error
 // allocation (exponent 0.8 relative to the 1000m reference). Used by the
 // vertical-scaling experiments, where the configuration space is the
 // paper's full vector (executors × CPU).
-func WordCount2D() (*Spec, error) {
+func WordCount2D() (*Spec, error) { return clone(wordCount2D()) }
+
+var wordCount2D = sync.OnceValues(func() (*Spec, error) {
 	s, err := WordCount()
 	if err != nil {
 		return nil, err
@@ -146,10 +171,12 @@ func WordCount2D() (*Spec, error) {
 	// grows accordingly.
 	s.YMax *= 2
 	return s, s.Validate()
-}
+})
 
 // Group is a single-operator aggregation: source → group → sink.
-func Group() (*Spec, error) {
+func Group() (*Spec, error) { return clone(group()) }
+
+var group = sync.OnceValues(func() (*Spec, error) {
 	b := dag.NewBuilder()
 	src := b.Source("source")
 	gr := b.Operator("group")
@@ -171,11 +198,13 @@ func Group() (*Spec, error) {
 		YMax:      100000,
 	}
 	return s, s.Validate()
-}
+})
 
 // AsyncIO models an operator calling an external service: capacity
 // saturates at the service's ceiling regardless of parallelism.
-func AsyncIO() (*Spec, error) {
+func AsyncIO() (*Spec, error) { return clone(asyncIO()) }
+
+var asyncIO = sync.OnceValues(func() (*Spec, error) {
 	b := dag.NewBuilder()
 	src := b.Source("source")
 	async := b.Operator("asyncio")
@@ -201,11 +230,13 @@ func AsyncIO() (*Spec, error) {
 		YMax:      100000,
 	}
 	return s, s.Validate()
-}
+})
 
 // Join consumes two sources and emits at the rate of the slower side
 // (Eq. 2b with unit weights).
-func Join() (*Spec, error) {
+func Join() (*Spec, error) { return clone(join()) }
+
+var join = sync.OnceValues(func() (*Spec, error) {
 	b := dag.NewBuilder()
 	s1 := b.Source("bids")
 	s2 := b.Source("auctions")
@@ -232,11 +263,13 @@ func Join() (*Spec, error) {
 		YMax:      100000,
 	}
 	return s, s.Validate()
-}
+})
 
 // Window is a two-operator pipeline: source → window-assign → aggregate →
 // sink.
-func Window() (*Spec, error) {
+func Window() (*Spec, error) { return clone(window()) }
+
+var window = sync.OnceValues(func() (*Spec, error) {
 	b := dag.NewBuilder()
 	src := b.Source("source")
 	wa := b.Operator("window-assign")
@@ -262,13 +295,15 @@ func Window() (*Spec, error) {
 		YMax:      120000,
 	}
 	return s, s.Validate()
-}
+})
 
 // Yahoo is the six-operator advertising pipeline of Fig. 3:
 // kafka → deserialize → filter (selectivity 0.4) → project → redis-join →
 // window-count → writer → redis sink. The redis-join capacity saturates
 // (external store), which is what makes its configuration subtle.
-func Yahoo() (*Spec, error) {
+func Yahoo() (*Spec, error) { return clone(yahoo()) }
+
+var yahoo = sync.OnceValues(func() (*Spec, error) {
 	b := dag.NewBuilder()
 	src := b.Source("kafka")
 	de := b.Operator("deserialize")
@@ -315,16 +350,25 @@ func Yahoo() (*Spec, error) {
 		YMax:      800000,
 	}
 	return s, s.Validate()
+})
+
+// kinds are the workloads All returns, in its order, under the names
+// ByName resolves.
+var kinds = []struct {
+	name string
+	spec func() (*Spec, error)
+}{
+	{"group", Group}, {"asyncio", AsyncIO}, {"join", Join},
+	{"window", Window}, {"wordcount", WordCount}, {"yahoo", Yahoo},
 }
 
 // All returns every workload spec. With the two source-rate levels of each
 // spec this covers the paper's "11 applications" sweep (the twelfth
 // combination, Yahoo-low, the paper folds into §6.5).
 func All() ([]*Spec, error) {
-	builders := []func() (*Spec, error){Group, AsyncIO, Join, Window, WordCount, Yahoo}
-	out := make([]*Spec, 0, len(builders))
-	for _, f := range builders {
-		s, err := f()
+	out := make([]*Spec, 0, len(kinds))
+	for _, k := range kinds {
+		s, err := k.spec()
 		if err != nil {
 			return nil, err
 		}
@@ -335,13 +379,9 @@ func All() ([]*Spec, error) {
 
 // ByName returns the named workload spec.
 func ByName(name string) (*Spec, error) {
-	all, err := All()
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range all {
-		if s.Name == name {
-			return s, nil
+	for _, k := range kinds {
+		if k.name == name {
+			return k.spec()
 		}
 	}
 	return nil, fmt.Errorf("workload: unknown workload %q", name)
